@@ -42,7 +42,21 @@ use pf_check::CheckBuilder;
 
 use pf_rt::deque::{deque, Steal, MAX_STEAL_BATCH};
 use pf_rt::mutex_cell::mx_cell;
-use pf_rt::{cell, CancelToken, ResumePlace, Runtime, SchedPolicy, Session, SessionError};
+use pf_rt::{
+    cell, CancelToken, ResumePlace, Runtime, SchedPolicy, Session, SessionError, SpawnOrder,
+};
+
+/// Parent-first: every `spawn` is a push. The models that fork with
+/// `spawn` are about pushes racing parks, steals, aborts and cell
+/// hand-offs; under the default work-first order a `spawn` runs inline
+/// and makes no queue traffic to explore. The `spawn2` models keep the
+/// default (one child pushed, one run inline).
+fn pushing() -> SchedPolicy {
+    SchedPolicy {
+        spawn: SpawnOrder::ParentFirst,
+        ..SchedPolicy::default()
+    }
+}
 
 /// Exploration budgets for models embedding the full `Runtime` (worker
 /// threads + session protocol): these have hundreds of choice points, so
@@ -207,7 +221,7 @@ fn pool_quiescence_no_lost_wakeup() {
     rt_budget().run(|| {
         let done = Arc::new(AtomicUsize::new(0));
         let d2 = Arc::clone(&done);
-        let rt = Runtime::new(2);
+        let rt = Runtime::with_policy(2, pushing());
         rt.run(move |wk| {
             let (a, b) = (Arc::clone(&d2), Arc::clone(&d2));
             wk.spawn(move |_| {
@@ -229,7 +243,7 @@ fn pool_quiescence_no_lost_wakeup() {
 #[test]
 fn pool_two_sessions_reuse() {
     rt_budget().run(|| {
-        let rt = Runtime::new(2);
+        let rt = Runtime::with_policy(2, pushing());
         for round in 0..2usize {
             let (w, r) = cell::<usize>();
             rt.run(move |wk| {
@@ -249,7 +263,7 @@ fn pool_two_sessions_reuse() {
 #[test]
 fn pool_panic_rendezvous_leaves_pool_reusable() {
     rt_budget().run(|| {
-        let rt = Runtime::new(2);
+        let rt = Runtime::with_policy(2, pushing());
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.run(|wk| {
                 wk.spawn(|_| {});
@@ -277,7 +291,7 @@ fn pool_single_worker_suspend_resume() {
     rt_budget().run(|| {
         let (w, r) = cell::<u32>();
         let (ow, or) = cell::<u32>();
-        let rt = Runtime::new(1);
+        let rt = Runtime::with_policy(1, pushing());
         rt.run(move |wk| {
             r.touch(wk, move |v, wk| ow.fulfill(wk, v + 1));
             wk.spawn(move |wk| w.fulfill(wk, 10));
@@ -327,8 +341,9 @@ fn cell_fulfill_vs_touch_exactly_once() {
 }
 
 /// Forced suspension order (touch strictly before fulfill, sequenced on
-/// one worker): exercises the WAITING branch of the writer's swap — the
-/// waiter box is taken and re-enqueued as a task exactly once.
+/// one worker by the default work-first `spawn`): exercises the WAITING
+/// branch of the writer's CAS — the suspension record is taken and
+/// enqueued as a task exactly once, where the sibling may steal it.
 #[cfg(not(pf_check_lost_wakeup))]
 #[test]
 fn cell_waiter_handoff_after_suspension() {
@@ -340,7 +355,7 @@ fn cell_waiter_handoff_after_suspension() {
         rt.run(move |wk| {
             let counter = Arc::clone(&r2);
             // Touch first, from the root task itself: the cell cannot be
-            // full yet, so this suspends (or races the spawned write).
+            // full yet, so this suspends; the write runs inline after it.
             r.touch(wk, move |v, _| {
                 assert_eq!(v, 3);
                 counter.fetch_add(1, Ordering::Relaxed);
@@ -365,7 +380,7 @@ fn mutex_cell_two_touchers_one_writer() {
         let runs = Arc::new(AtomicUsize::new(0));
         let r2 = Arc::clone(&runs);
         let (w, r) = mx_cell::<u32>();
-        let rt = Runtime::new(2);
+        let rt = Runtime::with_policy(2, pushing());
         rt.run(move |wk| {
             let ra = r.clone();
             let rb = r;
@@ -494,7 +509,7 @@ fn pool_mailbox_forced_suspension_then_reuse() {
     rt_budget().run(|| {
         let policy = SchedPolicy {
             resume: ResumePlace::Mailbox,
-            ..SchedPolicy::default()
+            ..pushing()
         };
         let runs = Arc::new(AtomicUsize::new(0));
         let r2 = Arc::clone(&runs);
@@ -562,7 +577,7 @@ fn pool_mailbox_abort_drains_cleanly() {
     rt_budget().run(|| {
         let policy = SchedPolicy {
             resume: ResumePlace::Mailbox,
-            ..SchedPolicy::default()
+            ..pushing()
         };
         let rt = Runtime::with_policy(2, policy);
         let (w, r) = cell::<u32>();
@@ -595,7 +610,7 @@ fn pool_mailbox_abort_drains_cleanly() {
 #[test]
 fn try_run_abort_rendezvous_under_injected_panic() {
     rt_budget().run(|| {
-        let rt = Runtime::new(2);
+        let rt = Runtime::with_policy(2, pushing());
         let err = rt
             .try_run(|wk| {
                 wk.spawn(|_| {});
@@ -624,7 +639,7 @@ fn try_run_abort_rendezvous_under_injected_panic() {
 #[test]
 fn poison_then_touch_fails_fast() {
     rt_budget().run(|| {
-        let rt = Runtime::new(2);
+        let rt = Runtime::with_policy(2, pushing());
         let (_w, r) = cell::<u32>(); // never fulfilled
         let r_in = r.clone();
         let err = rt
@@ -654,7 +669,7 @@ fn poison_then_touch_fails_fast() {
 #[test]
 fn cancel_racing_fulfill() {
     rt_budget().run(|| {
-        let rt = Runtime::new(2);
+        let rt = Runtime::with_policy(2, pushing());
         let tok = CancelToken::new();
         let t2 = tok.clone();
         let canceller = thread::spawn(move || t2.cancel());
@@ -690,7 +705,7 @@ fn cancel_racing_fulfill() {
 #[test]
 fn two_concurrent_sessions_both_complete() {
     rt_budget().run(|| {
-        let rt = Arc::new(Runtime::new(2));
+        let rt = Arc::new(Runtime::with_policy(2, pushing()));
         let rt2 = Arc::clone(&rt);
         let other = thread::spawn(move || {
             let (w, r) = cell::<u32>();
@@ -722,7 +737,7 @@ fn two_concurrent_sessions_both_complete() {
 #[test]
 fn concurrent_abort_is_isolated_to_its_slot() {
     rt_budget().run(|| {
-        let rt = Arc::new(Runtime::new(2));
+        let rt = Arc::new(Runtime::with_policy(2, pushing()));
         let rt2 = Arc::clone(&rt);
         let faulty = thread::spawn(move || {
             let (_w, r) = cell::<u32>(); // never written; poisoned on abort
@@ -760,7 +775,7 @@ fn concurrent_abort_is_isolated_to_its_slot() {
 #[test]
 fn concurrent_cancel_hits_only_its_slot() {
     rt_budget().run(|| {
-        let rt = Arc::new(Runtime::new(2));
+        let rt = Arc::new(Runtime::with_policy(2, pushing()));
         let rt2 = Arc::clone(&rt);
         let tok = CancelToken::new();
         tok.cancel();
@@ -808,7 +823,7 @@ fn seeded_lost_wakeup_is_caught() {
         .run(|| {
             let done = Arc::new(AtomicUsize::new(0));
             let d2 = Arc::clone(&done);
-            let rt = Runtime::new(2);
+            let rt = Runtime::with_policy(2, pushing());
             rt.run(move |wk| {
                 let (a, b) = (Arc::clone(&d2), Arc::clone(&d2));
                 wk.spawn(move |_| {

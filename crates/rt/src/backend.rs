@@ -7,7 +7,7 @@
 //!
 //! * `cell` → [`cell()`](crate::cell::cell) (one `Arc` allocation, same as
 //!   before);
-//! * `fulfill` → [`FutWrite::fulfill`] (atomic swap; reactivates a
+//! * `fulfill` → [`FutWrite::fulfill`] (one CAS; reactivates a
 //!   suspended waiter as a task);
 //! * `touch` → [`FutRead::touch`] with an argument-order adapter
 //!   `|v, wk| k(wk, v)`. The adapter is inlined into the continuation

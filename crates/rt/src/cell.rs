@@ -1,38 +1,52 @@
 //! Lock-free write-once future cells with in-cell continuation suspension.
 //!
-//! The state machine (one `AtomicU8`):
+//! A cell is two fields: one atomic **state word** and the value slot. The
+//! word carries the state in its low two bits and, in the two states that
+//! need one, a pointer in the rest:
 //!
 //! ```text
-//!   EMPTY ──write──────────────► FULL        (value published)
-//!   EMPTY ──touch──► WAITING ──write──► FULL (waiter reactivated)
+//!   EMPTY ──write────────────────────────► FULL      (value published)
+//!   EMPTY ──touch──► WAITING|susp ──write──► FULL    (waiter reactivated)
+//!                    WAITING|susp ──abort──► POISONED|ctx
 //! ```
 //!
 //! Linearity (§4 of the paper) guarantees at most one toucher, so a single
-//! waiter slot suffices and every transition is one CAS or swap:
+//! waiter pointer suffices and every transition is one CAS that moves the
+//! state and the pointer together:
 //!
-//! * the **toucher** publishes its continuation with `EMPTY → WAITING`
-//!   (release); if the CAS fails the cell filled concurrently and the
-//!   continuation runs immediately;
-//! * the **writer** publishes the value and swaps to `FULL` (AcqRel); if
-//!   the previous state was `WAITING` it takes the waiter — made visible
-//!   by the toucher's release CAS — and schedules it.
+//! * the **toucher** allocates its suspension record and publishes it
+//!   with `EMPTY → WAITING|susp`; if the CAS fails the cell filled
+//!   concurrently, the record was never shared, and the continuation
+//!   runs immediately;
+//! * the **writer** stores the value and moves `EMPTY → FULL`; if that
+//!   fails because a toucher got there first it moves
+//!   `WAITING|susp → FULL`, which takes the record — made visible by the
+//!   toucher's CAS — and schedules it.
+//!
+//! Whoever's CAS removes a pointer from the word owns what it points to;
+//! nothing is ever read through the word while another thread may free
+//! it. A cell nobody suspended in — all but a few percent of them under
+//! the default work-first spawn order — therefore carries and initialises
+//! no waiter, owner, session or poison words at all.
 //!
 //! The value itself stays in the cell (the waiter receives a clone), so
 //! finished data structures can be inspected after the run with
 //! [`FutRead::peek`] / [`FutRead::expect`].
 //!
-//! A suspended continuation is stored as **one** allocation: the box made
-//! at touch time already captures the cell (an `Arc`) and clones the
-//! value out when it runs, so the writer hands it to the scheduler as-is
-//! instead of re-boxing it with the value (the old double allocation on
-//! every suspension). While a waiter sits in a cell, the cell keeps
-//! itself alive through the waiter's `Arc` — a deliberate cycle, broken
-//! whenever the waiter is taken out. That happens on every path: a run
-//! that reaches quiescence reactivates the waiter, and a session that
-//! *aborts* (panic, cancel, deadline, stall) **poisons** the cell during
-//! its abort cleanup — a fourth state, `POISONED`, entered only from
-//! `WAITING` — which takes the waiter out and drops it, so nothing leaks.
-//! A poisoned cell remembers why its session died
+//! The **suspension record** is the one allocation a suspending touch
+//! makes: the waiter's session (so a *cross-session* fulfill resumes the
+//! waiter into its own session, not the writer's), the index of the
+//! worker that suspended (the mailbox resume target), and the
+//! continuation, which captures the cell (an `Arc`) and clones the value
+//! out when it runs. The writer hands the record to the scheduler as-is.
+//! While a record sits in a cell, the cell keeps itself alive through the
+//! record's `Arc` — a deliberate cycle, broken whenever the record is
+//! taken out. That happens on every path: a run that reaches quiescence
+//! reactivates the waiter, and a session that *aborts* (panic, cancel,
+//! deadline, stall) **poisons** the cell during its abort cleanup — a
+//! fourth state, `POISONED`, entered only from `WAITING` — which takes
+//! the record out and drops it, so nothing leaks. The pointer bits of a
+//! poisoned word hold the reason its session died
 //! ([`FutRead::poison_info`]); any straggler touch or fulfill of it
 //! panics immediately with that context instead of suspending on a value
 //! that can never arrive. See the "Failure model" section of DESIGN.md.
@@ -42,93 +56,255 @@
 //! hook compiles to nothing.
 
 use std::cell::UnsafeCell;
+use std::mem::{align_of, size_of, MaybeUninit};
+use std::ptr::NonNull;
 use std::sync::Arc;
 
-use crate::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::{PoisonInfo, PoisonOutcome, PoisonTarget, StuckCell};
 use crate::pool::{SessionSlot, SessionTask};
 use crate::scheduler::Worker;
 use crate::task::Task;
 
-const EMPTY: u8 = 0;
-const WAITING: u8 = 1;
-const FULL: u8 = 2;
+const EMPTY: usize = 0;
+/// A continuation is suspended here; the pointer bits hold its
+/// [`Suspension`] record.
+const WAITING: usize = 1;
+const FULL: usize = 2;
 /// The cell's session aborted with a continuation suspended here; the
-/// waiter was dropped and `Inner::poison` holds the failure context.
-/// Terminal, entered only from `WAITING`, only by the aborting session's
-/// cleanup pass.
-const POISONED: u8 = 3;
+/// record was dropped and the pointer bits hold an `Arc<PoisonInfo>`
+/// (as `Arc::into_raw`). Terminal, entered only from `WAITING`, only by
+/// the aborting session's cleanup pass.
+const POISONED: usize = 3;
+/// The state bits of the word; the rest is the pointer.
+const TAG: usize = 0b11;
 
-fn state_name(s: u8) -> &'static str {
-    match s {
-        EMPTY => "EMPTY",
-        WAITING => "WAITING",
-        FULL => "FULL",
-        POISONED => "POISONED",
-        _ => "invalid",
-    }
-}
-
-fn poison_desc(info: &Option<Arc<PoisonInfo>>) -> String {
-    match info {
-        Some(i) => i.to_string(),
-        None => "poisoned (context missing)".to_string(),
-    }
-}
-
-/// A suspended continuation, pre-bound to its cell: calling it clones the
-/// (by then published) value out and runs the user's closure.
-type Waiter = Box<dyn FnOnce(&Worker) + Send>;
+const _: () = assert!(
+    align_of::<SuspHead>() > TAG && align_of::<PoisonInfo>() > TAG,
+    "the state lives in the alignment bits of these pointers"
+);
 
 struct Inner<T> {
-    state: AtomicU8,
-    value: UnsafeCell<Option<T>>,
-    waiter: UnsafeCell<Option<Waiter>>,
+    state: AtomicUsize,
+    /// Initialised exactly when the state is `FULL`.
+    value: UnsafeCell<MaybeUninit<T>>,
+}
+
+// The point of the layout: a pointer-sized payload makes a two-word cell
+// (a 32-byte `Arc` allocation), where the six-field layout it replaces
+// was 64 bytes before the `Arc` header.
+const _: () = assert!(size_of::<Inner<usize>>() == 2 * size_of::<usize>());
+
+/// The type-erased head of a suspension record; the continuation follows
+/// it in the same allocation (see [`Suspended`]).
+struct SuspHead {
+    /// The waiter's session — its accounting/abort identity. Taken by
+    /// the writer when it queues the record.
+    session: Option<Arc<SessionSlot>>,
     /// Index of the worker whose touch suspended here — the resume
-    /// target under the mailbox policy. Written (Relaxed) by the toucher
-    /// before its release CAS to WAITING publishes it; read (Relaxed) by
-    /// the writer only after its AcqRel swap observed WAITING, so the
-    /// CAS/swap pair orders the accesses.
-    owner: AtomicUsize,
-    /// The slot of the session whose touch suspended here: the waiter's
-    /// accounting/abort identity, so a *cross-session* fulfill (a cell
-    /// handed from one session to another through a shared structure)
-    /// resumes the waiter into its own session, not the writer's. Same
-    /// publication protocol as `waiter`: written by the toucher before
-    /// the WAITING CAS, taken by whichever side wins the race out of
-    /// WAITING (writer, failed-CAS toucher, or poison pass).
-    session: UnsafeCell<Option<Arc<SessionSlot>>>,
-    /// Why the cell was poisoned; written before the release transition
-    /// to POISONED, read only after an acquire load of POISONED.
-    poison: UnsafeCell<Option<Arc<PoisonInfo>>>,
+    /// target under the mailbox policy.
+    owner: usize,
+    /// Runs the continuation and frees the record.
+    run: unsafe fn(NonNull<SuspHead>, &Worker),
+    /// Frees the record without running it.
+    free: unsafe fn(NonNull<SuspHead>),
+}
+
+/// One suspension record. `repr(C)` puts `head` at offset 0, so a
+/// pointer to the record is a pointer to its head and the cell can hold
+/// it as one thin pointer whatever `F` is.
+#[repr(C)]
+struct Suspended<F> {
+    head: SuspHead,
+    cont: F,
+}
+
+unsafe fn run_record<F: FnOnce(&Worker)>(p: NonNull<SuspHead>, wk: &Worker) {
+    // SAFETY (caller): `p` heads a live `Suspended<F>` from `Box::leak`,
+    // consumed exactly once.
+    let rec = unsafe { Box::from_raw(p.cast::<Suspended<F>>().as_ptr()) };
+    let Suspended { head, cont } = *rec;
+    drop(head);
+    cont(wk);
+}
+
+unsafe fn free_record<F>(p: NonNull<SuspHead>) {
+    // SAFETY (caller): as in `run_record`.
+    drop(unsafe { Box::from_raw(p.cast::<Suspended<F>>().as_ptr()) });
+}
+
+/// Owning handle to a suspension record: what a touch that finds its
+/// cell unwritten leaves in it.
+struct Suspension(NonNull<SuspHead>);
+
+// SAFETY: the record holds an `Arc<SessionSlot>` (the slot is shared by
+// every worker already), a `usize`, two fn pointers, and a continuation
+// that `new` requires to be `Send`; the handle owns it exclusively.
+unsafe impl Send for Suspension {}
+
+impl Suspension {
+    fn new<F>(session: Arc<SessionSlot>, owner: usize, cont: F) -> Suspension
+    where
+        F: FnOnce(&Worker) + Send + 'static,
+    {
+        let rec = Box::new(Suspended {
+            head: SuspHead {
+                session: Some(session),
+                owner,
+                run: run_record::<F>,
+                free: free_record::<F>,
+            },
+            cont,
+        });
+        Suspension(NonNull::from(Box::leak(rec)).cast())
+    }
+
+    /// Give the record up as a `WAITING` state word.
+    fn into_word(self) -> usize {
+        let p = self.0.as_ptr() as usize;
+        std::mem::forget(self);
+        p | WAITING
+    }
+
+    /// Take back the record a `WAITING` word holds.
+    ///
+    /// # Safety
+    /// `word` came from [`Suspension::into_word`] and the caller owns it:
+    /// its CAS removed the word from a cell, or never put it there.
+    unsafe fn from_word(word: usize) -> Suspension {
+        debug_assert_eq!(word & TAG, WAITING);
+        // SAFETY: `into_word` tagged a non-null, aligned pointer.
+        Suspension(unsafe { NonNull::new_unchecked((word & !TAG) as *mut SuspHead) })
+    }
+
+    /// The waiter's session and the worker that suspended it — where
+    /// and how the resume is routed. Once per record.
+    fn take_route(&mut self) -> (Arc<SessionSlot>, usize) {
+        // SAFETY: we own the record.
+        let head = unsafe { self.0.as_mut() };
+        let session = head.session.take().expect("suspension routed twice");
+        (session, head.owner)
+    }
+
+    /// The record as a queueable task (one word: stored inline).
+    fn into_task(self) -> Task {
+        Task::new(move |wk: &Worker| {
+            let p = self.0;
+            std::mem::forget(self);
+            // SAFETY: we own the record and just gave up the handle, so
+            // it is consumed exactly once.
+            unsafe { (p.as_ref().run)(p, wk) }
+        })
+    }
+}
+
+impl Drop for Suspension {
+    fn drop(&mut self) {
+        // SAFETY: we own the record; it is freed exactly once here.
+        unsafe { (self.0.as_ref().free)(self.0) }
+    }
+}
+
+impl<T> Inner<T> {
+    /// The value of a `FULL` cell.
+    ///
+    /// # Safety
+    /// The caller observed `FULL` with acquire ordering (or is ordered
+    /// after someone who did): the value write is then visible, and the
+    /// value is never removed while the cell lives.
+    unsafe fn value(&self) -> &T {
+        // SAFETY: see above.
+        unsafe { (*self.value.get()).assume_init_ref() }
+    }
+
+    /// The context a `POISONED` word carries.
+    fn poison_ctx(&self, word: usize) -> &PoisonInfo {
+        debug_assert_eq!(word & TAG, POISONED);
+        // SAFETY: `word` was read from `self.state` with acquire
+        // ordering, after the poison pass's CAS published an
+        // `Arc::into_raw` pointer in it. POISONED is terminal and the
+        // `Arc` is released only by `Drop`, so the context outlives the
+        // borrow of `self`.
+        unsafe { &*((word & !TAG) as *const PoisonInfo) }
+    }
+
+    /// Store `value` and move the cell to `FULL`. `Ok(Some(_))` hands
+    /// the caller the suspension that was waiting for the write;
+    /// `Err(_)` means the cell is poisoned (the value is dropped).
+    fn write(&self, value: T) -> Result<Option<Suspension>, &PoisonInfo> {
+        // SAFETY: we are the unique writer (FutWrite is not Clone and is
+        // consumed); no reader dereferences `value` until it observes
+        // FULL.
+        unsafe { (*self.value.get()).write(value) };
+        let mut seen =
+            match self
+                .state
+                .compare_exchange(EMPTY, FULL, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return Ok(None),
+                Err(seen) => seen,
+            };
+        if seen & TAG == WAITING {
+            match self
+                .state
+                .compare_exchange(seen, FULL, Ordering::AcqRel, Ordering::Acquire)
+            {
+                // SAFETY: our CAS took the word out of the cell, and the
+                // toucher's AcqRel CAS that put it there published the
+                // record.
+                Ok(_) => return Ok(Some(unsafe { Suspension::from_word(seen) })),
+                // Only a poison pass takes a cell out of WAITING
+                // besides its writer.
+                Err(now) => seen = now,
+            }
+        }
+        assert!(seen & TAG == POISONED, "future cell written twice");
+        // SAFETY: written above and never published — FULL was not
+        // reached, so no reader can be looking at it.
+        unsafe { (*self.value.get()).assume_init_drop() };
+        Err(self.poison_ctx(seen))
+    }
+}
+
+impl<T> Drop for Inner<T> {
+    fn drop(&mut self) {
+        let word = *self.state.get_mut();
+        match word & TAG {
+            // SAFETY: FULL ⇔ the value is initialised; dropped once.
+            FULL => unsafe { self.value.get_mut().assume_init_drop() },
+            // SAFETY: the poison pass stored `Arc::into_raw` here and
+            // nothing else releases it.
+            POISONED => drop(unsafe { Arc::from_raw((word & !TAG) as *const PoisonInfo) }),
+            // A WAITING cell cannot be dropped: its suspension record
+            // holds an `Arc` to it.
+            tag => debug_assert_eq!(tag, EMPTY),
+        }
+    }
 }
 
 impl<T: Send> PoisonTarget for Inner<T> {
     fn poison(&self, ctx: &Arc<PoisonInfo>) -> PoisonOutcome {
-        // Publish the context before the state transition so any thread
-        // that later observes POISONED (acquire) sees it.
-        // SAFETY: written only by the aborting client; a concurrent
-        // (cross-session) fulfill reads it only after observing POISONED
-        // through the CAS below, never before it is published.
-        unsafe { *self.poison.get() = Some(Arc::clone(ctx)) };
+        let seen = self.state.load(Ordering::Acquire);
+        if seen & TAG != WAITING {
+            // Nothing suspended here (the suspension was fulfilled
+            // after it was registered).
+            return PoisonOutcome::none();
+        }
+        let word = Arc::into_raw(Arc::clone(ctx)) as usize | POISONED;
         match self
             .state
-            .compare_exchange(WAITING, POISONED, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(seen, word, Ordering::AcqRel, Ordering::Acquire)
         {
             Ok(_) => {
-                // SAFETY: we won the transition out of WAITING, so we own
-                // the waiter (and session) slots exactly like a writer
-                // would. Dropping the waiter box releases the
-                // continuation's captures and breaks the waiter→cell Arc
-                // cycle — the "leak on abort" this state exists to
-                // prevent. Its destructor must not wedge the cleanup.
-                let waiter = unsafe { (*self.waiter.get()).take() };
-                let session = unsafe { (*self.session.get()).take() };
-                if let Some(w) = waiter {
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(w)));
-                }
-                drop(session);
+                // SAFETY: our CAS took the WAITING word out, so we own
+                // its record exactly like a writer would.
+                let susp = unsafe { Suspension::from_word(seen) };
+                // Dropping the record releases the continuation's
+                // captures and breaks the record→cell Arc cycle — the
+                // "leak on abort" this state exists to prevent. Its
+                // destructor must not wedge the cleanup.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(susp)));
                 PoisonOutcome {
                     stuck: Some(StuckCell {
                         addr: self as *const Self as usize,
@@ -138,26 +314,23 @@ impl<T: Send> PoisonTarget for Inner<T> {
                     dropped: 1,
                 }
             }
-            Err(prev) => {
-                // Nothing suspended here (the suspension raced to FULL
-                // before the abort): withdraw the context again.
-                // SAFETY: the state can never return to WAITING, so the
-                // slot stays unobserved.
-                if prev != POISONED {
-                    unsafe { *self.poison.get() = None };
-                }
+            Err(_) => {
+                // A (cross-session) write won the race: withdraw the
+                // context again.
+                // SAFETY: `word` was never published; this releases the
+                // clone `into_raw` leaked above.
+                drop(unsafe { Arc::from_raw((word & !TAG) as *const PoisonInfo) });
                 PoisonOutcome::none()
             }
         }
     }
 }
 
-// SAFETY: access to the UnsafeCells is mediated by the state machine:
-// `value` is written exactly once before the release transition to FULL and
-// only read after an acquire load of FULL (or by the writer itself);
-// `waiter` is written once before the release transition to WAITING and
-// taken once after observing WAITING via the AcqRel swap to FULL (or taken
-// back by the toucher itself when its CAS fails).
+// SAFETY: `state` is atomic and arbitrates every other access: `value` is
+// written exactly once before the release transition to FULL and only
+// read after an acquire load of FULL (or by the writer itself); a pointer
+// in the state word is dereferenced only by the thread whose CAS removed
+// it (suspension records) or is immutable until `Drop` (poison context).
 unsafe impl<T: Send> Send for Inner<T> {}
 unsafe impl<T: Send> Sync for Inner<T> {}
 
@@ -184,12 +357,8 @@ impl<T> Clone for FutRead<T> {
 /// Create an empty future cell.
 pub fn cell<T>() -> (FutWrite<T>, FutRead<T>) {
     let inner = Arc::new(Inner {
-        state: AtomicU8::new(EMPTY),
-        value: UnsafeCell::new(None),
-        waiter: UnsafeCell::new(None),
-        owner: AtomicUsize::new(0),
-        session: UnsafeCell::new(None),
-        poison: UnsafeCell::new(None),
+        state: AtomicUsize::new(EMPTY),
+        value: UnsafeCell::new(MaybeUninit::uninit()),
     });
     (
         FutWrite {
@@ -203,12 +372,8 @@ pub fn cell<T>() -> (FutWrite<T>, FutRead<T>) {
 pub fn ready<T>(value: T) -> FutRead<T> {
     FutRead {
         inner: Arc::new(Inner {
-            state: AtomicU8::new(FULL),
-            value: UnsafeCell::new(Some(value)),
-            waiter: UnsafeCell::new(None),
-            owner: AtomicUsize::new(0),
-            session: UnsafeCell::new(None),
-            poison: UnsafeCell::new(None),
+            state: AtomicUsize::new(FULL),
+            value: UnsafeCell::new(MaybeUninit::new(value)),
         }),
     }
 }
@@ -223,54 +388,32 @@ impl<T: Clone + Send + 'static> FutWrite<T> {
         // read as alive to the stall watchdog.
         worker.note_progress();
         crate::trace::fulfill(worker, Arc::as_ptr(&self.inner) as *const () as usize);
-        // SAFETY: we are the unique writer (FutWrite is not Clone and is
-        // consumed); no reader dereferences `value` until it observes FULL.
-        unsafe { *self.inner.value.get() = Some(value) };
-        match self.inner.state.swap(FULL, Ordering::AcqRel) {
-            EMPTY => {}
-            WAITING => {
-                // SAFETY: WAITING was published by the toucher's release
-                // CAS, so its waiter/session writes happen-before our
-                // reads; state is now FULL, so no one else touches the
-                // slots.
-                let waiter = unsafe { (*self.inner.waiter.get()).take() }
-                    .expect("WAITING state without a waiter");
-                let session = unsafe { (*self.inner.session.get()).take() }
-                    .expect("WAITING state without a session");
-                // Waiter hand-off: the box allocated at touch time is
+        match self.inner.write(value) {
+            Ok(None) => {}
+            Ok(Some(mut susp)) => {
+                // Waiter hand-off: the record allocated at touch time is
                 // enqueued as-is — no re-boxing, no value capture. The
                 // waiter reads the value from the cell when it runs; our
-                // value write above happens-before that read through the
-                // deque push/steal pair that delivers the task. Its
-                // liveness unit was added by `note_suspend` on *its*
-                // session (usually ours; the toucher's under cross-session
+                // value write happens-before that read through the deque
+                // push/steal pair that delivers the task. Its liveness
+                // unit was added by `note_suspend` on *its* session
+                // (usually ours; the toucher's under cross-session
                 // sharing), so this is a transfer, not a spawn. Where it
                 // lands — fulfiller's deque, inline, or the suspender's
                 // mailbox — is the waiter's session's resume policy.
-                let owner = self.inner.owner.load(Ordering::Relaxed);
+                let (session, owner) = susp.take_route();
                 worker.resume_transferred(
                     SessionTask {
                         session,
-                        task: Task::from_boxed(waiter),
+                        task: susp.into_task(),
                     },
                     owner,
                 );
             }
-            POISONED => {
-                // Restore the terminal state (the swap clobbered it),
-                // then fail with the originating context.
-                self.inner.state.store(POISONED, Ordering::SeqCst);
-                // SAFETY: POISONED observed via the AcqRel swap ⇒ the
-                // context write is visible; the slot is never modified
-                // after POISONED is published.
-                let info = unsafe { (*self.inner.poison.get()).clone() };
-                panic!(
-                    "fulfill of a poisoned future cell (session {}): {}",
-                    worker.session_id(),
-                    poison_desc(&info)
-                );
-            }
-            _ => unreachable!("future cell written twice"),
+            Err(info) => panic!(
+                "fulfill of a poisoned future cell (session {}): {info}",
+                worker.session_id(),
+            ),
         }
     }
 
@@ -278,20 +421,10 @@ impl<T: Clone + Send + 'static> FutWrite<T> {
     /// panics if a continuation is already suspended, since there is no
     /// worker to hand it to).
     pub fn fulfill_outside(self, value: T) {
-        unsafe { *self.inner.value.get() = Some(value) };
-        match self.inner.state.swap(FULL, Ordering::AcqRel) {
-            EMPTY => {}
-            WAITING => panic!("fulfill_outside with a suspended waiter"),
-            POISONED => {
-                self.inner.state.store(POISONED, Ordering::SeqCst);
-                // SAFETY: as in `fulfill`.
-                let info = unsafe { (*self.inner.poison.get()).clone() };
-                panic!(
-                    "fulfill_outside of a poisoned future cell: {}",
-                    poison_desc(&info)
-                );
-            }
-            _ => unreachable!("future cell written twice"),
+        match self.inner.write(value) {
+            Ok(None) => {}
+            Ok(Some(_)) => panic!("fulfill_outside with a suspended waiter"),
+            Err(info) => panic!("fulfill_outside of a poisoned future cell: {info}"),
         }
     }
 }
@@ -303,94 +436,86 @@ impl<T: Clone + Send + 'static> FutRead<T> {
     /// a second touch panics.
     pub fn touch(&self, worker: &Worker, cont: impl FnOnce(T, &Worker) + Send + 'static) {
         crate::chaos::maybe_delay();
-        match self.inner.state.load(Ordering::Acquire) {
+        let seen = self.inner.state.load(Ordering::Acquire);
+        match seen & TAG {
             FULL => {
-                // SAFETY: FULL observed with acquire ⇒ value write visible.
-                let v =
-                    unsafe { (*self.inner.value.get()).clone() }.expect("FULL cell without value");
+                // SAFETY: FULL observed with acquire.
+                let v = unsafe { self.inner.value() }.clone();
                 worker.run_inline_or_spawn(v, cont);
             }
+            EMPTY => self.suspend(worker, cont),
             WAITING => panic!(
                 "non-linear program: second touch of a future cell \
                  (state=WAITING, session={}, cell={:p})",
                 worker.session_id(),
                 Arc::as_ptr(&self.inner),
             ),
-            POISONED => {
-                // SAFETY: POISONED observed with acquire ⇒ the context
-                // write is visible and the slot is frozen.
-                let info = unsafe { (*self.inner.poison.get()).clone() };
-                panic!(
-                    "touch of a poisoned future cell (session {}): {}",
-                    worker.session_id(),
-                    poison_desc(&info)
-                );
+            _ => panic!(
+                "touch of a poisoned future cell (session {}): {}",
+                worker.session_id(),
+                self.inner.poison_ctx(seen)
+            ),
+        }
+    }
+
+    /// The touch found the cell unwritten: leave `cont` in it.
+    fn suspend(&self, worker: &Worker, cont: impl FnOnce(T, &Worker) + Send + 'static) {
+        // The record's continuation captures the cell and clones the
+        // value out when it eventually runs.
+        let cell = Arc::clone(&self.inner);
+        let susp = Suspension::new(
+            worker.clone_session(),
+            worker.index(),
+            move |wk: &Worker| {
+                // SAFETY: this closure only runs after FULL is established —
+                // published by the writer's CAS before it took the record,
+                // or observed below on the failed CAS.
+                let v = unsafe { cell.value() }.clone();
+                cont(v, wk);
+            },
+        );
+        // Account the suspension before publishing it: from the CAS on,
+        // a writer may resume the waiter at any moment.
+        worker.note_suspend();
+        let word = susp.into_word();
+        match self
+            .inner
+            .state
+            .compare_exchange(EMPTY, word, Ordering::AcqRel, Ordering::Acquire)
+        {
+            Ok(_) => {
+                // Suspended; the writer will reactivate us. Register
+                // with the executing worker so an abort of this session
+                // can poison the cell and reclaim the continuation (see
+                // pool.rs). Registration is a plain owner-local push; the
+                // weak ref dies with the cell, so completed cells cost
+                // nothing.
+                let weak = Arc::downgrade(&self.inner);
+                worker.register_suspend(weak);
+                crate::trace::suspend(worker, Arc::as_ptr(&self.inner) as *const () as usize);
             }
-            _ => {
-                // Build the single-allocation waiter: it captures the
-                // cell and clones the value out when it eventually runs
-                // (by which point the cell is FULL — either published by
-                // the writer's swap before it took the waiter, or
-                // observed below on the failed CAS).
-                let inner = Arc::clone(&self.inner);
-                let waiter: Waiter = Box::new(move |wk: &Worker| {
-                    // SAFETY: this closure only runs after FULL is
-                    // established (see above); the value is never removed.
-                    let v =
-                        unsafe { (*inner.value.get()).clone() }.expect("FULL cell without value");
-                    cont(v, wk);
-                });
-                // SAFETY: slots owned by the (sole) toucher until the CAS
-                // below publishes them.
-                unsafe { *self.inner.waiter.get() = Some(waiter) };
-                unsafe { *self.inner.session.get() = Some(worker.clone_session()) };
-                // Record who is suspending (mailbox resume target);
-                // published by the CAS below together with the waiter.
-                self.inner.owner.store(worker.index(), Ordering::Relaxed);
-                worker.note_suspend();
-                match self.inner.state.compare_exchange(
-                    EMPTY,
-                    WAITING,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        // Suspended; the writer will reactivate us.
-                        // Register with the executing worker so an abort
-                        // of this session can poison the cell and reclaim
-                        // the continuation (see pool.rs). Registration is
-                        // a plain owner-local push; the weak ref dies with
-                        // the cell, so completed cells cost nothing.
-                        let weak = Arc::downgrade(&self.inner);
-                        worker.register_suspend(weak);
-                        crate::trace::suspend(
-                            worker,
-                            Arc::as_ptr(&self.inner) as *const () as usize,
-                        );
-                    }
-                    Err(FULL) => {
-                        // The write raced us: reclaim the continuation and
-                        // run it now (the failed CAS's acquire load makes
-                        // the value visible to the waiter's clone).
-                        worker.unnote_suspend();
-                        // SAFETY: state is FULL; the writer saw EMPTY and
-                        // never reads the waiter/session slots; we own
-                        // them.
-                        let waiter =
-                            unsafe { (*self.inner.waiter.get()).take() }.expect("waiter vanished");
-                        unsafe { (*self.inner.session.get()) = None };
-                        worker.run_boxed_inline_or_spawn(waiter);
-                    }
-                    Err(prev @ WAITING) | Err(prev @ POISONED) => {
-                        panic!(
-                            "non-linear program: concurrent second touch of a future cell \
-                             (state={}, session={}, cell={:p})",
-                            state_name(prev),
-                            worker.session_id(),
-                            Arc::as_ptr(&self.inner),
-                        )
-                    }
-                    Err(_) => unreachable!(),
+            Err(seen) => {
+                worker.unnote_suspend();
+                // SAFETY: the CAS failed, so the word was never shared.
+                let susp = unsafe { Suspension::from_word(word) };
+                match seen & TAG {
+                    // The write raced us: run the continuation now (the
+                    // failed CAS's acquire load makes the value visible
+                    // to its clone).
+                    FULL => worker.run_task_inline_or_spawn(susp.into_task()),
+                    // Another toucher (or the poison pass behind it) got
+                    // there first.
+                    tag => panic!(
+                        "non-linear program: concurrent second touch of a future cell \
+                         (state={}, session={}, cell={:p})",
+                        if tag == WAITING {
+                            "WAITING"
+                        } else {
+                            "POISONED"
+                        },
+                        worker.session_id(),
+                        Arc::as_ptr(&self.inner),
+                    ),
                 }
             }
         }
@@ -405,13 +530,9 @@ impl<T: Clone + Send + 'static> FutRead<T> {
     /// time; intended for inspecting finished structures after
     /// [`crate::Runtime::run`] returns.
     pub fn peek(&self) -> Option<T> {
-        if self.inner.state.load(Ordering::Acquire) == FULL {
-            // SAFETY: FULL observed with acquire ⇒ value write visible, and
-            // the value is never removed from the slot.
-            unsafe { (*self.inner.value.get()).clone() }
-        } else {
-            None
-        }
+        // SAFETY: FULL observed with acquire.
+        self.is_written()
+            .then(|| unsafe { self.inner.value() }.clone())
     }
 
     /// [`FutRead::peek`], panicking on an unwritten cell — with the
@@ -430,13 +551,8 @@ impl<T: Clone + Send + 'static> FutRead<T> {
     /// aborted with a continuation still suspended here; `None` for
     /// healthy cells. Safe at any time, like [`FutRead::peek`].
     pub fn poison_info(&self) -> Option<PoisonInfo> {
-        if self.inner.state.load(Ordering::Acquire) == POISONED {
-            // SAFETY: POISONED observed with acquire ⇒ the context write
-            // is visible; the slot is never modified afterwards.
-            unsafe { (*self.inner.poison.get()).as_deref().cloned() }
-        } else {
-            None
-        }
+        let seen = self.inner.state.load(Ordering::Acquire);
+        (seen & TAG == POISONED).then(|| self.inner.poison_ctx(seen).clone())
     }
 }
 
@@ -465,6 +581,23 @@ mod tests {
         let (w, r) = cell::<String>();
         w.fulfill_outside("hi".into());
         assert_eq!(r.expect(), "hi");
+    }
+
+    #[test]
+    fn value_is_dropped_exactly_once_and_only_if_written() {
+        let token = Arc::new(());
+        // Never written: the slot is uninitialised and must not be dropped.
+        drop(cell::<Arc<()>>());
+        let (w, r) = cell::<Arc<()>>();
+        w.fulfill_outside(Arc::clone(&token));
+        assert_eq!(Arc::strong_count(&token), 2);
+        let peeked = r.peek().unwrap();
+        assert_eq!(Arc::strong_count(&token), 3);
+        drop(r);
+        assert_eq!(Arc::strong_count(&token), 2, "the cell released its value");
+        drop(peeked);
+        drop(ready(Arc::clone(&token)));
+        assert_eq!(Arc::strong_count(&token), 1);
     }
 
     #[test]
@@ -507,14 +640,19 @@ mod tests {
 
     #[test]
     fn hammer_racing_write_and_touch() {
-        // Cross-thread race: producer and consumer race on many cells.
+        // Cross-thread race: producer and consumer race on many cells
+        // (parent-first, so the flat spawn loops are pushed and stolen).
+        let racing = crate::SchedPolicy {
+            spawn: crate::SpawnOrder::ParentFirst,
+            ..Default::default()
+        };
         for round in 0..200 {
             let n = 64;
             let cells: Vec<_> = (0..n).map(|_| cell::<usize>()).collect();
             let (writes, reads): (Vec<_>, Vec<_>) = cells.into_iter().unzip();
             let outs: Vec<_> = (0..n).map(|_| cell::<usize>()).collect();
             let (out_w, out_r): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
-            let rt = Runtime::new(4);
+            let rt = Runtime::with_policy(4, racing);
             rt.run(move |wk| {
                 let mut out_w = out_w;
                 for r in reads.into_iter() {

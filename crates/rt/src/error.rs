@@ -67,6 +67,23 @@ pub enum SessionError {
     },
 }
 
+/// Which of the watchdog's two detectors declared a stall (see the
+/// "Quiescence watchdog" section of the `pool` module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum StallDetector {
+    /// Every worker parked, every queue empty, the session's units all
+    /// suspended: nothing can ever change again. Fires after a handful
+    /// of 2 ms samples, whatever the session's stall budget — also next
+    /// to a sibling session, in any gap where that sibling leaves the
+    /// whole pool parked.
+    #[default]
+    Provable,
+    /// The session's progress epoch stayed frozen for its whole stall
+    /// budget while sibling sessions kept workers busy:
+    /// [`StallReport::frozen_for`] is at least the budget.
+    Heartbeat,
+}
+
 /// Diagnostic payload of [`SessionError::Stalled`].
 #[derive(Debug, Clone, Default)]
 pub struct StallReport {
@@ -85,6 +102,8 @@ pub struct StallReport {
     pub frozen: u32,
     /// Wall-clock length of the freeze at detection time.
     pub frozen_for: Duration,
+    /// The detector that filed the abort.
+    pub detector: StallDetector,
     /// The cells whose suspended continuations were drained and dropped at
     /// the abort rendezvous.
     pub stuck: Vec<StuckCell>,
@@ -167,10 +186,12 @@ impl SessionError {
                 epoch,
                 frozen,
                 frozen_for,
+                detector,
             } => {
                 format!(
                     "session stalled with {live} live unit(s), progress epoch \
-                     {epoch} frozen for ~{frozen_for:?} ({frozen} samples)"
+                     {epoch} frozen for ~{frozen_for:?} ({frozen} samples, \
+                     {detector:?} detector)"
                 )
             }
         }
@@ -193,8 +214,8 @@ impl fmt::Display for SessionError {
                 write!(
                     f,
                     "session {session} stalled: {} live unit(s), progress epoch {} \
-                     frozen for ~{:?} ({} samples), stuck cells: [",
-                    report.live, report.epoch, report.frozen_for, report.frozen
+                     frozen for ~{:?} ({} samples, {:?} detector), stuck cells: [",
+                    report.live, report.epoch, report.frozen_for, report.frozen, report.detector
                 )?;
                 for (i, c) in report.stuck.iter().enumerate() {
                     if i > 0 {

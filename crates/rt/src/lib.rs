@@ -9,19 +9,22 @@
 //!   the future cell and suspend"); the write reactivates it by spawning
 //!   the continuation as a task. Linearity (§4) means at most one waiter
 //!   per cell, so the cell is a single small state machine:
-//!   `EMPTY → {WAITING → } FULL`, resolved with one atomic swap/CAS pair
-//!   (implemented per *Rust Atomics and Locks*; a `Mutex`-based variant is
-//!   kept as the ablation baseline, [`mutex_cell`]);
+//!   `EMPTY → {WAITING → } FULL`, each transition one CAS on the cell's
+//!   state word (implemented per *Rust Atomics and Locks*; a `Mutex`-based
+//!   variant is kept as the ablation baseline, [`mutex_cell`]);
 //! * a **work-stealing scheduler** ([`scheduler`]) on a **persistent
 //!   worker pool** ([`pool`]): per-worker LIFO deques (the stack
 //!   discipline the paper recommends for space) with stealing and a
 //!   global injector, plus quiescence detection via a live-closure
 //!   counter — the run ends when every spawned or suspended continuation
-//!   has executed. Workers are spawned once per [`Runtime`] and parked
-//!   between runs (spin → yield → park), so a `run` call costs one
-//!   injector push and a wakeup, not a round of thread creation. Small
-//!   spawned closures are stored inline in the [`task::Task`] payload and
-//!   never touch the allocator.
+//!   has executed. Forks are work-first by default: [`Worker::spawn`]
+//!   runs the child inline and [`Worker::spawn2`] pushes one stealable
+//!   child and runs the other, so a touch usually finds its cell written
+//!   (see [`SpawnOrder`]). Workers are spawned once per [`Runtime`] and
+//!   parked between runs (spin → yield → park), so a `run` call costs
+//!   one injector push and a wakeup, not a round of thread creation.
+//!   Small spawned closures are stored inline in the [`task::Task`]
+//!   payload and never touch the allocator.
 //!
 //! Algorithms are written in continuation-passing style: each paper-level
 //! *touch* becomes one [`FutRead::touch`] with the rest of the function as
@@ -72,7 +75,9 @@ pub mod trace;
 
 pub use cell::{cell, ready, FutRead, FutWrite};
 
-pub use error::{CancelToken, PoisonInfo, Session, SessionError, StallReport, StuckCell};
+pub use error::{
+    CancelToken, PoisonInfo, Session, SessionError, StallDetector, StallReport, StuckCell,
+};
 /// The trace data layer (`--features trace` only): event kinds, session
 /// timelines, summaries, and the Perfetto export. Re-exported so users
 /// of a traced runtime need not depend on `pf-trace` directly.

@@ -257,10 +257,15 @@ mod tests {
 
     #[test]
     fn racing_stress() {
+        // Parent-first: both spawns are pushed, so touch and write race.
+        let racing = crate::SchedPolicy {
+            spawn: crate::SpawnOrder::ParentFirst,
+            ..Default::default()
+        };
         for i in 0..100 {
             let (w, r) = mx_cell::<usize>();
             let (ow, or) = mx_cell::<usize>();
-            Runtime::new(4).run(move |wk| {
+            Runtime::with_policy(4, racing).run(move |wk| {
                 wk.spawn(move |wk| r.touch(wk, move |v, wk| ow.fulfill(wk, v)));
                 wk.spawn(move |wk| w.fulfill(wk, i));
             });

@@ -166,14 +166,18 @@
 //! Either way the session aborts with
 //! [`SessionError::Stalled`](crate::SessionError::Stalled) carrying the
 //! stuck cell set and the freeze provenance (last epoch, frozen sample
-//! count, frozen duration) instead of hanging the client forever. The
+//! count, frozen duration, and which of the two detectors fired — the
+//! budget bounds the frozen duration from below only for the heartbeat)
+//! instead of hanging the client forever. The
 //! deadline detector is per-session, independent, and unaffected.
 
 use std::any::Any;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use crate::error::{PoisonInfo, PoisonTarget, Session, SessionError, StallReport, StuckCell};
+use crate::error::{
+    PoisonInfo, PoisonTarget, Session, SessionError, StallDetector, StallReport, StuckCell,
+};
 
 use crate::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::thread::{JoinHandle, Thread};
@@ -376,6 +380,8 @@ pub(crate) enum AbortReason {
         frozen: u32,
         /// Wall-clock length of the freeze at detection time.
         frozen_for: Duration,
+        /// Which detector saw it.
+        detector: StallDetector,
     },
 }
 
@@ -1128,6 +1134,7 @@ impl Runtime {
                     epoch,
                     frozen,
                     frozen_for,
+                    detector,
                 } => SessionError::Stalled {
                     session: sid,
                     report: StallReport {
@@ -1136,6 +1143,7 @@ impl Runtime {
                         epoch,
                         frozen,
                         frozen_for,
+                        detector,
                         stuck,
                     },
                 },
@@ -1207,6 +1215,7 @@ impl Runtime {
                         epoch: seen.epoch,
                         frozen: seen.frozen,
                         frozen_for: seen.frozen_for,
+                        detector: seen.detector,
                     });
                     done = lock(&slot.done);
                 }
@@ -1258,10 +1267,10 @@ impl Runtime {
         }
         // Poison every registered cell that still holds one of this
         // session's suspended continuations: the continuation is dropped
-        // here (zero leaks — each waiter box owns an `Arc` cycle back to
-        // its cell that only this pass can break) and the cell remembers
-        // `ctx`, so a straggler touch fails fast with the originating
-        // failure. Cells of *other* sessions are untouched: the lock-free
+        // here (zero leaks — each suspension record owns an `Arc` cycle
+        // back to its cell that only this pass can break) and the cell
+        // remembers `ctx`, so a straggler touch fails fast with the
+        // originating failure. Cells of *other* sessions are untouched: the lock-free
         // cell holds exactly one waiter (ours — it is in our registry),
         // and the mutex cell drops only waiters tagged with our session.
         let targets = std::mem::take(&mut *lock(&slot.suspended));
@@ -1310,6 +1319,7 @@ struct StallSeen {
     epoch: u64,
     frozen: u32,
     frozen_for: Duration,
+    detector: StallDetector,
 }
 
 /// Detects a wedged session by sampling its progress epoch (module docs).
@@ -1370,11 +1380,12 @@ impl Watchdog {
             .frozen_since
             .map(|t| t.elapsed())
             .unwrap_or(Duration::ZERO);
-        let seen = StallSeen {
+        let seen = |detector| StallSeen {
             live,
             epoch,
             frozen: self.frozen,
             frozen_for,
+            detector,
         };
         let suspended_only = live_of(units) == susp_of(units);
         let all_parked = shared.sleepers.load(Ordering::SeqCst).count_ones() as usize == nthreads;
@@ -1384,7 +1395,7 @@ impl Watchdog {
                 && shared.mailboxes.iter().all(|m| m.is_empty());
             if queues_empty {
                 if suspended_only {
-                    return Some(seen);
+                    return Some(seen(StallDetector::Provable));
                 }
                 // `units` claims a queued-or-running task, yet nothing is
                 // queued and nobody runs: a decrement in flight. The next
@@ -1395,7 +1406,7 @@ impl Watchdog {
                 // unreachable; recover anyway, boundedly.
                 self.kicks += 1;
                 if self.kicks > WATCHDOG_KICKS {
-                    return Some(seen);
+                    return Some(seen(StallDetector::Provable));
                 }
                 shared.unpark_all();
                 return None;
@@ -1406,10 +1417,7 @@ impl Watchdog {
             (None, true) => WATCHDOG_SUSPENDED_BUDGET,
             (None, false) => return None,
         };
-        if frozen_for >= budget {
-            return Some(seen);
-        }
-        None
+        (frozen_for >= budget).then(|| seen(StallDetector::Heartbeat))
     }
 }
 

@@ -167,17 +167,24 @@ impl Worker {
         session
     }
 
-    /// Spawn `f` as a new task (a future fork). The paper charges this
-    /// constant time: one deque push, with an allocation only when the
-    /// closure exceeds the inline [`Task`] payload.
+    /// Spawn `f` as a new task (a future fork).
     ///
-    /// Under [`SpawnOrder::ChildFirst`] the child runs *inline*, right
-    /// now, and the caller continues when it returns (work-first,
-    /// depth-guarded like every inline path). The accounting is kept
-    /// identical to the push path — the child still counts as one spawn
-    /// and one executed task — so `RunStats`/trace totals are policy-
+    /// Under the default [`SpawnOrder::ChildFirst`] the child runs
+    /// *inline*, right now, and the caller continues when it returns
+    /// (work-first, depth-guarded like every inline path): no queue
+    /// traffic, no allocation, and whatever the child writes is written
+    /// before the caller touches it. The accounting is kept identical to
+    /// the push path — the child still counts as one spawn and one
+    /// executed task — so `RunStats`/trace totals are policy-
     /// independent; only the liveness counter skips its round-trip (the
-    /// child runs inside the caller's unit).
+    /// child runs inside the caller's unit). A panic in the child
+    /// unwinds through the caller's frame, aborting the session exactly
+    /// as a panic in a queued child would.
+    ///
+    /// Under [`SpawnOrder::ParentFirst`], and past the inline-depth
+    /// guard, the child is pushed and the caller keeps running: one
+    /// deque push, with an allocation only when the closure exceeds the
+    /// inline [`Task`] payload.
     pub fn spawn(&self, f: impl FnOnce(&Worker) + Send + 'static) {
         if self.policy().spawn == SpawnOrder::ChildFirst {
             let d = self.inline_depth.get();
@@ -193,27 +200,21 @@ impl Worker {
                 return;
             }
         }
-        let session = self.clone_session();
-        session.add_units(1);
-        self.stats().add_spawns(1);
-        self.stats().add_progress();
-        crate::trace::spawn(self, 1);
-        self.local.push(SessionTask {
-            session,
-            task: Task::new(f),
-        });
-        self.notify_push(1);
+        self.spawn_task(Task::new(f));
     }
 
     /// Spawn two tasks with one round of liveness/stat accounting — the
     /// two-child fan-out every tree algorithm performs at each internal
-    /// node. Equivalent to two [`Worker::spawn`] calls (`g` is pushed
-    /// last, so a LIFO owner pops it first) but with a single
-    /// `fetch_add(2)` on the session's liveness counter.
+    /// node.
     ///
-    /// Under [`SpawnOrder::ChildFirst`], `f` is pushed (one stealable
-    /// child per fork, preserving the paper's parallelism) and `g` runs
-    /// inline first — the same order a LIFO owner would pop.
+    /// Under the default [`SpawnOrder::ChildFirst`], `f` is pushed (one
+    /// stealable child per fork, preserving the paper's parallelism) and
+    /// `g` runs inline first — the same order a LIFO owner would pop.
+    ///
+    /// Under [`SpawnOrder::ParentFirst`] it is equivalent to two
+    /// [`Worker::spawn`] calls (`g` is pushed last, so a LIFO owner pops
+    /// it first) but with a single `fetch_add(2)` on the session's
+    /// liveness counter.
     pub fn spawn2(
         &self,
         f: impl FnOnce(&Worker) + Send + 'static,
@@ -256,17 +257,14 @@ impl Worker {
         self.notify_push(2);
     }
 
-    /// Spawn an already-boxed continuation without re-boxing it.
-    pub(crate) fn spawn_boxed(&self, f: Box<dyn FnOnce(&Worker) + Send>) {
+    /// The push path of [`Worker::spawn`]: queue an already-packaged task.
+    fn spawn_task(&self, task: Task) {
         let session = self.clone_session();
         session.add_units(1);
         self.stats().add_spawns(1);
         self.stats().add_progress();
         crate::trace::spawn(self, 1);
-        self.local.push(SessionTask {
-            session,
-            task: Task::from_boxed(f),
-        });
+        self.local.push(SessionTask { session, task });
         self.notify_push(1);
     }
 
@@ -388,16 +386,16 @@ impl Worker {
         }
     }
 
-    /// [`Worker::run_inline_or_spawn`] for an already-boxed continuation
-    /// (a waiter reclaimed after its suspension raced the write).
-    pub(crate) fn run_boxed_inline_or_spawn(&self, cont: Box<dyn FnOnce(&Worker) + Send>) {
+    /// [`Worker::run_inline_or_spawn`] for an already-packaged task (a
+    /// suspension reclaimed after it raced the write).
+    pub(crate) fn run_task_inline_or_spawn(&self, task: Task) {
         let d = self.inline_depth.get();
         if d < MAX_INLINE_DEPTH {
             self.inline_depth.set(d + 1);
-            cont(self);
+            task.run(self);
             self.inline_depth.set(d);
         } else {
-            self.spawn_boxed(cont);
+            self.spawn_task(task);
         }
     }
 
@@ -635,7 +633,12 @@ mod tests {
     fn worker_indices_cover_pool() {
         let seen = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
         let s2 = Arc::clone(&seen);
-        Runtime::new(4).run(move |wk| {
+        // Parent-first: a flat `spawn` loop is pushed, hence stealable.
+        let fan_out = SchedPolicy {
+            spawn: SpawnOrder::ParentFirst,
+            ..SchedPolicy::default()
+        };
+        Runtime::with_policy(4, fan_out).run(move |wk| {
             for _ in 0..4000 {
                 let s = Arc::clone(&s2);
                 wk.spawn(move |wk| {

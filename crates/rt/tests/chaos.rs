@@ -9,7 +9,21 @@
 #![cfg(pf_chaos)]
 
 use pf_rt::chaos::{injected_panics, injected_wedges, install, ChaosConfig};
-use pf_rt::{cell, Runtime, SchedPolicy, Session, SessionError, StealKind, VictimSelect, Worker};
+use pf_rt::{
+    cell, Runtime, SchedPolicy, Session, SessionError, SpawnOrder, StealKind, VictimSelect, Worker,
+};
+
+/// Parent-first: every `spawn` below is a push, so each stage is a task
+/// of its own — a task boundary for the panic and wedge seams, and a
+/// steal for the denial seam. Under the default work-first order the
+/// flat fan-outs would run inline in the root task and meet none of
+/// them.
+fn pushing() -> SchedPolicy {
+    SchedPolicy {
+        spawn: SpawnOrder::ParentFirst,
+        ..SchedPolicy::default()
+    }
+}
 
 /// A pipelined computation with real suspensions: a chain of cells where
 /// each stage touches the previous cell and fulfills the next, with every
@@ -40,7 +54,7 @@ fn chained_sum(rt: &Runtime, depth: u64) -> Result<u64, SessionError> {
 
 #[test]
 fn seeded_chaos_sessions_fail_contained_or_complete() {
-    let rt = Runtime::new(4);
+    let rt = Runtime::with_policy(4, pushing());
     let mut failed = 0usize;
     let mut completed = 0usize;
 
@@ -92,7 +106,7 @@ fn seeded_chaos_sessions_fail_contained_or_complete() {
         SchedPolicy {
             steal: StealKind::Half,
             victim: VictimSelect::LastVictimFirst,
-            ..SchedPolicy::default()
+            ..pushing()
         },
     );
     let mut failed = 0usize;

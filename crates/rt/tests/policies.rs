@@ -149,7 +149,7 @@ fn session_policy_overrides_runtime_default() {
         steal: StealKind::Half,
         victim: VictimSelect::LastVictimFirst,
         resume: ResumePlace::Mailbox,
-        spawn: SpawnOrder::ChildFirst,
+        spawn: SpawnOrder::ParentFirst,
     };
     let rt = Runtime::with_policy(2, non_default);
     assert_eq!(rt.default_policy(), non_default);
@@ -169,7 +169,7 @@ fn session_policy_overrides_runtime_default() {
 #[test]
 fn builder_sets_policy_and_ring_capacity() {
     let policy = SchedPolicy {
-        spawn: SpawnOrder::ChildFirst,
+        spawn: SpawnOrder::ParentFirst,
         ..SchedPolicy::default()
     };
     let rt = Runtime::builder(2)
@@ -221,6 +221,7 @@ mod traced {
         // stealing) still reconciles with RunStats.
         let policy = SchedPolicy {
             steal: StealKind::Half,
+            spawn: SpawnOrder::ParentFirst,
             ..SchedPolicy::default()
         };
         let rt = Runtime::with_policy(4, policy);

@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pf_rt::{cell, CancelToken, Runtime, Session, SessionError};
+use pf_rt::{
+    cell, CancelToken, Runtime, SchedPolicy, Session, SessionError, SpawnOrder, StallDetector,
+};
 
 /// The tentpole claim, literally: a short session submitted while a
 /// long session is mid-flight returns `Ok` while the long sibling is
@@ -301,10 +303,49 @@ fn poison_stays_in_the_faulting_session() {
     }
 }
 
+/// A cell handed from one session to another: session A suspends in it,
+/// session B writes it. The suspension record carries A's slot, so the
+/// waiter resumes into *A's* session — A's accounting executes it and
+/// A's quiescence waits for it — whichever worker runs it. B holds a
+/// worker (spinning in its root) until A has suspended, which also
+/// keeps the idle-pool stall detector off A's back in the meantime.
+#[test]
+fn cross_session_fulfil_resumes_into_the_waiters_session() {
+    let rt = Arc::new(Runtime::new(2));
+    let (w, r) = cell::<u32>();
+    let (ow, or) = cell::<u32>();
+    let suspended = Arc::new(AtomicBool::new(false));
+
+    let writer = {
+        let (rt, suspended) = (Arc::clone(&rt), Arc::clone(&suspended));
+        std::thread::spawn(move || {
+            rt.try_run(move |wk| {
+                while !suspended.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                w.fulfill(wk, 41);
+            })
+        })
+    };
+    let waiter = rt
+        .try_run(move |wk| {
+            r.touch(wk, move |v, wk| ow.fulfill(wk, v + 1));
+            suspended.store(true, Ordering::Release);
+        })
+        .expect("the waiter's session ends when its resumed continuation has run");
+    let writer = writer.join().unwrap().expect("the writer's session");
+
+    assert_eq!(or.expect(), 42);
+    assert_eq!((waiter.suspensions, waiter.tasks_executed), (1, 2));
+    assert_eq!((writer.suspensions, writer.tasks_executed), (0, 1));
+}
+
 /// Spawn a sibling thread that pumps short busy sessions on `rt` until
 /// `stop` is raised, counting completed sessions in `pumped`. Each task
 /// spins briefly so the pool's workers stay genuinely busy — the
-/// condition under which the old idle-pool watchdog was blind.
+/// condition under which the old idle-pool watchdog was blind. The flat
+/// `spawn` loop is pushed, not run inline (parent-first), so the tasks
+/// spread over every worker.
 fn busy_sibling(
     rt: &Arc<Runtime>,
     stop: &Arc<AtomicBool>,
@@ -312,8 +353,12 @@ fn busy_sibling(
 ) -> std::thread::JoinHandle<()> {
     let (rt, stop, pumped) = (Arc::clone(rt), Arc::clone(stop), Arc::clone(pumped));
     std::thread::spawn(move || {
+        let fan_out = Session::new().policy(SchedPolicy {
+            spawn: SpawnOrder::ParentFirst,
+            ..SchedPolicy::default()
+        });
         while !stop.load(Ordering::Acquire) {
-            rt.try_run(|wk| {
+            rt.try_run_session(fan_out.clone(), |wk| {
                 for _ in 0..8 {
                     wk.spawn(|_| {
                         for _ in 0..2_000 {
@@ -332,7 +377,11 @@ fn busy_sibling(
 /// nobody will ever write is declared `Stalled` within ~2× its
 /// configured stall budget even though a sibling session keeps the pool
 /// continuously busy — the per-session progress heartbeat sees through
-/// busy siblings where the old idle-pool sampler abstained.
+/// busy siblings where the old idle-pool sampler abstained. With more
+/// than one core the sibling's client thread leaves gaps in which every
+/// worker parks, and the provable detector may — correctly — win before
+/// the budget; the report says which detector filed the abort, and the
+/// budget is a lower bound only for the heartbeat.
 #[test]
 fn wedged_session_stalls_next_to_busy_sibling() {
     let rt = Arc::new(Runtime::new(2));
@@ -361,7 +410,9 @@ fn wedged_session_stalls_next_to_busy_sibling() {
             assert!(report.live >= 1, "{report:?}");
             assert_eq!(report.session, err.session(), "{report:?}");
             assert!(report.frozen >= 2, "{report:?}");
-            assert!(report.frozen_for >= budget, "{report:?}");
+            if report.detector == StallDetector::Heartbeat {
+                assert!(report.frozen_for >= budget, "{report:?}");
+            }
         }
         other => panic!("expected Stalled, got {other}"),
     }

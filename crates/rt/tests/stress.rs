@@ -7,9 +7,18 @@
 //! effects). Deterministic interleaving coverage is `pf-check`'s job: see
 //! `crates/check` and the model suite in `crates/check/tests/model_rt.rs`.
 
-use pf_rt::{cell, FutRead, Runtime, Worker};
+use pf_rt::{cell, FutRead, Runtime, SchedPolicy, SpawnOrder, Worker};
 use proptest::prelude::*;
 use proptest::TestRng;
+
+/// Push every `spawn` instead of running it inline (the default): the
+/// flat fan-outs below are meant to race across workers.
+fn fan_out() -> SchedPolicy {
+    SchedPolicy {
+        spawn: SpawnOrder::ParentFirst,
+        ..SchedPolicy::default()
+    }
+}
 
 /// A half-open cell pair: the write side is taken (`Option`) when a task
 /// claims it.
@@ -107,7 +116,15 @@ fn run_layered(seed: u64, width: usize, layers: usize, threads: usize) -> Vec<u6
         .map(|row| row.iter().map(|c| c.1.clone()).collect())
         .collect();
 
-    Runtime::new(threads).run(move |wk: &Worker| {
+    // Even seeds race the fan-out across workers; odd seeds run it under
+    // the default policy, where relays and consumers suspend in program
+    // order on the root's worker and only their resumes are stolen.
+    let policy = if seed.is_multiple_of(2) {
+        fan_out()
+    } else {
+        SchedPolicy::default()
+    };
+    Runtime::with_policy(threads, policy).run(move |wk: &Worker| {
         // Relay tasks: touch each produced cell once, fan out.
         for (l, per_src) in relay.iter_mut().enumerate() {
             for (src, consumers) in per_src.iter_mut().enumerate() {
@@ -195,7 +212,7 @@ fn persistent_pool_150_sessions_with_races() {
     //     corrupt sums or crash a consumed-write invariant);
     //   * that per-run stats were reset (counts match this run's shape,
     //     not an accumulation over the pool's lifetime).
-    let rt = Runtime::new(4);
+    let rt = Runtime::with_policy(4, fan_out());
     for round in 0u64..150 {
         let n = 32 + (round as usize % 17);
         let pairs: Vec<_> = (0..n).map(|_| cell::<u64>()).collect();

@@ -11,7 +11,7 @@
 
 #![cfg(feature = "trace")]
 
-use pf_rt::{cell, Runtime, Session, SessionError, TraceKind};
+use pf_rt::{cell, Runtime, SchedPolicy, Session, SessionError, SpawnOrder, TraceKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,7 +41,15 @@ fn fork_heavy_session_steals_on_a_wide_pool() {
     // Stealing is how tasks reach workers 1..4 at all (the injector only
     // ever holds the root), so a fan-out of thousands of yielding tasks
     // engages it reliably; the retry loop absorbs pathological schedules.
-    let rt = Runtime::new(4);
+    // Parent-first, so the flat `spawn` loop pushes instead of running
+    // each task inline.
+    let rt = Runtime::with_policy(
+        4,
+        SchedPolicy {
+            spawn: SpawnOrder::ParentFirst,
+            ..SchedPolicy::default()
+        },
+    );
     let mut last = 0;
     for _ in 0..20 {
         let stats = rt.run_stats(|wk| {

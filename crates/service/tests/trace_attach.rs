@@ -79,7 +79,7 @@ fn session_traces_are_tagged_with_the_configured_policy() {
         steal: pf_rt::StealKind::Half,
         victim: pf_rt::VictimSelect::LastVictimFirst,
         resume: pf_rt::ResumePlace::Mailbox,
-        spawn: pf_rt::SpawnOrder::ChildFirst,
+        spawn: pf_rt::SpawnOrder::ParentFirst,
     };
     let svc = service(sched);
     svc.submit(Request::insert((0..200).map(|i| (i, 1)).collect()).tagged(0));

@@ -375,6 +375,84 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
     }
 }
 
+/// The work-first default at one worker: a fork runs the future's body
+/// before its parent's continuation, so on pre-written inputs shallower
+/// than the runtime's inline-depth guard every cell `union` and `merge`
+/// touch is already written — zero suspensions, where parent-first
+/// suspends on nearly every internal node. `diff` still suspends in its
+/// ascending phase: a node whose key is deleted joins its two recursive
+/// results, and the left one is the stealable (pushed) child of the
+/// `fork2`, so it waits for it — once per deleted key. (Deletions dense
+/// enough that a join meets a nested join still pending add a few
+/// more: 214 for 200 deleted keys of these 400.) The fork structure
+/// itself is policy-blind: `spawns` matches the parent-first run
+/// exactly.
+#[test]
+fn work_first_default_does_not_suspend_at_one_worker() {
+    use pf_rt::{RunStats, SchedPolicy, SpawnOrder};
+    let parent_first = SchedPolicy {
+        spawn: SpawnOrder::ParentFirst,
+        ..SchedPolicy::default()
+    };
+    // Run `session` under the default policy and under parent-first.
+    let both = |session: &dyn Fn(&Runtime) -> RunStats| {
+        (
+            session(&Runtime::new(1)),
+            session(&Runtime::with_policy(1, parent_first)),
+        )
+    };
+
+    let a = entries((0..400).map(|i| 3 * i));
+    let b = entries((0..400).map(|i| 2 * i));
+    let (child, parent) = both(&|rt| {
+        let (op, of) = cell();
+        let (ta, tb) = (
+            ready(RTreap::from_entries_ready(&a)),
+            ready(RTreap::from_entries_ready(&b)),
+        );
+        let stats = rt.run_stats(move |wk| rt_union(wk, ta, tb, op));
+        assert_eq!(of.expect().to_sorted_vec().len(), 800 - 134);
+        stats
+    });
+    assert_eq!(child.suspensions, 0, "union");
+    assert!(parent.suspensions > 0, "union: parent-first must suspend");
+    assert_eq!(child.spawns, parent.spawns, "union");
+
+    let b = entries((0..300).map(|i| 24 * i));
+    let found = 50; // the multiples of 24 below 1200
+    let (child, parent) = both(&|rt| {
+        let (op, of) = cell();
+        let (ta, tb) = (
+            ready(RTreap::from_entries_ready(&a)),
+            ready(RTreap::from_entries_ready(&b)),
+        );
+        let stats = rt.run_stats(move |wk| rt_diff(wk, ta, tb, op));
+        assert_eq!(of.expect().to_sorted_vec().len(), 400 - found as usize);
+        stats
+    });
+    assert!(
+        child.suspensions <= found as u64,
+        "diff suspended {} times for {found} found keys",
+        child.suspensions
+    );
+    assert_eq!(child.spawns, parent.spawns, "diff");
+
+    let a: Vec<i64> = (0..777).map(|i| 2 * i).collect();
+    let b: Vec<i64> = (0..333).map(|i| 2 * i + 1).collect();
+    let (child, parent) = both(&|rt| {
+        let (op, of) = cell();
+        let (ta, tb) = (
+            ready(RTree::from_sorted_ready(&a)),
+            ready(RTree::from_sorted_ready(&b)),
+        );
+        let stats = rt.run_stats(move |wk| rt_merge(wk, ta, tb, op));
+        assert_eq!(of.expect().to_sorted_vec().len(), 777 + 333);
+        stats
+    });
+    assert_eq!(child.suspensions, 0, "merge");
+    assert_eq!(child.spawns, parent.spawns, "merge");
+}
+
 #[test]
 fn repeated_rt_runs_are_deterministic_in_value() {
     // Scheduling is nondeterministic; results must not be.
