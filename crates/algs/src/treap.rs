@@ -23,7 +23,22 @@
 //! operations [`contains`] / [`insert_one`] / [`delete_one`] expressed as
 //! singleton unions/differences — exactly how §3.2–3.3 say the bulk
 //! primitives are meant to be used.
+//!
+//! ## Granularity
+//!
+//! A node carries a [`size`](TreapNode::size) that is non-zero only when
+//! its whole subtree is known to be written — input constructors and the
+//! plain code below set it; a node published before its children resolve
+//! keeps 0. On an engine with a non-zero [`PipeBackend::GRAIN`], `union`,
+//! `diff`, `intersect`, `splitm` and `join` choose from what they can
+//! observe: two sized operands whose work estimate m·(⌊lg(n/m)⌋+1) is
+//! within the grain run direct-style persistent code (walk by `peek`,
+//! build nodes on pre-written cells, fulfil `out` once, fork nothing); a
+//! sized operand of any size is split or joined plainly, so its pieces
+//! stay sized; everything else — an unsized or still-pending operand, or
+//! more work than one grain — takes the paper's pipelined step.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::plain::{wins, Entry, PlainTreap};
@@ -48,6 +63,11 @@ pub struct TreapNode<B: PipeBackend, K: 'static> {
     pub key: K,
     /// Priority (max-heap order, ties broken by key).
     pub prio: u64,
+    /// Keys in this subtree **if every cell below is known to be
+    /// written**, else 0 (a node published ahead of its children). Exact
+    /// whenever non-zero, and then non-zero on every node below too;
+    /// [`Treap::check_invariants`] verifies both.
+    pub size: usize,
     /// Future of the left subtreap.
     pub left: TreapFut<B, K>,
     /// Future of the right subtreap.
@@ -64,11 +84,26 @@ impl<B: PipeBackend, K> Clone for Treap<B, K> {
 }
 
 impl<B: PipeBackend, K> Treap<B, K> {
-    /// Construct an interior node.
+    /// Construct an interior node over cells that may still be pending:
+    /// the node is unsized.
     pub fn node(key: K, prio: u64, left: TreapFut<B, K>, right: TreapFut<B, K>) -> Self {
+        Self::node_sized(key, prio, 0, left, right)
+    }
+
+    /// Construct an interior node of `size` keys. The caller vouches that
+    /// every cell below `left` and `right` is written and that the count
+    /// is exact (or passes 0: no claim).
+    pub fn node_sized(
+        key: K,
+        prio: u64,
+        size: usize,
+        left: TreapFut<B, K>,
+        right: TreapFut<B, K>,
+    ) -> Self {
         Treap::Node(Arc::new(TreapNode {
             key,
             prio,
+            size,
             left,
             right,
         }))
@@ -77,6 +112,22 @@ impl<B: PipeBackend, K> Treap<B, K> {
     /// Is this the empty treap?
     pub fn is_leaf(&self) -> bool {
         matches!(self, Treap::Leaf)
+    }
+
+    /// The number of keys, if the treap is known to be complete (the empty
+    /// treap is).
+    pub fn sized(&self) -> Option<usize> {
+        match self {
+            Treap::Leaf => Some(0),
+            Treap::Node(n) => n.sized(),
+        }
+    }
+}
+
+impl<B: PipeBackend, K> TreapNode<B, K> {
+    /// [`size`](TreapNode::size), if the node makes the claim.
+    pub fn sized(&self) -> Option<usize> {
+        (self.size != 0).then_some(self.size)
     }
 }
 
@@ -94,7 +145,8 @@ where
     }
 
     /// Convert a sequential treap into an engine treap using free
-    /// pre-written cells (input construction, zero cost).
+    /// pre-written cells (input construction, zero cost). Every node is
+    /// sized.
     pub fn from_plain(bk: &B, t: &Option<Box<PlainTreap<K>>>) -> Treap<B, K>
     where
         TreapWr<B, K>: Send,
@@ -104,9 +156,8 @@ where
             Some(n) => {
                 let l = Self::from_plain(bk, &n.left);
                 let r = Self::from_plain(bk, &n.right);
-                let lf = bk.input(l);
-                let rf = bk.input(r);
-                Treap::node(n.key.clone(), n.prio, lf, rf)
+                let size = 1 + len(&l) + len(&r);
+                Treap::node_sized(n.key.clone(), n.prio, size, bk.input(l), bk.input(r))
             }
         }
     }
@@ -156,7 +207,9 @@ where
         }
     }
 
-    /// Post-run inspection: BST order and heap order both hold.
+    /// Post-run inspection: BST order and heap order both hold, and every
+    /// non-zero [`size`](TreapNode::size) is exact with nothing unwritten
+    /// below it.
     pub fn check_invariants(&self) -> bool {
         fn rec<B: PipeBackend, K: Key>(t: &Treap<B, K>, max_prio: Option<(u64, K)>) -> bool
         where
@@ -177,10 +230,227 @@ where
                 }
             }
         }
+        // The subtree's key count; `None` for a size violation: a wrong
+        // count, or an unsized node or an unwritten cell below a sized
+        // node (elsewhere an unwritten cell is the usual inspection
+        // panic).
+        fn count<B: PipeBackend, K: Key>(t: &Treap<B, K>, sized_above: bool) -> Option<usize>
+        where
+            Treap<B, K>: Val,
+            TreapFut<B, K>: Val,
+        {
+            let Treap::Node(n) = t else { return Some(0) };
+            if sized_above && n.size == 0 {
+                return None;
+            }
+            let sized = n.size != 0;
+            let below = |f| match B::peek(f) {
+                None if sized => None,
+                v => Some(v.expect("treap cell not written: the run has not quiesced")),
+            };
+            let keys = 1 + count(&below(&n.left)?, sized)? + count(&below(&n.right)?, sized)?;
+            (n.size == 0 || n.size == keys).then_some(keys)
+        }
+        if count(self, false).is_none() {
+            return false;
+        }
         let heap_ok = rec(self, None);
         let keys = self.to_sorted_vec();
         let bst_ok = keys.windows(2).all(|w| w[0] < w[1]);
         heap_ok && bst_ok
+    }
+}
+
+// ---- Plain (direct-style, persistent) code for complete operands. ----
+//
+// Inputs are shared and immutable, so every function copies the path it
+// changes and shares the rest — down to the cell of a child it left alone
+// and the node itself when nothing below it changed; results are sized.
+// Reached only on engines with a non-zero grain, and only through sized
+// operands, whose cells are all written — hence the `peek`s.
+
+/// The subtreap in a cell below a sized node.
+fn kid<B: PipeBackend, K: Key>(f: &TreapFut<B, K>) -> Treap<B, K>
+where
+    Treap<B, K>: Val,
+    TreapFut<B, K>: Val,
+{
+    B::peek(f).expect("sized treap node above an unwritten cell")
+}
+
+/// The key count of a subtreap reached through a sized node.
+fn len<B: PipeBackend, K>(t: &Treap<B, K>) -> usize {
+    t.sized().expect("unsized treap node below a sized one")
+}
+
+/// Are `a` and `b` the same subtreap (not merely equal)?
+fn same<B: PipeBackend, K>(a: &Treap<B, K>, b: &Treap<B, K>) -> bool {
+    match (a, b) {
+        (Treap::Leaf, Treap::Leaf) => true,
+        (Treap::Node(x), Treap::Node(y)) => Arc::ptr_eq(x, y),
+        _ => false,
+    }
+}
+
+/// `n` with the complete subtreaps `l` and `r` for children, where `was`
+/// holds the children it has now: `n` itself if neither changed.
+fn with_kids<B: PipeBackend, K: Key>(
+    bk: &B,
+    n: &Arc<TreapNode<B, K>>,
+    was: (&Treap<B, K>, &Treap<B, K>),
+    l: Treap<B, K>,
+    r: Treap<B, K>,
+) -> Treap<B, K>
+where
+    Treap<B, K>: Val,
+    TreapFut<B, K>: Val,
+    TreapWr<B, K>: Send,
+{
+    let (same_l, same_r) = (same(was.0, &l), same(was.1, &r));
+    if same_l && same_r {
+        return Treap::Node(Arc::clone(n));
+    }
+    let size = 1 + len(&l) + len(&r);
+    let lf = if same_l { n.left.clone() } else { bk.input(l) };
+    let rf = if same_r { n.right.clone() } else { bk.input(r) };
+    Treap::node_sized(n.key.clone(), n.prio, size, lf, rf)
+}
+
+/// The paper's work bound for a set operation on `n` and `m` keys
+/// (Theorems 3.5 and 3.7) with its constant dropped: m·(⌊lg(n/m)⌋+1), m
+/// the smaller.
+fn work_estimate(n: usize, m: usize) -> u64 {
+    let (m, n) = (m.min(n) as u64, m.max(n) as u64);
+    if m == 0 {
+        0
+    } else {
+        m * u64::from((n / m).ilog2() + 1)
+    }
+}
+
+/// Can this engine run a set operation as plain code: both operands
+/// [`sized`](Treap::sized), and no more than one grain of work?
+fn within_grain<B: PipeBackend>(a: Option<usize>, b: Option<usize>) -> bool {
+    B::GRAIN > 0 && matches!((a, b), (Some(n), Some(m)) if work_estimate(n, m) <= B::GRAIN)
+}
+
+/// Is `t` complete on an engine that cuts at all? Then it is split or
+/// joined plainly whatever its size: that is O(height), and its pieces
+/// stay sized.
+fn plainly<B: PipeBackend, K>(t: &Treap<B, K>) -> bool {
+    B::GRAIN > 0 && t.sized().is_some()
+}
+
+fn split_plain<B: PipeBackend, K: Key>(
+    bk: &B,
+    t: &Treap<B, K>,
+    s: &K,
+) -> (Treap<B, K>, Treap<B, K>, bool)
+where
+    Treap<B, K>: Val,
+    TreapFut<B, K>: Val,
+    TreapWr<B, K>: Send,
+{
+    let Treap::Node(n) = t else {
+        return (Treap::Leaf, Treap::Leaf, false);
+    };
+    match s.cmp(&n.key) {
+        Ordering::Equal => (kid::<B, K>(&n.left), kid::<B, K>(&n.right), true),
+        Ordering::Less => {
+            let lv = kid::<B, K>(&n.left);
+            let (l, m, found) = split_plain(bk, &lv, s);
+            if l.is_leaf() && !found {
+                return (Treap::Leaf, t.clone(), false); // all of `t` is above `s`
+            }
+            let size = n.size - len(&lv) + len(&m);
+            let r = Treap::node_sized(n.key.clone(), n.prio, size, bk.input(m), n.right.clone());
+            (l, r, found)
+        }
+        Ordering::Greater => {
+            let rv = kid::<B, K>(&n.right);
+            let (m, r, found) = split_plain(bk, &rv, s);
+            if r.is_leaf() && !found {
+                return (t.clone(), Treap::Leaf, false); // all of `t` is below `s`
+            }
+            let size = n.size - len(&rv) + len(&m);
+            let l = Treap::node_sized(n.key.clone(), n.prio, size, n.left.clone(), bk.input(m));
+            (l, r, found)
+        }
+    }
+}
+
+fn join_plain<B: PipeBackend, K: Key>(bk: &B, l: &Treap<B, K>, r: &Treap<B, K>) -> Treap<B, K>
+where
+    Treap<B, K>: Val,
+    TreapFut<B, K>: Val,
+    TreapWr<B, K>: Send,
+{
+    match (l, r) {
+        (Treap::Leaf, t) | (t, Treap::Leaf) => t.clone(),
+        (Treap::Node(a), Treap::Node(b)) => {
+            let size = a.size + b.size;
+            if wins(&a.key, a.prio, &b.key, b.prio) {
+                let j = join_plain(bk, &kid::<B, K>(&a.right), r);
+                Treap::node_sized(a.key.clone(), a.prio, size, a.left.clone(), bk.input(j))
+            } else {
+                let j = join_plain(bk, l, &kid::<B, K>(&b.left));
+                Treap::node_sized(b.key.clone(), b.prio, size, bk.input(j), b.right.clone())
+            }
+        }
+    }
+}
+
+fn union_plain<B: PipeBackend, K: Key>(bk: &B, a: &Treap<B, K>, b: &Treap<B, K>) -> Treap<B, K>
+where
+    Treap<B, K>: Val,
+    TreapFut<B, K>: Val,
+    TreapWr<B, K>: Send,
+{
+    match (a, b) {
+        (Treap::Leaf, t) | (t, Treap::Leaf) => t.clone(),
+        (Treap::Node(na), Treap::Node(nb)) => {
+            let (w, loser) = if wins(&na.key, na.prio, &nb.key, nb.prio) {
+                (na, b)
+            } else {
+                (nb, a)
+            };
+            let (l2, r2, _dup) = split_plain(bk, loser, &w.key);
+            let (wl, wr) = (kid::<B, K>(&w.left), kid::<B, K>(&w.right));
+            let l = union_plain(bk, &wl, &l2);
+            let r = union_plain(bk, &wr, &r2);
+            with_kids(bk, w, (&wl, &wr), l, r)
+        }
+    }
+}
+
+/// `diff` (`keep_found == false`: `a`'s keys not in `b`) and its dual
+/// `intersect` (`keep_found == true`: `a`'s keys also in `b`), which
+/// differ only in which verdict keeps the root.
+fn select_plain<B: PipeBackend, K: Key>(
+    bk: &B,
+    a: &Treap<B, K>,
+    b: &Treap<B, K>,
+    keep_found: bool,
+) -> Treap<B, K>
+where
+    Treap<B, K>: Val,
+    TreapFut<B, K>: Val,
+    TreapWr<B, K>: Send,
+{
+    let Treap::Node(n1) = a else {
+        return Treap::Leaf;
+    };
+    if b.is_leaf() {
+        return if keep_found { Treap::Leaf } else { a.clone() };
+    }
+    let (l2, r2, found) = split_plain(bk, b, &n1.key);
+    let (al, ar) = (kid::<B, K>(&n1.left), kid::<B, K>(&n1.right));
+    let l = select_plain(bk, &al, &l2, keep_found);
+    let r = select_plain(bk, &ar, &r2, keep_found);
+    if found == keep_found {
+        with_kids(bk, n1, (&al, &ar), l, r)
+    } else {
+        join_plain(bk, &l, &r)
     }
 }
 
@@ -203,6 +473,13 @@ pub fn splitm<B: PipeBackend, K: Key>(
     B::Fut<bool>: Val,
     B::Wr<bool>: Send,
 {
+    if plainly(&t) {
+        let (l, r, found) = split_plain(bk, &t, &s);
+        bk.fulfill(lout, l);
+        bk.fulfill(rout, r);
+        bk.fulfill(fout, found);
+        return;
+    }
     bk.tick(1); // match + compare
     match t {
         Treap::Leaf => {
@@ -250,6 +527,10 @@ where
     TreapFut<B, K>: Val,
     TreapWr<B, K>: Send,
 {
+    if plainly(&l) && plainly(&r) {
+        bk.fulfill(out, join_plain(bk, &l, &r));
+        return;
+    }
     bk.tick(1);
     match (l, r) {
         (Treap::Leaf, r) => bk.fulfill(out, r),
@@ -298,6 +579,10 @@ pub fn union<B: PipeBackend, K: Key>(
             return;
         }
         bk.touch(&b, move |bk, bv| {
+            if within_grain::<B>(av.sized(), bv.sized()) {
+                bk.fulfill(out, union_plain(bk, &av, &bv));
+                return;
+            }
             bk.tick(1);
             let (w, loser) = match (av, bv) {
                 (av, Treap::Leaf) => {
@@ -362,6 +647,10 @@ pub fn diff<B: PipeBackend, K: Key>(
             Treap::Node(n) => n,
         };
         bk.touch(&b, move |bk, bv| {
+            if within_grain::<B>(n1.sized(), bv.sized()) {
+                bk.fulfill(out, select_plain(bk, &Treap::Node(n1), &bv, false));
+                return;
+            }
             bk.tick(1);
             if bv.is_leaf() {
                 bk.fulfill(out, Treap::Node(n1));
@@ -428,6 +717,10 @@ pub fn intersect<B: PipeBackend, K: Key>(
             Treap::Node(n) => n,
         };
         bk.touch(&b, move |bk, bv| {
+            if within_grain::<B>(n1.sized(), bv.sized()) {
+                bk.fulfill(out, select_plain(bk, &Treap::Node(n1), &bv, true));
+                return;
+            }
             bk.tick(1);
             if bv.is_leaf() {
                 bk.fulfill(out, Treap::Leaf);
@@ -632,6 +925,128 @@ mod tests {
             .collect()
     }
 
+    /// The treap of `entries` on pre-written cells: size-annotated, or with
+    /// no node sized, as a pipelined producer would have published it.
+    fn build(bk: &Seq, entries: &[Entry<i64>], sized: bool) -> Treap<Seq, i64> {
+        fn bare(bk: &Seq, t: &Option<Box<PlainTreap<i64>>>) -> Treap<Seq, i64> {
+            match t {
+                None => Treap::Leaf,
+                Some(n) => Treap::node(
+                    n.key,
+                    n.prio,
+                    bk.input(bare(bk, &n.left)),
+                    bk.input(bare(bk, &n.right)),
+                ),
+            }
+        }
+        if sized {
+            Treap::from_entries(bk, entries)
+        } else {
+            bare(bk, &PlainTreap::from_entries(entries))
+        }
+    }
+
+    /// Entries in preorder: with the search order, that fixes the shape.
+    fn preorder(t: &Treap<Seq, i64>, out: &mut Vec<Entry<i64>>) {
+        if let Treap::Node(n) = t {
+            out.push((n.key, n.prio));
+            preorder(&Treap::expect(&n.left), out);
+            preorder(&Treap::expect(&n.right), out);
+        }
+    }
+
+    fn plain_preorder(t: &Option<Box<PlainTreap<i64>>>, out: &mut Vec<Entry<i64>>) {
+        if let Some(n) = t {
+            out.push((n.key, n.prio));
+            plain_preorder(&n.left, out);
+            plain_preorder(&n.right, out);
+        }
+    }
+
+    /// The cutoff is invisible in the result: on size-annotated operands
+    /// (plain code below the grain, plain splits and joins above it), on
+    /// unsized ones (the paper's step throughout) and on one of each,
+    /// union, difference and intersection build `PlainTreap`'s tree,
+    /// entry for entry.
+    #[test]
+    fn sized_and_unsized_operands_build_the_oracles_tree() {
+        let reprio = |e: &[Entry<i64>]| {
+            e.iter()
+                .map(|&(k, p)| (k, splitmix64(p)))
+                .collect::<Vec<_>>()
+        };
+        let x = entries((0..120).map(|i| 3 * i));
+        let big = entries((0..6000).map(|i| 2 * i));
+        type Entries = Vec<Entry<i64>>;
+        let cases: Vec<(Entries, Entries)> = vec![
+            (vec![], vec![]),
+            (vec![], x.clone()),
+            (x.clone(), vec![]),
+            (entries([30]), x.clone()),
+            (x.clone(), entries([31])),
+            (entries(0..50), entries(100..150)),
+            (x.clone(), x.clone()),
+            (x.clone(), reprio(&x)),
+            (entries(0..200), entries((0..200).map(|i| 2 * i))),
+            // More than one grain of work: the top of these forks.
+            (big.clone(), entries((0..6000).map(|i| 3 * i + 1))),
+            (
+                entries(0..20_000),
+                reprio(&entries((0..1500).map(|i| 13 * i))),
+            ),
+        ];
+        for (i, (a, b)) in cases.iter().enumerate() {
+            let (pa, pb) = (
+                || PlainTreap::from_entries(a),
+                || PlainTreap::from_entries(b),
+            );
+            let want = [
+                PlainTreap::union(pa(), pb()),
+                PlainTreap::diff(pa(), pb()),
+                PlainTreap::diff(pa(), PlainTreap::diff(pa(), pb())),
+            ];
+            for (sa, sb) in [(true, true), (false, false), (false, true)] {
+                let got = Seq::run(|bk| {
+                    let fa = bk.input(build(bk, a, sa));
+                    let fb = bk.input(build(bk, b, sb));
+                    let outs = [bk.cell(), bk.cell(), bk.cell()];
+                    let [(u, uf), (d, df), (n, nf)] = outs;
+                    union(bk, fa.clone(), fb.clone(), u, Mode::Pipelined);
+                    diff(bk, fa.clone(), fb.clone(), d, Mode::Pipelined);
+                    intersect(bk, fa, fb, n, Mode::Pipelined);
+                    [uf, df, nf].map(|f| Treap::<Seq, i64>::expect(&f))
+                });
+                for (op, (got, want)) in got.iter().zip(&want).enumerate() {
+                    let (mut g, mut w) = (vec![], vec![]);
+                    preorder(got, &mut g);
+                    plain_preorder(want, &mut w);
+                    assert_eq!(g, w, "case {i} op {op} sized=({sa},{sb})");
+                    assert!(got.check_invariants(), "case {i} op {op} sized=({sa},{sb})");
+                    if sa && sb && work_estimate(a.len(), b.len()) <= Seq::GRAIN {
+                        assert_eq!(got.sized(), Some(w.len()), "case {i} op {op}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn check_invariants_rejects_a_false_size() {
+        type T = Treap<Seq, i64>;
+        Seq::run(|bk| {
+            let leaf = || bk.input(T::Leaf);
+            let one = |size| T::node_sized(1, 9, size, leaf(), leaf());
+            assert!(one(0).check_invariants() && one(1).check_invariants());
+            assert!(!one(2).check_invariants(), "inexact count");
+            // A sized node above a cell nobody has written.
+            let (_pending, f) = bk.cell::<T>();
+            assert!(!T::node_sized(1, 9, 1, leaf(), f).check_invariants());
+            // A sized node above an unsized one, and above a sized one.
+            assert!(!T::node_sized(2, 9, 2, bk.input(one(0)), leaf()).check_invariants());
+            assert!(T::node_sized(2, 9, 2, bk.input(one(1)), leaf()).check_invariants());
+        });
+    }
+
     #[test]
     fn union_on_the_oracle_matches_plain() {
         let a = entries(0..80);
@@ -691,11 +1106,14 @@ mod tests {
                     .collect()
             })
             .collect();
-        for take in [0usize, 1, 2, 3, 5] {
+        for (take, sized) in [0usize, 1, 2, 3, 5]
+            .into_iter()
+            .zip([true, false].into_iter().cycle())
+        {
             let got = Seq::run(|bk| {
                 let futs: Vec<_> = batches[..take]
                     .iter()
-                    .map(|b| bk.input(Treap::from_entries(bk, b)))
+                    .map(|b| bk.input(build(bk, b, sized)))
                     .collect();
                 let f = union_many(bk, futs, Mode::Pipelined);
                 Treap::<Seq, i64>::expect(&f)

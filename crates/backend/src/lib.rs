@@ -104,6 +104,24 @@ pub trait PipeBackend: Sized + 'static {
     /// each cell is written at most once by construction.
     type Wr<T: 'static>: 'static;
 
+    /// The engine's grain, in the cost model's unit actions: an algorithm
+    /// that can see that its operands are complete (every cell below them
+    /// written) and that its sequential work estimate is within the grain
+    /// may run plain direct-style code and publish one finished result
+    /// instead of forking — what every practical binary-forking runtime
+    /// does below some size. `0` means **never cut**: the engine wants the
+    /// paper's exact DAG, fork for fork (`pf_core::Ctx`, whose work and
+    /// depth counts are the point). A constant, not a knob: the choice is
+    /// a function of it and of what the operands show, nothing else.
+    ///
+    /// The default, shared by [`Seq`] and `pf_rt::Worker`, is about 4 000
+    /// node visits — some 150 µs of plain treap code on the authoring
+    /// host — chosen from two pf-perf measurements (DESIGN.md,
+    /// "Granularity"): small enough that `algs-t2`'s 2^16-key union still
+    /// cuts into a few dozen stealable pieces, large enough that a
+    /// `svc-bulk` wave of a few hundred keys runs without a fork.
+    const GRAIN: u64 = 4096;
+
     /// Create an empty future cell. Creation is charged to the enclosing
     /// fork (constant per §4), so the call itself is free on every engine.
     fn cell<T: Val>(&self) -> (Self::Wr<T>, Self::Fut<T>)

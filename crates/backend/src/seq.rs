@@ -77,6 +77,10 @@ impl PipeBackend for Seq {
         (c.clone(), c)
     }
 
+    fn input<T: Val>(&self, value: T) -> SeqFut<T> {
+        SeqFut(Arc::new(OnceLock::from(value)))
+    }
+
     fn fulfill<T: Val>(&self, w: SeqFut<T>, value: T) {
         if w.0.set(value).is_err() {
             panic!("future cell written twice");

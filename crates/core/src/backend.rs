@@ -18,6 +18,8 @@
 //!   child clock — `fork2` keeps the default two-fork expansion because two
 //!   fork actions is exactly what the simulator's tree code has always
 //!   charged);
+//! * `GRAIN` is 0 — the simulator never takes an algorithm's plain
+//!   below-grain path, so work and depth stay those of the paper's DAG;
 //! * `tick` / `flat` → the inherent cost hooks; `strict` →
 //!   [`Ctx::call_strict`]; `peek` → [`Fut::try_get`] (free post-run
 //!   inspection).
@@ -30,6 +32,9 @@ use crate::fut::{Fut, Promise};
 impl PipeBackend for Ctx {
     type Fut<T: 'static> = Fut<T>;
     type Wr<T: 'static> = Promise<T>;
+
+    /// Never cut: the cost model charges the paper's DAG action for action.
+    const GRAIN: u64 = 0;
 
     fn cell<T: Val>(&self) -> (Promise<T>, Fut<T>) {
         self.promise()

@@ -17,9 +17,15 @@ pub type RTreap<K> = pf_algs::treap::Treap<Worker, K>;
 /// Interior node of an [`RTreap`].
 pub type RTreapNode<K> = pf_algs::treap::TreapNode<Worker, K>;
 
+// The `size` annotation rides in what was padding of the allocation: an
+// `Arc<RTreapNode<i64>>` (two counters + node) still fits the 56 usable
+// bytes of the 64-byte malloc chunk it had without it.
+const _: () =
+    assert!(std::mem::size_of::<RTreapNode<i64>>() + 2 * std::mem::size_of::<usize>() <= 56);
+
 /// Offline (no worker, pre-written cells) constructors for [`RTreap`].
 pub trait RtTreap<K: RKey>: Sized {
-    /// Convert a sequential treap (pre-written cells).
+    /// Convert a sequential treap (pre-written cells, every node sized).
     fn from_plain_ready(t: &Option<Box<PlainTreap<K>>>) -> Self;
 
     /// Build from entries via the sequential treap.
@@ -30,12 +36,13 @@ impl<K: RKey> RtTreap<K> for RTreap<K> {
     fn from_plain_ready(t: &Option<Box<PlainTreap<K>>>) -> Self {
         match t {
             None => RTreap::Leaf,
-            Some(n) => RTreap::node(
-                n.key.clone(),
-                n.prio,
-                ready(Self::from_plain_ready(&n.left)),
-                ready(Self::from_plain_ready(&n.right)),
-            ),
+            Some(n) => {
+                let l = Self::from_plain_ready(&n.left);
+                let r = Self::from_plain_ready(&n.right);
+                let keys = |t: &Self| t.sized().expect("built sized, bottom up");
+                let size = 1 + keys(&l) + keys(&r);
+                RTreap::node_sized(n.key.clone(), n.prio, size, ready(l), ready(r))
+            }
         }
     }
 

@@ -7,6 +7,9 @@
 //!
 //! * `cell` → [`cell()`](crate::cell::cell) (one `Arc` allocation, same as
 //!   before);
+//! * `input` → [`ready()`](crate::cell::ready) (one allocation, born
+//!   written: no write-pointer, no CAS — what input construction and the
+//!   algorithms' plain below-grain code build their nodes on);
 //! * `fulfill` → [`FutWrite::fulfill`] (one CAS; reactivates a
 //!   suspended waiter as a task);
 //! * `touch` → [`FutRead::touch`] with an argument-order adapter
@@ -26,7 +29,7 @@
 
 use pf_backend::{PipeBackend, Val};
 
-use crate::cell::{cell, FutRead, FutWrite};
+use crate::cell::{cell, ready, FutRead, FutWrite};
 use crate::scheduler::Worker;
 
 impl PipeBackend for Worker {
@@ -35,6 +38,10 @@ impl PipeBackend for Worker {
 
     fn cell<T: Val>(&self) -> (FutWrite<T>, FutRead<T>) {
         cell()
+    }
+
+    fn input<T: Val>(&self, value: T) -> FutRead<T> {
+        ready(value)
     }
 
     fn fulfill<T: Val>(&self, w: FutWrite<T>, value: T) {

@@ -27,7 +27,8 @@ use crate::shard::ShardMap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApplyMode {
     /// One session per **window** of up to [`ServiceConfig::window`]
-    /// waves, chained through unresolved future cells: wave N+1's union
+    /// waves (or that many times [`CoalescePolicy::merge_below`] keys),
+    /// chained through unresolved future cells: wave N+1's union
     /// touches wave N's still-being-written output root, so its splits
     /// begin as soon as N's root node exists — the paper's composition
     /// story as a throughput feature. A failed window is replayed
@@ -46,7 +47,8 @@ pub struct ServiceConfig {
     /// ([`Runtime::shared`]`(threads)`).
     pub threads: usize,
     /// Max waves chained into one pipelined session (ignored in
-    /// [`ApplyMode::Barriered`]).
+    /// [`ApplyMode::Barriered`]). A window also closes once it holds
+    /// `window × policy.merge_below` keys.
     pub window: usize,
     /// Apply mode (pipelined by default; barriered for A/B runs).
     pub mode: ApplyMode,
@@ -456,8 +458,23 @@ impl<K: RKey> SetService<K> {
             ApplyMode::Pipelined => self.cfg.window.max(1),
             ApplyMode::Barriered => 1,
         };
-        for chunk in waves.chunks(window) {
-            self.apply_window(shard, chunk, &mut report);
+        // A window closes at `window` waves or at `window` waves' worth of
+        // small requests in keys, whichever comes first: session time is
+        // linear in keys, so bounding only the wave count lets a window of
+        // large waves set the latency tail of every wave chained in it.
+        let key_budget = window * self.cfg.policy.merge_below;
+        let mut start = 0;
+        while start < waves.len() {
+            let (mut end, mut keys) = (start + 1, waves[start].keys());
+            while end < waves.len()
+                && end - start < window
+                && keys + waves[end].keys() <= key_budget
+            {
+                keys += waves[end].keys();
+                end += 1;
+            }
+            self.apply_window(shard, &waves[start..end], &mut report);
+            start = end;
         }
         report
     }

@@ -197,3 +197,40 @@ fn healthy_drive_matches_pump() {
     }
     assert_eq!(report_a.keys_applied, report_b.keys_applied);
 }
+
+#[test]
+fn a_window_closes_at_its_key_budget() {
+    // Six waves of 200 keys (alternating kinds keep them apart): with
+    // window = 8 one session would take them all, but the key budget is
+    // 8 × merge_below = 512, so windows hold two waves each. A wave
+    // larger than the whole budget still gets a window of its own.
+    let cfg = ServiceConfig {
+        threads: 2,
+        ..ServiceConfig::default()
+    };
+    assert_eq!(cfg.window * cfg.policy.merge_below, 512);
+    let svc = SetService::new(ShardMap::uniform(1, 0, KEYSPACE), cfg);
+    let batch = |from: i64| {
+        (from..from + 200)
+            .map(|k| (k, k as u64))
+            .collect::<Vec<_>>()
+    };
+    for w in 0..6 {
+        svc.submit(if w % 2 == 0 {
+            Request::insert(batch(200 * w))
+        } else {
+            Request::delete(batch(200 * (w - 1)))
+        });
+    }
+    svc.submit(Request::insert(
+        batch(5000)
+            .into_iter()
+            .chain(batch(6000))
+            .chain(batch(7000))
+            .collect(),
+    ));
+    let report = svc.pump();
+    assert_eq!((report.served, report.degraded), (7, 0));
+    assert_eq!(report.sessions, 4, "windows of 2 + 2 + 2 + 1 waves");
+    assert_eq!(svc.shard_keys(0).len(), 600);
+}

@@ -57,6 +57,21 @@ fn global_cost_invariants() {
     }
 }
 
+/// The cost model never cuts: `Ctx::GRAIN` is 0, so on inputs from the
+/// size-annotating constructor (`run_union` / `run_diff` build theirs with
+/// `Treap::from_entries`) it still charges the paper's DAG action for
+/// action. The numbers are those of the commit before sizes existed.
+#[test]
+fn the_cost_model_ignores_sizes() {
+    let a = entries((0..300).map(|i| 2 * i));
+    let b = entries((0..300).map(|i| 3 * i));
+    let (root, u) = run_union(&a, &b, Mode::Pipelined);
+    assert!(root.get().sized().is_none(), "every step was pipelined");
+    assert_eq!((u.work, u.depth, u.forks), (6968, 179, 897), "union");
+    let (_, d) = run_diff(&a, &b, Mode::Pipelined);
+    assert_eq!((d.work, d.depth, d.forks), (7515, 169, 964), "diff");
+}
+
 /// The result structure is fully written no later than the measured depth
 /// (every cell's timestamp is within the report's depth).
 #[test]

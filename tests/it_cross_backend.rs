@@ -8,7 +8,7 @@ use pf_rt_algs::rlist::{consume, produce, qs, RList, RtList};
 use pf_rt_algs::rtreap::{diff as rt_diff, union as rt_union, RTreap, RtTreap};
 use pf_rt_algs::rtree::{merge as rt_merge, RTree, RtTree};
 use pf_rt_algs::rtwosix::{insert_many as rt_insert_many, RTsTree, RtTsTree};
-use pf_tests::entries;
+use pf_tests::{entries, unsized_ready};
 use pf_trees::merge::run_merge;
 use pf_trees::seq::PlainTreap;
 use pf_trees::treap::{run_diff, run_union};
@@ -341,10 +341,7 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
             let label = policy.label();
 
             let (op, of) = cell();
-            let (ta, tb) = (
-                ready(RTreap::from_entries_ready(&a)),
-                ready(RTreap::from_entries_ready(&b)),
-            );
+            let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
             let stats = rt.run_stats(move |wk| rt_union(wk, ta, tb, op));
             let t = of.expect();
             assert_eq!(t.to_sorted_vec(), union_keys, "union {label} t={threads}");
@@ -406,10 +403,7 @@ fn work_first_default_does_not_suspend_at_one_worker() {
     let b = entries((0..400).map(|i| 2 * i));
     let (child, parent) = both(&|rt| {
         let (op, of) = cell();
-        let (ta, tb) = (
-            ready(RTreap::from_entries_ready(&a)),
-            ready(RTreap::from_entries_ready(&b)),
-        );
+        let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
         let stats = rt.run_stats(move |wk| rt_union(wk, ta, tb, op));
         assert_eq!(of.expect().to_sorted_vec().len(), 800 - 134);
         stats
@@ -422,10 +416,7 @@ fn work_first_default_does_not_suspend_at_one_worker() {
     let found = 50; // the multiples of 24 below 1200
     let (child, parent) = both(&|rt| {
         let (op, of) = cell();
-        let (ta, tb) = (
-            ready(RTreap::from_entries_ready(&a)),
-            ready(RTreap::from_entries_ready(&b)),
-        );
+        let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
         let stats = rt.run_stats(move |wk| rt_diff(wk, ta, tb, op));
         assert_eq!(of.expect().to_sorted_vec().len(), 400 - found as usize);
         stats
@@ -522,4 +513,233 @@ fn union_is_bit_identical_under_concurrent_panicking_sibling() {
         let err = pill.join().unwrap();
         assert_eq!(err.panic_message(), Some("sibling pill"));
     }
+}
+
+// ---- The grain cutoff (PipeBackend::GRAIN) is invisible in results ----
+
+type Entries = Vec<(i64, u64)>;
+type Plain = Option<Box<PlainTreap<i64>>>;
+
+/// Entries in preorder: with the search order, that fixes the shape.
+fn rt_preorder(t: &RTreap<i64>, out: &mut Entries) {
+    if let RTreap::Node(n) = t {
+        out.push((n.key, n.prio));
+        rt_preorder(&n.left.expect(), out);
+        rt_preorder(&n.right.expect(), out);
+    }
+}
+
+fn plain_preorder(t: &Plain) -> Entries {
+    fn rec(t: &Plain, out: &mut Entries) {
+        if let Some(n) = t {
+            out.push((n.key, n.prio));
+            rec(&n.left, out);
+            rec(&n.right, out);
+        }
+    }
+    let mut out = vec![];
+    rec(t, &mut out);
+    out
+}
+
+/// A finished pf-rt result is `want`'s tree entry for entry, and its size
+/// annotations are exact.
+fn assert_same_tree(got: &RTreap<i64>, want: &Plain, what: &str) {
+    let mut g = vec![];
+    rt_preorder(got, &mut g);
+    assert_eq!(g, plain_preorder(want), "{what}");
+    assert!(got.check_invariants(), "{what}");
+}
+
+/// `entries` as a pf-rt input: size-annotated, or as a pipelined producer
+/// would have published it.
+fn rt_input(e: &[(i64, u64)], sized: bool) -> pf_rt::FutRead<RTreap<i64>> {
+    if sized {
+        ready(RTreap::from_entries_ready(e))
+    } else {
+        unsized_ready(e)
+    }
+}
+
+fn reprio(e: &[(i64, u64)]) -> Entries {
+    e.iter()
+        .map(|&(k, p)| (k, pf_trees::seq::splitmix64(p)))
+        .collect()
+}
+
+/// On size-annotated operands pf-rt runs plain code below the grain and
+/// splits and joins plainly above it; on unsized operands it takes the
+/// paper's step throughout. Either way, and with one operand of each
+/// kind, union / difference / intersection / `union_many` build
+/// `PlainTreap`'s tree at 1, 2 and 4 threads.
+#[test]
+fn cutoff_builds_the_same_trees_on_the_runtime() {
+    use pf_rt_algs::rtreap::{intersect as rt_intersect, union_many as rt_union_many};
+    let x = entries((0..120).map(|i| 3 * i));
+    let cases: Vec<(Entries, Entries)> = vec![
+        (vec![], vec![]),
+        (vec![], x.clone()),
+        (x.clone(), vec![]),
+        (entries([30]), x.clone()),
+        (x.clone(), entries([31])),
+        (entries(0..50), entries(100..150)),
+        (x.clone(), x.clone()),
+        (x.clone(), reprio(&x)),
+        (entries(0..200), entries((0..200).map(|i| 2 * i))),
+        // More than one grain of work: the top of these forks.
+        (
+            entries((0..6000).map(|i| 2 * i)),
+            entries((0..6000).map(|i| 3 * i + 1)),
+        ),
+        (
+            entries(0..20_000),
+            reprio(&entries((0..1500).map(|i| 13 * i))),
+        ),
+    ];
+    for threads in [1, 2, 4] {
+        let rt = Runtime::new(threads);
+        for (i, (a, b)) in cases.iter().enumerate() {
+            let (pa, pb) = (
+                || PlainTreap::from_entries(a),
+                || PlainTreap::from_entries(b),
+            );
+            let want = [
+                PlainTreap::union(pa(), pb()),
+                PlainTreap::diff(pa(), pb()),
+                PlainTreap::diff(pa(), PlainTreap::diff(pa(), pb())),
+                PlainTreap::union(PlainTreap::union(pa(), pb()), pa()),
+            ];
+            for (sa, sb) in [(true, true), (false, false), (false, true)] {
+                let (fa, fb) = (rt_input(a, sa), rt_input(b, sb));
+                let many = vec![fa.clone(), fb.clone(), rt_input(a, sb)];
+                let outs = [cell(), cell(), cell(), cell()];
+                let [(u, uf), (d, df), (n, nf), (m, mf)] = outs;
+                rt.run(move |wk| {
+                    rt_union(wk, fa.clone(), fb.clone(), u);
+                    rt_diff(wk, fa.clone(), fb.clone(), d);
+                    rt_intersect(wk, fa, fb, n);
+                    rt_union_many(wk, many).touch(wk, move |v, wk| m.fulfill(wk, v));
+                });
+                for (op, (got, want)) in [uf, df, nf, mf].iter().zip(&want).enumerate() {
+                    let what = format!("case {i} op {op} sized=({sa},{sb}) threads={threads}");
+                    assert_same_tree(&got.expect(), want, &what);
+                }
+            }
+        }
+    }
+}
+
+/// A service window in miniature: eight waves, each a union tree of its
+/// groups, chained in one session through result cells — so a wave may
+/// find its predecessor's root still pending (parent-first makes that the
+/// rule), sized (the predecessor ran plain code) or unsized (it forked:
+/// wave 3 is more than one grain of work).
+#[test]
+fn eight_waves_chain_through_unresolved_cells() {
+    use pf_rt::{SchedPolicy, SpawnOrder};
+    use pf_rt_algs::rtreap::union_many as rt_union_many;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(16);
+    let root = entries((0..20_000).map(|i| 5 * i));
+    let waves: Vec<(bool, Vec<Entries>)> = (0..8)
+        .map(|w| {
+            let insert = w % 3 != 2;
+            let groups = (0..1 + w % 3)
+                .map(|_| {
+                    let keys = if w == 3 { 3000 } else { rng.gen_range(1..200) };
+                    (0..keys)
+                        .map(|_| (rng.gen_range(0..100_000), rng.gen()))
+                        .collect()
+                })
+                .collect();
+            (insert, groups)
+        })
+        .collect();
+    let mut want = PlainTreap::from_entries(&root);
+    for (insert, groups) in &waves {
+        let batch = groups.iter().fold(None, |acc, g| {
+            PlainTreap::union(acc, PlainTreap::from_entries(g))
+        });
+        want = if *insert {
+            PlainTreap::union(want, batch)
+        } else {
+            PlainTreap::diff(want, batch)
+        };
+    }
+    let parent_first = SchedPolicy {
+        spawn: SpawnOrder::ParentFirst,
+        ..SchedPolicy::default()
+    };
+    for threads in [1, 2, 4] {
+        for policy in [SchedPolicy::default(), parent_first] {
+            for sized_root in [true, false] {
+                let mut state = rt_input(&root, sized_root);
+                let waves = waves.clone();
+                let (op, of) = cell();
+                Runtime::with_policy(threads, policy).run(move |wk| {
+                    for (insert, groups) in waves {
+                        let futs = groups.iter().map(|g| rt_input(g, true)).collect();
+                        let batch = rt_union_many(wk, futs);
+                        let (p, f) = cell();
+                        if insert {
+                            rt_union(wk, state, batch, p);
+                        } else {
+                            rt_diff(wk, state, batch, p);
+                        }
+                        state = f;
+                    }
+                    state.touch(wk, move |v, wk| op.fulfill(wk, v));
+                });
+                let what = format!(
+                    "threads={threads} {} sized_root={sized_root}",
+                    policy.label()
+                );
+                assert_same_tree(&of.expect(), &want, &what);
+            }
+        }
+    }
+}
+
+/// A window that wedges mid-flight (pf-service's `Fault::Wedge`: a task
+/// that spins until cancelled) aborts at its deadline; nothing it built
+/// is reachable from the root it started from, which stays complete and
+/// exactly sized, and the next window applies to it as if the aborted one
+/// had never run.
+#[test]
+fn aborted_window_leaves_the_old_root_sized_and_usable() {
+    use std::time::Duration;
+    let root = RTreap::from_entries_ready(&entries((0..5000).map(|i| 3 * i)));
+    let (lost, next) = (entries(0..300), entries((0..300).map(|i| 7 * i)));
+    let rt = Runtime::new(2);
+
+    let state = ready(root.clone());
+    let (op, of) = cell();
+    let aborted = rt.try_run_session(
+        pf_rt::Session::new().deadline(Duration::from_millis(100)),
+        move |wk| {
+            let (p, f) = cell();
+            rt_union(wk, state, rt_input(&lost, true), p);
+            wk.spawn(|wk| {
+                while !wk.cancelled() {
+                    std::hint::spin_loop();
+                }
+            });
+            let (p2, f2) = cell();
+            rt_diff(wk, f, rt_input(&lost, true), p2);
+            f2.touch(wk, move |v, wk| op.fulfill(wk, v));
+        },
+    );
+    assert!(aborted.is_err(), "the wedged window must abort");
+    drop(of);
+    assert!(root.check_invariants());
+    assert_eq!(root.sized(), Some(5000));
+
+    let (state, batch) = (ready(root), rt_input(&next, true));
+    let (op, of) = cell();
+    rt.run(move |wk| rt_union(wk, state, batch, op));
+    let want = PlainTreap::union(
+        PlainTreap::from_entries(&entries((0..5000).map(|i| 3 * i))),
+        PlainTreap::from_entries(&next),
+    );
+    assert_same_tree(&of.expect(), &want, "window after the aborted one");
 }

@@ -17,9 +17,9 @@
 use pf_core::Sim;
 use pf_machine::{replay, Discipline, INFINITE_P};
 use pf_rt::{cell, ready, Runtime};
-use pf_rt_algs::rtreap::{union as rt_union, RTreap, RtTreap};
+use pf_rt_algs::rtreap::union as rt_union;
 use pf_rt_algs::rtwosix::{insert_many as rt_insert_many, RTsTree, RtTsTree};
-use pf_tests::entries;
+use pf_tests::{entries, unsized_ready};
 use pf_trees::treap::{union, SimTreap, Treap};
 use pf_trees::two_six::{insert_many, SimTsTree, TsTree};
 use pf_trees::Mode;
@@ -59,10 +59,7 @@ fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
     // stats that account for every executed closure.
     for threads in [1, 2, 4] {
         let (op, of) = cell();
-        let (ta, tb) = (
-            ready(RTreap::from_entries_ready(&a)),
-            ready(RTreap::from_entries_ready(&b)),
-        );
+        let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
         let rstats = Runtime::new(threads).run_stats(move |wk| rt_union(wk, ta, tb, op));
         let t = of.expect();
         assert!(t.check_invariants(), "threads={threads}");

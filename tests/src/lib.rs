@@ -2,7 +2,9 @@
 
 use std::collections::BTreeSet;
 
-use pf_trees::seq::Entry;
+use pf_rt::{ready, FutRead};
+use pf_rt_algs::rtreap::RTreap;
+use pf_trees::seq::{Entry, PlainTreap};
 
 /// Sorted union of two entry lists' keys.
 pub fn oracle_union(a: &[Entry<i64>], b: &[Entry<i64>]) -> Vec<i64> {
@@ -29,4 +31,24 @@ pub fn entries(keys: impl IntoIterator<Item = i64>) -> Vec<Entry<i64>> {
     keys.into_iter()
         .map(|k| (k, pf_trees::seq::splitmix64(k as u64 ^ 0xDEAD_BEEF)))
         .collect()
+}
+
+/// A pf-rt treap input with no node sized, as a pipelined producer would
+/// have published it. pf-rt cuts below its grain when its operands are
+/// size-annotated, so a test that ties the runtime to the paper's exact
+/// fork structure (`spawns` equal to the cost model's `forks`, suspension
+/// counts per policy) feeds it these instead of `from_entries_ready`'s.
+pub fn unsized_ready(entries: &[Entry<i64>]) -> FutRead<RTreap<i64>> {
+    fn convert(t: &Option<Box<PlainTreap<i64>>>) -> RTreap<i64> {
+        match t {
+            None => RTreap::Leaf,
+            Some(n) => RTreap::node(
+                n.key,
+                n.prio,
+                ready(convert(&n.left)),
+                ready(convert(&n.right)),
+            ),
+        }
+    }
+    ready(convert(&PlainTreap::from_entries(entries)))
 }
