@@ -27,17 +27,24 @@
 //! ## Granularity
 //!
 //! A node carries a [`size`](TreapNode::size) that is non-zero only when
-//! its whole subtree is known to be written — input constructors and the
-//! plain code below set it; a node published before its children resolve
-//! keeps 0. On an engine with a non-zero [`PipeBackend::GRAIN`], `union`,
-//! `diff`, `intersect`, `splitm` and `join` choose from what they can
-//! observe: two sized operands whose work estimate m·(⌊lg(n/m)⌋+1) is
-//! within the grain run direct-style persistent code (walk by `peek`,
-//! build nodes on pre-written cells, fulfil `out` once, fork nothing); a
-//! sized operand of any size is split or joined plainly, so its pieces
-//! stay sized; everything else — an unsized or still-pending operand, or
-//! more work than one grain — takes the paper's pipelined step.
+//! its whole subtree is finished, and then it holds its children directly
+//! ([`Child::Done`]), sized in turn: no future cell anywhere below. Input
+//! constructors and the plain code below build such nodes, one allocation
+//! each; a node published ahead of its children keeps size 0 and reaches
+//! the pending ones through cells ([`Child::Cell`]). On an engine with a
+//! non-zero [`PipeBackend::GRAIN`], `union`, `diff`, `intersect`, `splitm`
+//! and `join` choose from what they can observe: two sized operands whose
+//! work estimate m·(⌊lg(n/m)⌋+1) is within the grain run direct-style
+//! persistent code (walk by reference, fulfil `out` once, fork nothing,
+//! touch no engine); a sized operand of any size is split or joined
+//! plainly, so its pieces stay sized; everything else — an unsized or
+//! still-pending operand, or more work than one grain — takes the paper's
+//! pipelined step, which copies a child into the node it publishes
+//! whichever kind it is. An engine that never cuts never fuses either: with
+//! `GRAIN == 0` the input constructors build unsized nodes on cells, so
+//! every step and every data edge is the paper's.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -49,12 +56,21 @@ pub type TreapFut<B, K> = <B as PipeBackend>::Fut<Treap<B, K>>;
 /// Shorthand for the write pointer of a subtreap cell on engine `B`.
 pub type TreapWr<B, K> = <B as PipeBackend>::Wr<Treap<B, K>>;
 
-/// A treap whose children are future cells of engine `B`.
+/// A treap on engine `B`.
 pub enum Treap<B: PipeBackend, K: 'static> {
     /// The empty treap.
     Leaf,
     /// An interior node (shared, immutable).
     Node(Arc<TreapNode<B, K>>),
+}
+
+/// A child of a [`TreapNode`]: a future cell where the subtreap may still
+/// be pending, the subtreap itself where it is known to be finished.
+pub enum Child<B: PipeBackend, K: 'static> {
+    /// A finished subtreap, held directly.
+    Done(Treap<B, K>),
+    /// The future of a subtreap.
+    Cell(TreapFut<B, K>),
 }
 
 /// An interior node of a [`Treap`].
@@ -63,15 +79,15 @@ pub struct TreapNode<B: PipeBackend, K: 'static> {
     pub key: K,
     /// Priority (max-heap order, ties broken by key).
     pub prio: u64,
-    /// Keys in this subtree **if every cell below is known to be
-    /// written**, else 0 (a node published ahead of its children). Exact
-    /// whenever non-zero, and then non-zero on every node below too;
-    /// [`Treap::check_invariants`] verifies both.
+    /// Keys in this subtree **if it is complete**, else 0 (a node
+    /// published ahead of its children). Exact whenever non-zero, and then
+    /// both children are [`Child::Done`] and sized in turn — no cell
+    /// anywhere below; [`Treap::check_invariants`] verifies all of it.
     pub size: usize,
-    /// Future of the left subtreap.
-    pub left: TreapFut<B, K>,
-    /// Future of the right subtreap.
-    pub right: TreapFut<B, K>,
+    /// The left subtreap.
+    pub left: Child<B, K>,
+    /// The right subtreap.
+    pub right: Child<B, K>,
 }
 
 impl<B: PipeBackend, K> Clone for Treap<B, K> {
@@ -83,23 +99,32 @@ impl<B: PipeBackend, K> Clone for Treap<B, K> {
     }
 }
 
+impl<B: PipeBackend, K> Clone for Child<B, K> {
+    fn clone(&self) -> Self {
+        match self {
+            Child::Done(t) => Child::Done(t.clone()),
+            Child::Cell(f) => Child::Cell(f.clone()),
+        }
+    }
+}
+
 impl<B: PipeBackend, K> Treap<B, K> {
     /// Construct an interior node over cells that may still be pending:
     /// the node is unsized.
     pub fn node(key: K, prio: u64, left: TreapFut<B, K>, right: TreapFut<B, K>) -> Self {
-        Self::node_sized(key, prio, 0, left, right)
+        Self::node_over(key, prio, 0, Child::Cell(left), Child::Cell(right))
     }
 
-    /// Construct an interior node of `size` keys. The caller vouches that
-    /// every cell below `left` and `right` is written and that the count
-    /// is exact (or passes 0: no claim).
-    pub fn node_sized(
-        key: K,
-        prio: u64,
-        size: usize,
-        left: TreapFut<B, K>,
-        right: TreapFut<B, K>,
-    ) -> Self {
+    /// Construct a complete (sized) interior node over complete subtreaps.
+    ///
+    /// # Panics
+    /// If `left` or `right` is unsized.
+    pub fn node_sized(key: K, prio: u64, left: Treap<B, K>, right: Treap<B, K>) -> Self {
+        let size = 1 + len(&left) + len(&right);
+        Self::node_over(key, prio, size, Child::Done(left), Child::Done(right))
+    }
+
+    fn node_over(key: K, prio: u64, size: usize, left: Child<B, K>, right: Child<B, K>) -> Self {
         Treap::Node(Arc::new(TreapNode {
             key,
             prio,
@@ -131,6 +156,55 @@ impl<B: PipeBackend, K> TreapNode<B, K> {
     }
 }
 
+impl<B: PipeBackend, K> Child<B, K> {
+    /// The subtreap, if it is held directly — as every child below a sized
+    /// node is.
+    pub fn done(&self) -> Option<&Treap<B, K>> {
+        match self {
+            Child::Done(t) => Some(t),
+            Child::Cell(_) => None,
+        }
+    }
+}
+
+impl<B: PipeBackend, K: Key> Child<B, K>
+where
+    Treap<B, K>: Val,
+    TreapFut<B, K>: Val,
+{
+    /// The finished subtreap (post-run inspection): borrowed if held
+    /// directly, else read out of its cell.
+    ///
+    /// # Panics
+    /// If the cell is still unwritten.
+    pub fn get(&self) -> Cow<'_, Treap<B, K>> {
+        match self {
+            Child::Done(t) => Cow::Borrowed(t),
+            Child::Cell(f) => Cow::Owned(Treap::expect(f)),
+        }
+    }
+
+    /// The data edge to the child: a touch of its cell, or nothing at all
+    /// in front of `k` when the subtreap is held directly.
+    fn touch(&self, bk: &B, k: impl FnOnce(&B, Treap<B, K>) + Send + 'static) {
+        match self {
+            Child::Done(t) => k(bk, t.clone()),
+            Child::Cell(f) => bk.touch(f, k),
+        }
+    }
+
+    /// The child as the future a recursive call takes.
+    fn fut(&self, bk: &B) -> TreapFut<B, K>
+    where
+        TreapWr<B, K>: Send,
+    {
+        match self {
+            Child::Done(t) => bk.input(t.clone()),
+            Child::Cell(f) => f.clone(),
+        }
+    }
+}
+
 impl<B: PipeBackend, K: Key> Treap<B, K>
 where
     Treap<B, K>: Val,
@@ -144,21 +218,22 @@ where
         B::peek(f).expect("treap cell not written: the run has not quiesced")
     }
 
-    /// Convert a sequential treap into an engine treap using free
-    /// pre-written cells (input construction, zero cost). Every node is
-    /// sized.
+    /// Convert a sequential treap into an engine treap (input
+    /// construction, zero cost): complete nodes on an engine that cuts,
+    /// unsized nodes over free pre-written cells on one that does not.
     pub fn from_plain(bk: &B, t: &Option<Box<PlainTreap<K>>>) -> Treap<B, K>
     where
         TreapWr<B, K>: Send,
     {
-        match t {
-            None => Treap::Leaf,
-            Some(n) => {
-                let l = Self::from_plain(bk, &n.left);
-                let r = Self::from_plain(bk, &n.right);
-                let size = 1 + len(&l) + len(&r);
-                Treap::node_sized(n.key.clone(), n.prio, size, bk.input(l), bk.input(r))
-            }
+        let Some(n) = t else { return Treap::Leaf };
+        let (l, r) = (
+            Self::from_plain(bk, &n.left),
+            Self::from_plain(bk, &n.right),
+        );
+        if B::GRAIN == 0 {
+            Treap::node(n.key.clone(), n.prio, bk.input(l), bk.input(r))
+        } else {
+            Treap::node_sized(n.key.clone(), n.prio, l, r)
         }
     }
 
@@ -172,26 +247,41 @@ where
         Self::from_plain(bk, &plain)
     }
 
+    /// This finished treap with every unsized node rebuilt, bottom-up, as
+    /// a sized one: the result holds no cell. O(unsized nodes) — sized
+    /// subtrees are shared as they are.
+    pub fn sealed(&self) -> Treap<B, K> {
+        match self {
+            Treap::Node(n) if n.size == 0 => {
+                let (l, r) = (n.left.get().sealed(), n.right.get().sealed());
+                Treap::node_sized(n.key.clone(), n.prio, l, r)
+            }
+            t => t.clone(),
+        }
+    }
+
     /// Post-run inspection: sorted key vector.
     pub fn to_sorted_vec(&self) -> Vec<K> {
-        let mut v = Vec::new();
+        let mut v = Vec::with_capacity(self.sized().unwrap_or(0));
         self.inorder_into(&mut v);
         v
     }
 
     fn inorder_into(&self, out: &mut Vec<K>) {
         if let Treap::Node(n) = self {
-            Self::expect(&n.left).inorder_into(out);
+            n.left.get().inorder_into(out);
             out.push(n.key.clone());
-            Self::expect(&n.right).inorder_into(out);
+            n.right.get().inorder_into(out);
         }
     }
 
-    /// Post-run inspection: number of keys.
+    /// Post-run inspection: number of keys (counted, where no node says).
     pub fn size(&self) -> usize {
         match self {
             Treap::Leaf => 0,
-            Treap::Node(n) => 1 + Self::expect(&n.left).size() + Self::expect(&n.right).size(),
+            Treap::Node(n) => n
+                .sized()
+                .unwrap_or_else(|| 1 + n.left.get().size() + n.right.get().size()),
         }
     }
 
@@ -199,17 +289,13 @@ where
     pub fn height(&self) -> usize {
         match self {
             Treap::Leaf => 0,
-            Treap::Node(n) => {
-                1 + Self::expect(&n.left)
-                    .height()
-                    .max(Self::expect(&n.right).height())
-            }
+            Treap::Node(n) => 1 + n.left.get().height().max(n.right.get().height()),
         }
     }
 
     /// Post-run inspection: BST order and heap order both hold, and every
-    /// non-zero [`size`](TreapNode::size) is exact with nothing unwritten
-    /// below it.
+    /// non-zero [`size`](TreapNode::size) is exact with only sized nodes,
+    /// held directly, below it.
     pub fn check_invariants(&self) -> bool {
         fn rec<B: PipeBackend, K: Key>(t: &Treap<B, K>, max_prio: Option<(u64, K)>) -> bool
         where
@@ -225,31 +311,29 @@ where
                         }
                     }
                     let here = Some((n.prio, n.key.clone()));
-                    rec(&Treap::expect(&n.left), here.clone())
-                        && rec(&Treap::expect(&n.right), here)
+                    rec(&n.left.get(), here.clone()) && rec(&n.right.get(), here)
                 }
             }
         }
         // The subtree's key count; `None` for a size violation: a wrong
-        // count, or an unsized node or an unwritten cell below a sized
-        // node (elsewhere an unwritten cell is the usual inspection
-        // panic).
+        // count, or an unsized node or a cell (written or not) below a
+        // sized node.
         fn count<B: PipeBackend, K: Key>(t: &Treap<B, K>, sized_above: bool) -> Option<usize>
         where
             Treap<B, K>: Val,
             TreapFut<B, K>: Val,
         {
             let Treap::Node(n) = t else { return Some(0) };
-            if sized_above && n.size == 0 {
+            let sized = n.size != 0;
+            if sized_above && !sized {
                 return None;
             }
-            let sized = n.size != 0;
-            let below = |f| match B::peek(f) {
+            let below = |c: &Child<B, K>| match c.done() {
                 None if sized => None,
-                v => Some(v.expect("treap cell not written: the run has not quiesced")),
+                _ => count(&c.get(), sized),
             };
-            let keys = 1 + count(&below(&n.left)?, sized)? + count(&below(&n.right)?, sized)?;
-            (n.size == 0 || n.size == keys).then_some(keys)
+            let keys = 1 + below(&n.left)? + below(&n.right)?;
+            (!sized || n.size == keys).then_some(keys)
         }
         if count(self, false).is_none() {
             return false;
@@ -264,18 +348,14 @@ where
 // ---- Plain (direct-style, persistent) code for complete operands. ----
 //
 // Inputs are shared and immutable, so every function copies the path it
-// changes and shares the rest — down to the cell of a child it left alone
-// and the node itself when nothing below it changed; results are sized.
-// Reached only on engines with a non-zero grain, and only through sized
-// operands, whose cells are all written — hence the `peek`s.
+// changes and shares the rest — down to the node itself when nothing below
+// it changed; results are sized. Reached only through sized operands, whose
+// children are all held directly: a pointer walk, one allocation per node
+// built, and no engine anywhere.
 
-/// The subtreap in a cell below a sized node.
-fn kid<B: PipeBackend, K: Key>(f: &TreapFut<B, K>) -> Treap<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-{
-    B::peek(f).expect("sized treap node above an unwritten cell")
+/// The subtreap below a sized node.
+fn kid<B: PipeBackend, K>(c: &Child<B, K>) -> &Treap<B, K> {
+    c.done().expect("sized treap node above a cell")
 }
 
 /// The key count of a subtreap reached through a sized node.
@@ -292,28 +372,17 @@ fn same<B: PipeBackend, K>(a: &Treap<B, K>, b: &Treap<B, K>) -> bool {
     }
 }
 
-/// `n` with the complete subtreaps `l` and `r` for children, where `was`
-/// holds the children it has now: `n` itself if neither changed.
+/// The sized node `n` with the complete subtreaps `l` and `r` for
+/// children: `n` itself if those are the ones it has.
 fn with_kids<B: PipeBackend, K: Key>(
-    bk: &B,
     n: &Arc<TreapNode<B, K>>,
-    was: (&Treap<B, K>, &Treap<B, K>),
     l: Treap<B, K>,
     r: Treap<B, K>,
-) -> Treap<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-{
-    let (same_l, same_r) = (same(was.0, &l), same(was.1, &r));
-    if same_l && same_r {
+) -> Treap<B, K> {
+    if same(kid(&n.left), &l) && same(kid(&n.right), &r) {
         return Treap::Node(Arc::clone(n));
     }
-    let size = 1 + len(&l) + len(&r);
-    let lf = if same_l { n.left.clone() } else { bk.input(l) };
-    let rf = if same_r { n.right.clone() } else { bk.input(r) };
-    Treap::node_sized(n.key.clone(), n.prio, size, lf, rf)
+    Treap::node_sized(n.key.clone(), n.prio, l, r)
 }
 
 /// The paper's work bound for a set operation on `n` and `m` keys
@@ -341,71 +410,48 @@ fn plainly<B: PipeBackend, K>(t: &Treap<B, K>) -> bool {
     B::GRAIN > 0 && t.sized().is_some()
 }
 
-fn split_plain<B: PipeBackend, K: Key>(
-    bk: &B,
-    t: &Treap<B, K>,
-    s: &K,
-) -> (Treap<B, K>, Treap<B, K>, bool)
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-{
+fn split_plain<B: PipeBackend, K: Key>(t: &Treap<B, K>, s: &K) -> (Treap<B, K>, Treap<B, K>, bool) {
     let Treap::Node(n) = t else {
         return (Treap::Leaf, Treap::Leaf, false);
     };
+    let (lv, rv) = (kid(&n.left), kid(&n.right));
     match s.cmp(&n.key) {
-        Ordering::Equal => (kid::<B, K>(&n.left), kid::<B, K>(&n.right), true),
+        Ordering::Equal => (lv.clone(), rv.clone(), true),
         Ordering::Less => {
-            let lv = kid::<B, K>(&n.left);
-            let (l, m, found) = split_plain(bk, &lv, s);
+            let (l, m, found) = split_plain(lv, s);
             if l.is_leaf() && !found {
                 return (Treap::Leaf, t.clone(), false); // all of `t` is above `s`
             }
-            let size = n.size - len(&lv) + len(&m);
-            let r = Treap::node_sized(n.key.clone(), n.prio, size, bk.input(m), n.right.clone());
+            let r = Treap::node_sized(n.key.clone(), n.prio, m, rv.clone());
             (l, r, found)
         }
         Ordering::Greater => {
-            let rv = kid::<B, K>(&n.right);
-            let (m, r, found) = split_plain(bk, &rv, s);
+            let (m, r, found) = split_plain(rv, s);
             if r.is_leaf() && !found {
                 return (t.clone(), Treap::Leaf, false); // all of `t` is below `s`
             }
-            let size = n.size - len(&rv) + len(&m);
-            let l = Treap::node_sized(n.key.clone(), n.prio, size, n.left.clone(), bk.input(m));
+            let l = Treap::node_sized(n.key.clone(), n.prio, lv.clone(), m);
             (l, r, found)
         }
     }
 }
 
-fn join_plain<B: PipeBackend, K: Key>(bk: &B, l: &Treap<B, K>, r: &Treap<B, K>) -> Treap<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-{
+fn join_plain<B: PipeBackend, K: Key>(l: &Treap<B, K>, r: &Treap<B, K>) -> Treap<B, K> {
     match (l, r) {
         (Treap::Leaf, t) | (t, Treap::Leaf) => t.clone(),
         (Treap::Node(a), Treap::Node(b)) => {
-            let size = a.size + b.size;
             if wins(&a.key, a.prio, &b.key, b.prio) {
-                let j = join_plain(bk, &kid::<B, K>(&a.right), r);
-                Treap::node_sized(a.key.clone(), a.prio, size, a.left.clone(), bk.input(j))
+                let j = join_plain(kid(&a.right), r);
+                Treap::node_sized(a.key.clone(), a.prio, kid(&a.left).clone(), j)
             } else {
-                let j = join_plain(bk, l, &kid::<B, K>(&b.left));
-                Treap::node_sized(b.key.clone(), b.prio, size, bk.input(j), b.right.clone())
+                let j = join_plain(l, kid(&b.left));
+                Treap::node_sized(b.key.clone(), b.prio, j, kid(&b.right).clone())
             }
         }
     }
 }
 
-fn union_plain<B: PipeBackend, K: Key>(bk: &B, a: &Treap<B, K>, b: &Treap<B, K>) -> Treap<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-{
+fn union_plain<B: PipeBackend, K: Key>(a: &Treap<B, K>, b: &Treap<B, K>) -> Treap<B, K> {
     match (a, b) {
         (Treap::Leaf, t) | (t, Treap::Leaf) => t.clone(),
         (Treap::Node(na), Treap::Node(nb)) => {
@@ -414,11 +460,10 @@ where
             } else {
                 (nb, a)
             };
-            let (l2, r2, _dup) = split_plain(bk, loser, &w.key);
-            let (wl, wr) = (kid::<B, K>(&w.left), kid::<B, K>(&w.right));
-            let l = union_plain(bk, &wl, &l2);
-            let r = union_plain(bk, &wr, &r2);
-            with_kids(bk, w, (&wl, &wr), l, r)
+            let (l2, r2, _dup) = split_plain(loser, &w.key);
+            let l = union_plain(kid(&w.left), &l2);
+            let r = union_plain(kid(&w.right), &r2);
+            with_kids(w, l, r)
         }
     }
 }
@@ -427,30 +472,23 @@ where
 /// `intersect` (`keep_found == true`: `a`'s keys also in `b`), which
 /// differ only in which verdict keeps the root.
 fn select_plain<B: PipeBackend, K: Key>(
-    bk: &B,
     a: &Treap<B, K>,
     b: &Treap<B, K>,
     keep_found: bool,
-) -> Treap<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-{
+) -> Treap<B, K> {
     let Treap::Node(n1) = a else {
         return Treap::Leaf;
     };
     if b.is_leaf() {
         return if keep_found { Treap::Leaf } else { a.clone() };
     }
-    let (l2, r2, found) = split_plain(bk, b, &n1.key);
-    let (al, ar) = (kid::<B, K>(&n1.left), kid::<B, K>(&n1.right));
-    let l = select_plain(bk, &al, &l2, keep_found);
-    let r = select_plain(bk, &ar, &r2, keep_found);
+    let (l2, r2, found) = split_plain(b, &n1.key);
+    let l = select_plain(kid(&n1.left), &l2, keep_found);
+    let r = select_plain(kid(&n1.right), &r2, keep_found);
     if found == keep_found {
-        with_kids(bk, n1, (&al, &ar), l, r)
+        with_kids(n1, l, r)
     } else {
-        join_plain(bk, &l, &r)
+        join_plain(&l, &r)
     }
 }
 
@@ -474,7 +512,7 @@ pub fn splitm<B: PipeBackend, K: Key>(
     B::Wr<bool>: Send,
 {
     if plainly(&t) {
-        let (l, r, found) = split_plain(bk, &t, &s);
+        let (l, r, found) = split_plain(&t, &s);
         bk.fulfill(lout, l);
         bk.fulfill(rout, r);
         bk.fulfill(fout, found);
@@ -491,27 +529,27 @@ pub fn splitm<B: PipeBackend, K: Key>(
             if s == n.key {
                 // Found: both sides are the children, written strictly
                 // (a write is strict on the value, so touch first).
-                bk.touch(&n.left.clone(), move |bk, lv| {
+                n.left.clone().touch(bk, move |bk, lv| {
                     bk.fulfill(lout, lv);
-                    bk.touch(&n.right, move |bk, rv| {
+                    n.right.touch(bk, move |bk, rv| {
                         bk.fulfill(rout, rv);
                         bk.fulfill(fout, true);
                     });
                 });
             } else if s < n.key {
                 let (rp1, rf1) = bk.cell();
-                bk.fulfill(
-                    rout,
-                    Treap::node(n.key.clone(), n.prio, rf1, n.right.clone()),
-                );
-                bk.touch(&n.left, move |bk, lt| splitm(bk, s, lt, lout, rp1, fout));
+                let r =
+                    Treap::node_over(n.key.clone(), n.prio, 0, Child::Cell(rf1), n.right.clone());
+                bk.fulfill(rout, r);
+                n.left
+                    .touch(bk, move |bk, lt| splitm(bk, s, lt, lout, rp1, fout));
             } else {
                 let (lp1, lf1) = bk.cell();
-                bk.fulfill(
-                    lout,
-                    Treap::node(n.key.clone(), n.prio, n.left.clone(), lf1),
-                );
-                bk.touch(&n.right, move |bk, rt| splitm(bk, s, rt, lp1, rout, fout));
+                let l =
+                    Treap::node_over(n.key.clone(), n.prio, 0, n.left.clone(), Child::Cell(lf1));
+                bk.fulfill(lout, l);
+                n.right
+                    .touch(bk, move |bk, rt| splitm(bk, s, rt, lp1, rout, fout));
             }
         }
     }
@@ -528,7 +566,7 @@ where
     TreapWr<B, K>: Send,
 {
     if plainly(&l) && plainly(&r) {
-        bk.fulfill(out, join_plain(bk, &l, &r));
+        bk.fulfill(out, join_plain(&l, &r));
         return;
     }
     bk.tick(1);
@@ -538,17 +576,20 @@ where
         (Treap::Node(a), Treap::Node(b)) => {
             if wins(&a.key, a.prio, &b.key, b.prio) {
                 let (jp, jf) = bk.cell();
-                bk.fulfill(out, Treap::node(a.key.clone(), a.prio, a.left.clone(), jf));
+                let j = Treap::node_over(a.key.clone(), a.prio, 0, a.left.clone(), Child::Cell(jf));
+                bk.fulfill(out, j);
                 let ar = a.right.clone();
                 bk.fork(move |bk| {
-                    bk.touch(&ar, move |bk, rv| join(bk, rv, Treap::Node(b), jp));
+                    ar.touch(bk, move |bk, rv| join(bk, rv, Treap::Node(b), jp));
                 });
             } else {
                 let (jp, jf) = bk.cell();
-                bk.fulfill(out, Treap::node(b.key.clone(), b.prio, jf, b.right.clone()));
+                let j =
+                    Treap::node_over(b.key.clone(), b.prio, 0, Child::Cell(jf), b.right.clone());
+                bk.fulfill(out, j);
                 let bl = b.left.clone();
                 bk.fork(move |bk| {
-                    bk.touch(&bl, move |bk, lv| join(bk, Treap::Node(a), lv, jp));
+                    bl.touch(bk, move |bk, lv| join(bk, Treap::Node(a), lv, jp));
                 });
             }
         }
@@ -580,7 +621,7 @@ pub fn union<B: PipeBackend, K: Key>(
         }
         bk.touch(&b, move |bk, bv| {
             if within_grain::<B>(av.sized(), bv.sized()) {
-                bk.fulfill(out, union_plain(bk, &av, &bv));
+                bk.fulfill(out, union_plain(&av, &bv));
                 return;
             }
             bk.tick(1);
@@ -609,8 +650,8 @@ pub fn union<B: PipeBackend, K: Key>(
             let (urp, urf) = bk.cell();
             bk.tick(1);
             bk.fulfill(out, Treap::node(w.key.clone(), w.prio, ulf, urf));
-            let wl = w.left.clone();
-            let wr = w.right.clone();
+            let wl = w.left.fut(bk);
+            let wr = w.right.fut(bk);
             bk.fork2(
                 move |bk| union(bk, wl, lf, ulp, mode),
                 move |bk| union(bk, wr, rf, urp, mode),
@@ -648,7 +689,7 @@ pub fn diff<B: PipeBackend, K: Key>(
         };
         bk.touch(&b, move |bk, bv| {
             if within_grain::<B>(n1.sized(), bv.sized()) {
-                bk.fulfill(out, select_plain(bk, &Treap::Node(n1), &bv, false));
+                bk.fulfill(out, select_plain(&Treap::Node(n1), &bv, false));
                 return;
             }
             bk.tick(1);
@@ -665,8 +706,8 @@ pub fn diff<B: PipeBackend, K: Key>(
             // l = ?diff(a.left, l2); r = ?diff(a.right, r2)
             let (dlp, dlf) = bk.cell();
             let (drp, drf) = bk.cell();
-            let al = n1.left.clone();
-            let ar = n1.right.clone();
+            let al = n1.left.fut(bk);
+            let ar = n1.right.fut(bk);
             bk.fork2(
                 move |bk| diff(bk, al, lf, dlp, mode),
                 move |bk| diff(bk, ar, rf, drp, mode),
@@ -718,7 +759,7 @@ pub fn intersect<B: PipeBackend, K: Key>(
         };
         bk.touch(&b, move |bk, bv| {
             if within_grain::<B>(n1.sized(), bv.sized()) {
-                bk.fulfill(out, select_plain(bk, &Treap::Node(n1), &bv, true));
+                bk.fulfill(out, select_plain(&Treap::Node(n1), &bv, true));
                 return;
             }
             bk.tick(1);
@@ -733,8 +774,8 @@ pub fn intersect<B: PipeBackend, K: Key>(
             fork_call(bk, mode, move |bk| splitm(bk, key, bv, lp, rp, fp));
             let (ilp, ilf) = bk.cell();
             let (irp, irf) = bk.cell();
-            let al = n1.left.clone();
-            let ar = n1.right.clone();
+            let al = n1.left.fut(bk);
+            let ar = n1.right.fut(bk);
             bk.fork2(
                 move |bk| intersect(bk, al, lf, ilp, mode),
                 move |bk| intersect(bk, ar, rf, irp, mode),
@@ -784,9 +825,10 @@ where
             if key == n.key {
                 bk.fulfill(out, true);
             } else if key < n.key {
-                bk.touch(&n.left, move |bk, c| contains_val(bk, key, c, out));
+                n.left.touch(bk, move |bk, c| contains_val(bk, key, c, out));
             } else {
-                bk.touch(&n.right, move |bk, c| contains_val(bk, key, c, out));
+                n.right
+                    .touch(bk, move |bk, c| contains_val(bk, key, c, out));
             }
         }
     }
@@ -925,33 +967,42 @@ mod tests {
             .collect()
     }
 
-    /// The treap of `entries` on pre-written cells: size-annotated, or with
-    /// no node sized, as a pipelined producer would have published it.
-    fn build(bk: &Seq, entries: &[Entry<i64>], sized: bool) -> Treap<Seq, i64> {
-        fn bare(bk: &Seq, t: &Option<Box<PlainTreap<i64>>>) -> Treap<Seq, i64> {
-            match t {
-                None => Treap::Leaf,
-                Some(n) => Treap::node(
-                    n.key,
-                    n.prio,
-                    bk.input(bare(bk, &n.left)),
-                    bk.input(bare(bk, &n.right)),
-                ),
-            }
+    /// How deep the unsized top of a test input reaches: `ALL` is no node
+    /// sized and every child a written cell, as a pipelined producer would
+    /// have published the treap; `Some(0)` is the complete treap of
+    /// `from_entries`; `Some(d)` is `d` levels of unsized nodes, each over
+    /// one cell and one directly held sized subtree, above complete ones.
+    type Crust = Option<usize>;
+    const ALL: Crust = None;
+    const SIZED: Crust = Some(0);
+
+    fn build(bk: &Seq, entries: &[Entry<i64>], crust: Crust) -> Treap<Seq, i64> {
+        fn rec(bk: &Seq, t: &Option<Box<PlainTreap<i64>>>, crust: Crust) -> Treap<Seq, i64> {
+            let Some(n) = t else { return Treap::Leaf };
+            let cell = |t, crust| Child::Cell(bk.input(rec(bk, t, crust)));
+            let (l, r) = match crust {
+                ALL => (cell(&n.left, ALL), cell(&n.right, ALL)),
+                SIZED => return Treap::from_plain(bk, t),
+                Some(d) => {
+                    let done = |t| Child::Done(Treap::from_plain(bk, t));
+                    if d % 2 == 0 {
+                        (cell(&n.left, Some(d - 1)), done(&n.right))
+                    } else {
+                        (done(&n.left), cell(&n.right, Some(d - 1)))
+                    }
+                }
+            };
+            Treap::node_over(n.key, n.prio, 0, l, r)
         }
-        if sized {
-            Treap::from_entries(bk, entries)
-        } else {
-            bare(bk, &PlainTreap::from_entries(entries))
-        }
+        rec(bk, &PlainTreap::from_entries(entries), crust)
     }
 
     /// Entries in preorder: with the search order, that fixes the shape.
     fn preorder(t: &Treap<Seq, i64>, out: &mut Vec<Entry<i64>>) {
         if let Treap::Node(n) = t {
             out.push((n.key, n.prio));
-            preorder(&Treap::expect(&n.left), out);
-            preorder(&Treap::expect(&n.right), out);
+            preorder(&n.left.get(), out);
+            preorder(&n.right.get(), out);
         }
     }
 
@@ -963,11 +1014,13 @@ mod tests {
         }
     }
 
-    /// The cutoff is invisible in the result: on size-annotated operands
-    /// (plain code below the grain, plain splits and joins above it), on
-    /// unsized ones (the paper's step throughout) and on one of each,
-    /// union, difference and intersection build `PlainTreap`'s tree,
-    /// entry for entry.
+    /// The cutoff and the representation are invisible in the result: on
+    /// complete operands (plain code below the grain, plain splits and
+    /// joins above it), on unsized ones over cells (the paper's step
+    /// throughout), on one of each, and on operands whose unsized top
+    /// holds one child directly and the other in a cell, union, difference
+    /// and intersection build `PlainTreap`'s tree, entry for entry — and
+    /// sealing the result keeps the tree and leaves no cell in it.
     #[test]
     fn sized_and_unsized_operands_build_the_oracles_tree() {
         let reprio = |e: &[Entry<i64>]| {
@@ -1005,7 +1058,14 @@ mod tests {
                 PlainTreap::diff(pa(), pb()),
                 PlainTreap::diff(pa(), PlainTreap::diff(pa(), pb())),
             ];
-            for (sa, sb) in [(true, true), (false, false), (false, true)] {
+            for (sa, sb) in [
+                (SIZED, SIZED),
+                (ALL, ALL),
+                (ALL, SIZED),
+                (Some(3), SIZED),
+                (SIZED, Some(4)),
+                (Some(2), ALL),
+            ] {
                 let got = Seq::run(|bk| {
                     let fa = bk.input(build(bk, a, sa));
                     let fb = bk.input(build(bk, b, sb));
@@ -1020,11 +1080,18 @@ mod tests {
                     let (mut g, mut w) = (vec![], vec![]);
                     preorder(got, &mut g);
                     plain_preorder(want, &mut w);
-                    assert_eq!(g, w, "case {i} op {op} sized=({sa},{sb})");
-                    assert!(got.check_invariants(), "case {i} op {op} sized=({sa},{sb})");
-                    if sa && sb && work_estimate(a.len(), b.len()) <= Seq::GRAIN {
-                        assert_eq!(got.sized(), Some(w.len()), "case {i} op {op}");
+                    let what = format!("case {i} op {op} crust=({sa:?},{sb:?})");
+                    assert_eq!(g, w, "{what}");
+                    assert!(got.check_invariants(), "{what}");
+                    if (sa, sb) == (SIZED, SIZED) && work_estimate(a.len(), b.len()) <= Seq::GRAIN {
+                        assert_eq!(got.sized(), Some(w.len()), "{what}");
                     }
+                    let sealed = got.sealed();
+                    g.clear();
+                    preorder(&sealed, &mut g);
+                    assert_eq!(g, w, "sealed, {what}");
+                    assert_eq!(sealed.sized(), Some(w.len()), "sealed, {what}");
+                    assert!(sealed.check_invariants(), "sealed, {what}");
                 }
             }
         }
@@ -1034,16 +1101,22 @@ mod tests {
     fn check_invariants_rejects_a_false_size() {
         type T = Treap<Seq, i64>;
         Seq::run(|bk| {
-            let leaf = || bk.input(T::Leaf);
-            let one = |size| T::node_sized(1, 9, size, leaf(), leaf());
+            let leaf = || Child::Done(T::Leaf);
+            let written = |t| Child::Cell(bk.input(t));
+            let one = |size| T::node_over(1, 9, size, leaf(), leaf());
             assert!(one(0).check_invariants() && one(1).check_invariants());
             assert!(!one(2).check_invariants(), "inexact count");
-            // A sized node above a cell nobody has written.
+            // A sized node above a cell: one nobody has written, and a
+            // written one.
             let (_pending, f) = bk.cell::<T>();
-            assert!(!T::node_sized(1, 9, 1, leaf(), f).check_invariants());
+            assert!(!T::node_over(1, 9, 1, leaf(), Child::Cell(f)).check_invariants());
+            assert!(!T::node_over(1, 9, 1, leaf(), written(T::Leaf)).check_invariants());
             // A sized node above an unsized one, and above a sized one.
-            assert!(!T::node_sized(2, 9, 2, bk.input(one(0)), leaf()).check_invariants());
-            assert!(T::node_sized(2, 9, 2, bk.input(one(1)), leaf()).check_invariants());
+            assert!(!T::node_over(2, 9, 2, Child::Done(one(0)), leaf()).check_invariants());
+            assert!(T::node_over(2, 9, 2, Child::Done(one(1)), leaf()).check_invariants());
+            // An unsized node may hold anything finished, either way.
+            assert!(T::node_over(2, 9, 0, Child::Done(one(1)), written(T::Leaf)).check_invariants());
+            assert!(T::node_over(2, 9, 0, written(one(0)), leaf()).check_invariants());
         });
     }
 
@@ -1108,7 +1181,7 @@ mod tests {
             .collect();
         for (take, sized) in [0usize, 1, 2, 3, 5]
             .into_iter()
-            .zip([true, false].into_iter().cycle())
+            .zip([SIZED, ALL, Some(2)].into_iter().cycle())
         {
             let got = Seq::run(|bk| {
                 let futs: Vec<_> = batches[..take]

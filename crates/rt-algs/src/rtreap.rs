@@ -6,26 +6,33 @@
 //! shapes agree across backends — checked by the integration tests.
 
 use pf_algs::Mode;
-use pf_rt::{ready, FutRead, FutWrite, Worker};
+use pf_rt::{FutRead, FutWrite, Worker};
 use pf_trees::seq::{Entry, PlainTreap};
 
 use crate::RKey;
 
-/// A treap whose children are runtime future cells.
+/// A treap on the runtime: complete nodes hold their children directly,
+/// nodes published ahead of their children hold runtime future cells.
 pub type RTreap<K> = pf_algs::treap::Treap<Worker, K>;
 
 /// Interior node of an [`RTreap`].
 pub type RTreapNode<K> = pf_algs::treap::TreapNode<Worker, K>;
 
-// The `size` annotation rides in what was padding of the allocation: an
-// `Arc<RTreapNode<i64>>` (two counters + node) still fits the 56 usable
-// bytes of the 64-byte malloc chunk it had without it.
-const _: () =
-    assert!(std::mem::size_of::<RTreapNode<i64>>() + 2 * std::mem::size_of::<usize>() <= 56);
+/// A child of an [`RTreapNode`].
+pub type RChild<K> = pf_algs::treap::Child<Worker, K>;
 
-/// Offline (no worker, pre-written cells) constructors for [`RTreap`].
+// A node is one allocation whether its children are held directly or are
+// cells: an `Arc<RTreapNode<i64>>` (two counters + key, priority, size and
+// two tagged pointers) fits the 72 usable bytes of an 80-byte malloc chunk
+// — where a complete node used to be a 64-byte chunk plus a 48-byte born-
+// written cell per child.
+const _: () =
+    assert!(std::mem::size_of::<RTreapNode<i64>>() + 2 * std::mem::size_of::<usize>() <= 72);
+
+/// Offline (no worker) constructors for [`RTreap`].
 pub trait RtTreap<K: RKey>: Sized {
-    /// Convert a sequential treap (pre-written cells, every node sized).
+    /// Convert a sequential treap: every node complete, one allocation
+    /// each, no cell.
     fn from_plain_ready(t: &Option<Box<PlainTreap<K>>>) -> Self;
 
     /// Build from entries via the sequential treap.
@@ -36,13 +43,12 @@ impl<K: RKey> RtTreap<K> for RTreap<K> {
     fn from_plain_ready(t: &Option<Box<PlainTreap<K>>>) -> Self {
         match t {
             None => RTreap::Leaf,
-            Some(n) => {
-                let l = Self::from_plain_ready(&n.left);
-                let r = Self::from_plain_ready(&n.right);
-                let keys = |t: &Self| t.sized().expect("built sized, bottom up");
-                let size = 1 + keys(&l) + keys(&r);
-                RTreap::node_sized(n.key.clone(), n.prio, size, ready(l), ready(r))
-            }
+            Some(n) => RTreap::node_sized(
+                n.key.clone(),
+                n.prio,
+                Self::from_plain_ready(&n.left),
+                Self::from_plain_ready(&n.right),
+            ),
         }
     }
 
@@ -111,7 +117,7 @@ pub fn intersect<K: RKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_rt::{cell, Runtime};
+    use pf_rt::{cell, ready, Runtime};
     use pf_trees::seq::splitmix64;
 
     fn entries(keys: impl IntoIterator<Item = i64>) -> Vec<Entry<i64>> {

@@ -8,8 +8,9 @@
 //! * `cell` → [`cell()`](crate::cell::cell) (one `Arc` allocation, same as
 //!   before);
 //! * `input` → [`ready()`](crate::cell::ready) (one allocation, born
-//!   written: no write-pointer, no CAS — what input construction and the
-//!   algorithms' plain below-grain code build their nodes on);
+//!   written: no write-pointer, no CAS — what input construction hands
+//!   its operands over in, and what a pipelined step wraps a directly held
+//!   child in when a recursive call wants a future);
 //! * `fulfill` → [`FutWrite::fulfill`] (one CAS; reactivates a
 //!   suspended waiter as a task);
 //! * `touch` → [`FutRead::touch`] with an argument-order adapter

@@ -35,9 +35,10 @@
 //!   bookkeeping — and a failed shard degrades alone, its abort
 //!   confined to its own slot.
 //! * **Snapshot reads** ([`SetService::contains`]): readers walk the
-//!   shard's last *committed* root — quiescence guarantees every cell in
-//!   it is written — so reads never block on writes and cost O(lg n)
-//!   with zero synchronization beyond one root clone.
+//!   shard's last *committed* root — sealed at commit, so it holds no
+//!   future cell and the walk is a pointer chase — so reads never block
+//!   on writes and cost O(lg n) with zero synchronization beyond one
+//!   root clone.
 //! * **Cross-batch pipelining** ([`ApplyMode::Pipelined`]): inside one
 //!   session a *window* of waves is chained through unresolved future
 //!   cells — wave N+1's `union` touches wave N's still-being-written

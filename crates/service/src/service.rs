@@ -4,18 +4,19 @@
 //!
 //! See the crate docs for the architecture. The one invariant everything
 //! here leans on: a shard's *committed* root only ever comes out of a
-//! session that reached quiescence, so every future cell reachable from
-//! it is written — snapshot readers walk it lock-free (after one root
-//! clone) and the next session's unions may touch its cells at will
-//! (touching a written cell is always legal; linearity only restricts
-//! touches of unwritten ones).
+//! session that reached quiescence, and is sealed before it is stored
+//! ([`RTreap::sealed`]: the few unsized nodes a larger-than-grain wave
+//! leaves at the top are rebuilt as complete ones), so it holds no future
+//! cell at all — snapshot readers walk it lock-free (after one root
+//! clone) as a plain pointer chase, and the next session's unions see a
+//! complete operand.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pf_rt::{cell, ready, FutRead, RunStats, Runtime, SchedPolicy, Session, SessionError, Worker};
-use pf_rt_algs::rtreap::{diff, union, union_many, RTreap, RtTreap};
+use pf_rt_algs::rtreap::{diff, union, union_many, RChild, RTreap, RtTreap};
 use pf_rt_algs::RKey;
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
@@ -324,26 +325,21 @@ impl<K: RKey> SetService<K> {
     }
 
     /// Snapshot membership read: walks the owning shard's last committed
-    /// root. Costs one root clone plus an O(lg n) walk of written cells;
+    /// root. Costs one root clone plus an O(lg n) walk by reference;
     /// never blocks on in-flight writes (which build a *new* root — the
     /// committed one is immutable). Reads-your-writes only after the
     /// write's wave commits: this is a snapshot consistency model, by
     /// design.
     pub fn contains(&self, key: &K) -> bool {
         let root = self.snapshot(self.map.shard_of(key));
-        let mut cur = root;
-        loop {
-            match cur {
-                RTreap::Leaf => return false,
-                RTreap::Node(n) => {
-                    if *key == n.key {
-                        return true;
-                    }
-                    let child = if *key < n.key { &n.left } else { &n.right };
-                    cur = child.peek().expect("committed root with unwritten cell");
-                }
+        let mut cur = &root;
+        while let RTreap::Node(n) = cur {
+            if *key == n.key {
+                return true;
             }
+            cur = committed(if *key < n.key { &n.left } else { &n.right });
         }
+        false
     }
 
     /// The shard's committed root (an `Arc`-shallow clone).
@@ -358,8 +354,8 @@ impl<K: RKey> SetService<K> {
     /// per-shard in-order walks concatenate into a globally sorted
     /// result with no merge step. Each shard contributes a walk of its
     /// own committed root (same snapshot model as
-    /// [`SetService::contains`]: one root clone, lock-free descent of
-    /// written cells, never blocked by in-flight sessions — but each
+    /// [`SetService::contains`]: one root clone, lock-free descent by
+    /// reference, never blocked by in-flight sessions — but each
     /// shard's snapshot is taken independently, so a cross-shard wave
     /// committing mid-scan may appear in one shard and not another).
     /// The walk prunes: subtrees wholly outside `[lo, hi)` are never
@@ -600,12 +596,12 @@ impl<K: RKey> SetService<K> {
 
     /// One apply session: chain every wave of the window through
     /// unresolved result cells (cross-batch pipelining), then read the
-    /// final root out. Each wave's groups collapse through a balanced
-    /// union tree before touching the chain. On failure the caller gets
-    /// the error plus the session's wall-clock cost; the pool is already
-    /// clean (aborted sessions poison their cells and drop their
-    /// continuations) and the pre-session root is untouched — every cell
-    /// reachable from it was written before this session began, so the
+    /// final root out, sealed — the one place a committable root comes
+    /// from. Each wave's groups collapse through a balanced union tree
+    /// before touching the chain. On failure the caller gets the error
+    /// plus the session's wall-clock cost; the pool is already clean
+    /// (aborted sessions poison their cells and drop their continuations)
+    /// and the pre-session root is untouched — it holds no cell, so the
     /// poison pass cannot reach it.
     #[allow(clippy::type_complexity)]
     fn run_window_session(
@@ -650,8 +646,9 @@ impl<K: RKey> SetService<K> {
                 state.touch(wk, move |v, wk| op.fulfill(wk, v));
             })
             .map_err(|e| (e, started.elapsed()))?;
-        // Quiescence ⇒ the final chain cell is written.
-        Ok((of.expect(), stats))
+        // Quiescence ⇒ the final chain cell and every cell below it is
+        // written, so the unsized top of the new root can be sealed.
+        Ok((of.expect().sealed(), stats))
     }
 
     /// Attach the pool's last session timeline — the failed session that
@@ -678,28 +675,24 @@ impl DrainReport {
     }
 }
 
-/// In-order walk of a committed (fully written) treap, pushing keys in
-/// `[lo, hi)` and pruning subtrees the range cannot reach.
+/// The subtreap below a node of a committed root: held directly, since
+/// every committed root is sealed.
+fn committed<K: RKey>(child: &RChild<K>) -> &RTreap<K> {
+    child.done().expect("committed root holds a future cell")
+}
+
+/// In-order walk of a committed treap, pushing keys in `[lo, hi)` and
+/// pruning subtrees the range cannot reach.
 fn range_into<K: RKey>(t: &RTreap<K>, lo: &K, hi: &K, out: &mut Vec<K>) {
     if let RTreap::Node(n) = t {
         if *lo < n.key {
-            range_into(
-                &n.left.peek().expect("committed root with unwritten cell"),
-                lo,
-                hi,
-                out,
-            );
+            range_into(committed(&n.left), lo, hi, out);
         }
         if *lo <= n.key && n.key < *hi {
             out.push(n.key.clone());
         }
         if n.key < *hi {
-            range_into(
-                &n.right.peek().expect("committed root with unwritten cell"),
-                lo,
-                hi,
-                out,
-            );
+            range_into(committed(&n.right), lo, hi, out);
         }
     }
 }

@@ -146,3 +146,48 @@ fn drive_report_carries_wall_clock_throughput() {
     assert!(report.keys_per_sec_wall() > 0.0);
     assert!(report.keys_per_sec_wall().is_finite());
 }
+
+/// Every committed root is sealed. A wave of more than one grain of work
+/// takes the pipelined step at the top, so what its session hands back has
+/// unsized nodes over future cells there; the commit rebuilds those, and
+/// readers and the next wave find a complete treap with no cell in it —
+/// after a multi-wave preload window, one larger-than-grain wave, a tiny
+/// wave on top of that, and a larger-than-grain delete.
+#[test]
+fn a_committed_root_holds_no_cell() {
+    const SPACE: i64 = 1 << 20;
+    let mut rng = SmallRng::seed_from_u64(17);
+    let svc = SetService::new(
+        ShardMap::uniform(1, 0, SPACE),
+        ServiceConfig {
+            threads: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let mut oracle = BTreeSet::new();
+    for (insert, keys) in [(true, 20_000), (true, 6_000), (true, 3), (false, 5_000)] {
+        let req = if insert {
+            let entries: Vec<(i64, u64)> = (0..keys)
+                .map(|_| (rng.gen_range(0..SPACE), rng.gen()))
+                .collect();
+            oracle.extend(entries.iter().map(|e| e.0));
+            Request::insert(entries)
+        } else {
+            let gone: Vec<i64> = oracle.iter().copied().step_by(4).take(keys).collect();
+            gone.iter().for_each(|k| assert!(oracle.remove(k)));
+            Request::delete(gone.into_iter().map(|k| (k, 0)).collect())
+        };
+        svc.submit(req);
+        assert_eq!(svc.pump().degraded, 0);
+        let root = svc.snapshot(0);
+        assert_eq!(
+            root.sized(),
+            Some(oracle.len()),
+            "{keys} keys, insert={insert}"
+        );
+        assert!(root.check_invariants(), "{keys} keys, insert={insert}");
+        let all: Vec<i64> = oracle.iter().copied().collect();
+        assert_eq!(svc.range(&i64::MIN, &i64::MAX), all);
+        assert!(all.iter().step_by(97).all(|k| svc.contains(k)));
+    }
+}

@@ -26,6 +26,7 @@ use pf_core::{CostReport, Ctx, Fut, Promise, Sim};
 use crate::seq::{Entry, PlainTreap};
 use crate::{Key, Mode};
 
+use pf_algs::treap::Child;
 pub use pf_algs::treap::{TreapFut, TreapWr};
 
 /// A treap whose children are future cells, on the simulator engine.
@@ -70,8 +71,8 @@ impl<K: Key> SimTreap<K> for Treap<K> {
         root.with(|tr| {
             if let Treap::Node(n) = tr {
                 t = t
-                    .max(Self::completion_time(&n.left))
-                    .max(Self::completion_time(&n.right));
+                    .max(Self::completion_time(cell_of(&n.left)))
+                    .max(Self::completion_time(cell_of(&n.right)));
             }
         });
         t
@@ -86,13 +87,23 @@ impl<K: Key> SimTreap<K> for Treap<K> {
         let h = cell.with(|tr| match tr {
             Treap::Leaf => 0,
             Treap::Node(n) => {
-                let hl = Self::walk_cells(&n.left, depth + 1, f);
-                let hr = Self::walk_cells(&n.right, depth + 1, f);
+                let hl = Self::walk_cells(cell_of(&n.left), depth + 1, f);
+                let hr = Self::walk_cells(cell_of(&n.right), depth + 1, f);
                 1 + hl.max(hr)
             }
         });
         f(t, depth, h);
         h
+    }
+}
+
+/// The cell of a child: the simulator never cuts (`Ctx::GRAIN` is 0), so
+/// no node of its treaps holds a child directly and every one has a
+/// timestamp.
+fn cell_of<K: Key>(c: &Child<Ctx, K>) -> &Fut<Treap<K>> {
+    match c {
+        Child::Cell(f) => f,
+        Child::Done(_) => unreachable!("a simulator treap child is always a cell"),
     }
 }
 

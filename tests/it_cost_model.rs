@@ -57,10 +57,12 @@ fn global_cost_invariants() {
     }
 }
 
-/// The cost model never cuts: `Ctx::GRAIN` is 0, so on inputs from the
-/// size-annotating constructor (`run_union` / `run_diff` build theirs with
-/// `Treap::from_entries`) it still charges the paper's DAG action for
-/// action. The numbers are those of the commit before sizes existed.
+/// The cost model never cuts and never fuses: `Ctx::GRAIN` is 0, so the
+/// constructor that builds complete, cell-free nodes on the other engines
+/// (`run_union` / `run_diff` build their inputs with `Treap::from_entries`)
+/// builds unsized nodes over cells here, and the paper's DAG is charged
+/// action for action. The numbers are those of the commit before sizes
+/// existed.
 #[test]
 fn the_cost_model_ignores_sizes() {
     let a = entries((0..300).map(|i| 2 * i));

@@ -8,7 +8,7 @@ use pf_rt_algs::rlist::{consume, produce, qs, RList, RtList};
 use pf_rt_algs::rtreap::{diff as rt_diff, union as rt_union, RTreap, RtTreap};
 use pf_rt_algs::rtree::{merge as rt_merge, RTree, RtTree};
 use pf_rt_algs::rtwosix::{insert_many as rt_insert_many, RTsTree, RtTsTree};
-use pf_tests::{entries, unsized_ready};
+use pf_tests::{crusted_ready, entries, unsized_ready};
 use pf_trees::merge::run_merge;
 use pf_trees::seq::PlainTreap;
 use pf_trees::treap::{run_diff, run_union};
@@ -524,8 +524,8 @@ type Plain = Option<Box<PlainTreap<i64>>>;
 fn rt_preorder(t: &RTreap<i64>, out: &mut Entries) {
     if let RTreap::Node(n) = t {
         out.push((n.key, n.prio));
-        rt_preorder(&n.left.expect(), out);
-        rt_preorder(&n.right.expect(), out);
+        rt_preorder(&n.left.get(), out);
+        rt_preorder(&n.right.get(), out);
     }
 }
 
@@ -551,15 +551,16 @@ fn assert_same_tree(got: &RTreap<i64>, want: &Plain, what: &str) {
     assert!(got.check_invariants(), "{what}");
 }
 
-/// `entries` as a pf-rt input: size-annotated, or as a pipelined producer
-/// would have published it.
+/// `entries` as a pf-rt input: complete, or as a pipelined producer would
+/// have published it.
 fn rt_input(e: &[(i64, u64)], sized: bool) -> pf_rt::FutRead<RTreap<i64>> {
-    if sized {
-        ready(RTreap::from_entries_ready(e))
-    } else {
-        unsized_ready(e)
-    }
+    crusted_ready(e, if sized { SIZED } else { ALL })
 }
+
+/// `crusted_ready`'s two ends: every node unsized over cells, and the
+/// complete treap.
+const ALL: Option<usize> = None;
+const SIZED: Option<usize> = Some(0);
 
 fn reprio(e: &[(i64, u64)]) -> Entries {
     e.iter()
@@ -567,10 +568,11 @@ fn reprio(e: &[(i64, u64)]) -> Entries {
         .collect()
 }
 
-/// On size-annotated operands pf-rt runs plain code below the grain and
-/// splits and joins plainly above it; on unsized operands it takes the
-/// paper's step throughout. Either way, and with one operand of each
-/// kind, union / difference / intersection / `union_many` build
+/// On complete operands pf-rt runs plain code below the grain and splits
+/// and joins plainly above it; on unsized operands it takes the paper's
+/// step throughout. Either way, with one operand of each kind, and with
+/// operands whose unsized top holds one child directly and the other in a
+/// cell, union / difference / intersection / `union_many` build
 /// `PlainTreap`'s tree at 1, 2 and 4 threads.
 #[test]
 fn cutoff_builds_the_same_trees_on_the_runtime() {
@@ -609,9 +611,16 @@ fn cutoff_builds_the_same_trees_on_the_runtime() {
                 PlainTreap::diff(pa(), PlainTreap::diff(pa(), pb())),
                 PlainTreap::union(PlainTreap::union(pa(), pb()), pa()),
             ];
-            for (sa, sb) in [(true, true), (false, false), (false, true)] {
-                let (fa, fb) = (rt_input(a, sa), rt_input(b, sb));
-                let many = vec![fa.clone(), fb.clone(), rt_input(a, sb)];
+            for (sa, sb) in [
+                (SIZED, SIZED),
+                (ALL, ALL),
+                (ALL, SIZED),
+                (Some(3), SIZED),
+                (SIZED, Some(4)),
+                (Some(2), ALL),
+            ] {
+                let (fa, fb) = (crusted_ready(a, sa), crusted_ready(b, sb));
+                let many = vec![fa.clone(), fb.clone(), crusted_ready(a, sb)];
                 let outs = [cell(), cell(), cell(), cell()];
                 let [(u, uf), (d, df), (n, nf), (m, mf)] = outs;
                 rt.run(move |wk| {
@@ -621,7 +630,7 @@ fn cutoff_builds_the_same_trees_on_the_runtime() {
                     rt_union_many(wk, many).touch(wk, move |v, wk| m.fulfill(wk, v));
                 });
                 for (op, (got, want)) in [uf, df, nf, mf].iter().zip(&want).enumerate() {
-                    let what = format!("case {i} op {op} sized=({sa},{sb}) threads={threads}");
+                    let what = format!("case {i} op {op} crust=({sa:?},{sb:?}) threads={threads}");
                     assert_same_tree(&got.expect(), want, &what);
                 }
             }

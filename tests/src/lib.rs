@@ -1,9 +1,10 @@
 //! Shared helpers for the cross-crate integration tests.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use pf_rt::{ready, FutRead};
-use pf_rt_algs::rtreap::RTreap;
+use pf_rt_algs::rtreap::{RChild, RTreap, RTreapNode, RtTreap};
 use pf_trees::seq::{Entry, PlainTreap};
 
 /// Sorted union of two entry lists' keys.
@@ -33,22 +34,45 @@ pub fn entries(keys: impl IntoIterator<Item = i64>) -> Vec<Entry<i64>> {
         .collect()
 }
 
-/// A pf-rt treap input with no node sized, as a pipelined producer would
-/// have published it. pf-rt cuts below its grain when its operands are
-/// size-annotated, so a test that ties the runtime to the paper's exact
-/// fork structure (`spawns` equal to the cost model's `forks`, suspension
-/// counts per policy) feeds it these instead of `from_entries_ready`'s.
+/// A pf-rt treap input with no node sized and every child a written
+/// cell, as a pipelined producer would have published it. pf-rt cuts below
+/// its grain when its operands are complete, so a test that ties the
+/// runtime to the paper's exact fork structure (`spawns` equal to the cost
+/// model's `forks`, suspension counts per policy) feeds it these instead
+/// of `from_entries_ready`'s.
 pub fn unsized_ready(entries: &[Entry<i64>]) -> FutRead<RTreap<i64>> {
-    fn convert(t: &Option<Box<PlainTreap<i64>>>) -> RTreap<i64> {
-        match t {
-            None => RTreap::Leaf,
-            Some(n) => RTreap::node(
-                n.key,
-                n.prio,
-                ready(convert(&n.left)),
-                ready(convert(&n.right)),
-            ),
-        }
+    crusted_ready(entries, None)
+}
+
+/// A pf-rt treap input whose unsized top reaches `crust` levels deep:
+/// `None` is [`unsized_ready`]'s treap, `Some(0)` the complete one of
+/// `from_entries_ready`, and `Some(d)` has `d` levels of unsized nodes,
+/// each over one written cell and one directly held complete subtree,
+/// above complete ones — the mixed shapes a larger-than-grain operation
+/// leaves behind.
+pub fn crusted_ready(entries: &[Entry<i64>], crust: Option<usize>) -> FutRead<RTreap<i64>> {
+    fn convert(t: &Option<Box<PlainTreap<i64>>>, crust: Option<usize>) -> RTreap<i64> {
+        let Some(n) = t else { return RTreap::Leaf };
+        let cell = |t, crust| RChild::Cell(ready(convert(t, crust)));
+        let (left, right) = match crust {
+            None => (cell(&n.left, None), cell(&n.right, None)),
+            Some(0) => return RTreap::from_plain_ready(t),
+            Some(d) => {
+                let done = |t| RChild::Done(RTreap::from_plain_ready(t));
+                if d % 2 == 0 {
+                    (cell(&n.left, Some(d - 1)), done(&n.right))
+                } else {
+                    (done(&n.left), cell(&n.right, Some(d - 1)))
+                }
+            }
+        };
+        RTreap::Node(Arc::new(RTreapNode {
+            key: n.key,
+            prio: n.prio,
+            size: 0,
+            left,
+            right,
+        }))
     }
-    ready(convert(&PlainTreap::from_entries(entries)))
+    ready(convert(&PlainTreap::from_entries(entries), crust))
 }
