@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn stages_are_three_log_n() {
-        for lg in [4u32, 6, 8] {
+        for lg in [4u32, 6, 8, 10] {
             let n = 1usize << lg;
             let (_, s) = cole_sort(&shuffled(n, 3));
             assert_eq!(
@@ -280,5 +280,30 @@ mod tests {
         let (v2, s2) = cole_sort_with(&keys, &mut Reversed(0));
         assert_eq!(v1, v2);
         assert_eq!(s1, s2);
+    }
+
+    #[test]
+    fn sorts_with_duplicates() {
+        let keys = vec![5i64, 1, 5, 2, 2, 9, 0];
+        let (sorted, _) = cole_sort(&keys);
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        assert_eq!(sorted, expect);
+    }
+
+    #[test]
+    fn work_is_n_log_n() {
+        let w = |lg: u32| cole_sort(&shuffled(1 << lg, 5)).1.work as f64;
+        let r = w(12) / w(10);
+        // n lg n: ratio 4·(12/10) = 4.8.
+        assert!((4.0..6.0).contains(&r), "work ratio {r}");
+    }
+
+    #[test]
+    fn footprint_is_linear() {
+        // Cole: total live sample arrays are O(n).
+        let f = |lg: u32| cole_sort(&shuffled(1 << lg, 5)).1.max_stage_footprint as f64;
+        let r = f(12) / f(10);
+        assert!((3.4..4.6).contains(&r), "footprint ratio {r} should be ~4");
     }
 }

@@ -41,6 +41,45 @@
 //! [`touch`](PipeBackend::touch) / [`fulfill`](PipeBackend::fulfill) is
 //! part of the algorithm's meaning — do not reorder them casually.
 
+//!
+//! ## One text, both sides of every comparison
+//!
+//! Every pipelined algorithm takes a [`Mode`]: [`Mode::Strict`] is the same
+//! code with each call's results withheld until the call has finished —
+//! the paper's non-pipelined comparison point. On the simulator (a
+//! dev-dependency here: each module's tests check its text on all three
+//! engines) the union of two 1024-key treaps does the same work either
+//! way, at less than half the depth when pipelined, reading every cell at
+//! most once:
+//!
+//! ```
+//! use pf_algs::treap::{union, Treap};
+//! use pf_algs::{plain::splitmix64, Mode, PipeBackend};
+//!
+//! // Two interleaving key sets, priorities hashed from the keys.
+//! let entries = |odd: i64| -> Vec<(i64, u64)> {
+//!     let keys = (0..1024).map(|i| 2 * i + odd);
+//!     keys.map(|k| (k, splitmix64(k as u64))).collect()
+//! };
+//! let (a, b) = (entries(0), entries(1));
+//! let run = |mode| {
+//!     pf_core::Sim::new().run(|ctx| {
+//!         let fa = ctx.input(Treap::from_entries(ctx, &a));
+//!         let fb = ctx.input(Treap::from_entries(ctx, &b));
+//!         let (out, root) = ctx.cell();
+//!         union(ctx, fa, fb, out, mode);
+//!         root
+//!     })
+//! };
+//! let (root, pipelined) = run(Mode::Pipelined);
+//! let (_, strict) = run(Mode::Strict);
+//!
+//! assert!(root.get().check_invariants());
+//! assert_eq!(pipelined.work, strict.work);       // same computation
+//! assert!(2 * pipelined.depth < strict.depth);   // implicit pipelining
+//! assert!(pipelined.is_linear());                // §4-ready
+//! ```
+
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -54,6 +93,27 @@ pub mod rebalance;
 pub mod treap;
 pub mod tree;
 pub mod two_six;
+
+#[cfg(test)]
+pub(crate) mod testkit;
+
+// Test-only modules, named as their suites have always run: the Figure 1
+// and Figure 2 cost tests of [`list`] on the simulator, and each
+// algorithm on the work-stealing runtime (`pf_rt::Worker`).
+#[cfg(test)]
+mod pipeline;
+#[cfg(test)]
+mod quicksort;
+#[cfg(test)]
+mod rlist;
+#[cfg(test)]
+mod rrebalance;
+#[cfg(test)]
+mod rtreap;
+#[cfg(test)]
+mod rtree;
+#[cfg(test)]
+mod rtwosix;
 
 pub use pf_backend::{Job, Key, Mode, PipeBackend, RoundExec, Seq, SeqFut, SeqRounds, Val};
 

@@ -519,3 +519,102 @@ pub fn pvw_insert_many_with<K: Key, R: RoundExec>(
         max_concurrent_waves: max_conc,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::{evens, run_insert_many};
+    use crate::Mode;
+
+    #[test]
+    fn builds_valid_trees() {
+        for n in [0usize, 1, 2, 3, 7, 26, 27, 100, 1000] {
+            let t = PvwTree::from_sorted(&evens(n));
+            t.validate().unwrap_or_else(|e| panic!("n={n}: {e}"));
+            assert_eq!(t.to_sorted_vec(), evens(n));
+        }
+    }
+
+    #[test]
+    fn insert_correct() {
+        for (n, m) in [(50usize, 20usize), (200, 64), (1000, 100), (0, 30)] {
+            let mut t = PvwTree::from_sorted(&evens(n));
+            let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
+            let stats = pvw_insert_many(&mut t, &newk);
+            t.validate().unwrap_or_else(|e| panic!("n={n} m={m}: {e}"));
+            let mut expect = evens(n);
+            expect.extend(&newk);
+            expect.sort_unstable();
+            assert_eq!(t.to_sorted_vec(), expect, "n={n} m={m}");
+            assert!(stats.rounds > 0);
+        }
+    }
+
+    #[test]
+    fn rounds_are_lg_n_plus_lg_m() {
+        // rounds ≈ 2·waves + height: O(lg n + lg m).
+        let rounds = |n: usize, m: usize| {
+            let mut t = PvwTree::from_sorted(&evens(n));
+            let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
+            pvw_insert_many(&mut t, &newk).rounds
+        };
+        let r1 = rounds(1 << 10, 1 << 6);
+        let r2 = rounds(1 << 12, 1 << 6);
+        let r3 = rounds(1 << 14, 1 << 6);
+        // Doubling n adds O(1) rounds (one tree level per two doublings
+        // for 2-6 trees built at ~3x fanout).
+        assert!(r2 - r1 <= 4, "{r1} {r2}");
+        assert!(r3 - r2 <= 4, "{r2} {r3}");
+        // And rounds grow with lg m, roughly 2 per wave.
+        let rm1 = rounds(1 << 12, 1 << 4);
+        let rm2 = rounds(1 << 12, 1 << 8);
+        assert!(rm2 > rm1 + 4);
+        assert!(rm2 < rm1 + 24);
+    }
+
+    #[test]
+    fn pipeline_actually_overlaps() {
+        let mut t = PvwTree::from_sorted(&evens(1 << 12));
+        let newk: Vec<i64> = (0..256).map(|i| 2 * i + 1).collect();
+        let stats = pvw_insert_many(&mut t, &newk);
+        assert!(
+            stats.max_concurrent_waves >= 3,
+            "waves should overlap: {}",
+            stats.max_concurrent_waves
+        );
+        // Strictly sequential waves would need ~waves × height rounds.
+        let height_bound = 8; // tree of 4096 keys has ~7 levels
+        assert!(
+            stats.rounds < (stats.waves as u64) * height_bound / 2 + height_bound,
+            "rounds {} suggest no pipelining",
+            stats.rounds
+        );
+    }
+
+    #[test]
+    fn repeated_bulk_inserts_stay_valid() {
+        let mut t = PvwTree::from_sorted(&evens(100));
+        for round in 0..5i64 {
+            let keys: Vec<i64> = (0..60).map(|i| i * 11 + round * 2 + 1).collect();
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            pvw_insert_many(&mut t, &sorted);
+            t.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn agrees_with_futures_version() {
+        let n = 500;
+        let initial = evens(n);
+        let newk: Vec<i64> = (0..120).map(|i| 5 * i + 1).collect();
+        let mut newk_sorted = newk.clone();
+        newk_sorted.sort_unstable();
+        newk_sorted.dedup();
+        let mut t = PvwTree::from_sorted(&initial);
+        pvw_insert_many(&mut t, &newk_sorted);
+        let (root, _) = run_insert_many(&initial, &newk_sorted, Mode::Pipelined);
+        assert_eq!(t.to_sorted_vec(), root.get().to_sorted_vec());
+    }
+}

@@ -124,6 +124,22 @@ impl<B: PipeBackend, K> Treap<B, K> {
         Self::node_over(key, prio, size, Child::Done(left), Child::Done(right))
     }
 
+    /// Convert a sequential treap into a complete one — every node sized,
+    /// one allocation each, no cell — with no engine in hand: what
+    /// [`from_plain`](Self::from_plain) builds on an engine that cuts, for
+    /// a caller (a service's pump thread) that is not on a worker.
+    pub fn from_plain_complete(t: &Option<Box<PlainTreap<K>>>) -> Self
+    where
+        K: Clone,
+    {
+        let Some(n) = t else { return Treap::Leaf };
+        let (l, r) = (
+            Self::from_plain_complete(&n.left),
+            Self::from_plain_complete(&n.right),
+        );
+        Treap::node_sized(n.key.clone(), n.prio, l, r)
+    }
+
     fn node_over(key: K, prio: u64, size: usize, left: Child<B, K>, right: Child<B, K>) -> Self {
         Treap::Node(Arc::new(TreapNode {
             key,
@@ -225,16 +241,15 @@ where
     where
         TreapWr<B, K>: Send,
     {
+        if B::GRAIN != 0 {
+            return Self::from_plain_complete(t);
+        }
         let Some(n) = t else { return Treap::Leaf };
         let (l, r) = (
             Self::from_plain(bk, &n.left),
             Self::from_plain(bk, &n.right),
         );
-        if B::GRAIN == 0 {
-            Treap::node(n.key.clone(), n.prio, bk.input(l), bk.input(r))
-        } else {
-            Treap::node_sized(n.key.clone(), n.prio, l, r)
-        }
+        Treap::node(n.key.clone(), n.prio, bk.input(l), bk.input(r))
     }
 
     /// Build directly from entries (builds a [`PlainTreap`] first, so the
@@ -959,13 +974,9 @@ where
 mod tests {
     use super::*;
     use crate::plain::splitmix64;
+    use crate::testkit::{entries, run_diff, run_intersect, run_union};
     use crate::Seq;
-
-    fn entries(keys: impl IntoIterator<Item = i64>) -> Vec<Entry<i64>> {
-        keys.into_iter()
-            .map(|k| (k, splitmix64(k as u64 ^ 0xABCD_EF01)))
-            .collect()
-    }
+    use pf_core::{Ctx, Fut, Sim};
 
     /// How deep the unsized top of a test input reaches: `ALL` is no node
     /// sized and every child a written cell, as a pipelined producer would
@@ -1097,6 +1108,26 @@ mod tests {
         }
     }
 
+    /// With no engine in hand, `from_plain_complete` builds what
+    /// `from_plain` builds on an engine that cuts: the plain treap's keys
+    /// and shape, every node sized exactly, and no cell (a sized root
+    /// passes `check_invariants` only over sized, directly held nodes).
+    #[test]
+    fn from_plain_complete_builds_from_plains_tree_without_an_engine() {
+        let plain = PlainTreap::from_entries(&entries((0..700).map(|i| 3 * i)));
+        let free = Treap::<Seq, i64>::from_plain_complete(&plain);
+        let on_seq = Seq::run(|bk| Treap::from_plain(bk, &plain));
+        let (mut got, mut on_engine, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        preorder(&free, &mut got);
+        preorder(&on_seq, &mut on_engine);
+        plain_preorder(&plain, &mut want);
+        assert_eq!(got, want);
+        assert_eq!(got, on_engine);
+        assert_eq!((free.sized(), on_seq.sized()), (Some(700), Some(700)));
+        assert!(free.check_invariants());
+        assert!(Treap::<Seq, i64>::from_plain_complete(&None).is_leaf());
+    }
+
     #[test]
     fn check_invariants_rejects_a_false_size() {
         type T = Treap<Seq, i64>;
@@ -1222,5 +1253,390 @@ mod tests {
         let keys = t3.to_sorted_vec();
         assert!(keys.contains(&7) && keys.contains(&9) && !keys.contains(&48));
         assert_eq!(keys.len(), 51);
+    }
+
+    /// `contains` as a value: touch the answer cell once the walk is done.
+    fn has(ctx: &Ctx, t: Fut<Treap<Ctx, i64>>, key: i64) -> bool {
+        let (p, f) = ctx.promise();
+        contains(ctx, t, key, p);
+        f.get()
+    }
+
+    /// Largest write time of any cell of the treap behind `root`.
+    fn completion_time(root: &Fut<Treap<Ctx, i64>>) -> u64 {
+        let below = root.with(|t| match t {
+            Treap::Leaf => 0,
+            Treap::Node(n) => [&n.left, &n.right]
+                .map(|c| match c {
+                    Child::Cell(f) => completion_time(f),
+                    Child::Done(_) => unreachable!("the simulator never cuts"),
+                })
+                .into_iter()
+                .max()
+                .unwrap_or(0),
+        });
+        root.time().max(below)
+    }
+
+    fn sorted_union(a: &[Entry<i64>], b: &[Entry<i64>]) -> Vec<i64> {
+        let mut v: Vec<i64> = a.iter().chain(b.iter()).map(|e| e.0).collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    fn sorted_diff(a: &[Entry<i64>], b: &[Entry<i64>]) -> Vec<i64> {
+        let bs: std::collections::BTreeSet<i64> = b.iter().map(|e| e.0).collect();
+        a.iter().map(|e| e.0).filter(|k| !bs.contains(k)).collect()
+    }
+
+    #[test]
+    fn union_correct_disjoint() {
+        let a = entries((0..100).map(|i| 2 * i));
+        let b = entries((0..50).map(|i| 2 * i + 1));
+        let (root, _) = run_union(&a, &b, Mode::Pipelined);
+        let t = root.get();
+        assert!(t.check_invariants());
+        assert_eq!(t.to_sorted_vec(), sorted_union(&a, &b));
+    }
+
+    #[test]
+    fn union_correct_overlapping() {
+        let a = entries(0..80);
+        let b = entries(40..120);
+        let (root, _) = run_union(&a, &b, Mode::Pipelined);
+        let t = root.get();
+        assert!(t.check_invariants());
+        assert_eq!(t.to_sorted_vec(), sorted_union(&a, &b));
+        assert_eq!(t.size(), 120);
+    }
+
+    #[test]
+    fn union_matches_sequential_shape() {
+        // Same tie-break rule ⇒ same treap shape as the sequential oracle.
+        let a = entries((0..200).map(|i| 3 * i));
+        let b = entries((0..150).map(|i| 2 * i));
+        let (root, _) = run_union(&a, &b, Mode::Pipelined);
+        let pa = PlainTreap::from_entries(&a);
+        let pb = PlainTreap::from_entries(&b);
+        let pu = PlainTreap::union(pa, pb);
+        assert_eq!(root.get().height(), PlainTreap::height(&pu));
+        assert_eq!(root.get().to_sorted_vec(), PlainTreap::to_sorted_vec(&pu));
+    }
+
+    #[test]
+    fn union_edge_cases() {
+        let e: Vec<Entry<i64>> = vec![];
+        let one = entries([7]);
+        for (a, b) in [(&e, &e), (&one, &e), (&e, &one), (&one, &one)] {
+            let (root, _) = run_union(a, b, Mode::Pipelined);
+            assert_eq!(root.get().to_sorted_vec(), sorted_union(a, b));
+        }
+    }
+
+    #[test]
+    fn union_strict_same_result_more_depth() {
+        let a = entries(0..512);
+        let b = entries((0..512).map(|i| i + 256));
+        let (r1, c1) = run_union(&a, &b, Mode::Pipelined);
+        let (r2, c2) = run_union(&a, &b, Mode::Strict);
+        assert_eq!(r1.get().to_sorted_vec(), r2.get().to_sorted_vec());
+        assert_eq!(c1.work, c2.work);
+        assert!(
+            c2.depth > c1.depth + c1.depth / 2,
+            "strict union should be noticeably deeper: {} vs {}",
+            c2.depth,
+            c1.depth
+        );
+    }
+
+    #[test]
+    fn union_depth_logarithmic() {
+        let d = |n: i64| {
+            let a = entries((0..n).map(|i| 2 * i));
+            let b = entries((0..n).map(|i| 2 * i + 1));
+            run_union(&a, &b, Mode::Pipelined).1.depth
+        };
+        let (d1, d2, d3) = (d(1 << 10), d(1 << 11), d(1 << 12));
+        let g1 = d2 as i64 - d1 as i64;
+        let g2 = d3 as i64 - d2 as i64;
+        // Expected O(lg n + lg m): roughly constant increment per doubling.
+        assert!(g1.abs() < d1 as i64 / 2, "increment {g1} vs base {d1}");
+        assert!(g2.abs() < d1 as i64 / 2, "increment {g2} vs base {d1}");
+    }
+
+    #[test]
+    fn union_is_linear_code() {
+        let a = entries(0..300);
+        let b = entries(150..450);
+        let (_, c) = run_union(&a, &b, Mode::Pipelined);
+        assert!(c.is_linear());
+    }
+
+    #[test]
+    fn diff_correct() {
+        let a = entries(0..100);
+        let b = entries((0..100).filter(|k| k % 3 == 0));
+        let (root, _) = run_diff(&a, &b, Mode::Pipelined);
+        let t = root.get();
+        assert!(t.check_invariants());
+        assert_eq!(t.to_sorted_vec(), sorted_diff(&a, &b));
+    }
+
+    #[test]
+    fn diff_disjoint_is_identity() {
+        let a = entries((0..64).map(|i| 2 * i));
+        let b = entries((0..64).map(|i| 2 * i + 1));
+        let (root, _) = run_diff(&a, &b, Mode::Pipelined);
+        assert_eq!(root.get().to_sorted_vec(), sorted_diff(&a, &b));
+        assert_eq!(root.get().size(), 64);
+    }
+
+    #[test]
+    fn diff_total_overlap_empties() {
+        let a = entries(0..64);
+        let (root, _) = run_diff(&a, &a, Mode::Pipelined);
+        assert!(root.get().is_leaf());
+    }
+
+    #[test]
+    fn diff_edge_cases() {
+        let e: Vec<Entry<i64>> = vec![];
+        let one = entries([7]);
+        for (a, b) in [(&e, &e), (&one, &e), (&e, &one), (&one, &one)] {
+            let (root, _) = run_diff(a, b, Mode::Pipelined);
+            assert_eq!(root.get().to_sorted_vec(), sorted_diff(a, b));
+        }
+    }
+
+    #[test]
+    fn diff_strict_same_result() {
+        let a = entries(0..256);
+        let b = entries((0..256).filter(|k| k % 2 == 0));
+        let (r1, c1) = run_diff(&a, &b, Mode::Pipelined);
+        let (r2, c2) = run_diff(&a, &b, Mode::Strict);
+        assert_eq!(r1.get().to_sorted_vec(), r2.get().to_sorted_vec());
+        assert_eq!(c1.work, c2.work);
+        assert!(c1.depth <= c2.depth);
+    }
+
+    #[test]
+    fn diff_matches_sequential_oracle_shape() {
+        let a = entries(0..300);
+        let b = entries((0..300).filter(|k| k % 5 == 0));
+        let (root, _) = run_diff(&a, &b, Mode::Pipelined);
+        let pd = PlainTreap::diff(PlainTreap::from_entries(&a), PlainTreap::from_entries(&b));
+        assert_eq!(root.get().to_sorted_vec(), PlainTreap::to_sorted_vec(&pd));
+        assert_eq!(root.get().height(), PlainTreap::height(&pd));
+    }
+
+    #[test]
+    fn diff_is_linear_code() {
+        let a = entries(0..200);
+        let b = entries((0..200).filter(|k| k % 4 == 0));
+        let (_, c) = run_diff(&a, &b, Mode::Pipelined);
+        assert!(c.is_linear());
+    }
+
+    #[test]
+    fn splitm_excludes_splitter() {
+        let (out, _) = Sim::new().run(|ctx| {
+            let t = Treap::from_entries(ctx, &entries(0..50));
+            let (lp, lf) = ctx.promise();
+            let (rp, rf) = ctx.promise();
+            let (fp, ff) = ctx.promise();
+            splitm(ctx, 25, t, lp, rp, fp);
+            (lf, rf, ff)
+        });
+        assert!(out.2.get());
+        let l = out.0.get().to_sorted_vec();
+        let r = out.1.get().to_sorted_vec();
+        assert_eq!(l, (0..25).collect::<Vec<_>>());
+        assert_eq!(r, (26..50).collect::<Vec<_>>());
+        assert!(out.0.get().check_invariants());
+        assert!(out.1.get().check_invariants());
+    }
+
+    #[test]
+    fn splitm_absent_splitter() {
+        let (out, _) = Sim::new().run(|ctx| {
+            let t = Treap::from_entries(ctx, &entries((0..50).map(|i| 2 * i)));
+            let (lp, lf) = ctx.promise();
+            let (rp, rf) = ctx.promise();
+            let (fp, ff) = ctx.promise();
+            splitm(ctx, 31, t, lp, rp, fp);
+            (lf, rf, ff)
+        });
+        assert!(!out.2.get());
+        assert_eq!(out.0.get().size() + out.1.get().size(), 50);
+    }
+
+    #[test]
+    fn join_concatenates() {
+        let (root, _) = Sim::new().run(|ctx| {
+            let l = Treap::from_entries(ctx, &entries(0..40));
+            let r = Treap::from_entries(ctx, &entries(100..140));
+            let (jp, jf) = ctx.promise();
+            join(ctx, l, r, jp);
+            jf
+        });
+        let t = root.get();
+        assert!(t.check_invariants());
+        assert_eq!(t.size(), 80);
+        let keys = t.to_sorted_vec();
+        assert_eq!(keys[..40], (0..40).collect::<Vec<_>>()[..]);
+        assert_eq!(keys[40..], (100..140).collect::<Vec<_>>()[..]);
+    }
+
+    #[test]
+    fn intersect_correct() {
+        let a = entries(0..120);
+        let b = entries((0..240).filter(|k| k % 3 == 0));
+        let (root, c) = run_intersect(&a, &b, Mode::Pipelined);
+        let t = root.get();
+        assert!(t.check_invariants());
+        assert_eq!(
+            t.to_sorted_vec(),
+            (0..120).filter(|k| k % 3 == 0).collect::<Vec<_>>()
+        );
+        assert!(c.is_linear());
+    }
+
+    #[test]
+    fn intersect_edge_cases() {
+        let e: Vec<Entry<i64>> = vec![];
+        let one = entries([7]);
+        let other = entries([9]);
+        for (a, b, expect) in [
+            (&e, &e, vec![]),
+            (&one, &e, vec![]),
+            (&e, &one, vec![]),
+            (&one, &one, vec![7]),
+            (&one, &other, vec![]),
+        ] {
+            let (root, _) = run_intersect(a, b, Mode::Pipelined);
+            assert_eq!(root.get().to_sorted_vec(), expect);
+        }
+    }
+
+    #[test]
+    fn intersect_is_diff_of_diff() {
+        // a ∩ b == a \ (a \ b): check against the other two set operations.
+        let a = entries((0..200).map(|i| 3 * i));
+        let b = entries((0..200).map(|i| 2 * i));
+        let (i1, _) = run_intersect(&a, &b, Mode::Pipelined);
+        let (d1, _) = run_diff(&a, &b, Mode::Pipelined);
+        let d1e: Vec<Entry<i64>> = entries(d1.get().to_sorted_vec());
+        let (d2, _) = run_diff(&a, &d1e, Mode::Pipelined);
+        assert_eq!(i1.get().to_sorted_vec(), d2.get().to_sorted_vec());
+    }
+
+    #[test]
+    fn intersect_strict_same_result() {
+        let a = entries(0..150);
+        let b = entries(75..225);
+        let (r1, c1) = run_intersect(&a, &b, Mode::Pipelined);
+        let (r2, c2) = run_intersect(&a, &b, Mode::Strict);
+        assert_eq!(r1.get().to_sorted_vec(), r2.get().to_sorted_vec());
+        assert_eq!(c1.work, c2.work);
+        assert!(c1.depth <= c2.depth);
+    }
+
+    #[test]
+    fn single_key_dictionary_ops() {
+        let (result, _) = Sim::new().run(|ctx| {
+            let t = Treap::from_entries(ctx, &entries((0..50).map(|i| 2 * i)));
+            let ft = ctx.preload(t);
+            assert!(has(ctx, ft.clone(), 48));
+            // (contains is a read-only probe; re-touching for the update
+            // chain below makes this test intentionally non-linear, which
+            // is fine — linearity is asserted on the algorithms, not on
+            // ad-hoc client code.)
+            let t1 = insert_one(ctx, ft, 7, 12345, Mode::Pipelined);
+            let t2 = insert_one(ctx, t1, 9, 999, Mode::Pipelined);
+            let t3 = delete_one(ctx, t2, 48, Mode::Pipelined);
+            let missing = !has(ctx, t3.clone(), 48);
+            let present = has(ctx, t3.clone(), 9);
+            (t3, missing, present)
+        });
+        let (t3, missing, present) = result;
+        assert!(missing && present);
+        let keys = t3.get().to_sorted_vec();
+        assert!(keys.contains(&7) && keys.contains(&9) && !keys.contains(&48));
+        assert!(t3.get().check_invariants());
+        assert_eq!(keys.len(), 51);
+    }
+
+    #[test]
+    fn contains_on_empty_and_absent() {
+        let (r, _) = Sim::new().run(|ctx| {
+            let e = ctx.preload(Treap::<Ctx, i64>::Leaf);
+            let empty_miss = !has(ctx, e, 5);
+            let t = Treap::from_entries(ctx, &entries([1, 3, 5]));
+            let ft = ctx.preload(t);
+            let absent = !has(ctx, ft, 4);
+            empty_miss && absent
+        });
+        assert!(r);
+    }
+
+    #[test]
+    fn bulk_insert_delete_pipeline() {
+        // A chain of batched updates, all pipelined within ONE simulation:
+        // each batch consumes the previous batch's root future.
+        let (root, c) = Sim::new().run(|ctx| {
+            let t = Treap::from_entries(ctx, &entries(0..100));
+            let ft = ctx.preload(t);
+            let t1 = insert_keys(ctx, ft, &entries(100..180), Mode::Pipelined);
+            let t2 = delete_keys(
+                ctx,
+                t1,
+                &entries((0..180).filter(|k| k % 3 == 0)),
+                Mode::Pipelined,
+            );
+            insert_keys(ctx, t2, &entries(200..240), Mode::Pipelined)
+        });
+        let t = root.get();
+        assert!(t.check_invariants());
+        let expect: Vec<i64> = (0..180).filter(|k| k % 3 != 0).chain(200..240).collect();
+        assert_eq!(t.to_sorted_vec(), expect);
+        assert!(c.is_linear());
+    }
+
+    #[test]
+    fn chained_batches_pipeline_across_operations() {
+        // The second batch may start before the first completes: its root
+        // must be written well before the first operation's deepest write.
+        let ((r1, r2), _) = Sim::new().run(|ctx| {
+            let t = Treap::from_entries(ctx, &entries(0..2000));
+            let ft = ctx.preload(t);
+            let t1 = insert_keys(ctx, ft, &entries(2000..3000), Mode::Pipelined);
+            let t2 = insert_keys(ctx, t1.clone(), &entries(3000..4000), Mode::Pipelined);
+            (t1, t2)
+        });
+        let first_done = completion_time(&r1);
+        assert!(
+            r2.time() < first_done,
+            "op 2's root ({}) should beat op 1's completion ({first_done})",
+            r2.time()
+        );
+        assert!(r2.get().check_invariants());
+    }
+
+    #[test]
+    fn join_with_empty_sides() {
+        let (roots, _) = Sim::new().run(|ctx| {
+            let t = Treap::from_entries(ctx, &entries(0..10));
+            let (p1, f1) = ctx.promise();
+            join(ctx, Treap::Leaf, t.clone(), p1);
+            let (p2, f2) = ctx.promise();
+            join(ctx, t, Treap::Leaf, p2);
+            let (p3, f3) = ctx.promise();
+            join(ctx, Treap::<Ctx, i64>::Leaf, Treap::Leaf, p3);
+            (f1, f2, f3)
+        });
+        assert_eq!(roots.0.get().size(), 10);
+        assert_eq!(roots.1.get().size(), 10);
+        assert!(roots.2.get().is_leaf());
     }
 }

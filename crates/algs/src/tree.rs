@@ -150,6 +150,7 @@ where
 mod tests {
     use super::*;
     use crate::Seq;
+    use pf_core::{Ctx, Sim};
 
     fn keys(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| 2 * i).collect()
@@ -176,5 +177,31 @@ mod tests {
         assert_eq!(e.height(), 0);
         assert_eq!(s.size(), 1);
         assert_eq!(s.height(), 1);
+    }
+
+    #[test]
+    fn preload_balanced_shape() {
+        let (t, r) = Sim::new().run(|ctx| Tree::from_sorted(ctx, &keys(127)));
+        assert_eq!(r.work, 0, "input construction must be free");
+        assert_eq!(t.size(), 127);
+        assert_eq!(t.height(), 7, "127 nodes must pack into height 7");
+        assert!(t.is_search_tree());
+        assert_eq!(t.to_sorted_vec(), keys(127));
+    }
+
+    #[test]
+    fn empty_tree() {
+        let (t, _) = Sim::new().run(|ctx| Tree::<Ctx, i64>::from_sorted(ctx, &[]));
+        assert!(t.is_leaf());
+        assert_eq!(t.size(), 0);
+        assert_eq!(t.height(), 0);
+        assert!(t.to_sorted_vec().is_empty());
+    }
+
+    #[test]
+    fn single_node() {
+        let (t, _) = Sim::new().run(|ctx| Tree::from_sorted(ctx, &[5i64]));
+        assert_eq!(t.size(), 1);
+        assert_eq!(t.height(), 1);
     }
 }

@@ -7,9 +7,10 @@
 //! silently change the paper comparison. These values were captured from
 //! the pre-refactor single-threaded simulators and must never change.
 
-use pf_trees::cole::cole_sort;
-use pf_trees::pvw::{pvw_insert_many, PvwTree};
-use pf_trees::workloads::shuffled_keys;
+use pf_algs::cole::cole_sort;
+use pf_algs::pvw::{pvw_insert_many, PvwTree};
+use rand::prelude::*;
+use rand::rngs::SmallRng;
 
 #[test]
 fn cole_stage_counts_are_pinned() {
@@ -22,7 +23,8 @@ fn cole_stage_counts_are_pinned() {
         (10, 30, 18434),
     ] {
         let n = 1usize << lg;
-        let keys = shuffled_keys(n, 77);
+        let mut keys: Vec<i64> = (0..n as i64).collect();
+        keys.shuffle(&mut SmallRng::seed_from_u64(77));
         let (sorted, s) = cole_sort(&keys);
         assert_eq!(sorted.len(), n);
         assert_eq!(s.stages, expect_stages, "cole stages at n=2^{lg}");

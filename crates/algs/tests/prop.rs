@@ -1,22 +1,42 @@
-//! Property-based tests of the tree algorithms beyond oracle equality
-//! (those live in the workspace integration tests): structural depth
-//! bounds, timestamp lemma checks, and inverse-operation round trips on
-//! random inputs.
+//! Property-based tests of the tree algorithms on the simulator, beyond
+//! oracle equality (that lives in the workspace integration tests):
+//! structural depth bounds and inverse-operation round trips on random
+//! inputs.
 
-use pf_core::Sim;
-use pf_trees::analysis::{collect, min_tau_ks};
-use pf_trees::merge::run_merge;
-use pf_trees::seq::{splitmix64, Entry, PlainTreap};
-use pf_trees::treap::{join, run_union, splitm, SimTreap, Treap};
-use pf_trees::tree::{SimTree, Tree};
-use pf_trees::two_six::level_arrays;
-use pf_trees::Mode;
+use pf_algs::merge::merge;
+use pf_algs::plain::{splitmix64, Entry, PlainTreap};
+use pf_algs::treap::{join, splitm, union, Treap};
+use pf_algs::tree::Tree;
+use pf_algs::two_six::level_arrays;
+use pf_algs::Mode;
+use pf_core::{CostReport, Ctx, Fut, Sim};
 use proptest::prelude::*;
 
 fn entries(keys: impl IntoIterator<Item = i64>) -> Vec<Entry<i64>> {
     keys.into_iter()
         .map(|k| (k, splitmix64(k as u64 ^ 0x1234)))
         .collect()
+}
+
+fn run_merge(a: &[i64], b: &[i64], mode: Mode) -> (Fut<Tree<Ctx, i64>>, CostReport) {
+    Sim::new().run(|ctx| {
+        let (ta, tb) = (Tree::from_sorted(ctx, a), Tree::from_sorted(ctx, b));
+        let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
+        let (op, of) = ctx.promise();
+        merge(ctx, fa, fb, op, mode);
+        of
+    })
+}
+
+fn run_union(a: &[Entry<i64>], b: &[Entry<i64>]) -> Fut<Treap<Ctx, i64>> {
+    let (root, _) = Sim::new().run(|ctx| {
+        let (ta, tb) = (Treap::from_entries(ctx, a), Treap::from_entries(ctx, b));
+        let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
+        let (op, of) = ctx.promise();
+        union(ctx, fa, fb, op, Mode::Pipelined);
+        of
+    });
+    root
 }
 
 proptest! {
@@ -36,26 +56,6 @@ proptest! {
         prop_assert!(c.depth <= bound, "depth {} > {bound}", c.depth);
     }
 
-    /// The union result's completion time equals the computation depth
-    /// (the last action of a union IS a tree write), and every node's
-    /// timestamp admits a bounded τ constant.
-    #[test]
-    fn union_timestamps_admit_tau(keys_a in proptest::collection::btree_set(0i64..2000, 1..200),
-                                  keys_b in proptest::collection::btree_set(0i64..2000, 1..200)) {
-        let a = entries(keys_a);
-        let b = entries(keys_b);
-        let (root, c) = run_union(&a, &b, Mode::Pipelined);
-        let done = Treap::completion_time(&root);
-        prop_assert!(done <= c.depth);
-        let cells = collect(|f| {
-            let mut g = |t, d, h| f(t, d, h);
-            Treap::walk_cells(&root, 0, &mut g);
-        });
-        // τ anchored at a quarter of the depth: a valid bounded ks exists.
-        let ks = min_tau_ks(&cells, c.depth / 4 + 1).unwrap_or(f64::INFINITY);
-        prop_assert!(ks.is_finite() && ks <= 64.0, "ks = {ks}");
-    }
-
     /// splitm then join is the identity on treaps (when the splitter is
     /// absent), preserving shape exactly.
     #[test]
@@ -63,12 +63,12 @@ proptest! {
                              splitter in 0i64..1000) {
         let e = entries(keys.iter().copied().filter(|k| *k != splitter));
         let ((orig_keys, orig_h, joined), _) = Sim::new().run(|ctx| {
-            let t = Treap::preload_entries(ctx, &e);
+            let t = Treap::from_entries(ctx, &e);
             let (ok, oh) = (t.to_sorted_vec(), t.height());
             let (lp, lf) = ctx.promise();
             let (rp, rf) = ctx.promise();
             let (fp, ff) = ctx.promise();
-            splitm(ctx, &splitter, t, lp, rp, fp);
+            splitm(ctx, splitter, t, lp, rp, fp);
             assert!(!ff.get());
             let lv = ctx.touch(&lf);
             let rv = ctx.touch(&rf);
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let a: Vec<Entry<i64>> = pairs_a.into_iter().collect();
         let b: Vec<Entry<i64>> = pairs_b.into_iter().collect();
-        let (root, _) = run_union(&a, &b, Mode::Pipelined);
+        let root = run_union(&a, &b);
         let pu = PlainTreap::union(PlainTreap::from_entries(&a), PlainTreap::from_entries(&b));
         prop_assert_eq!(root.get().to_sorted_vec(), PlainTreap::to_sorted_vec(&pu));
         prop_assert_eq!(root.get().height(), PlainTreap::height(&pu));
@@ -143,8 +143,8 @@ proptest! {
         let (root, _) = run_merge(&a, &b, Mode::Pipelined);
         let (ha, hb) = Sim::new().run(|ctx| {
             (
-                Tree::preload_balanced(ctx, &a).height(),
-                Tree::preload_balanced(ctx, &b).height(),
+                Tree::from_sorted(ctx, &a).height(),
+                Tree::from_sorted(ctx, &b).height(),
             )
         }).0;
         prop_assert!(root.get().height() <= ha + hb, "h {} > {} + {}", root.get().height(), ha, hb);

@@ -1,19 +1,18 @@
 //! Criterion benchmarks for the algorithm implementations across the
-//! three backends: the cost-model simulator (`pf-trees`), the real
-//! runtime (`pf-rt-algs`), and the sequential references (`pf-trees::seq`
-//! and plain array code). These quantify the instrumentation overhead of
-//! the cost model and the task overhead of the futures runtime.
+//! three engines: the cost-model simulator (`pf_core::Ctx`), the real
+//! runtime (`pf_rt::Worker`), and the sequential references
+//! (`pf_algs::plain` and plain array code). These quantify the
+//! instrumentation overhead of the cost model and the task overhead of the
+//! futures runtime.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pf_rt::{cell, ready, Runtime};
-use pf_rt_algs::rtreap::{union as rt_union, RTreap, RtTreap};
-use pf_rt_algs::rtree::{merge as rt_merge, RTree, RtTree};
-use pf_trees::merge::run_merge;
-use pf_trees::seq::PlainTreap;
-use pf_trees::treap::run_union;
-use pf_trees::two_six::run_insert_many;
-use pf_trees::workloads::{interleaved_pair, sorted_keys, union_entries};
-use pf_trees::Mode;
+use pf_algs::plain::PlainTreap;
+use pf_algs::treap::Treap;
+use pf_algs::tree::Tree;
+use pf_algs::{Mode, PipeBackend};
+use pf_bench::sim::{run_insert_many, run_merge, run_union};
+use pf_bench::workloads::{interleaved_pair, sorted_keys, union_entries};
+use pf_rt::{cell, Runtime};
 
 const LG: u32 = 12;
 
@@ -51,10 +50,12 @@ fn bench_rt(c: &mut Criterion) {
     let (a, b) = interleaved_pair(n, n);
     g.bench_function("merge_4k_rt1", |bch| {
         bch.iter(|| {
-            let ta = ready(RTree::from_sorted_ready(&a));
-            let tb = ready(RTree::from_sorted_ready(&b));
+            let (a, b) = (a.clone(), b.clone());
             let (op, of) = cell();
-            Runtime::new(1).run(move |wk| rt_merge(wk, ta, tb, op));
+            Runtime::new(1).run(move |wk| {
+                let tree = |k| wk.input(Tree::from_sorted(wk, k));
+                pf_algs::merge::merge(wk, tree(&a), tree(&b), op, Mode::Pipelined)
+            });
             assert!(of.is_written());
         })
     });
@@ -62,10 +63,12 @@ fn bench_rt(c: &mut Criterion) {
     let (ea, eb) = union_entries(n, n, 7);
     g.bench_function("union_4k_rt1", |bch| {
         bch.iter(|| {
-            let ta = ready(RTreap::from_entries_ready(&ea));
-            let tb = ready(RTreap::from_entries_ready(&eb));
+            let (ea, eb) = (ea.clone(), eb.clone());
             let (op, of) = cell();
-            Runtime::new(1).run(move |wk| rt_union(wk, ta, tb, op));
+            Runtime::new(1).run(move |wk| {
+                let treap = |e| wk.input(Treap::from_entries(wk, e));
+                pf_algs::treap::union(wk, treap(&ea), treap(&eb), op, Mode::Pipelined)
+            });
             assert!(of.is_written());
         })
     });

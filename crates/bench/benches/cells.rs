@@ -1,12 +1,11 @@
-//! Criterion microbenchmarks for the future-cell implementations (the
-//! E15b ablation, measured properly): fulfill+touch round-trips through
-//! the lock-free cell vs the mutex cell, plus raw task spawn throughput.
+//! Criterion microbenchmarks for the future cell (E15b, measured
+//! properly): fulfill+touch round-trips through the lock-free cell in
+//! both orders, plus raw task spawn throughput.
 //!
 //! Every benchmark runs on a warm pool built outside `b.iter`, so the
 //! numbers measure cell and scheduler hot paths, not thread creation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pf_rt::mutex_cell::mx_cell;
 use pf_rt::{cell, Runtime};
 
 const N: usize = 10_000;
@@ -36,34 +35,6 @@ fn bench_cells(c: &mut Criterion) {
             rt.run(move |wk| {
                 for i in 0..N {
                     let (w, r) = cell::<usize>();
-                    r.touch(wk, |v, _| {
-                        std::hint::black_box(v);
-                    });
-                    w.fulfill(wk, i);
-                }
-            });
-        })
-    });
-
-    g.bench_function("mutex_write_then_touch_10k", |b| {
-        b.iter(|| {
-            rt.run(move |wk| {
-                for i in 0..N {
-                    let (w, r) = mx_cell::<usize>();
-                    w.fulfill(wk, i);
-                    r.touch(wk, |v, _| {
-                        std::hint::black_box(v);
-                    });
-                }
-            });
-        })
-    });
-
-    g.bench_function("mutex_touch_then_write_10k", |b| {
-        b.iter(|| {
-            rt.run(move |wk| {
-                for i in 0..N {
-                    let (w, r) = mx_cell::<usize>();
                     r.touch(wk, |v, _| {
                         std::hint::black_box(v);
                     });

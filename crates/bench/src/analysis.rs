@@ -9,15 +9,58 @@
 //! the bound hold on a concrete run and check that it stays bounded as the
 //! input grows.
 
+use pf_algs::treap::{Child, Treap};
+use pf_algs::tree::Tree;
+use pf_algs::Key;
+use pf_core::{Ctx, Fut};
+
 /// One observed cell: `(write_time, depth_in_tree, subtree_height)`.
-/// Produced by the `walk_cells` inspectors on the tree types.
+/// Produced by the [`walk_tree`] / [`walk_treap`] inspectors.
 pub type CellObs = (u64, usize, usize);
 
+/// The visitor the inspectors call once per cell.
+pub type Visit<'a> = &'a mut dyn FnMut(u64, usize, usize);
+
+/// Post-run inspection: visit every cell of the tree behind `cell`, the
+/// cell itself at `depth`, with its [`CellObs`] triple; returns the height
+/// of the subtree in `cell` (leaf = 0).
+pub fn walk_tree<K: Key>(cell: &Fut<Tree<Ctx, K>>, depth: usize, f: Visit) -> usize {
+    let h = cell.with(|t| match t {
+        Tree::Leaf => 0,
+        Tree::Node(n) => {
+            1 + walk_tree(&n.left, depth + 1, f).max(walk_tree(&n.right, depth + 1, f))
+        }
+    });
+    f(cell.time(), depth, h);
+    h
+}
+
+/// [`walk_tree`] for a simulator treap. The simulator never cuts
+/// (`Ctx::GRAIN` is 0), so no node of its treaps holds a child directly
+/// and every one has a timestamp.
+pub fn walk_treap<K: Key>(cell: &Fut<Treap<Ctx, K>>, depth: usize, f: Visit) -> usize {
+    fn below<K: Key>(c: &Child<Ctx, K>, depth: usize, f: Visit) -> usize {
+        match c {
+            Child::Cell(cell) => walk_treap(cell, depth, f),
+            Child::Done(_) => unreachable!("a simulator treap child is always a cell"),
+        }
+    }
+    let h = cell.with(|t| match t {
+        Treap::Leaf => 0,
+        Treap::Node(n) => 1 + below(&n.left, depth + 1, f).max(below(&n.right, depth + 1, f)),
+    });
+    f(cell.time(), depth, h);
+    h
+}
+
+/// The largest write time a walker reports: the virtual time at which the
+/// structure was fully materialized, its root cell included.
+pub fn completion_time<R>(walk: impl FnOnce(Visit) -> R) -> u64 {
+    collect(walk).iter().map(|c| c.0).max().unwrap_or(0)
+}
+
 /// Collect the observations of a walker into a vector.
-pub fn collect<F>(walk: F) -> Vec<CellObs>
-where
-    F: FnOnce(&mut dyn FnMut(u64, usize, usize)),
-{
+pub fn collect<R>(walk: impl FnOnce(Visit) -> R) -> Vec<CellObs> {
     let mut v = Vec::new();
     walk(&mut |t, d, h| v.push((t, d, h)));
     v
@@ -97,6 +140,7 @@ pub fn growth_ratios(ys: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pf_core::Sim;
 
     #[test]
     fn tau_bound_simple() {
@@ -139,6 +183,35 @@ mod tests {
     fn growth_ratios_shape() {
         let r = growth_ratios(&[1.0, 2.0, 4.0]);
         assert_eq!(r, vec![2.0, 2.0]);
+    }
+
+    #[test]
+    fn completion_time_sees_deep_writes() {
+        let (root, _) = Sim::new().run(|ctx| {
+            // Build a node whose right child is written late.
+            let (rp, rf) = ctx.promise();
+            let lf = ctx.preload(Tree::Leaf);
+            let root = ctx.preload(Tree::node(1i64, lf, rf));
+            ctx.fork_unit(move |c| {
+                c.tick(100);
+                rp.fulfill(c, Tree::Leaf);
+            });
+            root
+        });
+        assert_eq!(root.time(), 0);
+        assert!(completion_time(|f| walk_tree(&root, 0, f)) > 100);
+    }
+
+    #[test]
+    fn walk_cells_heights() {
+        let keys: Vec<i64> = (0..7).collect();
+        let (root, _) = Sim::new().run(|ctx| ctx.preload(Tree::from_sorted(ctx, &keys)));
+        let mut seen = 0usize;
+        let h = walk_tree(&root, 0, &mut |_, _, _| seen += 1);
+        assert_eq!(h, 3);
+        // A tree of 7 nodes has 14 child cells + the root cell = 15,
+        // every one visited once.
+        assert_eq!(seen, 15);
     }
 
     #[test]

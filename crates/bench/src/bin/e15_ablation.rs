@@ -1,5 +1,5 @@
-//! E15 — ablations: cost-constant sensitivity; lock-free vs mutex cells;
-//! suspension-accounting policy in the machine simulator.
+//! E15 — ablations: cost-constant sensitivity; the future cell's round
+//! trip; suspension-accounting policy in the machine simulator.
 fn main() {
     pf_bench::exp_rt::e15_cost_constants(12, &[1, 2, 3, 4]).print();
     pf_bench::exp_rt::e15_cells(20, 20_000).print();

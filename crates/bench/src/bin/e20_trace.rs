@@ -31,6 +31,7 @@ fn main() {
 
 #[cfg(feature = "trace")]
 fn run() {
+    use pf_algs::Mode;
     use pf_bench::exp_rt::e20_trace_vs_model;
 
     let arg = std::env::args().nth(1);
@@ -49,19 +50,11 @@ fn run() {
     // measured width, straight out of `Runtime::take_last_trace`.
     let sample_t = *threads.last().unwrap();
     let n = 1usize << lg_n;
-    let (ea, eb) = pf_trees::workloads::union_entries(n, n, 11);
-    let ta =
-        <pf_rt_algs::rtreap::RTreap<i64> as pf_rt_algs::rtreap::RtTreap<i64>>::from_entries_ready(
-            &ea,
-        );
-    let tb =
-        <pf_rt_algs::rtreap::RTreap<i64> as pf_rt_algs::rtreap::RtTreap<i64>>::from_entries_ready(
-            &eb,
-        );
+    let (ea, eb) = pf_bench::workloads::union_entries(n, n, 11);
     let rt = pf_rt::Runtime::shared(sample_t);
+    let [fa, fb] = pf_bench::drivers::treap_inputs(&rt, &ea, &eb);
     let (op, of) = pf_rt::cell();
-    let (fa, fb) = (pf_rt::ready(ta), pf_rt::ready(tb));
-    rt.run(move |wk| pf_rt_algs::rtreap::union(wk, fa, fb, op));
+    rt.run(move |wk| pf_algs::treap::union(wk, fa, fb, op, Mode::Pipelined));
     let _ = of;
     let trace = rt
         .take_last_trace()

@@ -6,23 +6,49 @@
 
 use std::time::{Duration, Instant};
 
-use pf_rt::{cell, ready, Runtime, Session, SessionError};
-use pf_trees::seq::{Entry, PlainTreap};
+use pf_algs::plain::{Entry, PlainTreap};
+use pf_algs::treap::{diff, union, Treap};
+use pf_algs::tree::Tree;
+use pf_algs::two_six::TsTree;
+use pf_algs::{Key, Mode, PipeBackend, Val};
+use pf_rt::{cell, ready, FutRead, Runtime, Session, SessionError, Worker};
 
-use crate::rtreap::{diff, union, RTreap, RtTreap};
-use crate::rtree::{merge, RTree, RtTree};
-use crate::RKey;
+/// Build an input on a worker of `rt` in an untimed session of its own
+/// (`Worker` has no constructor outside one) and hand it back.
+pub fn on_worker<T: Val>(rt: &Runtime, build: impl FnOnce(&Worker) -> T + Send + 'static) -> T {
+    let (p, f) = cell();
+    rt.run(move |wk| p.fulfill(wk, build(wk)));
+    f.expect()
+}
+
+/// Complete pf-rt treaps of two entry sets, as input cells.
+pub fn treap_inputs(
+    rt: &Runtime,
+    a: &[Entry<i64>],
+    b: &[Entry<i64>],
+) -> [FutRead<Treap<Worker, i64>>; 2] {
+    let (a, b) = (a.to_vec(), b.to_vec());
+    on_worker(rt, move |wk| {
+        [&a, &b].map(|e| wk.input(Treap::from_entries(wk, e)))
+    })
+}
+
+/// Balanced pf-rt trees of two sorted key sets, as input cells.
+pub fn tree_inputs(rt: &Runtime, a: &[i64], b: &[i64]) -> [FutRead<Tree<Worker, i64>>; 2] {
+    let (a, b) = (a.to_vec(), b.to_vec());
+    on_worker(rt, move |wk| {
+        [&a, &b].map(|k| wk.input(Tree::from_sorted(wk, k)))
+    })
+}
 
 /// Time one pipelined treap union of the given entry sets on `threads`
 /// workers. Input treaps are built before the clock starts.
 pub fn time_union_rt(a: &[Entry<i64>], b: &[Entry<i64>], threads: usize) -> Duration {
-    let ta = RTreap::from_entries_ready(a);
-    let tb = RTreap::from_entries_ready(b);
     let rt = Runtime::shared(threads);
+    let [fa, fb] = treap_inputs(&rt, a, b);
     let (op, of) = cell();
-    let (fa, fb) = (ready(ta), ready(tb));
     let start = Instant::now();
-    rt.run(move |wk| union(wk, fa, fb, op));
+    rt.run(move |wk| union(wk, fa, fb, op, Mode::Pipelined));
     let dt = start.elapsed();
     assert!(of.expect().to_sorted_vec().len() >= a.len().max(b.len()));
     dt
@@ -41,13 +67,11 @@ pub fn time_union_seq(a: &[Entry<i64>], b: &[Entry<i64>]) -> Duration {
 
 /// Time one pipelined BST merge on `threads` workers.
 pub fn time_merge_rt(a: &[i64], b: &[i64], threads: usize) -> Duration {
-    let ta = RTree::from_sorted_ready(a);
-    let tb = RTree::from_sorted_ready(b);
     let rt = Runtime::shared(threads);
+    let [fa, fb] = tree_inputs(&rt, a, b);
     let (op, of) = cell();
-    let (fa, fb) = (ready(ta), ready(tb));
     let start = Instant::now();
-    rt.run(move |wk| merge(wk, fa, fb, op));
+    rt.run(move |wk| pf_algs::merge::merge(wk, fa, fb, op, Mode::Pipelined));
     let dt = start.elapsed();
     assert_eq!(of.expect().to_sorted_vec().len(), a.len() + b.len());
     dt
@@ -75,15 +99,13 @@ pub fn time_merge_seq(a: &[i64], b: &[i64]) -> Duration {
 
 /// Time one pipelined 2-6 bulk insert on `threads` workers.
 pub fn time_insert_rt(initial: &[i64], newk: &[i64], threads: usize) -> Duration {
-    use crate::rtwosix::{insert_many, RTsTree, RtTsTree};
-    let t = RTsTree::from_sorted_ready(initial);
     let rt = Runtime::shared(threads);
-    let ft = ready(t);
+    let (initial_v, keys) = (initial.to_vec(), newk.to_vec());
+    let ft = on_worker(&rt, move |wk| wk.input(TsTree::from_sorted(wk, &initial_v)));
     let (op, of) = cell();
-    let keys = newk.to_vec();
     let start = Instant::now();
     rt.run(move |wk| {
-        let f = insert_many(wk, &keys, ft);
+        let f = pf_algs::two_six::insert_many(wk, &keys, ft, Mode::Pipelined);
         f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
     });
     let dt = start.elapsed();
@@ -104,17 +126,16 @@ pub fn time_insert_seq(initial: &[i64], newk: &[i64]) -> Duration {
 
 /// Time one pipelined rebalance of a degenerate (spine) BST.
 pub fn time_rebalance_rt(n: usize, threads: usize) -> Duration {
-    use crate::rrebalance::rebalance;
     // Build the worst case: a right spine, directly (no naive insertion).
-    let mut t = crate::rtree::RTree::Leaf;
+    let mut t = Tree::<Worker, i64>::Leaf;
     for k in (0..n as i64).rev() {
-        t = crate::rtree::RTree::node(k, ready(crate::rtree::RTree::Leaf), ready(t));
+        t = Tree::node(k, ready(Tree::Leaf), ready(t));
     }
     let rt = Runtime::shared(threads);
     let ft = ready(t);
     let (op, of) = cell();
     let start = Instant::now();
-    rt.run(move |wk| rebalance(wk, ft, op));
+    rt.run(move |wk| pf_algs::rebalance::rebalance(wk, ft, op, Mode::Pipelined));
     let dt = start.elapsed();
     assert_eq!(of.expect().to_sorted_vec().len(), n);
     dt
@@ -130,13 +151,13 @@ pub fn time_rebalance_rt(n: usize, threads: usize) -> Duration {
 /// from its previous root (treap nodes are shared, so cloning the root to
 /// keep it is O(1)). On `Ok`, quiescence guarantees the output cell is
 /// written, so the unwrap inside never fires.
-pub fn try_apply_batch<K: RKey>(
+pub fn try_apply_batch<K: Key>(
     rt: &Runtime,
-    state: RTreap<K>,
-    batch: RTreap<K>,
+    state: Treap<Worker, K>,
+    batch: Treap<Worker, K>,
     delete: bool,
     deadline: Option<Duration>,
-) -> Result<RTreap<K>, SessionError> {
+) -> Result<Treap<Worker, K>, SessionError> {
     let (fs, fb) = (ready(state), ready(batch));
     let (op, of) = cell();
     let mut sess = Session::new();
@@ -145,9 +166,9 @@ pub fn try_apply_batch<K: RKey>(
     }
     rt.try_run_session(sess, move |wk| {
         if delete {
-            diff(wk, fs, fb, op)
+            diff(wk, fs, fb, op, Mode::Pipelined)
         } else {
-            union(wk, fs, fb, op)
+            union(wk, fs, fb, op, Mode::Pipelined)
         }
     })?;
     Ok(of.expect())
@@ -163,7 +184,7 @@ pub fn best_of(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_trees::workloads::union_entries;
+    use crate::workloads::union_entries;
 
     #[test]
     fn drivers_run_and_return_nonzero() {
@@ -186,18 +207,11 @@ mod tests {
     fn try_apply_batch_round_trips() {
         let (a, b) = union_entries(600, 120, 11);
         let rt = Runtime::shared(2);
-        let state = RTreap::from_entries_ready(&a);
-        let batch = RTreap::from_entries_ready(&b);
+        let complete = |e| Treap::from_plain_complete(&PlainTreap::from_entries(e));
+        let (state, batch) = (complete(&a), complete(&b));
         let merged =
             try_apply_batch(&rt, state, batch, false, Some(Duration::from_secs(30))).unwrap();
-        let shrunk = try_apply_batch(
-            &rt,
-            merged.clone(),
-            RTreap::from_entries_ready(&b),
-            true,
-            None,
-        )
-        .unwrap();
+        let shrunk = try_apply_batch(&rt, merged.clone(), complete(&b), true, None).unwrap();
         let want: std::collections::BTreeSet<i64> = a
             .iter()
             .map(|e| e.0)

@@ -5,17 +5,12 @@
 //! implementation keys are value types, so the copies are already there
 //! and the costs are by construction those of the linearized code.
 
-use pf_trees::merge::run_merge;
-use pf_trees::pipeline::run_pipeline;
-use pf_trees::quicksort::run_quicksort;
-use pf_trees::rebalance::run_rebalance;
-use pf_trees::treap::{run_diff, run_union};
-use pf_trees::two_six::run_insert_many;
-use pf_trees::workloads::{
-    diff_entries, interleaved_pair, shuffled_keys, sorted_keys, union_entries,
-};
-use pf_trees::Mode;
+use pf_algs::Mode;
 
+use crate::sim::{
+    run_diff, run_insert_many, run_merge, run_pipeline, run_quicksort, run_rebalance, run_union,
+};
+use crate::workloads::{diff_entries, interleaved_pair, shuffled_keys, sorted_keys, union_entries};
 use crate::{f2, u, Table};
 
 /// Run every algorithm and report the linearity statistics.

@@ -1,15 +1,12 @@
 //! Machine-model experiments: E09 (Lemma 4.1 greedy bound), E10 (machine
 //! model comparison incl. PVW), E14 (stack vs queue space).
 
+use pf_algs::Mode;
 use pf_core::{Sim, Trace};
 use pf_machine::{predicted_time, pvw_time, replay, Discipline, Machine, INFINITE_P};
-use pf_trees::merge::merge;
-use pf_trees::treap::{diff, union, SimTreap, Treap};
-use pf_trees::tree::{SimTree, Tree};
-use pf_trees::two_six::{insert_many, SimTsTree, TsTree};
-use pf_trees::workloads::{diff_entries, interleaved_pair, sorted_keys, union_entries};
-use pf_trees::Mode;
 
+use crate::sim::{diff_on, insert_many_on, merge_on, run_insert_many, union_on};
+use crate::workloads::{diff_entries, interleaved_pair, sorted_keys, union_entries};
 use crate::{f2, u, Table};
 
 /// Capture pipelined traces for the four §3 algorithms at the given size.
@@ -18,46 +15,22 @@ pub fn capture_traces(lg_n: u32) -> Vec<(&'static str, Trace)> {
     let mut out = Vec::new();
 
     let (a, b) = interleaved_pair(n, n);
-    let (_, _, tr) = Sim::new().run_traced(|ctx| {
-        let ta = Tree::preload_balanced(ctx, &a);
-        let tb = Tree::preload_balanced(ctx, &b);
-        let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-        let (op, of) = ctx.promise();
-        merge(ctx, fa, fb, op, Mode::Pipelined);
-        of
-    });
+    let (_, _, tr) = Sim::new().run_traced(|ctx| merge_on(ctx, &a, &b, Mode::Pipelined));
     out.push(("merge", tr));
 
     let (ea, eb) = union_entries(n, n, 11);
-    let (_, _, tr) = Sim::new().run_traced(|ctx| {
-        let ta = Treap::preload_entries(ctx, &ea);
-        let tb = Treap::preload_entries(ctx, &eb);
-        let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-        let (op, of) = ctx.promise();
-        union(ctx, fa, fb, op, Mode::Pipelined);
-        of
-    });
+    let (_, _, tr) = Sim::new().run_traced(|ctx| union_on(ctx, &ea, &eb, Mode::Pipelined));
     out.push(("union", tr));
 
     let (da, db) = diff_entries(n, n / 2, 13);
-    let (_, _, tr) = Sim::new().run_traced(|ctx| {
-        let ta = Treap::preload_entries(ctx, &da);
-        let tb = Treap::preload_entries(ctx, &db);
-        let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-        let (op, of) = ctx.promise();
-        diff(ctx, fa, fb, op, Mode::Pipelined);
-        of
-    });
+    let (_, _, tr) = Sim::new().run_traced(|ctx| diff_on(ctx, &da, &db, Mode::Pipelined));
     out.push(("diff", tr));
 
     let initial = sorted_keys(n, 2);
     let m = (n / 16).max(4);
     let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-    let (_, _, tr) = Sim::new().run_traced(|ctx| {
-        let t0 = TsTree::preload_from_sorted(ctx, &initial);
-        let ft = ctx.preload(t0);
-        insert_many(ctx, &newk, ft, Mode::Pipelined)
-    });
+    let (_, _, tr) =
+        Sim::new().run_traced(|ctx| insert_many_on(ctx, &initial, &newk, Mode::Pipelined));
     out.push(("2-6 insert", tr));
 
     out
@@ -116,7 +89,7 @@ pub fn e10_models(lg_n: u32, lg_m: u32, ps: &[usize]) -> Table {
     let m = 1usize << lg_m;
     let initial = sorted_keys(n, 2);
     let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-    let (_, c) = pf_trees::two_six::run_insert_many(&initial, &newk, Mode::Pipelined);
+    let (_, c) = run_insert_many(&initial, &newk, Mode::Pipelined);
     let mut t = Table::new(
         format!(
             "E10 model comparison, 2-6 insert m={m} into n={n} (w={}, d={}): futures runtime vs PVW",
@@ -220,7 +193,7 @@ pub fn e15_suspension(lg_n: u32, ps: &[usize]) -> Table {
 /// runtime realizes within Brent's bound), the hand pipeline's "time" is
 /// its synchronous round count.
 pub fn e16_pvw(lgs_n: &[u32], lg_m: u32) -> Table {
-    use pf_trees::pvw::{pvw_insert_many, PvwTree};
+    use pf_algs::pvw::{pvw_insert_many, PvwTree};
     let m = 1usize << lg_m;
     let mut t = Table::new(
         "E16 implicit (futures) vs explicit (PVW-style) pipelining, 2-6 bulk insert",
@@ -237,7 +210,7 @@ pub fn e16_pvw(lgs_n: &[u32], lg_m: u32) -> Table {
         let n = 1usize << l;
         let initial = sorted_keys(n, 2);
         let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-        let (_, c) = pf_trees::two_six::run_insert_many(&initial, &newk, Mode::Pipelined);
+        let (_, c) = run_insert_many(&initial, &newk, Mode::Pipelined);
         let mut pt = PvwTree::from_sorted(&initial);
         let stats = pvw_insert_many(&mut pt, &newk);
         t.row(vec![

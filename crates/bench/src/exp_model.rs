@@ -3,21 +3,19 @@
 //! smoke-run them cheaply; the `eXX_*` binaries use the paper-scale
 //! defaults.
 
+use pf_algs::list::List;
+use pf_algs::two_six::{insert_many_with_waves, level_arrays, TsTree};
+use pf_algs::Mode;
 use pf_core::Sim;
-use pf_trees::analysis::{collect, lg, linear_fit, min_rho_k, min_tau_ks};
-use pf_trees::merge::run_merge;
-use pf_trees::mergesort::{run_msort, run_msort_balanced};
-use pf_trees::pipeline::run_pipeline;
-use pf_trees::quicksort::run_quicksort;
-use pf_trees::rebalance::run_rebalance;
-use pf_trees::treap::{run_diff, run_union, SimTreap, Treap};
-use pf_trees::tree::SimTree;
-use pf_trees::two_six::{insert_many_with_waves, SimTsTree, TsTree};
-use pf_trees::workloads::{
+
+use crate::analysis::{collect, lg, linear_fit, min_rho_k, min_tau_ks, walk_treap};
+use crate::sim::{
+    merge_on, pipeline_on, run_diff, run_insert_many, run_merge, run_msort, run_msort_balanced,
+    run_pipeline, run_quicksort, run_rebalance, run_union, union_on,
+};
+use crate::workloads::{
     diff_entries, interleaved_pair, shuffled_keys, sorted_keys, spread_pair, union_entries,
 };
-use pf_trees::Mode;
-
 use crate::{f2, u, Table};
 
 /// E01 — Figure 1 producer/consumer: pipelined vs strict depth, both Θ(n)
@@ -131,7 +129,7 @@ pub fn e03_rebalance(lgs: &[u32]) -> Table {
         let out = root.get();
         // Height of the (random BST) input: rebuild it to inspect.
         let (hin, _) =
-            Sim::new().run(|ctx| pf_trees::rebalance::preload_unbalanced(ctx, &keys).height());
+            Sim::new().run(|ctx| pf_algs::rebalance::unbalanced_from(ctx, &keys).height());
         t.row(vec![
             u(n as u64),
             u(hin as u64),
@@ -169,10 +167,7 @@ pub fn e04_union_depth(lgs: &[u32], seeds: &[u64]) -> Table {
             dp += cp.depth as f64;
             ds += cs.depth as f64;
             hh += root.get().height() as f64;
-            let cells = collect(|f| {
-                let mut g = |t, d, h| f(t, d, h);
-                Treap::walk_cells(&root, 0, &mut g);
-            });
+            let cells = collect(|f| walk_treap(&root, 0, f));
             // Inputs are preloaded at time 0, so τ = 0 at call time; the
             // theorem's slack is O(h), folded into the fitted constant.
             ks = ks.max(min_tau_ks(&cells, cp.depth / 8).unwrap_or(f64::INFINITY));
@@ -242,10 +237,7 @@ pub fn e06_diff(lgs: &[u32], seeds: &[u64]) -> Table {
             let (_, cs) = run_diff(&a, &b, Mode::Strict);
             dp += cp.depth as f64;
             ds += cs.depth as f64;
-            let cells = collect(|f| {
-                let mut g = |t, d, h| f(t, d, h);
-                Treap::walk_cells(&root, 0, &mut g);
-            });
+            let cells = collect(|f| walk_treap(&root, 0, f));
             // ρ anchored at the result root's write time (Thm 3.11 gives
             // ρ = call time + O(h1 + h2), which is what the root write
             // realizes); the minimal k must then stay bounded across sizes.
@@ -285,8 +277,8 @@ pub fn e07_two_six(lgs_n: &[u32], lg_m: u32) -> Vec<Table> {
         let n = 1usize << l;
         let initial = sorted_keys(n, 2);
         let new_keys: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-        let (_, cp) = pf_trees::two_six::run_insert_many(&initial, &new_keys, Mode::Pipelined);
-        let (_, cs) = pf_trees::two_six::run_insert_many(&initial, &new_keys, Mode::Strict);
+        let (_, cp) = run_insert_many(&initial, &new_keys, Mode::Pipelined);
+        let (_, cs) = run_insert_many(&initial, &new_keys, Mode::Strict);
         depth_t.row(vec![
             u(n as u64),
             u(m as u64),
@@ -305,17 +297,12 @@ pub fn e07_two_six(lgs_n: &[u32], lg_m: u32) -> Vec<Table> {
     let initial = sorted_keys(n, 2);
     let new_keys: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
     let (waves, _) = Sim::new().run(|ctx| {
-        let t0 = TsTree::preload_from_sorted(ctx, &initial);
-        let ft = ctx.preload(t0);
+        let ft = ctx.preload(TsTree::from_sorted(ctx, &initial));
         insert_many_with_waves(ctx, &new_keys, ft, Mode::Pipelined)
     });
     let sizes: Vec<usize> = {
         let mut v = vec![0];
-        v.extend(
-            pf_trees::two_six::level_arrays(&new_keys)
-                .iter()
-                .map(|w| w.len()),
-        );
+        v.extend(level_arrays(&new_keys).iter().map(|w| w.len()));
         v
     };
     let mut prev = 0u64;
@@ -405,12 +392,12 @@ pub fn e13_mergesort(lgs: &[u32], seeds: &[u64]) -> Table {
 }
 
 /// E18 — Cole's hand-cascaded mergesort (the paper's §1 exemplar,
-/// simulated synchronously in `pf_trees::cole`) vs the futures tree
+/// simulated synchronously in `pf_algs::cole`) vs the futures tree
 /// mergesort of the conclusions. Cole: exactly 3·lg n stages, O(n lg n)
 /// work; the futures version measures Θ(lg n·lg lg n)-looking depth —
 /// the gap the conclusions leave open.
 pub fn e18_cole(lgs: &[u32], seeds: &[u64]) -> Table {
-    use pf_trees::cole::cole_sort;
+    use pf_algs::cole::cole_sort;
     let mut t = Table::new(
         "E18 Cole cascade (hand pipeline) vs futures mergesort",
         &[
@@ -479,51 +466,25 @@ pub fn e19_profiles(lg_n: u32) -> Table {
     };
 
     let (a, b) = interleaved_pair(n, n);
-    let (_, r, prof) = Sim::new().run_profiled(|ctx| {
-        let ta = pf_trees::tree::Tree::preload_balanced(ctx, &a);
-        let tb = pf_trees::tree::Tree::preload_balanced(ctx, &b);
-        let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-        let (op, of) = ctx.promise();
-        pf_trees::merge::merge(ctx, fa, fb, op, Mode::Pipelined);
-        of
-    });
+    let (_, r, prof) = Sim::new().run_profiled(|ctx| merge_on(ctx, &a, &b, Mode::Pipelined));
     push("merge", r, prof);
 
     let (ea, eb) = union_entries(n, n, 41);
-    let (_, r, prof) = Sim::new().run_profiled(|ctx| {
-        let ta = pf_trees::treap::Treap::preload_entries(ctx, &ea);
-        let tb = pf_trees::treap::Treap::preload_entries(ctx, &eb);
-        let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-        let (op, of) = ctx.promise();
-        pf_trees::treap::union(ctx, fa, fb, op, Mode::Pipelined);
-        of
-    });
+    let (_, r, prof) = Sim::new().run_profiled(|ctx| union_on(ctx, &ea, &eb, Mode::Pipelined));
     push("union", r, prof);
 
     let qn = n.min(2000);
     let keys = shuffled_keys(qn, 13);
     let (_, r, prof) = Sim::new().run_profiled(|ctx| {
-        let l = pf_trees::quicksort::preload_list(ctx, &keys);
+        let l = List::from_slice(ctx, &keys);
         let (op, of) = ctx.promise();
-        pf_trees::quicksort::qs(
-            ctx,
-            l,
-            pf_trees::quicksort::List::nil(),
-            op,
-            Mode::Pipelined,
-        );
+        pf_algs::list::qs(ctx, l, List::nil(), op, Mode::Pipelined);
         of
     });
     push("quicksort", r, prof);
 
-    let (_, r, prof) = Sim::new().run_profiled(|ctx| {
-        let (lp, lf) = ctx.promise();
-        pf_trees::pipeline::produce(ctx, (n as u64).min(4000), lp);
-        let list = ctx.touch(&lf);
-        let (sp, sf) = ctx.promise();
-        pf_trees::pipeline::consume(ctx, list, 0, sp);
-        ctx.touch(&sf)
-    });
+    let (_, r, prof) =
+        Sim::new().run_profiled(|ctx| pipeline_on(ctx, (n as u64).min(4000), Mode::Pipelined));
     push("pipeline", r, prof);
     t
 }

@@ -1,6 +1,6 @@
 //! Real-runtime experiments: E12 (wall-clock behaviour of the multicore
-//! runtime) and E15 (ablations: cost-constant sensitivity, lock-free vs
-//! mutex future cells).
+//! runtime) and E15 (ablations: cost-constant sensitivity, the future
+//! cell's touch-then-fulfill round trip).
 //!
 //! NOTE on E12: this host exposes a single CPU, so genuine multicore
 //! *speedup* cannot manifest in wall-clock numbers here; the experiment
@@ -12,22 +12,25 @@
 
 use std::time::{Duration, Instant};
 
+use pf_algs::Mode;
 use pf_core::{CostModel, Sim};
-use pf_rt::mutex_cell::mx_cell;
 use pf_rt::{cell, Runtime};
-use pf_rt_algs::baselines::{
+#[cfg(feature = "trace")]
+use {
+    crate::drivers::{on_worker, treap_inputs},
+    pf_algs::{plain::Entry, two_six::TsTree, PipeBackend},
+    pf_rt::Session,
+};
+
+use crate::baselines::{
     time_cole_pool, time_cole_seq, time_msort_rt, time_pvw_pool, time_pvw_seq, time_sort_seq,
 };
-use pf_rt_algs::drivers::{
+use crate::drivers::{
     best_of, time_insert_rt, time_insert_seq, time_merge_rt, time_merge_seq, time_rebalance_rt,
-    time_union_rt, time_union_seq,
+    time_union_rt, time_union_seq, tree_inputs,
 };
-use pf_rt_algs::rtree::RtTree;
-use pf_trees::merge::run_merge;
-use pf_trees::tree::SimTree;
-use pf_trees::workloads::{interleaved_pair, shuffled_keys, sorted_keys, union_entries};
-use pf_trees::Mode;
-
+use crate::sim::{merge_on, run_merge};
+use crate::workloads::{interleaved_pair, shuffled_keys, sorted_keys, union_entries};
 use crate::{f2, u, Table};
 
 fn ms(d: Duration) -> String {
@@ -200,14 +203,8 @@ pub fn e15_cost_constants(lg_n: u32, ks: &[u64]) -> Table {
         &["k", "depth", "depth/k", "work"],
     );
     for &k in ks {
-        let (_, c) = Sim::with_costs(CostModel::uniform(k)).run(|ctx| {
-            let ta = pf_trees::tree::Tree::preload_balanced(ctx, &a);
-            let tb = pf_trees::tree::Tree::preload_balanced(ctx, &b);
-            let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-            let (op, of) = ctx.promise();
-            pf_trees::merge::merge(ctx, fa, fb, op, Mode::Pipelined);
-            of
-        });
+        let (_, c) = Sim::with_costs(CostModel::uniform(k))
+            .run(|ctx| merge_on(ctx, &a, &b, Mode::Pipelined));
         t.row(vec![
             u(k),
             u(c.depth),
@@ -218,11 +215,13 @@ pub fn e15_cost_constants(lg_n: u32, ks: &[u64]) -> Table {
     t
 }
 
-/// E15b — cell ablation: lock-free vs mutex cell, write-then-touch
-/// round-trips inside the runtime.
+/// E15b — the future cell's touch-then-fulfill round trip inside the
+/// runtime. (The mutex-based cell this row was once compared against —
+/// 150–170 ns/op, EXPERIMENTS.md — is gone; the lock-free cell is the only
+/// one any workload ran.)
 pub fn e15_cells(rounds: usize, cells_per_round: usize) -> Table {
     let mut t = Table::new(
-        "E15b future-cell ablation: lock-free (atomic) vs mutex cell, fulfill+touch round-trips",
+        "E15b future cell (lock-free, atomic): fulfill+touch round-trips",
         &["cell", "ops", "time (ms)", "ns/op"],
     );
     let ops = (rounds * cells_per_round) as u64;
@@ -247,64 +246,54 @@ pub fn e15_cells(rounds: usize, cells_per_round: usize) -> Table {
         ms(d),
         f2(d.as_secs_f64() * 1e9 / ops as f64),
     ]);
-
-    let start = Instant::now();
-    for _ in 0..rounds {
-        let n = cells_per_round;
-        Runtime::new(1).run(move |wk| {
-            for i in 0..n {
-                let (w, r) = mx_cell::<usize>();
-                r.touch(wk, move |v, _| {
-                    std::hint::black_box(v);
-                });
-                w.fulfill(wk, i);
-            }
-        });
-    }
-    let d = start.elapsed();
-    t.row(vec![
-        "mutex".into(),
-        u(ops),
-        ms(d),
-        f2(d.as_secs_f64() * 1e9 / ops as f64),
-    ]);
     t
 }
 
-/// One traced treap-union session on `threads` workers (E20 workload —
-/// same entries the simulator trace was captured from).
+/// One traced treap-union session under `policy` on `rt` (the E20/E21
+/// workload — same entries the simulator trace was captured from),
+/// returning (wall-clock, stats). Tree construction is an untimed session
+/// of its own — E21 measures the scheduler, not the workload setup.
 #[cfg(feature = "trace")]
-fn traced_union_stats(
-    ea: &[pf_trees::seq::Entry<i64>],
-    eb: &[pf_trees::seq::Entry<i64>],
-    threads: usize,
-) -> pf_rt::RunStats {
-    use pf_rt_algs::rtreap::{union, RTreap, RtTreap};
-    let ta = RTreap::from_entries_ready(ea);
-    let tb = RTreap::from_entries_ready(eb);
-    let rt = Runtime::shared(threads);
+fn traced_union(
+    ea: &[Entry<i64>],
+    eb: &[Entry<i64>],
+    rt: &Runtime,
+    policy: pf_rt::SchedPolicy,
+) -> (Duration, pf_rt::RunStats) {
+    let [fa, fb] = treap_inputs(rt, ea, eb);
     let (op, of) = cell();
-    let (fa, fb) = (pf_rt::ready(ta), pf_rt::ready(tb));
-    let stats = rt.run_stats(move |wk| union(wk, fa, fb, op));
+    let t0 = Instant::now();
+    let stats = rt
+        .try_run_session(Session::new().policy(policy), move |wk| {
+            pf_algs::treap::union(wk, fa, fb, op, Mode::Pipelined)
+        })
+        .expect("union session completes under every policy");
+    let dt = t0.elapsed();
     assert!(of.expect().to_sorted_vec().len() >= ea.len().max(eb.len()));
-    stats
+    (dt, stats)
 }
 
-/// One traced 2-6 bulk-insert session on `threads` workers (E20).
+/// One traced 2-6 bulk-insert session under `policy` on `rt` (E20/E21).
 #[cfg(feature = "trace")]
-fn traced_insert_stats(initial: &[i64], newk: &[i64], threads: usize) -> pf_rt::RunStats {
-    use pf_rt_algs::rtwosix::{insert_many, RTsTree, RtTsTree};
-    let t = RTsTree::from_sorted_ready(initial);
-    let rt = Runtime::shared(threads);
-    let ft = pf_rt::ready(t);
+fn traced_insert(
+    initial: &[i64],
+    newk: &[i64],
+    rt: &Runtime,
+    policy: pf_rt::SchedPolicy,
+) -> (Duration, pf_rt::RunStats) {
+    let (initial_v, keys) = (initial.to_vec(), newk.to_vec());
+    let ft = on_worker(rt, move |wk| wk.input(TsTree::from_sorted(wk, &initial_v)));
     let (op, of) = cell();
-    let keys = newk.to_vec();
-    let stats = rt.run_stats(move |wk| {
-        let f = insert_many(wk, &keys, ft);
-        f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
-    });
+    let t0 = Instant::now();
+    let stats = rt
+        .try_run_session(Session::new().policy(policy), move |wk| {
+            let f = pf_algs::two_six::insert_many(wk, &keys, ft, Mode::Pipelined);
+            f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
+        })
+        .expect("insert session completes under every policy");
+    let dt = t0.elapsed();
     assert!(of.expect().to_sorted_vec().len() >= initial.len());
-    stats
+    (dt, stats)
 }
 
 /// E20 — the first measured-vs-model scheduler comparison: run treap
@@ -325,12 +314,11 @@ fn traced_insert_stats(initial: &[i64], newk: &[i64], threads: usize) -> pf_rt::
 #[cfg(feature = "trace")]
 pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Table> {
     use pf_machine::{replay, steal_replay, Discipline, StealConfig};
-    use pf_trees::workloads::union_entries as e20_union_entries;
 
     let n = 1usize << lg_n;
     // Runtime workloads identical to the ones `capture_traces` feeds the
     // simulator (union seed 11; insert m = (n/16).max(4), odd keys).
-    let (ea, eb) = e20_union_entries(n, n, 11);
+    let (ea, eb) = union_entries(n, n, 11);
     let initial = sorted_keys(n, 2);
     let m = (n / 16).max(4);
     let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
@@ -366,11 +354,12 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
                 },
             );
             let (mut steals, mut suspends, mut execs, mut parks) = (0f64, 0f64, 0f64, 0f64);
+            let (rt, policy) = (Runtime::shared(th), pf_rt::SchedPolicy::default());
             for _ in 0..reps {
-                let stats = if *name == "union" {
-                    traced_union_stats(&ea, &eb, th)
+                let (_, stats) = if *name == "union" {
+                    traced_union(&ea, &eb, &rt, policy)
                 } else {
-                    traced_insert_stats(&initial, &newk, th)
+                    traced_insert(&initial, &newk, &rt, policy)
                 };
                 let ts = stats.trace.as_ref().expect("traced build attaches stats");
                 steals += ts.steals() as f64;
@@ -392,59 +381,6 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
         out.push(t);
     }
     out
-}
-
-/// One traced union session under an explicit scheduling policy,
-/// returning (wall-clock, stats). Tree construction is outside the
-/// timed region — E21 measures the scheduler, not the workload setup.
-#[cfg(feature = "trace")]
-fn policy_union_run(
-    ea: &[pf_trees::seq::Entry<i64>],
-    eb: &[pf_trees::seq::Entry<i64>],
-    rt: &Runtime,
-    policy: pf_rt::SchedPolicy,
-) -> (Duration, pf_rt::RunStats) {
-    use pf_rt::Session;
-    use pf_rt_algs::rtreap::{union, RTreap, RtTreap};
-    let ta = RTreap::from_entries_ready(ea);
-    let tb = RTreap::from_entries_ready(eb);
-    let (op, of) = cell();
-    let (fa, fb) = (pf_rt::ready(ta), pf_rt::ready(tb));
-    let t0 = Instant::now();
-    let stats = rt
-        .try_run_session(Session::new().policy(policy), move |wk| {
-            union(wk, fa, fb, op)
-        })
-        .expect("union session completes under every policy");
-    let dt = t0.elapsed();
-    assert!(of.expect().to_sorted_vec().len() >= ea.len().max(eb.len()));
-    (dt, stats)
-}
-
-/// One traced 2-6 bulk-insert session under an explicit policy (E21).
-#[cfg(feature = "trace")]
-fn policy_insert_run(
-    initial: &[i64],
-    newk: &[i64],
-    rt: &Runtime,
-    policy: pf_rt::SchedPolicy,
-) -> (Duration, pf_rt::RunStats) {
-    use pf_rt::Session;
-    use pf_rt_algs::rtwosix::{insert_many, RTsTree, RtTsTree};
-    let t = RTsTree::from_sorted_ready(initial);
-    let ft = pf_rt::ready(t);
-    let (op, of) = cell();
-    let keys = newk.to_vec();
-    let t0 = Instant::now();
-    let stats = rt
-        .try_run_session(Session::new().policy(policy), move |wk| {
-            let f = insert_many(wk, &keys, ft);
-            f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
-        })
-        .expect("insert session completes under every policy");
-    let dt = t0.elapsed();
-    assert!(of.expect().to_sorted_vec().len() >= initial.len());
-    (dt, stats)
 }
 
 /// E21 — the E12 scaling sweep extended to per-policy curves: every
@@ -495,7 +431,7 @@ pub fn e21_policy_sweep(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Table>
             let mut best = Duration::MAX;
             let (mut steals, mut susp) = (0u64, 0u64);
             for _ in 0..reps {
-                let (dt, stats) = policy_union_run(&ea, &eb, &rt, policy);
+                let (dt, stats) = traced_union(&ea, &eb, &rt, policy);
                 best = best.min(dt);
                 let ts = stats.trace.as_ref().expect("traced build");
                 steals += ts.steals();
@@ -514,7 +450,7 @@ pub fn e21_policy_sweep(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Table>
             let mut best = Duration::MAX;
             let (mut steals, mut susp) = (0u64, 0u64);
             for _ in 0..reps {
-                let (dt, stats) = policy_insert_run(&initial, &newk, &rt, policy);
+                let (dt, stats) = traced_insert(&initial, &newk, &rt, policy);
                 best = best.min(dt);
                 let ts = stats.trace.as_ref().expect("traced build");
                 steals += ts.steals();
@@ -541,11 +477,10 @@ pub fn rt_matches_model(lg_n: u32) -> bool {
     let (root, _) = run_merge(&a, &b, Mode::Pipelined);
     let model_keys = root.get().to_sorted_vec();
 
-    let ta = pf_rt_algs::rtree::RTree::from_sorted_ready(&a);
-    let tb = pf_rt_algs::rtree::RTree::from_sorted_ready(&b);
+    let rt = Runtime::new(2);
+    let [ta, tb] = tree_inputs(&rt, &a, &b);
     let (op, of) = cell();
-    Runtime::new(2)
-        .run(move |wk| pf_rt_algs::rtree::merge(wk, pf_rt::ready(ta), pf_rt::ready(tb), op));
+    rt.run(move |wk| pf_algs::merge::merge(wk, ta, tb, op, Mode::Pipelined));
     let rt_keys = of.expect().to_sorted_vec();
     model_keys == rt_keys
 }
@@ -589,7 +524,7 @@ mod tests {
     #[test]
     fn e15_cells_smoke() {
         let t = e15_cells(2, 500);
-        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.rows.len(), 1);
     }
 
     #[test]

@@ -4,14 +4,24 @@
 //! each returns [`Table`]s that the corresponding `src/bin/eXX_*.rs`
 //! binary prints. The integration tests smoke-run every experiment at
 //! reduced sizes, so the harness itself is covered by `cargo test`.
+//!
+//! What the experiments share sits beside them: seeded input generators
+//! ([`workloads`]), one simulator call per algorithm ([`sim`]), the τ/ρ
+//! timestamp checkers and cell walkers ([`analysis`]), and the wall-clock
+//! drivers of E12 ([`drivers`]) and E13/E16/E18 ([`baselines`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analysis;
+pub mod baselines;
+pub mod drivers;
 pub mod exp_linear;
 pub mod exp_machine;
 pub mod exp_model;
 pub mod exp_rt;
+pub mod sim;
+pub mod workloads;
 
 /// A printable result table (plain aligned text, CSV-friendly content).
 #[derive(Debug, Clone)]

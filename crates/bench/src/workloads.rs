@@ -4,7 +4,7 @@
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 
-use crate::seq::Entry;
+use pf_algs::plain::Entry;
 
 /// `n` sorted distinct keys spread over `0 .. n * stride`.
 pub fn sorted_keys(n: usize, stride: i64) -> Vec<i64> {

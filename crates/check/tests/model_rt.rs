@@ -41,7 +41,6 @@ use pf_check::sync::thread;
 use pf_check::CheckBuilder;
 
 use pf_rt::deque::{deque, Steal, MAX_STEAL_BATCH};
-use pf_rt::mutex_cell::mx_cell;
 use pf_rt::{
     cell, CancelToken, ResumePlace, Runtime, SchedPolicy, Session, SessionError, SpawnOrder,
 };
@@ -363,43 +362,6 @@ fn cell_waiter_handoff_after_suspension() {
             wk.spawn(move |wk| w.fulfill(wk, 3));
         });
         assert_eq!(runs.load(Ordering::Relaxed), 1);
-        drop(rt);
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Mutex cell contention
-// ---------------------------------------------------------------------------
-
-/// The non-linear mutexed cell: two touchers and one writer race; both
-/// continuations run exactly once each with the written value.
-#[cfg(not(pf_check_lost_wakeup))]
-#[test]
-fn mutex_cell_two_touchers_one_writer() {
-    rt_budget().run(|| {
-        let runs = Arc::new(AtomicUsize::new(0));
-        let r2 = Arc::clone(&runs);
-        let (w, r) = mx_cell::<u32>();
-        let rt = Runtime::with_policy(2, pushing());
-        rt.run(move |wk| {
-            let ra = r.clone();
-            let rb = r;
-            let (ca, cb) = (Arc::clone(&r2), Arc::clone(&r2));
-            wk.spawn(move |wk| {
-                ra.touch(wk, move |v, _| {
-                    assert_eq!(v, 6);
-                    ca.fetch_add(1, Ordering::Relaxed);
-                })
-            });
-            wk.spawn(move |wk| {
-                rb.touch(wk, move |v, _| {
-                    assert_eq!(v, 6);
-                    cb.fetch_add(1, Ordering::Relaxed);
-                })
-            });
-            wk.spawn(move |wk| w.fulfill(wk, 6));
-        });
-        assert_eq!(runs.load(Ordering::Relaxed), 2);
         drop(rt);
     });
 }

@@ -309,7 +309,6 @@ impl<T: Send> PoisonTarget for Inner<T> {
                     stuck: Some(StuckCell {
                         addr: self as *const Self as usize,
                         payload_type: std::any::type_name::<T>(),
-                        kind: "cell",
                     }),
                     dropped: 1,
                 }

@@ -118,13 +118,11 @@ pub struct StuckCell {
     pub addr: usize,
     /// `type_name` of the cell's payload type.
     pub payload_type: &'static str,
-    /// Which cell implementation: `"cell"` (lock-free) or `"mutex_cell"`.
-    pub kind: &'static str,
 }
 
 impl fmt::Display for StuckCell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}<{}>@{:#x}", self.kind, self.payload_type, self.addr)
+        write!(f, "cell<{}>@{:#x}", self.payload_type, self.addr)
     }
 }
 
@@ -282,19 +280,19 @@ impl PoisonOutcome {
 }
 
 /// Something an abort cleanup can poison: a future cell that may hold a
-/// suspended continuation. Implemented by both cell flavors; each session's
-/// slot keeps a registry of `Weak` references to every cell a touch of that
+/// suspended continuation. Implemented by the cell at every payload type
+/// (the registry holds them type-erased); each session's slot keeps a
+/// registry of `Weak` references to every cell a touch of that
 /// session suspended into (see `pool.rs`).
 pub(crate) trait PoisonTarget: Send + Sync {
     /// Drop any continuation of session `ctx.session` still suspended
     /// here, stamp `ctx`, and report what happened; do nothing when no
-    /// such continuation remains (it was fulfilled after registration, or
-    /// belongs to a different session — the multi-waiter mutex cell keeps
-    /// other sessions' waiters and stays usable for them). Called only by
-    /// the aborting session's client, after that session has no queued or
-    /// running task left (only suspended units), so no worker can race a
-    /// fulfill of *this session's* waiters; cross-session fulfills may
-    /// race and are arbitrated by the cell's own synchronization.
+    /// such continuation remains (it was fulfilled after registration).
+    /// Called only by the aborting session's client, after that session
+    /// has no queued or running task left (only suspended units), so no
+    /// worker can race a fulfill of *this session's* waiters;
+    /// cross-session fulfills may race and are arbitrated by the cell's
+    /// own synchronization.
     fn poison(&self, ctx: &Arc<PoisonInfo>) -> PoisonOutcome;
 }
 

@@ -10,8 +10,7 @@
 //!   the continuation as a task. Linearity (§4) means at most one waiter
 //!   per cell, so the cell is a single small state machine:
 //!   `EMPTY → {WAITING → } FULL`, each transition one CAS on the cell's
-//!   state word (implemented per *Rust Atomics and Locks*; a `Mutex`-based
-//!   variant is kept as the ablation baseline, [`mutex_cell`]);
+//!   state word (implemented per *Rust Atomics and Locks*);
 //! * a **work-stealing scheduler** ([`scheduler`]) on a **persistent
 //!   worker pool** ([`pool`]): per-worker LIFO deques (the stack
 //!   discipline the paper recommends for space) with stealing and a
@@ -64,7 +63,6 @@ pub mod cell;
 pub mod chaos;
 pub mod deque;
 pub mod error;
-pub mod mutex_cell;
 pub mod policy;
 pub mod pool;
 pub mod rounds;

@@ -112,12 +112,11 @@
 //! The poison pass finds its targets through the slot's *suspend
 //! registry*: each touch that suspends appends a `Weak` reference to its
 //! cell (one uncontended lock on the suspension path — a path that
-//! already allocates). Cells shared with *other* sessions (possible only
-//! through the multi-waiter mutex cell) are poisoned selectively: only
-//! this session's waiters are dropped, and the cell stays usable for its
-//! surviving sessions. Sharing an *unwritten* lock-free cell across
-//! sessions is a documented program error; the cell state machine
-//! arbitrates every such race to a panic (never undefined behavior).
+//! already allocates). A cell holds one waiter, so a registered cell that
+//! is still waiting holds a continuation of this session and nobody
+//! else's. Sharing an *unwritten* cell across sessions is a documented
+//! program error; the cell state machine arbitrates every such race to a
+//! panic (never undefined behavior).
 //!
 //! # Quiescence watchdog: per-session progress heartbeats
 //!
@@ -1270,9 +1269,8 @@ impl Runtime {
         // here (zero leaks — each suspension record owns an `Arc` cycle
         // back to its cell that only this pass can break) and the cell
         // remembers `ctx`, so a straggler touch fails fast with the
-        // originating failure. Cells of *other* sessions are untouched: the lock-free
-        // cell holds exactly one waiter (ours — it is in our registry),
-        // and the mutex cell drops only waiters tagged with our session.
+        // originating failure. Cells of *other* sessions are untouched: a
+        // cell holds exactly one waiter (ours — it is in our registry).
         let targets = std::mem::take(&mut *lock(&slot.suspended));
         let mut stuck = Vec::new();
         for weak in targets {

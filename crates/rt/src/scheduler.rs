@@ -295,7 +295,7 @@ impl Worker {
     ///   fulfilling task (depth-guarded; falls back to the deque). Only
     ///   taken when the waiter belongs to the session we are currently
     ///   executing: an inline body runs under *our* current slot, so a
-    ///   foreign waiter (cross-session mutex-cell fulfill) takes the
+    ///   foreign waiter (a cross-session fulfill) takes the
     ///   deque path and is re-entered properly. Its liveness unit is
     ///   retired here, which cannot end the session early: the waiter
     ///   belongs to our session, whose current task still holds its own
@@ -308,7 +308,7 @@ impl Worker {
     pub(crate) fn resume_transferred(&self, st: SessionTask, owner: usize) {
         // The resume is progress of the *waiter's* session (which may not
         // be the one we are currently executing, under a cross-session
-        // mutex-cell fulfill): tick its lane for this worker — entry i is
+        // fulfill): tick its lane for this worker — entry i is
         // still written only by worker i, whatever slot it lives in.
         st.session.stats[self.index].add_progress();
         st.session.transfer_resume();

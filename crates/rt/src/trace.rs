@@ -49,10 +49,10 @@
 //!
 //! With the feature **off** (the default) every hook below compiles to
 //! an empty `#[inline(always)]` function — no branch, no atomic, no
-//! field in the slot; `results/BENCH_PR7.json` pins the no-regression
-//! claim. With the feature **on**, a hook is one uncontended lock plus a
-//! counter bump and a ring push (~a few tens of nanoseconds); the same
-//! benchmark records the overhead honestly.
+//! field in the slot. With the feature **on**, a hook is one uncontended
+//! lock plus a counter bump and a ring push (~a few tens of nanoseconds);
+//! pf-perf records what that costs a whole union as
+//! `bench.trace_overhead_share`.
 //!
 //! Incompatible with `--cfg pf_check`: the model checker virtualizes
 //! the sync layer and has no clock, so real `Instant` timestamps (and

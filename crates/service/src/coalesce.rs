@@ -14,7 +14,7 @@
 //! 3. **Union-tree collapsing** — consecutive *large* batches of the
 //!    same kind against the same root stay separate groups of one wave;
 //!    the apply step combines them with a balanced
-//!    [`pf_rt_algs::rtreap::union_many`] tree (⌈lg k⌉ pairwise unions,
+//!    [`pf_algs::treap::union_many`] tree (⌈lg k⌉ pairwise unions,
 //!    each pipelining into the next) and touches the shard root once.
 //!
 //! A wave is closed by: a kind change (insert → delete or back), the

@@ -23,7 +23,7 @@
 //!   realized here on treaps because the shard root must also support
 //!   deletes), and consecutive pre-batched updates against the same
 //!   shard root collapse into one **union tree**
-//!   ([`pf_rt_algs::rtreap::union_many`]) instead of k sequential root
+//!   ([`pf_algs::treap::union_many`]) instead of k sequential root
 //!   unions.
 //! * **Key-range sharding** ([`shard::ShardMap`]): S independent shards,
 //!   each with its own persistent treap root, apply their waves in
@@ -45,8 +45,8 @@
 //!   output root, so its splits start the moment N's root node exists
 //!   instead of waiting for N's whole tree at a barrier. The barriered
 //!   fallback ([`ApplyMode::Barriered`]: one wave per session) is kept
-//!   for A/B measurement; `bench_pr6` freezes the comparison as
-//!   `results/BENCH_PR6.json`.
+//!   for A/B measurement: pf-perf's `svc-bulk` workload reports it as
+//!   `service.service.barriered_keys_per_s` and `pipelining_gain`.
 //!
 //! Failure is a per-wave outcome, not a process event: a wave that
 //! panics, wedges past the deadline, or stalls degrades — the shard keeps

@@ -7,7 +7,7 @@
 //! immediately from the shard's committed snapshot
 //! ([`crate::SetService::contains`]) and never enter the ingress queue.
 
-pub use pf_trees::seq::Entry;
+pub use pf_algs::plain::Entry;
 
 /// Injected misbehavior carried by a request — **test and chaos-replay
 /// instrumentation**, not a production surface. The coalescer isolates a

@@ -5,7 +5,7 @@
 //! See the crate docs for the architecture. The one invariant everything
 //! here leans on: a shard's *committed* root only ever comes out of a
 //! session that reached quiescence, and is sealed before it is stored
-//! ([`RTreap::sealed`]: the few unsized nodes a larger-than-grain wave
+//! ([`Treap::sealed`]: the few unsized nodes a larger-than-grain wave
 //! leaves at the top are rebuilt as complete ones), so it holds no future
 //! cell at all — snapshot readers walk it lock-free (after one root
 //! clone) as a plain pointer chase, and the next session's unions see a
@@ -15,14 +15,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use pf_algs::plain::PlainTreap;
+use pf_algs::treap::{diff, union, union_many, Child, Treap};
+use pf_algs::{Key, Mode};
 use pf_rt::{cell, ready, FutRead, RunStats, Runtime, SchedPolicy, Session, SessionError, Worker};
-use pf_rt_algs::rtreap::{diff, union, union_many, RChild, RTreap, RtTreap};
-use pf_rt_algs::RKey;
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::coalesce::{coalesce, CoalescePolicy, Wave};
 use crate::request::{Fault, OpKind, Request};
 use crate::shard::ShardMap;
+
+/// A shard's treap: the one generic treap, on the runtime's engine.
+type RTreap<K> = Treap<Worker, K>;
 
 /// How a window of waves is applied to a shard root.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +41,8 @@ pub enum ApplyMode {
     Pipelined,
     /// One session per wave: every wave waits for its predecessor's full
     /// quiescence (the barrier the paper's futures exist to remove).
-    /// Kept as the A/B baseline `bench_pr6` measures against.
+    /// Kept as the A/B baseline of pf-perf's `barriered_keys_per_s` and
+    /// `pipelining_gain`.
     Barriered,
 }
 
@@ -243,7 +248,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A sharded, coalescing ordered-set service (crate docs).
-pub struct SetService<K: RKey> {
+pub struct SetService<K: Key> {
     rt: Arc<Runtime>,
     map: ShardMap<K>,
     shards: Vec<Shard<K>>,
@@ -254,7 +259,7 @@ pub struct SetService<K: RKey> {
     started: Instant,
 }
 
-impl<K: RKey> SetService<K> {
+impl<K: Key> SetService<K> {
     /// A service over `map`'s shards on the process-wide shared pool
     /// with `cfg.threads` workers.
     pub fn new(map: ShardMap<K>, cfg: ServiceConfig) -> Self {
@@ -503,7 +508,7 @@ impl<K: RKey> SetService<K> {
                 treaps: w
                     .groups
                     .iter()
-                    .map(|g| RTreap::from_entries_ready(g))
+                    .map(|g| Treap::from_plain_complete(&PlainTreap::from_entries(g)))
                     .collect(),
             })
             .collect();
@@ -635,11 +640,11 @@ impl<K: RKey> SetService<K> {
                         Fault::None => {}
                     }
                     let futs = plan.treaps.into_iter().map(ready).collect();
-                    let batch = union_many(wk, futs);
+                    let batch = union_many(wk, futs, Mode::Pipelined);
                     let (p, f) = cell();
                     match plan.kind {
-                        OpKind::Insert => union(wk, state, batch, p),
-                        OpKind::Delete => diff(wk, state, batch, p),
+                        OpKind::Insert => union(wk, state, batch, p, Mode::Pipelined),
+                        OpKind::Delete => diff(wk, state, batch, p, Mode::Pipelined),
                     }
                     state = f;
                 }
@@ -677,13 +682,13 @@ impl DrainReport {
 
 /// The subtreap below a node of a committed root: held directly, since
 /// every committed root is sealed.
-fn committed<K: RKey>(child: &RChild<K>) -> &RTreap<K> {
+fn committed<K: Key>(child: &Child<Worker, K>) -> &RTreap<K> {
     child.done().expect("committed root holds a future cell")
 }
 
 /// In-order walk of a committed treap, pushing keys in `[lo, hi)` and
 /// pruning subtrees the range cannot reach.
-fn range_into<K: RKey>(t: &RTreap<K>, lo: &K, hi: &K, out: &mut Vec<K>) {
+fn range_into<K: Key>(t: &RTreap<K>, lo: &K, hi: &K, out: &mut Vec<K>) {
     if let RTreap::Node(n) = t {
         if *lo < n.key {
             range_into(committed(&n.left), lo, hi, out);

@@ -11,10 +11,10 @@
 
 use std::collections::BTreeSet;
 
+use pf_algs::two_six::{insert_many, TsTree};
+use pf_algs::Mode;
 use pf_core::Sim;
 use pf_examples::banner;
-use pf_trees::two_six::{insert_many, SimTsTree, TsTree};
-use pf_trees::Mode;
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 
@@ -41,16 +41,14 @@ fn main() {
 
         // Cost model: measure this batch's insert in isolation, pipelined
         // and strict, against the index built so far.
-        let (root_p, cost_p) = Sim::new().run(|ctx| {
-            let t0 = TsTree::preload_from_sorted(ctx, &keys_so_far);
-            let ft = ctx.preload(t0);
-            insert_many(ctx, batch, ft, Mode::Pipelined)
-        });
-        let (_, cost_s) = Sim::new().run(|ctx| {
-            let t0 = TsTree::preload_from_sorted(ctx, &keys_so_far);
-            let ft = ctx.preload(t0);
-            insert_many(ctx, batch, ft, Mode::Strict)
-        });
+        let run = |mode| {
+            Sim::new().run(|ctx| {
+                let ft = ctx.preload(TsTree::from_sorted(ctx, &keys_so_far));
+                insert_many(ctx, batch, ft, mode)
+            })
+        };
+        let (root_p, cost_p) = run(Mode::Pipelined);
+        let (_, cost_s) = run(Mode::Strict);
 
         let tree = root_p.get();
         tree.validate().expect("2-6 invariants");

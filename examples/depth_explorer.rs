@@ -7,15 +7,16 @@
 //!
 //! Defaults: `union 12 12`.
 
+use pf_algs::Mode;
+use pf_bench::sim::{
+    merge_on, run_diff, run_insert_many, run_merge, run_msort, run_quicksort, run_union, union_on,
+};
+use pf_bench::workloads::{
+    diff_entries, interleaved_pair, shuffled_keys, sorted_keys, union_entries,
+};
 use pf_core::CostReport;
 use pf_examples::banner;
 use pf_machine::{predicted_time, Machine};
-use pf_trees::treap::SimTreap;
-use pf_trees::tree::SimTree;
-use pf_trees::workloads::{
-    diff_entries, interleaved_pair, shuffled_keys, sorted_keys, union_entries,
-};
-use pf_trees::Mode;
 
 fn measure(alg: &str, lg_n: u32, lg_m: u32, mode: Mode) -> CostReport {
     let n = 1usize << lg_n;
@@ -23,23 +24,23 @@ fn measure(alg: &str, lg_n: u32, lg_m: u32, mode: Mode) -> CostReport {
     match alg {
         "merge" => {
             let (a, b) = interleaved_pair(n, m);
-            pf_trees::merge::run_merge(&a, &b, mode).1
+            run_merge(&a, &b, mode).1
         }
         "union" => {
             let (a, b) = union_entries(n, m, 5);
-            pf_trees::treap::run_union(&a, &b, mode).1
+            run_union(&a, &b, mode).1
         }
         "diff" => {
             let (a, b) = diff_entries(n, m.min(n), 5);
-            pf_trees::treap::run_diff(&a, &b, mode).1
+            run_diff(&a, &b, mode).1
         }
         "insert" => {
             let initial = sorted_keys(n, 2);
             let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-            pf_trees::two_six::run_insert_many(&initial, &newk, mode).1
+            run_insert_many(&initial, &newk, mode).1
         }
-        "quicksort" => pf_trees::quicksort::run_quicksort(&shuffled_keys(n, 5), mode).1,
-        "mergesort" => pf_trees::mergesort::run_msort(&shuffled_keys(n, 5), mode).1,
+        "quicksort" => run_quicksort(&shuffled_keys(n, 5), mode).1,
+        "mergesort" => run_msort(&shuffled_keys(n, 5), mode).1,
         other => {
             panic!("unknown algorithm {other:?} (try merge/union/diff/insert/quicksort/mergesort)")
         }
@@ -100,19 +101,11 @@ fn main() {
         match alg.as_str() {
             "union" | "diff" => {
                 let (a, b) = union_entries(n, n, 5);
-                let ta = pf_trees::treap::Treap::preload_entries(ctx, &a);
-                let tb = pf_trees::treap::Treap::preload_entries(ctx, &b);
-                let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-                let (op, _of) = ctx.promise();
-                pf_trees::treap::union(ctx, fa, fb, op, Mode::Pipelined);
+                union_on(ctx, &a, &b, Mode::Pipelined);
             }
             _ => {
                 let (a, b) = interleaved_pair(n, n);
-                let ta = pf_trees::tree::Tree::preload_balanced(ctx, &a);
-                let tb = pf_trees::tree::Tree::preload_balanced(ctx, &b);
-                let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-                let (op, _of) = ctx.promise();
-                pf_trees::merge::merge(ctx, fa, fb, op, Mode::Pipelined);
+                merge_on(ctx, &a, &b, Mode::Pipelined);
             }
         }
     });

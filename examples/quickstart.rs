@@ -14,14 +14,36 @@
 //!
 //! Run with: `cargo run --release -p pf-examples --bin quickstart`
 
-use pf_backend::{PipeBackend, Seq};
+use pf_algs::list::{consume, produce};
+use pf_algs::plain::Entry;
+use pf_algs::treap::{union, Treap, TreapFut, TreapWr};
+use pf_algs::{Mode, PipeBackend, Seq, Val};
+use pf_bench::workloads::union_entries;
 use pf_examples::{banner, cost_line};
-use pf_rt::{cell, ready, Runtime};
-use pf_rt_algs::rtreap::{union as rt_union, RTreap, RtTreap};
-use pf_trees::pipeline::{consume, produce};
-use pf_trees::treap::run_union;
-use pf_trees::workloads::union_entries;
-use pf_trees::Mode;
+use pf_rt::{cell, Runtime};
+
+/// The union of two entry sets on engine `B`: inputs built with free
+/// pre-written cells, then the one generic `union`. The `where` clauses
+/// are what pf-algs asks of an engine's cells; all three engines meet them.
+fn union_on<B: PipeBackend>(
+    bk: &B,
+    a: &[Entry<i64>],
+    b: &[Entry<i64>],
+    mode: Mode,
+) -> TreapFut<B, i64>
+where
+    Treap<B, i64>: Val,
+    TreapFut<B, i64>: Val,
+    TreapWr<B, i64>: Send,
+    B::Fut<bool>: Val,
+    B::Wr<bool>: Send,
+{
+    let fa = bk.input(Treap::from_entries(bk, a));
+    let fb = bk.input(Treap::from_entries(bk, b));
+    let (out, root) = bk.cell();
+    union(bk, fa, fb, out, mode);
+    root
+}
 
 fn main() {
     banner("1a. the cost model: producer/consumer pipeline (Figure 1)");
@@ -55,8 +77,9 @@ fn main() {
 
     banner("1b. implicit pipelining in treap union (Theorem 3.5)");
     let (a, b) = union_entries(1 << 12, 1 << 12, 42);
-    let (root, pipelined) = run_union(&a, &b, Mode::Pipelined);
-    let (_, strict) = run_union(&a, &b, Mode::Strict);
+    let run_union = |mode| pf_core::Sim::new().run(|ctx| union_on(ctx, &a, &b, mode));
+    let (root, pipelined) = run_union(Mode::Pipelined);
+    let (_, strict) = run_union(Mode::Strict);
     let result = root.get();
     assert!(result.check_invariants());
     println!("{}", cost_line("pipelined union", &pipelined));
@@ -72,12 +95,9 @@ fn main() {
     // Identical algorithm text (pf_algs::treap::union), engine = Seq:
     // fork runs inline, touch reads and continues, cost hooks vanish.
     let seq_keys = Seq::run(|bk| {
-        let ta = pf_algs::treap::Treap::from_entries(bk, &a);
-        let tb = pf_algs::treap::Treap::from_entries(bk, &b);
-        let (fa, fb) = (bk.input(ta), bk.input(tb));
-        let (op, of) = bk.cell();
-        pf_algs::treap::union(bk, fa, fb, op, Mode::Pipelined);
-        of.expect().to_sorted_vec()
+        union_on(bk, &a, &b, Mode::Pipelined)
+            .expect()
+            .to_sorted_vec()
     });
     assert_eq!(seq_keys, result.to_sorted_vec());
     println!(
@@ -87,10 +107,13 @@ fn main() {
     );
 
     banner("3. the same union on the real work-stealing runtime");
-    let ta = ready(RTreap::from_entries_ready(&a));
-    let tb = ready(RTreap::from_entries_ready(&b));
+    // A `Worker` exists only inside a session, so the inputs are built
+    // there too; the result comes back through a cell.
     let (op, of) = cell();
-    Runtime::new(4).run(move |wk| rt_union(wk, ta, tb, op));
+    Runtime::new(4).run(move |wk| {
+        let root = union_on(wk, &a, &b, Mode::Pipelined);
+        root.touch(wk, move |t, wk| op.fulfill(wk, t));
+    });
     let rt_result = of.expect();
     assert_eq!(rt_result.to_sorted_vec(), result.to_sorted_vec());
     println!(

@@ -27,12 +27,12 @@
 use std::collections::{BTreeSet, HashSet};
 use std::time::Duration;
 
+use pf_algs::plain::{Entry, PlainTreap};
 use pf_examples::banner;
 use pf_service::{
     coalesce, ApplyMode, CoalescePolicy, Fault, OpKind, Request, ServiceConfig, SetService,
     ShardMap,
 };
-use pf_trees::seq::{Entry, PlainTreap};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 

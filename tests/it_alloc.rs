@@ -8,12 +8,11 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
+use pf_algs::plain::PlainTreap;
 use pf_algs::treap::{diff, union, Treap, TreapFut, TreapNode, TreapWr};
 use pf_algs::{Mode, PipeBackend, Seq, Val};
-use pf_rt::{cell, ready, FutRead, FutWrite, Runtime, Worker};
-use pf_rt_algs::rtreap::{self, RTreap, RtTreap};
-use pf_tests::entries;
-use pf_trees::seq::PlainTreap;
+use pf_rt::{cell, ready, Runtime, Worker};
+use pf_tests::{entries, RTreap};
 
 /// The block behind an `Arc<TreapNode<_, i64>>` (two counters + node): the
 /// same on both engines, and within the 72 usable bytes of an 80-byte
@@ -141,44 +140,31 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
     assert_eq!((frees, node_frees), (k, k), "Seq drop");
     let ([_, _, node_allocs, _], a) = counted(|| Treap::from_entries(&Seq, &big));
     assert_eq!(node_allocs, k, "Seq from_entries");
-    let ([allocs, _, node_allocs, _], ra) = counted(|| RTreap::from_plain_ready(&plain));
-    assert_eq!((allocs, node_allocs), (k, k), "pf-rt from_plain_ready");
+    let ([allocs, _, node_allocs, _], ra) = counted(|| RTreap::from_plain_complete(&plain));
+    assert_eq!((allocs, node_allocs), (k, k), "pf-rt from_plain_complete");
 
     // Below-grain operations: a 100-key batch (its splits build nodes the
     // result does not keep) and a single key (they do not).
-    type SeqOp = fn(&Seq, TreapFut<Seq, i64>, TreapFut<Seq, i64>, TreapWr<Seq, i64>, Mode);
-    type RtOp = fn(&Worker, FutRead<RTreap<i64>>, FutRead<RTreap<i64>>, FutWrite<RTreap<i64>>);
+    type Op<B> = fn(&B, TreapFut<B, i64>, TreapFut<B, i64>, TreapWr<B, i64>, Mode);
     let rt = Runtime::new(1);
-    type Case = (&'static str, Vec<(i64, u64)>, bool, SeqOp, RtOp);
+    type Case = (&'static str, Vec<(i64, u64)>, bool, Op<Seq>, Op<Worker>);
     let cases: [Case; 4] = [
         (
             "union of a batch",
             entries((0..100).map(|i| 290 * i + 1)),
             false,
             union,
-            rtreap::union,
-        ),
-        (
-            "union of one key",
-            entries([4_001]),
-            true,
             union,
-            rtreap::union,
         ),
+        ("union of one key", entries([4_001]), true, union, union),
         (
             "diff of a batch",
             entries((0..100).map(|i| 291 * i)),
             false,
             diff,
-            rtreap::diff,
-        ),
-        (
-            "diff of one key",
-            entries([3_000]),
-            true,
             diff,
-            rtreap::diff,
         ),
+        ("diff of one key", entries([3_000]), true, diff, diff),
     ];
     for (what, b, exact, seq_op, rt_op) in cases {
         let sb = Treap::from_entries(&Seq, &b);
@@ -189,10 +175,10 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
                 Treap::expect(&f)
             })
         });
-        let rb = RTreap::from_entries_ready(&b);
+        let rb = RTreap::from_plain_complete(&PlainTreap::from_entries(&b));
         check_op(&format!("pf-rt {what}"), &ra, &rb, exact, |a, b| {
             let (p, f) = cell();
-            rt.run(move |wk| rt_op(wk, ready(a), ready(b), p));
+            rt.run(move |wk| rt_op(wk, ready(a), ready(b), p, Mode::Pipelined));
             f.expect()
         });
     }

@@ -3,14 +3,12 @@
 //! never hurts depth, results fully materialize within the measured
 //! depth) plus property-based correctness against oracles.
 
+use pf_algs::Mode;
+use pf_bench::analysis::{completion_time, walk_treap, walk_tree};
+use pf_bench::sim::{
+    run_diff, run_insert_many, run_intersect, run_merge, run_quicksort, run_rebalance, run_union,
+};
 use pf_tests::{entries, oracle_diff, oracle_merge, oracle_union};
-use pf_trees::merge::run_merge;
-use pf_trees::quicksort::run_quicksort;
-use pf_trees::rebalance::run_rebalance;
-use pf_trees::treap::{run_diff, run_union, SimTreap, Treap};
-use pf_trees::tree::{SimTree, Tree};
-use pf_trees::two_six::run_insert_many;
-use pf_trees::Mode;
 use proptest::prelude::*;
 
 /// Every algorithm, one canonical run: the global cost-model invariants.
@@ -81,13 +79,13 @@ fn results_materialize_within_depth() {
     let ka: Vec<i64> = (0..500).map(|i| 2 * i).collect();
     let kb: Vec<i64> = (0..400).map(|i| 2 * i + 1).collect();
     let (root, c) = run_merge(&ka, &kb, Mode::Pipelined);
-    let done = Tree::completion_time(&root);
+    let done = completion_time(|f| walk_tree(&root, 0, f));
     assert!(done <= c.depth, "completion {done} > depth {}", c.depth);
 
     let a = entries(0..400);
     let b = entries(200..700);
     let (root, c) = run_union(&a, &b, Mode::Pipelined);
-    let done = Treap::completion_time(&root);
+    let done = completion_time(|f| walk_treap(&root, 0, f));
     assert!(done <= c.depth);
 }
 
@@ -159,7 +157,7 @@ proptest! {
             .into_iter().collect();
         let ea = entries(a);
         let eb = entries(b);
-        let (root, c) = pf_trees::treap::run_intersect(&ea, &eb, Mode::Pipelined);
+        let (root, c) = run_intersect(&ea, &eb, Mode::Pipelined);
         let t = root.get();
         prop_assert!(t.check_invariants());
         prop_assert_eq!(t.to_sorted_vec(), expect);

@@ -2,19 +2,22 @@
 //! and the sequential references must produce identical results (and for
 //! treaps, identical shapes) on identical inputs, across thread counts.
 
+use pf_algs::list::{consume, produce, qs, List};
+use pf_algs::merge::merge;
+use pf_algs::plain::{splitmix64, PlainTreap};
+use pf_algs::treap::{diff, intersect, union, union_many};
+use pf_algs::tree::Tree;
+use pf_algs::two_six::{insert_many, TsTree};
+use pf_algs::Mode::{self, Pipelined};
 use pf_backend::{PipeBackend, Seq};
+use pf_bench::drivers::tree_inputs;
+use pf_bench::sim::{
+    run_diff, run_insert_many, run_merge, run_msort, run_pipeline, run_quicksort, run_rebalance,
+    run_union,
+};
+use pf_bench::workloads::shuffled_keys;
 use pf_rt::{cell, ready, Runtime};
-use pf_rt_algs::rlist::{consume, produce, qs, RList, RtList};
-use pf_rt_algs::rtreap::{diff as rt_diff, union as rt_union, RTreap, RtTreap};
-use pf_rt_algs::rtree::{merge as rt_merge, RTree, RtTree};
-use pf_rt_algs::rtwosix::{insert_many as rt_insert_many, RTsTree, RtTsTree};
-use pf_tests::{crusted_ready, entries, unsized_ready};
-use pf_trees::merge::run_merge;
-use pf_trees::seq::PlainTreap;
-use pf_trees::treap::{run_diff, run_union};
-use pf_trees::two_six::run_insert_many;
-use pf_trees::workloads::shuffled_keys;
-use pf_trees::Mode;
+use pf_tests::{complete_ready, crusted_ready, entries, unsized_ready, RTreap};
 
 #[test]
 fn merge_agrees_across_backends() {
@@ -24,12 +27,10 @@ fn merge_agrees_across_backends() {
         let (root, _) = run_merge(&a, &b, Mode::Pipelined);
         let model = root.get().to_sorted_vec();
         for threads in [1, 3] {
+            let rt = Runtime::new(threads);
             let (op, of) = cell();
-            let (ta, tb) = (
-                ready(RTree::from_sorted_ready(&a)),
-                ready(RTree::from_sorted_ready(&b)),
-            );
-            Runtime::new(threads).run(move |wk| rt_merge(wk, ta, tb, op));
+            let [ta, tb] = tree_inputs(&rt, &a, &b);
+            rt.run(move |wk| merge(wk, ta, tb, op, Pipelined));
             assert_eq!(
                 of.expect().to_sorted_vec(),
                 model,
@@ -54,11 +55,8 @@ fn union_shape_agrees_across_all_three_backends() {
     // Real runtime.
     for threads in [1, 2, 4] {
         let (op, of) = cell();
-        let (ta, tb) = (
-            ready(RTreap::from_entries_ready(&a)),
-            ready(RTreap::from_entries_ready(&b)),
-        );
-        Runtime::new(threads).run(move |wk| rt_union(wk, ta, tb, op));
+        let (ta, tb) = (complete_ready(&a), complete_ready(&b));
+        Runtime::new(threads).run(move |wk| union(wk, ta, tb, op, Pipelined));
         let t = of.expect();
         assert_eq!(t.to_sorted_vec(), seq_keys, "threads={threads}");
         assert_eq!(t.height(), seq_height, "threads={threads}");
@@ -76,11 +74,8 @@ fn diff_agrees_across_backends() {
     assert_eq!(root.get().height(), PlainTreap::height(&pd));
     for threads in [1, 4] {
         let (op, of) = cell();
-        let (ta, tb) = (
-            ready(RTreap::from_entries_ready(&a)),
-            ready(RTreap::from_entries_ready(&b)),
-        );
-        Runtime::new(threads).run(move |wk| rt_diff(wk, ta, tb, op));
+        let (ta, tb) = (complete_ready(&a), complete_ready(&b));
+        Runtime::new(threads).run(move |wk| diff(wk, ta, tb, op, Pipelined));
         assert_eq!(of.expect().to_sorted_vec(), seq_keys, "threads={threads}");
     }
 }
@@ -92,7 +87,7 @@ fn rebalance_agrees_across_all_three_backends() {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         // Cost model: deterministic shape, used as the reference below.
-        let (root, _) = pf_trees::rebalance::run_rebalance(&keys, Mode::Pipelined);
+        let (root, _) = run_rebalance(&keys, Mode::Pipelined);
         let model = root.get();
         assert_eq!(model.to_sorted_vec(), sorted, "n={n}");
         // Sequential oracle: the same generic text at B = Seq.
@@ -110,7 +105,7 @@ fn rebalance_agrees_across_all_three_backends() {
             let (op, of) = cell();
             Runtime::new(threads).run(move |wk| {
                 let ft = wk.input(pf_algs::rebalance::unbalanced_from(wk, &keys));
-                pf_rt_algs::rrebalance::rebalance(wk, ft, op);
+                pf_algs::rebalance::rebalance(wk, ft, op, Pipelined);
             });
             let t = of.expect();
             assert_eq!(t.to_sorted_vec(), sorted, "n={n} threads={threads}");
@@ -144,11 +139,11 @@ fn two_six_insert_agrees_across_all_three_backends() {
         assert_eq!(seq_tree.to_sorted_vec(), expect, "n={n} m={m}");
         // Real runtime, multiple thread counts.
         for threads in [1, 4] {
-            let ft = ready(RTsTree::from_sorted_ready(&initial));
             let (op, of) = cell();
-            let keys = newk.clone();
+            let (initial, keys) = (initial.clone(), newk.clone());
             Runtime::new(threads).run(move |wk| {
-                let f = rt_insert_many(wk, &keys, ft);
+                let ft = wk.input(TsTree::from_sorted(wk, &initial));
+                let f = insert_many(wk, &keys, ft, Pipelined);
                 f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
             });
             let t = of.expect();
@@ -163,9 +158,8 @@ fn pipeline_sum_agrees() {
     let n = 5000u64;
     // The eager evaluator nests one native frame per list element; use the
     // big-stack helper for deep pipelines (see pf_core::run_with_big_stack).
-    let (sum_model, _) = pf_core::run_with_big_stack(256 << 20, move || {
-        pf_trees::pipeline::run_pipeline(n, Mode::Pipelined)
-    });
+    let (sum_model, _) =
+        pf_core::run_with_big_stack(256 << 20, move || run_pipeline(n, Mode::Pipelined));
     let (sp, sf) = cell();
     Runtime::new(3).run(move |wk| {
         let (lp, lf) = cell();
@@ -182,12 +176,12 @@ fn quicksort_agrees_with_std_sort() {
         let mut expect = keys.clone();
         expect.sort_unstable();
         // Cost model.
-        let (l, _) = pf_trees::quicksort::run_quicksort(&keys, Mode::Pipelined);
+        let (l, _) = run_quicksort(&keys, Mode::Pipelined);
         assert_eq!(l.collect_vec(), expect);
         // Real runtime.
-        let rl = RList::from_slice_ready(&keys);
         let (op, of) = cell();
-        Runtime::new(4).run(move |wk| qs(wk, rl, RList::Nil, op));
+        Runtime::new(4)
+            .run(move |wk| qs(wk, List::from_slice(wk, &keys), List::Nil, op, Pipelined));
         assert_eq!(of.expect().collect_vec(), expect);
     }
 }
@@ -206,11 +200,11 @@ fn algorithms_are_generic_over_key_types() {
     assert!(c.is_linear());
 
     let (op, of) = cell();
-    let (ta, tb) = (
-        ready(RTree::from_sorted_ready(&a)),
-        ready(RTree::from_sorted_ready(&b)),
-    );
-    Runtime::new(2).run(move |wk| rt_merge(wk, ta, tb, op));
+    let (ka, kb) = (a.clone(), b.clone());
+    Runtime::new(2).run(move |wk| {
+        let tree = |k| wk.input(Tree::from_sorted(wk, k));
+        merge(wk, tree(&ka), tree(&kb), op, Pipelined)
+    });
     assert_eq!(of.expect().to_sorted_vec(), expect);
 
     // Treap union over string keys in the cost model.
@@ -219,7 +213,7 @@ fn algorithms_are_generic_over_key_types() {
         .map(|k| {
             (
                 k.clone(),
-                pf_trees::seq::splitmix64(k.len() as u64 ^ 0x77)
+                splitmix64(k.len() as u64 ^ 0x77)
                     ^ (k.bytes().map(u64::from).sum::<u64>() * 2654435761),
             )
         })
@@ -240,7 +234,7 @@ fn mergesort_agrees_across_all_three_backends() {
         let mut expect = keys.clone();
         expect.sort_unstable();
         // Cost model: deterministic shape, used as the height reference.
-        let (root, _) = pf_trees::mergesort::run_msort(&keys, Mode::Pipelined);
+        let (root, _) = run_msort(&keys, Mode::Pipelined);
         let model = root.get();
         assert_eq!(model.to_sorted_vec(), expect, "n={n}");
         // Sequential oracle: the same generic text at B = Seq.
@@ -266,27 +260,27 @@ fn mergesort_agrees_across_all_three_backends() {
 
 #[test]
 fn quicksort_agrees_across_all_three_backends() {
-    use pf_algs::list::{qs as generic_qs, List};
     for seed in [0u64, 3] {
         let keys = shuffled_keys(400, seed);
         let mut expect = keys.clone();
         expect.sort_unstable();
         // Cost model.
-        let (l, _) = pf_trees::quicksort::run_quicksort(&keys, Mode::Pipelined);
+        let (l, _) = run_quicksort(&keys, Mode::Pipelined);
         assert_eq!(l.collect_vec(), expect, "seed={seed}");
         // Sequential oracle: the same generic text at B = Seq.
         let seq_sorted = Seq::run(|bk| {
             let l = List::from_slice(bk, &keys);
             let (op, of) = bk.cell();
-            generic_qs(bk, l, List::nil(), op, Mode::Pipelined);
+            qs(bk, l, List::nil(), op, Mode::Pipelined);
             List::<Seq, i64>::expect_vec(&of)
         });
         assert_eq!(seq_sorted, expect, "seed={seed}");
         // Real runtime.
         for threads in [1, 4] {
-            let rl = RList::from_slice_ready(&keys);
+            let keys = keys.clone();
             let (op, of) = cell();
-            Runtime::new(threads).run(move |wk| qs(wk, rl, RList::Nil, op));
+            Runtime::new(threads)
+                .run(move |wk| qs(wk, List::from_slice(wk, &keys), List::Nil, op, Pipelined));
             assert_eq!(
                 of.expect().collect_vec(),
                 expect,
@@ -330,7 +324,7 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
     let keys = shuffled_keys(300, 77);
     let mut sorted = keys.clone();
     sorted.sort_unstable();
-    let (mroot, _) = pf_trees::mergesort::run_msort(&keys, Mode::Pipelined);
+    let (mroot, _) = run_msort(&keys, Mode::Pipelined);
     let msort_height = mroot.get().height();
 
     for threads in [1usize, 4] {
@@ -342,7 +336,7 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
 
             let (op, of) = cell();
             let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
-            let stats = rt.run_stats(move |wk| rt_union(wk, ta, tb, op));
+            let stats = rt.run_stats(move |wk| union(wk, ta, tb, op, Pipelined));
             let t = of.expect();
             assert_eq!(t.to_sorted_vec(), union_keys, "union {label} t={threads}");
             assert_eq!(t.height(), union_height, "union {label} t={threads}");
@@ -404,7 +398,7 @@ fn work_first_default_does_not_suspend_at_one_worker() {
     let (child, parent) = both(&|rt| {
         let (op, of) = cell();
         let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
-        let stats = rt.run_stats(move |wk| rt_union(wk, ta, tb, op));
+        let stats = rt.run_stats(move |wk| union(wk, ta, tb, op, Pipelined));
         assert_eq!(of.expect().to_sorted_vec().len(), 800 - 134);
         stats
     });
@@ -417,7 +411,7 @@ fn work_first_default_does_not_suspend_at_one_worker() {
     let (child, parent) = both(&|rt| {
         let (op, of) = cell();
         let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
-        let stats = rt.run_stats(move |wk| rt_diff(wk, ta, tb, op));
+        let stats = rt.run_stats(move |wk| diff(wk, ta, tb, op, Pipelined));
         assert_eq!(of.expect().to_sorted_vec().len(), 400 - found as usize);
         stats
     });
@@ -432,11 +426,8 @@ fn work_first_default_does_not_suspend_at_one_worker() {
     let b: Vec<i64> = (0..333).map(|i| 2 * i + 1).collect();
     let (child, parent) = both(&|rt| {
         let (op, of) = cell();
-        let (ta, tb) = (
-            ready(RTree::from_sorted_ready(&a)),
-            ready(RTree::from_sorted_ready(&b)),
-        );
-        let stats = rt.run_stats(move |wk| rt_merge(wk, ta, tb, op));
+        let [ta, tb] = tree_inputs(rt, &a, &b);
+        let stats = rt.run_stats(move |wk| merge(wk, ta, tb, op, Pipelined));
         assert_eq!(of.expect().to_sorted_vec().len(), 777 + 333);
         stats
     });
@@ -452,11 +443,8 @@ fn repeated_rt_runs_are_deterministic_in_value() {
     let mut first: Option<Vec<i64>> = None;
     for _ in 0..20 {
         let (op, of) = cell();
-        let (ta, tb) = (
-            ready(RTreap::from_entries_ready(&a)),
-            ready(RTreap::from_entries_ready(&b)),
-        );
-        Runtime::new(4).run(move |wk| rt_union(wk, ta, tb, op));
+        let (ta, tb) = (complete_ready(&a), complete_ready(&b));
+        Runtime::new(4).run(move |wk| union(wk, ta, tb, op, Pipelined));
         let keys = of.expect().to_sorted_vec();
         match &first {
             None => first = Some(keys),
@@ -481,11 +469,9 @@ fn union_is_bit_identical_under_concurrent_panicking_sibling() {
 
     // Solo baseline on the same pool.
     let (op, of) = cell();
-    let (ta, tb) = (
-        ready(RTreap::from_entries_ready(&a)),
-        ready(RTreap::from_entries_ready(&b)),
-    );
-    rt.try_run(move |wk| rt_union(wk, ta, tb, op)).unwrap();
+    let (ta, tb) = (complete_ready(&a), complete_ready(&b));
+    rt.try_run(move |wk| union(wk, ta, tb, op, Pipelined))
+        .unwrap();
     let solo = of.expect();
     let (solo_keys, solo_height) = (solo.to_sorted_vec(), solo.height());
 
@@ -501,11 +487,8 @@ fn union_is_bit_identical_under_concurrent_panicking_sibling() {
             .unwrap_err()
         });
         let (op, of) = cell();
-        let (ta, tb) = (
-            ready(RTreap::from_entries_ready(&a)),
-            ready(RTreap::from_entries_ready(&b)),
-        );
-        rt.try_run(move |wk| rt_union(wk, ta, tb, op))
+        let (ta, tb) = (complete_ready(&a), complete_ready(&b));
+        rt.try_run(move |wk| union(wk, ta, tb, op, Pipelined))
             .expect("union session alongside a panicking sibling");
         let t = of.expect();
         assert_eq!(t.to_sorted_vec(), solo_keys, "round {round}: keys diverged");
@@ -563,9 +546,7 @@ const ALL: Option<usize> = None;
 const SIZED: Option<usize> = Some(0);
 
 fn reprio(e: &[(i64, u64)]) -> Entries {
-    e.iter()
-        .map(|&(k, p)| (k, pf_trees::seq::splitmix64(p)))
-        .collect()
+    e.iter().map(|&(k, p)| (k, splitmix64(p))).collect()
 }
 
 /// On complete operands pf-rt runs plain code below the grain and splits
@@ -576,7 +557,6 @@ fn reprio(e: &[(i64, u64)]) -> Entries {
 /// `PlainTreap`'s tree at 1, 2 and 4 threads.
 #[test]
 fn cutoff_builds_the_same_trees_on_the_runtime() {
-    use pf_rt_algs::rtreap::{intersect as rt_intersect, union_many as rt_union_many};
     let x = entries((0..120).map(|i| 3 * i));
     let cases: Vec<(Entries, Entries)> = vec![
         (vec![], vec![]),
@@ -624,10 +604,10 @@ fn cutoff_builds_the_same_trees_on_the_runtime() {
                 let outs = [cell(), cell(), cell(), cell()];
                 let [(u, uf), (d, df), (n, nf), (m, mf)] = outs;
                 rt.run(move |wk| {
-                    rt_union(wk, fa.clone(), fb.clone(), u);
-                    rt_diff(wk, fa.clone(), fb.clone(), d);
-                    rt_intersect(wk, fa, fb, n);
-                    rt_union_many(wk, many).touch(wk, move |v, wk| m.fulfill(wk, v));
+                    union(wk, fa.clone(), fb.clone(), u, Pipelined);
+                    diff(wk, fa.clone(), fb.clone(), d, Pipelined);
+                    intersect(wk, fa, fb, n, Pipelined);
+                    union_many(wk, many, Pipelined).touch(wk, move |v, wk| m.fulfill(wk, v));
                 });
                 for (op, (got, want)) in [uf, df, nf, mf].iter().zip(&want).enumerate() {
                     let what = format!("case {i} op {op} crust=({sa:?},{sb:?}) threads={threads}");
@@ -646,7 +626,6 @@ fn cutoff_builds_the_same_trees_on_the_runtime() {
 #[test]
 fn eight_waves_chain_through_unresolved_cells() {
     use pf_rt::{SchedPolicy, SpawnOrder};
-    use pf_rt_algs::rtreap::union_many as rt_union_many;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(16);
     let root = entries((0..20_000).map(|i| 5 * i));
@@ -688,12 +667,12 @@ fn eight_waves_chain_through_unresolved_cells() {
                 Runtime::with_policy(threads, policy).run(move |wk| {
                     for (insert, groups) in waves {
                         let futs = groups.iter().map(|g| rt_input(g, true)).collect();
-                        let batch = rt_union_many(wk, futs);
+                        let batch = union_many(wk, futs, Pipelined);
                         let (p, f) = cell();
                         if insert {
-                            rt_union(wk, state, batch, p);
+                            union(wk, state, batch, p, Pipelined);
                         } else {
-                            rt_diff(wk, state, batch, p);
+                            diff(wk, state, batch, p, Pipelined);
                         }
                         state = f;
                     }
@@ -717,7 +696,9 @@ fn eight_waves_chain_through_unresolved_cells() {
 #[test]
 fn aborted_window_leaves_the_old_root_sized_and_usable() {
     use std::time::Duration;
-    let root = RTreap::from_entries_ready(&entries((0..5000).map(|i| 3 * i)));
+    let root = RTreap::from_plain_complete(&PlainTreap::from_entries(&entries(
+        (0..5000).map(|i| 3 * i),
+    )));
     let (lost, next) = (entries(0..300), entries((0..300).map(|i| 7 * i)));
     let rt = Runtime::new(2);
 
@@ -727,14 +708,14 @@ fn aborted_window_leaves_the_old_root_sized_and_usable() {
         pf_rt::Session::new().deadline(Duration::from_millis(100)),
         move |wk| {
             let (p, f) = cell();
-            rt_union(wk, state, rt_input(&lost, true), p);
+            union(wk, state, rt_input(&lost, true), p, Pipelined);
             wk.spawn(|wk| {
                 while !wk.cancelled() {
                     std::hint::spin_loop();
                 }
             });
             let (p2, f2) = cell();
-            rt_diff(wk, f, rt_input(&lost, true), p2);
+            diff(wk, f, rt_input(&lost, true), p2, Pipelined);
             f2.touch(wk, move |v, wk| op.fulfill(wk, v));
         },
     );
@@ -745,7 +726,7 @@ fn aborted_window_leaves_the_old_root_sized_and_usable() {
 
     let (state, batch) = (ready(root), rt_input(&next, true));
     let (op, of) = cell();
-    rt.run(move |wk| rt_union(wk, state, batch, op));
+    rt.run(move |wk| union(wk, state, batch, op, Pipelined));
     let want = PlainTreap::union(
         PlainTreap::from_entries(&entries((0..5000).map(|i| 3 * i))),
         PlainTreap::from_entries(&next),

@@ -14,32 +14,22 @@
 //! the depth bound is demonstrably the DAG the runtime executes (same
 //! algorithm, same input, same output shape), not an artifact of `Sim`.
 
+use pf_algs::treap::union;
+use pf_algs::two_six::{insert_many, TsTree};
+use pf_algs::{Mode, PipeBackend};
+use pf_bench::sim::{insert_many_on, union_on};
 use pf_core::Sim;
 use pf_machine::{replay, Discipline, INFINITE_P};
-use pf_rt::{cell, ready, Runtime};
-use pf_rt_algs::rtreap::union as rt_union;
-use pf_rt_algs::rtwosix::{insert_many as rt_insert_many, RTsTree, RtTsTree};
+use pf_rt::{cell, Runtime};
 use pf_tests::{entries, unsized_ready};
-use pf_trees::treap::{union, SimTreap, Treap};
-use pf_trees::two_six::{insert_many, SimTsTree, TsTree};
-use pf_trees::Mode;
 
 #[test]
 fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
     let a = entries((0..300).map(|i| 3 * i));
     let b = entries((0..300).map(|i| 2 * i));
 
-    // Simulator, traced. `run_union` doesn't trace, so inline its body.
-    let (a2, b2) = (a.clone(), b.clone());
-    let (of, report, trace) = Sim::new().run_traced(move |ctx| {
-        let ta = Treap::preload_entries(ctx, &a2);
-        let tb = Treap::preload_entries(ctx, &b2);
-        let fa = ctx.preload(ta);
-        let fb = ctx.preload(tb);
-        let (op, of) = ctx.promise();
-        union(ctx, fa, fb, op, Mode::Pipelined);
-        of
-    });
+    // Simulator, traced.
+    let (of, report, trace) = Sim::new().run_traced(|ctx| union_on(ctx, &a, &b, Mode::Pipelined));
     let model = of.get();
     assert!(model.check_invariants());
     let (keys, height) = (model.to_sorted_vec(), model.height());
@@ -60,7 +50,8 @@ fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
     for threads in [1, 2, 4] {
         let (op, of) = cell();
         let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
-        let rstats = Runtime::new(threads).run_stats(move |wk| rt_union(wk, ta, tb, op));
+        let rstats =
+            Runtime::new(threads).run_stats(move |wk| union(wk, ta, tb, op, Mode::Pipelined));
         let t = of.expect();
         assert!(t.check_invariants(), "threads={threads}");
         assert_eq!(t.to_sorted_vec(), keys, "threads={threads}");
@@ -84,12 +75,8 @@ fn two_six_insert_replay_meets_depth_bound_and_rt_agrees() {
     let initial: Vec<i64> = (0..200).map(|i| 2 * i).collect();
     let keys: Vec<i64> = (0..150).map(|i| 2 * i + 1).collect();
 
-    let (i2, k2) = (initial.clone(), keys.clone());
-    let (ft, report, trace) = Sim::new().run_traced(move |ctx| {
-        let t = TsTree::preload_from_sorted(ctx, &i2);
-        let f = ctx.preload(t);
-        insert_many(ctx, &k2, f, Mode::Pipelined)
-    });
+    let (ft, report, trace) =
+        Sim::new().run_traced(|ctx| insert_many_on(ctx, &initial, &keys, Mode::Pipelined));
     let model = ft.get();
     model.validate().expect("sim 2-6 tree invariants");
     let model_keys = model.to_sorted_vec();
@@ -106,8 +93,8 @@ fn two_six_insert_replay_meets_depth_bound_and_rt_agrees() {
         let (op, of) = cell();
         let (i3, k3) = (initial.clone(), keys.clone());
         let rstats = Runtime::new(threads).run_stats(move |wk| {
-            let t = ready(RTsTree::from_sorted_ready(&i3));
-            let f = rt_insert_many(wk, &k3, t);
+            let t = wk.input(TsTree::from_sorted(wk, &i3));
+            let f = insert_many(wk, &k3, t, Mode::Pipelined);
             f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
         });
         let t = of.expect();
