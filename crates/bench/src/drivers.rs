@@ -7,11 +7,11 @@
 use std::time::{Duration, Instant};
 
 use pf_algs::plain::{Entry, PlainTreap};
-use pf_algs::treap::{diff, union, Treap};
+use pf_algs::treap::{union, Treap};
 use pf_algs::tree::Tree;
 use pf_algs::two_six::TsTree;
-use pf_algs::{Key, Mode, PipeBackend, Val};
-use pf_rt::{cell, ready, FutRead, Runtime, Session, SessionError, Worker};
+use pf_algs::{Mode, PipeBackend, Val};
+use pf_rt::{cell, ready, FutRead, Runtime, Worker};
 
 /// Build an input on a worker of `rt` in an untimed session of its own
 /// (`Worker` has no constructor outside one) and hand it back.
@@ -141,39 +141,6 @@ pub fn time_rebalance_rt(n: usize, threads: usize) -> Duration {
     dt
 }
 
-/// Apply one insert (union) or delete (diff) batch to a treap root inside
-/// a fault-contained session, optionally under a per-batch deadline.
-///
-/// This is the error-aware entry a long-lived service front end wants:
-/// the batch runs via [`Runtime::try_run_session`], so a panic inside the
-/// operation, a deadline expiry, or a pool stall comes back as
-/// `Err(SessionError)` with the pool intact — the caller keeps serving
-/// from its previous root (treap nodes are shared, so cloning the root to
-/// keep it is O(1)). On `Ok`, quiescence guarantees the output cell is
-/// written, so the unwrap inside never fires.
-pub fn try_apply_batch<K: Key>(
-    rt: &Runtime,
-    state: Treap<Worker, K>,
-    batch: Treap<Worker, K>,
-    delete: bool,
-    deadline: Option<Duration>,
-) -> Result<Treap<Worker, K>, SessionError> {
-    let (fs, fb) = (ready(state), ready(batch));
-    let (op, of) = cell();
-    let mut sess = Session::new();
-    if let Some(d) = deadline {
-        sess = sess.deadline(d);
-    }
-    rt.try_run_session(sess, move |wk| {
-        if delete {
-            diff(wk, fs, fb, op, Mode::Pipelined)
-        } else {
-            union(wk, fs, fb, op, Mode::Pipelined)
-        }
-    })?;
-    Ok(of.expect())
-}
-
 /// Run `f` `reps` times and return the minimum (the standard noise filter
 /// for wall-clock microbenchmarks).
 pub fn best_of(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
@@ -201,28 +168,6 @@ mod tests {
         let b: Vec<i64> = (0..4000).map(|i| 2 * i + 1).collect();
         assert!(time_merge_rt(&a, &b, 2) > Duration::ZERO);
         assert!(time_merge_seq(&a, &b) > Duration::ZERO);
-    }
-
-    #[test]
-    fn try_apply_batch_round_trips() {
-        let (a, b) = union_entries(600, 120, 11);
-        let rt = Runtime::shared(2);
-        let complete = |e| Treap::from_plain_complete(&PlainTreap::from_entries(e));
-        let (state, batch) = (complete(&a), complete(&b));
-        let merged =
-            try_apply_batch(&rt, state, batch, false, Some(Duration::from_secs(30))).unwrap();
-        let shrunk = try_apply_batch(&rt, merged.clone(), complete(&b), true, None).unwrap();
-        let want: std::collections::BTreeSet<i64> = a
-            .iter()
-            .map(|e| e.0)
-            .filter(|k| !b.iter().any(|e| e.0 == *k))
-            .collect();
-        assert_eq!(
-            shrunk.to_sorted_vec().len(),
-            want.len(),
-            "union then diff of the same batch leaves exactly the non-batch keys"
-        );
-        assert!(merged.to_sorted_vec().len() >= a.len().max(b.len()));
     }
 
     #[test]

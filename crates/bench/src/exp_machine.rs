@@ -250,7 +250,6 @@ pub fn e17_steal(lg_n: u32, ps: &[usize]) -> Table {
                 p,
                 steal_latency: 3,
                 seed: 0xFEED + p as u64,
-                ..StealConfig::default()
             };
             let st = steal_replay(&tr, cfg);
             assert!(

@@ -19,7 +19,6 @@ use pf_rt::{cell, Runtime};
 use {
     crate::drivers::{on_worker, treap_inputs},
     pf_algs::{plain::Entry, two_six::TsTree, PipeBackend},
-    pf_rt::Session,
 };
 
 use crate::baselines::{
@@ -249,51 +248,30 @@ pub fn e15_cells(rounds: usize, cells_per_round: usize) -> Table {
     t
 }
 
-/// One traced treap-union session under `policy` on `rt` (the E20/E21
-/// workload — same entries the simulator trace was captured from),
-/// returning (wall-clock, stats). Tree construction is an untimed session
-/// of its own — E21 measures the scheduler, not the workload setup.
+/// One traced treap-union session on `rt` (the E20 workload — same
+/// entries the simulator trace was captured from), returning its stats.
+/// Tree construction is an untimed session of its own.
 #[cfg(feature = "trace")]
-fn traced_union(
-    ea: &[Entry<i64>],
-    eb: &[Entry<i64>],
-    rt: &Runtime,
-    policy: pf_rt::SchedPolicy,
-) -> (Duration, pf_rt::RunStats) {
+fn traced_union(ea: &[Entry<i64>], eb: &[Entry<i64>], rt: &Runtime) -> pf_rt::RunStats {
     let [fa, fb] = treap_inputs(rt, ea, eb);
     let (op, of) = cell();
-    let t0 = Instant::now();
-    let stats = rt
-        .try_run_session(Session::new().policy(policy), move |wk| {
-            pf_algs::treap::union(wk, fa, fb, op, Mode::Pipelined)
-        })
-        .expect("union session completes under every policy");
-    let dt = t0.elapsed();
+    let stats = rt.run_stats(move |wk| pf_algs::treap::union(wk, fa, fb, op, Mode::Pipelined));
     assert!(of.expect().to_sorted_vec().len() >= ea.len().max(eb.len()));
-    (dt, stats)
+    stats
 }
 
-/// One traced 2-6 bulk-insert session under `policy` on `rt` (E20/E21).
+/// One traced 2-6 bulk-insert session on `rt` (E20).
 #[cfg(feature = "trace")]
-fn traced_insert(
-    initial: &[i64],
-    newk: &[i64],
-    rt: &Runtime,
-    policy: pf_rt::SchedPolicy,
-) -> (Duration, pf_rt::RunStats) {
+fn traced_insert(initial: &[i64], newk: &[i64], rt: &Runtime) -> pf_rt::RunStats {
     let (initial_v, keys) = (initial.to_vec(), newk.to_vec());
     let ft = on_worker(rt, move |wk| wk.input(TsTree::from_sorted(wk, &initial_v)));
     let (op, of) = cell();
-    let t0 = Instant::now();
-    let stats = rt
-        .try_run_session(Session::new().policy(policy), move |wk| {
-            let f = pf_algs::two_six::insert_many(wk, &keys, ft, Mode::Pipelined);
-            f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
-        })
-        .expect("insert session completes under every policy");
-    let dt = t0.elapsed();
+    let stats = rt.run_stats(move |wk| {
+        let f = pf_algs::two_six::insert_many(wk, &keys, ft, Mode::Pipelined);
+        f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
+    });
     assert!(of.expect().to_sorted_vec().len() >= initial.len());
-    (dt, stats)
+    stats
 }
 
 /// E20 — the first measured-vs-model scheduler comparison: run treap
@@ -350,16 +328,15 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
                     p: th,
                     steal_latency: 3,
                     seed: 0xFEED + th as u64,
-                    ..StealConfig::default()
                 },
             );
             let (mut steals, mut suspends, mut execs, mut parks) = (0f64, 0f64, 0f64, 0f64);
-            let (rt, policy) = (Runtime::shared(th), pf_rt::SchedPolicy::default());
+            let rt = Runtime::shared(th);
             for _ in 0..reps {
-                let (_, stats) = if *name == "union" {
-                    traced_union(&ea, &eb, &rt, policy)
+                let stats = if *name == "union" {
+                    traced_union(&ea, &eb, &rt)
                 } else {
-                    traced_insert(&initial, &newk, &rt, policy)
+                    traced_insert(&initial, &newk, &rt)
                 };
                 let ts = stats.trace.as_ref().expect("traced build attaches stats");
                 steals += ts.steals() as f64;
@@ -381,92 +358,6 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
         out.push(t);
     }
     out
-}
-
-/// E21 — the E12 scaling sweep extended to per-policy curves: every
-/// point of [`pf_rt::SchedPolicy::matrix`] (2 steal × 2 victim × 3
-/// resume × 2 spawn-order = 24 policies) measured at each thread count
-/// on the two E20 DAGs (treap union, 2-6 bulk insert). Per point the
-/// table reports best-of-`reps` wall-clock plus mean steal and suspend
-/// counts straight from the exact [`pf_rt::TraceStats`] counters; the
-/// deviations column is the `steals + suspends` proxy for the paper's
-/// schedule deviations (each steal and each suspension is a point where
-/// the parallel execution departed from the serial one).
-///
-/// What to look for: t=1 rows have zero steals everywhere (policy
-/// cannot matter for victims that do not exist); steal-half rows move
-/// the same task count in fewer episodes, so their deviations track the
-/// steal-one rows while wall-clock stays flat; inline resume trades
-/// suspension parks for stack depth; mailbox resume shifts resumes onto
-/// the cell-owning worker without changing totals.
-#[cfg(feature = "trace")]
-pub fn e21_policy_sweep(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Table> {
-    use pf_rt::SchedPolicy;
-
-    let n = 1usize << lg_n;
-    let (ea, eb) = union_entries(n, n, 11);
-    let initial = sorted_keys(n, 2);
-    let m = (n / 16).max(4);
-    let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-
-    let headers = [
-        "policy",
-        "threads",
-        "time (ms)",
-        "steals",
-        "suspends",
-        "deviations",
-    ];
-    let mut tu = Table::new(
-        format!("E21a treap union per-policy scaling, n = m = {n} (best of {reps})"),
-        &headers,
-    );
-    let mut ti = Table::new(
-        format!("E21b 2-6 bulk insert per-policy scaling, n = {n}, m = {m} (best of {reps})"),
-        &headers,
-    );
-    for policy in SchedPolicy::matrix() {
-        for &th in threads {
-            let rt = Runtime::with_policy(th, policy);
-            let mut best = Duration::MAX;
-            let (mut steals, mut susp) = (0u64, 0u64);
-            for _ in 0..reps {
-                let (dt, stats) = traced_union(&ea, &eb, &rt, policy);
-                best = best.min(dt);
-                let ts = stats.trace.as_ref().expect("traced build");
-                steals += ts.steals();
-                susp += ts.suspends();
-            }
-            let r = reps as u64;
-            tu.row(vec![
-                policy.label(),
-                u(th as u64),
-                ms(best),
-                f2(steals as f64 / r as f64),
-                f2(susp as f64 / r as f64),
-                f2((steals + susp) as f64 / r as f64),
-            ]);
-
-            let mut best = Duration::MAX;
-            let (mut steals, mut susp) = (0u64, 0u64);
-            for _ in 0..reps {
-                let (dt, stats) = traced_insert(&initial, &newk, &rt, policy);
-                best = best.min(dt);
-                let ts = stats.trace.as_ref().expect("traced build");
-                steals += ts.steals();
-                susp += ts.suspends();
-            }
-            ti.row(vec![
-                policy.label(),
-                u(th as u64),
-                ms(best),
-                f2(steals as f64 / reps as f64),
-                f2(susp as f64 / reps as f64),
-                f2((steals + susp) as f64 / reps as f64),
-            ]);
-        }
-    }
-    vec![tu, ti]
 }
 
 /// Consistency check used by E12: the runtime and the cost model compute

@@ -40,21 +40,18 @@ use std::sync::Arc;
 use pf_check::sync::thread;
 use pf_check::CheckBuilder;
 
-use pf_rt::deque::{deque, Steal, MAX_STEAL_BATCH};
-use pf_rt::{
-    cell, CancelToken, ResumePlace, Runtime, SchedPolicy, Session, SessionError, SpawnOrder,
-};
+use pf_rt::deque::{deque, Steal};
+use pf_rt::{cell, CancelToken, Runtime, Session, SessionError, SpawnOrder};
 
-/// Parent-first: every `spawn` is a push. The models that fork with
+/// A parent-first pool: every `spawn` is a push. The models that fork with
 /// `spawn` are about pushes racing parks, steals, aborts and cell
 /// hand-offs; under the default work-first order a `spawn` runs inline
 /// and makes no queue traffic to explore. The `spawn2` models keep the
 /// default (one child pushed, one run inline).
-fn pushing() -> SchedPolicy {
-    SchedPolicy {
-        spawn: SpawnOrder::ParentFirst,
-        ..SchedPolicy::default()
-    }
+fn pushing(threads: usize) -> Runtime {
+    Runtime::builder(threads)
+        .spawn_order(SpawnOrder::ParentFirst)
+        .build()
 }
 
 /// Exploration budgets for models embedding the full `Runtime` (worker
@@ -220,7 +217,7 @@ fn pool_quiescence_no_lost_wakeup() {
     rt_budget().run(|| {
         let done = Arc::new(AtomicUsize::new(0));
         let d2 = Arc::clone(&done);
-        let rt = Runtime::with_policy(2, pushing());
+        let rt = pushing(2);
         rt.run(move |wk| {
             let (a, b) = (Arc::clone(&d2), Arc::clone(&d2));
             wk.spawn(move |_| {
@@ -242,7 +239,7 @@ fn pool_quiescence_no_lost_wakeup() {
 #[test]
 fn pool_two_sessions_reuse() {
     rt_budget().run(|| {
-        let rt = Runtime::with_policy(2, pushing());
+        let rt = pushing(2);
         for round in 0..2usize {
             let (w, r) = cell::<usize>();
             rt.run(move |wk| {
@@ -262,7 +259,7 @@ fn pool_two_sessions_reuse() {
 #[test]
 fn pool_panic_rendezvous_leaves_pool_reusable() {
     rt_budget().run(|| {
-        let rt = Runtime::with_policy(2, pushing());
+        let rt = pushing(2);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.run(|wk| {
                 wk.spawn(|_| {});
@@ -290,7 +287,7 @@ fn pool_single_worker_suspend_resume() {
     rt_budget().run(|| {
         let (w, r) = cell::<u32>();
         let (ow, or) = cell::<u32>();
-        let rt = Runtime::with_policy(1, pushing());
+        let rt = pushing(1);
         rt.run(move |wk| {
             r.touch(wk, move |v, wk| ow.fulfill(wk, v + 1));
             wk.spawn(move |wk| w.fulfill(wk, 10));
@@ -367,200 +364,6 @@ fn cell_waiter_handoff_after_suspension() {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling policies (PR 8): mailbox handoff, inline resume, steal-half
-// ---------------------------------------------------------------------------
-
-/// A thief's batched `steal_half_into` races the owner's pops on the
-/// last few elements: every element must be claimed exactly once across
-/// the batch steal and the pops — the batched primitive must not
-/// double-claim against a concurrent `pop` (the reason it is built from
-/// repeated single steals rather than a range CAS).
-#[cfg(not(pf_check_lost_wakeup))]
-#[test]
-fn deque_steal_half_vs_owner_pop_exactly_once() {
-    small_budget().run(|| {
-        const N: usize = 4;
-        let q = deque::<Box<usize>>();
-        for i in 1..=N {
-            q.push(Box::new(i));
-        }
-        let s = q.stealer();
-        let claimed = Arc::new(AtomicUsize::new(0));
-        let sum = Arc::new(AtomicUsize::new(0));
-        let (c2, s2) = (Arc::clone(&claimed), Arc::clone(&sum));
-        let thief = thread::spawn(move || {
-            let dst = deque::<Box<usize>>();
-            for _ in 0..3 {
-                match s.steal_half_into(&dst, MAX_STEAL_BATCH) {
-                    Steal::Success((first, _extra)) => {
-                        c2.fetch_add(1, Ordering::Relaxed);
-                        s2.fetch_add(*first, Ordering::Relaxed);
-                        break;
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => {}
-                }
-            }
-            while let Some(v) = dst.pop() {
-                c2.fetch_add(1, Ordering::Relaxed);
-                s2.fetch_add(*v, Ordering::Relaxed);
-            }
-        });
-        while let Some(v) = q.pop() {
-            claimed.fetch_add(1, Ordering::Relaxed);
-            sum.fetch_add(*v, Ordering::Relaxed);
-        }
-        thief.join().unwrap();
-        // Anything the thief left behind (Retry exhaustion) stays with
-        // the owner; claim it now.
-        while let Some(v) = q.pop() {
-            claimed.fetch_add(1, Ordering::Relaxed);
-            sum.fetch_add(*v, Ordering::Relaxed);
-        }
-        assert_eq!(claimed.load(Ordering::Relaxed), N);
-        assert_eq!(
-            sum.load(Ordering::Relaxed),
-            N * (N + 1) / 2,
-            "an element was lost, duplicated, or torn by the batched steal"
-        );
-    });
-}
-
-/// Mailbox resume under the fulfill-vs-touch race: the fulfiller hands
-/// the resumed waiter to the *cell-owning* worker's mailbox and issues a
-/// targeted wakeup. The lost-wakeup hazard: the owner parks right as the
-/// handoff lands. In every interleaving the continuation runs exactly
-/// once and the session reaches quiescence (a missed mailbox wakeup
-/// shows up as the deadlock oracle firing).
-#[cfg(not(pf_check_lost_wakeup))]
-#[test]
-fn pool_mailbox_handoff_no_lost_wakeup() {
-    rt_budget().run(|| {
-        let policy = SchedPolicy {
-            resume: ResumePlace::Mailbox,
-            ..SchedPolicy::default()
-        };
-        let runs = Arc::new(AtomicUsize::new(0));
-        let r2 = Arc::clone(&runs);
-        let (w, r) = cell::<u32>();
-        let rt = Runtime::with_policy(2, policy);
-        rt.run(move |wk| {
-            let counter = Arc::clone(&r2);
-            wk.spawn2(
-                move |wk| w.fulfill(wk, 4),
-                move |wk| {
-                    r.touch(wk, move |v, _| {
-                        assert_eq!(v, 4);
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    })
-                },
-            );
-        });
-        assert_eq!(runs.load(Ordering::Relaxed), 1);
-        drop(rt);
-    });
-}
-
-/// Mailbox resume with a forced suspension (touch strictly before the
-/// write, sequenced on the root): the waiter crosses via the owner's
-/// mailbox even when the fulfiller is another worker, and a later
-/// session on the same pool must find the mailboxes empty.
-#[cfg(not(pf_check_lost_wakeup))]
-#[test]
-fn pool_mailbox_forced_suspension_then_reuse() {
-    rt_budget().run(|| {
-        let policy = SchedPolicy {
-            resume: ResumePlace::Mailbox,
-            ..pushing()
-        };
-        let runs = Arc::new(AtomicUsize::new(0));
-        let r2 = Arc::clone(&runs);
-        let (w, r) = cell::<u32>();
-        let rt = Runtime::with_policy(2, policy);
-        rt.run(move |wk| {
-            let counter = Arc::clone(&r2);
-            r.touch(wk, move |v, _| {
-                assert_eq!(v, 8);
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-            wk.spawn(move |wk| w.fulfill(wk, 8));
-        });
-        assert_eq!(runs.load(Ordering::Relaxed), 1);
-        let (w2, out) = cell::<u32>();
-        rt.run(move |wk| {
-            wk.spawn(move |wk| w2.fulfill(wk, 2));
-        });
-        assert_eq!(out.expect(), 2);
-        drop(rt);
-    });
-}
-
-/// Inline (LIFO-front) resume under the same race: the fulfiller runs
-/// the waiter in its own stack frame, which transfers the waiter's
-/// liveness unit without touching a queue — quiescence accounting must
-/// survive every interleaving (an over-decrement would end the session
-/// early and lose the continuation; an under-decrement would hang it).
-#[cfg(not(pf_check_lost_wakeup))]
-#[test]
-fn pool_inline_resume_exactly_once() {
-    rt_budget().run(|| {
-        let policy = SchedPolicy {
-            resume: ResumePlace::Inline,
-            ..SchedPolicy::default()
-        };
-        let runs = Arc::new(AtomicUsize::new(0));
-        let r2 = Arc::clone(&runs);
-        let (w, r) = cell::<u32>();
-        let rt = Runtime::with_policy(2, policy);
-        rt.run(move |wk| {
-            let counter = Arc::clone(&r2);
-            wk.spawn2(
-                move |wk| w.fulfill(wk, 6),
-                move |wk| {
-                    r.touch(wk, move |v, _| {
-                        assert_eq!(v, 6);
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    })
-                },
-            );
-        });
-        assert_eq!(runs.load(Ordering::Relaxed), 1);
-        drop(rt);
-    });
-}
-
-/// An abort with a waiter parked in a worker's mailbox: the injected
-/// panic races the mailbox handoff, and the abort cleanup must drain
-/// mailboxes too — a leaked mailbox task would either leak its boxed
-/// closure or corrupt the next session's accounting.
-#[cfg(not(pf_check_lost_wakeup))]
-#[test]
-fn pool_mailbox_abort_drains_cleanly() {
-    rt_budget().run(|| {
-        let policy = SchedPolicy {
-            resume: ResumePlace::Mailbox,
-            ..pushing()
-        };
-        let rt = Runtime::with_policy(2, policy);
-        let (w, r) = cell::<u32>();
-        let res = rt.try_run_session(Session::new(), move |wk| {
-            r.touch(wk, |_v, _wk| {});
-            wk.spawn(move |wk| w.fulfill(wk, 1));
-            wk.spawn(|_| panic!("model mailbox boom"));
-        });
-        assert!(res.is_err(), "the injected panic must abort the session");
-        // The pool must be fully clean for the next session.
-        let (w2, out) = cell::<u32>();
-        rt.try_run(move |wk| {
-            wk.spawn(move |wk| w2.fulfill(wk, 3));
-        })
-        .unwrap();
-        assert_eq!(out.expect(), 3);
-        drop(rt);
-    });
-}
-
-// ---------------------------------------------------------------------------
 // Fault containment: recoverable aborts, poisoning, cancellation
 // ---------------------------------------------------------------------------
 
@@ -572,7 +375,7 @@ fn pool_mailbox_abort_drains_cleanly() {
 #[test]
 fn try_run_abort_rendezvous_under_injected_panic() {
     rt_budget().run(|| {
-        let rt = Runtime::with_policy(2, pushing());
+        let rt = pushing(2);
         let err = rt
             .try_run(|wk| {
                 wk.spawn(|_| {});
@@ -601,7 +404,7 @@ fn try_run_abort_rendezvous_under_injected_panic() {
 #[test]
 fn poison_then_touch_fails_fast() {
     rt_budget().run(|| {
-        let rt = Runtime::with_policy(2, pushing());
+        let rt = pushing(2);
         let (_w, r) = cell::<u32>(); // never fulfilled
         let r_in = r.clone();
         let err = rt
@@ -631,7 +434,7 @@ fn poison_then_touch_fails_fast() {
 #[test]
 fn cancel_racing_fulfill() {
     rt_budget().run(|| {
-        let rt = Runtime::with_policy(2, pushing());
+        let rt = pushing(2);
         let tok = CancelToken::new();
         let t2 = tok.clone();
         let canceller = thread::spawn(move || t2.cancel());
@@ -667,7 +470,7 @@ fn cancel_racing_fulfill() {
 #[test]
 fn two_concurrent_sessions_both_complete() {
     rt_budget().run(|| {
-        let rt = Arc::new(Runtime::with_policy(2, pushing()));
+        let rt = Arc::new(pushing(2));
         let rt2 = Arc::clone(&rt);
         let other = thread::spawn(move || {
             let (w, r) = cell::<u32>();
@@ -699,7 +502,7 @@ fn two_concurrent_sessions_both_complete() {
 #[test]
 fn concurrent_abort_is_isolated_to_its_slot() {
     rt_budget().run(|| {
-        let rt = Arc::new(Runtime::with_policy(2, pushing()));
+        let rt = Arc::new(pushing(2));
         let rt2 = Arc::clone(&rt);
         let faulty = thread::spawn(move || {
             let (_w, r) = cell::<u32>(); // never written; poisoned on abort
@@ -737,7 +540,7 @@ fn concurrent_abort_is_isolated_to_its_slot() {
 #[test]
 fn concurrent_cancel_hits_only_its_slot() {
     rt_budget().run(|| {
-        let rt = Arc::new(Runtime::with_policy(2, pushing()));
+        let rt = Arc::new(pushing(2));
         let rt2 = Arc::clone(&rt);
         let tok = CancelToken::new();
         tok.cancel();
@@ -785,7 +588,7 @@ fn seeded_lost_wakeup_is_caught() {
         .run(|| {
             let done = Arc::new(AtomicUsize::new(0));
             let d2 = Arc::clone(&done);
-            let rt = Runtime::with_policy(2, pushing());
+            let rt = pushing(2);
             rt.run(move |wk| {
                 let (a, b) = (Arc::clone(&d2), Arc::clone(&d2));
                 wk.spawn(move |_| {

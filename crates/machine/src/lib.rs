@@ -56,4 +56,4 @@ pub mod steal;
 
 pub use models::{predicted_time, pvw_time, Machine};
 pub use replay::{replay, replay_with, Discipline, ReplayStats, Suspension, INFINITE_P};
-pub use steal::{steal_replay, StealConfig, StealPolicy, StealStats};
+pub use steal::{steal_replay, StealConfig, StealStats};

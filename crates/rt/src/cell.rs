@@ -27,7 +27,7 @@
 //! nothing is ever read through the word while another thread may free
 //! it. A cell nobody suspended in — all but a few percent of them under
 //! the default work-first spawn order — therefore carries and initialises
-//! no waiter, owner, session or poison words at all.
+//! no waiter, session or poison words at all.
 //!
 //! The value itself stays in the cell (the waiter receives a clone), so
 //! finished data structures can be inspected after the run with
@@ -35,8 +35,7 @@
 //!
 //! The **suspension record** is the one allocation a suspending touch
 //! makes: the waiter's session (so a *cross-session* fulfill resumes the
-//! waiter into its own session, not the writer's), the index of the
-//! worker that suspended (the mailbox resume target), and the
+//! waiter into its own session, not the writer's) and the
 //! continuation, which captures the cell (an `Arc`) and clones the value
 //! out when it runs. The writer hands the record to the scheduler as-is.
 //! While a record sits in a cell, the cell keeps itself alive through the
@@ -102,9 +101,6 @@ struct SuspHead {
     /// The waiter's session — its accounting/abort identity. Taken by
     /// the writer when it queues the record.
     session: Option<Arc<SessionSlot>>,
-    /// Index of the worker whose touch suspended here — the resume
-    /// target under the mailbox policy.
-    owner: usize,
     /// Runs the continuation and frees the record.
     run: unsafe fn(NonNull<SuspHead>, &Worker),
     /// Frees the record without running it.
@@ -139,19 +135,18 @@ unsafe fn free_record<F>(p: NonNull<SuspHead>) {
 struct Suspension(NonNull<SuspHead>);
 
 // SAFETY: the record holds an `Arc<SessionSlot>` (the slot is shared by
-// every worker already), a `usize`, two fn pointers, and a continuation
+// every worker already), two fn pointers, and a continuation
 // that `new` requires to be `Send`; the handle owns it exclusively.
 unsafe impl Send for Suspension {}
 
 impl Suspension {
-    fn new<F>(session: Arc<SessionSlot>, owner: usize, cont: F) -> Suspension
+    fn new<F>(session: Arc<SessionSlot>, cont: F) -> Suspension
     where
         F: FnOnce(&Worker) + Send + 'static,
     {
         let rec = Box::new(Suspended {
             head: SuspHead {
                 session: Some(session),
-                owner,
                 run: run_record::<F>,
                 free: free_record::<F>,
             },
@@ -178,13 +173,12 @@ impl Suspension {
         Suspension(unsafe { NonNull::new_unchecked((word & !TAG) as *mut SuspHead) })
     }
 
-    /// The waiter's session and the worker that suspended it — where
-    /// and how the resume is routed. Once per record.
-    fn take_route(&mut self) -> (Arc<SessionSlot>, usize) {
+    /// The waiter's session — the one the resume is accounted to. Once
+    /// per record.
+    fn take_session(&mut self) -> Arc<SessionSlot> {
         // SAFETY: we own the record.
         let head = unsafe { self.0.as_mut() };
-        let session = head.session.take().expect("suspension routed twice");
-        (session, head.owner)
+        head.session.take().expect("suspension routed twice")
     }
 
     /// The record as a queueable task (one word: stored inline).
@@ -397,17 +391,12 @@ impl<T: Clone + Send + 'static> FutWrite<T> {
                 // push/steal pair that delivers the task. Its liveness
                 // unit was added by `note_suspend` on *its* session
                 // (usually ours; the toucher's under cross-session
-                // sharing), so this is a transfer, not a spawn. Where it
-                // lands — fulfiller's deque, inline, or the suspender's
-                // mailbox — is the waiter's session's resume policy.
-                let (session, owner) = susp.take_route();
-                worker.resume_transferred(
-                    SessionTask {
-                        session,
-                        task: susp.into_task(),
-                    },
-                    owner,
-                );
+                // sharing), so this is a transfer, not a spawn.
+                let session = susp.take_session();
+                worker.resume_transferred(SessionTask {
+                    session,
+                    task: susp.into_task(),
+                });
             }
             Err(info) => panic!(
                 "fulfill of a poisoned future cell (session {}): {info}",
@@ -462,17 +451,13 @@ impl<T: Clone + Send + 'static> FutRead<T> {
         // The record's continuation captures the cell and clones the
         // value out when it eventually runs.
         let cell = Arc::clone(&self.inner);
-        let susp = Suspension::new(
-            worker.clone_session(),
-            worker.index(),
-            move |wk: &Worker| {
-                // SAFETY: this closure only runs after FULL is established —
-                // published by the writer's CAS before it took the record,
-                // or observed below on the failed CAS.
-                let v = unsafe { cell.value() }.clone();
-                cont(v, wk);
-            },
-        );
+        let susp = Suspension::new(worker.clone_session(), move |wk: &Worker| {
+            // SAFETY: this closure only runs after FULL is established —
+            // published by the writer's CAS before it took the record,
+            // or observed below on the failed CAS.
+            let v = unsafe { cell.value() }.clone();
+            cont(v, wk);
+        });
         // Account the suspension before publishing it: from the CAS on,
         // a writer may resume the waiter at any moment.
         worker.note_suspend();
@@ -641,17 +626,15 @@ mod tests {
     fn hammer_racing_write_and_touch() {
         // Cross-thread race: producer and consumer race on many cells
         // (parent-first, so the flat spawn loops are pushed and stolen).
-        let racing = crate::SchedPolicy {
-            spawn: crate::SpawnOrder::ParentFirst,
-            ..Default::default()
-        };
         for round in 0..200 {
             let n = 64;
             let cells: Vec<_> = (0..n).map(|_| cell::<usize>()).collect();
             let (writes, reads): (Vec<_>, Vec<_>) = cells.into_iter().unzip();
             let outs: Vec<_> = (0..n).map(|_| cell::<usize>()).collect();
             let (out_w, out_r): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
-            let rt = Runtime::with_policy(4, racing);
+            let rt = Runtime::builder(4)
+                .spawn_order(crate::SpawnOrder::ParentFirst)
+                .build();
             rt.run(move |wk| {
                 let mut out_w = out_w;
                 for r in reads.into_iter() {

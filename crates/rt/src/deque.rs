@@ -287,59 +287,6 @@ impl<T> Stealer<T> {
     }
 }
 
-/// Upper bound on tasks moved by one [`Stealer::steal_half_into`] call,
-/// so a batched steal from a very deep victim stays O(1)-ish and leaves
-/// work for other thieves.
-pub const MAX_STEAL_BATCH: usize = 16;
-
-impl<T> Stealer<T> {
-    /// Batched steal for the steal-half policy: observe the victim's
-    /// length once, then claim up to `min(ceil(len/2), max)` elements.
-    /// The **first** claimed element is returned in `Steal::Success`
-    /// together with the count of *extra* elements, which were pushed
-    /// onto `dst` (the thief's own deque) in victim-FIFO order.
-    ///
-    /// Each element is claimed by a complete [`Self::steal`] — a fresh
-    /// `top` load, SeqCst fence, `bottom` load, and claim CAS per
-    /// element — and the batch stops at the first `Empty`/`Retry`. A
-    /// single CAS claiming a whole range against one stale `bottom`
-    /// read would be unsound here: the owner's `pop` takes the last
-    /// element *without* a CAS whenever its post-fence `top` load
-    /// predates the thief's claim, so a range claim can double-claim
-    /// slots the owner already popped. The win of steal-half is
-    /// therefore scheduling granularity (one steal *episode* moves half
-    /// the queue), not fewer atomics per element.
-    pub fn steal_half_into(&self, dst: &LocalQueue<T>, max: usize) -> Steal<(T, usize)> {
-        let inner = &*self.inner;
-        let t = inner.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = inner.bottom.load(Ordering::Acquire);
-        let len = b - t;
-        if len <= 0 {
-            return Steal::Empty;
-        }
-        let want = (((len + 1) / 2) as usize).min(max.max(1));
-        let first = match self.steal() {
-            Steal::Success(v) => v,
-            Steal::Empty => return Steal::Empty,
-            Steal::Retry => return Steal::Retry,
-        };
-        let mut extra = 0;
-        while extra + 1 < want {
-            match self.steal() {
-                Steal::Success(v) => {
-                    dst.push(v);
-                    extra += 1;
-                }
-                // The victim drained or we lost a race mid-batch: keep
-                // what we already own.
-                Steal::Empty | Steal::Retry => break,
-            }
-        }
-        Steal::Success((first, extra))
-    }
-}
-
 /// Global injection queue: tasks submitted from outside the worker pool
 /// (the root task of each run). A plain mutexed queue — it is off the
 /// per-task hot path (workers consult the cheap length counter first).
@@ -493,172 +440,6 @@ mod tests {
         });
         assert_eq!(claimed.load(Ordering::Relaxed), N);
         assert_eq!(sum.load(Ordering::Relaxed), N * (N + 1) / 2);
-    }
-
-    #[test]
-    fn steal_half_takes_older_half_in_order() {
-        let q = deque::<u32>();
-        let s = q.stealer();
-        let thief = deque::<u32>();
-        for i in 0..10 {
-            q.push(i);
-        }
-        // len 10 → want 5: first returned, 4 pushed to the thief.
-        match s.steal_half_into(&thief, MAX_STEAL_BATCH) {
-            Steal::Success((first, extra)) => {
-                assert_eq!(first, 0);
-                assert_eq!(extra, 4);
-            }
-            _ => panic!("batched steal failed on a populated deque"),
-        }
-        // Thief's deque holds 1..=4 in victim-FIFO order (LIFO pop
-        // returns them reversed).
-        for i in (1..5).rev() {
-            assert_eq!(thief.pop(), Some(i));
-        }
-        assert_eq!(thief.pop(), None);
-        // Victim keeps the newer half, 5..10.
-        for i in (5..10).rev() {
-            assert_eq!(q.pop(), Some(i));
-        }
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn steal_half_respects_max_and_singleton() {
-        let q = deque::<u32>();
-        let s = q.stealer();
-        let thief = deque::<u32>();
-        // Singleton: want = 1, no extras.
-        q.push(7);
-        match s.steal_half_into(&thief, MAX_STEAL_BATCH) {
-            Steal::Success((first, extra)) => {
-                assert_eq!((first, extra), (7, 0));
-            }
-            _ => panic!("singleton batched steal failed"),
-        }
-        assert!(matches!(
-            s.steal_half_into(&thief, MAX_STEAL_BATCH),
-            Steal::Empty
-        ));
-        // Deep queue: the cap bounds the batch.
-        for i in 0..100 {
-            q.push(i);
-        }
-        match s.steal_half_into(&thief, 4) {
-            Steal::Success((first, extra)) => {
-                assert_eq!(first, 0);
-                assert_eq!(extra, 3);
-            }
-            _ => panic!("capped batched steal failed"),
-        }
-        // max = 0 is clamped to 1 rather than stealing nothing.
-        match s.steal_half_into(&thief, 0) {
-            Steal::Success((first, extra)) => {
-                assert_eq!(first, 4);
-                assert_eq!(extra, 0);
-            }
-            _ => panic!("zero-cap batched steal failed"),
-        }
-    }
-
-    #[test]
-    fn concurrent_steal_half_hammer() {
-        // Batched thieves + owner push/pop across several grows: every
-        // pushed value claimed exactly once, matching sum.
-        const N: u64 = 100_000;
-        let q = deque::<u64>();
-        let sum = Arc::new(AtomicU64::new(0));
-        let claimed = Arc::new(AtomicU64::new(0));
-        let stealers: Vec<_> = (0..4).map(|_| q.stealer()).collect();
-        std::thread::scope(|scope| {
-            for s in stealers {
-                let sum = Arc::clone(&sum);
-                let claimed = Arc::clone(&claimed);
-                scope.spawn(move || {
-                    let mine = deque::<u64>();
-                    loop {
-                        match s.steal_half_into(&mine, MAX_STEAL_BATCH) {
-                            Steal::Success((v, extra)) => {
-                                let mut got = v;
-                                let mut cnt = 1;
-                                for _ in 0..extra {
-                                    got += mine.pop().expect("batched extras in own deque");
-                                    cnt += 1;
-                                }
-                                sum.fetch_add(got, Ordering::Relaxed);
-                                claimed.fetch_add(cnt, Ordering::Relaxed);
-                            }
-                            Steal::Empty => {
-                                if claimed.load(Ordering::Acquire) >= N {
-                                    break;
-                                }
-                                std::hint::spin_loop();
-                            }
-                            Steal::Retry => {}
-                        }
-                        assert!(mine.is_empty());
-                    }
-                });
-            }
-            for i in 0..N {
-                q.push(i + 1);
-                if i % 7 == 0 {
-                    if let Some(v) = q.pop() {
-                        sum.fetch_add(v, Ordering::Relaxed);
-                        claimed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            while let Some(v) = q.pop() {
-                sum.fetch_add(v, Ordering::Relaxed);
-                claimed.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(claimed.load(Ordering::Relaxed), N);
-        assert_eq!(sum.load(Ordering::Relaxed), N * (N + 1) / 2);
-    }
-
-    #[test]
-    fn steal_half_across_grow() {
-        // Batched steal racing the owner's grow path: push far past
-        // INITIAL_CAP while a thief batch-steals continuously.
-        let q = deque::<usize>();
-        let s = q.stealer();
-        let n = INITIAL_CAP * 8;
-        let stolen = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            let stolen2 = Arc::clone(&stolen);
-            let done = Arc::new(AtomicU64::new(0));
-            let done2 = Arc::clone(&done);
-            scope.spawn(move || {
-                let mine = deque::<usize>();
-                loop {
-                    match s.steal_half_into(&mine, MAX_STEAL_BATCH) {
-                        Steal::Success((_, extra)) => {
-                            while mine.pop().is_some() {}
-                            stolen2.fetch_add(1 + extra as u64, Ordering::Relaxed);
-                        }
-                        Steal::Empty => {
-                            if done2.load(Ordering::Acquire) == 1 {
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                        Steal::Retry => {}
-                    }
-                }
-            });
-            for i in 0..n {
-                q.push(i);
-            }
-            done.store(1, Ordering::Release);
-        });
-        let mut owner_left = 0u64;
-        while q.pop().is_some() {
-            owner_left += 1;
-        }
-        assert_eq!(stolen.load(Ordering::Relaxed) + owner_left, n as u64);
     }
 
     #[test]

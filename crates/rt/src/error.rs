@@ -316,7 +316,7 @@ pub(crate) trait PoisonTarget: Send + Sync {
 pub struct Session {
     pub(crate) deadline: Option<Duration>,
     pub(crate) cancel: Option<CancelToken>,
-    pub(crate) policy: Option<crate::SchedPolicy>,
+    pub(crate) spawn_order: Option<crate::SpawnOrder>,
     pub(crate) stall: Option<Duration>,
 }
 
@@ -367,12 +367,11 @@ impl Session {
         self
     }
 
-    /// Run this session under `policy` instead of the runtime's default
-    /// scheduling policy (see [`SchedPolicy`](crate::SchedPolicy)). The
-    /// policy is fixed for the whole session; it is installed at session
-    /// start, while the pool is quiescent.
-    pub fn policy(mut self, p: crate::SchedPolicy) -> Self {
-        self.policy = Some(p);
+    /// Run this session under `order` instead of the runtime's default
+    /// spawn order (see [`SpawnOrder`](crate::SpawnOrder)). Fixed for the
+    /// whole session.
+    pub fn spawn_order(mut self, order: crate::SpawnOrder) -> Self {
+        self.spawn_order = Some(order);
         self
     }
 }

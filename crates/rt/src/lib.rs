@@ -19,7 +19,9 @@
 //!   has executed. Forks are work-first by default: [`Worker::spawn`]
 //!   runs the child inline and [`Worker::spawn2`] pushes one stealable
 //!   child and runs the other, so a touch usually finds its cell written
-//!   (see [`SpawnOrder`]). Workers are spawned once per [`Runtime`] and
+//!   ([`SpawnOrder`], the one scheduling choice left open: steals take
+//!   the oldest task of a randomly swept victim and a write resumes its
+//!   waiter onto the writer's own deque, always). Workers are spawned once per [`Runtime`] and
 //!   parked between runs (spin → yield → park), so a `run` call costs
 //!   one injector push and a wakeup, not a round of thread creation.
 //!   Small spawned closures are stored inline in the [`task::Task`]
@@ -81,7 +83,7 @@ pub use error::{
 /// of a traced runtime need not depend on `pf-trace` directly.
 #[cfg(feature = "trace")]
 pub use pf_trace::{SessionTrace, TraceEvent, TraceKind, TraceStats, WorkerSummary, WorkerTrace};
-pub use policy::{ResumePlace, SchedPolicy, SpawnOrder, StealKind, VictimSelect};
+pub use policy::SpawnOrder;
 pub use pool::RuntimeBuilder;
 pub use rounds::PoolRounds;
 pub use scheduler::{RunStats, Runtime, Worker};

@@ -22,7 +22,7 @@
 //! no per-session pool state.
 //!
 //! Slot contents: the session id, the packed liveness counter (below),
-//! the scheduling-policy word, the abort slot (open flag + first filed
+//! the spawn order, the abort slot (open flag + first filed
 //! reason), the done flag + condvar the client blocks on, the poison
 //! registry of suspended cells, per-worker statistics, and (in tracing
 //! builds) the session's event lanes.
@@ -178,12 +178,12 @@ use crate::error::{
     PoisonInfo, PoisonTarget, Session, SessionError, StallDetector, StallReport, StuckCell,
 };
 
-use crate::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use crate::sync::thread::{JoinHandle, Thread};
 use crate::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::deque::{deque, Injector, Stealer};
-use crate::policy::SchedPolicy;
+use crate::policy::SpawnOrder;
 use crate::scheduler::Worker;
 use crate::task::Task;
 
@@ -428,8 +428,8 @@ pub(crate) struct SessionSlot {
     /// units, high half = suspended units. `units == 0` ⇔ quiescent;
     /// `low == high` ⇔ nothing queued or running (the abort safe point).
     units: AtomicU64,
-    /// The session's packed [`SchedPolicy`], fixed at session start.
-    policy: u32,
+    /// Which side of a fork runs first, fixed at session start.
+    pub(crate) spawn_order: SpawnOrder,
     /// The session is aborting: workers discard its popped tasks.
     aborting: AtomicBool,
     /// Abort slot: open flag + first filed reason.
@@ -456,14 +456,14 @@ impl SessionSlot {
     fn new(
         id: u64,
         nthreads: usize,
-        policy: SchedPolicy,
+        spawn_order: SpawnOrder,
         #[cfg(feature = "trace")] trace: crate::trace::SessionLanes,
     ) -> SessionSlot {
         SessionSlot {
             id,
             // The root task's unit; the slot is born live.
             units: AtomicU64::new(UNIT),
-            policy: policy.pack(),
+            spawn_order,
             aborting: AtomicBool::new(false),
             abort: Mutex::new(SlotAbort {
                 open: true,
@@ -476,12 +476,6 @@ impl SessionSlot {
             #[cfg(feature = "trace")]
             trace,
         }
-    }
-
-    /// The session's scheduling policy (immutable; a byte unpack).
-    #[inline]
-    pub(crate) fn policy(&self) -> SchedPolicy {
-        SchedPolicy::unpack(self.policy)
     }
 
     /// The session's progress epoch: the sum of its per-worker progress
@@ -530,7 +524,7 @@ impl SessionSlot {
 
     /// A fulfilled cell took its waiter out of suspension: clear the
     /// suspended mark, keeping the unit live. Must be called **before**
-    /// the resumed task is pushed to any queue (or run inline), so that
+    /// the resumed task is pushed to any queue, so that
     /// `low - high` — the queued-or-running count the abort wait reads —
     /// never undercounts: the RMW is ordered before the push, and any
     /// pop of the task is ordered after the push.
@@ -601,8 +595,8 @@ impl SessionSlot {
 }
 
 /// A queued unit of work tagged with its owning session: every task in
-/// the injector, a deque, or a mailbox carries the `Arc` of its
-/// session's slot, so accounting, abort checks, policy dispatch, and
+/// the injector or a deque carries the `Arc` of its
+/// session's slot, so accounting, abort checks, spawn order, and
 /// trace attribution follow the task wherever it is stolen to. Seven
 /// words (the [`Task`] six plus the pointer).
 pub(crate) struct SessionTask {
@@ -614,27 +608,6 @@ pub(crate) struct SessionTask {
 pub(crate) struct Shared {
     pub(crate) injector: Injector<SessionTask>,
     pub(crate) stealers: Vec<Stealer<SessionTask>>,
-    /// Per-worker resume mailboxes for [`ResumePlace::Mailbox`]: a
-    /// fulfill hands the woken continuation to the worker that
-    /// *suspended* it. Mailbox tasks are never stolen (locality is the
-    /// point); quiescence still holds because a resume is a liveness
-    /// *transfer* and every mailbox is covered by `work_available`, the
-    /// watchdog, and discard-at-pop. Always allocated (an `Injector`
-    /// is two machine words plus an empty `VecDeque`) so a per-session
-    /// policy switch needs no reallocation.
-    ///
-    /// [`ResumePlace::Mailbox`]: crate::ResumePlace::Mailbox
-    pub(crate) mailboxes: Vec<Injector<SessionTask>>,
-    /// The pool's *hunt* policy word: the steal axes (granularity and
-    /// victim selection) an **idle** worker uses while looking for work.
-    /// An idle worker serves every session at once, so these two axes
-    /// cannot be per-session; the word is refreshed (`Relaxed`) at each
-    /// session start — last session to start wins, races are benign
-    /// (any steal order is correct), and with one session at a time the
-    /// behavior is exactly the session's policy. The per-*task* axes
-    /// (spawn order, resume placement) dispatch from the owning slot's
-    /// word instead and are always exact.
-    pub(crate) policy: AtomicUsize,
     /// Bit *i* set ⇔ worker *i* is parked (or committing to park).
     sleepers: AtomicU64,
     /// Unpark handles, indexed like `stealers`; set once at pool start.
@@ -679,33 +652,6 @@ impl Shared {
                 budget -= 1;
             }
         }
-    }
-
-    /// Wake worker `index` specifically, if it is parked. Same producer
-    /// contract as [`Shared::notify`]: call **after** the corresponding
-    /// push (here: into `mailboxes[index]`), so the fence orders the
-    /// push before the mask read. Claiming the bit keeps the wake
-    /// exactly-once against concurrent producers; if the bit is clear
-    /// the worker is awake and its pre-park re-check (which covers the
-    /// mailbox) will find the task.
-    pub(crate) fn notify_worker(&self, index: usize) {
-        crate::chaos::maybe_delay();
-        fence(Ordering::SeqCst);
-        let bit = 1u64 << index;
-        if self.sleepers.load(Ordering::Relaxed) & bit != 0
-            && self.sleepers.fetch_and(!bit, Ordering::SeqCst) & bit != 0
-        {
-            if let Some(threads) = self.threads.get() {
-                threads[index].unpark();
-            }
-        }
-    }
-
-    /// The pool's hunt policy (steal axes for idle workers; see the
-    /// field docs). One `Relaxed` load plus a few byte compares.
-    #[inline]
-    pub(crate) fn hunt_policy(&self) -> SchedPolicy {
-        SchedPolicy::unpack(self.policy.load(Ordering::Relaxed) as u32)
     }
 
     fn unpark_all(&self) {
@@ -815,9 +761,9 @@ pub struct Runtime {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     nthreads: usize,
-    /// Policy for sessions that do not carry a [`Session::policy`]
-    /// override.
-    default_policy: SchedPolicy,
+    /// Spawn order of sessions that do not carry a
+    /// [`Session::spawn_order`] override.
+    default_spawn_order: SpawnOrder,
     /// One monotonic clock per pool: every session's lanes stamp against
     /// it, so concurrent sessions share a timeline.
     #[cfg(feature = "trace")]
@@ -833,11 +779,11 @@ pub struct Runtime {
 }
 
 /// Configures a [`Runtime`] beyond its thread count: the default
-/// [`SchedPolicy`] and (in tracing builds) the per-worker trace ring
+/// [`SpawnOrder`] and (in tracing builds) the per-worker trace ring
 /// capacity. Obtained from [`Runtime::builder`].
 pub struct RuntimeBuilder {
     nthreads: usize,
-    policy: SchedPolicy,
+    spawn_order: SpawnOrder,
     // Present in every build so builder chains compile with or without
     // the feature; only read when tracing is compiled in.
     #[cfg_attr(not(feature = "trace"), allow(dead_code))]
@@ -845,10 +791,10 @@ pub struct RuntimeBuilder {
 }
 
 impl RuntimeBuilder {
-    /// Default scheduling policy for every session on this runtime
-    /// (overridable per session with [`Session::policy`]).
-    pub fn policy(mut self, policy: SchedPolicy) -> Self {
-        self.policy = policy;
+    /// Default spawn order for every session on this runtime
+    /// (overridable per session with [`Session::spawn_order`]).
+    pub fn spawn_order(mut self, order: SpawnOrder) -> Self {
+        self.spawn_order = order;
         self
     }
 
@@ -875,18 +821,13 @@ impl Runtime {
     }
 
     /// A [`RuntimeBuilder`] for `nthreads` workers with the default
-    /// policy and trace ring capacity.
+    /// spawn order and trace ring capacity.
     pub fn builder(nthreads: usize) -> RuntimeBuilder {
         RuntimeBuilder {
             nthreads,
-            policy: SchedPolicy::default(),
+            spawn_order: SpawnOrder::default(),
             trace_ring_cap: crate::trace::DEFAULT_RING_CAP,
         }
-    }
-
-    /// Shorthand: a runtime whose every session defaults to `policy`.
-    pub fn with_policy(nthreads: usize, policy: SchedPolicy) -> Self {
-        Self::builder(nthreads).policy(policy).build()
     }
 
     fn build(b: RuntimeBuilder) -> Self {
@@ -900,8 +841,6 @@ impl Runtime {
         let shared = Arc::new(Shared {
             injector: Injector::new(),
             stealers,
-            mailboxes: (0..nthreads).map(|_| Injector::new()).collect(),
-            policy: AtomicUsize::new(b.policy.pack() as usize),
             sleepers: AtomicU64::new(0),
             threads: OnceLock::new(),
             shutdown: AtomicBool::new(false),
@@ -932,7 +871,7 @@ impl Runtime {
             shared,
             handles: Mutex::new(handles),
             nthreads,
-            default_policy: b.policy,
+            default_spawn_order: b.spawn_order,
             #[cfg(feature = "trace")]
             trace_epoch: std::time::Instant::now(),
             #[cfg(feature = "trace")]
@@ -942,10 +881,10 @@ impl Runtime {
         }
     }
 
-    /// The policy sessions run under when no per-session override is
-    /// given.
-    pub fn default_policy(&self) -> SchedPolicy {
-        self.default_policy
+    /// The spawn order sessions run under when no per-session override
+    /// is given.
+    pub fn default_spawn_order(&self) -> SpawnOrder {
+        self.default_spawn_order
     }
 
     /// Number of sessions currently live on this pool (started, not yet
@@ -1044,7 +983,7 @@ impl Runtime {
 
     /// [`Runtime::try_run`] with per-session options: a wall-clock
     /// [`Session::deadline`], a [`Session::cancel_token`], and/or a
-    /// [`Session::policy`]. Callable concurrently from any number of
+    /// [`Session::spawn_order`]. Callable concurrently from any number of
     /// threads; each call is an independent session with its own slot.
     pub fn try_run_session(
         &self,
@@ -1057,19 +996,15 @@ impl Runtime {
         );
         let shared = &*self.shared;
         let sid = shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-        let policy = opts.policy.unwrap_or(self.default_policy);
+        let spawn_order = opts.spawn_order.unwrap_or(self.default_spawn_order);
         let slot = Arc::new(SessionSlot::new(
             sid,
             self.nthreads,
-            policy,
+            spawn_order,
             #[cfg(feature = "trace")]
             crate::trace::SessionLanes::new(self.nthreads, self.trace_ring_cap, self.trace_epoch),
         ));
         shared.register_session(&slot);
-        // Refresh the hunt word (steal axes; see `Shared::policy`).
-        shared
-            .policy
-            .store(policy.pack() as usize, Ordering::Relaxed);
 
         // Register the cancel token against the fresh slot. A token
         // fired before registration is caught by the flag re-check; one
@@ -1115,7 +1050,7 @@ impl Runtime {
             // is reachable through `take_last_trace`.
             #[cfg(feature = "trace")]
             {
-                let (session_trace, _) = slot.trace.drain(sid, &policy.label());
+                let (session_trace, _) = slot.trace.drain(sid, spawn_order.label());
                 *lock(&self.last_trace) = Some(session_trace);
             }
             return Err(match reason {
@@ -1166,7 +1101,7 @@ impl Runtime {
         }
         #[cfg(feature = "trace")]
         {
-            let (session_trace, summary) = slot.trace.drain(sid, &policy.label());
+            let (session_trace, summary) = slot.trace.drain(sid, spawn_order.label());
             *lock(&self.last_trace) = Some(session_trace);
             out.trace = Some(summary);
         }
@@ -1388,9 +1323,8 @@ impl Watchdog {
         let suspended_only = live_of(units) == susp_of(units);
         let all_parked = shared.sleepers.load(Ordering::SeqCst).count_ones() as usize == nthreads;
         if all_parked {
-            let queues_empty = shared.injector.is_empty()
-                && shared.stealers.iter().all(|s| s.is_empty())
-                && shared.mailboxes.iter().all(|m| m.is_empty());
+            let queues_empty =
+                shared.injector.is_empty() && shared.stealers.iter().all(|s| s.is_empty());
             if queues_empty {
                 if suspended_only {
                     return Some(seen(StallDetector::Provable));

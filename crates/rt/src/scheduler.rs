@@ -10,7 +10,7 @@
 //! executes whatever task it finds, entering that task's session for the
 //! duration (`current` below), so tasks of concurrent sessions
 //! interleave freely on one pool. All per-session accounting (liveness
-//! units, statistics, abort checks, policy dispatch, trace lanes) goes
+//! units, statistics, abort checks, spawn order, trace lanes) goes
 //! through the current slot, never through pool state.
 //!
 //! Liveness accounting (the invariant behind termination detection): the
@@ -25,9 +25,9 @@
 use std::cell::Cell;
 use std::sync::{Arc, Weak};
 
-use crate::deque::{LocalQueue, Steal, MAX_STEAL_BATCH};
+use crate::deque::{LocalQueue, Steal};
 use crate::error::PoisonTarget;
-use crate::policy::{ResumePlace, SchedPolicy, SpawnOrder, StealKind, VictimSelect};
+use crate::policy::SpawnOrder;
 use crate::pool::{AbortReason, SessionSlot, SessionTask, Shared, WorkerStats};
 use crate::task::Task;
 
@@ -45,16 +45,13 @@ pub struct Worker {
     index: usize,
     /// The slot of the session whose task this worker is currently
     /// executing; null between tasks. A raw pointer, not an `Arc`: the
-    /// executing frame ([`Worker::execute`], or an inline-resume frame)
-    /// keeps the slot alive for as long as the pointer is published, so
+    /// executing frame ([`Worker::execute`]) keeps the slot alive for as
+    /// long as the pointer is published, so
     /// per-task session entry costs two `Cell` stores instead of two
     /// reference-count RMWs.
     current: Cell<*const SessionSlot>,
     inline_depth: Cell<usize>,
     steal_seed: Cell<u64>,
-    /// Last victim a steal succeeded against (own index = none yet);
-    /// consulted first under [`VictimSelect::LastVictimFirst`].
-    last_victim: Cell<usize>,
 }
 
 impl Worker {
@@ -66,7 +63,6 @@ impl Worker {
             current: Cell::new(std::ptr::null()),
             inline_depth: Cell::new(0),
             steal_seed: Cell::new(0x9E3779B97F4A7C15 ^ (index as u64) << 7),
-            last_victim: Cell::new(index),
         }
     }
 
@@ -77,9 +73,9 @@ impl Worker {
     pub(crate) fn session(&self) -> &SessionSlot {
         let p = self.current.get();
         debug_assert!(!p.is_null(), "no current session (outside a task body)");
-        // SAFETY: non-null only between `execute`'s (or an inline resume
-        // frame's) enter/exit stores, and that frame owns an `Arc` to the
-        // slot for the whole window, so the referent outlives the borrow
+        // SAFETY: non-null only between `execute`'s enter/exit stores,
+        // and that frame owns an `Arc` to the slot for the whole window,
+        // so the referent outlives the borrow
         // (which cannot escape the task body: tasks don't return borrows).
         unsafe { &*p }
     }
@@ -96,13 +92,6 @@ impl Worker {
             Arc::increment_strong_count(p);
             Arc::from_raw(p)
         }
-    }
-
-    /// The scheduling policy of the current session (a byte unpack from
-    /// the slot's immutable word; see `policy.rs`).
-    #[inline]
-    pub fn policy(&self) -> SchedPolicy {
-        self.session().policy()
     }
 
     #[inline]
@@ -158,6 +147,9 @@ impl Worker {
         }));
         self.current.set(prev);
         if let Err(payload) = res {
+            // The unwind skipped the inline sites' depth restores; a task
+            // always starts at depth 0 (the worker loop is the only caller).
+            self.inline_depth.set(0);
             // File the reason before retiring the unit: when this was the
             // session's last queued-or-running task, the client must wake
             // to a filed reason, not to a clean finish.
@@ -175,8 +167,8 @@ impl Worker {
     /// traffic, no allocation, and whatever the child writes is written
     /// before the caller touches it. The accounting is kept identical to
     /// the push path — the child still counts as one spawn and one
-    /// executed task — so `RunStats`/trace totals are policy-
-    /// independent; only the liveness counter skips its round-trip (the
+    /// executed task — so `RunStats`/trace totals do not depend on the
+    /// spawn order; only the liveness counter skips its round-trip (the
     /// child runs inside the caller's unit). A panic in the child
     /// unwinds through the caller's frame, aborting the session exactly
     /// as a panic in a queued child would.
@@ -186,7 +178,7 @@ impl Worker {
     /// deque push, with an allocation only when the closure exceeds the
     /// inline [`Task`] payload.
     pub fn spawn(&self, f: impl FnOnce(&Worker) + Send + 'static) {
-        if self.policy().spawn == SpawnOrder::ChildFirst {
+        if self.session().spawn_order == SpawnOrder::ChildFirst {
             let d = self.inline_depth.get();
             if d < MAX_INLINE_DEPTH {
                 self.stats().add_spawns(1);
@@ -220,7 +212,7 @@ impl Worker {
         f: impl FnOnce(&Worker) + Send + 'static,
         g: impl FnOnce(&Worker) + Send + 'static,
     ) {
-        if self.policy().spawn == SpawnOrder::ChildFirst {
+        if self.session().spawn_order == SpawnOrder::ChildFirst {
             let d = self.inline_depth.get();
             if d < MAX_INLINE_DEPTH {
                 let session = self.clone_session();
@@ -268,81 +260,24 @@ impl Worker {
         self.notify_push(1);
     }
 
-    /// Enqueue a reactivated waiter onto our own deque (its suspended
-    /// mark must already be cleared — see [`Worker::resume_transferred`],
-    /// the only caller besides the policy fallbacks).
-    fn enqueue_transferred(&self, st: SessionTask) {
-        crate::trace::resume(self, &st.session);
-        self.local.push(st);
-        self.notify_push(1);
-    }
-
-    /// Policy-dispatched resume of a reactivated waiter: the fulfill
-    /// side of every suspended touch routes through here. `owner` is the
-    /// index of the worker that *suspended* the continuation (recorded
-    /// by the touch; meaningful only under [`ResumePlace::Mailbox`]).
-    /// Dispatches on the **waiter's** session's policy — under
-    /// cross-session fulfills, the session that suspended decides how it
-    /// is resumed.
+    /// Resume a reactivated waiter: the fulfill side of every suspended
+    /// touch routes through here, and pushes it onto the fulfiller's own
+    /// deque — the resume is the newest task there and runs next under
+    /// LIFO, with the value it touches hot in the fulfiller's cache.
     ///
-    /// The waiter's suspended mark is cleared here, *before* any push:
+    /// The waiter's suspended mark is cleared here, *before* the push:
     /// the abort wait's safe point (`low == high`) must never observe a
     /// queued task it believes suspended.
-    ///
-    /// * [`ResumePlace::FulfillerDeque`] — push onto the fulfiller's own
-    ///   deque (the default).
-    /// * [`ResumePlace::Inline`] — run the waiter right now inside the
-    ///   fulfilling task (depth-guarded; falls back to the deque). Only
-    ///   taken when the waiter belongs to the session we are currently
-    ///   executing: an inline body runs under *our* current slot, so a
-    ///   foreign waiter (a cross-session fulfill) takes the
-    ///   deque path and is re-entered properly. Its liveness unit is
-    ///   retired here, which cannot end the session early: the waiter
-    ///   belongs to our session, whose current task still holds its own
-    ///   unit.
-    /// * [`ResumePlace::Mailbox`] — hand it to `owner`'s mailbox and
-    ///   wake that worker. Mailbox tasks are never stolen; the owner
-    ///   polls its mailbox in `find_task` (and in the pre-park re-check,
-    ///   which makes the handoff lost-wakeup-free by the same fence
-    ///   argument as `notify`).
-    pub(crate) fn resume_transferred(&self, st: SessionTask, owner: usize) {
+    pub(crate) fn resume_transferred(&self, st: SessionTask) {
         // The resume is progress of the *waiter's* session (which may not
         // be the one we are currently executing, under a cross-session
         // fulfill): tick its lane for this worker — entry i is
         // still written only by worker i, whatever slot it lives in.
         st.session.stats[self.index].add_progress();
         st.session.transfer_resume();
-        match st.session.policy().resume {
-            ResumePlace::FulfillerDeque => self.enqueue_transferred(st),
-            ResumePlace::Inline => {
-                let d = self.inline_depth.get();
-                if d < MAX_INLINE_DEPTH
-                    && std::ptr::eq(Arc::as_ptr(&st.session), self.current.get())
-                {
-                    let SessionTask { session, task } = st;
-                    crate::trace::resume(self, &session);
-                    session.stats[self.index].add_tasks(1);
-                    crate::trace::exec(self);
-                    self.inline_depth.set(d + 1);
-                    task.run(self);
-                    self.inline_depth.set(d);
-                    session.task_done();
-                } else {
-                    self.enqueue_transferred(st);
-                }
-            }
-            ResumePlace::Mailbox => {
-                crate::trace::resume(self, &st.session);
-                let own = owner == self.index;
-                self.shared.mailboxes[owner].push(st);
-                if own {
-                    // Our own mailbox: we are running, so `find_task`
-                    // will see it — no wake needed.
-                } else {
-                    self.shared.notify_worker(owner);
-                }
-            }
-        }
+        crate::trace::resume(self, &st.session);
+        self.local.push(st);
+        self.notify_push(1);
     }
 
     /// Account a continuation that is being suspended into a future cell.
@@ -438,32 +373,10 @@ impl Worker {
         if let Some(t) = self.local.pop() {
             return Some(t);
         }
-        // Continuations handed to us by a mailbox resume are next after
-        // our own deque: they are ours alone (never stolen) and their
-        // working set is the locality the mailbox policy exists to
-        // exploit. Checked unconditionally — any *session* may run under
-        // the mailbox policy, and between tasks there is no current
-        // session to consult; off-policy the mailbox is always empty.
-        if let Some(t) = self.shared.mailboxes[self.index].pop() {
-            return Some(t);
-        }
-        // Injector, then siblings — per the pool's hunt policy (the
-        // steal axes; an idle worker serves every session at once).
         if let Some(t) = self.shared.injector.pop() {
             return Some(t);
         }
-        let policy = self.shared.hunt_policy();
         let n = self.shared.stealers.len();
-        // A productive victim tends to stay productive: retry it before
-        // sweeping (chaos may veto the shortcut like any steal attempt).
-        if policy.victim == VictimSelect::LastVictimFirst {
-            let lv = self.last_victim.get();
-            if lv != self.index && !crate::chaos::steal_denied() {
-                if let Some(t) = self.try_steal(lv, policy.steal) {
-                    return Some(t);
-                }
-            }
-        }
         // Full sweep from a pseudo-random start.
         let mut seed = self.steal_seed.get();
         seed = seed
@@ -483,50 +396,26 @@ impl Worker {
             if crate::chaos::steal_denied() {
                 continue;
             }
-            if let Some(t) = self.try_steal(v, policy.steal) {
+            if let Some(t) = self.try_steal(v) {
                 return Some(t);
             }
         }
         None
     }
 
-    /// One steal attempt against victim `v`, retrying CAS races until
-    /// the victim is observed empty. Steal-half claims up to
-    /// [`MAX_STEAL_BATCH`] tasks — the first is returned, the extras
-    /// land in our own deque (and become visible to *other* thieves, so
-    /// they are advertised with a notify). The steals counter and trace
-    /// both record the number of tasks moved, so `RunStats::steals`
-    /// keeps meaning "tasks obtained by stealing" under every policy.
-    /// The episode is accounted to the *first* stolen task's session —
-    /// under steal-half a batch can span sessions, a documented
-    /// attribution approximation (counts stay exact in total).
-    fn try_steal(&self, v: usize, kind: StealKind) -> Option<SessionTask> {
+    /// One steal attempt against victim `v`: take its single oldest task
+    /// (the classic Chase–Lev steal), retrying CAS races until the victim
+    /// is observed empty. Accounted to the stolen task's session.
+    fn try_steal(&self, v: usize) -> Option<SessionTask> {
         loop {
-            let got = match kind {
-                StealKind::One => match self.shared.stealers[v].steal() {
-                    Steal::Success(t) => Some((t, 0)),
-                    Steal::Retry => continue,
-                    Steal::Empty => None,
-                },
-                StealKind::Half => {
-                    match self.shared.stealers[v].steal_half_into(&self.local, MAX_STEAL_BATCH) {
-                        Steal::Success((t, extra)) => Some((t, extra)),
-                        Steal::Retry => continue,
-                        Steal::Empty => None,
-                    }
-                }
-            };
-            return match got {
-                Some((t, extra)) => {
-                    t.session.stats[self.index].add_steals(1 + extra as u64);
-                    crate::trace::steal(self, &t.session, v, 1 + extra as u64);
-                    self.last_victim.set(v);
-                    if extra > 0 {
-                        self.notify_push(extra);
-                    }
+            return match self.shared.stealers[v].steal() {
+                Steal::Success(t) => {
+                    t.session.stats[self.index].add_steals(1);
+                    crate::trace::steal(self, &t.session, v);
                     Some(t)
                 }
-                None => None,
+                Steal::Retry => continue,
+                Steal::Empty => None,
             };
         }
     }
@@ -536,7 +425,6 @@ impl Worker {
     #[cfg_attr(pf_check_lost_wakeup, allow(dead_code))]
     pub(crate) fn work_available(&self) -> bool {
         !self.local.is_empty()
-            || !self.shared.mailboxes[self.index].is_empty()
             || !self.shared.injector.is_empty()
             || self
                 .shared
@@ -634,11 +522,10 @@ mod tests {
         let seen = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
         let s2 = Arc::clone(&seen);
         // Parent-first: a flat `spawn` loop is pushed, hence stealable.
-        let fan_out = SchedPolicy {
-            spawn: SpawnOrder::ParentFirst,
-            ..SchedPolicy::default()
-        };
-        Runtime::with_policy(4, fan_out).run(move |wk| {
+        let rt = Runtime::builder(4)
+            .spawn_order(SpawnOrder::ParentFirst)
+            .build();
+        rt.run(move |wk| {
             for _ in 0..4000 {
                 let s = Arc::clone(&s2);
                 wk.spawn(move |wk| {

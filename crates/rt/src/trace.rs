@@ -163,7 +163,7 @@ mod imp {
         /// Drain every lane into the session's trace and its exact
         /// summary (session end; on the abort path, after `finish_abort`
         /// so poison events are included), tagged with the session's
-        /// scheduling-policy label.
+        /// spawn-order label.
         pub(crate) fn drain(&self, session: u64, policy: &str) -> (SessionTrace, TraceStats) {
             let mut take = |lane: &Lane| {
                 let mut g = lock(&lane.0);
@@ -221,24 +221,19 @@ pub(crate) fn spawn(_wk: &crate::scheduler::Worker, _n: u64) {
     record(_wk, pf_trace::TraceKind::Spawn, 0, _n);
 }
 
-/// `wk` stole `_n` tasks from worker `_victim` in one episode (1 under
-/// steal-one; up to the batch cap under steal-half). Records `_n` Steal
-/// events so the exact counts keep reconciling with
-/// `RunStats::steals` = tasks obtained by stealing. Runs while `wk` is
-/// *between* tasks, so the owning slot is passed explicitly (the slot of
-/// the episode's first stolen task — under steal-half a batch can mix
-/// sessions, a documented attribution approximation).
+/// `wk` stole one task from worker `_victim`. Runs while `wk` is
+/// *between* tasks, so the owning slot (the stolen task's) is passed
+/// explicitly.
 #[inline(always)]
 pub(crate) fn steal(
     _wk: &crate::scheduler::Worker,
     _slot: &crate::pool::SessionSlot,
     _victim: usize,
-    _n: u64,
 ) {
     #[cfg(feature = "trace")]
     _slot
         .trace
-        .record(_wk.index(), pf_trace::TraceKind::Steal, _victim as u64, _n);
+        .record(_wk.index(), pf_trace::TraceKind::Steal, _victim as u64, 1);
 }
 
 /// `wk` is about to execute a task body.

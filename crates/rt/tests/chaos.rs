@@ -9,20 +9,17 @@
 #![cfg(pf_chaos)]
 
 use pf_rt::chaos::{injected_panics, injected_wedges, install, ChaosConfig};
-use pf_rt::{
-    cell, Runtime, SchedPolicy, Session, SessionError, SpawnOrder, StealKind, VictimSelect, Worker,
-};
+use pf_rt::{cell, Runtime, Session, SessionError, SpawnOrder, Worker};
 
-/// Parent-first: every `spawn` below is a push, so each stage is a task
-/// of its own — a task boundary for the panic and wedge seams, and a
-/// steal for the denial seam. Under the default work-first order the
-/// flat fan-outs would run inline in the root task and meet none of
+/// A parent-first pool: every `spawn` below is a push, so each stage is
+/// a task of its own — a task boundary for the panic and wedge seams,
+/// and a steal for the denial seam. Under the default work-first order
+/// the flat fan-outs would run inline in the root task and meet none of
 /// them.
-fn pushing() -> SchedPolicy {
-    SchedPolicy {
-        spawn: SpawnOrder::ParentFirst,
-        ..SchedPolicy::default()
-    }
+fn pushing(threads: usize) -> Runtime {
+    Runtime::builder(threads)
+        .spawn_order(SpawnOrder::ParentFirst)
+        .build()
 }
 
 /// A pipelined computation with real suspensions: a chain of cells where
@@ -54,7 +51,7 @@ fn chained_sum(rt: &Runtime, depth: u64) -> Result<u64, SessionError> {
 
 #[test]
 fn seeded_chaos_sessions_fail_contained_or_complete() {
-    let rt = Runtime::with_policy(4, pushing());
+    let rt = pushing(4);
     let mut failed = 0usize;
     let mut completed = 0usize;
 
@@ -93,22 +90,11 @@ fn seeded_chaos_sessions_fail_contained_or_complete() {
     assert!(failed > 0, "chaos rates never fired");
     assert!(completed > 0, "chaos rates never let a session finish");
 
-    // Phase 2 (PR 8): the batched steal path under denial. Steal-half
-    // claims up to MAX_STEAL_BATCH tasks per episode, and last-victim-
-    // first re-aims at the productive deque — both behind the same
-    // `steal_denied` seam. A denied batch must be all-or-nothing: the
-    // fan-out below piles thousands of tasks onto the root's deque, so a
-    // torn batch (task lost or duplicated across the denial) shows up as
-    // a hang (caught by try_run never returning — the suite would time
-    // out) or a wrong chain sum.
-    let half = Runtime::with_policy(
-        4,
-        SchedPolicy {
-            steal: StealKind::Half,
-            victim: VictimSelect::LastVictimFirst,
-            ..pushing()
-        },
-    );
+    // Phase 2: the steal path under heavy denial. The fan-out below
+    // piles over a hundred tasks onto the root's deque while a third of
+    // the steal attempts against it are vetoed, so a task lost or
+    // duplicated across a denial shows up as a hang (caught by try_run
+    // never returning — the suite would time out) or a wrong chain sum.
     let mut failed = 0usize;
     let mut completed = 0usize;
     for seed in 0..120u64 {
@@ -120,40 +106,40 @@ fn seeded_chaos_sessions_fail_contained_or_complete() {
             panic_per_10k: 30,
             delay_per_10k: 300,
             delay_spins: 200,
-            // Deny roughly a third of steal attempts: batches are
-            // constantly interrupted mid-drain and retried elsewhere.
+            // Deny roughly a third of steal attempts: thieves are
+            // constantly turned away mid-drain and retry elsewhere.
             steal_fail_per_10k: 3300,
             wedge_per_10k: 0,
             wedge_hold_ms: 0,
         }));
         let before = injected_panics();
-        let res = half.try_run(|wk| {
+        let res = rt.try_run(|wk| {
             for _ in 0..128 {
                 wk.spawn(|_| std::hint::black_box(()));
             }
         });
-        let res = res.and_then(|_| chained_sum(&half, 24));
+        let res = res.and_then(|_| chained_sum(&rt, 24));
         let injected = injected_panics() > before;
         match res {
             Ok(v) => {
-                assert_eq!(v, 24, "seed {seed}: steal-half chain sum");
+                assert_eq!(v, 24, "seed {seed}: denied-steal chain sum");
                 completed += 1;
             }
             Err(e) => {
                 assert!(
                     injected,
-                    "seed {seed}: steal-half failed w/o injection: {e}"
+                    "seed {seed}: denied-steal phase failed w/o injection: {e}"
                 );
                 assert!(
                     e.panic_message().is_some_and(|m| m.contains("pf-chaos")),
-                    "seed {seed}: unexpected steal-half error {e}"
+                    "seed {seed}: unexpected denied-steal error {e}"
                 );
                 failed += 1;
             }
         }
     }
-    assert!(failed > 0, "steal-half chaos rates never fired");
-    assert!(completed > 0, "steal-half sessions never finished");
+    assert!(failed > 0, "denied-steal chaos rates never fired");
+    assert!(completed > 0, "denied-steal sessions never finished");
 
     // Phase 3 (PR 9): concurrent sessions under chaos. Panic injection
     // off, delay + steal-denial injection on — the noise perturbs every
@@ -274,13 +260,10 @@ fn seeded_chaos_sessions_fail_contained_or_complete() {
     // Non-assertion telemetry: sessions whose wedge landed harmlessly.
     let _ = wedged_ok;
 
-    // Disarm and prove both pools are clean: 50 quiet runs each, zero
-    // failures.
+    // Disarm and prove the pool is clean: 50 quiet runs, zero failures.
     install(None);
     for i in 0..50u64 {
         let v = chained_sum(&rt, 8).expect("clean run after chaos disarm");
         assert_eq!(v, 8, "iteration {i}");
-        let v = chained_sum(&half, 8).expect("clean steal-half run after disarm");
-        assert_eq!(v, 8, "steal-half iteration {i}");
     }
 }

@@ -61,6 +61,35 @@ fn recovered_abort_drops_suspended_continuations() {
 }
 
 #[test]
+fn task_panic_does_not_eat_the_inline_budget() {
+    use pf_rt::Worker;
+    // Each link spawns a child that writes a cell, then touches it: under
+    // the default child-first order the child runs inline, so on one
+    // worker no touch ever suspends — as long as the inline budget holds.
+    fn chain(wk: &Worker, links: u32) {
+        if links == 0 {
+            return;
+        }
+        let (w, r) = cell::<u32>();
+        wk.spawn(move |wk| w.fulfill(wk, links));
+        r.touch(wk, move |_, wk| chain(wk, links - 1));
+    }
+    fn panic_deep(wk: &Worker, depth: u32) {
+        if depth == 0 {
+            panic!("deep");
+        }
+        wk.spawn(move |wk| panic_deep(wk, depth - 1));
+    }
+    let rt = Runtime::new(1);
+    assert_eq!(rt.run_stats(|wk| chain(wk, 64)).suspensions, 0);
+    // A panic that unwinds through 100 inline frames must leave the
+    // worker's inline depth where a fresh task expects it.
+    let err = rt.try_run(|wk| panic_deep(wk, 100)).unwrap_err();
+    assert_eq!(err.panic_message(), Some("deep"));
+    assert_eq!(rt.run_stats(|wk| chain(wk, 64)).suspensions, 0);
+}
+
+#[test]
 fn cancel_token_aborts_a_running_session() {
     let rt = Runtime::new(2);
     let tok = CancelToken::new();

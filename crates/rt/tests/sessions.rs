@@ -13,9 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pf_rt::{
-    cell, CancelToken, Runtime, SchedPolicy, Session, SessionError, SpawnOrder, StallDetector,
-};
+use pf_rt::{cell, CancelToken, Runtime, Session, SessionError, SpawnOrder, StallDetector};
 
 /// The tentpole claim, literally: a short session submitted while a
 /// long session is mid-flight returns `Ok` while the long sibling is
@@ -353,10 +351,7 @@ fn busy_sibling(
 ) -> std::thread::JoinHandle<()> {
     let (rt, stop, pumped) = (Arc::clone(rt), Arc::clone(stop), Arc::clone(pumped));
     std::thread::spawn(move || {
-        let fan_out = Session::new().policy(SchedPolicy {
-            spawn: SpawnOrder::ParentFirst,
-            ..SchedPolicy::default()
-        });
+        let fan_out = Session::new().spawn_order(SpawnOrder::ParentFirst);
         while !stop.load(Ordering::Acquire) {
             rt.try_run_session(fan_out.clone(), |wk| {
                 for _ in 0..8 {

@@ -7,17 +7,16 @@
 //! effects). Deterministic interleaving coverage is `pf-check`'s job: see
 //! `crates/check` and the model suite in `crates/check/tests/model_rt.rs`.
 
-use pf_rt::{cell, FutRead, Runtime, SchedPolicy, SpawnOrder, Worker};
+use pf_rt::{cell, FutRead, Runtime, SpawnOrder, Worker};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-/// Push every `spawn` instead of running it inline (the default): the
-/// flat fan-outs below are meant to race across workers.
-fn fan_out() -> SchedPolicy {
-    SchedPolicy {
-        spawn: SpawnOrder::ParentFirst,
-        ..SchedPolicy::default()
-    }
+/// A pool that pushes every `spawn` instead of running it inline (the
+/// default): the flat fan-outs below are meant to race across workers.
+fn fan_out(threads: usize) -> Runtime {
+    Runtime::builder(threads)
+        .spawn_order(SpawnOrder::ParentFirst)
+        .build()
 }
 
 /// A half-open cell pair: the write side is taken (`Option`) when a task
@@ -117,14 +116,14 @@ fn run_layered(seed: u64, width: usize, layers: usize, threads: usize) -> Vec<u6
         .collect();
 
     // Even seeds race the fan-out across workers; odd seeds run it under
-    // the default policy, where relays and consumers suspend in program
+    // the default order, where relays and consumers suspend in program
     // order on the root's worker and only their resumes are stolen.
-    let policy = if seed.is_multiple_of(2) {
-        fan_out()
+    let rt = if seed.is_multiple_of(2) {
+        fan_out(threads)
     } else {
-        SchedPolicy::default()
+        Runtime::new(threads)
     };
-    Runtime::with_policy(threads, policy).run(move |wk: &Worker| {
+    rt.run(move |wk: &Worker| {
         // Relay tasks: touch each produced cell once, fan out.
         for (l, per_src) in relay.iter_mut().enumerate() {
             for (src, consumers) in per_src.iter_mut().enumerate() {
@@ -212,7 +211,7 @@ fn persistent_pool_150_sessions_with_races() {
     //     corrupt sums or crash a consumed-write invariant);
     //   * that per-run stats were reset (counts match this run's shape,
     //     not an accumulation over the pool's lifetime).
-    let rt = Runtime::with_policy(4, fan_out());
+    let rt = fan_out(4);
     for round in 0u64..150 {
         let n = 32 + (round as usize % 17);
         let pairs: Vec<_> = (0..n).map(|_| cell::<u64>()).collect();

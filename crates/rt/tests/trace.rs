@@ -11,7 +11,7 @@
 
 #![cfg(feature = "trace")]
 
-use pf_rt::{cell, Runtime, SchedPolicy, Session, SessionError, SpawnOrder, TraceKind};
+use pf_rt::{cell, Runtime, Session, SessionError, SpawnOrder, TraceKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,13 +43,9 @@ fn fork_heavy_session_steals_on_a_wide_pool() {
     // engages it reliably; the retry loop absorbs pathological schedules.
     // Parent-first, so the flat `spawn` loop pushes instead of running
     // each task inline.
-    let rt = Runtime::with_policy(
-        4,
-        SchedPolicy {
-            spawn: SpawnOrder::ParentFirst,
-            ..SchedPolicy::default()
-        },
-    );
+    let rt = Runtime::builder(4)
+        .spawn_order(SpawnOrder::ParentFirst)
+        .build();
     let mut last = 0;
     for _ in 0..20 {
         let stats = rt.run_stats(|wk| {

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use pf_algs::plain::PlainTreap;
 use pf_algs::treap::{diff, union, union_many, Child, Treap};
 use pf_algs::{Key, Mode};
-use pf_rt::{cell, ready, FutRead, RunStats, Runtime, SchedPolicy, Session, SessionError, Worker};
+use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Session, SessionError, Worker};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::coalesce::{coalesce, CoalescePolicy, Wave};
@@ -63,9 +63,6 @@ pub struct ServiceConfig {
     pub deadline: Option<Duration>,
     /// Coalescer tuning.
     pub policy: CoalescePolicy,
-    /// Scheduling policy the apply sessions run under (threaded to
-    /// [`Session::policy`] for every window and replay session).
-    pub sched: SchedPolicy,
     /// Per-session progress-stall budget (threaded to
     /// [`Session::stall_budget`]): a wave whose session stops making
     /// *any* scheduler progress for this long aborts as `Stalled` — much
@@ -91,7 +88,6 @@ impl Default for ServiceConfig {
             mode: ApplyMode::Pipelined,
             deadline: Some(Duration::from_secs(10)),
             policy: CoalescePolicy::default(),
-            sched: SchedPolicy::default(),
             stall_budget: None,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
@@ -615,7 +611,7 @@ impl<K: Key> SetService<K> {
         plans: Vec<WavePlan<K>>,
     ) -> Result<(RTreap<K>, RunStats), (SessionError, Duration)> {
         let (op, of) = cell();
-        let mut sess = Session::new().policy(self.cfg.sched);
+        let mut sess = Session::new();
         if let Some(d) = self.cfg.deadline {
             sess = sess.deadline(d);
         }

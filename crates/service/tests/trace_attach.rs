@@ -1,23 +1,21 @@
 //! `trace`-feature integration: a degraded wave ships with the timeline
 //! of the session that failed it, and a failed pipelined window's
-//! timeline travels on the drain report (satellite of PR 8's pluggable
-//! scheduling policies — the same plumbing also tags every timeline with
-//! the session's policy label).
+//! timeline travels on the drain report (the same plumbing also tags
+//! every timeline with the session's spawn-order label).
 
 #![cfg(feature = "trace")]
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use pf_rt::{Runtime, SchedPolicy};
+use pf_rt::{Runtime, SpawnOrder};
 use pf_service::{Fault, Request, ServiceConfig, SetService, ShardMap};
 
-fn service(sched: SchedPolicy) -> SetService<i64> {
+fn service() -> SetService<i64> {
     let cfg = ServiceConfig {
         threads: 2,
         window: 8,
         deadline: Some(Duration::from_millis(400)),
-        sched,
         ..ServiceConfig::default()
     };
     // A private runtime: the pool-wide last-trace slot must not race
@@ -31,7 +29,7 @@ fn service(sched: SchedPolicy) -> SetService<i64> {
 
 #[test]
 fn degraded_wave_ships_with_its_timeline() {
-    let svc = service(SchedPolicy::default());
+    let svc = service();
     svc.submit(Request::insert(vec![(1, 1), (2, 2)]).tagged(0));
     svc.submit(
         Request::insert((0..40).map(|i| (10 + i, 1)).collect())
@@ -63,7 +61,7 @@ fn degraded_wave_ships_with_its_timeline() {
         .as_ref()
         .expect("degraded wave must carry its failed session's trace");
     assert!(tr.events() > 0);
-    assert_eq!(tr.policy, SchedPolicy::default().label());
+    assert_eq!(tr.policy, SpawnOrder::default().label());
 
     // Served waves carry no timeline — diagnosis is for failures.
     assert!(report
@@ -71,28 +69,4 @@ fn degraded_wave_ships_with_its_timeline() {
         .iter()
         .filter(|o| o.served)
         .all(|o| o.trace.is_none()));
-}
-
-#[test]
-fn session_traces_are_tagged_with_the_configured_policy() {
-    let sched = SchedPolicy {
-        steal: pf_rt::StealKind::Half,
-        victim: pf_rt::VictimSelect::LastVictimFirst,
-        resume: pf_rt::ResumePlace::Mailbox,
-        spawn: pf_rt::SpawnOrder::ParentFirst,
-    };
-    let svc = service(sched);
-    svc.submit(Request::insert((0..200).map(|i| (i, 1)).collect()).tagged(0));
-    svc.submit(Request::insert(vec![(7, 7)]).faulty(Fault::Panic).tagged(1));
-    let report = svc.pump();
-    assert!(report.degraded >= 1);
-    let degraded = report.outcomes.iter().find(|o| !o.served).unwrap();
-    let tr = degraded.trace.as_ref().expect("timeline attached");
-    assert_eq!(
-        tr.policy,
-        sched.label(),
-        "apply sessions must run under the configured scheduling policy"
-    );
-    // Healthy keys committed despite the non-default policy.
-    assert_eq!(svc.shard_keys(0).len(), 200);
 }

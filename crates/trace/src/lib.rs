@@ -236,10 +236,9 @@ pub struct SessionTrace {
     /// Session start, in nanoseconds since the pool epoch — the zero
     /// point of the Chrome-trace export.
     pub start_ns: u64,
-    /// Label of the scheduling policy the session ran under (e.g.
-    /// `"one-sweep-deque-parent"`), so per-policy timelines stay
-    /// distinguishable after export. Empty when the recorder predates
-    /// policy tagging.
+    /// Label of the spawn order the session ran under (`"child"` or
+    /// `"parent"`), so timelines of the two stay distinguishable after
+    /// export. Empty when the recorder predates tagging.
     pub policy: String,
     /// Per-lane ring capacity the recorder used — together with the
     /// per-lane drop counts this makes a truncated timeline
@@ -277,7 +276,7 @@ impl SessionTrace {
     /// directly): one instant event per [`TraceEvent`], one timeline row
     /// (`tid`) per worker plus one for the client lane, timestamps in
     /// microseconds relative to the session start. A trailing
-    /// `"metadata"` object carries the session's scheduling-policy
+    /// `"metadata"` object carries the session's spawn-order
     /// label, the ring capacity, and the total drop count, so a
     /// truncated export is self-describing.
     pub fn to_chrome_trace(&self) -> String {
@@ -400,9 +399,8 @@ impl WorkerSummary {
 pub struct TraceStats {
     /// Session id of the (first) summarized session.
     pub session: u64,
-    /// Scheduling-policy label of the (first) summarized session —
-    /// per-policy summaries come free when sweeping policies. Empty
-    /// when the recorder predates policy tagging.
+    /// Spawn-order label of the (first) summarized session. Empty
+    /// when the recorder predates tagging.
     pub policy: String,
     /// One summary per worker, indexed by worker.
     pub per_worker: Vec<WorkerSummary>,
@@ -572,7 +570,7 @@ mod tests {
         let tr = SessionTrace {
             session: 7,
             start_ns: 100,
-            policy: "one-sweep-deque-parent".to_string(),
+            policy: "parent".to_string(),
             ring_capacity: 16,
             workers: vec![
                 WorkerTrace {
@@ -601,7 +599,7 @@ mod tests {
         };
         let s = tr.stats();
         assert_eq!(s.session, 7);
-        assert_eq!(s.policy, "one-sweep-deque-parent");
+        assert_eq!(s.policy, "parent");
         assert_eq!(s.per_worker.len(), 2);
         assert_eq!(s.per_worker[0].executed(), 2);
         assert_eq!(s.per_worker[0].steals(), 1);
@@ -621,7 +619,7 @@ mod tests {
     fn stats_merge_adds_lanes_elementwise() {
         let mut a = TraceStats {
             session: 1,
-            policy: "one-sweep-deque-parent".to_string(),
+            policy: "parent".to_string(),
             per_worker: vec![WorkerSummary {
                 counts: {
                     let mut c = [0; KIND_COUNT];
@@ -634,7 +632,7 @@ mod tests {
         };
         let b = TraceStats {
             session: 2,
-            policy: "half-lastv-mailbox-child".to_string(),
+            policy: "child".to_string(),
             per_worker: vec![
                 WorkerSummary {
                     counts: {
@@ -651,10 +649,7 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.session, 1, "merge keeps the first session id");
-        assert_eq!(
-            a.policy, "one-sweep-deque-parent",
-            "merge keeps the first policy label"
-        );
+        assert_eq!(a.policy, "parent", "merge keeps the first policy label");
         assert_eq!(a.per_worker.len(), 2, "extra lanes are appended");
         assert_eq!(a.per_worker[0].executed(), 5);
         assert_eq!(a.per_worker[0].steals(), 1);
@@ -666,7 +661,7 @@ mod tests {
         let tr = SessionTrace {
             session: 3,
             start_ns: 1_000,
-            policy: "one-sweep-deque-parent".to_string(),
+            policy: "parent".to_string(),
             ring_capacity: 1 << 14,
             workers: vec![WorkerTrace {
                 events: vec![
@@ -699,7 +694,7 @@ mod tests {
         assert!(json.contains("\"name\":\"client\""));
         // The trailing metadata object makes the export self-describing.
         assert!(json.contains(
-            "\"metadata\":{\"policy\":\"one-sweep-deque-parent\",\
+            "\"metadata\":{\"policy\":\"parent\",\
              \"ringCapacity\":16384,\"droppedEvents\":5}"
         ));
         // A timestamp before the session start clamps to zero.

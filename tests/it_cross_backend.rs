@@ -301,19 +301,17 @@ fn seq_oracle_rejects_touch_before_write() {
     });
 }
 
-/// PR 8 pin: every scheduling policy (the full 24-combination matrix of
-/// steal granularity × victim selection × resume placement × spawn
-/// order) yields bit-identical algorithm results — keys *and*
-/// deterministic tree shape — and identical policy-independent
+/// Both spawn orders yield bit-identical algorithm results — keys *and*
+/// deterministic tree shape — and identical order-independent
 /// accounting on the tri-backend suite's treap-union and mergesort
-/// workloads. "Policy-independent accounting" is `spawns` (a spawned
+/// workloads. "Order-independent accounting" is `spawns` (a spawned
 /// task is counted once whether pushed or run inline) plus the liveness
 /// identity `tasks_executed - suspensions == spawns + 1`; raw executed
-/// counts legitimately vary across policies because whether a touch
+/// counts legitimately vary between the orders because whether a touch
 /// suspends depends on the schedule.
 #[test]
 fn every_sched_policy_is_result_identical_across_the_suite() {
-    use pf_rt::SchedPolicy;
+    use pf_rt::SpawnOrder;
     // Union reference (sequential oracle).
     let a = entries((0..400).map(|i| 3 * i));
     let b = entries((0..400).map(|i| 2 * i));
@@ -330,9 +328,9 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
     for threads in [1usize, 4] {
         let mut union_spawns: Option<u64> = None;
         let mut msort_spawns: Option<u64> = None;
-        for policy in SchedPolicy::matrix() {
-            let rt = Runtime::with_policy(threads, policy);
-            let label = policy.label();
+        for order in [SpawnOrder::ChildFirst, SpawnOrder::ParentFirst] {
+            let rt = Runtime::builder(threads).spawn_order(order).build();
+            let label = order.label();
 
             let (op, of) = cell();
             let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
@@ -376,21 +374,17 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
 /// `fork2`, so it waits for it — once per deleted key. (Deletions dense
 /// enough that a join meets a nested join still pending add a few
 /// more: 214 for 200 deleted keys of these 400.) The fork structure
-/// itself is policy-blind: `spawns` matches the parent-first run
+/// itself is order-blind: `spawns` matches the parent-first run
 /// exactly.
 #[test]
 fn work_first_default_does_not_suspend_at_one_worker() {
-    use pf_rt::{RunStats, SchedPolicy, SpawnOrder};
-    let parent_first = SchedPolicy {
-        spawn: SpawnOrder::ParentFirst,
-        ..SchedPolicy::default()
-    };
-    // Run `session` under the default policy and under parent-first.
+    use pf_rt::{RunStats, SpawnOrder};
+    // Run `session` under the default order and under parent-first.
     let both = |session: &dyn Fn(&Runtime) -> RunStats| {
-        (
-            session(&Runtime::new(1)),
-            session(&Runtime::with_policy(1, parent_first)),
-        )
+        let parent_first = Runtime::builder(1)
+            .spawn_order(SpawnOrder::ParentFirst)
+            .build();
+        (session(&Runtime::new(1)), session(&parent_first))
     };
 
     let a = entries((0..400).map(|i| 3 * i));
@@ -625,7 +619,7 @@ fn cutoff_builds_the_same_trees_on_the_runtime() {
 /// wave 3 is more than one grain of work).
 #[test]
 fn eight_waves_chain_through_unresolved_cells() {
-    use pf_rt::{SchedPolicy, SpawnOrder};
+    use pf_rt::SpawnOrder;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(16);
     let root = entries((0..20_000).map(|i| 5 * i));
@@ -654,17 +648,14 @@ fn eight_waves_chain_through_unresolved_cells() {
             PlainTreap::diff(want, batch)
         };
     }
-    let parent_first = SchedPolicy {
-        spawn: SpawnOrder::ParentFirst,
-        ..SchedPolicy::default()
-    };
     for threads in [1, 2, 4] {
-        for policy in [SchedPolicy::default(), parent_first] {
+        for order in [SpawnOrder::ChildFirst, SpawnOrder::ParentFirst] {
             for sized_root in [true, false] {
                 let mut state = rt_input(&root, sized_root);
                 let waves = waves.clone();
                 let (op, of) = cell();
-                Runtime::with_policy(threads, policy).run(move |wk| {
+                let rt = Runtime::builder(threads).spawn_order(order).build();
+                rt.run(move |wk| {
                     for (insert, groups) in waves {
                         let futs = groups.iter().map(|g| rt_input(g, true)).collect();
                         let batch = union_many(wk, futs, Pipelined);
@@ -680,7 +671,7 @@ fn eight_waves_chain_through_unresolved_cells() {
                 });
                 let what = format!(
                     "threads={threads} {} sized_root={sized_root}",
-                    policy.label()
+                    order.label()
                 );
                 assert_same_tree(&of.expect(), &want, &what);
             }

@@ -99,7 +99,6 @@ fn async_steal_respects_bounds_on_all_algorithms() {
                 p,
                 steal_latency: 2,
                 seed: 9 + p as u64,
-                ..StealConfig::default()
             };
             let s = steal_replay(&tr, cfg);
             assert_eq!(s.work_executed, tr.work, "{name} p={p}");
@@ -142,7 +141,7 @@ proptest! {
             futs.iter().map(|f| ctx.touch(f)).fold(0u64, u64::wrapping_add)
         }
         let (_, report, trace) = Sim::new().run_traced(move |ctx| build(ctx, seed, fanout, depth));
-        let cfg = StealConfig { p, steal_latency: 3, seed, ..StealConfig::default() };
+        let cfg = StealConfig { p, steal_latency: 3, seed };
         let s = steal_replay(&trace, cfg);
         prop_assert_eq!(s.work_executed, report.work);
         prop_assert!(s.makespan >= report.depth);
