@@ -40,7 +40,9 @@
 //! plainly, so its pieces stay sized; everything else — an unsized or
 //! still-pending operand, or more work than one grain — takes the paper's
 //! pipelined step, which copies a child into the node it publishes
-//! whichever kind it is. An engine that never cuts never fuses either: with
+//! whichever kind it is. The within-grain question is itself public
+//! ([`union_within_grain`], [`diff_within_grain`]) for a caller that wants
+//! the plain answer, if there is one, with no engine in hand. An engine that never cuts never fuses either: with
 //! `GRAIN == 0` the input constructors build unsized nodes on cells, so
 //! every step and every data edge is the paper's.
 
@@ -127,7 +129,9 @@ impl<B: PipeBackend, K> Treap<B, K> {
     /// Convert a sequential treap into a complete one — every node sized,
     /// one allocation each, no cell — with no engine in hand: what
     /// [`from_plain`](Self::from_plain) builds on an engine that cuts, for
-    /// a caller (a service's pump thread) that is not on a worker.
+    /// a caller that is not on a worker. From entries already sorted by
+    /// key, [`from_sorted_complete`](Self::from_sorted_complete) builds the
+    /// same tree in linear time.
     pub fn from_plain_complete(t: &Option<Box<PlainTreap<K>>>) -> Self
     where
         K: Clone,
@@ -138,6 +142,58 @@ impl<B: PipeBackend, K> Treap<B, K> {
             Self::from_plain_complete(&n.right),
         );
         Treap::node_sized(n.key.clone(), n.prio, l, r)
+    }
+
+    /// The complete treap of `entries`, which are sorted by key and hold no
+    /// key twice, in linear time and with no engine in hand: the tree
+    /// [`from_plain_complete`](Self::from_plain_complete) builds from
+    /// [`PlainTreap::from_entries`], node for node and allocated in the same
+    /// (post-)order, without the intermediate `Box` treap or its O(n lg n)
+    /// repeated insertion. One scan builds the Cartesian tree of the
+    /// priorities as indices — the stack is the right spine so far; an
+    /// entry pops every spine node it [`wins`] over and adopts the last one
+    /// popped as its left child — then the nodes are made bottom-up.
+    pub fn from_sorted_complete(entries: &[Entry<K>]) -> Self
+    where
+        K: Ord + Clone,
+    {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "entries must be sorted by key and distinct"
+        );
+        const NONE: usize = usize::MAX;
+        // Per entry: left child, right child, and the spine node below it
+        // while it is on the stack.
+        let mut links = vec![[NONE; 3]; entries.len()];
+        let (mut root, mut top) = (NONE, NONE);
+        for (i, (key, prio)) in entries.iter().enumerate() {
+            let mut popped = NONE;
+            while top != NONE && wins(key, *prio, &entries[top].0, entries[top].1) {
+                popped = top;
+                top = links[top][2];
+            }
+            links[i] = [popped, NONE, top];
+            match top {
+                NONE => root = i,
+                below => links[below][1] = i,
+            }
+            top = i;
+        }
+        fn build<B: PipeBackend, K: Clone>(
+            entries: &[Entry<K>],
+            links: &[[usize; 3]],
+            i: usize,
+        ) -> Treap<B, K> {
+            if i == NONE {
+                return Treap::Leaf;
+            }
+            let (l, r) = (
+                build(entries, links, links[i][0]),
+                build(entries, links, links[i][1]),
+            );
+            Treap::node_sized(entries[i].0.clone(), entries[i].1, l, r)
+        }
+        build(entries, &links, root)
     }
 
     fn node_over(key: K, prio: u64, size: usize, left: Child<B, K>, right: Child<B, K>) -> Self {
@@ -507,6 +563,37 @@ fn select_plain<B: PipeBackend, K: Key>(
     }
 }
 
+/// `union(a, b)` as plain code on the calling thread, if the rule of the
+/// module docs ("Granularity") allows it: `Some` exactly when both operands
+/// are [`sized`](Treap::sized) and the work estimate is within
+/// [`PipeBackend::GRAIN`] — then the result is sized too — else `None`, and
+/// the caller takes [`union`]. The pipelined [`union`] asks this same
+/// question at every step; a caller with no engine in hand (pf-service's
+/// inline pass) asks it directly.
+pub fn union_within_grain<B: PipeBackend, K: Key>(
+    a: &Treap<B, K>,
+    b: &Treap<B, K>,
+) -> Option<Treap<B, K>> {
+    within_grain::<B>(a.sized(), b.sized()).then(|| union_plain(a, b))
+}
+
+/// `diff(a, b)` as plain code on the calling thread, under the rule of
+/// [`union_within_grain`].
+pub fn diff_within_grain<B: PipeBackend, K: Key>(
+    a: &Treap<B, K>,
+    b: &Treap<B, K>,
+) -> Option<Treap<B, K>> {
+    select_within_grain(a, b, false)
+}
+
+fn select_within_grain<B: PipeBackend, K: Key>(
+    a: &Treap<B, K>,
+    b: &Treap<B, K>,
+    keep_found: bool,
+) -> Option<Treap<B, K>> {
+    within_grain::<B>(a.sized(), b.sized()).then(|| select_plain(a, b, keep_found))
+}
+
 /// `splitm(s, t)` (Figure 4): partition `t` by the splitter `s` into keys
 /// `< s` (`lout`) and keys `> s` (`rout`), **excluding** `s` itself;
 /// `fout` reports whether `s` was present. Completes early if the splitter
@@ -635,8 +722,8 @@ pub fn union<B: PipeBackend, K: Key>(
             return;
         }
         bk.touch(&b, move |bk, bv| {
-            if within_grain::<B>(av.sized(), bv.sized()) {
-                bk.fulfill(out, union_plain(&av, &bv));
+            if let Some(plain) = union_within_grain(&av, &bv) {
+                bk.fulfill(out, plain);
                 return;
             }
             bk.tick(1);
@@ -695,18 +782,18 @@ pub fn diff<B: PipeBackend, K: Key>(
 {
     bk.touch(&a, move |bk, av| {
         bk.tick(1);
-        let n1 = match av {
-            Treap::Leaf => {
-                bk.fulfill(out, Treap::Leaf);
-                return;
-            }
-            Treap::Node(n) => n,
-        };
+        if av.is_leaf() {
+            bk.fulfill(out, Treap::Leaf);
+            return;
+        }
         bk.touch(&b, move |bk, bv| {
-            if within_grain::<B>(n1.sized(), bv.sized()) {
-                bk.fulfill(out, select_plain(&Treap::Node(n1), &bv, false));
+            if let Some(plain) = select_within_grain(&av, &bv, false) {
+                bk.fulfill(out, plain);
                 return;
             }
+            let Treap::Node(n1) = av else {
+                unreachable!("handled above")
+            };
             bk.tick(1);
             if bv.is_leaf() {
                 bk.fulfill(out, Treap::Node(n1));
@@ -765,18 +852,18 @@ pub fn intersect<B: PipeBackend, K: Key>(
 {
     bk.touch(&a, move |bk, av| {
         bk.tick(1);
-        let n1 = match av {
-            Treap::Leaf => {
-                bk.fulfill(out, Treap::Leaf);
-                return;
-            }
-            Treap::Node(n) => n,
-        };
+        if av.is_leaf() {
+            bk.fulfill(out, Treap::Leaf);
+            return;
+        }
         bk.touch(&b, move |bk, bv| {
-            if within_grain::<B>(n1.sized(), bv.sized()) {
-                bk.fulfill(out, select_plain(&Treap::Node(n1), &bv, true));
+            if let Some(plain) = select_within_grain(&av, &bv, true) {
+                bk.fulfill(out, plain);
                 return;
             }
+            let Treap::Node(n1) = av else {
+                unreachable!("handled above")
+            };
             bk.tick(1);
             if bv.is_leaf() {
                 bk.fulfill(out, Treap::Leaf);
@@ -1009,7 +1096,11 @@ mod tests {
     }
 
     /// Entries in preorder: with the search order, that fixes the shape.
-    fn preorder(t: &Treap<Seq, i64>, out: &mut Vec<Entry<i64>>) {
+    fn preorder<B: PipeBackend>(t: &Treap<B, i64>, out: &mut Vec<Entry<i64>>)
+    where
+        Treap<B, i64>: Val,
+        TreapFut<B, i64>: Val,
+    {
         if let Treap::Node(n) = t {
             out.push((n.key, n.prio));
             preorder(&n.left.get(), out);
@@ -1126,6 +1217,93 @@ mod tests {
         assert_eq!((free.sized(), on_seq.sized()), (Some(700), Some(700)));
         assert!(free.check_invariants());
         assert!(Treap::<Seq, i64>::from_plain_complete(&None).is_leaf());
+    }
+
+    /// The linear-time builder makes `from_plain_complete`'s tree of
+    /// `PlainTreap::from_entries`, node for node, whatever the priorities
+    /// do: random, a right spine, a left spine, and all equal (ties go to
+    /// the larger key).
+    #[test]
+    fn from_sorted_complete_builds_the_oracles_tree_in_one_scan() {
+        let keys = || (0..600).map(|i| 5 * i - 700);
+        let inputs: [Vec<Entry<i64>>; 5] = [
+            entries(keys()),
+            keys().map(|k| (k, (k + 1000) as u64)).collect(),
+            keys().map(|k| (k, (5000 - k) as u64)).collect(),
+            keys().map(|k| (k, 7)).collect(),
+            entries([42]),
+        ];
+        for (i, e) in inputs.iter().enumerate() {
+            let got = Treap::<Seq, i64>::from_sorted_complete(e);
+            let plain = PlainTreap::from_entries(e);
+            let (mut g, mut w, mut p) = (vec![], vec![], vec![]);
+            preorder(&got, &mut g);
+            preorder(&Treap::<Seq, i64>::from_plain_complete(&plain), &mut w);
+            plain_preorder(&plain, &mut p);
+            assert_eq!(g, w, "input {i}");
+            assert_eq!(g, p, "input {i}");
+            assert_eq!(got.sized(), Some(e.len()), "input {i}");
+            assert!(got.check_invariants(), "input {i}");
+        }
+        assert!(Treap::<Seq, i64>::from_sorted_complete(&[]).is_leaf());
+    }
+
+    /// The engine-free entry points answer exactly when the pipelined
+    /// functions would run plain code — both operands sized, the estimate
+    /// within the grain, to the key — and then with the oracle's tree.
+    fn within_grain_is_the_plain_rule<B: PipeBackend>()
+    where
+        Treap<B, i64>: Val,
+        TreapFut<B, i64>: Val,
+    {
+        let t = |e: &[Entry<i64>]| Treap::<B, i64>::from_sorted_complete(e);
+        let same_tree = |got: Option<Treap<B, i64>>, want, what: &str| {
+            let got = got.unwrap_or_else(|| panic!("{what}: within the grain"));
+            let (mut g, mut w) = (vec![], vec![]);
+            preorder(&got, &mut g);
+            plain_preorder(&want, &mut w);
+            assert_eq!(g, w, "{what}");
+            assert_eq!(got.sized(), Some(w.len()), "{what}");
+        };
+        // Equal sizes make the estimate the size itself.
+        let grain = B::GRAIN as i64;
+        for (n, fits) in [(120, true), (grain, true), (grain + 1, false)] {
+            let (a, b) = (entries(0..n), entries((0..n).map(|i| 3 * i)));
+            let (pa, pb) = (
+                || PlainTreap::from_entries(&a),
+                || PlainTreap::from_entries(&b),
+            );
+            let (u, d) = (
+                union_within_grain(&t(&a), &t(&b)),
+                diff_within_grain(&t(&a), &t(&b)),
+            );
+            if fits {
+                same_tree(u, PlainTreap::union(pa(), pb()), "union");
+                same_tree(d, PlainTreap::diff(pa(), pb()), "diff");
+            } else {
+                assert!(u.is_none() && d.is_none(), "{n} keys a side");
+            }
+        }
+        // A big operand against a small one still fits; an unsized one
+        // never does, on either side.
+        let (big, one) = (entries(0..50 * grain), entries([7]));
+        same_tree(
+            union_within_grain(&t(&one), &t(&big)),
+            PlainTreap::from_entries(&big),
+            "one key into many",
+        );
+        let leaf = || Child::Done(Treap::<B, i64>::Leaf);
+        let pending = Treap::<B, i64>::node_over(7, 9, 0, leaf(), leaf());
+        for (a, b) in [(&pending, &t(&one)), (&t(&one), &pending)] {
+            assert!(union_within_grain(a, b).is_none());
+            assert!(diff_within_grain(a, b).is_none());
+        }
+    }
+
+    #[test]
+    fn within_grain_entry_points_on_seq_and_on_the_runtimes_engine() {
+        within_grain_is_the_plain_rule::<Seq>();
+        within_grain_is_the_plain_rule::<pf_rt::Worker>();
     }
 
     #[test]

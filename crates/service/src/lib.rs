@@ -10,11 +10,14 @@
 //! The request path is a four-stage pipeline:
 //!
 //! ```text
-//!   ingress ──► coalesce ──► shard sessions ──► pipelined apply
-//!   (queue      (dedup,       (try_run_session   (batch N+1 splits
-//!    per         wave          per window,        against batch N's
-//!    shard)      merging,      fault-contained)   unresolved root)
-//!                union tree)
+//!   ingress ──► coalesce ──► apply pass per window ──► commit
+//!   (queue      (dedup,       ├ inline: plain code on   (swap the root
+//!    per         wave         │  the caller, every       under the lock,
+//!    shard)      merging,     │  step within one grain    free the old
+//!                union tree)  └ pooled: try_run_session,  path after it)
+//!                                fault-contained; batch
+//!                                N+1 splits against batch
+//!                                N's unresolved root
 //! ```
 //!
 //! * **Ingress + coalescing** ([`coalesce()`]): requests land in a
@@ -47,6 +50,15 @@
 //!   fallback ([`ApplyMode::Barriered`]: one wave per session) is kept
 //!   for A/B measurement: pf-perf's `svc-bulk` workload reports it as
 //!   `service.service.barriered_keys_per_s` and `pipelining_gain`.
+//! * **The inline pass** ([`DrainReport::inline`]): a window that has no
+//!   future in it needs no session. Before opening one, the service tries
+//!   the window as plain code on the calling thread — every wave healthy,
+//!   every step within one grain by the rule `union` and `diff` apply
+//!   themselves ([`pf_algs::treap::union_within_grain`]) — and falls
+//!   through to the pooled session otherwise. No option selects it: the
+//!   decision is a function of operand sizes and `Worker::GRAIN`.
+//!   Whichever pass applies a window also marshals its batches, so a
+//!   batch's nodes are allocated by the thread that goes on to walk them.
 //!
 //! Failure is a per-wave outcome, not a process event: a wave that
 //! panics, wedges past the deadline, or stalls degrades — the shard keeps

@@ -1,34 +1,41 @@
 //! The service core: per-shard ingress queues feeding coalesced waves
-//! into fault-contained apply sessions, with cross-batch pipelining
-//! inside each session window.
+//! into apply passes — plain code on the calling thread for a window
+//! whose every step is within one grain, a fault-contained session with
+//! cross-batch pipelining for everything else.
 //!
 //! See the crate docs for the architecture. The one invariant everything
-//! here leans on: a shard's *committed* root only ever comes out of a
-//! session that reached quiescence, and is sealed before it is stored
+//! here leans on: a shard's *committed* root only ever comes out of an
+//! inline pass (plain code builds only complete nodes) or of a session
+//! that reached quiescence, sealed before it is stored
 //! ([`Treap::sealed`]: the few unsized nodes a larger-than-grain wave
 //! leaves at the top are rebuilt as complete ones), so it holds no future
 //! cell at all — snapshot readers walk it lock-free (after one root
-//! clone) as a plain pointer chase, and the next session's unions see a
+//! clone) as a plain pointer chase, and the next pass's unions see a
 //! complete operand.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pf_algs::plain::PlainTreap;
-use pf_algs::treap::{diff, union, union_many, Child, Treap};
-use pf_algs::{Key, Mode};
+use pf_algs::treap::{
+    diff, diff_within_grain, union, union_many, union_within_grain, Child, Treap,
+};
+use pf_algs::{Key, Mode, PipeBackend};
 use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Session, SessionError, Worker};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::coalesce::{coalesce, CoalescePolicy, Wave};
-use crate::request::{Fault, OpKind, Request};
+use crate::request::{Entry, Fault, OpKind, Request};
 use crate::shard::ShardMap;
 
 /// A shard's treap: the one generic treap, on the runtime's engine.
 type RTreap<K> = Treap<Worker, K>;
 
-/// How a window of waves is applied to a shard root.
+/// How waves are grouped into apply passes. Either way a pass whose
+/// every step is within one grain runs as plain code on the calling
+/// thread and opens no session ([`DrainReport::inline`]); "session"
+/// below is what the other passes open.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApplyMode {
     /// One session per **window** of up to [`ServiceConfig::window`]
@@ -59,7 +66,12 @@ pub struct ServiceConfig {
     /// Apply mode (pipelined by default; barriered for A/B runs).
     pub mode: ApplyMode,
     /// Per-session deadline: a wave (or window) that exceeds it aborts
-    /// and degrades instead of wedging the shard.
+    /// and degrades instead of wedging the shard. Neither this nor
+    /// `stall_budget` applies to an inline pass (see
+    /// [`DrainReport::inline`]): plain code on the calling thread waits
+    /// on nothing, and the rule that admits it bounds each of its steps
+    /// — one per wave, and one per group a wave holds — by `GRAIN` unit
+    /// actions, `window × GRAIN` for a window of merged small requests.
     pub deadline: Option<Duration>,
     /// Coalescer tuning.
     pub policy: CoalescePolicy,
@@ -113,9 +125,10 @@ pub struct WaveOutcome {
     pub served: bool,
     /// The session error that degraded the wave, rendered.
     pub error: Option<String>,
-    /// Apply latency: the elapsed time of the session that decided this
-    /// wave's fate (shared by every wave of a pipelined window; from
-    /// [`RunStats::elapsed`], the same source the benchmark reports).
+    /// Apply latency: the elapsed time of the apply pass, inline or
+    /// pooled, that decided this wave's fate (shared by every wave of a
+    /// pipelined window; from [`RunStats::elapsed`], the same source the
+    /// benchmark reports).
     pub latency: Duration,
     /// Served by the wave-by-wave replay of a failed pipelined window
     /// rather than by its original window session.
@@ -142,13 +155,24 @@ pub struct WaveOutcome {
 pub struct DrainReport {
     /// Per-wave outcomes, in commit order per shard.
     pub outcomes: Vec<WaveOutcome>,
-    /// Session statistics accumulated over every *successful* session,
+    /// Statistics accumulated over every *successful* apply pass,
     /// including elapsed busy time — so
-    /// `stats.ops_per_sec(keys_applied)` is the service's in-session
+    /// `stats.ops_per_sec(keys_applied)` is the service's in-pass
     /// throughput from the same [`RunStats`] source the benchmark uses.
+    /// An inline pass counts as one executed task (the window's root
+    /// closure, run on the caller) and its elapsed time, nothing else.
     pub stats: RunStats,
-    /// Sessions run, including failed ones and replays.
+    /// Apply passes run, inline or pooled, including failed ones and
+    /// replays: one per window, plus one per wave replayed or retried.
     pub sessions: u64,
+    /// The passes among `sessions` that never entered the pool: every
+    /// wave healthy and every step — the wave's groups folded by union,
+    /// then union or difference against the running root — within
+    /// `Worker::GRAIN` by [`pf_algs::treap::union_within_grain`]'s rule,
+    /// so the window ran as plain code on the calling thread. A function
+    /// of operand sizes only; an inline pass cannot fail, so the pooled
+    /// session stays the only error path.
+    pub inline: u64,
     /// Wall-clock span of the drain that produced this report (stamped
     /// by [`SetService::pump`] and [`SetService::drive`]). Distinct from
     /// `stats.elapsed`, which *sums* per-session busy time: concurrent
@@ -185,6 +209,7 @@ impl DrainReport {
         self.outcomes.extend(other.outcomes);
         self.stats.accumulate(&other.stats);
         self.sessions += other.sessions;
+        self.inline += other.inline;
         self.keys_applied += other.keys_applied;
         self.served += other.served;
         self.degraded += other.degraded;
@@ -207,8 +232,8 @@ impl DrainReport {
 }
 
 /// One shard: its ingress queue and committed root. The root mutex is
-/// held only for a clone (readers, session setup) or a store (commit) —
-/// never across a session.
+/// held only for a clone (readers, pass setup) or a swap (commit) —
+/// never across an apply pass, nor while the replaced root is freed.
 struct Shard<K: 'static> {
     ingress: Mutex<Vec<Request<K>>>,
     root: Mutex<RTreap<K>>,
@@ -218,20 +243,29 @@ struct Shard<K: 'static> {
     backoff: Mutex<u64>,
 }
 
-/// The apply plan of one wave: its group treaps, pre-built outside the
-/// session (input marshalling), plus what to do with them.
-struct WavePlan<K: 'static> {
+/// The apply plan of one wave: what [`WaveOutcome`] reports of it, and
+/// its entry groups (each sorted and distinct, [`Wave::groups`]) shared
+/// with whichever pass applies them. Whoever applies a wave marshals its
+/// groups into treaps — the calling thread for an inline pass, a pool
+/// worker inside the session otherwise — so a batch's nodes come from the
+/// allocator arena of the thread that goes on to walk them, and a bulk
+/// load never lands in the arena the caller's small path copies recycle.
+struct WavePlan<K> {
     kind: OpKind,
     fault: Fault,
-    treaps: Vec<RTreap<K>>,
+    tags: Vec<u64>,
+    keys: usize,
+    groups: Arc<Vec<Vec<Entry<K>>>>,
 }
 
-impl<K: 'static> Clone for WavePlan<K> {
-    fn clone(&self) -> Self {
+impl<K> From<Wave<K>> for WavePlan<K> {
+    fn from(w: Wave<K>) -> Self {
         WavePlan {
-            kind: self.kind,
-            fault: self.fault,
-            treaps: self.treaps.clone(), // Arc-shallow
+            kind: w.kind,
+            fault: w.fault,
+            keys: w.keys(),
+            tags: w.tags,
+            groups: Arc::new(w.groups),
         }
     }
 }
@@ -443,14 +477,17 @@ impl<K: Key> SetService<K> {
     }
 
     /// Drain one shard's pending requests: coalesce into waves, chop
-    /// into windows, apply each window in a fault-contained session.
+    /// into windows, apply each window in one pass.
     fn apply_pending(&self, shard: usize) -> DrainReport {
         let pending = std::mem::take(&mut *lock(&self.shards[shard].ingress));
         let mut report = DrainReport::default();
         if pending.is_empty() {
             return report;
         }
-        let waves = coalesce(pending, &self.cfg.policy);
+        let waves: Vec<WavePlan<K>> = coalesce(pending, &self.cfg.policy)
+            .into_iter()
+            .map(WavePlan::from)
+            .collect();
         let window = match self.cfg.mode {
             ApplyMode::Pipelined => self.cfg.window.max(1),
             ApplyMode::Barriered => 1,
@@ -462,12 +499,10 @@ impl<K: Key> SetService<K> {
         let key_budget = window * self.cfg.policy.merge_below;
         let mut start = 0;
         while start < waves.len() {
-            let (mut end, mut keys) = (start + 1, waves[start].keys());
-            while end < waves.len()
-                && end - start < window
-                && keys + waves[end].keys() <= key_budget
+            let (mut end, mut keys) = (start + 1, waves[start].keys);
+            while end < waves.len() && end - start < window && keys + waves[end].keys <= key_budget
             {
-                keys += waves[end].keys();
+                keys += waves[end].keys;
                 end += 1;
             }
             self.apply_window(shard, &waves[start..end], &mut report);
@@ -484,7 +519,7 @@ impl<K: Key> SetService<K> {
     /// the window (an open breaker sheds it in O(1)), each degraded wave
     /// gets [`ServiceConfig::retry`] fresh-session attempts with
     /// jittered backoff, and the window's final fate feeds the breaker.
-    fn apply_window(&self, shard: usize, waves: &[Wave<K>], report: &mut DrainReport) {
+    fn apply_window(&self, shard: usize, waves: &[WavePlan<K>], report: &mut DrainReport) {
         if !lock(&self.shards[shard].breaker).admit(self.started.elapsed()) {
             for w in waves {
                 let mut o = outcome(shard, w, false, None, Duration::ZERO, false);
@@ -496,32 +531,15 @@ impl<K: Key> SetService<K> {
             }
             return;
         }
-        let plans: Vec<WavePlan<K>> = waves
-            .iter()
-            .map(|w| WavePlan {
-                kind: w.kind,
-                fault: w.fault,
-                treaps: w
-                    .groups
-                    .iter()
-                    .map(|g| Treap::from_plain_complete(&PlainTreap::from_entries(g)))
-                    .collect(),
-            })
-            .collect();
-        let root = self.snapshot(shard);
-        report.sessions += 1;
         let mut degraded = false;
-        match self.run_window_session(root, plans.clone()) {
-            Ok((new_root, stats)) => {
-                *lock(&self.shards[shard].root) = new_root;
+        match self.apply_pass(shard, waves, report) {
+            Ok(took) => {
                 for w in waves {
-                    report.record(outcome(shard, w, true, None, stats.elapsed, false));
+                    report.record(outcome(shard, w, true, None, took, false));
                 }
-                report.stats.accumulate(&stats);
             }
             Err(failed) if waves.len() == 1 => {
-                let plan = plans.into_iter().next().expect("one plan per wave");
-                degraded = !self.retry_wave(shard, &waves[0], plan, false, Some(failed), report);
+                degraded = !self.retry_wave(shard, &waves[0], false, Some(failed), report);
             }
             Err(_) => {
                 // The failed window's timeline, captured before the
@@ -530,27 +548,26 @@ impl<K: Key> SetService<K> {
                 report
                     .window_traces
                     .extend(self.rt.take_last_trace().map(Arc::new));
-                // Replay: one wave per session (plus retries), committing
+                // Replay: one wave per pass (plus retries), committing
                 // the healthy ones in order; the shard root advances past
                 // each.
-                for (w, plan) in waves.iter().zip(plans) {
-                    degraded |= !self.retry_wave(shard, w, plan, true, None, report);
+                for w in waves {
+                    degraded |= !self.retry_wave(shard, w, true, None, report);
                 }
             }
         }
         lock(&self.shards[shard].breaker).on_window(degraded, self.started.elapsed());
     }
 
-    /// Run `plan` alone in fresh sessions until it serves or its retry
-    /// budget is spent, recording exactly one outcome. `failed` carries
-    /// an attempt the caller already ran (the single-wave window
-    /// session); each subsequent attempt waits out a jittered
-    /// exponential backoff first. Returns whether the wave served.
+    /// Run `w` alone in fresh passes until it serves or its retry budget
+    /// is spent, recording exactly one outcome. `failed` carries an
+    /// attempt the caller already ran (the single-wave window session);
+    /// each subsequent attempt waits out a jittered exponential backoff
+    /// first. Returns whether the wave served.
     fn retry_wave(
         &self,
         shard: usize,
-        w: &Wave<K>,
-        plan: WavePlan<K>,
+        w: &WavePlan<K>,
         replayed: bool,
         failed: Option<(SessionError, Duration)>,
         report: &mut DrainReport,
@@ -575,16 +592,12 @@ impl<K: Key> SetService<K> {
                 std::thread::sleep(delay);
                 report.retries += 1;
             }
-            report.sessions += 1;
             attempts += 1;
-            let root = self.snapshot(shard);
-            match self.run_window_session(root, vec![plan.clone()]) {
-                Ok((new_root, stats)) => {
-                    *lock(&self.shards[shard].root) = new_root;
-                    let mut o = outcome(shard, w, true, None, stats.elapsed, replayed);
+            match self.apply_pass(shard, std::slice::from_ref(w), report) {
+                Ok(took) => {
+                    let mut o = outcome(shard, w, true, None, took, replayed);
                     o.attempts = attempts;
                     report.record(o);
-                    report.stats.accumulate(&stats);
                     if attempts > 1 {
                         report.recovered += 1;
                     }
@@ -595,20 +608,50 @@ impl<K: Key> SetService<K> {
         }
     }
 
+    /// One apply pass: `waves` against the shard's committed root —
+    /// inline where [`apply_inline`] can, in a pooled session otherwise —
+    /// and, on success, the commit. Returns the pass's elapsed time, or
+    /// the session's error with the root untouched.
+    fn apply_pass(
+        &self,
+        shard: usize,
+        waves: &[WavePlan<K>],
+        report: &mut DrainReport,
+    ) -> Result<Duration, (SessionError, Duration)> {
+        report.sessions += 1;
+        let root = self.snapshot(shard);
+        let (new_root, stats) = match apply_inline(&root, waves) {
+            Some(applied) => {
+                report.inline += 1;
+                applied
+            }
+            None => self.run_window_session(root, waves)?,
+        };
+        // Swap under the lock every `snapshot()` takes, free after it:
+        // dropping the last handle on the old root frees the whole
+        // replaced path, some 25 blocks per key.
+        let replaced = std::mem::replace(&mut *lock(&self.shards[shard].root), new_root);
+        drop(replaced);
+        report.stats.accumulate(&stats);
+        Ok(stats.elapsed)
+    }
+
     /// One apply session: chain every wave of the window through
     /// unresolved result cells (cross-batch pipelining), then read the
-    /// final root out, sealed — the one place a committable root comes
-    /// from. Each wave's groups collapse through a balanced union tree
-    /// before touching the chain. On failure the caller gets the error
-    /// plus the session's wall-clock cost; the pool is already clean
-    /// (aborted sessions poison their cells and drop their continuations)
-    /// and the pre-session root is untouched — it holds no cell, so the
-    /// poison pass cannot reach it.
+    /// final root out, sealed — the one place a committable root that
+    /// took futures to build comes from. Each wave's groups are
+    /// marshalled here, on the worker that runs the session's root task,
+    /// and collapse through a balanced union tree before touching the
+    /// chain. On failure the caller gets the error plus the session's
+    /// wall-clock cost; the pool is already clean (aborted sessions
+    /// poison their cells and drop their continuations) and the
+    /// pre-session root is untouched — it holds no cell, so the poison
+    /// pass cannot reach it.
     #[allow(clippy::type_complexity)]
     fn run_window_session(
         &self,
         root: RTreap<K>,
-        plans: Vec<WavePlan<K>>,
+        waves: &[WavePlan<K>],
     ) -> Result<(RTreap<K>, RunStats), (SessionError, Duration)> {
         let (op, of) = cell();
         let mut sess = Session::new();
@@ -618,13 +661,17 @@ impl<K: Key> SetService<K> {
         if let Some(b) = self.cfg.stall_budget {
             sess = sess.stall_budget(b);
         }
+        let steps: Vec<_> = waves
+            .iter()
+            .map(|w| (w.kind, w.fault, Arc::clone(&w.groups)))
+            .collect();
         let started = Instant::now();
         let stats = self
             .rt
             .try_run_session(sess, move |wk: &Worker| {
                 let mut state: FutRead<RTreap<K>> = ready(root);
-                for plan in plans {
-                    match plan.fault {
+                for (kind, fault, groups) in steps {
+                    match fault {
                         Fault::Panic => {
                             wk.spawn(|_| panic!("injected fault: malformed request payload"))
                         }
@@ -635,10 +682,13 @@ impl<K: Key> SetService<K> {
                         }),
                         Fault::None => {}
                     }
-                    let futs = plan.treaps.into_iter().map(ready).collect();
+                    let futs = groups
+                        .iter()
+                        .map(|g| ready(Treap::from_sorted_complete(g)))
+                        .collect();
                     let batch = union_many(wk, futs, Mode::Pipelined);
                     let (p, f) = cell();
-                    match plan.kind {
+                    match kind {
                         OpKind::Insert => union(wk, state, batch, p, Mode::Pipelined),
                         OpKind::Delete => diff(wk, state, batch, p, Mode::Pipelined),
                     }
@@ -698,9 +748,47 @@ fn range_into<K: Key>(t: &RTreap<K>, lo: &K, hi: &K, out: &mut Vec<K>) {
     }
 }
 
+/// The window as plain code on the calling thread, or `None` — and the
+/// caller opens a session — unless every wave is healthy and every step
+/// is within one grain: marshalling a wave's groups (linear in its keys),
+/// folding them by union, and the union or difference against the running
+/// root, each by the rule `union`/`diff` themselves apply
+/// ([`union_within_grain`]). A function of operand sizes alone, checked
+/// before a step does any work. `root` is sized, as every committed root
+/// is, and plain code keeps it so. A panic in here (a key's `Ord`, the
+/// allocator) is `None` too: operands are persistent, so nothing is
+/// half-written, and the session that follows reports the error.
+fn apply_inline<K: Key>(root: &RTreap<K>, waves: &[WavePlan<K>]) -> Option<(RTreap<K>, RunStats)> {
+    let started = Instant::now();
+    let pass = || {
+        let mut state = root.clone();
+        for w in waves {
+            if w.fault != Fault::None || w.keys as u64 > Worker::GRAIN {
+                return None;
+            }
+            let mut batch = RTreap::Leaf;
+            for g in w.groups.iter() {
+                batch = union_within_grain(&batch, &Treap::from_sorted_complete(g))?;
+            }
+            state = match w.kind {
+                OpKind::Insert => union_within_grain(&state, &batch)?,
+                OpKind::Delete => diff_within_grain(&state, &batch)?,
+            };
+        }
+        Some(state)
+    };
+    let new_root = catch_unwind(AssertUnwindSafe(pass)).ok()??;
+    let stats = RunStats {
+        tasks_executed: 1,
+        elapsed: started.elapsed(),
+        ..RunStats::default()
+    };
+    Some((new_root, stats))
+}
+
 fn outcome<K>(
     shard: usize,
-    w: &Wave<K>,
+    w: &WavePlan<K>,
     served: bool,
     err: Option<&SessionError>,
     latency: Duration,
@@ -710,7 +798,7 @@ fn outcome<K>(
         shard,
         kind: w.kind,
         tags: w.tags.clone(),
-        keys: w.keys(),
+        keys: w.keys,
         served,
         error: err.map(|e| e.to_string()),
         latency,

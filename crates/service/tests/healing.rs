@@ -37,14 +37,17 @@ fn deterministic_fault_burns_its_retry_budget_then_degrades() {
     svc.submit(Request::insert(vec![(20, 2)]).tagged(2));
     let report = svc.pump();
 
-    // Window fails → replay serves the healthy wave (1 session) and the
-    // poisoned wave runs 1 + 2 retry sessions: 5 sessions total.
+    // Window fails → replay serves the healthy wave (1 pass, and being
+    // sub-grain it stays inline — the only one that does: a faulty wave
+    // always takes the pool) and the poisoned wave runs 1 + 2 retry
+    // sessions: 5 in total.
     assert_eq!(report.served, 1);
     assert_eq!(report.degraded, 1);
     assert_eq!(report.retries, 2, "both retry attempts must have run");
     assert_eq!(report.recovered, 0, "a deterministic fault cannot recover");
     assert_eq!(report.shed, 0);
     assert_eq!(report.sessions, 5, "{report:?}");
+    assert_eq!(report.inline, 1, "{report:?}");
 
     let bad = report.outcomes.iter().find(|o| !o.served).unwrap();
     assert_eq!(bad.attempts, 3, "1 first try + 2 retries: {bad:?}");
@@ -52,6 +55,7 @@ fn deterministic_fault_burns_its_retry_budget_then_degrades() {
     assert!(!bad.shed);
     let good = report.outcomes.iter().find(|o| o.served).unwrap();
     assert_eq!(good.attempts, 1);
+    assert!(good.replayed);
 
     // The healthy wave committed; the poisoned one left no residue.
     assert!(svc.contains(&20) && !svc.contains(&10));

@@ -260,12 +260,14 @@ fn main() {
     }
 
     println!(
-        "\n{total} requests -> {}/{} waves served ({} degraded) across {} sessions; \
-         {} keys applied, in-session throughput {:.0} ops/s. all shards verified. done.",
+        "\n{total} requests -> {}/{} waves served ({} degraded) across {} sessions \
+         ({} inline); {} keys applied, in-session throughput {:.0} ops/s. all shards \
+         verified. done.",
         report.served,
         report.served + report.degraded,
         report.degraded,
         report.sessions,
+        report.inline,
         report.keys_applied,
         report.stats.ops_per_sec(report.keys_applied)
     );

@@ -142,6 +142,15 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
     assert_eq!(node_allocs, k, "Seq from_entries");
     let ([allocs, _, node_allocs, _], ra) = counted(|| RTreap::from_plain_complete(&plain));
     assert_eq!((allocs, node_allocs), (k, k), "pf-rt from_plain_complete");
+    // The linear-time builder: the same k blocks and one scratch vector,
+    // no intermediate `Box` treap.
+    let ([allocs, frees, node_allocs, _], sorted) = counted(|| RTreap::from_sorted_complete(&big));
+    assert_eq!(
+        (allocs, frees, node_allocs),
+        (k + 1, 1, k),
+        "from_sorted_complete"
+    );
+    drop(sorted);
 
     // Below-grain operations: a 100-key batch (its splits build nodes the
     // result does not keep) and a single key (they do not).
