@@ -13,7 +13,9 @@
 //! * [`list`] — the Figure 1 producer/consumer pipeline and Halstead's
 //!   Figure 2 quicksort;
 //! * [`mergesort`] — the §5 conjectured pipelined tree mergesort;
-//! * [`plain`] — the sequential treap oracle (pure code, no engine).
+//! * [`plain`] — the sequential treap oracle (pure code, no engine);
+//! * [`start`] — the starters: per algorithm, build its operands on an
+//!   engine, call it once, return the result future.
 //!
 //! The **hand-pipelined baselines** live here too, but on a different
 //! engine surface: [`cole`] (cascading mergesort) and [`pvw`] (the
@@ -53,8 +55,7 @@
 //! most once:
 //!
 //! ```
-//! use pf_algs::treap::{union, Treap};
-//! use pf_algs::{plain::splitmix64, Mode, PipeBackend};
+//! use pf_algs::{plain::splitmix64, start::union_on, Mode};
 //!
 //! // Two interleaving key sets, priorities hashed from the keys.
 //! let entries = |odd: i64| -> Vec<(i64, u64)> {
@@ -62,15 +63,8 @@
 //!     keys.map(|k| (k, splitmix64(k as u64))).collect()
 //! };
 //! let (a, b) = (entries(0), entries(1));
-//! let run = |mode| {
-//!     pf_core::Sim::new().run(|ctx| {
-//!         let fa = ctx.input(Treap::from_entries(ctx, &a));
-//!         let fb = ctx.input(Treap::from_entries(ctx, &b));
-//!         let (out, root) = ctx.cell();
-//!         union(ctx, fa, fb, out, mode);
-//!         root
-//!     })
-//! };
+//! // The starter builds both treaps as free inputs and calls `treap::union`.
+//! let run = |mode| pf_core::Sim::new().run(|ctx| union_on(ctx, &a, &b, mode));
 //! let (root, pipelined) = run(Mode::Pipelined);
 //! let (_, strict) = run(Mode::Strict);
 //!
@@ -90,6 +84,7 @@ pub mod mergesort;
 pub mod plain;
 pub mod pvw;
 pub mod rebalance;
+pub mod start;
 pub mod treap;
 pub mod tree;
 pub mod two_six;

@@ -220,18 +220,13 @@ pub fn qs<B: PipeBackend, K: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::start::{pipeline_on, quicksort_on};
     use crate::Seq;
 
     #[test]
     fn pipeline_sums_on_the_oracle() {
         for n in [0u64, 1, 10, 500] {
-            let sum = Seq::run(|bk| {
-                let (lp, lf) = bk.cell();
-                bk.fork(move |bk| produce(bk, n, lp));
-                let (sp, sf) = bk.cell();
-                bk.touch(&lf, move |bk, l| consume(bk, l, 0, sp));
-                sf.expect()
-            });
+            let sum = Seq::run(|bk| pipeline_on(bk, n, Mode::Pipelined).expect());
             assert_eq!(sum, n * (n + 1) / 2, "n={n}");
         }
     }
@@ -243,10 +238,9 @@ mod tests {
         let mut expect = keys.clone();
         expect.sort_unstable();
         let sorted = Seq::run(|bk| {
-            let l = List::from_slice(bk, &keys);
-            let (op, of) = bk.cell();
-            qs(bk, l, List::nil(), op, Mode::Pipelined);
-            List::<Seq, i64>::expect_vec(&of)
+            quicksort_on(bk, &keys, Mode::Pipelined)
+                .expect()
+                .collect_vec()
         });
         assert_eq!(sorted, expect);
     }
@@ -255,10 +249,9 @@ mod tests {
     fn quicksort_duplicates_on_the_oracle() {
         let keys = vec![3i64, 1, 3, 2, 1, 3, 0];
         let sorted = Seq::run(|bk| {
-            let l = List::from_slice(bk, &keys);
-            let (op, of) = bk.cell();
-            qs(bk, l, List::nil(), op, Mode::Pipelined);
-            List::<Seq, i64>::expect_vec(&of)
+            quicksort_on(bk, &keys, Mode::Pipelined)
+                .expect()
+                .collect_vec()
         });
         assert_eq!(sorted, vec![0, 1, 1, 2, 3, 3, 3]);
     }

@@ -118,6 +118,7 @@ pub fn merge<B: PipeBackend, K: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::start::merge_on;
     use crate::testkit::{evens, odds, run_merge};
     use crate::Seq;
     use pf_core::Sim;
@@ -128,13 +129,7 @@ mod tests {
             let (a, b) = (evens(na), odds(nb));
             let mut expect: Vec<i64> = a.iter().chain(b.iter()).copied().collect();
             expect.sort_unstable();
-            let got = Seq::run(|bk| {
-                let fa = bk.input(Tree::from_sorted(bk, &a));
-                let fb = bk.input(Tree::from_sorted(bk, &b));
-                let (op, of) = bk.cell();
-                merge(bk, fa, fb, op, Mode::Pipelined);
-                Tree::<Seq, i64>::expect(&of)
-            });
+            let got = Seq::run(|bk| merge_on(bk, &a, &b, Mode::Pipelined).expect());
             assert!(got.is_search_tree());
             assert_eq!(got.to_sorted_vec(), expect, "na={na} nb={nb}");
         }

@@ -93,6 +93,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::start::msort_on;
     use crate::testkit::{run_msort, shuffled};
     use pf_backend::Seq;
 
@@ -106,11 +107,7 @@ mod tests {
                 keys.into_iter().filter(|k| seen.insert(*k)).collect()
             };
             keys.reverse();
-            let t = Seq::run(|bk| {
-                let (p, f) = bk.cell();
-                msort(bk, keys.clone(), p, Mode::Pipelined);
-                Tree::<Seq, i64>::expect(&f)
-            });
+            let t = Seq::run(|bk| msort_on(bk, &keys, false, Mode::Pipelined).expect());
             assert!(t.is_search_tree());
             assert_eq!(t.to_sorted_vec().len(), keys.len(), "n={n}");
         }
@@ -119,11 +116,7 @@ mod tests {
     #[test]
     fn seq_oracle_balanced_height() {
         let keys: Vec<i64> = (0..200).rev().collect();
-        let t = Seq::run(|bk| {
-            let (p, f) = bk.cell();
-            msort_balanced(bk, keys.clone(), p, Mode::Pipelined);
-            Tree::<Seq, i64>::expect(&f)
-        });
+        let t = Seq::run(|bk| msort_on(bk, &keys, true, Mode::Pipelined).expect());
         assert!(t.is_search_tree());
         assert_eq!(t.to_sorted_vec(), (0..200).collect::<Vec<_>>());
         assert!(t.height() <= 8, "height {}", t.height());

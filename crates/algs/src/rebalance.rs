@@ -393,6 +393,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::start::{merge_balanced_on, rebalance_on};
     use crate::testkit::{run_merge_balanced, run_rebalance, shuffled};
     use crate::Seq;
 
@@ -402,10 +403,7 @@ mod tests {
         let t = Seq::run(|bk| {
             let spine = unbalanced_from(bk, &keys);
             assert_eq!(spine.height(), 127, "in-order insertion gives a spine");
-            let ft = bk.input(spine);
-            let (op, of) = bk.cell();
-            rebalance(bk, ft, op, Mode::Pipelined);
-            Tree::<Seq, i64>::expect(&of)
+            rebalance_on(bk, &keys, Mode::Pipelined).expect()
         });
         assert!(t.is_search_tree());
         assert_eq!(t.to_sorted_vec(), keys);
@@ -416,13 +414,7 @@ mod tests {
     fn merge_balanced_on_the_oracle() {
         let a: Vec<i64> = (0..64).map(|i| 2 * i).collect();
         let b: Vec<i64> = (0..63).map(|i| 2 * i + 1).collect();
-        let t = Seq::run(|bk| {
-            let fa = bk.input(Tree::from_sorted(bk, &a));
-            let fb = bk.input(Tree::from_sorted(bk, &b));
-            let (op, of) = bk.cell();
-            merge_balanced(bk, fa, fb, op, Mode::Pipelined);
-            Tree::<Seq, i64>::expect(&of)
-        });
+        let t = Seq::run(|bk| merge_balanced_on(bk, &a, &b, Mode::Pipelined).expect());
         assert!(t.is_search_tree());
         assert_eq!(t.size(), 127);
         assert_eq!(t.height(), 7);

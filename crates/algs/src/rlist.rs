@@ -2,19 +2,12 @@
 //! Halstead's Figure 2 quicksort at `B = pf_rt::Worker`.
 
 mod tests {
-    use crate::list::{consume, produce, qs, List};
-    use crate::testkit::shuffled;
+    use crate::start::{pipeline_on, quicksort_on};
+    use crate::testkit::{on_rt, shuffled};
     use crate::Mode;
-    use pf_rt::{cell, Runtime};
 
     fn pipeline_sum(n: u64, threads: usize) -> u64 {
-        let (sp, sf) = cell();
-        Runtime::new(threads).run(move |wk| {
-            let (lp, lf) = cell();
-            wk.spawn(move |wk| produce(wk, n, lp));
-            lf.touch(wk, move |l, wk| consume(wk, l, 0, sp));
-        });
-        sf.expect()
+        on_rt(threads, move |wk| pipeline_on(wk, n, Mode::Pipelined))
     }
 
     #[test]
@@ -32,12 +25,7 @@ mod tests {
 
     fn run_qs(keys: &[i64], threads: usize) -> Vec<i64> {
         let keys = keys.to_vec();
-        let (op, of) = cell();
-        Runtime::new(threads).run(move |wk| {
-            let l = List::from_slice(wk, &keys);
-            qs(wk, l, List::Nil, op, Mode::Pipelined)
-        });
-        of.expect().collect_vec()
+        on_rt(threads, move |wk| quicksort_on(wk, &keys, Mode::Pipelined)).collect_vec()
     }
 
     #[test]

@@ -3,20 +3,15 @@
 //! inserting the keys in order builds.
 
 mod tests {
-    use crate::rebalance::{rebalance, unbalanced_from};
-    use crate::testkit::{run_rebalance as model_rebalance, shuffled};
+    use crate::start::rebalance_on;
+    use crate::testkit::{on_rt, run_rebalance as model_rebalance, shuffled};
     use crate::tree::Tree;
-    use crate::{Mode, PipeBackend};
-    use pf_rt::{cell, Runtime, Worker};
+    use crate::Mode;
+    use pf_rt::Worker;
 
     fn run_rebalance(keys: &[i64], threads: usize) -> Tree<Worker, i64> {
         let keys = keys.to_vec();
-        let (op, of) = cell();
-        Runtime::new(threads).run(move |wk| {
-            let t = wk.input(unbalanced_from(wk, &keys));
-            rebalance(wk, t, op, Mode::Pipelined)
-        });
-        of.expect()
+        on_rt(threads, move |wk| rebalance_on(wk, &keys, Mode::Pipelined))
     }
 
     #[test]

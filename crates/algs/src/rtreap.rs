@@ -4,31 +4,25 @@
 
 mod tests {
     use crate::plain::{Entry, PlainTreap};
-    use crate::testkit::{entries, run_intersect};
-    use crate::treap::{diff, intersect, union, Treap, TreapFut, TreapWr};
-    use crate::{Mode, PipeBackend};
-    use pf_rt::{cell, Runtime, Worker};
+    use crate::start::{diff_on, intersect_on, union_on};
+    use crate::testkit::{entries, on_rt, run_intersect};
+    use crate::treap::{Treap, TreapFut};
+    use crate::Mode;
+    use pf_rt::Worker;
 
-    type Op = fn(&Worker, Fut, Fut, TreapWr<Worker, i64>, Mode);
-    type Fut = TreapFut<Worker, i64>;
+    type Start = fn(&Worker, &[Entry<i64>], &[Entry<i64>], Mode) -> TreapFut<Worker, i64>;
 
-    /// `op` on `threads` workers over complete treaps of `a` and `b`.
-    fn run(op: Op, a: &[Entry<i64>], b: &[Entry<i64>], threads: usize) -> Treap<Worker, i64> {
+    /// `start` on `threads` workers over complete treaps of `a` and `b`.
+    fn run(start: Start, a: &[Entry<i64>], b: &[Entry<i64>], threads: usize) -> Treap<Worker, i64> {
         let (a, b) = (a.to_vec(), b.to_vec());
-        let (out, of) = cell();
-        Runtime::new(threads).run(move |wk| {
-            let fa = wk.input(Treap::from_entries(wk, &a));
-            let fb = wk.input(Treap::from_entries(wk, &b));
-            op(wk, fa, fb, out, Mode::Pipelined)
-        });
-        of.expect()
+        on_rt(threads, move |wk| start(wk, &a, &b, Mode::Pipelined))
     }
 
     #[test]
     fn union_matches_oracle() {
         let a = entries(0..400);
         let b = entries(200..600);
-        let t = run(union, &a, &b, 4);
+        let t = run(union_on, &a, &b, 4);
         assert!(t.check_invariants());
         assert_eq!(t.to_sorted_vec(), (0..600).collect::<Vec<_>>());
         // Shape agreement with the sequential treap.
@@ -41,7 +35,7 @@ mod tests {
         let e: Vec<Entry<i64>> = vec![];
         let one = entries([3]);
         for (a, b) in [(&e, &e), (&one, &e), (&e, &one)] {
-            let t = run(union, a, b, 2);
+            let t = run(union_on, a, b, 2);
             let mut expect: Vec<i64> = a.iter().chain(b.iter()).map(|e| e.0).collect();
             expect.sort_unstable();
             expect.dedup();
@@ -54,7 +48,7 @@ mod tests {
         let a = entries((0..500).map(|i| 2 * i));
         let b = entries((0..500).map(|i| 2 * i + 1));
         for threads in [1usize, 2, 4, 8] {
-            let t = run(union, &a, &b, threads);
+            let t = run(union_on, &a, &b, threads);
             assert_eq!(t.to_sorted_vec().len(), 1000, "threads={threads}");
             assert!(t.check_invariants());
         }
@@ -64,7 +58,7 @@ mod tests {
     fn diff_matches_oracle() {
         let a = entries(0..300);
         let b = entries((0..300).filter(|k| k % 3 == 0));
-        let t = run(diff, &a, &b, 4);
+        let t = run(diff_on, &a, &b, 4);
         assert!(t.check_invariants());
         assert_eq!(
             t.to_sorted_vec(),
@@ -75,7 +69,7 @@ mod tests {
     #[test]
     fn diff_complete_overlap() {
         let a = entries(0..100);
-        assert!(run(diff, &a, &a, 3).is_leaf());
+        assert!(run(diff_on, &a, &a, 3).is_leaf());
     }
 
     #[test]
@@ -83,7 +77,7 @@ mod tests {
         let a = entries((0..300).map(|i| 2 * i));
         let b = entries((0..300).map(|i| 3 * i));
         let (model_root, _) = run_intersect(&a, &b, Mode::Pipelined);
-        let t = run(intersect, &a, &b, 4);
+        let t = run(intersect_on, &a, &b, 4);
         assert!(t.check_invariants());
         assert_eq!(t.to_sorted_vec(), model_root.get().to_sorted_vec());
         assert_eq!(t.height(), model_root.get().height());
@@ -96,7 +90,7 @@ mod tests {
         let mut expect: Vec<i64> = a.iter().chain(b.iter()).map(|e| e.0).collect();
         expect.sort_unstable();
         for _ in 0..30 {
-            assert_eq!(run(union, &a, &b, 4).to_sorted_vec(), expect);
+            assert_eq!(run(union_on, &a, &b, 4).to_sorted_vec(), expect);
         }
     }
 }

@@ -1,23 +1,17 @@
-//! [`crate::merge`] on the work-stealing runtime: the same text at
-//! `B = pf_rt::Worker`, inputs built by the generic constructor inside
-//! the session, across thread counts.
+//! [`crate::merge`] on the work-stealing runtime: the same starter at
+//! `B = pf_rt::Worker`, across thread counts.
 
 mod tests {
-    use crate::merge::{merge, split};
-    use crate::testkit::{evens, odds};
+    use crate::merge::split;
+    use crate::start::merge_on;
+    use crate::testkit::{evens, odds, on_rt};
     use crate::tree::Tree;
-    use crate::{Mode, PipeBackend};
+    use crate::Mode;
     use pf_rt::{cell, Runtime};
 
     fn run_merge(a: &[i64], b: &[i64], threads: usize) -> Vec<i64> {
         let (a, b) = (a.to_vec(), b.to_vec());
-        let (op, of) = cell();
-        Runtime::new(threads).run(move |wk| {
-            let fa = wk.input(Tree::from_sorted(wk, &a));
-            let fb = wk.input(Tree::from_sorted(wk, &b));
-            merge(wk, fa, fb, op, Mode::Pipelined)
-        });
-        of.expect().to_sorted_vec()
+        on_rt(threads, move |wk| merge_on(wk, &a, &b, Mode::Pipelined)).to_sorted_vec()
     }
 
     fn sorted(a: &[i64], b: &[i64]) -> Vec<i64> {

@@ -1,22 +1,18 @@
 //! [`crate::two_six`] on the work-stealing runtime: the §3.4 bulk insert
-//! at `B = pf_rt::Worker`, the initial tree built by the generic
-//! constructor inside the session.
+//! starter at `B = pf_rt::Worker`.
 
 mod tests {
-    use crate::testkit::{evens, run_insert_many};
-    use crate::two_six::{insert_many, TsTree};
-    use crate::{Mode, PipeBackend};
-    use pf_rt::{cell, Runtime, Worker};
+    use crate::start::insert_many_on;
+    use crate::testkit::{evens, on_rt, run_insert_many};
+    use crate::two_six::TsTree;
+    use crate::Mode;
+    use pf_rt::Worker;
 
     fn run_insert(initial: &[i64], newk: &[i64], threads: usize) -> TsTree<Worker, i64> {
         let (initial, newk) = (initial.to_vec(), newk.to_vec());
-        let (op, of) = cell();
-        Runtime::new(threads).run(move |wk| {
-            let t = wk.input(TsTree::from_sorted(wk, &initial));
-            let f = insert_many(wk, &newk, t, Mode::Pipelined);
-            f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
-        });
-        of.expect()
+        on_rt(threads, move |wk| {
+            insert_many_on(wk, &initial, &newk, Mode::Pipelined)
+        })
     }
 
     #[test]

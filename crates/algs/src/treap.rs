@@ -780,56 +780,7 @@ pub fn diff<B: PipeBackend, K: Key>(
     B::Fut<bool>: Val,
     B::Wr<bool>: Send,
 {
-    bk.touch(&a, move |bk, av| {
-        bk.tick(1);
-        if av.is_leaf() {
-            bk.fulfill(out, Treap::Leaf);
-            return;
-        }
-        bk.touch(&b, move |bk, bv| {
-            if let Some(plain) = select_within_grain(&av, &bv, false) {
-                bk.fulfill(out, plain);
-                return;
-            }
-            let Treap::Node(n1) = av else {
-                unreachable!("handled above")
-            };
-            bk.tick(1);
-            if bv.is_leaf() {
-                bk.fulfill(out, Treap::Node(n1));
-                return;
-            }
-            // let (l2, r2, found) = ?splitm(a.key, b)
-            let (lp, lf) = bk.cell();
-            let (rp, rf) = bk.cell();
-            let (fp, ff) = bk.cell();
-            let key = n1.key.clone();
-            fork_call(bk, mode, move |bk| splitm(bk, key, bv, lp, rp, fp));
-            // l = ?diff(a.left, l2); r = ?diff(a.right, r2)
-            let (dlp, dlf) = bk.cell();
-            let (drp, drf) = bk.cell();
-            let al = n1.left.fut(bk);
-            let ar = n1.right.fut(bk);
-            bk.fork2(
-                move |bk| diff(bk, al, lf, dlp, mode),
-                move |bk| diff(bk, ar, rf, drp, mode),
-            );
-            // if found then join(l, r) else Node(k, p, l, r)
-            bk.touch(&ff, move |bk, found| {
-                bk.tick(1);
-                if found {
-                    bk.touch(&dlf, move |bk, lv| {
-                        bk.touch(&drf, move |bk, rv| match mode {
-                            Mode::Pipelined => join(bk, lv, rv, out),
-                            Mode::Strict => bk.strict(move |bk| join(bk, lv, rv, out)),
-                        });
-                    });
-                } else {
-                    bk.fulfill(out, Treap::node(n1.key.clone(), n1.prio, dlf, drf));
-                }
-            });
-        });
-    });
+    select::<B, K, false>(bk, a, b, out, mode)
 }
 
 /// `intersect(a, b)`: the keys present in both treaps, with `a`'s
@@ -850,6 +801,27 @@ pub fn intersect<B: PipeBackend, K: Key>(
     B::Fut<bool>: Val,
     B::Wr<bool>: Send,
 {
+    select::<B, K, true>(bk, a, b, out, mode)
+}
+
+/// The one body of [`diff`] (`KEEP_FOUND == false`) and [`intersect`]
+/// (`true`), as [`select_plain`] is of their plain code: a root stays iff
+/// `splitm`'s verdict on its key equals `KEEP_FOUND`, else its two
+/// recursive results are joined. A const, so each verdict is its own
+/// monomorphic text and no closure carries it.
+fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
+    bk: &B,
+    a: TreapFut<B, K>,
+    b: TreapFut<B, K>,
+    out: TreapWr<B, K>,
+    mode: Mode,
+) where
+    Treap<B, K>: Val,
+    TreapFut<B, K>: Val,
+    TreapWr<B, K>: Send,
+    B::Fut<bool>: Val,
+    B::Wr<bool>: Send,
+{
     bk.touch(&a, move |bk, av| {
         bk.tick(1);
         if av.is_leaf() {
@@ -857,7 +829,7 @@ pub fn intersect<B: PipeBackend, K: Key>(
             return;
         }
         bk.touch(&b, move |bk, bv| {
-            if let Some(plain) = select_within_grain(&av, &bv, true) {
+            if let Some(plain) = select_within_grain(&av, &bv, KEEP_FOUND) {
                 bk.fulfill(out, plain);
                 return;
             }
@@ -866,30 +838,37 @@ pub fn intersect<B: PipeBackend, K: Key>(
             };
             bk.tick(1);
             if bv.is_leaf() {
-                bk.fulfill(out, Treap::Leaf);
+                let all = if KEEP_FOUND {
+                    Treap::Leaf
+                } else {
+                    Treap::Node(n1)
+                };
+                bk.fulfill(out, all);
                 return;
             }
+            // let (l2, r2, found) = ?splitm(a.key, b)
             let (lp, lf) = bk.cell();
             let (rp, rf) = bk.cell();
             let (fp, ff) = bk.cell();
             let key = n1.key.clone();
             fork_call(bk, mode, move |bk| splitm(bk, key, bv, lp, rp, fp));
-            let (ilp, ilf) = bk.cell();
-            let (irp, irf) = bk.cell();
+            // l = ?select(a.left, l2); r = ?select(a.right, r2)
+            let (slp, slf) = bk.cell();
+            let (srp, srf) = bk.cell();
             let al = n1.left.fut(bk);
             let ar = n1.right.fut(bk);
             bk.fork2(
-                move |bk| intersect(bk, al, lf, ilp, mode),
-                move |bk| intersect(bk, ar, rf, irp, mode),
+                move |bk| select::<B, K, KEEP_FOUND>(bk, al, lf, slp, mode),
+                move |bk| select::<B, K, KEEP_FOUND>(bk, ar, rf, srp, mode),
             );
-            // Inverted decision vs diff: keep the root only if it IS in b.
+            // if found == KEEP_FOUND then Node(k, p, l, r) else join(l, r)
             bk.touch(&ff, move |bk, found| {
                 bk.tick(1);
-                if found {
-                    bk.fulfill(out, Treap::node(n1.key.clone(), n1.prio, ilf, irf));
+                if found == KEEP_FOUND {
+                    bk.fulfill(out, Treap::node(n1.key.clone(), n1.prio, slf, srf));
                 } else {
-                    bk.touch(&ilf, move |bk, lv| {
-                        bk.touch(&irf, move |bk, rv| match mode {
+                    bk.touch(&slf, move |bk, lv| {
+                        bk.touch(&srf, move |bk, rv| match mode {
                             Mode::Pipelined => join(bk, lv, rv, out),
                             Mode::Strict => bk.strict(move |bk| join(bk, lv, rv, out)),
                         });
@@ -1061,6 +1040,7 @@ where
 mod tests {
     use super::*;
     use crate::plain::splitmix64;
+    use crate::start::{diff_on, intersect_on, union_on};
     use crate::testkit::{entries, run_diff, run_intersect, run_union};
     use crate::Seq;
     use pf_core::{Ctx, Fut, Sim};
@@ -1333,13 +1313,7 @@ mod tests {
     fn union_on_the_oracle_matches_plain() {
         let a = entries(0..80);
         let b = entries(40..120);
-        let got = Seq::run(|bk| {
-            let fa = bk.input(Treap::from_entries(bk, &a));
-            let fb = bk.input(Treap::from_entries(bk, &b));
-            let (op, of) = bk.cell();
-            union(bk, fa, fb, op, Mode::Pipelined);
-            Treap::<Seq, i64>::expect(&of)
-        });
+        let got = Seq::run(|bk| union_on(bk, &a, &b, Mode::Pipelined).expect());
         assert!(got.check_invariants());
         let pu = PlainTreap::union(PlainTreap::from_entries(&a), PlainTreap::from_entries(&b));
         assert_eq!(got.to_sorted_vec(), PlainTreap::to_sorted_vec(&pu));
@@ -1350,18 +1324,8 @@ mod tests {
     fn diff_and_intersect_on_the_oracle() {
         let a = entries(0..100);
         let b = entries((0..100).filter(|k| k % 3 == 0));
-        let (d, i) = Seq::run(|bk| {
-            let fa = bk.input(Treap::from_entries(bk, &a));
-            let fb = bk.input(Treap::from_entries(bk, &b));
-            let (dp, df) = bk.cell();
-            diff(bk, fa.clone(), fb.clone(), dp, Mode::Pipelined);
-            let (ip, if_) = bk.cell();
-            intersect(bk, fa, fb, ip, Mode::Pipelined);
-            (
-                Treap::<Seq, i64>::expect(&df),
-                Treap::<Seq, i64>::expect(&if_),
-            )
-        });
+        let d = Seq::run(|bk| diff_on(bk, &a, &b, Mode::Pipelined).expect());
+        let i = Seq::run(|bk| intersect_on(bk, &a, &b, Mode::Pipelined).expect());
         assert!(d.check_invariants() && i.check_invariants());
         assert_eq!(
             d.to_sorted_vec(),

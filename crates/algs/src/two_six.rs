@@ -578,16 +578,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::start::insert_many_on;
     use crate::testkit::{evens, run_insert_many};
     use crate::Seq;
     use pf_core::{Ctx, Sim};
 
     fn run_insert(initial: &[i64], newk: &[i64]) -> TsTree<Seq, i64> {
-        Seq::run(|bk| {
-            let ft = bk.input(TsTree::from_sorted(bk, initial));
-            let f = insert_many(bk, newk, ft, Mode::Pipelined);
-            TsTree::expect(&f)
-        })
+        Seq::run(|bk| insert_many_on(bk, initial, newk, Mode::Pipelined).expect())
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! structural depth bounds and inverse-operation round trips on random
 //! inputs.
 
-use pf_algs::merge::merge;
 use pf_algs::plain::{splitmix64, Entry, PlainTreap};
-use pf_algs::treap::{join, splitm, union, Treap};
+use pf_algs::start::{merge_on, union_on};
+use pf_algs::treap::{join, splitm, Treap};
 use pf_algs::tree::Tree;
 use pf_algs::two_six::level_arrays;
 use pf_algs::Mode;
@@ -19,24 +19,11 @@ fn entries(keys: impl IntoIterator<Item = i64>) -> Vec<Entry<i64>> {
 }
 
 fn run_merge(a: &[i64], b: &[i64], mode: Mode) -> (Fut<Tree<Ctx, i64>>, CostReport) {
-    Sim::new().run(|ctx| {
-        let (ta, tb) = (Tree::from_sorted(ctx, a), Tree::from_sorted(ctx, b));
-        let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-        let (op, of) = ctx.promise();
-        merge(ctx, fa, fb, op, mode);
-        of
-    })
+    Sim::new().run(|ctx| merge_on(ctx, a, b, mode))
 }
 
 fn run_union(a: &[Entry<i64>], b: &[Entry<i64>]) -> Fut<Treap<Ctx, i64>> {
-    let (root, _) = Sim::new().run(|ctx| {
-        let (ta, tb) = (Treap::from_entries(ctx, a), Treap::from_entries(ctx, b));
-        let (fa, fb) = (ctx.preload(ta), ctx.preload(tb));
-        let (op, of) = ctx.promise();
-        union(ctx, fa, fb, op, Mode::Pipelined);
-        of
-    });
-    root
+    Sim::new().run(|ctx| union_on(ctx, a, b, Mode::Pipelined)).0
 }
 
 proptest! {

@@ -1,28 +1,76 @@
 //! Wall-clock drivers for the futures-vs-hand-pipelined head-to-heads
 //! (experiments E13/E16/E18): each pair times the *same computation* twice
-//! on the same warm shared pool — once as the futures program (the
-//! scheduler discovers the pipeline) and once as the hand-scheduled
-//! round-barrier baseline ([`PoolRounds`], one synchronous wave per
-//! round). Sequential round execution ([`SeqRounds`]) and `sort_unstable`
-//! give the single-thread reference points.
+//! on the same warm shared pool ([`Runtime::shared`]) — once as the futures
+//! program (the scheduler discovers the pipeline) and once as the
+//! hand-scheduled round-barrier baseline ([`pf_rt::PoolRounds`], one synchronous
+//! wave per round). Sequential round execution ([`pf_algs::SeqRounds`]),
+//! `sort_unstable` and `BTreeSet::extend` give the single-thread reference
+//! points. Input construction is outside every clock.
 
 use std::time::{Duration, Instant};
 
 use pf_algs::cole::{cole_sort_with, ColeStats};
 use pf_algs::pvw::{pvw_insert_many_with, PvwStats, PvwTree};
-use pf_algs::{Mode, SeqRounds};
-use pf_rt::{cell, PoolRounds, Runtime};
+use pf_algs::start::msort_on;
+use pf_algs::two_six::{insert_many, TsTree};
+use pf_algs::{Mode, PipeBackend, RoundExec, Val};
+use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Worker};
+
+/// Run `f` `reps` times and return the minimum (the standard noise filter
+/// for wall-clock microbenchmarks).
+pub fn best_of(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
+    assert!(reps >= 1);
+    (0..reps).map(|_| f()).min().expect("reps >= 1")
+}
+
+/// What `start` — a `pf_algs::start` starter, say — leaves in the future
+/// it returns, run as one session of `rt`, and that session's stats.
+pub fn on_rt<T: Val>(
+    rt: &Runtime,
+    start: impl FnOnce(&Worker) -> FutRead<T> + Send + 'static,
+) -> (T, RunStats) {
+    let (p, f) = cell();
+    let stats = rt.run_stats(move |wk| p.fulfill(wk, start(wk)));
+    (f.expect().expect(), stats)
+}
+
+/// Time the futures 2-6 bulk insert on `threads` workers — the
+/// implicit-pipelining side of the E16 comparison. The initial tree is
+/// built in an untimed session of its own, as [`time_pvw`]'s is
+/// built before its clock.
+pub fn time_insert_rt(initial: &[i64], newk: &[i64], threads: usize) -> Duration {
+    let rt = Runtime::shared(threads);
+    let (initial_v, keys) = (initial.to_vec(), newk.to_vec());
+    let (tree, _) = on_rt(&rt, move |wk| wk.input(TsTree::from_sorted(wk, &initial_v)));
+    let start = Instant::now();
+    let (tree, _) = on_rt(&rt, move |wk| {
+        insert_many(wk, &keys, ready(tree), Mode::Pipelined)
+    });
+    let dt = start.elapsed();
+    assert!(tree.to_sorted_vec().len() >= initial.len());
+    dt
+}
+
+/// Sequential baseline for the bulk insert: a `BTreeSet` extended with the
+/// batch (what a production sequential index would do).
+pub fn time_insert_seq(initial: &[i64], newk: &[i64]) -> Duration {
+    let mut set: std::collections::BTreeSet<i64> = initial.iter().copied().collect();
+    let start = Instant::now();
+    set.extend(newk.iter().copied());
+    let dt = start.elapsed();
+    assert!(set.len() >= initial.len());
+    dt
+}
 
 /// Time the futures mergesort (`pf_algs::mergesort::msort`) on `threads`
 /// workers — the implicit-pipelining side of the E18 comparison.
 pub fn time_msort_rt(keys: &[i64], threads: usize) -> Duration {
     let rt = Runtime::shared(threads);
-    let (op, of) = cell();
     let keys_v = keys.to_vec();
     let start = Instant::now();
-    rt.run(move |wk| pf_algs::mergesort::msort(wk, keys_v, op, Mode::Pipelined));
+    let (tree, _) = on_rt(&rt, move |wk| msort_on(wk, &keys_v, false, Mode::Pipelined));
     let dt = start.elapsed();
-    assert_eq!(of.expect().to_sorted_vec().len(), keys.len());
+    assert_eq!(tree.to_sorted_vec().len(), keys.len());
     dt
 }
 
@@ -37,49 +85,26 @@ pub fn time_sort_seq(keys: &[i64]) -> Duration {
     dt
 }
 
-/// Time Cole's cascade with each stage's merges fanned out over `threads`
-/// pool workers — the hand-pipelined side of the E18 comparison. Returns
-/// the elapsed time and the (executor-independent) cascade statistics.
-pub fn time_cole_pool(keys: &[i64], threads: usize) -> (Duration, ColeStats) {
-    let mut exec = PoolRounds::new(threads);
+/// Time Cole's cascade on `exec`: `PoolRounds` fans each stage's merges
+/// out over its pool workers — the hand-pipelined side of the E18
+/// comparison — and `SeqRounds` runs them inline, the single-thread
+/// reference for the round-barrier engine. Returns the elapsed time and
+/// the (executor-independent) cascade statistics.
+pub fn time_cole(keys: &[i64], exec: &mut impl RoundExec) -> (Duration, ColeStats) {
     let start = Instant::now();
-    let (sorted, stats) = cole_sort_with(keys, &mut exec);
+    let (sorted, stats) = cole_sort_with(keys, exec);
     let dt = start.elapsed();
     assert_eq!(sorted.len(), keys.len());
     (dt, stats)
 }
 
-/// Time Cole's cascade with the stages run inline ([`SeqRounds`]) — the
-/// single-thread reference for the round-barrier engine.
-pub fn time_cole_seq(keys: &[i64]) -> (Duration, ColeStats) {
-    let mut exec = SeqRounds::new();
-    let start = Instant::now();
-    let (sorted, stats) = cole_sort_with(keys, &mut exec);
-    let dt = start.elapsed();
-    assert_eq!(sorted.len(), keys.len());
-    (dt, stats)
-}
-
-/// Time the PVW wave pipeline with each round's tasks fanned out over
-/// `threads` pool workers — the hand-pipelined side of the E16 comparison.
+/// Time the PVW wave pipeline on `exec` (`PoolRounds`: the hand-pipelined
+/// side of the E16 comparison; `SeqRounds`: its single-thread reference).
 /// Tree construction is excluded (input marshalling).
-pub fn time_pvw_pool(initial: &[i64], newk: &[i64], threads: usize) -> (Duration, PvwStats) {
+pub fn time_pvw(initial: &[i64], newk: &[i64], exec: &mut impl RoundExec) -> (Duration, PvwStats) {
     let mut tree = PvwTree::from_sorted(initial);
-    let mut exec = PoolRounds::new(threads);
     let start = Instant::now();
-    let stats = pvw_insert_many_with(&mut tree, newk, &mut exec);
-    let dt = start.elapsed();
-    assert!(tree.to_sorted_vec().len() >= initial.len());
-    (dt, stats)
-}
-
-/// Time the PVW wave pipeline with the rounds run inline ([`SeqRounds`]) —
-/// the single-thread reference for the round-barrier engine.
-pub fn time_pvw_seq(initial: &[i64], newk: &[i64]) -> (Duration, PvwStats) {
-    let mut tree = PvwTree::from_sorted(initial);
-    let mut exec = SeqRounds::new();
-    let start = Instant::now();
-    let stats = pvw_insert_many_with(&mut tree, newk, &mut exec);
+    let stats = pvw_insert_many_with(&mut tree, newk, exec);
     let dt = start.elapsed();
     assert!(tree.to_sorted_vec().len() >= initial.len());
     (dt, stats)
@@ -88,11 +113,23 @@ pub fn time_pvw_seq(initial: &[i64], newk: &[i64]) -> (Duration, PvwStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pf_algs::SeqRounds;
+    use pf_rt::PoolRounds;
 
     fn scrambled(n: usize) -> Vec<i64> {
         // Odd-stride permutation of 0..n: deterministic, full-period.
         let stride = 0x9E37i64 | 1;
         (0..n as i64).map(|i| (i * stride) % n as i64).collect()
+    }
+
+    #[test]
+    fn best_of_takes_min() {
+        let mut calls = 0;
+        let d = best_of(3, || {
+            calls += 1;
+            Duration::from_millis(calls)
+        });
+        assert_eq!(d, Duration::from_millis(1));
     }
 
     #[test]
@@ -104,8 +141,8 @@ mod tests {
     #[test]
     fn cole_pool_matches_seq_stats() {
         let keys = scrambled(1 << 9);
-        let (_, s_pool) = time_cole_pool(&keys, 2);
-        let (_, s_seq) = time_cole_seq(&keys);
+        let (_, s_pool) = time_cole(&keys, &mut PoolRounds::new(2));
+        let (_, s_seq) = time_cole(&keys, &mut SeqRounds::new());
         assert_eq!(s_pool, s_seq, "stats must be executor-independent");
         assert_eq!(s_pool.stages, 3 * 9);
     }
@@ -114,9 +151,10 @@ mod tests {
     fn pvw_pool_matches_seq_stats() {
         let initial: Vec<i64> = (0..2000).map(|i| 2 * i).collect();
         let newk: Vec<i64> = (0..128).map(|i| 2 * i + 1).collect();
-        let (_, s_pool) = time_pvw_pool(&initial, &newk, 2);
-        let (_, s_seq) = time_pvw_seq(&initial, &newk);
+        let (_, s_pool) = time_pvw(&initial, &newk, &mut PoolRounds::new(2));
+        let (_, s_seq) = time_pvw(&initial, &newk, &mut SeqRounds::new());
         assert_eq!(s_pool, s_seq, "stats must be executor-independent");
-        let _ = crate::drivers::time_insert_rt(&initial, &newk, 2);
+        assert!(time_insert_rt(&initial, &newk, 2) > Duration::ZERO);
+        let _ = time_insert_seq(&initial, &newk);
     }
 }

@@ -52,10 +52,9 @@ fn run() {
     let n = 1usize << lg_n;
     let (ea, eb) = pf_bench::workloads::union_entries(n, n, 11);
     let rt = pf_rt::Runtime::shared(sample_t);
-    let [fa, fb] = pf_bench::drivers::treap_inputs(&rt, &ea, &eb);
-    let (op, of) = pf_rt::cell();
-    rt.run(move |wk| pf_algs::treap::union(wk, fa, fb, op, Mode::Pipelined));
-    let _ = of;
+    rt.run(move |wk| {
+        pf_algs::start::union_on(wk, &ea, &eb, Mode::Pipelined);
+    });
     let trace = rt
         .take_last_trace()
         .expect("traced session leaves a timeline");

@@ -1,11 +1,12 @@
 //! Machine-model experiments: E09 (Lemma 4.1 greedy bound), E10 (machine
 //! model comparison incl. PVW), E14 (stack vs queue space).
 
+use pf_algs::start::{diff_on, insert_many_on, merge_on, union_on};
 use pf_algs::Mode;
 use pf_core::{Sim, Trace};
 use pf_machine::{predicted_time, pvw_time, replay, Discipline, Machine, INFINITE_P};
 
-use crate::sim::{diff_on, insert_many_on, merge_on, run_insert_many, union_on};
+use crate::sim::run_insert_many;
 use crate::workloads::{diff_entries, interleaved_pair, sorted_keys, union_entries};
 use crate::{f2, u, Table};
 

@@ -3,15 +3,15 @@
 //! smoke-run them cheaply; the `eXX_*` binaries use the paper-scale
 //! defaults.
 
-use pf_algs::list::List;
+use pf_algs::start::{merge_on, pipeline_on, quicksort_on, union_on};
 use pf_algs::two_six::{insert_many_with_waves, level_arrays, TsTree};
 use pf_algs::Mode;
 use pf_core::Sim;
 
 use crate::analysis::{collect, lg, linear_fit, min_rho_k, min_tau_ks, walk_treap};
 use crate::sim::{
-    merge_on, pipeline_on, run_diff, run_insert_many, run_merge, run_msort, run_msort_balanced,
-    run_pipeline, run_quicksort, run_rebalance, run_union, union_on,
+    run_diff, run_insert_many, run_merge, run_msort, run_pipeline, run_quicksort, run_rebalance,
+    run_union,
 };
 use crate::workloads::{
     diff_entries, interleaved_pair, shuffled_keys, sorted_keys, spread_pair, union_entries,
@@ -368,9 +368,9 @@ pub fn e13_mergesort(lgs: &[u32], seeds: &[u64]) -> Table {
         let (mut dp, mut ds, mut db) = (0.0, 0.0, 0.0);
         for &s in seeds {
             let keys = shuffled_keys(n, s);
-            let (_, cp) = run_msort(&keys, Mode::Pipelined);
-            let (_, cs) = run_msort(&keys, Mode::Strict);
-            let (_, cb) = run_msort_balanced(&keys, Mode::Pipelined);
+            let (_, cp) = run_msort(&keys, false, Mode::Pipelined);
+            let (_, cs) = run_msort(&keys, false, Mode::Strict);
+            let (_, cb) = run_msort(&keys, true, Mode::Pipelined);
             dp += cp.depth as f64;
             ds += cs.depth as f64;
             db += cb.depth as f64;
@@ -416,7 +416,7 @@ pub fn e18_cole(lgs: &[u32], seeds: &[u64]) -> Table {
         assert_eq!(sorted.len(), n);
         let mut dp = 0.0;
         for &s in seeds {
-            let (_, c) = run_msort(&shuffled_keys(n, s), Mode::Pipelined);
+            let (_, c) = run_msort(&shuffled_keys(n, s), false, Mode::Pipelined);
             dp += c.depth as f64;
         }
         dp /= seeds.len() as f64;
@@ -475,16 +475,11 @@ pub fn e19_profiles(lg_n: u32) -> Table {
 
     let qn = n.min(2000);
     let keys = shuffled_keys(qn, 13);
-    let (_, r, prof) = Sim::new().run_profiled(|ctx| {
-        let l = List::from_slice(ctx, &keys);
-        let (op, of) = ctx.promise();
-        pf_algs::list::qs(ctx, l, List::nil(), op, Mode::Pipelined);
-        of
-    });
+    let (_, r, prof) = Sim::new().run_profiled(|ctx| quicksort_on(ctx, &keys, Mode::Pipelined));
     push("quicksort", r, prof);
 
-    let (_, r, prof) =
-        Sim::new().run_profiled(|ctx| pipeline_on(ctx, (n as u64).min(4000), Mode::Pipelined));
+    let (_, r, prof) = Sim::new()
+        .run_profiled(|ctx| ctx.touch(&pipeline_on(ctx, (n as u64).min(4000), Mode::Pipelined)));
     push("pipeline", r, prof);
     t
 }

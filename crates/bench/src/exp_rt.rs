@@ -1,100 +1,24 @@
-//! Real-runtime experiments: E12 (wall-clock behaviour of the multicore
-//! runtime) and E15 (ablations: cost-constant sensitivity, the future
-//! cell's touch-then-fulfill round trip).
-//!
-//! NOTE on E12: this host exposes a single CPU, so genuine multicore
-//! *speedup* cannot manifest in wall-clock numbers here; the experiment
-//! therefore reports (a) the overhead of the futures runtime relative to
-//! the sequential algorithm, and (b) that oversubscribing workers on one
-//! core degrades gracefully. The parallel-speedup *shape* of the paper is
-//! reproduced by the machine-model replay (E09/E10), which is
-//! processor-count-accurate by construction.
+//! Real-runtime experiments: the wall-clock companions of E13/E16/E18
+//! (futures against hand-scheduled rounds on the same pool — pf-perf has no
+//! Cole/PVW counterpart), E15a (cost-constant sensitivity) and E20 (a
+//! traced session's event counts against pf-machine's predictions). Every
+//! other wall-clock number is pf-perf's (EXPERIMENTS.md, E12 and E15b).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use pf_algs::Mode;
+use pf_algs::start::merge_on;
+use pf_algs::{Mode, SeqRounds};
 use pf_core::{CostModel, Sim};
-use pf_rt::{cell, Runtime};
-#[cfg(feature = "trace")]
-use {
-    crate::drivers::{on_worker, treap_inputs},
-    pf_algs::{plain::Entry, two_six::TsTree, PipeBackend},
-};
+use pf_rt::PoolRounds;
 
 use crate::baselines::{
-    time_cole_pool, time_cole_seq, time_msort_rt, time_pvw_pool, time_pvw_seq, time_sort_seq,
+    best_of, time_cole, time_insert_rt, time_insert_seq, time_msort_rt, time_pvw, time_sort_seq,
 };
-use crate::drivers::{
-    best_of, time_insert_rt, time_insert_seq, time_merge_rt, time_merge_seq, time_rebalance_rt,
-    time_union_rt, time_union_seq, tree_inputs,
-};
-use crate::sim::{merge_on, run_merge};
-use crate::workloads::{interleaved_pair, shuffled_keys, sorted_keys, union_entries};
+use crate::workloads::{interleaved_pair, shuffled_keys, sorted_keys};
 use crate::{f2, u, Table};
 
 fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
-/// E12 — wall-clock: futures runtime vs sequential baselines, across
-/// worker counts.
-pub fn e12_runtime(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Table> {
-    let n = 1usize << lg_n;
-    let (ea, eb) = union_entries(n, n, 31);
-    let mut t1 = Table::new(
-        format!("E12a treap union wall-clock, n = m = {n} (single-CPU host: see note)"),
-        &["impl", "threads", "time (ms)", "vs seq"],
-    );
-    let seq = best_of(reps, || time_union_seq(&ea, &eb));
-    t1.row(vec!["sequential".into(), "1".into(), ms(seq), f2(1.0)]);
-    for &th in threads {
-        let d = best_of(reps, || time_union_rt(&ea, &eb, th));
-        t1.row(vec![
-            "futures-rt".into(),
-            u(th as u64),
-            ms(d),
-            f2(d.as_secs_f64() / seq.as_secs_f64()),
-        ]);
-    }
-
-    let (a, b) = interleaved_pair(n, n);
-    let mut t2 = Table::new(
-        format!("E12b BST merge wall-clock, n = m = {n}"),
-        &["impl", "threads", "time (ms)", "vs seq"],
-    );
-    let seq = best_of(reps, || time_merge_seq(&a, &b));
-    t2.row(vec!["sequential".into(), "1".into(), ms(seq), f2(1.0)]);
-    for &th in threads {
-        let d = best_of(reps, || time_merge_rt(&a, &b, th));
-        t2.row(vec![
-            "futures-rt".into(),
-            u(th as u64),
-            ms(d),
-            f2(d.as_secs_f64() / seq.as_secs_f64()),
-        ]);
-    }
-
-    let mut t3 = Table::new(
-        format!("E12c 2-6 bulk insert & rebalance wall-clock, n = {n}"),
-        &["operation", "threads", "time (ms)"],
-    );
-    let initial: Vec<i64> = (0..n as i64).map(|i| 2 * i).collect();
-    let newk: Vec<i64> = (0..(n / 8) as i64).map(|i| 16 * i + 1).collect();
-    let d = best_of(reps, || time_insert_seq(&initial, &newk));
-    t3.row(vec!["2-6 insert (BTreeSet seq)".into(), "1".into(), ms(d)]);
-    for &th in threads {
-        let d = best_of(reps, || time_insert_rt(&initial, &newk, th));
-        t3.row(vec!["2-6 insert (futures-rt)".into(), u(th as u64), ms(d)]);
-    }
-    for &th in threads {
-        let d = best_of(reps, || time_rebalance_rt(n / 4, th));
-        t3.row(vec![
-            "rebalance spine (futures-rt)".into(),
-            u(th as u64),
-            ms(d),
-        ]);
-    }
-    vec![t1, t2, t3]
 }
 
 /// E13w — wall-clock companion to the E13 depth table: the futures
@@ -115,81 +39,76 @@ pub fn e13_msort_wallclock(lgs: &[u32], threads: &[usize], reps: usize) -> Table
     t
 }
 
-/// E16w — wall-clock head-to-head on the *same pool*: the futures 2-6
-/// bulk insert (implicit pipeline, scheduler-discovered) vs the PVW wave
-/// schedule executed one synchronous round per pool barrier
-/// (`PoolRounds`). The `seq` row gives the single-thread references
-/// (`BTreeSet` extend and the inline `SeqRounds` execution).
-pub fn e16_pvw_wallclock(lg_n: u32, lg_m: u32, threads: &[usize], reps: usize) -> Table {
-    let n = 1usize << lg_n;
-    let m = 1usize << lg_m;
-    let initial = sorted_keys(n, 2);
-    let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-    let mut t = Table::new(
-        format!("E16w wall-clock: futures 2-6 insert vs PVW hand rounds, n = {n}, m = {m}"),
-        &[
-            "threads",
-            "futures insert (ms)",
-            "pvw rounds (ms)",
-            "pvw/futures",
-        ],
-    );
-    let df = best_of(reps, || time_insert_seq(&initial, &newk));
-    let dp = best_of(reps, || time_pvw_seq(&initial, &newk).0);
-    t.row(vec![
-        "seq".into(),
-        ms(df),
-        ms(dp),
-        f2(dp.as_secs_f64() / df.as_secs_f64()),
-    ]);
-    for &th in threads {
-        let df = best_of(reps, || time_insert_rt(&initial, &newk, th));
-        let dp = best_of(reps, || time_pvw_pool(&initial, &newk, th).0);
+/// A wall-clock head-to-head on the *same pool*: a `seq` row of the two
+/// single-thread references (`None`), then a row per thread count, each
+/// the best of `reps` and the hand-scheduled time over the futures one.
+fn head_to_head(
+    title: String,
+    [futures_ms, hand_ms, ratio]: [&str; 3],
+    threads: &[usize],
+    reps: usize,
+    futures: impl Fn(Option<usize>) -> Duration,
+    hand: impl Fn(Option<usize>) -> Duration,
+) -> Table {
+    let mut t = Table::new(title, &["threads", futures_ms, hand_ms, ratio]);
+    for th in std::iter::once(None).chain(threads.iter().map(|&th| Some(th))) {
+        let df = best_of(reps, || futures(th));
+        let dh = best_of(reps, || hand(th));
         t.row(vec![
-            u(th as u64),
+            th.map_or("seq".into(), |th| u(th as u64)),
             ms(df),
-            ms(dp),
-            f2(dp.as_secs_f64() / df.as_secs_f64()),
+            ms(dh),
+            f2(dh.as_secs_f64() / df.as_secs_f64()),
         ]);
     }
     t
 }
 
-/// E18w — wall-clock head-to-head on the *same pool*: the futures tree
-/// mergesort vs Cole's cascade executed one synchronous stage per pool
-/// barrier (`PoolRounds`). The `seq` row gives the single-thread
-/// references (`sort_unstable` and the inline `SeqRounds` cascade).
+/// E16w — the futures 2-6 bulk insert (implicit pipeline,
+/// scheduler-discovered) vs the PVW wave schedule executed one synchronous
+/// round per pool barrier (`PoolRounds`); single-thread references:
+/// `BTreeSet` extend and the inline `SeqRounds` execution.
+pub fn e16_pvw_wallclock(lg_n: u32, lg_m: u32, threads: &[usize], reps: usize) -> Table {
+    let n = 1usize << lg_n;
+    let m = 1usize << lg_m;
+    let initial = sorted_keys(n, 2);
+    let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
+    head_to_head(
+        format!("E16w wall-clock: futures 2-6 insert vs PVW hand rounds, n = {n}, m = {m}"),
+        ["futures insert (ms)", "pvw rounds (ms)", "pvw/futures"],
+        threads,
+        reps,
+        |th| match th {
+            None => time_insert_seq(&initial, &newk),
+            Some(th) => time_insert_rt(&initial, &newk, th),
+        },
+        |th| match th {
+            None => time_pvw(&initial, &newk, &mut SeqRounds::new()).0,
+            Some(th) => time_pvw(&initial, &newk, &mut PoolRounds::new(th)).0,
+        },
+    )
+}
+
+/// E18w — the futures tree mergesort vs Cole's cascade executed one
+/// synchronous stage per pool barrier (`PoolRounds`); single-thread
+/// references: `sort_unstable` and the inline `SeqRounds` cascade.
 pub fn e18_cole_wallclock(lg_n: u32, threads: &[usize], reps: usize) -> Table {
     let n = 1usize << lg_n;
     let keys = shuffled_keys(n, 77);
-    let mut t = Table::new(
+    head_to_head(
         format!("E18w wall-clock: futures msort vs Cole cascade (hand stages), n = {n}"),
-        &[
-            "threads",
-            "futures msort (ms)",
-            "cole stages (ms)",
-            "cole/futures",
-        ],
-    );
-    let df = best_of(reps, || time_sort_seq(&keys));
-    let dc = best_of(reps, || time_cole_seq(&keys).0);
-    t.row(vec![
-        "seq".into(),
-        ms(df),
-        ms(dc),
-        f2(dc.as_secs_f64() / df.as_secs_f64()),
-    ]);
-    for &th in threads {
-        let df = best_of(reps, || time_msort_rt(&keys, th));
-        let dc = best_of(reps, || time_cole_pool(&keys, th).0);
-        t.row(vec![
-            u(th as u64),
-            ms(df),
-            ms(dc),
-            f2(dc.as_secs_f64() / df.as_secs_f64()),
-        ]);
-    }
-    t
+        ["futures msort (ms)", "cole stages (ms)", "cole/futures"],
+        threads,
+        reps,
+        |th| match th {
+            None => time_sort_seq(&keys),
+            Some(th) => time_msort_rt(&keys, th),
+        },
+        |th| match th {
+            None => time_cole(&keys, &mut SeqRounds::new()).0,
+            Some(th) => time_cole(&keys, &mut PoolRounds::new(th)).0,
+        },
+    )
 }
 
 /// E15a — cost-constant sensitivity: the measured merge depth scales
@@ -214,66 +133,6 @@ pub fn e15_cost_constants(lg_n: u32, ks: &[u64]) -> Table {
     t
 }
 
-/// E15b — the future cell's touch-then-fulfill round trip inside the
-/// runtime. (The mutex-based cell this row was once compared against —
-/// 150–170 ns/op, EXPERIMENTS.md — is gone; the lock-free cell is the only
-/// one any workload ran.)
-pub fn e15_cells(rounds: usize, cells_per_round: usize) -> Table {
-    let mut t = Table::new(
-        "E15b future cell (lock-free, atomic): fulfill+touch round-trips",
-        &["cell", "ops", "time (ms)", "ns/op"],
-    );
-    let ops = (rounds * cells_per_round) as u64;
-
-    let start = Instant::now();
-    for _ in 0..rounds {
-        let n = cells_per_round;
-        Runtime::new(1).run(move |wk| {
-            for i in 0..n {
-                let (w, r) = cell::<usize>();
-                r.touch(wk, move |v, _| {
-                    std::hint::black_box(v);
-                });
-                w.fulfill(wk, i);
-            }
-        });
-    }
-    let d = start.elapsed();
-    t.row(vec![
-        "lock-free".into(),
-        u(ops),
-        ms(d),
-        f2(d.as_secs_f64() * 1e9 / ops as f64),
-    ]);
-    t
-}
-
-/// One traced treap-union session on `rt` (the E20 workload — same
-/// entries the simulator trace was captured from), returning its stats.
-/// Tree construction is an untimed session of its own.
-#[cfg(feature = "trace")]
-fn traced_union(ea: &[Entry<i64>], eb: &[Entry<i64>], rt: &Runtime) -> pf_rt::RunStats {
-    let [fa, fb] = treap_inputs(rt, ea, eb);
-    let (op, of) = cell();
-    let stats = rt.run_stats(move |wk| pf_algs::treap::union(wk, fa, fb, op, Mode::Pipelined));
-    assert!(of.expect().to_sorted_vec().len() >= ea.len().max(eb.len()));
-    stats
-}
-
-/// One traced 2-6 bulk-insert session on `rt` (E20).
-#[cfg(feature = "trace")]
-fn traced_insert(initial: &[i64], newk: &[i64], rt: &Runtime) -> pf_rt::RunStats {
-    let (initial_v, keys) = (initial.to_vec(), newk.to_vec());
-    let ft = on_worker(rt, move |wk| wk.input(TsTree::from_sorted(wk, &initial_v)));
-    let (op, of) = cell();
-    let stats = rt.run_stats(move |wk| {
-        let f = pf_algs::two_six::insert_many(wk, &keys, ft, Mode::Pipelined);
-        f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
-    });
-    assert!(of.expect().to_sorted_vec().len() >= initial.len());
-    stats
-}
-
 /// E20 — the first measured-vs-model scheduler comparison: run treap
 /// union and 2-6 bulk insert *traced* on the real pool and print each
 /// session's steal and suspension counts (from [`pf_rt::TraceStats`])
@@ -291,6 +150,9 @@ fn traced_insert(initial: &[i64], newk: &[i64], rt: &Runtime) -> pf_rt::RunStats
 /// structure), and both grow with thread count.
 #[cfg(feature = "trace")]
 pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Table> {
+    use crate::baselines::on_rt;
+    use crate::workloads::union_entries;
+    use pf_algs::start::{insert_many_on, union_on};
     use pf_machine::{replay, steal_replay, Discipline, StealConfig};
 
     let n = 1usize << lg_n;
@@ -331,12 +193,17 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
                 },
             );
             let (mut steals, mut suspends, mut execs, mut parks) = (0f64, 0f64, 0f64, 0f64);
-            let rt = Runtime::shared(th);
+            let rt = pf_rt::Runtime::shared(th);
             for _ in 0..reps {
                 let stats = if *name == "union" {
-                    traced_union(&ea, &eb, &rt)
+                    let (ea, eb) = (ea.clone(), eb.clone());
+                    on_rt(&rt, move |wk| union_on(wk, &ea, &eb, Mode::Pipelined)).1
                 } else {
-                    traced_insert(&initial, &newk, &rt)
+                    let (initial, newk) = (initial.clone(), newk.clone());
+                    on_rt(&rt, move |wk| {
+                        insert_many_on(wk, &initial, &newk, Mode::Pipelined)
+                    })
+                    .1
                 };
                 let ts = stats.trace.as_ref().expect("traced build attaches stats");
                 steals += ts.steals() as f64;
@@ -360,33 +227,9 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
     out
 }
 
-/// Consistency check used by E12: the runtime and the cost model compute
-/// identical results on identical inputs.
-pub fn rt_matches_model(lg_n: u32) -> bool {
-    let n = 1usize << lg_n;
-    let (a, b) = interleaved_pair(n, n);
-    let (root, _) = run_merge(&a, &b, Mode::Pipelined);
-    let model_keys = root.get().to_sorted_vec();
-
-    let rt = Runtime::new(2);
-    let [ta, tb] = tree_inputs(&rt, &a, &b);
-    let (op, of) = cell();
-    rt.run(move |wk| pf_algs::merge::merge(wk, ta, tb, op, Mode::Pipelined));
-    let rt_keys = of.expect().to_sorted_vec();
-    model_keys == rt_keys
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn e12_smoke() {
-        let ts = e12_runtime(10, &[1, 2], 1);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts[0].rows.len(), 3);
-        assert_eq!(ts[2].rows.len(), 5);
-    }
 
     #[test]
     fn wallclock_pairs_smoke() {
@@ -410,17 +253,6 @@ mod tests {
             (2.2..4.2).contains(&ratio),
             "depth should scale ~k: {ratio}"
         );
-    }
-
-    #[test]
-    fn e15_cells_smoke() {
-        let t = e15_cells(2, 500);
-        assert_eq!(t.rows.len(), 1);
-    }
-
-    #[test]
-    fn rt_and_model_agree() {
-        assert!(rt_matches_model(9));
     }
 
     #[cfg(feature = "trace")]

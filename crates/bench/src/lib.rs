@@ -6,16 +6,16 @@
 //! reduced sizes, so the harness itself is covered by `cargo test`.
 //!
 //! What the experiments share sits beside them: seeded input generators
-//! ([`workloads`]), one simulator call per algorithm ([`sim`]), the τ/ρ
-//! timestamp checkers and cell walkers ([`analysis`]), and the wall-clock
-//! drivers of E12 ([`drivers`]) and E13/E16/E18 ([`baselines`]).
+//! ([`workloads`]), each `pf_algs::start` starter in a simulation of its
+//! own ([`sim`]), the τ/ρ timestamp checkers and cell walkers
+//! ([`analysis`]), and the wall-clock drivers of E13/E16/E18
+//! ([`baselines`]). Every other wall-clock number is pf-perf's (`perf/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
 pub mod baselines;
-pub mod drivers;
 pub mod exp_linear;
 pub mod exp_machine;
 pub mod exp_model;

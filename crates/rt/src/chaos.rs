@@ -27,7 +27,7 @@
 //! **Zero-cost when off:** without `--cfg pf_chaos` every hook compiles
 //! to an empty `#[inline(always)]` function and the config API does not
 //! exist, so release binaries carry no branch, no atomic, and no static
-//! for any of this (`cargo bench --no-run` builds identically).
+//! for any of this.
 //!
 //! Do not combine with `--cfg pf_check`: chaos uses process-global std
 //! synchronization that the model scheduler cannot see.

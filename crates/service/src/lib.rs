@@ -72,7 +72,7 @@
 //! degrading trips a per-shard [`CircuitBreaker`] that sheds its load in
 //! O(1) until a half-open probe window proves the shard recovered —
 //! so a poisoned shard cannot monopolize the shared pool that healthy
-//! shards' sessions run on (`bench_pr10` measures exactly this).
+//! shards' sessions run on (`tests/healing.rs` pins exactly this, as counts).
 //!
 //! ```
 //! use pf_service::{Request, ServiceConfig, SetService, ShardMap};

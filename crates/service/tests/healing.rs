@@ -1,12 +1,13 @@
 //! Service-level self-healing tests: retry accounting on deterministic
 //! faults, breaker trip → shed → probe → close through the real
-//! `SetService` apply path, and the no-regression pin that healthy
-//! traffic never pays for either layer.
+//! `SetService` apply path, the no-regression pin that healthy traffic
+//! never pays for either layer, and the poisoned-shard A/B as counts.
 
 use std::time::Duration;
 
 use pf_service::{
-    BreakerConfig, BreakerState, Fault, Request, RetryPolicy, ServiceConfig, SetService, ShardMap,
+    BreakerConfig, BreakerState, DrainReport, Fault, Request, RetryPolicy, ServiceConfig,
+    SetService, ShardMap,
 };
 
 fn one_shard_cfg() -> ServiceConfig {
@@ -159,5 +160,94 @@ fn healthy_traffic_is_untouched_by_retry_and_breaker_layers() {
             svc.breaker_state(shard),
             BreakerState::Closed { consecutive: 0 }
         );
+    }
+}
+
+const PILLS: usize = 3;
+const STALL_BUDGET: Duration = Duration::from_millis(60);
+const DEADLINE: Duration = Duration::from_secs(5);
+
+/// The poisoned-shard scenario: a 2-shard service pumped [`PILLS`] times,
+/// each pump carrying one healthy insert for shard 1 and, if `pilled`, one
+/// wedge-pilled insert for shard 0 (a task that spins until its session is
+/// cancelled). Checks what holds in every arm — each shard-1 wave is
+/// served first try and commits, no pill does — and returns one report per
+/// pump.
+fn poisoned_shard(breaker: BreakerConfig, pilled: bool) -> Vec<DrainReport> {
+    let cfg = ServiceConfig {
+        // A backstop only: detection is the heartbeat's job.
+        deadline: Some(DEADLINE),
+        stall_budget: Some(STALL_BUDGET),
+        retry: RetryPolicy {
+            attempts: 1,
+            ..one_shard_cfg().retry
+        },
+        breaker,
+        ..one_shard_cfg()
+    };
+    let svc = SetService::new(ShardMap::uniform(2, 0, 1_000), cfg);
+    let reports: Vec<DrainReport> = (0..PILLS as i64)
+        .map(|i| {
+            if pilled {
+                svc.submit(Request::insert(vec![(10 + i, 1)]).faulty(Fault::Wedge));
+            }
+            svc.submit(Request::insert(vec![(500 + 3 * i, 2), (900 - i, 3)]));
+            svc.pump()
+        })
+        .collect();
+    for (i, r) in reports.iter().enumerate() {
+        let healthy: Vec<_> = r.outcomes.iter().filter(|o| o.shard == 1).collect();
+        assert_eq!(healthy.len(), 1, "pump {i}: {r:?}");
+        let o = healthy[0];
+        assert!(o.served && !o.shed && o.attempts == 1, "pump {i}: {o:?}");
+    }
+    assert_eq!(svc.shard_keys(0), Vec::<i64>::new(), "a pill never commits");
+    assert_eq!(svc.shard_keys(1).len(), 2 * PILLS);
+    reports
+}
+
+/// The poisoned-shard A/B, once a per-PR throughput benchmark, pinned as
+/// the counts behind it: with the breaker off every pill burns a stall
+/// budget per attempt; with it on the first degraded window trips the
+/// breaker and every later pill is shed without a session; the healthy
+/// shard is served in full either way ([`poisoned_shard`] checks that).
+#[test]
+fn poisoned_shard_degrades_every_pill_without_the_breaker_and_sheds_with_it() {
+    let off = BreakerConfig {
+        threshold: 0, // disabled
+        ..BreakerConfig::default()
+    };
+    let on = BreakerConfig {
+        threshold: 1,
+        open_for: Duration::from_secs(3600), // stays open for the test
+        probes: 1,
+    };
+    let base = poisoned_shard(off, false);
+    for r in &base {
+        assert_eq!(r.degraded + r.shed + r.retries, 0, "{r:?}");
+    }
+
+    // Breaker off: a first try and one retry per pill, each declared
+    // `Stalled` by the heartbeat once the budget has passed — long before
+    // the deadline.
+    for r in poisoned_shard(off, true) {
+        assert_eq!((r.degraded, r.retries, r.shed), (1, 1, 0), "{r:?}");
+        let o = r.outcomes.iter().find(|o| o.shard == 0).unwrap();
+        assert!(!o.served && !o.shed && o.attempts == 2, "{o:?}");
+        let error = o.error.as_deref().unwrap_or("");
+        assert!(error.contains("stalled"), "{o:?}");
+        assert!(STALL_BUDGET <= o.latency && o.latency < DEADLINE, "{o:?}");
+    }
+
+    // Breaker on: the first pill degrades and trips it; the rest are shed,
+    // and a shed pump runs exactly the sessions of a pill-free one.
+    let tripped = poisoned_shard(on, true);
+    let first = &tripped[0];
+    assert_eq!((first.degraded, first.retries, first.shed), (1, 1, 0));
+    for (r, clean) in tripped.iter().zip(&base).skip(1) {
+        assert_eq!((r.degraded, r.retries, r.shed), (0, 0, 1), "{r:?}");
+        assert_eq!(r.sessions, clean.sessions, "a shed runs no session");
+        let o = r.outcomes.iter().find(|o| o.shard == 0).unwrap();
+        assert!(o.shed && !o.served && o.attempts == 0, "{o:?}");
     }
 }

@@ -11,9 +11,8 @@
 
 use std::collections::BTreeSet;
 
-use pf_algs::two_six::{insert_many, TsTree};
 use pf_algs::Mode;
-use pf_core::Sim;
+use pf_bench::sim::run_insert_many;
 use pf_examples::banner;
 use rand::prelude::*;
 use rand::rngs::SmallRng;
@@ -41,12 +40,7 @@ fn main() {
 
         // Cost model: measure this batch's insert in isolation, pipelined
         // and strict, against the index built so far.
-        let run = |mode| {
-            Sim::new().run(|ctx| {
-                let ft = ctx.preload(TsTree::from_sorted(ctx, &keys_so_far));
-                insert_many(ctx, batch, ft, mode)
-            })
-        };
+        let run = |mode| run_insert_many(&keys_so_far, batch, mode);
         let (root_p, cost_p) = run(Mode::Pipelined);
         let (_, cost_s) = run(Mode::Strict);
 

@@ -7,10 +7,9 @@
 //!
 //! Defaults: `union 12 12`.
 
+use pf_algs::start::{merge_on, union_on};
 use pf_algs::Mode;
-use pf_bench::sim::{
-    merge_on, run_diff, run_insert_many, run_merge, run_msort, run_quicksort, run_union, union_on,
-};
+use pf_bench::sim::{run_diff, run_insert_many, run_merge, run_msort, run_quicksort, run_union};
 use pf_bench::workloads::{
     diff_entries, interleaved_pair, shuffled_keys, sorted_keys, union_entries,
 };
@@ -40,7 +39,7 @@ fn measure(alg: &str, lg_n: u32, lg_m: u32, mode: Mode) -> CostReport {
             run_insert_many(&initial, &newk, mode).1
         }
         "quicksort" => run_quicksort(&shuffled_keys(n, 5), mode).1,
-        "mergesort" => run_msort(&shuffled_keys(n, 5), mode).1,
+        "mergesort" => run_msort(&shuffled_keys(n, 5), false, mode).1,
         other => {
             panic!("unknown algorithm {other:?} (try merge/union/diff/insert/quicksort/mergesort)")
         }

@@ -1,8 +1,9 @@
 //! Quickstart: one algorithm, three engines.
 //!
 //! The §3 algorithms are written **once**, in `pf-algs`, against the
-//! `pf_backend::PipeBackend` trait. This tour runs the same generic code
-//! on all three engines:
+//! `pf_backend::PipeBackend` trait, and `pf_algs::start` has one starter
+//! per algorithm — build the inputs on engine `B`, call it, return the
+//! result future. This tour runs the same starters on all three engines:
 //!
 //! 1. the **virtual-time simulator** (`pf_core::Ctx`) — measure work/depth
 //!    of the Figure 1 producer/consumer and see implicit pipelining in the
@@ -14,56 +15,20 @@
 //!
 //! Run with: `cargo run --release -p pf-examples --bin quickstart`
 
-use pf_algs::list::{consume, produce};
-use pf_algs::plain::Entry;
-use pf_algs::treap::{union, Treap, TreapFut, TreapWr};
-use pf_algs::{Mode, PipeBackend, Seq, Val};
+use pf_algs::start::{pipeline_on, union_on};
+use pf_algs::{Mode, Seq};
 use pf_bench::workloads::union_entries;
 use pf_examples::{banner, cost_line};
 use pf_rt::{cell, Runtime};
 
-/// The union of two entry sets on engine `B`: inputs built with free
-/// pre-written cells, then the one generic `union`. The `where` clauses
-/// are what pf-algs asks of an engine's cells; all three engines meet them.
-fn union_on<B: PipeBackend>(
-    bk: &B,
-    a: &[Entry<i64>],
-    b: &[Entry<i64>],
-    mode: Mode,
-) -> TreapFut<B, i64>
-where
-    Treap<B, i64>: Val,
-    TreapFut<B, i64>: Val,
-    TreapWr<B, i64>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
-    let fa = bk.input(Treap::from_entries(bk, a));
-    let fb = bk.input(Treap::from_entries(bk, b));
-    let (out, root) = bk.cell();
-    union(bk, fa, fb, out, mode);
-    root
-}
-
 fn main() {
     banner("1a. the cost model: producer/consumer pipeline (Figure 1)");
     let n = 10_000u64;
-    let run_fig1 = |mode: Mode| {
-        pf_core::Sim::new().run(|ctx| {
-            // The generic Figure-1 code (pf_algs::list) instantiated at
-            // the simulator: produce forks a future per tail, consume
-            // chases them.
-            let (lp, lf) = ctx.promise();
-            match mode {
-                Mode::Pipelined => produce(ctx, n, lp),
-                Mode::Strict => ctx.call_strict(move |ctx| produce(ctx, n, lp)),
-            }
-            let list = ctx.touch(&lf);
-            let (sp, sf) = ctx.promise();
-            consume(ctx, list, 0, sp);
-            ctx.touch(&sf)
-        })
-    };
+    // The generic Figure-1 code (pf_algs::list) instantiated at the
+    // simulator: produce forks a future per tail, consume chases them, and
+    // the main thread touches the sum.
+    let run_fig1 =
+        |mode: Mode| pf_core::Sim::new().run(|ctx| ctx.touch(&pipeline_on(ctx, n, mode)));
     let (sum, cp) = run_fig1(Mode::Pipelined);
     let (_, cs) = run_fig1(Mode::Strict);
     assert_eq!(sum, n * (n + 1) / 2);
@@ -108,13 +73,11 @@ fn main() {
 
     banner("3. the same union on the real work-stealing runtime");
     // A `Worker` exists only inside a session, so the inputs are built
-    // there too; the result comes back through a cell.
+    // there too; the result future comes back through a cell, written by
+    // the time the session has quiesced.
     let (op, of) = cell();
-    Runtime::new(4).run(move |wk| {
-        let root = union_on(wk, &a, &b, Mode::Pipelined);
-        root.touch(wk, move |t, wk| op.fulfill(wk, t));
-    });
-    let rt_result = of.expect();
+    Runtime::new(4).run(move |wk| op.fulfill(wk, union_on(wk, &a, &b, Mode::Pipelined)));
+    let rt_result = of.expect().expect();
     assert_eq!(rt_result.to_sorted_vec(), result.to_sorted_vec());
     println!(
         "4-worker runtime produced the identical {}-key treap (height {}).",

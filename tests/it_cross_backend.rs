@@ -2,22 +2,18 @@
 //! and the sequential references must produce identical results (and for
 //! treaps, identical shapes) on identical inputs, across thread counts.
 
-use pf_algs::list::{consume, produce, qs, List};
-use pf_algs::merge::merge;
 use pf_algs::plain::{splitmix64, PlainTreap};
+use pf_algs::start::{insert_many_on, merge_on, msort_on, pipeline_on, quicksort_on, rebalance_on};
 use pf_algs::treap::{diff, intersect, union, union_many};
-use pf_algs::tree::Tree;
-use pf_algs::two_six::{insert_many, TsTree};
 use pf_algs::Mode::{self, Pipelined};
 use pf_backend::{PipeBackend, Seq};
-use pf_bench::drivers::tree_inputs;
 use pf_bench::sim::{
     run_diff, run_insert_many, run_merge, run_msort, run_pipeline, run_quicksort, run_rebalance,
     run_union,
 };
 use pf_bench::workloads::shuffled_keys;
 use pf_rt::{cell, ready, Runtime};
-use pf_tests::{complete_ready, crusted_ready, entries, unsized_ready, RTreap};
+use pf_tests::{complete_ready, crusted_ready, entries, on_rt, unsized_ready, RTreap};
 
 #[test]
 fn merge_agrees_across_backends() {
@@ -27,12 +23,12 @@ fn merge_agrees_across_backends() {
         let (root, _) = run_merge(&a, &b, Mode::Pipelined);
         let model = root.get().to_sorted_vec();
         for threads in [1, 3] {
-            let rt = Runtime::new(threads);
-            let (op, of) = cell();
-            let [ta, tb] = tree_inputs(&rt, &a, &b);
-            rt.run(move |wk| merge(wk, ta, tb, op, Pipelined));
+            let (a, b) = (a.clone(), b.clone());
+            let (t, _) = on_rt(&Runtime::new(threads), move |wk| {
+                merge_on(wk, &a, &b, Pipelined)
+            });
             assert_eq!(
-                of.expect().to_sorted_vec(),
+                t.to_sorted_vec(),
                 model,
                 "na={na} nb={nb} threads={threads}"
             );
@@ -91,23 +87,15 @@ fn rebalance_agrees_across_all_three_backends() {
         let model = root.get();
         assert_eq!(model.to_sorted_vec(), sorted, "n={n}");
         // Sequential oracle: the same generic text at B = Seq.
-        let seq_tree = Seq::run(|bk| {
-            let ft = bk.input(pf_algs::rebalance::unbalanced_from(bk, &keys));
-            let (op, of) = bk.cell();
-            pf_algs::rebalance::rebalance(bk, ft, op, Mode::Pipelined);
-            pf_algs::tree::Tree::<Seq, i64>::expect(&of)
-        });
+        let seq_tree = Seq::run(|bk| rebalance_on(bk, &keys, Pipelined).expect());
         assert_eq!(seq_tree.to_sorted_vec(), sorted, "n={n}");
         assert_eq!(seq_tree.height(), model.height(), "n={n}");
         // Real runtime, multiple thread counts: identical deterministic shape.
         for threads in [1, 4] {
             let keys = keys.clone();
-            let (op, of) = cell();
-            Runtime::new(threads).run(move |wk| {
-                let ft = wk.input(pf_algs::rebalance::unbalanced_from(wk, &keys));
-                pf_algs::rebalance::rebalance(wk, ft, op, Pipelined);
+            let (t, _) = on_rt(&Runtime::new(threads), move |wk| {
+                rebalance_on(wk, &keys, Pipelined)
             });
-            let t = of.expect();
             assert_eq!(t.to_sorted_vec(), sorted, "n={n} threads={threads}");
             assert_eq!(t.height(), model.height(), "n={n} threads={threads}");
         }
@@ -128,25 +116,15 @@ fn two_six_insert_agrees_across_all_three_backends() {
         model.validate().unwrap();
         assert_eq!(model.to_sorted_vec(), expect, "n={n} m={m}");
         // Sequential oracle: the same generic text at B = Seq.
-        let seq_tree = Seq::run(|bk| {
-            let ft = bk.input(pf_algs::two_six::TsTree::<Seq, i64>::from_sorted(
-                bk, &initial,
-            ));
-            let f = pf_algs::two_six::insert_many(bk, &newk, ft, Mode::Pipelined);
-            pf_algs::two_six::TsTree::<Seq, i64>::expect(&f)
-        });
+        let seq_tree = Seq::run(|bk| insert_many_on(bk, &initial, &newk, Pipelined).expect());
         seq_tree.validate().unwrap();
         assert_eq!(seq_tree.to_sorted_vec(), expect, "n={n} m={m}");
         // Real runtime, multiple thread counts.
         for threads in [1, 4] {
-            let (op, of) = cell();
             let (initial, keys) = (initial.clone(), newk.clone());
-            Runtime::new(threads).run(move |wk| {
-                let ft = wk.input(TsTree::from_sorted(wk, &initial));
-                let f = insert_many(wk, &keys, ft, Pipelined);
-                f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
+            let (t, _) = on_rt(&Runtime::new(threads), move |wk| {
+                insert_many_on(wk, &initial, &keys, Pipelined)
             });
-            let t = of.expect();
             t.validate().unwrap();
             assert_eq!(t.to_sorted_vec(), expect, "n={n} m={m} threads={threads}");
         }
@@ -160,13 +138,8 @@ fn pipeline_sum_agrees() {
     // big-stack helper for deep pipelines (see pf_core::run_with_big_stack).
     let (sum_model, _) =
         pf_core::run_with_big_stack(256 << 20, move || run_pipeline(n, Mode::Pipelined));
-    let (sp, sf) = cell();
-    Runtime::new(3).run(move |wk| {
-        let (lp, lf) = cell();
-        wk.spawn(move |wk| produce(wk, n, lp));
-        lf.touch(wk, move |l, wk| consume(wk, l, 0, sp));
-    });
-    assert_eq!(sf.expect(), sum_model);
+    let (sum, _) = on_rt(&Runtime::new(3), move |wk| pipeline_on(wk, n, Pipelined));
+    assert_eq!(sum, sum_model);
 }
 
 #[test]
@@ -179,10 +152,10 @@ fn quicksort_agrees_with_std_sort() {
         let (l, _) = run_quicksort(&keys, Mode::Pipelined);
         assert_eq!(l.collect_vec(), expect);
         // Real runtime.
-        let (op, of) = cell();
-        Runtime::new(4)
-            .run(move |wk| qs(wk, List::from_slice(wk, &keys), List::Nil, op, Pipelined));
-        assert_eq!(of.expect().collect_vec(), expect);
+        let (l, _) = on_rt(&Runtime::new(4), move |wk| {
+            quicksort_on(wk, &keys, Pipelined)
+        });
+        assert_eq!(l.collect_vec(), expect);
     }
 }
 
@@ -199,13 +172,11 @@ fn algorithms_are_generic_over_key_types() {
     assert_eq!(root.get().to_sorted_vec(), expect);
     assert!(c.is_linear());
 
-    let (op, of) = cell();
     let (ka, kb) = (a.clone(), b.clone());
-    Runtime::new(2).run(move |wk| {
-        let tree = |k| wk.input(Tree::from_sorted(wk, k));
-        merge(wk, tree(&ka), tree(&kb), op, Pipelined)
+    let (t, _) = on_rt(&Runtime::new(2), move |wk| {
+        merge_on(wk, &ka, &kb, Pipelined)
     });
-    assert_eq!(of.expect().to_sorted_vec(), expect);
+    assert_eq!(t.to_sorted_vec(), expect);
 
     // Treap union over string keys in the cost model.
     let ea: Vec<(String, u64)> = a
@@ -234,24 +205,19 @@ fn mergesort_agrees_across_all_three_backends() {
         let mut expect = keys.clone();
         expect.sort_unstable();
         // Cost model: deterministic shape, used as the height reference.
-        let (root, _) = run_msort(&keys, Mode::Pipelined);
+        let (root, _) = run_msort(&keys, false, Mode::Pipelined);
         let model = root.get();
         assert_eq!(model.to_sorted_vec(), expect, "n={n}");
         // Sequential oracle: the same generic text at B = Seq.
-        let seq_tree = Seq::run(|bk| {
-            let (op, of) = bk.cell();
-            pf_algs::mergesort::msort(bk, keys.clone(), op, Mode::Pipelined);
-            pf_algs::tree::Tree::<Seq, i64>::expect(&of)
-        });
+        let seq_tree = Seq::run(|bk| msort_on(bk, &keys, false, Pipelined).expect());
         assert_eq!(seq_tree.to_sorted_vec(), expect, "n={n}");
         assert_eq!(seq_tree.height(), model.height(), "n={n}");
         // Real runtime, multiple thread counts: identical deterministic shape.
         for threads in [1, 4] {
             let keys = keys.clone();
-            let (op, of) = cell();
-            Runtime::new(threads)
-                .run(move |wk| pf_algs::mergesort::msort(wk, keys, op, Mode::Pipelined));
-            let t = of.expect();
+            let (t, _) = on_rt(&Runtime::new(threads), move |wk| {
+                msort_on(wk, &keys, false, Pipelined)
+            });
             assert_eq!(t.to_sorted_vec(), expect, "n={n} threads={threads}");
             assert_eq!(t.height(), model.height(), "n={n} threads={threads}");
         }
@@ -268,24 +234,15 @@ fn quicksort_agrees_across_all_three_backends() {
         let (l, _) = run_quicksort(&keys, Mode::Pipelined);
         assert_eq!(l.collect_vec(), expect, "seed={seed}");
         // Sequential oracle: the same generic text at B = Seq.
-        let seq_sorted = Seq::run(|bk| {
-            let l = List::from_slice(bk, &keys);
-            let (op, of) = bk.cell();
-            qs(bk, l, List::nil(), op, Mode::Pipelined);
-            List::<Seq, i64>::expect_vec(&of)
-        });
+        let seq_sorted = Seq::run(|bk| quicksort_on(bk, &keys, Pipelined).expect().collect_vec());
         assert_eq!(seq_sorted, expect, "seed={seed}");
         // Real runtime.
         for threads in [1, 4] {
             let keys = keys.clone();
-            let (op, of) = cell();
-            Runtime::new(threads)
-                .run(move |wk| qs(wk, List::from_slice(wk, &keys), List::Nil, op, Pipelined));
-            assert_eq!(
-                of.expect().collect_vec(),
-                expect,
-                "seed={seed} threads={threads}"
-            );
+            let (l, _) = on_rt(&Runtime::new(threads), move |wk| {
+                quicksort_on(wk, &keys, Pipelined)
+            });
+            assert_eq!(l.collect_vec(), expect, "seed={seed} threads={threads}");
         }
     }
 }
@@ -322,7 +279,7 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
     let keys = shuffled_keys(300, 77);
     let mut sorted = keys.clone();
     sorted.sort_unstable();
-    let (mroot, _) = run_msort(&keys, Mode::Pipelined);
+    let (mroot, _) = run_msort(&keys, false, Mode::Pipelined);
     let msort_height = mroot.get().height();
 
     for threads in [1usize, 4] {
@@ -347,10 +304,7 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
             );
 
             let keys = keys.clone();
-            let (op, of) = cell();
-            let stats =
-                rt.run_stats(move |wk| pf_algs::mergesort::msort(wk, keys, op, Mode::Pipelined));
-            let t = of.expect();
+            let (t, stats) = on_rt(&rt, move |wk| msort_on(wk, &keys, false, Pipelined));
             assert_eq!(t.to_sorted_vec(), sorted, "msort {label} t={threads}");
             assert_eq!(t.height(), msort_height, "msort {label} t={threads}");
             let s = *msort_spawns.get_or_insert(stats.spawns);
@@ -419,10 +373,9 @@ fn work_first_default_does_not_suspend_at_one_worker() {
     let a: Vec<i64> = (0..777).map(|i| 2 * i).collect();
     let b: Vec<i64> = (0..333).map(|i| 2 * i + 1).collect();
     let (child, parent) = both(&|rt| {
-        let (op, of) = cell();
-        let [ta, tb] = tree_inputs(rt, &a, &b);
-        let stats = rt.run_stats(move |wk| merge(wk, ta, tb, op, Pipelined));
-        assert_eq!(of.expect().to_sorted_vec().len(), 777 + 333);
+        let (a, b) = (a.clone(), b.clone());
+        let (t, stats) = on_rt(rt, move |wk| merge_on(wk, &a, &b, Pipelined));
+        assert_eq!(t.to_sorted_vec().len(), 777 + 333);
         stats
     });
     assert_eq!(child.suspensions, 0, "merge");

@@ -5,7 +5,7 @@
 use pf_bench::exp_linear::e11_linearity;
 use pf_bench::exp_machine::{e09_scheduler, e10_models, e14_space};
 use pf_bench::exp_model::*;
-use pf_bench::exp_rt::{e12_runtime, e15_cost_constants, rt_matches_model};
+use pf_bench::exp_rt::e15_cost_constants;
 use pf_machine::INFINITE_P;
 
 fn col(t: &pf_bench::Table, row: usize, name: &str) -> f64 {
@@ -127,13 +127,6 @@ fn e11_everything_linear() {
     for r in &t.rows {
         assert_eq!(r[4], "yes", "{}", r[0]);
     }
-}
-
-#[test]
-fn e12_smoke_and_cross_check() {
-    let ts = e12_runtime(9, &[1], 1);
-    assert_eq!(ts.len(), 3);
-    assert!(rt_matches_model(8));
 }
 
 #[test]

@@ -14,14 +14,13 @@
 //! the depth bound is demonstrably the DAG the runtime executes (same
 //! algorithm, same input, same output shape), not an artifact of `Sim`.
 
+use pf_algs::start::{insert_many_on, union_on};
 use pf_algs::treap::union;
-use pf_algs::two_six::{insert_many, TsTree};
-use pf_algs::{Mode, PipeBackend};
-use pf_bench::sim::{insert_many_on, union_on};
+use pf_algs::Mode;
 use pf_core::Sim;
 use pf_machine::{replay, Discipline, INFINITE_P};
 use pf_rt::{cell, Runtime};
-use pf_tests::{entries, unsized_ready};
+use pf_tests::{entries, on_rt, unsized_ready};
 
 #[test]
 fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
@@ -90,14 +89,10 @@ fn two_six_insert_replay_meets_depth_bound_and_rt_agrees() {
     assert_eq!(stats.suspensions, stats.reactivations);
 
     for threads in [1, 3] {
-        let (op, of) = cell();
         let (i3, k3) = (initial.clone(), keys.clone());
-        let rstats = Runtime::new(threads).run_stats(move |wk| {
-            let t = wk.input(TsTree::from_sorted(wk, &i3));
-            let f = insert_many(wk, &k3, t, Mode::Pipelined);
-            f.touch(wk, move |tv, wk| op.fulfill(wk, tv));
+        let (t, rstats) = on_rt(&Runtime::new(threads), move |wk| {
+            insert_many_on(wk, &i3, &k3, Mode::Pipelined)
         });
-        let t = of.expect();
         t.validate()
             .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
         assert_eq!(t.to_sorted_vec(), model_keys, "threads={threads}");
@@ -106,9 +101,7 @@ fn two_six_insert_replay_meets_depth_bound_and_rt_agrees() {
             1 + rstats.spawns + rstats.suspensions,
             "threads={threads}"
         );
-        // Same structural tie as the union test. The root's
-        // result-forwarding touch runs inside the root closure itself,
-        // not a spawned task, so spawn counts still match exactly.
+        // Same structural tie as the union test.
         assert_eq!(rstats.spawns, report.forks, "threads={threads}");
         assert!(rstats.suspensions <= report.touches, "threads={threads}");
     }

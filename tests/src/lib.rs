@@ -10,6 +10,10 @@ use pf_rt::{ready, FutRead, Worker};
 /// The generic treap on the runtime's engine.
 pub type RTreap<K> = Treap<Worker, K>;
 
+/// A starter at `B = Worker` as one session of a runtime: its finished
+/// result and the session's stats.
+pub use pf_bench::baselines::on_rt;
+
 /// Sorted union of two entry lists' keys.
 pub fn oracle_union(a: &[Entry<i64>], b: &[Entry<i64>]) -> Vec<i64> {
     let s: BTreeSet<i64> = a.iter().chain(b.iter()).map(|e| e.0).collect();
