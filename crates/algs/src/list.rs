@@ -224,6 +224,29 @@ mod tests {
     use crate::Seq;
 
     #[test]
+    fn build_and_collect() {
+        let keys = Seq::run(|bk| List::from_slice(bk, &[3i64, 2, 1]).collect_vec());
+        assert_eq!(keys, [3, 2, 1]);
+    }
+
+    #[test]
+    fn nil_properties() {
+        let nil = List::<Seq, i64>::nil();
+        assert!(nil.as_cons().is_none());
+        assert!(nil.collect_vec().is_empty());
+    }
+
+    #[test]
+    fn as_cons_exposes_head_and_tail() {
+        Seq::run(|bk| {
+            let l = List::<Seq, i64>::cons(9, bk.input(List::nil()));
+            let (h, t) = l.as_cons().unwrap();
+            assert_eq!(*h, 9);
+            assert!(List::<Seq, i64>::expect_vec(t).is_empty());
+        });
+    }
+
+    #[test]
     fn pipeline_sums_on_the_oracle() {
         for n in [0u64, 1, 10, 500] {
             let sum = Seq::run(|bk| pipeline_on(bk, n, Mode::Pipelined).expect());

@@ -16,13 +16,9 @@
 //! [`crate::plain`] uses the same rule, which the cross-backend tests rely
 //! on.
 //!
-//! Beyond the paper's two headline operations the module rounds out the
-//! set-algebra API: [`intersect`] (the dual of [`diff`], from the
-//! companion set-operations paper the text cites), bulk
-//! [`insert_keys`] / [`delete_keys`], and the single-key dictionary
-//! operations [`contains`] / [`insert_one`] / [`delete_one`] expressed as
-//! singleton unions/differences — exactly how §3.2–3.3 say the bulk
-//! primitives are meant to be used.
+//! Beyond the paper's two headline operations the module adds
+//! [`intersect`] (the dual of [`diff`], from the companion
+//! set-operations paper the text cites).
 //!
 //! ## Granularity
 //!
@@ -879,124 +875,6 @@ fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
     });
 }
 
-/// Single-key search (§3.2: treaps "provide for search, insertion, and
-/// deletion of keys"). A plain root-to-leaf walk touching each child on
-/// the way down: O(h) depth and work; the verdict is written to `out`.
-pub fn contains<B: PipeBackend, K: Key>(bk: &B, t: TreapFut<B, K>, key: K, out: B::Wr<bool>)
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
-    bk.touch(&t, move |bk, tv| contains_val(bk, key, tv, out));
-}
-
-fn contains_val<B: PipeBackend, K: Key>(bk: &B, key: K, cur: Treap<B, K>, out: B::Wr<bool>)
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
-    bk.tick(1);
-    match cur {
-        Treap::Leaf => bk.fulfill(out, false),
-        Treap::Node(n) => {
-            if key == n.key {
-                bk.fulfill(out, true);
-            } else if key < n.key {
-                n.left.touch(bk, move |bk, c| contains_val(bk, key, c, out));
-            } else {
-                n.right
-                    .touch(bk, move |bk, c| contains_val(bk, key, c, out));
-            }
-        }
-    }
-}
-
-/// Single-key insertion, expressed as a singleton union — exactly the
-/// paper's reduction of dictionary operations to the bulk primitives.
-pub fn insert_one<B: PipeBackend, K: Key>(
-    bk: &B,
-    t: TreapFut<B, K>,
-    key: K,
-    prio: u64,
-    mode: Mode,
-) -> TreapFut<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
-    insert_keys(bk, t, &[(key, prio)], mode)
-}
-
-/// Single-key deletion via a singleton difference.
-pub fn delete_one<B: PipeBackend, K: Key>(
-    bk: &B,
-    t: TreapFut<B, K>,
-    key: K,
-    mode: Mode,
-) -> TreapFut<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
-    delete_keys(bk, t, &[(key, 0)], mode)
-}
-
-/// Bulk insert (§3.2: union "can be used to insert a set of keys into a
-/// treap"): build a treap of the new entries — via [`PipeBackend::input`],
-/// since treap construction from a batch is the client's input
-/// marshalling — and union it in. Returns the future of the updated treap.
-pub fn insert_keys<B: PipeBackend, K: Key>(
-    bk: &B,
-    t: TreapFut<B, K>,
-    batch: &[Entry<K>],
-    mode: Mode,
-) -> TreapFut<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
-    let b = Treap::from_entries(bk, batch);
-    let fb = bk.input(b);
-    let (p, f) = bk.cell();
-    bk.fork(move |bk| union(bk, t, fb, p, mode));
-    f
-}
-
-/// Bulk delete (§3.3: difference "can be used to delete a set of keys").
-/// The priorities in `batch` are irrelevant (only keys are matched).
-pub fn delete_keys<B: PipeBackend, K: Key>(
-    bk: &B,
-    t: TreapFut<B, K>,
-    batch: &[Entry<K>],
-    mode: Mode,
-) -> TreapFut<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
-    let b = Treap::from_entries(bk, batch);
-    let fb = bk.input(b);
-    let (p, f) = bk.cell();
-    bk.fork(move |bk| diff(bk, t, fb, p, mode));
-    f
-}
-
 /// Collapse `k` treap futures into one: the **union tree** a coalescing
 /// ingress queue wants. Instead of folding the batches into the root one
 /// at a time (k sequential unions, each re-walking the accumulated
@@ -1378,30 +1256,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dictionary_ops_on_the_oracle() {
-        let (missing, present, t3) = Seq::run(|bk| {
-            let ft = bk.input(Treap::from_entries(bk, &entries((0..50).map(|i| 2 * i))));
-            let t1 = insert_one(bk, ft, 7, 12345, Mode::Pipelined);
-            let t2 = insert_one(bk, t1, 9, 999, Mode::Pipelined);
-            let t3 = delete_one(bk, t2, 48, Mode::Pipelined);
-            let (mp, mf) = bk.cell();
-            contains(bk, t3.clone(), 48, mp);
-            let (pp, pf) = bk.cell();
-            contains(bk, t3.clone(), 9, pp);
-            (!mf.expect(), pf.expect(), Treap::<Seq, i64>::expect(&t3))
-        });
-        assert!(missing && present);
-        let keys = t3.to_sorted_vec();
-        assert!(keys.contains(&7) && keys.contains(&9) && !keys.contains(&48));
-        assert_eq!(keys.len(), 51);
-    }
+    type Op = fn(&Ctx, TreapFut<Ctx, i64>, TreapFut<Ctx, i64>, TreapWr<Ctx, i64>, Mode);
 
-    /// `contains` as a value: touch the answer cell once the walk is done.
-    fn has(ctx: &Ctx, t: Fut<Treap<Ctx, i64>>, key: i64) -> bool {
-        let (p, f) = ctx.promise();
-        contains(ctx, t, key, p);
-        f.get()
+    /// One batch update pipelined onto `t` inside the running simulation:
+    /// `op` (union or diff) of `t` and a ready treap of `batch`.
+    fn apply(
+        ctx: &Ctx,
+        op: Op,
+        t: TreapFut<Ctx, i64>,
+        batch: &[Entry<i64>],
+    ) -> Fut<Treap<Ctx, i64>> {
+        let b = PipeBackend::input(ctx, Treap::from_entries(ctx, batch));
+        let (p, f) = PipeBackend::cell(ctx);
+        PipeBackend::fork(ctx, move |ctx| op(ctx, t, b, p, Mode::Pipelined));
+        f
     }
 
     /// Largest write time of any cell of the treap behind `root`.
@@ -1685,58 +1553,15 @@ mod tests {
     }
 
     #[test]
-    fn single_key_dictionary_ops() {
-        let (result, _) = Sim::new().run(|ctx| {
-            let t = Treap::from_entries(ctx, &entries((0..50).map(|i| 2 * i)));
-            let ft = ctx.preload(t);
-            assert!(has(ctx, ft.clone(), 48));
-            // (contains is a read-only probe; re-touching for the update
-            // chain below makes this test intentionally non-linear, which
-            // is fine — linearity is asserted on the algorithms, not on
-            // ad-hoc client code.)
-            let t1 = insert_one(ctx, ft, 7, 12345, Mode::Pipelined);
-            let t2 = insert_one(ctx, t1, 9, 999, Mode::Pipelined);
-            let t3 = delete_one(ctx, t2, 48, Mode::Pipelined);
-            let missing = !has(ctx, t3.clone(), 48);
-            let present = has(ctx, t3.clone(), 9);
-            (t3, missing, present)
-        });
-        let (t3, missing, present) = result;
-        assert!(missing && present);
-        let keys = t3.get().to_sorted_vec();
-        assert!(keys.contains(&7) && keys.contains(&9) && !keys.contains(&48));
-        assert!(t3.get().check_invariants());
-        assert_eq!(keys.len(), 51);
-    }
-
-    #[test]
-    fn contains_on_empty_and_absent() {
-        let (r, _) = Sim::new().run(|ctx| {
-            let e = ctx.preload(Treap::<Ctx, i64>::Leaf);
-            let empty_miss = !has(ctx, e, 5);
-            let t = Treap::from_entries(ctx, &entries([1, 3, 5]));
-            let ft = ctx.preload(t);
-            let absent = !has(ctx, ft, 4);
-            empty_miss && absent
-        });
-        assert!(r);
-    }
-
-    #[test]
     fn bulk_insert_delete_pipeline() {
         // A chain of batched updates, all pipelined within ONE simulation:
         // each batch consumes the previous batch's root future.
         let (root, c) = Sim::new().run(|ctx| {
             let t = Treap::from_entries(ctx, &entries(0..100));
             let ft = ctx.preload(t);
-            let t1 = insert_keys(ctx, ft, &entries(100..180), Mode::Pipelined);
-            let t2 = delete_keys(
-                ctx,
-                t1,
-                &entries((0..180).filter(|k| k % 3 == 0)),
-                Mode::Pipelined,
-            );
-            insert_keys(ctx, t2, &entries(200..240), Mode::Pipelined)
+            let t1 = apply(ctx, union, ft, &entries(100..180));
+            let t2 = apply(ctx, diff, t1, &entries((0..180).filter(|k| k % 3 == 0)));
+            apply(ctx, union, t2, &entries(200..240))
         });
         let t = root.get();
         assert!(t.check_invariants());
@@ -1752,8 +1577,8 @@ mod tests {
         let ((r1, r2), _) = Sim::new().run(|ctx| {
             let t = Treap::from_entries(ctx, &entries(0..2000));
             let ft = ctx.preload(t);
-            let t1 = insert_keys(ctx, ft, &entries(2000..3000), Mode::Pipelined);
-            let t2 = insert_keys(ctx, t1.clone(), &entries(3000..4000), Mode::Pipelined);
+            let t1 = apply(ctx, union, ft, &entries(2000..3000));
+            let t2 = apply(ctx, union, t1.clone(), &entries(3000..4000));
             (t1, t2)
         });
         let first_done = completion_time(&r1);

@@ -50,7 +50,7 @@
 pub mod rounds;
 mod seq;
 
-pub use rounds::{Job, RoundError, RoundExec, SeqRounds};
+pub use rounds::{Job, RoundExec, SeqRounds};
 pub use seq::{Seq, SeqFut};
 
 /// A value that can live in a future cell: cloneable (touch hands out a

@@ -28,24 +28,6 @@
 /// A boxed round job: owns its inputs, returns its result.
 pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
 
-/// A round that failed in a containable way: a job panicked, the round's
-/// session was cancelled or timed out, or the engine's pool stalled.
-/// Engine-agnostic (this crate names no engine types): the `message`
-/// carries the engine's own rendering of the fault.
-#[derive(Debug, Clone)]
-pub struct RoundError {
-    /// Human-readable description of what failed.
-    pub message: String,
-}
-
-impl std::fmt::Display for RoundError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "round failed: {}", self.message)
-    }
-}
-
-impl std::error::Error for RoundError {}
-
 /// An executor of synchronous rounds: run all `jobs` (in any order, on any
 /// number of workers) and return their results **in submission order**
 /// after all of them finished — the round barrier.
@@ -53,16 +35,6 @@ pub trait RoundExec {
     /// Execute one round. Implementations must not begin returning until
     /// every job has completed.
     fn round<T: Send + 'static>(&mut self, jobs: Vec<Job<T>>) -> Vec<T>;
-
-    /// Fault-contained [`round`](RoundExec::round): engines whose rounds
-    /// can fail recoverably (a panicking job on a pool that contains
-    /// failure, a per-round deadline) override this to return the fault
-    /// as a value with the engine left reusable. The default — correct
-    /// for engines with no failure containment, like [`SeqRounds`] —
-    /// simply delegates and never returns `Err`.
-    fn try_round<T: Send + 'static>(&mut self, jobs: Vec<Job<T>>) -> Result<Vec<T>, RoundError> {
-        Ok(self.round(jobs))
-    }
 
     /// Number of [`round`](RoundExec::round) calls so far (some may have
     /// been empty); for reporting only.

@@ -63,26 +63,26 @@
 //! The producer/consumer pipeline of the paper's Figure 1:
 //!
 //! ```
-//! use pf_core::{Sim, Ctx, Fut, FList};
+//! use pf_core::{Ctx, Fut, Sim};
 //!
-//! fn produce(ctx: &Ctx, n: u64) -> FList<u64> {
+//! // The paper's future-tailed list `n :: ?rest`.
+//! #[derive(Clone)]
+//! enum List { Nil, Cons(u64, Fut<List>) }
+//!
+//! fn produce(ctx: &Ctx, n: u64) -> List {
 //!     ctx.tick(1);
 //!     if n == 0 {
-//!         FList::nil()
+//!         List::Nil
 //!     } else {
-//!         let tail = ctx.fork(move |ctx| produce(ctx, n - 1));
-//!         FList::cons(n, tail)
+//!         List::Cons(n, ctx.fork(move |ctx| produce(ctx, n - 1)))
 //!     }
 //! }
 //!
-//! fn consume(ctx: &Ctx, l: &FList<u64>, acc: u64) -> u64 {
+//! fn consume(ctx: &Ctx, l: &List, acc: u64) -> u64 {
 //!     ctx.tick(1);
-//!     match l.as_cons() {
-//!         None => acc,
-//!         Some((h, t)) => {
-//!             let tail = ctx.touch(t).clone();
-//!             consume(ctx, &tail, acc + h)
-//!         }
+//!     match l {
+//!         List::Nil => acc,
+//!         List::Cons(h, t) => consume(ctx, &ctx.touch(t), acc + h),
 //!     }
 //! }
 //!
@@ -104,13 +104,11 @@ mod backend;
 mod cost;
 mod ctx;
 mod fut;
-mod list;
 mod trace;
 
 pub use cost::{CostModel, CostReport};
 pub use ctx::{run_with_big_stack, Ctx, Sim, DEFAULT_SIM_STACK};
 pub use fut::{Fut, Promise};
-pub use list::FList;
 pub use trace::{CellId, Ev, ThreadId, ThreadLog, Trace};
 
 // The engine-agnostic surface `Ctx` implements (see `backend`): re-exported

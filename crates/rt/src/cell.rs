@@ -65,6 +65,7 @@ use crate::error::{PoisonInfo, PoisonOutcome, PoisonTarget, StuckCell};
 use crate::pool::{SessionSlot, SessionTask};
 use crate::scheduler::Worker;
 use crate::task::Task;
+use pf_trace::TraceKind;
 
 const EMPTY: usize = 0;
 /// A continuation is suspended here; the pointer bits hold its
@@ -376,11 +377,14 @@ impl<T: Clone + Send + 'static> FutWrite<T> {
     /// a clone of the value as a new task on `worker`'s queue.
     pub fn fulfill(self, worker: &Worker, value: T) {
         crate::chaos::maybe_delay();
-        // The write is progress of the fulfilling session even when no
-        // waiter is resumed by it — a long task fulfilling in a loop must
-        // read as alive to the stall watchdog.
-        worker.note_progress();
-        crate::trace::fulfill(worker, Arc::as_ptr(&self.inner) as *const () as usize);
+        // A write moves the session's progress epoch even when it resumes
+        // no waiter: a long task fulfilling in a loop reads as alive.
+        worker.session().events.record(
+            worker.index(),
+            TraceKind::Fulfill,
+            Arc::as_ptr(&self.inner) as *const () as u64,
+            1,
+        );
         match self.inner.write(value) {
             Ok(None) => {}
             Ok(Some(mut susp)) => {
@@ -458,9 +462,10 @@ impl<T: Clone + Send + 'static> FutRead<T> {
             let v = unsafe { cell.value() }.clone();
             cont(v, wk);
         });
-        // Account the suspension before publishing it: from the CAS on,
-        // a writer may resume the waiter at any moment.
-        worker.note_suspend();
+        // Account the suspended unit before publishing it: from the CAS
+        // on, a writer may resume the waiter at any moment.
+        let session = worker.session();
+        session.note_suspend();
         let word = susp.into_word();
         match self
             .inner
@@ -469,17 +474,20 @@ impl<T: Clone + Send + 'static> FutRead<T> {
         {
             Ok(_) => {
                 // Suspended; the writer will reactivate us. Register
-                // with the executing worker so an abort of this session
-                // can poison the cell and reclaim the continuation (see
-                // pool.rs). Registration is a plain owner-local push; the
-                // weak ref dies with the cell, so completed cells cost
+                // with the session so an abort of it can poison the cell
+                // and reclaim the continuation (see pool.rs). The weak
+                // ref dies with the cell, so completed cells cost
                 // nothing.
-                let weak = Arc::downgrade(&self.inner);
-                worker.register_suspend(weak);
-                crate::trace::suspend(worker, Arc::as_ptr(&self.inner) as *const () as usize);
+                session.register_suspend(Arc::downgrade(&self.inner) as _);
+                session.events.record(
+                    worker.index(),
+                    TraceKind::Suspend,
+                    Arc::as_ptr(&self.inner) as *const () as u64,
+                    1,
+                );
             }
             Err(seen) => {
-                worker.unnote_suspend();
+                session.unnote_suspend();
                 // SAFETY: the CAS failed, so the word was never shared.
                 let susp = unsafe { Suspension::from_word(word) };
                 match seen & TAG {

@@ -6,14 +6,18 @@
 //! process-wide unwind:
 //!
 //! * [`SessionError`] — why a session ended abnormally: a task panicked,
-//!   the session was cancelled, its deadline expired, or the pool stalled
-//!   (every worker parked with live suspended continuations — a cyclic
-//!   touch or a lost wakeup).
+//!   the session was cancelled, its deadline expired, or the watchdog
+//!   found it stalled (a cyclic touch, a dropped write, a wedged task).
+//!   It is the abort's only record: whoever detects the fault files the
+//!   finished error in the session's slot (first fault wins), the abort
+//!   cleanup adds a stall's stuck cells, and its rendering is the
+//!   poison context.
 //! * [`CancelToken`] — a cloneable handle that cooperatively aborts the
 //!   session it is registered with; [`Session`] carries it (and an
 //!   optional deadline) into [`Runtime::try_run_session`].
 //! * [`PoisonInfo`] — the context stamped into every future cell whose
-//!   continuation was still suspended when its session aborted. A
+//!   continuation was still suspended when its session aborted (the
+//!   session id and the error's rendering). A
 //!   straggler touch of a poisoned cell fails fast with the *originating*
 //!   failure instead of deadlocking on a value that will never arrive.
 //!
@@ -28,7 +32,7 @@ use std::time::Duration;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Mutex;
 
-use crate::pool::{AbortReason, SessionSlot};
+use crate::pool::SessionSlot;
 
 /// Why a session ended abnormally. Returned by
 /// [`Runtime::try_run`](crate::Runtime::try_run); every variant leaves the
@@ -170,30 +174,6 @@ impl SessionError {
             other => panic!("{other}"),
         }
     }
-
-    /// The one-line poison context stamped into cells this abort orphaned.
-    pub(crate) fn describe_reason(reason: &AbortReason) -> String {
-        match reason {
-            AbortReason::Panic(payload) => {
-                format!("task panicked: {}", panic_message(payload.as_ref()))
-            }
-            AbortReason::Cancelled => "session cancelled".into(),
-            AbortReason::Deadline(d) => format!("deadline of {d:?} exceeded"),
-            AbortReason::Stalled {
-                live,
-                epoch,
-                frozen,
-                frozen_for,
-                detector,
-            } => {
-                format!(
-                    "session stalled with {live} live unit(s), progress epoch \
-                     {epoch} frozen for ~{frozen_for:?} ({frozen} samples, \
-                     {detector:?} detector)"
-                )
-            }
-        }
-    }
 }
 
 impl fmt::Display for SessionError {
@@ -212,16 +192,15 @@ impl fmt::Display for SessionError {
                 write!(
                     f,
                     "session {session} stalled: {} live unit(s), progress epoch {} \
-                     frozen for ~{:?} ({} samples, {:?} detector), stuck cells: [",
+                     frozen for ~{:?} ({} samples, {:?} detector)",
                     report.live, report.epoch, report.frozen_for, report.frozen, report.detector
                 )?;
+                // Empty while the abort cleanup (which fills it) renders
+                // this error as its poison context.
                 for (i, c) in report.stuck.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{c}")?;
+                    write!(f, "{}{c}", if i == 0 { ", stuck cells: " } else { ", " })?;
                 }
-                write!(f, "]")
+                Ok(())
             }
         }
     }
@@ -247,17 +226,13 @@ impl std::error::Error for SessionError {}
 pub struct PoisonInfo {
     /// The session whose abort poisoned the cell.
     pub session: u64,
-    /// One-line description of why that session aborted.
+    /// Why that session aborted: its [`SessionError`], rendered.
     pub reason: String,
 }
 
 impl fmt::Display for PoisonInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "poisoned by aborted session {}: {}",
-            self.session, self.reason
-        )
+        write!(f, "poisoned: {}", self.reason)
     }
 }
 
@@ -425,7 +400,7 @@ impl CancelToken {
         self.inner.flag.store(true, Ordering::SeqCst);
         let target = crate::pool::lock(&self.inner.target).clone();
         if let Some(slot) = target.and_then(|w| w.upgrade()) {
-            slot.request_abort(AbortReason::Cancelled);
+            slot.request_abort(SessionError::Cancelled { session: slot.id });
         }
     }
 

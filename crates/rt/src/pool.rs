@@ -23,9 +23,10 @@
 //!
 //! Slot contents: the session id, the packed liveness counter (below),
 //! the spawn order, the abort slot (open flag + first filed
-//! reason), the done flag + condvar the client blocks on, the poison
-//! registry of suspended cells, per-worker statistics, and (in tracing
-//! builds) the session's event lanes.
+//! [`SessionError`]), the done flag + condvar the client blocks on, the
+//! poison registry of suspended cells, and the session's event counters
+//! (one per-kind lane per worker plus the client's — see
+//! [`crate::trace`]; in traced builds also the timeline rings).
 //!
 //! # Per-session quiescence
 //!
@@ -83,9 +84,10 @@
 //! [`Session`] deadline, and a watchdog-detected stall — and all four
 //! share one per-slot protocol:
 //!
-//! 1. whoever detects the fault files the reason in the slot's abort
-//!    slot (first reason wins; a slot that is already closed — its
-//!    session ended — rejects the filing, so a stale cancel is a no-op),
+//! 1. whoever detects the fault files its [`SessionError`] — the one
+//!    abort record — in the slot's abort slot (first fault wins; a slot
+//!    that is already closed — its session ended — rejects the filing,
+//!    so a stale cancel is a no-op),
 //!    raises the slot's `aborting` flag (`SeqCst`), and signals the
 //!    slot's condvar to wake the client;
 //! 2. workers never rendezvous: a popped task whose slot is aborting is
@@ -103,9 +105,9 @@
 //! 4. the client then single-handedly **poisons every cell in the
 //!    slot's registry that still holds one of this session's suspended
 //!    continuations** (dropping the continuation — nothing leaks; any
-//!    straggler touch of such a cell fails fast with the originating
-//!    failure context), closes the slot, and returns the reason as a
-//!    [`SessionError`](crate::SessionError). [`Runtime::run`] re-throws
+//!    straggler touch of such a cell fails fast with the error's
+//!    rendering as its context), closes the slot, and returns the
+//!    error. [`Runtime::run`] re-throws
 //!    it; [`Runtime::try_run`] hands it to the caller. The pool needs no
 //!    recovery step — sibling sessions never stopped.
 //!
@@ -122,13 +124,13 @@
 //!
 //! A correct program always drives `units` to zero, but a buggy one — a
 //! touch of a cell nobody will ever write, a cyclic touch chain — leaves
-//! the session's remaining units suspended forever. Every scheduler
-//! event attributed to a session (task execution, spawn, suspension,
-//! resume, cell fulfill) bumps a per-worker *progress* counter in the
-//! session's slot; the sum of those lanes is the session's **progress
-//! epoch**. The client's wait loop (outside the model checker, which has
-//! no clock) samples its own session's epoch a few hundred times per
-//! second and declares a stall through one of two detectors:
+//! the session's remaining units suspended forever. The session's
+//! **progress epoch** is the sum of its task-attributed event counters
+//! (spawn, steal, exec, suspend, resume, fulfill — [`crate::trace`]),
+//! so every such event moves it. The client's wait loop (outside the
+//! model checker, which has no clock) samples its own session's epoch a
+//! few hundred times per second and declares a stall through one of two
+//! detectors:
 //!
 //! * **Provable idle-pool stall.** When the pool's sleeper bitmask stays
 //!   full, the session's epoch stays frozen, every queue stays empty,
@@ -156,27 +158,25 @@
 //!   assertion that no legal closure goes that long without a scheduler
 //!   event.
 //!
-//! The per-worker progress lanes are plain owner-only `Relaxed` counters
-//! (same discipline as the statistics they sit next to). Relaxed
-//! suffices: the watchdog only compares successive *sums* for equality,
-//! each lane is monotone, and a lagging read can only delay a freeze
+//! The counters are plain owner-only `Relaxed` words. Relaxed suffices:
+//! the watchdog only compares successive *sums* for equality, each
+//! counter is monotone, and a lagging read can only delay a freeze
 //! verdict by one 2 ms sample — noise against any realistic budget;
 //! hysteresis (several consecutive frozen samples) absorbs the rest.
-//! Either way the session aborts with
-//! [`SessionError::Stalled`](crate::SessionError::Stalled) carrying the
-//! stuck cell set and the freeze provenance (last epoch, frozen sample
-//! count, frozen duration, and which of the two detectors fired — the
-//! budget bounds the frozen duration from below only for the heartbeat)
-//! instead of hanging the client forever. The
-//! deadline detector is per-session, independent, and unaffected.
+//! Either way the watchdog returns a [`StallReport`] (last epoch, frozen
+//! sample count, frozen duration, and which of the two detectors fired —
+//! the budget bounds the frozen duration from below only for the
+//! heartbeat), the slot files it as [`SessionError::Stalled`], and the
+//! abort cleanup fills in its stuck cell set — instead of hanging the
+//! client forever. The deadline detector is per-session, independent,
+//! and unaffected.
 
-use std::any::Any;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use crate::error::{
-    PoisonInfo, PoisonTarget, Session, SessionError, StallDetector, StallReport, StuckCell,
-};
+use crate::error::{PoisonInfo, PoisonTarget, Session, SessionError, StuckCell};
+#[cfg(not(pf_check))]
+use crate::error::{StallDetector, StallReport};
 
 use crate::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use crate::sync::thread::{JoinHandle, Thread};
@@ -186,6 +186,8 @@ use crate::deque::{deque, Injector, Stealer};
 use crate::policy::SpawnOrder;
 use crate::scheduler::Worker;
 use crate::task::Task;
+use crate::trace::SessionEvents;
+use pf_trace::TraceKind;
 
 /// Maximum pool size (sleeper state is one `u64` bitmask).
 pub const MAX_WORKERS: usize = 64;
@@ -215,63 +217,6 @@ thread_local! {
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Per-worker statistics, padded to a cache line so the owner's updates
-/// (plain load+store: each entry is written only by worker *i*, and only
-/// while it runs a task of the owning session) never contend with a
-/// sibling's. One vector per [`SessionSlot`], so sessions never share
-/// counters.
-#[repr(align(128))]
-#[derive(Default)]
-pub(crate) struct WorkerStats {
-    tasks_executed: AtomicU64,
-    spawns: AtomicU64,
-    suspensions: AtomicU64,
-    steals: AtomicU64,
-    /// This worker's lane of the session's progress epoch: bumped on
-    /// every scheduler event attributed to the session (exec, spawn,
-    /// suspend, resume, fulfill). The watchdog sums the lanes and
-    /// compares successive sums for equality — see the module docs.
-    progress: AtomicU64,
-}
-
-/// Owner-only increment: cheaper than an atomic RMW, and exact because
-/// each counter is written by a single thread at any time.
-#[inline]
-fn bump(c: &AtomicU64, delta: u64) {
-    c.store(
-        c.load(Ordering::Relaxed).wrapping_add(delta),
-        Ordering::Relaxed,
-    );
-}
-
-impl WorkerStats {
-    #[inline]
-    pub(crate) fn add_tasks(&self, k: u64) {
-        bump(&self.tasks_executed, k);
-    }
-    #[inline]
-    pub(crate) fn add_spawns(&self, k: u64) {
-        bump(&self.spawns, k);
-    }
-    #[inline]
-    pub(crate) fn add_suspensions(&self, k: u64) {
-        bump(&self.suspensions, k);
-    }
-    #[inline]
-    pub(crate) fn sub_suspensions(&self, k: u64) {
-        bump(&self.suspensions, k.wrapping_neg());
-    }
-    #[inline]
-    pub(crate) fn add_steals(&self, k: u64) {
-        bump(&self.steals, k);
-    }
-    /// One heartbeat tick on this worker's progress lane.
-    #[inline]
-    pub(crate) fn add_progress(&self) {
-        bump(&self.progress, 1);
-    }
-}
-
 /// Execution statistics of one [`Runtime::run_stats`] call.
 ///
 /// `Copy` except under `--features trace`, where the optional
@@ -296,8 +241,8 @@ pub struct RunStats {
     /// instead ([`RunStats::ops_per_sec_wall`]).
     pub elapsed: Duration,
     /// The session's scheduler-behavior summary (per-worker steal,
-    /// suspension, execution, and park/unpark counts), built from exact
-    /// per-lane counters when the session ends. Only present when
+    /// suspension, execution, and park/unpark counts): the same counters
+    /// as the four fields above, lane by lane. Only present when
     /// tracing is compiled in — see `src/trace.rs`. The full event
     /// timeline is one [`Runtime::take_last_trace`] call away.
     #[cfg(feature = "trace")]
@@ -357,41 +302,14 @@ impl RunStats {
     }
 }
 
-/// Why a session is aborting; filed in its slot by whoever detects the
-/// fault, first reason wins.
-// The model checker's condvar has no timed wait, so the deadline and
-// watchdog detectors (and hence their variants) don't exist there.
-#[cfg_attr(pf_check, allow(dead_code))]
-pub(crate) enum AbortReason {
-    /// A task panicked; carries the payload `catch_unwind` caught.
-    Panic(Box<dyn Any + Send>),
-    /// The session's [`CancelToken`](crate::CancelToken) fired.
-    Cancelled,
-    /// The session's deadline expired.
-    Deadline(Duration),
-    /// The quiescence watchdog found the session wedged.
-    Stalled {
-        /// The session's live-unit count at detection time.
-        live: usize,
-        /// The progress epoch that froze (see [`SessionSlot::progress_epoch`]).
-        epoch: u64,
-        /// Consecutive watchdog samples that saw the epoch frozen.
-        frozen: u32,
-        /// Wall-clock length of the freeze at detection time.
-        frozen_for: Duration,
-        /// Which detector saw it.
-        detector: StallDetector,
-    },
-}
-
 /// Abort state of one session, guarded by its slot's mutex.
 struct SlotAbort {
     /// The session is between start and end; reasons are only accepted
     /// while set (a cancel arriving after the session ended must not
     /// poison a finished slot — stale aborts no-op here).
     open: bool,
-    /// The filed abort reason, if any (first fault wins).
-    reason: Option<AbortReason>,
+    /// The filed abort, if any (first fault wins).
+    error: Option<SessionError>,
 }
 
 // ---------------------------------------------------------------------
@@ -443,22 +361,14 @@ pub(crate) struct SessionSlot {
     /// pass's work list. One push per suspension (uncontended in the
     /// common case); taken by the client at abort cleanup.
     suspended: Mutex<Vec<Weak<dyn PoisonTarget>>>,
-    /// Per-worker statistics for this session (entry *i* is written only
-    /// by worker *i*).
-    pub(crate) stats: Vec<WorkerStats>,
-    /// The session's event lanes (one per worker + one client lane),
-    /// sharing the pool's monotonic clock.
-    #[cfg(feature = "trace")]
-    pub(crate) trace: crate::trace::SessionLanes,
+    /// The session's event counters (and, traced, timeline): one lane
+    /// per worker plus the client lane; lane *i* is written only by
+    /// worker *i*.
+    pub(crate) events: SessionEvents,
 }
 
 impl SessionSlot {
-    fn new(
-        id: u64,
-        nthreads: usize,
-        spawn_order: SpawnOrder,
-        #[cfg(feature = "trace")] trace: crate::trace::SessionLanes,
-    ) -> SessionSlot {
+    fn new(id: u64, spawn_order: SpawnOrder, events: SessionEvents) -> SessionSlot {
         SessionSlot {
             id,
             // The root task's unit; the slot is born live.
@@ -467,27 +377,13 @@ impl SessionSlot {
             aborting: AtomicBool::new(false),
             abort: Mutex::new(SlotAbort {
                 open: true,
-                reason: None,
+                error: None,
             }),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             suspended: Mutex::new(Vec::new()),
-            stats: (0..nthreads).map(|_| WorkerStats::default()).collect(),
-            #[cfg(feature = "trace")]
-            trace,
+            events,
         }
-    }
-
-    /// The session's progress epoch: the sum of its per-worker progress
-    /// lanes. Monotone (each lane is owner-bumped, never decremented),
-    /// so two equal successive reads mean no scheduler event was
-    /// attributed to the session in between — the freeze predicate the
-    /// watchdog's heartbeat detector runs on.
-    pub(crate) fn progress_epoch(&self) -> u64 {
-        self.stats
-            .iter()
-            .map(|s| s.progress.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// Is the session aborting? `SeqCst`: pairs with the `SeqCst` unit
@@ -566,18 +462,17 @@ impl SessionSlot {
         lock(&self.suspended).push(cell);
     }
 
-    /// File an abort reason for this session and start its abort
-    /// protocol. Returns whether this call filed the reason — `false`
-    /// when the slot is closed (session already ended: stale cancels
-    /// no-op) or a reason was already filed (first fault wins; later
-    /// payloads are dropped).
-    pub(crate) fn request_abort(&self, reason: AbortReason) -> bool {
+    /// File `error` for this session and start its abort protocol.
+    /// Returns whether this call filed it — `false` when the slot is
+    /// closed (session already ended: stale cancels no-op) or an error
+    /// was already filed (first fault wins; later payloads are dropped).
+    pub(crate) fn request_abort(&self, error: SessionError) -> bool {
         {
             let mut slot = lock(&self.abort);
-            if !slot.open || slot.reason.is_some() {
+            if !slot.open || slot.error.is_some() {
                 return false;
             }
-            slot.reason = Some(reason);
+            slot.error = Some(error);
         }
         self.aborting.store(true, Ordering::SeqCst);
         // Wake the client out of its wait (it re-checks `aborting`).
@@ -719,27 +614,15 @@ fn worker_loop(wk: &Worker) {
                 idle = 0;
                 continue;
             }
-            crate::trace::park(wk, {
-                #[cfg(feature = "trace")]
-                {
-                    last.as_deref()
-                }
-                #[cfg(not(feature = "trace"))]
-                {
-                    None
-                }
-            });
+            #[cfg(feature = "trace")]
+            if let Some(slot) = &last {
+                slot.events.record(wk.index(), TraceKind::Park, 0, 1);
+            }
             crate::sync::thread::park();
-            crate::trace::unpark(wk, {
-                #[cfg(feature = "trace")]
-                {
-                    last.as_deref()
-                }
-                #[cfg(not(feature = "trace"))]
-                {
-                    None
-                }
-            });
+            #[cfg(feature = "trace")]
+            if let Some(slot) = &last {
+                slot.events.record(wk.index(), TraceKind::Unpark, 0, 1);
+            }
             // A claiming producer already cleared our bit; clearing again
             // is harmless and also covers spurious unparks.
             shared.sleepers.fetch_and(!bit, Ordering::SeqCst);
@@ -999,10 +882,14 @@ impl Runtime {
         let spawn_order = opts.spawn_order.unwrap_or(self.default_spawn_order);
         let slot = Arc::new(SessionSlot::new(
             sid,
-            self.nthreads,
             spawn_order,
-            #[cfg(feature = "trace")]
-            crate::trace::SessionLanes::new(self.nthreads, self.trace_ring_cap, self.trace_epoch),
+            SessionEvents::new(
+                self.nthreads,
+                #[cfg(feature = "trace")]
+                self.trace_ring_cap,
+                #[cfg(feature = "trace")]
+                self.trace_epoch,
+            ),
         ));
         shared.register_session(&slot);
 
@@ -1014,7 +901,7 @@ impl Runtime {
         if let Some(tok) = &opts.cancel {
             tok.register(&slot);
             if tok.is_cancelled() {
-                slot.request_abort(AbortReason::Cancelled);
+                slot.request_abort(SessionError::Cancelled { session: sid });
             }
         }
 
@@ -1028,84 +915,56 @@ impl Runtime {
         self.wait_session(&slot, &opts);
         let elapsed = started.elapsed();
 
-        // Close the slot; a reason filed before this point wins even
+        // Close the slot; an error filed before this point wins even
         // over a clean finish (its filer observed the slot open).
-        let reason = {
+        let error = {
             let mut ab = lock(&slot.abort);
             ab.open = false;
-            ab.reason.take()
+            ab.error.take()
         };
         if let Some(tok) = &opts.cancel {
             tok.unregister();
         }
 
-        if let Some(reason) = reason {
+        if let Some(mut err) = error {
             let ctx = Arc::new(PoisonInfo {
                 session: sid,
-                reason: SessionError::describe_reason(&reason),
+                reason: err.to_string(),
             });
             let stuck = Self::finish_abort(&slot, &ctx);
+            if let SessionError::Stalled { report, .. } = &mut err {
+                report.stuck = stuck;
+            }
             // Drain *after* the abort cleanup so its poison events are in
             // the timeline. No RunStats travels on this path; the trace
             // is reachable through `take_last_trace`.
             #[cfg(feature = "trace")]
             {
-                let (session_trace, _) = slot.trace.drain(sid, spawn_order.label());
+                let (session_trace, _) = slot.events.drain(sid, spawn_order.label());
                 *lock(&self.last_trace) = Some(session_trace);
             }
-            return Err(match reason {
-                AbortReason::Panic(payload) => SessionError::Panicked {
-                    session: sid,
-                    payload,
-                },
-                AbortReason::Cancelled => SessionError::Cancelled { session: sid },
-                AbortReason::Deadline(d) => SessionError::DeadlineExceeded {
-                    session: sid,
-                    deadline: d,
-                },
-                AbortReason::Stalled {
-                    live,
-                    epoch,
-                    frozen,
-                    frozen_for,
-                    detector,
-                } => SessionError::Stalled {
-                    session: sid,
-                    report: StallReport {
-                        session: sid,
-                        live,
-                        epoch,
-                        frozen,
-                        frozen_for,
-                        detector,
-                        stuck,
-                    },
-                },
-            });
+            return Err(err);
         }
 
         debug_assert_eq!(slot.units.load(Ordering::SeqCst), 0);
-        // Visibility of the slot's stats: each worker's (Relaxed) stat
+        // Visibility of the slot's counters: each worker's (Relaxed)
         // writes precede its SeqCst `units` decrement in program order;
         // the RMW chain on `units` plus the done-mutex handoff order all
         // of them before this read.
-        let mut out = RunStats {
+        let ev = &slot.events;
+        Ok(RunStats {
+            tasks_executed: ev.total(TraceKind::Exec),
+            spawns: ev.total(TraceKind::Spawn),
+            suspensions: ev.total(TraceKind::Suspend),
+            steals: ev.total(TraceKind::Steal),
             elapsed,
-            ..RunStats::default()
-        };
-        for s in &slot.stats {
-            out.tasks_executed += s.tasks_executed.load(Ordering::Relaxed);
-            out.spawns += s.spawns.load(Ordering::Relaxed);
-            out.suspensions += s.suspensions.load(Ordering::Relaxed);
-            out.steals += s.steals.load(Ordering::Relaxed);
-        }
-        #[cfg(feature = "trace")]
-        {
-            let (session_trace, summary) = slot.trace.drain(sid, spawn_order.label());
-            *lock(&self.last_trace) = Some(session_trace);
-            out.trace = Some(summary);
-        }
-        Ok(out)
+            #[cfg(feature = "trace")]
+            trace: {
+                let (session_trace, summary) = ev.drain(sid, spawn_order.label());
+                *lock(&self.last_trace) = Some(session_trace);
+                Some(summary)
+            },
+        })
     }
 
     /// Block until the session ends (`done`) or an abort begins. Outside
@@ -1130,7 +989,10 @@ impl Runtime {
                     // `request_abort` takes the `done` lock to notify;
                     // release it first.
                     drop(done);
-                    slot.request_abort(AbortReason::Deadline(d));
+                    slot.request_abort(SessionError::DeadlineExceeded {
+                        session: slot.id,
+                        deadline: d,
+                    });
                     done = lock(&slot.done);
                     continue;
                 }
@@ -1142,14 +1004,12 @@ impl Runtime {
                 .unwrap_or_else(|e| e.into_inner());
             done = g;
             if timeout.timed_out() {
-                if let Some(seen) = watchdog.sample(&self.shared, slot, self.nthreads, opts.stall) {
+                if let Some(report) = watchdog.sample(&self.shared, slot, self.nthreads, opts.stall)
+                {
                     drop(done);
-                    slot.request_abort(AbortReason::Stalled {
-                        live: seen.live,
-                        epoch: seen.epoch,
-                        frozen: seen.frozen,
-                        frozen_for: seen.frozen_for,
-                        detector: seen.detector,
+                    slot.request_abort(SessionError::Stalled {
+                        session: slot.id,
+                        report,
                     });
                     done = lock(&slot.done);
                 }
@@ -1215,7 +1075,8 @@ impl Runtime {
                     slot.retire_poisoned(outcome.dropped);
                 }
                 if let Some(desc) = outcome.stuck {
-                    crate::trace::poison(slot, desc.addr);
+                    let ev = &slot.events;
+                    ev.record(ev.client_lane(), TraceKind::Poison, desc.addr as u64, 1);
                     stuck.push(desc);
                 }
             }
@@ -1244,17 +1105,6 @@ const WATCHDOG_KICKS: u32 = 16;
 #[cfg(not(pf_check))]
 const WATCHDOG_SUSPENDED_BUDGET: Duration = Duration::from_millis(1000);
 
-/// What one watchdog detection saw — the provenance carried into
-/// [`AbortReason::Stalled`].
-#[cfg(not(pf_check))]
-struct StallSeen {
-    live: usize,
-    epoch: u64,
-    frozen: u32,
-    frozen_for: Duration,
-    detector: StallDetector,
-}
-
 /// Detects a wedged session by sampling its progress epoch (module docs).
 #[cfg(not(pf_check))]
 #[derive(Default)]
@@ -1269,8 +1119,9 @@ struct Watchdog {
 
 #[cfg(not(pf_check))]
 impl Watchdog {
-    /// One sample of the pool + this session's slot. Returns `Some` when
-    /// the session is stalled, through either detector (module docs):
+    /// One sample of the pool + this session's slot. Returns the report
+    /// (its `stuck` list still empty) when the session is stalled,
+    /// through either detector (module docs):
     ///
     /// * **provable** — every worker parked (so *no* session has a
     ///   running task), this session's remaining units all suspended,
@@ -1290,14 +1141,14 @@ impl Watchdog {
         slot: &SessionSlot,
         nthreads: usize,
         stall: Option<Duration>,
-    ) -> Option<StallSeen> {
+    ) -> Option<StallReport> {
         let units = slot.units.load(Ordering::SeqCst);
         let live = live_of(units) as usize;
         if live == 0 || slot.aborting() {
             *self = Watchdog::default();
             return None;
         }
-        let epoch = slot.progress_epoch();
+        let epoch = slot.events.epoch();
         if self.last_epoch != Some(epoch) {
             self.last_epoch = Some(epoch);
             self.frozen = 0;
@@ -1313,12 +1164,14 @@ impl Watchdog {
             .frozen_since
             .map(|t| t.elapsed())
             .unwrap_or(Duration::ZERO);
-        let seen = |detector| StallSeen {
+        let seen = |detector| StallReport {
+            session: slot.id,
             live,
             epoch,
             frozen: self.frozen,
             frozen_for,
             detector,
+            stuck: Vec::new(),
         };
         let suspended_only = live_of(units) == susp_of(units);
         let all_parked = shared.sleepers.load(Ordering::SeqCst).count_ones() as usize == nthreads;

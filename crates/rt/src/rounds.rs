@@ -5,7 +5,11 @@
 //! [`PoolRounds`] runs each round's jobs as tasks on a shared
 //! [`Runtime`] and uses run-to-quiescence as the barrier — one injector
 //! push plus a wakeup per round on warm parked workers, the same pool the
-//! futures programs are timed on. Results come back in submission order
+//! futures programs are timed on. Each round is a
+//! [`SpawnOrder::ParentFirst`] session: the root's flat fan-out pushes
+//! every job, so idle workers steal them (under the default child-first
+//! order each job would run inline, one after another, on whichever
+//! worker took the root). Results come back in submission order
 //! via one slot per job, so the caller's sequential apply phase (and hence
 //! every counted statistic) is identical to the [`SeqRounds`] execution.
 //!
@@ -13,8 +17,10 @@
 
 use std::sync::Arc;
 
-use pf_backend::{Job, RoundError, RoundExec};
+use pf_backend::{Job, RoundExec};
 
+use crate::error::Session;
+use crate::policy::SpawnOrder;
 use crate::scheduler::Runtime;
 use crate::sync::Mutex;
 
@@ -51,34 +57,9 @@ impl RoundExec for PoolRounds {
         let slots: Arc<Vec<Mutex<Option<T>>>> =
             Arc::new(jobs.iter().map(|_| Mutex::new(None)).collect());
         let fill = Arc::clone(&slots);
-        self.rt.run(move |wk| {
-            for (i, job) in jobs.into_iter().enumerate() {
-                let fill = Arc::clone(&fill);
-                wk.spawn(move |_wk| {
-                    let v = job();
-                    *fill[i].lock().unwrap() = Some(v);
-                });
-            }
-        });
-        slots
-            .iter()
-            .map(|m| m.lock().unwrap().take().expect("round job did not run"))
-            .collect()
-    }
-
-    /// Fault-contained round: a panicking job aborts the round's session,
-    /// but the abort is returned as a [`RoundError`] and the pool stays
-    /// reusable for the next round ([`Runtime::try_run`] semantics).
-    fn try_round<T: Send + 'static>(&mut self, jobs: Vec<Job<T>>) -> Result<Vec<T>, RoundError> {
-        self.executed += 1;
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let slots: Arc<Vec<Mutex<Option<T>>>> =
-            Arc::new(jobs.iter().map(|_| Mutex::new(None)).collect());
-        let fill = Arc::clone(&slots);
+        let session = Session::new().spawn_order(SpawnOrder::ParentFirst);
         self.rt
-            .try_run(move |wk| {
+            .try_run_session(session, move |wk| {
                 for (i, job) in jobs.into_iter().enumerate() {
                     let fill = Arc::clone(&fill);
                     wk.spawn(move |_wk| {
@@ -87,16 +68,10 @@ impl RoundExec for PoolRounds {
                     });
                 }
             })
-            .map_err(|e| RoundError {
-                message: e.to_string(),
-            })?;
+            .unwrap_or_else(|e| e.resume());
         slots
             .iter()
-            .map(|m| {
-                m.lock().unwrap().take().ok_or_else(|| RoundError {
-                    message: "round job did not run".to_string(),
-                })
-            })
+            .map(|m| m.lock().unwrap().take().expect("round job did not run"))
             .collect()
     }
 
@@ -109,6 +84,8 @@ impl RoundExec for PoolRounds {
 mod tests {
     use super::*;
     use pf_backend::SeqRounds;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     fn square_jobs(n: usize) -> Vec<Job<usize>> {
         (0..n).map(|i| Box::new(move || i * i) as Job<_>).collect()
@@ -125,18 +102,26 @@ mod tests {
     }
 
     #[test]
-    fn try_round_contains_a_panicking_job() {
-        let mut pool = PoolRounds::new(3);
-        let jobs: Vec<Job<u32>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("job bug")),
-            Box::new(|| 3),
-        ];
-        let err = pool.try_round(jobs).unwrap_err();
-        assert!(err.to_string().contains("job bug"), "{err}");
-        // The same engine keeps serving rounds after the contained fault.
-        let out = pool.try_round(square_jobs(8)).unwrap();
-        assert_eq!(out, (0..8).map(|i| i * i).collect::<Vec<_>>());
+    fn a_rounds_jobs_run_at_the_same_time() {
+        // Each job announces itself, then waits (bounded) for the other:
+        // both see the other only if the two run concurrently, on two
+        // workers — on one CPU too, since the waiter yields.
+        let seen = Arc::new(AtomicUsize::new(0));
+        let jobs = (0..2)
+            .map(|_| {
+                let seen = Arc::clone(&seen);
+                Box::new(move || {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    let until = Instant::now() + Duration::from_secs(10);
+                    while seen.load(Ordering::SeqCst) < 2 && Instant::now() < until {
+                        std::thread::yield_now();
+                    }
+                    seen.load(Ordering::SeqCst) == 2
+                }) as Job<bool>
+            })
+            .collect();
+        let mut pool = PoolRounds::on(Arc::new(Runtime::new(2)));
+        assert_eq!(pool.round(jobs), [true, true], "a round ran serially");
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! executes whatever task it finds, entering that task's session for the
 //! duration (`current` below), so tasks of concurrent sessions
 //! interleave freely on one pool. All per-session accounting (liveness
-//! units, statistics, abort checks, spawn order, trace lanes) goes
-//! through the current slot, never through pool state.
+//! units, event counters, abort checks, spawn order) goes through the
+//! current slot, never through pool state. Each scheduler event is
+//! recorded once, on this worker's lane of the owning slot
+//! ([`crate::trace`]).
 //!
 //! Liveness accounting (the invariant behind termination detection): the
 //! owning slot's counter holds the number of closures that are queued,
@@ -23,13 +25,14 @@
 //! quiescent and [`Runtime::run`] returns.
 
 use std::cell::Cell;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use crate::deque::{LocalQueue, Steal};
-use crate::error::PoisonTarget;
+use crate::error::SessionError;
 use crate::policy::SpawnOrder;
-use crate::pool::{AbortReason, SessionSlot, SessionTask, Shared, WorkerStats};
+use crate::pool::{SessionSlot, SessionTask, Shared};
 use crate::task::Task;
+use pf_trace::TraceKind;
 
 pub use crate::pool::{RunStats, Runtime};
 
@@ -67,8 +70,8 @@ impl Worker {
     }
 
     /// The slot of the session this worker is currently executing a task
-    /// of. Callable only from inside a task (spawns, touches, fulfills,
-    /// trace hooks) — between tasks there is no current session.
+    /// of. Callable only from inside a task (spawns, touches, fulfills)
+    /// — between tasks there is no current session.
     #[inline]
     pub(crate) fn session(&self) -> &SessionSlot {
         let p = self.current.get();
@@ -99,12 +102,6 @@ impl Worker {
         &self.shared
     }
 
-    /// This worker's statistics entry *of the current session*.
-    #[inline]
-    pub(crate) fn stats(&self) -> &WorkerStats {
-        &self.session().stats[self.index]
-    }
-
     /// Skip the wakeup fence when this is the pool's only worker: no
     /// sibling exists to wake, and the client never sleeps on the work
     /// queues (only on the session-done condvar).
@@ -121,7 +118,7 @@ impl Worker {
     /// unrun — dropped (releasing its captures), its unit retired — so an
     /// abort drains the session's queued work at pop speed without a
     /// worker rendezvous. Returns the slot for the caller's park/unpark
-    /// trace attribution.
+    /// attribution.
     pub(crate) fn execute(&self, st: SessionTask) -> Arc<SessionSlot> {
         let SessionTask { session, task } = st;
         if session.aborting() {
@@ -133,9 +130,7 @@ impl Worker {
             return session;
         }
         let prev = self.current.replace(Arc::as_ptr(&session));
-        session.stats[self.index].add_tasks(1);
-        session.stats[self.index].add_progress();
-        crate::trace::exec(self);
+        session.events.record(self.index, TraceKind::Exec, 0, 1);
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Chaos seams: a seeded probability of a spurious panic right
             // here exercises the whole abort path, and a seeded wedge
@@ -153,7 +148,10 @@ impl Worker {
             // File the reason before retiring the unit: when this was the
             // session's last queued-or-running task, the client must wake
             // to a filed reason, not to a clean finish.
-            session.request_abort(AbortReason::Panic(payload));
+            session.request_abort(SessionError::Panicked {
+                session: session.id,
+                payload,
+            });
         }
         session.task_done();
         session
@@ -167,7 +165,7 @@ impl Worker {
     /// traffic, no allocation, and whatever the child writes is written
     /// before the caller touches it. The accounting is kept identical to
     /// the push path — the child still counts as one spawn and one
-    /// executed task — so `RunStats`/trace totals do not depend on the
+    /// executed task — so the event counts do not depend on the
     /// spawn order; only the liveness counter skips its round-trip (the
     /// child runs inside the caller's unit). A panic in the child
     /// unwinds through the caller's frame, aborting the session exactly
@@ -178,14 +176,12 @@ impl Worker {
     /// deque push, with an allocation only when the closure exceeds the
     /// inline [`Task`] payload.
     pub fn spawn(&self, f: impl FnOnce(&Worker) + Send + 'static) {
-        if self.session().spawn_order == SpawnOrder::ChildFirst {
+        let session = self.session();
+        if session.spawn_order == SpawnOrder::ChildFirst {
             let d = self.inline_depth.get();
             if d < MAX_INLINE_DEPTH {
-                self.stats().add_spawns(1);
-                self.stats().add_progress();
-                crate::trace::spawn(self, 1);
-                self.stats().add_tasks(1);
-                crate::trace::exec(self);
+                session.events.record(self.index, TraceKind::Spawn, 0, 1);
+                session.events.record(self.index, TraceKind::Exec, 0, 1);
                 self.inline_depth.set(d + 1);
                 f(self);
                 self.inline_depth.set(d);
@@ -217,16 +213,13 @@ impl Worker {
             if d < MAX_INLINE_DEPTH {
                 let session = self.clone_session();
                 session.add_units(1);
-                self.stats().add_spawns(2);
-                self.stats().add_progress();
-                crate::trace::spawn(self, 2);
+                session.events.record(self.index, TraceKind::Spawn, 0, 2);
+                session.events.record(self.index, TraceKind::Exec, 0, 1);
                 self.local.push(SessionTask {
                     session,
                     task: Task::new(f),
                 });
                 self.notify_push(1);
-                self.stats().add_tasks(1);
-                crate::trace::exec(self);
                 self.inline_depth.set(d + 1);
                 g(self);
                 self.inline_depth.set(d);
@@ -235,9 +228,7 @@ impl Worker {
         }
         let session = self.clone_session();
         session.add_units(2);
-        self.stats().add_spawns(2);
-        self.stats().add_progress();
-        crate::trace::spawn(self, 2);
+        session.events.record(self.index, TraceKind::Spawn, 0, 2);
         self.local.push(SessionTask {
             session: Arc::clone(&session),
             task: Task::new(f),
@@ -253,9 +244,7 @@ impl Worker {
     fn spawn_task(&self, task: Task) {
         let session = self.clone_session();
         session.add_units(1);
-        self.stats().add_spawns(1);
-        self.stats().add_progress();
-        crate::trace::spawn(self, 1);
+        session.events.record(self.index, TraceKind::Spawn, 0, 1);
         self.local.push(SessionTask { session, task });
         self.notify_push(1);
     }
@@ -269,39 +258,16 @@ impl Worker {
     /// the abort wait's safe point (`low == high`) must never observe a
     /// queued task it believes suspended.
     pub(crate) fn resume_transferred(&self, st: SessionTask) {
-        // The resume is progress of the *waiter's* session (which may not
-        // be the one we are currently executing, under a cross-session
-        // fulfill): tick its lane for this worker — entry i is
-        // still written only by worker i, whatever slot it lives in.
-        st.session.stats[self.index].add_progress();
         st.session.transfer_resume();
-        crate::trace::resume(self, &st.session);
+        // Recorded in the *waiter's* session (not necessarily the one we
+        // are executing, under a cross-session fulfill), on this
+        // worker's lane — lane i is written only by worker i, whatever
+        // slot it lives in.
+        st.session
+            .events
+            .record(self.index, TraceKind::Resume, 0, 1);
         self.local.push(st);
         self.notify_push(1);
-    }
-
-    /// Account a continuation that is being suspended into a future cell.
-    pub(crate) fn note_suspend(&self) {
-        self.session().note_suspend();
-        self.stats().add_suspensions(1);
-        self.stats().add_progress();
-    }
-
-    /// Undo [`Worker::note_suspend`] when the suspension raced a write and
-    /// the continuation runs immediately after all.
-    pub(crate) fn unnote_suspend(&self) {
-        self.session().unnote_suspend();
-        self.stats().sub_suspensions(1);
-        self.stats().add_progress();
-    }
-
-    /// One heartbeat tick on the current session's progress epoch (see
-    /// pool.rs). Called by the cell fulfill paths, so a long-running task
-    /// that keeps fulfilling cells counts as progressing even when no
-    /// waiter was resumed by the write.
-    #[inline]
-    pub(crate) fn note_progress(&self) {
-        self.stats().add_progress();
     }
 
     /// Run a ready continuation inline (bounded depth), or spawn it when
@@ -363,12 +329,6 @@ impl Worker {
         self.session().aborting()
     }
 
-    /// Record a cell this worker just suspended a continuation into, so
-    /// an abort of the owning session can poison it (see pool.rs).
-    pub(crate) fn register_suspend(&self, cell: Weak<dyn PoisonTarget>) {
-        self.session().register_suspend(cell);
-    }
-
     pub(crate) fn find_task(&self) -> Option<SessionTask> {
         if let Some(t) = self.local.pop() {
             return Some(t);
@@ -410,8 +370,8 @@ impl Worker {
         loop {
             return match self.shared.stealers[v].steal() {
                 Steal::Success(t) => {
-                    t.session.stats[self.index].add_steals(1);
-                    crate::trace::steal(self, &t.session, v);
+                    let ev = &t.session.events;
+                    ev.record(self.index, TraceKind::Steal, v as u64, 1);
                     Some(t)
                 }
                 Steal::Retry => continue,

@@ -1,63 +1,64 @@
-//! Runtime event tracing (`--features trace`): the pool-side half of
-//! [`pf_trace`].
+//! Scheduler event recording: the one place pf-rt counts what its §4
+//! runtime does, and (`--features trace`) the timeline of when.
 //!
 //! # What is recorded
 //!
-//! Every scheduler transition of interest —
+//! Every scheduler event — a [`pf_trace::TraceKind`]:
 //! `{spawn, steal, exec, suspend, resume, fulfill, poison, park, unpark}`
-//! — is recorded into a *lane* of the **owning session's** slot: each
-//! [`SessionSlot`](crate::pool) carries its own [`SessionLanes`] (one
-//! lane per worker plus a client lane), so concurrent sessions record
-//! into disjoint lanes and a session's timeline contains exactly its own
-//! events. All lanes of all sessions stamp against one monotonic clock —
-//! the pool's epoch, captured at pool creation — so concurrent sessions'
-//! timelines are mutually comparable.
+//! — is recorded by `SessionEvents::record` into a *lane* of the
+//! **owning session's** slot: each [`SessionSlot`](crate::pool) carries
+//! one `SessionEvents` with a lane per worker plus a client lane, so
+//! concurrent sessions record into disjoint lanes and a session's
+//! counts contain exactly its own events. A lane is one per-kind counter
+//! array, `[AtomicU64; KIND_COUNT]`, written only by its owner (worker
+//! *i*, or the session's client) with a plain load+store, and read by
+//! everyone who asks how many of something happened:
+//!
+//! * [`RunStats`](crate::RunStats)' four counters (exec, spawn, suspend,
+//!   steal, summed over lanes) when the session ends;
+//! * the stall watchdog's **progress epoch** — the sum of the
+//!   task-attributed kinds (spawn, steal, exec, suspend, resume,
+//!   fulfill; never park, unpark or poison, so a worker parking after a
+//!   stalled session's last task cannot reset its freeze), sampled while
+//!   the session runs (see the pool docs);
+//! * in traced builds, [`pf_trace::TraceStats`], lane by lane.
 //!
 //! Attribution: a worker executing a task records into *that task's*
-//! session (the worker's current slot). Steals are attributed to the
-//! stolen task's session. Park/unpark happen outside any task, so they
-//! are attributed to the session of the last task the worker ran — the
-//! session whose dry spell put the worker to sleep — and dropped when
-//! there is none. Abort-time poison events go to the aborting session's
-//! client lane (the poison pass runs single-threadedly on the client).
+//! session. Steals are attributed to the stolen task's session, a resume
+//! to the waiter's (under a cross-session fulfill, not the writer's).
+//! Abort-time poison events go to the aborting session's client lane
+//! (the poison pass runs single-threadedly on the client). Lane *i* of
+//! any slot is only ever written by worker *i*, so the owner-only
+//! increment is exact. Suspend is recorded once, after the suspending
+//! CAS commits; a touch that races the write and loses records nothing.
 //!
-//! Each lane holds two things:
+//! Park/unpark happen outside any task, so they are attributed to the
+//! session of the last task the worker ran — the session whose dry spell
+//! put the worker to sleep. They are recorded only in traced builds:
+//! only the timeline needs that last-run slot, and under `--cfg
+//! pf_check` they would add schedule points to the idle loop.
 //!
-//! * a fixed-capacity [`pf_trace::TraceRing`] — the timeline for
-//!   [`pf_trace::SessionTrace::to_chrome_trace`]. When a session
-//!   produces more events than the ring holds, the **oldest** are
-//!   overwritten and the drop count says so; the export is a
-//!   truncated-but-honest newest-events window;
-//! * an exact per-kind counter array — the source of
-//!   [`pf_trace::TraceStats`]. Counters never drop, so the summaries a
-//!   test asserts on (steal counts, suspension counts, executed tasks)
-//!   are exact even for sessions far larger than the ring.
+//! # Timeline (`--features trace`)
 //!
-//! # Drain protocol
+//! Traced builds also push every event, stamped against the pool's
+//! monotonic clock (captured at pool creation, so concurrent sessions'
+//! timelines are mutually comparable), into a fixed-capacity
+//! [`pf_trace::TraceRing`] per lane — the timeline for
+//! [`pf_trace::SessionTrace::to_chrome_trace`]. When a session produces
+//! more events than the ring holds, the **oldest** are overwritten and
+//! the drop count says so; the counters never drop. Rings are born
+//! empty with the slot and drained exactly once by the client when the
+//! session ends — on the abort path *after* `finish_abort`, so the
+//! client's poison events are included. Each ring is a `Mutex` padded
+//! to its own cache line: the owner's push is an uncontended lock, and
+//! the idle loop's park/unpark events — recorded while the attributed
+//! session may be draining — stay sound. pf-perf records what the
+//! timeline costs a whole union as `bench.trace_overhead_share`.
 //!
-//! Lanes are born empty with the slot at session start and drained
-//! exactly once by the client when the session ends — on the abort path
-//! *after* `finish_abort`, so the client's poison events are included.
-//! There is no clear step: a slot's lanes never hold another session's
-//! events. Each lane is a `Mutex<…>` padded to its own cache line: the
-//! owner's push is an uncontended lock; the mutex makes the idle loop's
-//! park/unpark events — recorded outside any task, possibly while the
-//! attributed session is being drained — sound rather than merely
-//! phase-separated.
-//!
-//! # Cost
-//!
-//! With the feature **off** (the default) every hook below compiles to
-//! an empty `#[inline(always)]` function — no branch, no atomic, no
-//! field in the slot. With the feature **on**, a hook is one uncontended
-//! lock plus a counter bump and a ring push (~a few tens of nanoseconds);
-//! pf-perf records what that costs a whole union as
-//! `bench.trace_overhead_share`.
-//!
-//! Incompatible with `--cfg pf_check`: the model checker virtualizes
-//! the sync layer and has no clock, so real `Instant` timestamps (and
-//! real std mutexes on the lanes) would order nothing the checker can
-//! see.
+//! The timeline is incompatible with `--cfg pf_check`: the model checker
+//! virtualizes the sync layer and has no clock, so real `Instant`
+//! timestamps (and real std mutexes on the rings) would order nothing
+//! the checker can see.
 
 #[cfg(all(feature = "trace", pf_check))]
 compile_error!(
@@ -65,8 +66,9 @@ compile_error!(
      virtual clock cannot order real timestamps (same rule as pf_chaos)"
 );
 
-#[cfg(feature = "trace")]
-pub(crate) use imp::SessionLanes;
+use pf_trace::{TraceKind, KIND_COUNT};
+
+use crate::sync::atomic::{AtomicU64, Ordering};
 
 /// Default per-lane ring capacity, in events — overridable per runtime
 /// with [`RuntimeBuilder::trace_ring_cap`]. Sized so every behavioral
@@ -79,225 +81,146 @@ pub(crate) use imp::SessionLanes;
 /// [`RuntimeBuilder::trace_ring_cap`]: crate::RuntimeBuilder::trace_ring_cap
 pub(crate) const DEFAULT_RING_CAP: usize = 1 << 14;
 
-#[cfg(feature = "trace")]
-mod imp {
-    use std::sync::Mutex;
-    use std::time::Instant;
+/// One lane's per-kind event counts, padded so the owner's bumps never
+/// share a cache line with a sibling's.
+#[repr(align(128))]
+struct Lane([AtomicU64; KIND_COUNT]);
 
-    use pf_trace::{
-        SessionTrace, TraceEvent, TraceKind, TraceRing, TraceStats, WorkerSummary, WorkerTrace,
-        KIND_COUNT,
-    };
+/// One session's event record, owned by its slot: a lane per worker plus
+/// a final client lane.
+pub(crate) struct SessionEvents {
+    lanes: Box<[Lane]>,
+    #[cfg(feature = "trace")]
+    timeline: Timeline,
+}
 
-    use crate::pool::lock;
-
-    /// One worker's (or the client's) event lane, padded so the owner's
-    /// pushes never share a cache line with a sibling's.
-    #[repr(align(128))]
-    struct Lane(Mutex<LaneState>);
-
-    struct LaneState {
-        ring: TraceRing,
-        /// Exact per-kind counts — the rings drop, these never do.
-        counts: [u64; KIND_COUNT],
-    }
-
-    /// One session's trace state, owned by its slot: a lane per worker
-    /// plus a final client lane, stamping against the pool's clock.
-    /// Lanes are born empty and drained once, at session end. Cheap to
-    /// construct per session: a `TraceRing` allocates lazily on first
-    /// push.
-    pub(crate) struct SessionLanes {
-        /// The pool's epoch — every session of a pool shares it, so
-        /// concurrent sessions' timelines are mutually comparable.
-        epoch: Instant,
-        /// Session start, nanoseconds since the epoch (stamped at slot
-        /// creation).
-        start_ns: u64,
-        lanes: Vec<Lane>,
-        /// Per-lane ring capacity (builder knob); reported in exported
-        /// timelines so a truncated trace is self-describing.
-        ring_cap: usize,
-    }
-
-    impl SessionLanes {
-        pub(crate) fn new(nthreads: usize, ring_cap: usize, epoch: Instant) -> SessionLanes {
-            SessionLanes {
+impl SessionEvents {
+    pub(crate) fn new(
+        nthreads: usize,
+        #[cfg(feature = "trace")] ring_cap: usize,
+        #[cfg(feature = "trace")] epoch: std::time::Instant,
+    ) -> SessionEvents {
+        SessionEvents {
+            lanes: (0..nthreads + 1)
+                .map(|_| Lane(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
+            #[cfg(feature = "trace")]
+            timeline: Timeline {
                 epoch,
                 start_ns: epoch.elapsed().as_nanos() as u64,
-                lanes: (0..nthreads + 1)
-                    .map(|_| {
-                        Lane(Mutex::new(LaneState {
-                            ring: TraceRing::new(ring_cap),
-                            counts: [0; KIND_COUNT],
-                        }))
-                    })
+                rings: (0..nthreads + 1)
+                    .map(|_| Ring(std::sync::Mutex::new(pf_trace::TraceRing::new(ring_cap))))
                     .collect(),
                 ring_cap,
-            }
+            },
         }
+    }
 
-        /// Nanoseconds since the pool epoch.
-        #[inline]
-        fn now_ns(&self) -> u64 {
-            self.epoch.elapsed().as_nanos() as u64
-        }
-
-        /// Record `n` events of `kind` on `lane` (one timestamp draw).
-        #[inline]
-        pub(crate) fn record(&self, lane: usize, kind: TraceKind, arg: u64, n: u64) {
-            let ts_ns = self.now_ns();
-            let mut g = lock(&self.lanes[lane].0);
-            g.counts[kind as usize] += n;
+    /// Record `n` events of `kind` on `lane` (`arg`: a victim index or a
+    /// cell address, timeline only). The caller owns the lane.
+    #[inline]
+    pub(crate) fn record(&self, lane: usize, kind: TraceKind, arg: u64, n: u64) {
+        // Owner-only increment: cheaper than an atomic RMW, and exact
+        // because each lane is written by a single thread.
+        let c = &self.lanes[lane].0[kind as usize];
+        c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        #[cfg(feature = "trace")]
+        {
+            let t = &self.timeline;
+            let ts_ns = t.epoch.elapsed().as_nanos() as u64;
+            let mut ring = crate::pool::lock(&t.rings[lane].0);
             for _ in 0..n {
-                g.ring.push(TraceEvent { ts_ns, kind, arg });
+                ring.push(pf_trace::TraceEvent { ts_ns, kind, arg });
             }
         }
+        #[cfg(not(feature = "trace"))]
+        let _ = arg;
+    }
 
-        /// The client lane's index (abort-time poison events).
-        #[inline]
-        pub(crate) fn client_lane(&self) -> usize {
-            self.lanes.len() - 1
-        }
+    /// Events of `kind`, summed over every lane.
+    pub(crate) fn total(&self, kind: TraceKind) -> u64 {
+        self.lanes
+            .iter()
+            .map(|l| l.0[kind as usize].load(Ordering::Relaxed))
+            .sum()
+    }
 
-        /// Drain every lane into the session's trace and its exact
-        /// summary (session end; on the abort path, after `finish_abort`
-        /// so poison events are included), tagged with the session's
-        /// spawn-order label.
-        pub(crate) fn drain(&self, session: u64, policy: &str) -> (SessionTrace, TraceStats) {
-            let mut take = |lane: &Lane| {
-                let mut g = lock(&lane.0);
-                let (events, dropped) = g.ring.drain();
-                let counts = std::mem::replace(&mut g.counts, [0; KIND_COUNT]);
+    /// The session's progress epoch: its task-attributed events, summed.
+    /// Monotone, so two equal successive reads mean no such event
+    /// happened in between.
+    // The watchdog, its only reader, needs a clock the model lacks.
+    #[cfg_attr(pf_check, allow(dead_code))]
+    pub(crate) fn epoch(&self) -> u64 {
+        use TraceKind::*;
+        [Spawn, Steal, Exec, Suspend, Resume, Fulfill]
+            .map(|k| self.total(k))
+            .iter()
+            .sum()
+    }
+
+    /// The client lane's index (abort-time poison events).
+    pub(crate) fn client_lane(&self) -> usize {
+        self.lanes.len() - 1
+    }
+
+    /// Drain the rings into the session's timeline and read the counters
+    /// into its summary, tagged with the session's spawn-order label.
+    #[cfg(feature = "trace")]
+    pub(crate) fn drain(
+        &self,
+        session: u64,
+        policy: &str,
+    ) -> (pf_trace::SessionTrace, pf_trace::TraceStats) {
+        use pf_trace::{WorkerSummary, WorkerTrace};
+        let (mut traces, mut sums): (Vec<_>, Vec<_>) = self
+            .lanes
+            .iter()
+            .zip(self.timeline.rings.iter())
+            .map(|(lane, ring)| {
+                let (events, dropped) = crate::pool::lock(&ring.0).drain();
+                let counts = std::array::from_fn(|k| lane.0[k].load(Ordering::Relaxed));
                 (
                     WorkerTrace { events, dropped },
                     WorkerSummary { counts, dropped },
                 )
-            };
-            let n = self.client_lane();
-            let (workers, per_worker): (Vec<_>, Vec<_>) =
-                self.lanes[..n].iter().map(&mut take).unzip();
-            let (client_tr, client_sum) = take(&self.lanes[n]);
-            (
-                SessionTrace {
-                    session,
-                    start_ns: self.start_ns,
-                    policy: policy.to_string(),
-                    ring_capacity: self.ring_cap,
-                    workers,
-                    client: client_tr,
-                },
-                TraceStats {
-                    session,
-                    policy: policy.to_string(),
-                    per_worker,
-                    client: client_sum,
-                },
-            )
-        }
+            })
+            .unzip();
+        let client = traces.pop().expect("the client lane is the last");
+        let client_sum = sums.pop().expect("the client lane is the last");
+        (
+            pf_trace::SessionTrace {
+                session,
+                start_ns: self.timeline.start_ns,
+                policy: policy.to_string(),
+                ring_capacity: self.timeline.ring_cap,
+                workers: traces,
+                client,
+            },
+            pf_trace::TraceStats {
+                session,
+                policy: policy.to_string(),
+                per_worker: sums,
+                client: client_sum,
+            },
+        )
     }
 }
 
-/// Record on the current session of `wk` — callable only from inside a
-/// task (the worker's current slot is set).
+/// One lane's ring, padded so the owner's pushes never share a cache
+/// line with a sibling's.
 #[cfg(feature = "trace")]
-#[inline]
-fn record(wk: &crate::scheduler::Worker, kind: pf_trace::TraceKind, arg: u64, n: u64) {
-    wk.session().trace.record(wk.index(), kind, arg, n);
-}
+#[repr(align(128))]
+struct Ring(std::sync::Mutex<pf_trace::TraceRing>);
 
-// ---- hook points (no-ops when the feature is off) -----------------------
-//
-// Placement mirrors the `WorkerStats` counters exactly, so the summed
-// trace counts reconcile with `RunStats` (pinned by tests/trace.rs):
-// Exec beside `add_tasks`, Spawn beside `add_spawns`, Steal beside
-// `add_steals`, and Suspend only on the *committed* suspension path (the
-// raced touch that un-notes its suspension records nothing).
-
-/// `n` tasks spawned by `wk` (`spawn2` records two).
-#[inline(always)]
-pub(crate) fn spawn(_wk: &crate::scheduler::Worker, _n: u64) {
-    #[cfg(feature = "trace")]
-    record(_wk, pf_trace::TraceKind::Spawn, 0, _n);
-}
-
-/// `wk` stole one task from worker `_victim`. Runs while `wk` is
-/// *between* tasks, so the owning slot (the stolen task's) is passed
-/// explicitly.
-#[inline(always)]
-pub(crate) fn steal(
-    _wk: &crate::scheduler::Worker,
-    _slot: &crate::pool::SessionSlot,
-    _victim: usize,
-) {
-    #[cfg(feature = "trace")]
-    _slot
-        .trace
-        .record(_wk.index(), pf_trace::TraceKind::Steal, _victim as u64, 1);
-}
-
-/// `wk` is about to execute a task body.
-#[inline(always)]
-pub(crate) fn exec(_wk: &crate::scheduler::Worker) {
-    #[cfg(feature = "trace")]
-    record(_wk, pf_trace::TraceKind::Exec, 0, 1);
-}
-
-/// A touch on `wk` committed a suspension into the cell at `_addr`.
-#[inline(always)]
-pub(crate) fn suspend(_wk: &crate::scheduler::Worker, _addr: usize) {
-    #[cfg(feature = "trace")]
-    record(_wk, pf_trace::TraceKind::Suspend, _addr as u64, 1);
-}
-
-/// A write on `wk` reactivated a suspended continuation of `_slot` (the
-/// *waiter's* session — under cross-session fulfills, not the writer's).
-#[inline(always)]
-pub(crate) fn resume(_wk: &crate::scheduler::Worker, _slot: &crate::pool::SessionSlot) {
-    #[cfg(feature = "trace")]
-    _slot
-        .trace
-        .record(_wk.index(), pf_trace::TraceKind::Resume, 0, 1);
-}
-
-/// `wk` wrote the future cell at `_addr`.
-#[inline(always)]
-pub(crate) fn fulfill(_wk: &crate::scheduler::Worker, _addr: usize) {
-    #[cfg(feature = "trace")]
-    record(_wk, pf_trace::TraceKind::Fulfill, _addr as u64, 1);
-}
-
-/// `wk` found no work and is about to park its thread. Attributed to
-/// `_slot`, the session of the last task this worker ran (whose dry
-/// spell parked it); dropped when the worker has run nothing yet.
-#[inline(always)]
-pub(crate) fn park(_wk: &crate::scheduler::Worker, _slot: Option<&crate::pool::SessionSlot>) {
-    #[cfg(feature = "trace")]
-    if let Some(slot) = _slot {
-        slot.trace
-            .record(_wk.index(), pf_trace::TraceKind::Park, 0, 1);
-    }
-}
-
-/// `wk`'s park returned (same attribution as [`park`]).
-#[inline(always)]
-pub(crate) fn unpark(_wk: &crate::scheduler::Worker, _slot: Option<&crate::pool::SessionSlot>) {
-    #[cfg(feature = "trace")]
-    if let Some(slot) = _slot {
-        slot.trace
-            .record(_wk.index(), pf_trace::TraceKind::Unpark, 0, 1);
-    }
-}
-
-/// The abort cleanup poisoned the cell at `_addr` (the aborting slot's
-/// client lane: the poison pass runs single-threadedly on the client).
-#[inline(always)]
-pub(crate) fn poison(_slot: &crate::pool::SessionSlot, _addr: usize) {
-    #[cfg(feature = "trace")]
-    _slot.trace.record(
-        _slot.trace.client_lane(),
-        pf_trace::TraceKind::Poison,
-        _addr as u64,
-        1,
-    );
+/// One session's rings, stamping against the pool's clock. Cheap to
+/// construct per session: a `TraceRing` allocates lazily on first push.
+#[cfg(feature = "trace")]
+struct Timeline {
+    /// The pool's epoch — every session of a pool shares it.
+    epoch: std::time::Instant,
+    /// Session start, nanoseconds since the epoch.
+    start_ns: u64,
+    rings: Box<[Ring]>,
+    /// Per-lane ring capacity (builder knob), reported in exports.
+    ring_cap: usize,
 }

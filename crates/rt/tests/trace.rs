@@ -6,8 +6,9 @@
 //! steal, that a fork-heavy session on a wide pool does, that
 //! touch-before-fulfill produces matched suspend/resume pairs, and that
 //! an aborted session poisons exactly the cells its `StallReport` names.
-//! The reconciliation test at the bottom pins the trace counts to the
-//! independent `WorkerStats` counters across 100 seeded random workloads.
+//! The reconciliation test at the bottom pins the trace summary to
+//! `RunStats` across 100 seeded random workloads (both read the slot's
+//! one counter array, so it holds by construction; the test keeps it so).
 
 #![cfg(feature = "trace")]
 
@@ -173,11 +174,10 @@ fn accumulate_merges_trace_summaries() {
     assert_eq!(trace.spawns(), total.spawns);
 }
 
-/// Satellite 4: across 100 seeded random workloads (mixed fan-out,
-/// cells touched and fulfilled in random order, random pool widths),
-/// the per-worker trace counts must reconcile exactly with the
-/// independently-maintained `WorkerStats` counters aggregated in
-/// `RunStats` — executed, spawns, suspensions, and steals alike.
+/// Across 100 seeded random workloads (mixed fan-out, cells touched and
+/// fulfilled in random order, random pool widths), the per-worker trace
+/// counts must reconcile exactly with `RunStats` — executed, spawns,
+/// suspensions, and steals alike.
 #[test]
 fn trace_counts_reconcile_with_run_stats_over_seeded_workloads() {
     let mut rng = SmallRng::seed_from_u64(0x7ACE_5EED);

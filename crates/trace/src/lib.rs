@@ -2,12 +2,17 @@
 //!
 //! The simulator (`pf-core`) records full DAG traces; the real runtime
 //! (`pf-rt`) was a black box. This crate is the data layer of the
-//! runtime's opt-in tracing feature (`pf-rt --features trace`):
+//! runtime's event record:
 //!
-//! * [`TraceEvent`] — one scheduler event (`{spawn, steal, exec, suspend,
-//!   resume, fulfill, poison, park, unpark}`) with a monotonic
-//!   nanosecond timestamp and a one-word argument (a victim index, a
-//!   cell address);
+//! * [`TraceKind`] — the nine scheduler events
+//!   (`{spawn, steal, exec, suspend, resume, fulfill, poison, park,
+//!   unpark}`); pf-rt's per-session counters, on in every build, are
+//!   indexed by it;
+//!
+//! and of its opt-in timeline (`pf-rt --features trace`):
+//!
+//! * [`TraceEvent`] — one scheduler event with a monotonic nanosecond
+//!   timestamp and a one-word argument (a victim index, a cell address);
 //! * [`TraceRing`] — a fixed-capacity wraparound buffer of events. The
 //!   owning worker pushes; when full, the **oldest** event is
 //!   overwritten (the newest events are the ones a post-mortem wants)
@@ -32,8 +37,8 @@
 
 use std::fmt;
 
-/// What happened. One byte; the discriminants index the per-kind count
-/// arrays in [`WorkerSummary`].
+/// What happened. One byte; the discriminants index pf-rt's per-session
+/// counter lanes and the per-kind count arrays in [`WorkerSummary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum TraceKind {
@@ -335,8 +340,10 @@ impl SessionTrace {
 pub struct WorkerSummary {
     /// Event counts, indexed by `TraceKind as usize`.
     pub counts: [u64; KIND_COUNT],
-    /// Events lost to ring wraparound (the counts above only cover
-    /// retained events — a non-zero drop count means undercounting).
+    /// Events lost to ring wraparound. A summary rebuilt from a drained
+    /// timeline ([`SessionTrace::stats`]) counts only retained events, so
+    /// there a non-zero drop count means undercounting; pf-rt's own
+    /// summaries read its counters and are exact.
     pub dropped: u64,
 }
 
