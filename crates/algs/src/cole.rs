@@ -5,7 +5,7 @@
 //! can express it; experiment E18 puts the two side by side.
 //!
 //! This is a synchronous **cascade** over a complete binary merge tree,
-//! executed one stage per [`RoundExec`] round:
+//! advanced one stage at a time:
 //!
 //! * a node becomes *complete* three stages after both children are
 //!   complete (leaves are complete at stage 0);
@@ -17,15 +17,10 @@
 //!   merges are still in progress, and the root completes at stage
 //!   3·lg n.
 //!
-//! Each stage's per-node merges are independent (they read only the
-//! previous stage's arrays), so a stage is one round of pure jobs: the
-//! planning pass samples the children out of the shared arena, the jobs
-//! merge, and the sequential apply writes the results back in node order.
-//! On [`SeqRounds`] this is bit-identical to the
-//! historical single-threaded simulator (pinned by the `pinned_baselines`
-//! test); on `pf_rt::rounds::PoolRounds` the same text runs each stage's
-//! merges across the worker pool — the hand-pipelined wall-clock baseline
-//! for E18.
+//! The cascade runs serially on one thread. A stage has two phases: every
+//! merge is computed from the previous stage's arrays, then the results
+//! are written back in node order. The stage and work counts are pinned by
+//! the `pinned_baselines` test.
 //!
 //! **Substitution note** (cf. DESIGN.md): Cole's contribution includes
 //! maintaining cross-ranks so each stage's merge runs in O(1) PRAM time;
@@ -34,8 +29,6 @@
 //! which is exactly the quantity the O(lg n) claim is about. The rank
 //! machinery affects the per-stage constant only. Cole's proof bounds the
 //! total work at O(n lg n); we measure it.
-
-use pf_backend::{Job, RoundExec, SeqRounds};
 
 use crate::Key;
 
@@ -82,17 +75,9 @@ fn merge_count<K: Ord + Clone>(a: &[K], b: &[K], work: &mut u64) -> Vec<K> {
     out
 }
 
-/// Sort `keys` with the cascading merge on the sequential round engine —
-/// the virtual-time instantiation whose stage counts E18 reports.
+/// Sort `keys` with the cascading merge; returns the sorted vector and
+/// the cascade statistics.
 pub fn cole_sort<K: Key>(keys: &[K]) -> (Vec<K>, ColeStats) {
-    cole_sort_with(keys, &mut SeqRounds::new())
-}
-
-/// Sort `keys` with the cascading merge, one synchronous stage per
-/// [`RoundExec`] round; returns the sorted vector and the cascade
-/// statistics. Stats are independent of the executor: the jobs read only
-/// the previous stage's arrays and the apply phase runs in node order.
-pub fn cole_sort_with<K: Key, R: RoundExec>(keys: &[K], exec: &mut R) -> (Vec<K>, ColeStats) {
     if keys.is_empty() {
         return (
             Vec::new(),
@@ -146,16 +131,16 @@ pub fn cole_sort_with<K: Key, R: RoundExec>(keys: &[K], exec: &mut R) -> (Vec<K>
     let mut stage: u64 = 0;
     while nodes[root].complete_at.is_none() {
         stage += 1;
-        // Plan: sample every incomplete internal node's children from the
-        // PREVIOUS stage's state — the synchronous discipline — so each
-        // merge is a pure job over owned inputs.
-        let mut who: Vec<(usize, bool)> = Vec::new();
-        let mut jobs: Vec<Job<(Vec<K>, u64)>> = Vec::new();
+        // Compute all sends based on the PREVIOUS stage's state, then
+        // apply — the synchronous discipline. Children sit at lower indices
+        // than their parent, so writing in place would hand a parent its
+        // children's arrays from this very stage.
+        let mut updates: Vec<(usize, Vec<K>, bool)> = Vec::new();
         for v in 0..nodes.len() {
             if nodes[v].children.is_empty() || nodes[v].complete_at.is_some() {
                 continue;
             }
-            let mut sends: Vec<Vec<K>> = nodes[v]
+            let sends: Vec<Vec<K>> = nodes[v]
                 .children
                 .iter()
                 .map(|&c| {
@@ -174,26 +159,16 @@ pub fn cole_sort_with<K: Key, R: RoundExec>(keys: &[K], exec: &mut R) -> (Vec<K>
                     }
                 })
                 .collect();
+            let merged = merge_count(&sends[0], &sends[1], &mut stats.work);
             // v completes once both children are complete and it has
             // received their full arrays (3 stages after the later child).
             let full = nodes[v]
                 .children
                 .iter()
                 .all(|&c| matches!(nodes[c].complete_at, Some(s) if stage >= s + 3));
-            who.push((v, full));
-            let b = sends.pop().expect("two children");
-            let a = sends.pop().expect("two children");
-            jobs.push(Box::new(move || {
-                let mut w = 0u64;
-                let merged = merge_count(&a, &b, &mut w);
-                (merged, w)
-            }));
+            updates.push((v, merged, full));
         }
-        // One synchronous stage across the round engine, then apply the
-        // results in node order.
-        let results = exec.round(jobs);
-        for ((v, full), (merged, w)) in who.into_iter().zip(results) {
-            stats.work += w;
+        for (v, merged, full) in updates {
             nodes[v].up = merged;
             if full {
                 nodes[v].complete_at = Some(stage);
@@ -256,30 +231,6 @@ mod tests {
                 "power-of-two input must complete at exactly 3·lg n stages"
             );
         }
-    }
-
-    #[test]
-    fn executor_does_not_change_stats() {
-        // The whole point of the compute/apply split: SeqRounds and any
-        // other RoundExec observe the same per-round snapshots, so the
-        // counted statistics cannot depend on the executor.
-        struct Reversed(u64);
-        impl RoundExec for Reversed {
-            fn round<T: Send + 'static>(&mut self, jobs: Vec<Job<T>>) -> Vec<T> {
-                self.0 += 1;
-                let mut out: Vec<T> = jobs.into_iter().rev().map(|j| j()).collect();
-                out.reverse();
-                out
-            }
-            fn rounds_executed(&self) -> u64 {
-                self.0
-            }
-        }
-        let keys = shuffled(256, 9);
-        let (v1, s1) = cole_sort(&keys);
-        let (v2, s2) = cole_sort_with(&keys, &mut Reversed(0));
-        assert_eq!(v1, v2);
-        assert_eq!(s1, s2);
     }
 
     #[test]

@@ -17,13 +17,11 @@
 //! * [`start`] — the starters: per algorithm, build its operands on an
 //!   engine, call it once, return the result future.
 //!
-//! The **hand-pipelined baselines** live here too, but on a different
-//! engine surface: [`cole`] (cascading mergesort) and [`pvw`] (the
-//! synchronous 2-3-tree wave pipeline) advance in explicit rounds, so they
-//! are generic over [`RoundExec`] — the round-barrier engine — rather than
-//! [`PipeBackend`]. The same text runs on `SeqRounds` (the virtual-time
-//! simulator E16/E18 count rounds on) and `pf_rt::rounds::PoolRounds` (the
-//! worker pool they are wall-clocked on).
+//! The **hand-pipelined baselines** live here too, outside the engine
+//! surface: [`cole`] (cascading mergesort) and [`pvw`] (the synchronous
+//! 2-3-tree wave pipeline) advance in explicit synchronous rounds, which
+//! they run as plain serial code on one thread — E16/E18 count their
+//! rounds and wall-clock them against the futures versions.
 //!
 //! The same text compiles against the virtual-time simulator
 //! (`pf_core::Ctx`, exact work/depth accounting), the real work-stealing
@@ -110,7 +108,7 @@ mod rtree;
 #[cfg(test)]
 mod rtwosix;
 
-pub use pf_backend::{Job, Key, Mode, PipeBackend, RoundExec, Seq, SeqFut, SeqRounds, Val};
+pub use pf_backend::{Key, Mode, PipeBackend, Seq, SeqFut, Val};
 
 /// Fork `body` under `mode`: pipelined is a plain fork; strict wraps the
 /// fork in [`PipeBackend::strict`], so (on the simulator) none of the

@@ -20,16 +20,10 @@
 //!   waves within two levels of each other) — the bookkeeping burden that
 //!   the futures version discharges onto the runtime.
 //!
-//! A round executes through a [`RoundExec`]: the planning pass clones each
-//! task's node (and any children it will split) out of the arena, the jobs
-//! compute the node's replacement, fresh nodes, and next-level tasks as
-//! pure data, and the sequential apply phase commits them in task order —
-//! so the arena layout, the counted work, and the round count are
-//! bit-identical between [`SeqRounds`] (the
-//! historical simulator, pinned by `pinned_baselines`) and
-//! `pf_rt::rounds::PoolRounds` (the worker pool, timed by E16). That the
-//! split is *sound* — in-round tasks read and write disjoint nodes — is
-//! exactly the two-level separation invariant the debug check enforces.
+//! A round runs serially on one thread: each task steps its node in
+//! place, in task order. That this equals a synchronous round — in-round
+//! tasks read and write disjoint nodes — is exactly the two-level
+//! separation invariant the debug check enforces.
 //!
 //! The measured round count is the hand-pipelined "time":
 //! `rounds ≈ 2·lg m + lg n + O(1)`, compared in experiment E16 against
@@ -37,8 +31,6 @@
 //! that either number is smaller — both are Θ(lg n + lg m) — but that
 //! this file needs an explicit schedule, an arena, and an interference
 //! proof, while `two_six.rs` is the obvious recursive code.
-
-use pf_backend::{Job, RoundExec, SeqRounds};
 
 use crate::two_six::level_arrays;
 use crate::Key;
@@ -63,32 +55,6 @@ pub struct PvwTree<K> {
 struct Task<K> {
     node: usize,
     keys: Vec<K>,
-}
-
-/// A child pointer in a planned update: either an existing arena node or
-/// the j-th node freshly allocated by this plan (resolved at apply time).
-#[derive(Clone, Copy)]
-enum ChildRef {
-    Old(usize),
-    New(usize),
-}
-
-/// The pure result of advancing one task one level: everything
-/// [`apply_plan`] needs to commit the step, with no arena access.
-struct TaskPlan<K> {
-    /// Which wave slot the task belonged to (for regrouping `next`).
-    slot: usize,
-    /// The arena node the task stepped through.
-    node: usize,
-    /// Its replacement (children as [`ChildRef`]s), or `None` to leave the
-    /// node untouched (empty key set).
-    replace: Option<(Vec<K>, Vec<ChildRef>, bool)>,
-    /// Nodes to allocate, in order (split halves: left then right).
-    allocs: Vec<PvwNode<K>>,
-    /// Next-level tasks: target child and its keys.
-    next: Vec<(ChildRef, Vec<K>)>,
-    /// Key-moves plus node visits charged by this step.
-    work: u64,
 }
 
 /// Statistics from a synchronous hand-pipelined run.
@@ -240,18 +206,117 @@ impl<K: Key> PvwTree<K> {
     }
 
     /// Split node `at` (≥ 3 keys) around its middle key; returns
-    /// `(left_idx, middle_key, right_idx)`. Used only for the sequential
-    /// root split — in-round splits go through [`plan_split`].
+    /// `(left_idx, middle_key, right_idx)`.
     fn split_node(&mut self, at: usize) -> (usize, K, usize) {
-        let (l, sep, r) = plan_split(&self.nodes[at]);
+        let (l, sep, r) = match &self.nodes[at] {
+            PvwNode::Leaf(ks) => {
+                let mid = ks.len() / 2;
+                (
+                    PvwNode::Leaf(ks[..mid].to_vec()),
+                    ks[mid].clone(),
+                    PvwNode::Leaf(ks[mid + 1..].to_vec()),
+                )
+            }
+            PvwNode::Internal { keys, children } => {
+                let mid = keys.len() / 2;
+                (
+                    PvwNode::Internal {
+                        keys: keys[..mid].to_vec(),
+                        children: children[..=mid].to_vec(),
+                    },
+                    keys[mid].clone(),
+                    PvwNode::Internal {
+                        keys: keys[mid + 1..].to_vec(),
+                        children: children[mid + 1..].to_vec(),
+                    },
+                )
+            }
+        };
         let li = self.alloc(l);
         let ri = self.alloc(r);
         (li, sep, ri)
     }
 
+    /// Advance one task by one level; returns the tasks for the next level
+    /// and adds the key-move cost to `work`.
+    fn step_task(&mut self, task: Task<K>, work: &mut u64) -> Vec<Task<K>> {
+        let Task { node, keys } = task;
+        *work += keys.len() as u64 + 1;
+        if keys.is_empty() {
+            return Vec::new();
+        }
+        match std::mem::replace(&mut self.nodes[node], PvwNode::Leaf(Vec::new())) {
+            PvwNode::Leaf(mut merged) => {
+                for k in keys {
+                    if let Err(pos) = merged.binary_search(&k) {
+                        merged.insert(pos, k);
+                    }
+                }
+                assert!(merged.len() <= 5, "leaf overflow: separation violated");
+                self.nodes[node] = PvwNode::Leaf(merged);
+                Vec::new()
+            }
+            PvwNode::Internal {
+                keys: nkeys,
+                children,
+            } => {
+                debug_assert!(nkeys.len() <= 2, "wave entered a non-2-3 node");
+                // Partition the wave keys by the node's splitters.
+                let mut parts: Vec<Vec<K>> = Vec::with_capacity(nkeys.len() + 1);
+                let mut rest = keys;
+                for s in &nkeys {
+                    let (l, g): (Vec<K>, Vec<K>) =
+                        rest.into_iter().filter(|k| k != s).partition(|k| k < s);
+                    parts.push(l);
+                    rest = g;
+                }
+                parts.push(rest);
+                let mut new_keys: Vec<K> = Vec::with_capacity(5);
+                let mut new_children: Vec<usize> = Vec::with_capacity(6);
+                let mut next = Vec::new();
+                for (i, part) in parts.into_iter().enumerate() {
+                    if part.is_empty() {
+                        new_children.push(children[i]);
+                    } else if self.key_count(children[i]) >= 3 {
+                        // The child would overflow: split it before descending.
+                        let (l, sep, r) = self.split_node(children[i]);
+                        *work += 1;
+                        let (pl, pr): (Vec<K>, Vec<K>) = part
+                            .into_iter()
+                            .filter(|k| *k != sep)
+                            .partition(|k| *k < sep);
+                        if !pl.is_empty() {
+                            next.push(Task { node: l, keys: pl });
+                        }
+                        new_children.push(l);
+                        new_keys.push(sep);
+                        if !pr.is_empty() {
+                            next.push(Task { node: r, keys: pr });
+                        }
+                        new_children.push(r);
+                    } else {
+                        next.push(Task {
+                            node: children[i],
+                            keys: part,
+                        });
+                        new_children.push(children[i]);
+                    }
+                    if i < nkeys.len() {
+                        new_keys.push(nkeys[i].clone());
+                    }
+                }
+                debug_assert!(new_keys.len() <= 5);
+                self.nodes[node] = PvwNode::Internal {
+                    keys: new_keys,
+                    children: new_children,
+                };
+                next
+            }
+        }
+    }
+
     /// Split the root if needed before a wave enters (the only place the
-    /// tree grows). Runs sequentially between rounds, so it mutates the
-    /// arena directly.
+    /// tree grows).
     fn maybe_split_root(&mut self, work: &mut u64) {
         if self.key_count(self.root) >= 3 {
             let (l, sep, r) = self.split_node(self.root);
@@ -262,185 +327,17 @@ impl<K: Key> PvwTree<K> {
             });
         }
     }
-
-    /// Commit one planned step: allocate the plan's fresh nodes (in plan
-    /// order — apply runs in task order, so the arena layout is identical
-    /// to the sequential execution), replace the stepped node, and resolve
-    /// the next-level tasks.
-    fn apply_plan(&mut self, plan: TaskPlan<K>, work: &mut u64) -> (usize, Vec<Task<K>>) {
-        let base = self.nodes.len();
-        let resolve = |r: ChildRef| match r {
-            ChildRef::Old(i) => i,
-            ChildRef::New(j) => base + j,
-        };
-        self.nodes.extend(plan.allocs);
-        *work += plan.work;
-        if let Some((keys, children, is_leaf)) = plan.replace {
-            self.nodes[plan.node] = if is_leaf {
-                PvwNode::Leaf(keys)
-            } else {
-                PvwNode::Internal {
-                    keys,
-                    children: children.into_iter().map(resolve).collect(),
-                }
-            };
-        }
-        let next = plan
-            .next
-            .into_iter()
-            .map(|(r, keys)| Task {
-                node: resolve(r),
-                keys,
-            })
-            .collect();
-        (plan.slot, next)
-    }
-}
-
-/// Split a node snapshot (≥ 3 keys) around its middle key, as pure data:
-/// `(left, middle_key, right)`.
-fn plan_split<K: Key>(node: &PvwNode<K>) -> (PvwNode<K>, K, PvwNode<K>) {
-    match node {
-        PvwNode::Leaf(ks) => {
-            let mid = ks.len() / 2;
-            (
-                PvwNode::Leaf(ks[..mid].to_vec()),
-                ks[mid].clone(),
-                PvwNode::Leaf(ks[mid + 1..].to_vec()),
-            )
-        }
-        PvwNode::Internal { keys, children } => {
-            let mid = keys.len() / 2;
-            (
-                PvwNode::Internal {
-                    keys: keys[..mid].to_vec(),
-                    children: children[..=mid].to_vec(),
-                },
-                keys[mid].clone(),
-                PvwNode::Internal {
-                    keys: keys[mid + 1..].to_vec(),
-                    children: children[mid + 1..].to_vec(),
-                },
-            )
-        }
-    }
-}
-
-/// Advance one task one level, as a pure function of the task's node
-/// snapshot and the snapshots of the children it may split. Mirrors the
-/// historical `step_task` mutation line by line, including the work
-/// charges; [`PvwTree::apply_plan`] commits the result.
-fn plan_task<K: Key>(
-    slot: usize,
-    node: usize,
-    keys: Vec<K>,
-    snapshot: PvwNode<K>,
-    children_snap: Vec<Option<PvwNode<K>>>,
-) -> TaskPlan<K> {
-    let mut plan = TaskPlan {
-        slot,
-        node,
-        replace: None,
-        allocs: Vec::new(),
-        next: Vec::new(),
-        work: keys.len() as u64 + 1,
-    };
-    if keys.is_empty() {
-        return plan;
-    }
-    match snapshot {
-        PvwNode::Leaf(existing) => {
-            let mut merged = existing;
-            for k in keys {
-                if let Err(pos) = merged.binary_search(&k) {
-                    merged.insert(pos, k);
-                }
-            }
-            assert!(merged.len() <= 5, "leaf overflow: separation violated");
-            plan.replace = Some((merged, Vec::new(), true));
-        }
-        PvwNode::Internal {
-            keys: nkeys,
-            children,
-        } => {
-            debug_assert!(nkeys.len() <= 2, "wave entered a non-2-3 node");
-            // Partition the wave keys by the node's splitters.
-            let mut parts: Vec<Vec<K>> = Vec::with_capacity(nkeys.len() + 1);
-            let mut rest = keys;
-            for s in &nkeys {
-                let (l, g): (Vec<K>, Vec<K>) =
-                    rest.into_iter().filter(|k| k != s).partition(|k| k < s);
-                parts.push(l);
-                rest = g;
-            }
-            parts.push(rest);
-            let mut new_keys: Vec<K> = Vec::with_capacity(5);
-            let mut new_children: Vec<ChildRef> = Vec::with_capacity(6);
-            for (i, part) in parts.into_iter().enumerate() {
-                match &children_snap[i] {
-                    Some(child) if !part.is_empty() => {
-                        // Child will overflow: split its snapshot. The two
-                        // halves are this plan's next allocations — left
-                        // then right, matching the sequential order.
-                        let (l, sep, r) = plan_split(child);
-                        plan.work += 1;
-                        let li = ChildRef::New(plan.allocs.len());
-                        plan.allocs.push(l);
-                        let ri = ChildRef::New(plan.allocs.len());
-                        plan.allocs.push(r);
-                        let (pl, pr): (Vec<K>, Vec<K>) = part
-                            .into_iter()
-                            .filter(|k| *k != sep)
-                            .partition(|k| *k < sep);
-                        if !pl.is_empty() {
-                            plan.next.push((li, pl));
-                        }
-                        new_children.push(li);
-                        new_keys.push(sep);
-                        if !pr.is_empty() {
-                            plan.next.push((ri, pr));
-                        }
-                        new_children.push(ri);
-                    }
-                    _ => {
-                        if !part.is_empty() {
-                            plan.next.push((ChildRef::Old(children[i]), part));
-                        }
-                        new_children.push(ChildRef::Old(children[i]));
-                    }
-                }
-                if i < nkeys.len() {
-                    new_keys.push(nkeys[i].clone());
-                }
-            }
-            debug_assert!(new_keys.len() <= 5);
-            plan.replace = Some((new_keys, new_children, false));
-        }
-    }
-    plan
-}
-
-/// Insert `m` sorted distinct keys with the explicit synchronous pipeline
-/// on the sequential round engine — the virtual-time instantiation whose
-/// round counts E16 reports.
-pub fn pvw_insert_many<K: Key>(tree: &mut PvwTree<K>, keys: &[K]) -> PvwStats {
-    pvw_insert_many_with(tree, keys, &mut SeqRounds::new())
 }
 
 /// Insert `m` sorted distinct keys with the **explicit synchronous
 /// pipeline**: wave `i` enters at round `2·i`, every wave advances one
-/// level per round, and each round's tasks execute as one [`RoundExec`]
-/// round. Returns the per-run statistics; the tree is updated in place.
-/// Stats and final tree are independent of the executor (see module docs).
-pub fn pvw_insert_many_with<K: Key, R: RoundExec>(
-    tree: &mut PvwTree<K>,
-    keys: &[K],
-    exec: &mut R,
-) -> PvwStats {
+/// level per round. Returns the per-run statistics; the tree is updated
+/// in place.
+pub fn pvw_insert_many<K: Key>(tree: &mut PvwTree<K>, keys: &[K]) -> PvwStats {
     let waves: Vec<Vec<K>> = level_arrays(keys);
     let n_waves = waves.len();
-    // Active waves: (wave index, current tasks, entry round).
-    let mut active: Vec<(usize, Vec<Task<K>>, u64)> = Vec::new();
+    // Active waves: (current tasks, entry round).
+    let mut active: Vec<(Vec<Task<K>>, u64)> = Vec::new();
     let mut next_wave = 0usize;
     let mut round: u64 = 0;
     let mut work: u64 = 0;
@@ -451,7 +348,6 @@ pub fn pvw_insert_many_with<K: Key, R: RoundExec>(
         if next_wave < n_waves && round == 2 * next_wave as u64 {
             tree.maybe_split_root(&mut work);
             active.push((
-                next_wave,
                 vec![Task {
                     node: tree.root,
                     keys: waves[next_wave].clone(),
@@ -469,13 +365,13 @@ pub fn pvw_insert_many_with<K: Key, R: RoundExec>(
         // round − entry_i; admitted two rounds apart, consecutive active
         // waves are exactly two levels apart — a wave only mutates its own
         // level and (via splits) the level below, which the predecessor
-        // left at least two rounds ago. This is also the soundness
-        // argument for running a round's tasks in parallel: their read and
-        // write sets are disjoint.
+        // left at least two rounds ago. So a round's tasks have disjoint
+        // read and write sets, and stepping them one after another is the
+        // synchronous round.
         if cfg!(debug_assertions) {
             for pair in active.windows(2) {
-                let lead = round - pair[0].2;
-                let trail = round - pair[1].2;
+                let lead = round - pair[0].1;
+                let trail = round - pair[1].1;
                 assert!(
                     lead >= trail + 2,
                     "pipeline interference: waves at distance {}",
@@ -485,30 +381,12 @@ pub fn pvw_insert_many_with<K: Key, R: RoundExec>(
         }
 
         // One synchronous round: every active wave advances one level.
-        // Plan (clone each task's inputs out of the arena), execute the
-        // pure jobs through the round engine, apply in task order.
-        let mut jobs: Vec<Job<TaskPlan<K>>> = Vec::new();
-        for (slot, (_, tasks, _)) in active.iter_mut().enumerate() {
-            for t in tasks.drain(..) {
-                let Task { node, keys } = t;
-                let snapshot = tree.nodes[node].clone();
-                let children_snap: Vec<Option<PvwNode<K>>> = match &snapshot {
-                    PvwNode::Leaf(_) => Vec::new(),
-                    PvwNode::Internal { children, .. } => children
-                        .iter()
-                        .map(|&c| (tree.key_count(c) >= 3).then(|| tree.nodes[c].clone()))
-                        .collect(),
-                };
-                jobs.push(Box::new(move || {
-                    plan_task(slot, node, keys, snapshot, children_snap)
-                }));
+        for (tasks, _) in active.iter_mut() {
+            for t in std::mem::take(tasks) {
+                tasks.extend(tree.step_task(t, &mut work));
             }
         }
-        for plan in exec.round(jobs) {
-            let (slot, next) = tree.apply_plan(plan, &mut work);
-            active[slot].1.extend(next);
-        }
-        active.retain(|(_, tasks, _)| !tasks.is_empty());
+        active.retain(|(tasks, _)| !tasks.is_empty());
         round += 1;
     }
 

@@ -47,10 +47,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod rounds;
 mod seq;
 
-pub use rounds::{Job, RoundExec, SeqRounds};
 pub use seq::{Seq, SeqFut};
 
 /// A value that can live in a future cell: cloneable (touch hands out a

@@ -1,19 +1,20 @@
 //! Wall-clock drivers for the futures-vs-hand-pipelined head-to-heads
-//! (experiments E13/E16/E18): each pair times the *same computation* twice
-//! on the same warm shared pool ([`Runtime::shared`]) — once as the futures
-//! program (the scheduler discovers the pipeline) and once as the
-//! hand-scheduled round-barrier baseline ([`pf_rt::PoolRounds`], one synchronous
-//! wave per round). Sequential round execution ([`pf_algs::SeqRounds`]),
-//! `sort_unstable` and `BTreeSet::extend` give the single-thread reference
-//! points. Input construction is outside every clock.
+//! (experiments E13/E16/E18): the futures program runs on a warm shared
+//! pool ([`Runtime::shared`]) and the scheduler discovers the pipeline;
+//! the hand-pipelined baseline (Cole's cascade, the PVW wave schedule) runs
+//! its synchronous rounds serially on the calling thread. `sort_unstable`
+//! and `BTreeSet::extend` give the sequential reference points. Input
+//! construction, and each driver's check of its output against a
+//! sequential oracle, are outside every clock.
 
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use pf_algs::cole::{cole_sort_with, ColeStats};
-use pf_algs::pvw::{pvw_insert_many_with, PvwStats, PvwTree};
+use pf_algs::cole::{cole_sort, ColeStats};
+use pf_algs::pvw::{pvw_insert_many, PvwStats, PvwTree};
 use pf_algs::start::msort_on;
 use pf_algs::two_six::{insert_many, TsTree};
-use pf_algs::{Mode, PipeBackend, RoundExec, Val};
+use pf_algs::{Mode, PipeBackend, Val};
 use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Worker};
 
 /// Run `f` `reps` times and return the minimum (the standard noise filter
@@ -21,6 +22,19 @@ use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Worker};
 pub fn best_of(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
     assert!(reps >= 1);
     (0..reps).map(|_| f()).min().expect("reps >= 1")
+}
+
+/// The bulk insert's oracle: `initial` ∪ `newk`, in order.
+fn union_oracle(initial: &[i64], newk: &[i64]) -> Vec<i64> {
+    let set: BTreeSet<i64> = initial.iter().chain(newk).copied().collect();
+    set.into_iter().collect()
+}
+
+/// The sort's oracle: `keys` sorted by `sort_unstable`.
+fn sort_oracle(keys: &[i64]) -> Vec<i64> {
+    let mut v = keys.to_vec();
+    v.sort_unstable();
+    v
 }
 
 /// What `start` — a `pf_algs::start` starter, say — leaves in the future
@@ -36,8 +50,8 @@ pub fn on_rt<T: Val>(
 
 /// Time the futures 2-6 bulk insert on `threads` workers — the
 /// implicit-pipelining side of the E16 comparison. The initial tree is
-/// built in an untimed session of its own, as [`time_pvw`]'s is
-/// built before its clock.
+/// built in an untimed session of its own, as [`time_pvw`]'s is built
+/// before its clock.
 pub fn time_insert_rt(initial: &[i64], newk: &[i64], threads: usize) -> Duration {
     let rt = Runtime::shared(threads);
     let (initial_v, keys) = (initial.to_vec(), newk.to_vec());
@@ -47,14 +61,14 @@ pub fn time_insert_rt(initial: &[i64], newk: &[i64], threads: usize) -> Duration
         insert_many(wk, &keys, ready(tree), Mode::Pipelined)
     });
     let dt = start.elapsed();
-    assert!(tree.to_sorted_vec().len() >= initial.len());
+    assert_eq!(tree.to_sorted_vec(), union_oracle(initial, newk));
     dt
 }
 
 /// Sequential baseline for the bulk insert: a `BTreeSet` extended with the
 /// batch (what a production sequential index would do).
 pub fn time_insert_seq(initial: &[i64], newk: &[i64]) -> Duration {
-    let mut set: std::collections::BTreeSet<i64> = initial.iter().copied().collect();
+    let mut set: BTreeSet<i64> = initial.iter().copied().collect();
     let start = Instant::now();
     set.extend(newk.iter().copied());
     let dt = start.elapsed();
@@ -70,7 +84,7 @@ pub fn time_msort_rt(keys: &[i64], threads: usize) -> Duration {
     let start = Instant::now();
     let (tree, _) = on_rt(&rt, move |wk| msort_on(wk, &keys_v, false, Mode::Pipelined));
     let dt = start.elapsed();
-    assert_eq!(tree.to_sorted_vec().len(), keys.len());
+    assert_eq!(tree.to_sorted_vec(), sort_oracle(keys));
     dt
 }
 
@@ -85,36 +99,32 @@ pub fn time_sort_seq(keys: &[i64]) -> Duration {
     dt
 }
 
-/// Time Cole's cascade on `exec`: `PoolRounds` fans each stage's merges
-/// out over its pool workers — the hand-pipelined side of the E18
-/// comparison — and `SeqRounds` runs them inline, the single-thread
-/// reference for the round-barrier engine. Returns the elapsed time and
-/// the (executor-independent) cascade statistics.
-pub fn time_cole(keys: &[i64], exec: &mut impl RoundExec) -> (Duration, ColeStats) {
+/// Time Cole's cascade, its stages run serially — the hand-pipelined side
+/// of the E18 comparison. Returns the elapsed time and the cascade
+/// statistics.
+pub fn time_cole(keys: &[i64]) -> (Duration, ColeStats) {
     let start = Instant::now();
-    let (sorted, stats) = cole_sort_with(keys, exec);
+    let (sorted, stats) = cole_sort(keys);
     let dt = start.elapsed();
-    assert_eq!(sorted.len(), keys.len());
+    assert_eq!(sorted, sort_oracle(keys));
     (dt, stats)
 }
 
-/// Time the PVW wave pipeline on `exec` (`PoolRounds`: the hand-pipelined
-/// side of the E16 comparison; `SeqRounds`: its single-thread reference).
-/// Tree construction is excluded (input marshalling).
-pub fn time_pvw(initial: &[i64], newk: &[i64], exec: &mut impl RoundExec) -> (Duration, PvwStats) {
+/// Time the PVW wave pipeline, its rounds run serially — the
+/// hand-pipelined side of the E16 comparison. Tree construction is
+/// excluded (input marshalling).
+pub fn time_pvw(initial: &[i64], newk: &[i64]) -> (Duration, PvwStats) {
     let mut tree = PvwTree::from_sorted(initial);
     let start = Instant::now();
-    let stats = pvw_insert_many_with(&mut tree, newk, exec);
+    let stats = pvw_insert_many(&mut tree, newk);
     let dt = start.elapsed();
-    assert!(tree.to_sorted_vec().len() >= initial.len());
+    assert_eq!(tree.to_sorted_vec(), union_oracle(initial, newk));
     (dt, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_algs::SeqRounds;
-    use pf_rt::PoolRounds;
 
     fn scrambled(n: usize) -> Vec<i64> {
         // Odd-stride permutation of 0..n: deterministic, full-period.
@@ -139,21 +149,12 @@ mod tests {
     }
 
     #[test]
-    fn cole_pool_matches_seq_stats() {
+    fn hand_and_insert_drivers_check_their_oracles() {
         let keys = scrambled(1 << 9);
-        let (_, s_pool) = time_cole(&keys, &mut PoolRounds::new(2));
-        let (_, s_seq) = time_cole(&keys, &mut SeqRounds::new());
-        assert_eq!(s_pool, s_seq, "stats must be executor-independent");
-        assert_eq!(s_pool.stages, 3 * 9);
-    }
-
-    #[test]
-    fn pvw_pool_matches_seq_stats() {
+        assert_eq!(time_cole(&keys).1.stages, 3 * 9);
         let initial: Vec<i64> = (0..2000).map(|i| 2 * i).collect();
         let newk: Vec<i64> = (0..128).map(|i| 2 * i + 1).collect();
-        let (_, s_pool) = time_pvw(&initial, &newk, &mut PoolRounds::new(2));
-        let (_, s_seq) = time_pvw(&initial, &newk, &mut SeqRounds::new());
-        assert_eq!(s_pool, s_seq, "stats must be executor-independent");
+        assert!(time_pvw(&initial, &newk).1.rounds > 0);
         assert!(time_insert_rt(&initial, &newk, 2) > Duration::ZERO);
         let _ = time_insert_seq(&initial, &newk);
     }

@@ -1,6 +1,6 @@
 //! E16 — implicit (futures) vs explicit (PVW-style synchronous)
-//! pipelining: depth-vs-rounds on the cost model, wall-clock on the real
-//! runtime (both engines on the same warm pool).
+//! pipelining: depth-vs-rounds on the cost model, then wall-clock: the
+//! futures insert on the real runtime against the PVW rounds run serially.
 //!
 //! `e16_pvw ci` runs the small-n smoke configuration used by CI.
 fn main() {

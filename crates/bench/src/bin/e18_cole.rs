@@ -1,6 +1,6 @@
 //! E18 — Cole's cascading mergesort (hand pipeline) vs futures mergesort:
-//! stages-vs-depth on the cost model, wall-clock on the real runtime
-//! (both engines on the same warm pool).
+//! stages-vs-depth on the cost model, then wall-clock: the futures
+//! mergesort on the real runtime against the cascade run serially.
 //!
 //! `e18_cole ci` runs the small-n smoke configuration used by CI.
 fn main() {

@@ -1,15 +1,14 @@
 //! Real-runtime experiments: the wall-clock companions of E13/E16/E18
-//! (futures against hand-scheduled rounds on the same pool — pf-perf has no
-//! Cole/PVW counterpart), E15a (cost-constant sensitivity) and E20 (a
+//! (futures on the pool against the hand pipelines run serially — pf-perf
+//! has no Cole/PVW counterpart), E15a (cost-constant sensitivity) and E20 (a
 //! traced session's event counts against pf-machine's predictions). Every
 //! other wall-clock number is pf-perf's (EXPERIMENTS.md, E12 and E15b).
 
 use std::time::Duration;
 
 use pf_algs::start::merge_on;
-use pf_algs::{Mode, SeqRounds};
+use pf_algs::Mode;
 use pf_core::{CostModel, Sim};
-use pf_rt::PoolRounds;
 
 use crate::baselines::{
     best_of, time_cole, time_insert_rt, time_insert_seq, time_msort_rt, time_pvw, time_sort_seq,
@@ -39,21 +38,22 @@ pub fn e13_msort_wallclock(lgs: &[u32], threads: &[usize], reps: usize) -> Table
     t
 }
 
-/// A wall-clock head-to-head on the *same pool*: a `seq` row of the two
-/// single-thread references (`None`), then a row per thread count, each
-/// the best of `reps` and the hand-scheduled time over the futures one.
+/// A wall-clock head-to-head: the hand pipeline, which runs serially
+/// whatever the pool's width, is timed once; then a `seq` row for the
+/// futures side's sequential reference (`None`) and a row per thread
+/// count, each the best of `reps` and the hand time over the futures one.
 fn head_to_head(
     title: String,
     [futures_ms, hand_ms, ratio]: [&str; 3],
     threads: &[usize],
     reps: usize,
     futures: impl Fn(Option<usize>) -> Duration,
-    hand: impl Fn(Option<usize>) -> Duration,
+    hand: impl Fn() -> Duration,
 ) -> Table {
     let mut t = Table::new(title, &["threads", futures_ms, hand_ms, ratio]);
+    let dh = best_of(reps, &hand);
     for th in std::iter::once(None).chain(threads.iter().map(|&th| Some(th))) {
         let df = best_of(reps, || futures(th));
-        let dh = best_of(reps, || hand(th));
         t.row(vec![
             th.map_or("seq".into(), |th| u(th as u64)),
             ms(df),
@@ -65,49 +65,41 @@ fn head_to_head(
 }
 
 /// E16w — the futures 2-6 bulk insert (implicit pipeline,
-/// scheduler-discovered) vs the PVW wave schedule executed one synchronous
-/// round per pool barrier (`PoolRounds`); single-thread references:
-/// `BTreeSet` extend and the inline `SeqRounds` execution.
+/// scheduler-discovered) vs the PVW wave schedule with its rounds run
+/// serially; the futures side's sequential reference is `BTreeSet` extend.
 pub fn e16_pvw_wallclock(lg_n: u32, lg_m: u32, threads: &[usize], reps: usize) -> Table {
     let n = 1usize << lg_n;
     let m = 1usize << lg_m;
     let initial = sorted_keys(n, 2);
     let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
     head_to_head(
-        format!("E16w wall-clock: futures 2-6 insert vs PVW hand rounds, n = {n}, m = {m}"),
-        ["futures insert (ms)", "pvw rounds (ms)", "pvw/futures"],
+        format!("E16w wall-clock: futures 2-6 insert vs PVW rounds run serially, n = {n}, m = {m}"),
+        ["futures insert (ms)", "pvw serial (ms)", "pvw/futures"],
         threads,
         reps,
         |th| match th {
             None => time_insert_seq(&initial, &newk),
             Some(th) => time_insert_rt(&initial, &newk, th),
         },
-        |th| match th {
-            None => time_pvw(&initial, &newk, &mut SeqRounds::new()).0,
-            Some(th) => time_pvw(&initial, &newk, &mut PoolRounds::new(th)).0,
-        },
+        || time_pvw(&initial, &newk).0,
     )
 }
 
-/// E18w — the futures tree mergesort vs Cole's cascade executed one
-/// synchronous stage per pool barrier (`PoolRounds`); single-thread
-/// references: `sort_unstable` and the inline `SeqRounds` cascade.
+/// E18w — the futures tree mergesort vs Cole's cascade with its stages run
+/// serially; the futures side's sequential reference is `sort_unstable`.
 pub fn e18_cole_wallclock(lg_n: u32, threads: &[usize], reps: usize) -> Table {
     let n = 1usize << lg_n;
     let keys = shuffled_keys(n, 77);
     head_to_head(
-        format!("E18w wall-clock: futures msort vs Cole cascade (hand stages), n = {n}"),
-        ["futures msort (ms)", "cole stages (ms)", "cole/futures"],
+        format!("E18w wall-clock: futures msort vs Cole cascade run serially, n = {n}"),
+        ["futures msort (ms)", "cole serial (ms)", "cole/futures"],
         threads,
         reps,
         |th| match th {
             None => time_sort_seq(&keys),
             Some(th) => time_msort_rt(&keys, th),
         },
-        |th| match th {
-            None => time_cole(&keys, &mut SeqRounds::new()).0,
-            Some(th) => time_cole(&keys, &mut PoolRounds::new(th)).0,
-        },
+        || time_cole(&keys).0,
     )
 }
 

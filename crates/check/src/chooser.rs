@@ -149,16 +149,16 @@ pub(crate) struct DfsFrame {
     remaining: Vec<usize>,
 }
 
-/// Bounded exhaustive DFS. Drive it with [`DfsChooser::next_prefix`]
-/// between executions:
+/// Bounded exhaustive DFS. Drive it with the crate's `next_step` between
+/// executions:
 ///
 /// ```ignore
-/// let mut prefix = Vec::new();
+/// let (mut prefix, mut frames) = (Vec::new(), Vec::new());
 /// loop {
-///     let chooser = DfsChooser::new(prefix.clone(), depth_bound);
+///     let chooser = DfsChooser::with_frames(prefix, depth_bound, frames);
 ///     let outcome = /* run one execution with `chooser` */;
 ///     // outcome.chooser is the DfsChooser back; mine it:
-///     match dfs.next_prefix() { Some(p) => prefix = p, None => break }
+///     match dfs.next_step() { Some((p, f)) => (prefix, frames) = (p, f), None => break }
 /// }
 /// ```
 pub struct DfsChooser {
@@ -180,7 +180,7 @@ pub struct DfsChooser {
 impl DfsChooser {
     /// A DFS step forcing `prefix`, branching up to `depth_bound` choice
     /// points deep. `frames` from the previous run are threaded through
-    /// [`Self::with_frames`].
+    /// `with_frames`.
     pub fn new(prefix: Vec<usize>, depth_bound: usize) -> Self {
         DfsChooser::with_frames(prefix, depth_bound, Vec::new())
     }

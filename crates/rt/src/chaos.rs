@@ -4,24 +4,24 @@
 //! points inside the scheduler — the same seam the `pf_rt::sync` shim
 //! gives the model checker:
 //!
-//! * [`maybe_panic`] — at every task boundary (just before the task body
+//! * `maybe_panic` — at every task boundary (just before the task body
 //!   runs, inside the worker's `catch_unwind`), modeling an application
 //!   bug at an arbitrary point of the computation;
-//! * [`maybe_delay`] — a short bounded spin at cell fulfill/touch and at
+//! * `maybe_delay` — a short bounded spin at cell fulfill/touch and at
 //!   the wakeup path, stretching the race windows the abort and
 //!   lost-wakeup protocols must tolerate;
-//! * [`steal_denied`] — forces `find_task` to skip a victim, modeling
+//! * `steal_denied` — forces `find_task` to skip a victim, modeling
 //!   transient steal failure and pushing sessions through the park/unpark
 //!   and watchdog paths far more often than a healthy pool would;
-//! * [`maybe_wedge`] — parks a worker *inside* a task body (a bounded
+//! * `maybe_wedge` — parks a worker *inside* a task body (a bounded
 //!   spin that also releases when the owning session aborts or the chaos
 //!   config is reinstalled), modeling the mid-task wedge the progress-
 //!   heartbeat stall detector exists to catch under load.
 //!
 //! Faults are drawn from a per-thread `splitmix64` stream derived from
-//! the seed in [`ChaosConfig`], so a given seed produces a reproducible
+//! the seed in `ChaosConfig`, so a given seed produces a reproducible
 //! fault *pattern* (modulo OS scheduling). Rates are per-10 000 draws;
-//! [`injected_panics`] counts fired panic injections so tests can assert
+//! `injected_panics` counts fired panic injections so tests can assert
 //! "session failed ⇔ a fault was actually injected".
 //!
 //! **Zero-cost when off:** without `--cfg pf_chaos` every hook compiles

@@ -67,7 +67,6 @@ pub mod deque;
 pub mod error;
 pub mod policy;
 pub mod pool;
-pub mod rounds;
 pub mod scheduler;
 pub mod sync;
 pub mod task;
@@ -85,7 +84,6 @@ pub use error::{
 pub use pf_trace::{SessionTrace, TraceEvent, TraceKind, TraceStats, WorkerSummary, WorkerTrace};
 pub use policy::SpawnOrder;
 pub use pool::RuntimeBuilder;
-pub use rounds::PoolRounds;
 pub use scheduler::{RunStats, Runtime, Worker};
 
 // The engine-agnostic surface `Worker` implements (see `backend`):

@@ -11,10 +11,10 @@
 //!
 //! # The session table
 //!
-//! A session's entire mutable state lives in one [`SessionSlot`],
+//! A session's entire mutable state lives in one `SessionSlot`,
 //! allocated at session start and shared (`Arc`) by everything that acts
 //! on the session's behalf: every queued task carries its slot (a
-//! [`SessionTask`] is a [`Task`] plus the owning `Arc`), every suspended
+//! `SessionTask` is a [`Task`] plus the owning `Arc`), every suspended
 //! continuation stores it in its cell, the client holds it while
 //! waiting, and cancel tokens hold a `Weak`. The pool itself keeps only
 //! a `Weak` registry of slots (diagnostics); a slot dies with its last
@@ -80,7 +80,7 @@
 //!
 //! Workers are persistent and shared, so a panicking task must neither
 //! kill its thread nor disturb sibling sessions. Panics are one of four
-//! abort *reasons* — the others are a fired [`CancelToken`], an expired
+//! abort *reasons* — the others are a fired [`CancelToken`](crate::CancelToken), an expired
 //! [`Session`] deadline, and a watchdog-detected stall — and all four
 //! share one per-slot protocol:
 //!
@@ -220,7 +220,7 @@ thread_local! {
 /// Execution statistics of one [`Runtime::run_stats`] call.
 ///
 /// `Copy` except under `--features trace`, where the optional
-/// [`RunStats::trace`] summary carries per-worker vectors.
+/// `RunStats::trace` summary carries per-worker vectors.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[cfg_attr(not(feature = "trace"), derive(Copy))]
 pub struct RunStats {

@@ -5,7 +5,7 @@
 //! the session table, abort and panic protocols — lives in
 //! [`crate::pool`].
 //!
-//! Every queued task is a [`SessionTask`]: the closure plus the `Arc` of
+//! Every queued task is a `SessionTask`: the closure plus the `Arc` of
 //! its owning session's slot. A worker is a *session-free* resource — it
 //! executes whatever task it finds, entering that task's session for the
 //! duration (`current` below), so tasks of concurrent sessions

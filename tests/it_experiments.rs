@@ -173,6 +173,38 @@ fn e18_cole_exact_and_futures_close() {
     }
 }
 
+/// E16's model table at the `e16_pvw ci` size, byte for byte.
+const E16_CI: &str = concat!(
+    "== E16 implicit (futures) vs explicit (PVW-style) pipelining, 2-6 bulk insert ==\n",
+    "   n   m  futures depth  hand rounds  depth/rounds  hand max waves\n",
+    "------------------------------------------------------------------\n",
+    "1024  32            176           17         10.35               4\n",
+    "2048  32            178           17         10.47               4\n",
+);
+
+/// E18's model table at the `e18_cole ci` size, byte for byte.
+const E18_CI: &str = concat!(
+    "== E18 Cole cascade (hand pipeline) vs futures mergesort ==\n",
+    "  n  cole stages   3·lg n   cole work/(n·lg n)  E[futures depth]  depth/stages\n",
+    "------------------------------------------------------------------------------\n",
+    "256           24       24                 1.75            216.00          9.00\n",
+    "512           27       27                 1.78            273.00         10.11\n",
+);
+
+#[test]
+fn e16_e18_model_tables_are_golden() {
+    // The tables are seeded and single-threaded: any change in a count, a
+    // generator or a column is a change in the result, not noise.
+    assert_eq!(
+        pf_bench::exp_machine::e16_pvw(&[10, 11], 5).render(),
+        E16_CI
+    );
+    assert_eq!(
+        pf_bench::exp_model::e18_cole(&[8, 9], &[1]).render(),
+        E18_CI
+    );
+}
+
 #[test]
 fn e15_depth_scales_with_constants() {
     let t = e15_cost_constants(9, &[1, 3]);
