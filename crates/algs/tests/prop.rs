@@ -1,15 +1,20 @@
 //! Property-based tests of the tree algorithms on the simulator, beyond
 //! oracle equality (that lives in the workspace integration tests):
 //! structural depth bounds and inverse-operation round trips on random
-//! inputs.
+//! inputs — and, on `Seq`, the treap set operations where complete
+//! subtreaps turn from blocks into nodes.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pf_algs::plain::{splitmix64, Entry, PlainTreap};
 use pf_algs::start::{merge_on, union_on};
-use pf_algs::treap::{join, splitm, Treap};
+use pf_algs::treap::{diff, intersect, join, splitm, union, Child, Treap, TreapNode};
 use pf_algs::tree::Tree;
 use pf_algs::two_six::level_arrays;
-use pf_algs::Mode;
+use pf_algs::{Mode, PipeBackend, Seq};
 use pf_core::{CostReport, Ctx, Fut, Sim};
+use proptest::collection::btree_map;
 use proptest::prelude::*;
 
 fn entries(keys: impl IntoIterator<Item = i64>) -> Vec<Entry<i64>> {
@@ -26,8 +31,152 @@ fn run_union(a: &[Entry<i64>], b: &[Entry<i64>]) -> Fut<Treap<Ctx, i64>> {
     Sim::new().run(|ctx| union_on(ctx, a, b, Mode::Pipelined)).0
 }
 
+type Plain = Option<Box<PlainTreap<i64>>>;
+type STreap = Treap<Seq, i64>;
+
+/// Up to 96 random entries, their priorities cut to two bits when `tie` is
+/// 0 (ties go to the larger key), plus a few thousand more when `bulk`
+/// says so.
+fn operand(small: BTreeMap<i64, u64>, bulk: bool, seed: u64, tie: u64) -> Vec<Entry<i64>> {
+    let cut = |p: u64| if tie == 0 { p % 4 } else { p };
+    let mut all: BTreeMap<i64, u64> = small.into_iter().map(|(k, p)| (k, cut(p))).collect();
+    if bulk {
+        let more = 2000 + seed % 3000;
+        for i in 0..more {
+            let h = splitmix64(seed ^ i.wrapping_mul(0x9E37_79B9));
+            all.entry((h % 40_000) as i64 - 20_000).or_insert(h >> 24);
+        }
+    }
+    all.into_iter().collect()
+}
+
+/// `t` on `Seq`: complete for `crust == Some(0)`; every node unsized over a
+/// written cell for `None`; and for `Some(d)`, `d` levels of unsized nodes
+/// each holding one side directly as a complete subtreap — often a block —
+/// and the other in a cell, above complete ones.
+fn build(bk: &Seq, t: &Plain, crust: Option<usize>) -> STreap {
+    let Some(n) = t else { return Treap::Leaf };
+    let cell = |t, crust| Child::Cell(bk.input(build(bk, t, crust)));
+    let done = |t| Child::Done(Treap::from_plain_complete(t));
+    let (left, right) = match crust {
+        None => (cell(&n.left, None), cell(&n.right, None)),
+        Some(0) => return Treap::from_plain_complete(t),
+        Some(d) if d % 2 == 0 => (cell(&n.left, Some(d - 1)), done(&n.right)),
+        Some(d) => (done(&n.left), cell(&n.right, Some(d - 1))),
+    };
+    Treap::Node(Arc::new(TreapNode {
+        key: n.key,
+        prio: n.prio,
+        size: 0,
+        left,
+        right,
+    }))
+}
+
+/// The crusts the boundary test draws from.
+const CRUSTS: [Option<usize>; 4] = [Some(0), None, Some(1), Some(4)];
+
+fn plain_preorder(t: &Plain, out: &mut Vec<Entry<i64>>) {
+    if let Some(n) = t {
+        out.push((n.key, n.prio));
+        plain_preorder(&n.left, out);
+        plain_preorder(&n.right, out);
+    }
+}
+
+/// A node with its size, or a block with its entries, in preorder: the
+/// representation itself, not just the tree it stands for.
+#[derive(Debug, PartialEq)]
+enum Part {
+    Node(Entry<i64>, usize),
+    Block(Vec<Entry<i64>>),
+}
+
+fn layout(t: &STreap, out: &mut Vec<Part>) {
+    match t {
+        Treap::Leaf => {}
+        Treap::Node(n) => {
+            out.push(Part::Node((n.key, n.prio), n.size));
+            layout(&n.left.get(), out);
+            layout(&n.right.get(), out);
+        }
+        Treap::Block(b) => out.push(Part::Block(b.to_vec())),
+    }
+}
+
+/// `got` is `want`'s tree entry for entry, passes `check_invariants`, and
+/// seals to exactly the complete treap of its entries.
+fn assert_oracles_tree(got: &STreap, want: &Plain, what: &str) {
+    let mut entries = vec![];
+    plain_preorder(want, &mut entries);
+    prop_assert_eq!(got.preorder(), entries, "{}", what);
+    prop_assert!(got.check_invariants(), "{}", what);
+    entries.sort_unstable();
+    let (mut sealed, mut complete) = (vec![], vec![]);
+    layout(&got.sealed(), &mut sealed);
+    layout(&Treap::from_sorted_complete(&entries), &mut complete);
+    prop_assert_eq!(sealed, complete, "sealed, {}", what);
+    prop_assert!(got.sealed().check_invariants(), "sealed, {}", what);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Around the 32-key edge, where a complete subtreap is a block on one
+    /// side and a node on the other: union, difference, intersection, and
+    /// `splitm` followed by `join`, on complete, unsized and crusted
+    /// operands, build `PlainTreap`'s tree in the canonical representation.
+    /// `bulk` gives `a` (bit 0) and `b` (bit 1) a few thousand more keys,
+    /// so both plain code and the pipelined step above the grain run.
+    #[test]
+    fn blocks_at_the_boundary_build_the_oracles_tree(
+        small_a in btree_map(0i64..160, 0u64..1 << 40, 0..97),
+        small_b in btree_map(0i64..160, 0u64..1 << 40, 0..97),
+        bulk in 0u64..4,
+        seed in 0u64..u64::MAX,
+        tie in 0u64..4,
+        crusts in 0usize..16,
+        splitter in -20i64..180,
+    ) {
+        let a = operand(small_a, bulk & 1 != 0, seed, tie);
+        let b = operand(small_b, bulk & 2 != 0, seed ^ 0xB, tie);
+        let (ca, cb) = (CRUSTS[crusts / 4], CRUSTS[crusts % 4]);
+        let (pa, pb) = (PlainTreap::from_entries(&a), PlainTreap::from_entries(&b));
+        let want = [
+            PlainTreap::union(pa.clone(), pb.clone()),
+            PlainTreap::diff(pa.clone(), pb.clone()),
+            PlainTreap::diff(pa.clone(), PlainTreap::diff(pa.clone(), pb.clone())),
+        ];
+        let got = Seq::run(|bk| {
+            let fa = bk.input(build(bk, &pa, ca));
+            let fb = bk.input(build(bk, &pb, cb));
+            let [(u, uf), (d, df), (n, nf)] = [bk.cell(), bk.cell(), bk.cell()];
+            union(bk, fa.clone(), fb.clone(), u, Mode::Pipelined);
+            diff(bk, fa.clone(), fb.clone(), d, Mode::Pipelined);
+            intersect(bk, fa, fb, n, Mode::Pipelined);
+            [uf, df, nf].map(|f| STreap::expect(&f))
+        });
+        for (op, (got, want)) in ["union", "diff", "intersect"].iter().zip(got.iter().zip(&want)) {
+            assert_oracles_tree(got, want, &format!("{op}, crusts {ca:?} {cb:?}"));
+        }
+
+        let (l, r, found, joined) = Seq::run(|bk| {
+            let (lp, lf) = bk.cell();
+            let (rp, rf) = bk.cell();
+            let (fp, ff) = bk.cell();
+            splitm(bk, splitter, build(bk, &pa, ca), lp, rp, fp);
+            let (l, r) = (STreap::expect(&lf), STreap::expect(&rf));
+            let (jp, jf) = bk.cell();
+            join(bk, l.clone(), r.clone(), jp);
+            (l, r, Seq::peek(&ff), STreap::expect(&jf))
+        });
+        let (wl, wr, wfound) = PlainTreap::split(pa.clone(), &splitter);
+        prop_assert_eq!(found, Some(wfound));
+        let what = format!("split at {splitter}, crust {ca:?}");
+        assert_oracles_tree(&l, &wl, &format!("left of {what}"));
+        assert_oracles_tree(&r, &wr, &format!("right of {what}"));
+        assert_oracles_tree(&joined, &PlainTreap::join(wl, wr), &format!("join after {what}"));
+    }
 
     /// Thm 3.1 depth bound with an explicit constant: pipelined merge
     /// depth ≤ c·(lg n + lg m) + c for the fitted c = 16 (the measured

@@ -36,8 +36,8 @@ pub fn walk_tree<K: Key>(cell: &Fut<Tree<Ctx, K>>, depth: usize, f: Visit) -> us
 }
 
 /// [`walk_tree`] for a simulator treap. The simulator never cuts
-/// (`Ctx::GRAIN` is 0), so no node of its treaps holds a child directly
-/// and every one has a timestamp.
+/// (`Ctx::GRAIN` is 0), so no node of its treaps holds a child directly,
+/// none of them is a block, and every one has a timestamp.
 pub fn walk_treap<K: Key>(cell: &Fut<Treap<Ctx, K>>, depth: usize, f: Visit) -> usize {
     fn below<K: Key>(c: &Child<Ctx, K>, depth: usize, f: Visit) -> usize {
         match c {
@@ -48,6 +48,7 @@ pub fn walk_treap<K: Key>(cell: &Fut<Treap<Ctx, K>>, depth: usize, f: Visit) -> 
     let h = cell.with(|t| match t {
         Treap::Leaf => 0,
         Treap::Node(n) => 1 + below(&n.left, depth + 1, f).max(below(&n.right, depth + 1, f)),
+        Treap::Block(_) => unreachable!("the simulator never builds a block"),
     });
     f(cell.time(), depth, h);
     h

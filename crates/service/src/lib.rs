@@ -39,7 +39,8 @@
 //!   confined to its own slot.
 //! * **Snapshot reads** ([`SetService::contains`]): readers walk the
 //!   shard's last *committed* root — sealed at commit, so it holds no
-//!   future cell and the walk is a pointer chase — so reads never block
+//!   future cell and the walk is a pointer chase down to a sorted block
+//!   of at most 32 keys and a binary search in it — so reads never block
 //!   on writes and cost O(lg n) with zero synchronization beyond one
 //!   root clone.
 //! * **Cross-batch pipelining** ([`ApplyMode::Pipelined`]): inside one

@@ -5,7 +5,7 @@
 //!
 //! See the crate docs for the architecture. The one invariant everything
 //! here leans on: a shard's *committed* root only ever comes out of an
-//! inline pass (plain code builds only complete nodes) or of a session
+//! inline pass (plain code builds only complete treaps) or of a session
 //! that reached quiescence, sealed before it is stored
 //! ([`Treap::sealed`]: the few unsized nodes a larger-than-grain wave
 //! leaves at the top are rebuilt as complete ones), so it holds no future
@@ -360,21 +360,14 @@ impl<K: Key> SetService<K> {
     }
 
     /// Snapshot membership read: walks the owning shard's last committed
-    /// root. Costs one root clone plus an O(lg n) walk by reference;
-    /// never blocks on in-flight writes (which build a *new* root — the
-    /// committed one is immutable). Reads-your-writes only after the
-    /// write's wave commits: this is a snapshot consistency model, by
+    /// root. Costs one root clone plus an O(lg n) walk by reference down
+    /// the nodes ([`Treap::contains`]) and a binary search of the block at
+    /// the bottom; never blocks on in-flight writes (which build a *new*
+    /// root — the committed one is immutable). Reads-your-writes only after
+    /// the write's wave commits: this is a snapshot consistency model, by
     /// design.
     pub fn contains(&self, key: &K) -> bool {
-        let root = self.snapshot(self.map.shard_of(key));
-        let mut cur = &root;
-        while let RTreap::Node(n) = cur {
-            if *key == n.key {
-                return true;
-            }
-            cur = committed(if *key < n.key { &n.left } else { &n.right });
-        }
-        false
+        self.snapshot(self.map.shard_of(key)).contains(key)
     }
 
     /// The shard's committed root (an `Arc`-shallow clone).
@@ -394,7 +387,8 @@ impl<K: Key> SetService<K> {
     /// shard's snapshot is taken independently, so a cross-shard wave
     /// committing mid-scan may appear in one shard and not another).
     /// The walk prunes: subtrees wholly outside `[lo, hi)` are never
-    /// entered, so cost is O(lg n + answer) per shard.
+    /// entered, and a block is entered at a binary search for `lo`, so cost
+    /// is O(lg n + answer) per shard.
     pub fn range(&self, lo: &K, hi: &K) -> Vec<K> {
         let mut out = Vec::new();
         for shard in self.map.shards_for_range(lo, hi) {
@@ -629,7 +623,7 @@ impl<K: Key> SetService<K> {
         };
         // Swap under the lock every `snapshot()` takes, free after it:
         // dropping the last handle on the old root frees the whole
-        // replaced path, some 25 blocks per key.
+        // replaced path — per key, the nodes above its block and the block.
         let replaced = std::mem::replace(&mut *lock(&self.shards[shard].root), new_root);
         drop(replaced);
         report.stats.accumulate(&stats);
@@ -733,17 +727,26 @@ fn committed<K: Key>(child: &Child<Worker, K>) -> &RTreap<K> {
 }
 
 /// In-order walk of a committed treap, pushing keys in `[lo, hi)` and
-/// pruning subtrees the range cannot reach.
+/// pruning subtrees the range cannot reach; a block's keys are sorted, so
+/// its part of the range is the run from a binary search for `lo`.
 fn range_into<K: Key>(t: &RTreap<K>, lo: &K, hi: &K, out: &mut Vec<K>) {
-    if let RTreap::Node(n) = t {
-        if *lo < n.key {
-            range_into(committed(&n.left), lo, hi, out);
+    match t {
+        RTreap::Leaf => {}
+        RTreap::Block(b) => {
+            let from = b.partition_point(|e| e.0 < *lo);
+            let run = b[from..].iter().take_while(|e| e.0 < *hi);
+            out.extend(run.map(|e| e.0.clone()));
         }
-        if *lo <= n.key && n.key < *hi {
-            out.push(n.key.clone());
-        }
-        if n.key < *hi {
-            range_into(committed(&n.right), lo, hi, out);
+        RTreap::Node(n) => {
+            if *lo < n.key {
+                range_into(committed(&n.left), lo, hi, out);
+            }
+            if *lo <= n.key && n.key < *hi {
+                out.push(n.key.clone());
+            }
+            if n.key < *hi {
+                range_into(committed(&n.right), lo, hi, out);
+            }
         }
     }
 }

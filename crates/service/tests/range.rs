@@ -1,13 +1,16 @@
 //! Range queries over committed snapshot roots: `SetService::range`
 //! routes `[lo, hi)` through the contiguous run of owning shards and
 //! concatenates their pruned in-order walks — checked against a
-//! `BTreeSet` oracle, across shard boundaries, and concurrently with
+//! `BTreeSet` oracle, across shard boundaries, inside and across the
+//! sorted blocks at the bottom of a committed root, and concurrently with
 //! in-flight apply sessions (snapshot semantics: a scan never blocks
 //! and never sees a half-applied wave in any single shard).
 
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Included};
 
+use pf_algs::treap::Treap;
+use pf_rt::Worker;
 use pf_service::{Request, ServiceConfig, SetService, ShardMap};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
@@ -15,9 +18,21 @@ use rand::rngs::SmallRng;
 const KEYSPACE: i64 = 10_000;
 const SHARDS: usize = 4;
 
+/// `n` random keys, all of priority 0 (so each shard's treap is one
+/// spine: a tie goes to the larger key), behind a 4-shard service.
 fn seeded_service(seed: u64, n: usize) -> (SetService<i64>, BTreeSet<i64>) {
+    seeded_with(seed, n, |_| 0)
+}
+
+fn seeded_with(
+    seed: u64,
+    n: usize,
+    prio: impl Fn(&mut SmallRng) -> u64,
+) -> (SetService<i64>, BTreeSet<i64>) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let keys: Vec<(i64, u64)> = (0..n).map(|_| (rng.gen_range(0..KEYSPACE), 0)).collect();
+    let keys: Vec<(i64, u64)> = (0..n)
+        .map(|_| (rng.gen_range(0..KEYSPACE), prio(&mut rng)))
+        .collect();
     let oracle: BTreeSet<i64> = keys.iter().map(|e| e.0).collect();
     let svc = SetService::new(
         ShardMap::uniform(SHARDS, 0, KEYSPACE),
@@ -37,6 +52,26 @@ fn oracle_range(set: &BTreeSet<i64>, lo: i64, hi: i64) -> Vec<i64> {
         return Vec::new();
     }
     set.range((Included(lo), Excluded(hi))).copied().collect()
+}
+
+/// The keys of each block of a committed root, in key order — after
+/// checking that the root is canonical on the way down: no cell anywhere,
+/// and every node sized over more than 32 keys (32 or fewer are a block).
+fn block_runs(t: &Treap<Worker, i64>, out: &mut Vec<Vec<i64>>) {
+    match t {
+        Treap::Leaf => {}
+        Treap::Node(n) => {
+            assert!(
+                n.size > 32,
+                "a node over {} keys in a committed root",
+                n.size
+            );
+            for child in [&n.left, &n.right] {
+                block_runs(child.done().expect("a cell in a committed root"), out);
+            }
+        }
+        Treap::Block(b) => out.push(b.iter().map(|e| e.0).collect()),
+    }
 }
 
 #[test]
@@ -75,6 +110,36 @@ fn range_respects_shard_boundaries_and_bounds() {
             oracle_range(&oracle, lo, hi),
             "range [{lo}, {hi})"
         );
+    }
+}
+
+/// Ranges that start and end inside a block, on its first or last key,
+/// just outside it, and in the next block answer as the oracle does.
+#[test]
+fn ranges_inside_at_the_edges_of_and_across_blocks() {
+    let (svc, oracle) = seeded_with(61, 3000, |rng| rng.gen());
+    for shard in 0..svc.shards() {
+        let mut runs = vec![];
+        block_runs(&svc.snapshot(shard), &mut runs);
+        assert!(runs.len() > 10, "shard {shard}: {} blocks", runs.len());
+        for (i, run) in runs.iter().enumerate() {
+            let (first, last, mid) = (run[0], run[run.len() - 1], run[run.len() / 2]);
+            let next = runs.get(i + 1).map_or(last + 1, |r| r[r.len() / 2]);
+            for (lo, hi) in [
+                (first, last + 1),
+                (first + 1, last),
+                (mid, mid + 1),
+                (first, first + 1),
+                (last, last + 1),
+                (first - 1, first),
+                (last + 1, next),
+                (mid, next),
+                (first - 1, next + 1),
+            ] {
+                let what = format!("range [{lo}, {hi}) around block {run:?}");
+                assert_eq!(svc.range(&lo, &hi), oracle_range(&oracle, lo, hi), "{what}");
+            }
+        }
     }
 }
 
@@ -150,7 +215,8 @@ fn drive_report_carries_wall_clock_throughput() {
 /// Every committed root is sealed. A wave of more than one grain of work
 /// takes the pipelined step at the top, so what its session hands back has
 /// unsized nodes over future cells there; the commit rebuilds those, and
-/// readers and the next wave find a complete treap with no cell in it —
+/// readers and the next wave find a complete treap with no cell in it, in
+/// the canonical representation —
 /// after a multi-wave preload window, one larger-than-grain wave, a tiny
 /// wave on top of that, and a larger-than-grain delete.
 #[test]
@@ -186,6 +252,7 @@ fn a_committed_root_holds_no_cell() {
             "{keys} keys, insert={insert}"
         );
         assert!(root.check_invariants(), "{keys} keys, insert={insert}");
+        block_runs(&root, &mut vec![]);
         let all: Vec<i64> = oracle.iter().copied().collect();
         assert_eq!(svc.range(&i64::MIN, &i64::MAX), all);
         assert!(all.iter().step_by(97).all(|k| svc.contains(k)));

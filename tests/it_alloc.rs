@@ -1,7 +1,9 @@
-//! What a treap node costs the allocator, counted: a complete node is one
-//! block, whichever engine builds it, and the plain below-grain code
-//! allocates nothing else — no cell per child. One `#[test]` on purpose:
-//! the counters are process-wide, so nothing else may run beside it.
+//! What a treap costs the allocator, counted: a complete treap is one
+//! allocation per node and one per block — the sorted entries of a
+//! complete subtree of at most 32 keys — whichever engine builds it, and
+//! the plain below-grain code allocates nothing else: no cell per child.
+//! One `#[test]` on purpose: the counters are process-wide, so nothing else
+//! may run beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -14,16 +16,17 @@ use pf_algs::{Mode, PipeBackend, Seq, Val};
 use pf_rt::{cell, ready, Runtime, Worker};
 use pf_tests::{entries, RTreap};
 
-/// The block behind an `Arc<TreapNode<_, i64>>` (two counters + node): the
-/// same on both engines, and within the 72 usable bytes of an 80-byte
-/// malloc chunk.
+/// The allocation behind an `Arc<TreapNode<_, i64>>`: two counters and a
+/// 72-byte node — key, priority, size and two 24-byte children, since a
+/// child may hold a block's slice pointer — on both engines. A block of k
+/// entries is 16 + 16·k bytes, never this.
 const NODE: usize = std::mem::size_of::<TreapNode<Worker, i64>>() + 16;
-const _: () = assert!(NODE == std::mem::size_of::<TreapNode<Seq, i64>>() + 16 && NODE <= 72);
+const _: () = assert!(NODE == 88 && NODE == std::mem::size_of::<TreapNode<Seq, i64>>() + 16);
 
-/// Blocks that are not nodes, per operation: its operand and result cells
-/// on `Seq`; on pf-rt those plus the session (root task, latch, stats).
-/// Independent of the operands' sizes — a cell per node built would be
-/// thousands here.
+/// Allocations that are neither nodes nor blocks, per operation: its
+/// operand and result cells on `Seq`; on pf-rt those plus the session
+/// (root task, latch, stats). Independent of the operands' sizes — a cell
+/// per node built would be thousands here.
 const SLACK: usize = 16;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -59,8 +62,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// (blocks allocated, blocks freed, node blocks allocated, node blocks
-/// freed) while `f` ran, and its result.
+/// (allocations, frees, node allocations, node frees) while `f` ran, and
+/// its result.
 fn counted<R>(f: impl FnOnce() -> R) -> ([usize; 4], R) {
     let read = || [&ALLOCS, &FREES, &NODE_ALLOCS, &NODE_FREES].map(|c| c.load(Relaxed));
     let before = read();
@@ -69,62 +72,94 @@ fn counted<R>(f: impl FnOnce() -> R) -> ([usize; 4], R) {
     (std::array::from_fn(|i| after[i] - before[i]), r)
 }
 
-/// The addresses of `t`'s nodes.
-fn nodes<B: PipeBackend>(t: &Treap<B, i64>, out: &mut HashSet<usize>)
+/// The addresses of `t`'s nodes (`.0`) and of its blocks (`.1`).
+fn parts<B: PipeBackend>(t: &Treap<B, i64>, out: &mut [HashSet<usize>; 2])
 where
     Treap<B, i64>: Val,
     TreapFut<B, i64>: Val,
 {
-    if let Treap::Node(n) = t {
-        out.insert(Arc::as_ptr(n) as usize);
-        nodes(&n.left.get(), out);
-        nodes(&n.right.get(), out);
+    match t {
+        Treap::Leaf => {}
+        Treap::Node(n) => {
+            out[0].insert(Arc::as_ptr(n) as usize);
+            parts(&n.left.get(), out);
+            parts(&n.right.get(), out);
+        }
+        Treap::Block(b) => {
+            out[1].insert(Arc::as_ptr(b) as *const u8 as usize);
+        }
     }
 }
 
-/// How many of `out`'s nodes neither operand holds: the copied paths.
-fn fresh<B: PipeBackend>(out: &Treap<B, i64>, a: &Treap<B, i64>, b: &Treap<B, i64>) -> usize
+/// How many of `out`'s nodes and blocks neither operand holds: the copied
+/// paths.
+fn fresh<B: PipeBackend>(
+    out: &Treap<B, i64>,
+    a: &Treap<B, i64>,
+    b: &Treap<B, i64>,
+) -> (usize, usize)
 where
     Treap<B, i64>: Val,
     TreapFut<B, i64>: Val,
 {
-    let (mut old, mut new) = (HashSet::new(), HashSet::new());
-    nodes(a, &mut old);
-    nodes(b, &mut old);
-    nodes(out, &mut new);
-    new.difference(&old).count()
+    let (mut old, mut new) = <[[HashSet<usize>; 2]; 2]>::default().into();
+    parts(a, &mut old);
+    parts(b, &mut old);
+    parts(out, &mut new);
+    let count = |i: usize| new[i].difference(&old[i]).count();
+    (count(0), count(1))
+}
+
+/// The nodes and blocks of the complete treap of `t`'s entries, counted on
+/// the plain treap itself: a node per subtree of more than 32 keys, a
+/// block per largest subtree of at most 32.
+fn canonical(t: &Option<Box<PlainTreap<i64>>>) -> (usize, usize) {
+    // (nodes, blocks, keys)
+    fn rec(t: &Option<Box<PlainTreap<i64>>>) -> (usize, usize, usize) {
+        let Some(n) = t else { return (0, 0, 0) };
+        let ((ln, lb, lk), (rn, rb, rk)) = (rec(&n.left), rec(&n.right));
+        match 1 + lk + rk {
+            keys if keys <= 32 => (0, 1, keys),
+            keys => (1 + ln + rn, lb + rb, keys),
+        }
+    }
+    let (nodes, blocks, _) = rec(t);
+    (nodes, blocks)
 }
 
 /// One below-grain operation, counted: `run` applies it to clones of the
-/// complete operands `a` and `b`. Every block it allocates beyond a
-/// constant is a node, every node it builds and does not keep is freed
-/// before it returns, and dropping the result frees exactly the copied
-/// paths. With `exact`, no node is built that the result does not keep.
+/// complete operands `a` and `b`. It keeps exactly the nodes and blocks
+/// the result does not share with them, frees every other node it builds
+/// before it returns, allocates nothing else beyond a constant and what it
+/// builds and frees at the fringe, and dropping the result frees exactly
+/// the copied paths. With `one_key`, no node is built that the result
+/// does not keep, and the copied path ends in one block.
 fn check_op<B: PipeBackend>(
     what: &str,
     a: &Treap<B, i64>,
     b: &Treap<B, i64>,
-    exact: bool,
+    one_key: bool,
     run: impl FnOnce(Treap<B, i64>, Treap<B, i64>) -> Treap<B, i64>,
 ) where
     Treap<B, i64>: Val,
     TreapFut<B, i64>: Val,
 {
     let (a2, b2) = (a.clone(), b.clone());
-    let ([allocs, _, node_allocs, node_frees], out) = counted(move || run(a2, b2));
+    let ([allocs, frees, node_allocs, node_frees], out) = counted(move || run(a2, b2));
     assert!(out.sized().is_some(), "{what}: ran above the grain");
-    let copied = fresh(&out, a, b);
-    assert!(copied > 0, "{what}: nothing to count");
-    assert!(
-        allocs - node_allocs <= SLACK,
-        "{what}: {allocs} blocks for {node_allocs} nodes"
-    );
-    assert_eq!(node_allocs - node_frees, copied, "{what}: nodes kept");
-    if exact {
-        assert_eq!(node_allocs, copied, "{what}: nodes built");
+    let (nodes, blocks) = fresh(&out, a, b);
+    assert!(nodes > 0, "{what}: nothing to count");
+    assert_eq!(node_allocs - node_frees, nodes, "{what}: nodes kept");
+    assert_eq!(allocs - frees, nodes + blocks, "{what}: kept");
+    if one_key {
+        assert_eq!((node_allocs, blocks), (nodes, 1), "{what}: path copied");
+        assert!(
+            allocs - nodes - blocks <= SLACK,
+            "{what}: {allocs} allocations"
+        );
     }
     let ([_, frees, _, node_frees], ()) = counted(move || drop(out));
-    assert_eq!((frees, node_frees), (copied, copied), "{what}: drop");
+    assert_eq!((frees, node_frees), (nodes + blocks, nodes), "{what}: drop");
 }
 
 #[test]
@@ -132,30 +167,43 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
     let k = 10_000usize;
     let big = entries((0..k as i64).map(|i| 3 * i));
     let plain = PlainTreap::from_entries(&big);
+    let (nodes, blocks) = canonical(&plain);
+    // 586 nodes and 562 blocks: one allocation per nine keys, not per key.
+    assert_eq!((nodes, blocks), (586, 562));
 
-    // Input construction: k nodes, k blocks, and k frees to drop them.
-    let ([allocs, _, node_allocs, _], t) = counted(|| Treap::from_plain(&Seq, &plain));
-    assert_eq!((allocs, node_allocs), (k, k), "Seq from_plain");
+    // Input construction: the canonical nodes and blocks, the entries in
+    // key order and the Cartesian tree's index vector as scratch, and the
+    // nodes and blocks again to drop them.
+    let built = (nodes + blocks + 2, 2, nodes);
+    let ([allocs, frees, node_allocs, _], t) = counted(|| Treap::from_plain(&Seq, &plain));
+    assert_eq!((allocs, frees, node_allocs), built, "Seq from_plain");
     let ([_, frees, _, node_frees], ()) = counted(move || drop(t));
-    assert_eq!((frees, node_frees), (k, k), "Seq drop");
+    assert_eq!((frees, node_frees), (nodes + blocks, nodes), "Seq drop");
     let ([_, _, node_allocs, _], a) = counted(|| Treap::from_entries(&Seq, &big));
-    assert_eq!(node_allocs, k, "Seq from_entries");
-    let ([allocs, _, node_allocs, _], ra) = counted(|| RTreap::from_plain_complete(&plain));
-    assert_eq!((allocs, node_allocs), (k, k), "pf-rt from_plain_complete");
-    // The linear-time builder: the same k blocks and one scratch vector,
-    // no intermediate `Box` treap.
+    assert_eq!(node_allocs, nodes, "Seq from_entries");
+    let ([allocs, frees, node_allocs, _], ra) = counted(|| RTreap::from_plain_complete(&plain));
+    assert_eq!(
+        (allocs, frees, node_allocs),
+        built,
+        "pf-rt from_plain_complete"
+    );
+    assert_eq!(fresh(&ra, &Treap::Leaf, &Treap::Leaf), (nodes, blocks));
+    // The linear-time builder: the same nodes and blocks and one scratch
+    // vector, no intermediate `Box` treap.
     let ([allocs, frees, node_allocs, _], sorted) = counted(|| RTreap::from_sorted_complete(&big));
     assert_eq!(
         (allocs, frees, node_allocs),
-        (k + 1, 1, k),
+        (nodes + blocks + 1, 1, nodes),
         "from_sorted_complete"
     );
     drop(sorted);
 
-    // Below-grain operations: a 100-key batch (its splits build nodes the
-    // result does not keep) and a single key (they do not).
+    // Below-grain operations: a 100-key batch (its splits build nodes and
+    // blocks the result does not keep) and a single key (they do not).
     type Op<B> = fn(&B, TreapFut<B, i64>, TreapFut<B, i64>, TreapWr<B, i64>, Mode);
     let rt = Runtime::new(1);
+    // The pool keeps a few allocations across sessions once it has run one.
+    rt.run(|_| {});
     type Case = (&'static str, Vec<(i64, u64)>, bool, Op<Seq>, Op<Worker>);
     let cases: [Case; 4] = [
         (
@@ -175,9 +223,9 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
         ),
         ("diff of one key", entries([3_000]), true, diff, diff),
     ];
-    for (what, b, exact, seq_op, rt_op) in cases {
+    for (what, b, one_key, seq_op, rt_op) in cases {
         let sb = Treap::from_entries(&Seq, &b);
-        check_op(&format!("Seq {what}"), &a, &sb, exact, |a, b| {
+        check_op(&format!("Seq {what}"), &a, &sb, one_key, |a, b| {
             Seq::run(|bk| {
                 let (p, f) = bk.cell();
                 seq_op(bk, bk.input(a), bk.input(b), p, Mode::Pipelined);
@@ -185,7 +233,7 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
             })
         });
         let rb = RTreap::from_plain_complete(&PlainTreap::from_entries(&b));
-        check_op(&format!("pf-rt {what}"), &ra, &rb, exact, |a, b| {
+        check_op(&format!("pf-rt {what}"), &ra, &rb, one_key, |a, b| {
             let (p, f) = cell();
             rt.run(move |wk| rt_op(wk, ready(a), ready(b), p, Mode::Pipelined));
             f.expect()

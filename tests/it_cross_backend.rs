@@ -450,15 +450,6 @@ fn union_is_bit_identical_under_concurrent_panicking_sibling() {
 type Entries = Vec<(i64, u64)>;
 type Plain = Option<Box<PlainTreap<i64>>>;
 
-/// Entries in preorder: with the search order, that fixes the shape.
-fn rt_preorder(t: &RTreap<i64>, out: &mut Entries) {
-    if let RTreap::Node(n) = t {
-        out.push((n.key, n.prio));
-        rt_preorder(&n.left.get(), out);
-        rt_preorder(&n.right.get(), out);
-    }
-}
-
 fn plain_preorder(t: &Plain) -> Entries {
     fn rec(t: &Plain, out: &mut Entries) {
         if let Some(n) = t {
@@ -472,12 +463,11 @@ fn plain_preorder(t: &Plain) -> Entries {
     out
 }
 
-/// A finished pf-rt result is `want`'s tree entry for entry, and its size
-/// annotations are exact.
+/// A finished pf-rt result is `want`'s tree entry for entry (in preorder,
+/// blocks expanded: with the search order, that fixes the shape), and its
+/// size annotations and blocks are what the representation rule makes.
 fn assert_same_tree(got: &RTreap<i64>, want: &Plain, what: &str) {
-    let mut g = vec![];
-    rt_preorder(got, &mut g);
-    assert_eq!(g, plain_preorder(want), "{what}");
+    assert_eq!(got.preorder(), plain_preorder(want), "{what}");
     assert!(got.check_invariants(), "{what}");
 }
 

@@ -205,6 +205,40 @@ fn e16_e18_model_tables_are_golden() {
     );
 }
 
+/// E04's model table at n = m = 2^7 and 2^10, seeds 1 and 2, byte for byte.
+const E04_SMALL: &str = concat!(
+    "== E04 Cor 3.6 union expected depth O(lg n + lg m); Lemma 3.4: min valid ks bounded ==\n",
+    " n=m  E[depth] pipe  E[depth] strict  strict/pipe  E[h(result)]  min ks\n",
+    "-----------------------------------------------------------------------\n",
+    " 128         119.50           390.00         3.26         15.00    8.30\n",
+    "1024         212.50           793.50         3.73         26.00    7.91\n",
+);
+
+/// E06's model table at n = 2^7 and 2^10, seeds 1 and 2, byte for byte.
+const E06_SMALL: &str = concat!(
+    "== E06 Cor 3.12 difference expected depth O(lg n + lg m); Lemma 3.10: min valid k bounded ==\n",
+    "   n  m=n/2  E[depth] pipe  E[depth] strict  strict/pipe   min k(ρ)\n",
+    "-------------------------------------------------------------------\n",
+    " 128     64         122.00           370.50         3.04      46.00\n",
+    "1024    512         196.00           714.00         3.64      50.00\n",
+);
+
+/// The treap tables the simulator computes do not see how an engine that
+/// cuts stores a complete treap: `Ctx` never cuts, so nothing it runs
+/// builds a block, and the union and difference tables are the ones from
+/// before blocks existed.
+#[test]
+fn e04_e06_treap_model_tables_are_golden() {
+    assert_eq!(
+        pf_bench::exp_model::e04_union_depth(&[7, 10], &[1, 2]).render(),
+        E04_SMALL
+    );
+    assert_eq!(
+        pf_bench::exp_model::e06_diff(&[7, 10], &[1, 2]).render(),
+        E06_SMALL
+    );
+}
+
 #[test]
 fn e15_depth_scales_with_constants() {
     let t = e15_cost_constants(9, &[1, 3]);
