@@ -41,17 +41,15 @@ use pf_check::sync::thread;
 use pf_check::CheckBuilder;
 
 use pf_rt::deque::{deque, Steal};
-use pf_rt::{cell, CancelToken, Runtime, Session, SessionError, SpawnOrder};
+use pf_rt::{cell, CancelToken, Runtime, Session, SessionError, Worker};
 
-/// A parent-first pool: every `spawn` is a push. The models that fork with
-/// `spawn` are about pushes racing parks, steals, aborts and cell
-/// hand-offs; under the default work-first order a `spawn` runs inline
-/// and makes no queue traffic to explore. The `spawn2` models keep the
-/// default (one child pushed, one run inline).
-fn pushing(threads: usize) -> Runtime {
-    Runtime::builder(threads)
-        .spawn_order(SpawnOrder::ParentFirst)
-        .build()
+/// Queue `f` as a task of its own: `spawn2` pushes its first closure and
+/// runs its second (here empty) inline. The models that fork with `push`
+/// are about pushes racing parks, steals, aborts and cell hand-offs; a
+/// plain `spawn` runs its child inline and makes no queue traffic to
+/// explore.
+fn push(wk: &Worker, f: impl FnOnce(&Worker) + Send + 'static) {
+    wk.spawn2(f, |_| {});
 }
 
 /// Exploration budgets for models embedding the full `Runtime` (worker
@@ -217,13 +215,13 @@ fn pool_quiescence_no_lost_wakeup() {
     rt_budget().run(|| {
         let done = Arc::new(AtomicUsize::new(0));
         let d2 = Arc::clone(&done);
-        let rt = pushing(2);
+        let rt = Runtime::new(2);
         rt.run(move |wk| {
             let (a, b) = (Arc::clone(&d2), Arc::clone(&d2));
-            wk.spawn(move |_| {
+            push(wk, move |_| {
                 a.fetch_add(1, Ordering::Relaxed);
             });
-            wk.spawn(move |_| {
+            push(wk, move |_| {
                 b.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -239,11 +237,11 @@ fn pool_quiescence_no_lost_wakeup() {
 #[test]
 fn pool_two_sessions_reuse() {
     rt_budget().run(|| {
-        let rt = pushing(2);
+        let rt = Runtime::new(2);
         for round in 0..2usize {
             let (w, r) = cell::<usize>();
             rt.run(move |wk| {
-                wk.spawn(move |wk| w.fulfill(wk, round + 7));
+                push(wk, move |wk| w.fulfill(wk, round + 7));
             });
             assert_eq!(r.expect(), round + 7);
         }
@@ -259,19 +257,19 @@ fn pool_two_sessions_reuse() {
 #[test]
 fn pool_panic_rendezvous_leaves_pool_reusable() {
     rt_budget().run(|| {
-        let rt = pushing(2);
+        let rt = Runtime::new(2);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.run(|wk| {
-                wk.spawn(|_| {});
-                wk.spawn(|_| panic!("model task boom"));
-                wk.spawn(|_| {});
+                push(wk, |_| {});
+                push(wk, |_| panic!("model task boom"));
+                push(wk, |_| {});
             });
         }));
         assert!(r.is_err(), "task panic must propagate out of run()");
         // The same pool must complete a fresh session afterwards.
         let (w, out) = cell::<u32>();
         rt.run(move |wk| {
-            wk.spawn(move |wk| w.fulfill(wk, 5));
+            push(wk, move |wk| w.fulfill(wk, 5));
         });
         assert_eq!(out.expect(), 5);
         drop(rt);
@@ -287,10 +285,10 @@ fn pool_single_worker_suspend_resume() {
     rt_budget().run(|| {
         let (w, r) = cell::<u32>();
         let (ow, or) = cell::<u32>();
-        let rt = pushing(1);
+        let rt = Runtime::new(1);
         rt.run(move |wk| {
             r.touch(wk, move |v, wk| ow.fulfill(wk, v + 1));
-            wk.spawn(move |wk| w.fulfill(wk, 10));
+            push(wk, move |wk| w.fulfill(wk, 10));
         });
         assert_eq!(or.expect(), 11);
         drop(rt);
@@ -375,19 +373,19 @@ fn cell_waiter_handoff_after_suspension() {
 #[test]
 fn try_run_abort_rendezvous_under_injected_panic() {
     rt_budget().run(|| {
-        let rt = pushing(2);
+        let rt = Runtime::new(2);
         let err = rt
             .try_run(|wk| {
-                wk.spawn(|_| {});
-                wk.spawn(|_| panic!("model task boom"));
-                wk.spawn(|_| {});
+                push(wk, |_| {});
+                push(wk, |_| panic!("model task boom"));
+                push(wk, |_| {});
             })
             .unwrap_err();
         assert!(matches!(err, SessionError::Panicked { .. }), "{err}");
         assert_eq!(err.panic_message(), Some("model task boom"));
         let (w, out) = cell::<u32>();
         rt.try_run(move |wk| {
-            wk.spawn(move |wk| w.fulfill(wk, 5));
+            push(wk, move |wk| w.fulfill(wk, 5));
         })
         .unwrap();
         assert_eq!(out.expect(), 5);
@@ -404,13 +402,13 @@ fn try_run_abort_rendezvous_under_injected_panic() {
 #[test]
 fn poison_then_touch_fails_fast() {
     rt_budget().run(|| {
-        let rt = pushing(2);
+        let rt = Runtime::new(2);
         let (_w, r) = cell::<u32>(); // never fulfilled
         let r_in = r.clone();
         let err = rt
             .try_run(move |wk| {
                 r_in.touch(wk, |_v, _wk| {});
-                wk.spawn(|_| panic!("poisoner"));
+                push(wk, |_| panic!("poisoner"));
             })
             .unwrap_err();
         assert!(matches!(err, SessionError::Panicked { .. }), "{err}");
@@ -434,13 +432,13 @@ fn poison_then_touch_fails_fast() {
 #[test]
 fn cancel_racing_fulfill() {
     rt_budget().run(|| {
-        let rt = pushing(2);
+        let rt = Runtime::new(2);
         let tok = CancelToken::new();
         let t2 = tok.clone();
         let canceller = thread::spawn(move || t2.cancel());
         let (w, out) = cell::<u32>();
         let res = rt.try_run_session(Session::new().cancel_token(&tok), move |wk| {
-            wk.spawn(move |wk| w.fulfill(wk, 7));
+            push(wk, move |wk| w.fulfill(wk, 7));
         });
         canceller.join().unwrap();
         match res {
@@ -449,7 +447,7 @@ fn cancel_racing_fulfill() {
         }
         let (w2, out2) = cell::<u32>();
         rt.try_run(move |wk| {
-            wk.spawn(move |wk| w2.fulfill(wk, 9));
+            push(wk, move |wk| w2.fulfill(wk, 9));
         })
         .unwrap();
         assert_eq!(out2.expect(), 9);
@@ -470,12 +468,12 @@ fn cancel_racing_fulfill() {
 #[test]
 fn two_concurrent_sessions_both_complete() {
     rt_budget().run(|| {
-        let rt = Arc::new(pushing(2));
+        let rt = Arc::new(Runtime::new(2));
         let rt2 = Arc::clone(&rt);
         let other = thread::spawn(move || {
             let (w, r) = cell::<u32>();
             rt2.try_run(move |wk| {
-                wk.spawn(move |wk| w.fulfill(wk, 7));
+                push(wk, move |wk| w.fulfill(wk, 7));
             })
             .unwrap();
             assert_eq!(r.expect(), 7);
@@ -484,7 +482,7 @@ fn two_concurrent_sessions_both_complete() {
         let (ow, or) = cell::<u32>();
         rt.try_run(move |wk| {
             r.touch(wk, move |v, wk| ow.fulfill(wk, v + 1));
-            wk.spawn(move |wk| w.fulfill(wk, 9));
+            push(wk, move |wk| w.fulfill(wk, 9));
         })
         .unwrap();
         assert_eq!(or.expect(), 10);
@@ -502,7 +500,7 @@ fn two_concurrent_sessions_both_complete() {
 #[test]
 fn concurrent_abort_is_isolated_to_its_slot() {
     rt_budget().run(|| {
-        let rt = Arc::new(pushing(2));
+        let rt = Arc::new(Runtime::new(2));
         let rt2 = Arc::clone(&rt);
         let faulty = thread::spawn(move || {
             let (_w, r) = cell::<u32>(); // never written; poisoned on abort
@@ -512,7 +510,7 @@ fn concurrent_abort_is_isolated_to_its_slot() {
                     // Suspension commits in the root body, so the abort
                     // deterministically has a cell to poison.
                     r_in.touch(wk, |_v, _wk| {});
-                    wk.spawn(|_| panic!("model sibling boom"));
+                    push(wk, |_| panic!("model sibling boom"));
                 })
                 .unwrap_err();
             assert!(matches!(err, SessionError::Panicked { .. }), "{err}");
@@ -524,7 +522,7 @@ fn concurrent_abort_is_isolated_to_its_slot() {
         let (ow, or) = cell::<u32>();
         rt.try_run(move |wk| {
             r.touch(wk, move |v, wk| ow.fulfill(wk, v * 2));
-            wk.spawn(move |wk| w.fulfill(wk, 21));
+            push(wk, move |wk| w.fulfill(wk, 21));
         })
         .expect("sibling of a panicking session");
         assert_eq!(or.expect(), 42);
@@ -540,7 +538,7 @@ fn concurrent_abort_is_isolated_to_its_slot() {
 #[test]
 fn concurrent_cancel_hits_only_its_slot() {
     rt_budget().run(|| {
-        let rt = Arc::new(pushing(2));
+        let rt = Arc::new(Runtime::new(2));
         let rt2 = Arc::clone(&rt);
         let tok = CancelToken::new();
         tok.cancel();
@@ -548,14 +546,14 @@ fn concurrent_cancel_hits_only_its_slot() {
         let cancelled = thread::spawn(move || {
             let err = rt2
                 .try_run_session(Session::new().cancel_token(&t2), |wk| {
-                    wk.spawn(|_| {});
+                    push(wk, |_| {});
                 })
                 .unwrap_err();
             assert!(matches!(err, SessionError::Cancelled { .. }), "{err}");
         });
         let (w, r) = cell::<u32>();
         rt.try_run(move |wk| {
-            wk.spawn(move |wk| w.fulfill(wk, 3));
+            push(wk, move |wk| w.fulfill(wk, 3));
         })
         .expect("sibling of a cancelled session");
         assert_eq!(r.expect(), 3);
@@ -588,13 +586,13 @@ fn seeded_lost_wakeup_is_caught() {
         .run(|| {
             let done = Arc::new(AtomicUsize::new(0));
             let d2 = Arc::clone(&done);
-            let rt = pushing(2);
+            let rt = Runtime::new(2);
             rt.run(move |wk| {
                 let (a, b) = (Arc::clone(&d2), Arc::clone(&d2));
-                wk.spawn(move |_| {
+                push(wk, move |_| {
                     a.fetch_add(1, Ordering::Relaxed);
                 });
-                wk.spawn(move |_| {
+                push(wk, move |_| {
                     b.fetch_add(1, Ordering::Relaxed);
                 });
             });

@@ -26,7 +26,7 @@
 //! Whoever's CAS removes a pointer from the word owns what it points to;
 //! nothing is ever read through the word while another thread may free
 //! it. A cell nobody suspended in — all but a few percent of them under
-//! the default work-first spawn order — therefore carries and initialises
+//! the work-first scheduler — therefore carries and initialises
 //! no waiter, session or poison words at all.
 //!
 //! The value itself stays in the cell (the waiter receives a clone), so
@@ -632,25 +632,26 @@ mod tests {
 
     #[test]
     fn hammer_racing_write_and_touch() {
-        // Cross-thread race: producer and consumer race on many cells
-        // (parent-first, so the flat spawn loops are pushed and stolen).
+        // Cross-thread race: producer and consumer race on many cells.
+        // `spawn2` pushes its first closure, where a sibling may steal it,
+        // and runs its second inline: the pushed side alternates, so both
+        // the toucher and the writer get stolen mid-race.
         for round in 0..200 {
             let n = 64;
             let cells: Vec<_> = (0..n).map(|_| cell::<usize>()).collect();
             let (writes, reads): (Vec<_>, Vec<_>) = cells.into_iter().unzip();
             let outs: Vec<_> = (0..n).map(|_| cell::<usize>()).collect();
             let (out_w, out_r): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
-            let rt = Runtime::builder(4)
-                .spawn_order(crate::SpawnOrder::ParentFirst)
-                .build();
+            let rt = Runtime::new(4);
             rt.run(move |wk| {
-                let mut out_w = out_w;
-                for r in reads.into_iter() {
-                    let ow = out_w.remove(0);
-                    wk.spawn(move |wk| r.touch(wk, move |v, wk| ow.fulfill(wk, v * 3)));
-                }
-                for (i, w) in writes.into_iter().enumerate() {
-                    wk.spawn(move |wk| w.fulfill(wk, i + round));
+                for (i, ((r, w), ow)) in reads.into_iter().zip(writes).zip(out_w).enumerate() {
+                    let touch = move |wk: &Worker| r.touch(wk, move |v, wk| ow.fulfill(wk, v * 3));
+                    let write = move |wk: &Worker| w.fulfill(wk, i + round);
+                    if i % 2 == 0 {
+                        wk.spawn2(write, touch);
+                    } else {
+                        wk.spawn2(touch, write);
+                    }
                 }
             });
             for (i, o) in out_r.iter().enumerate() {

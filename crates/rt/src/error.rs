@@ -291,7 +291,6 @@ pub(crate) trait PoisonTarget: Send + Sync {
 pub struct Session {
     pub(crate) deadline: Option<Duration>,
     pub(crate) cancel: Option<CancelToken>,
-    pub(crate) spawn_order: Option<crate::SpawnOrder>,
     pub(crate) stall: Option<Duration>,
 }
 
@@ -339,14 +338,6 @@ impl Session {
     /// model checker, which has no clock.)
     pub fn stall_budget(mut self, budget: Duration) -> Self {
         self.stall = Some(budget);
-        self
-    }
-
-    /// Run this session under `order` instead of the runtime's default
-    /// spawn order (see [`SpawnOrder`](crate::SpawnOrder)). Fixed for the
-    /// whole session.
-    pub fn spawn_order(mut self, order: crate::SpawnOrder) -> Self {
-        self.spawn_order = Some(order);
         self
     }
 }

@@ -16,12 +16,12 @@
 //!   discipline the paper recommends for space) with stealing and a
 //!   global injector, plus quiescence detection via a live-closure
 //!   counter — the run ends when every spawned or suspended continuation
-//!   has executed. Forks are work-first by default: [`Worker::spawn`]
-//!   runs the child inline and [`Worker::spawn2`] pushes one stealable
-//!   child and runs the other, so a touch usually finds its cell written
-//!   ([`SpawnOrder`], the one scheduling choice left open: steals take
-//!   the oldest task of a randomly swept victim and a write resumes its
-//!   waiter onto the writer's own deque, always). Workers are spawned once per [`Runtime`] and
+//!   has executed. There is one scheduler and nothing to select: forks
+//!   are work-first — [`Worker::spawn`] runs the child inline and
+//!   [`Worker::spawn2`] pushes one stealable child and runs the other, so
+//!   a touch usually finds its cell written — steals take the oldest
+//!   task of a randomly swept victim, and a write resumes its waiter onto
+//!   the writer's own deque. Workers are spawned once per [`Runtime`] and
 //!   parked between runs (spin → yield → park), so a `run` call costs
 //!   one injector push and a wakeup, not a round of thread creation.
 //!   Small spawned closures are stored inline in the [`task::Task`]
@@ -65,7 +65,6 @@ pub mod cell;
 pub mod chaos;
 pub mod deque;
 pub mod error;
-pub mod policy;
 pub mod pool;
 pub mod scheduler;
 pub mod sync;
@@ -82,8 +81,6 @@ pub use error::{
 /// of a traced runtime need not depend on `pf-trace` directly.
 #[cfg(feature = "trace")]
 pub use pf_trace::{SessionTrace, TraceEvent, TraceKind, TraceStats, WorkerSummary, WorkerTrace};
-pub use policy::SpawnOrder;
-pub use pool::RuntimeBuilder;
 pub use scheduler::{RunStats, Runtime, Worker};
 
 // The engine-agnostic surface `Worker` implements (see `backend`):

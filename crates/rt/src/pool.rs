@@ -22,7 +22,7 @@
 //! no per-session pool state.
 //!
 //! Slot contents: the session id, the packed liveness counter (below),
-//! the spawn order, the abort slot (open flag + first filed
+//! the abort slot (open flag + first filed
 //! [`SessionError`]), the done flag + condvar the client blocks on, the
 //! poison registry of suspended cells, and the session's event counters
 //! (one per-kind lane per worker plus the client's — see
@@ -183,7 +183,6 @@ use crate::sync::thread::{JoinHandle, Thread};
 use crate::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::deque::{deque, Injector, Stealer};
-use crate::policy::SpawnOrder;
 use crate::scheduler::Worker;
 use crate::task::Task;
 use crate::trace::SessionEvents;
@@ -346,8 +345,6 @@ pub(crate) struct SessionSlot {
     /// units, high half = suspended units. `units == 0` ⇔ quiescent;
     /// `low == high` ⇔ nothing queued or running (the abort safe point).
     units: AtomicU64,
-    /// Which side of a fork runs first, fixed at session start.
-    pub(crate) spawn_order: SpawnOrder,
     /// The session is aborting: workers discard its popped tasks.
     aborting: AtomicBool,
     /// Abort slot: open flag + first filed reason.
@@ -368,12 +365,11 @@ pub(crate) struct SessionSlot {
 }
 
 impl SessionSlot {
-    fn new(id: u64, spawn_order: SpawnOrder, events: SessionEvents) -> SessionSlot {
+    fn new(id: u64, events: SessionEvents) -> SessionSlot {
         SessionSlot {
             id,
             // The root task's unit; the slot is born live.
             units: AtomicU64::new(UNIT),
-            spawn_order,
             aborting: AtomicBool::new(false),
             abort: Mutex::new(SlotAbort {
                 open: true,
@@ -491,8 +487,7 @@ impl SessionSlot {
 
 /// A queued unit of work tagged with its owning session: every task in
 /// the injector or a deque carries the `Arc` of its
-/// session's slot, so accounting, abort checks, spawn order, and
-/// trace attribution follow the task wherever it is stolen to. Seven
+/// session's slot, so accounting, abort checks and trace attribution follow the task wherever it is stolen to. Seven
 /// words (the [`Task`] six plus the pointer).
 pub(crate) struct SessionTask {
     pub(crate) session: Arc<SessionSlot>,
@@ -644,16 +639,10 @@ pub struct Runtime {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     nthreads: usize,
-    /// Spawn order of sessions that do not carry a
-    /// [`Session::spawn_order`] override.
-    default_spawn_order: SpawnOrder,
     /// One monotonic clock per pool: every session's lanes stamp against
     /// it, so concurrent sessions share a timeline.
     #[cfg(feature = "trace")]
     trace_epoch: std::time::Instant,
-    /// Per-lane ring capacity for each session's lanes (builder knob).
-    #[cfg(feature = "trace")]
-    trace_ring_cap: usize,
     /// The most recently *ended* session's full event timeline, parked
     /// here for [`Runtime::take_last_trace`]. With concurrent sessions,
     /// last to end wins.
@@ -661,60 +650,10 @@ pub struct Runtime {
     last_trace: Mutex<Option<pf_trace::SessionTrace>>,
 }
 
-/// Configures a [`Runtime`] beyond its thread count: the default
-/// [`SpawnOrder`] and (in tracing builds) the per-worker trace ring
-/// capacity. Obtained from [`Runtime::builder`].
-pub struct RuntimeBuilder {
-    nthreads: usize,
-    spawn_order: SpawnOrder,
-    // Present in every build so builder chains compile with or without
-    // the feature; only read when tracing is compiled in.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    trace_ring_cap: usize,
-}
-
-impl RuntimeBuilder {
-    /// Default spawn order for every session on this runtime
-    /// (overridable per session with [`Session::spawn_order`]).
-    pub fn spawn_order(mut self, order: SpawnOrder) -> Self {
-        self.spawn_order = order;
-        self
-    }
-
-    /// Per-worker trace ring capacity in events (tracing builds only;
-    /// default 2^14 = 16384). Exact `TraceStats` counters never drop
-    /// regardless of this value — it bounds only the event *timeline*,
-    /// whose drop count the Perfetto export metadata reports.
-    pub fn trace_ring_cap(mut self, cap: usize) -> Self {
-        self.trace_ring_cap = cap.max(1);
-        self
-    }
-
-    /// Spawn the pool.
-    pub fn build(self) -> Runtime {
-        Runtime::build(self)
-    }
-}
-
 impl Runtime {
     /// A runtime with `nthreads` persistent workers
     /// (`1 ..= `[`MAX_WORKERS`]).
     pub fn new(nthreads: usize) -> Self {
-        Self::builder(nthreads).build()
-    }
-
-    /// A [`RuntimeBuilder`] for `nthreads` workers with the default
-    /// spawn order and trace ring capacity.
-    pub fn builder(nthreads: usize) -> RuntimeBuilder {
-        RuntimeBuilder {
-            nthreads,
-            spawn_order: SpawnOrder::default(),
-            trace_ring_cap: crate::trace::DEFAULT_RING_CAP,
-        }
-    }
-
-    fn build(b: RuntimeBuilder) -> Self {
-        let nthreads = b.nthreads;
         assert!(
             (1..=MAX_WORKERS).contains(&nthreads),
             "nthreads must be in 1..={MAX_WORKERS}, got {nthreads}"
@@ -754,20 +693,11 @@ impl Runtime {
             shared,
             handles: Mutex::new(handles),
             nthreads,
-            default_spawn_order: b.spawn_order,
             #[cfg(feature = "trace")]
             trace_epoch: std::time::Instant::now(),
             #[cfg(feature = "trace")]
-            trace_ring_cap: b.trace_ring_cap,
-            #[cfg(feature = "trace")]
             last_trace: Mutex::new(None),
         }
-    }
-
-    /// The spawn order sessions run under when no per-session override
-    /// is given.
-    pub fn default_spawn_order(&self) -> SpawnOrder {
-        self.default_spawn_order
     }
 
     /// Number of sessions currently live on this pool (started, not yet
@@ -792,28 +722,13 @@ impl Runtime {
         lock(&self.last_trace).take()
     }
 
-    /// The process-wide default runtime, sized to the available
-    /// parallelism. Its workers are spawned on first use and never torn
-    /// down. (Unavailable under the model checker: a process-lifetime
-    /// pool would leak model threads across executions.)
-    #[cfg(not(pf_check))]
-    pub fn global() -> &'static Runtime {
-        static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let n = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(MAX_WORKERS);
-            Runtime::new(n)
-        })
-    }
-
     /// A process-wide shared runtime with exactly `nthreads` workers,
     /// created on first request and reused thereafter. This is what
     /// benchmark drivers sweeping thread counts should use: repeated
     /// timings at the same width hit a warm pool instead of paying
     /// thread creation per measurement. (Unavailable under the model
-    /// checker, like [`Runtime::global`].)
+    /// checker: a process-lifetime pool would leak model threads across
+    /// executions.)
     #[cfg(not(pf_check))]
     pub fn shared(nthreads: usize) -> Arc<Runtime> {
         use std::collections::HashMap;
@@ -866,7 +781,7 @@ impl Runtime {
 
     /// [`Runtime::try_run`] with per-session options: a wall-clock
     /// [`Session::deadline`], a [`Session::cancel_token`], and/or a
-    /// [`Session::spawn_order`]. Callable concurrently from any number of
+    /// [`Session::stall_budget`]. Callable concurrently from any number of
     /// threads; each call is an independent session with its own slot.
     pub fn try_run_session(
         &self,
@@ -879,14 +794,10 @@ impl Runtime {
         );
         let shared = &*self.shared;
         let sid = shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-        let spawn_order = opts.spawn_order.unwrap_or(self.default_spawn_order);
         let slot = Arc::new(SessionSlot::new(
             sid,
-            spawn_order,
             SessionEvents::new(
                 self.nthreads,
-                #[cfg(feature = "trace")]
-                self.trace_ring_cap,
                 #[cfg(feature = "trace")]
                 self.trace_epoch,
             ),
@@ -940,7 +851,7 @@ impl Runtime {
             // is reachable through `take_last_trace`.
             #[cfg(feature = "trace")]
             {
-                let (session_trace, _) = slot.events.drain(sid, spawn_order.label());
+                let (session_trace, _) = slot.events.drain(sid);
                 *lock(&self.last_trace) = Some(session_trace);
             }
             return Err(err);
@@ -960,7 +871,7 @@ impl Runtime {
             elapsed,
             #[cfg(feature = "trace")]
             trace: {
-                let (session_trace, summary) = ev.drain(sid, spawn_order.label());
+                let (session_trace, summary) = ev.drain(sid);
                 *lock(&self.last_trace) = Some(session_trace);
                 Some(summary)
             },

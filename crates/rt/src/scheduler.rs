@@ -10,7 +10,7 @@
 //! executes whatever task it finds, entering that task's session for the
 //! duration (`current` below), so tasks of concurrent sessions
 //! interleave freely on one pool. All per-session accounting (liveness
-//! units, event counters, abort checks, spawn order) goes through the
+//! units, event counters, abort checks) goes through the
 //! current slot, never through pool state. Each scheduler event is
 //! recorded once, on this worker's lane of the owning slot
 //! ([`crate::trace`]).
@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use crate::deque::{LocalQueue, Steal};
 use crate::error::SessionError;
-use crate::policy::SpawnOrder;
 use crate::pool::{SessionSlot, SessionTask, Shared};
 use crate::task::Task;
 use pf_trace::TraceKind;
@@ -159,72 +158,72 @@ impl Worker {
 
     /// Spawn `f` as a new task (a future fork).
     ///
-    /// Under the default [`SpawnOrder::ChildFirst`] the child runs
-    /// *inline*, right now, and the caller continues when it returns
-    /// (work-first, depth-guarded like every inline path): no queue
-    /// traffic, no allocation, and whatever the child writes is written
-    /// before the caller touches it. The accounting is kept identical to
-    /// the push path — the child still counts as one spawn and one
-    /// executed task — so the event counts do not depend on the
-    /// spawn order; only the liveness counter skips its round-trip (the
-    /// child runs inside the caller's unit). A panic in the child
-    /// unwinds through the caller's frame, aborting the session exactly
-    /// as a panic in a queued child would.
+    /// Work-first: the child runs *inline*, right now, and the caller
+    /// continues when it returns. The paper's bound charges a touch
+    /// constant time and gets there by suspending only when a touch
+    /// really finds its cell unwritten; running the future's body before
+    /// its parent's continuation makes the written cell the common case
+    /// (Herlihy & Liu, *Well-Structured Futures and Cache Locality*,
+    /// bound the deviations of exactly this order for the single-touch
+    /// futures §4's linearity gives). Pushing the child instead made the
+    /// suspension the common case — 359 k suspensions in 894 k tasks on
+    /// the §3 algorithms at one worker, against 17 k. Lemma 4.1's
+    /// `O(w/p + d)` holds for any greedy order, so this choice moves
+    /// constants only.
     ///
-    /// Under [`SpawnOrder::ParentFirst`], and past the inline-depth
-    /// guard, the child is pushed and the caller keeps running: one
-    /// deque push, with an allocation only when the closure exceeds the
-    /// inline [`Task`] payload.
+    /// An inline child costs no queue traffic and no allocation. Its
+    /// accounting is that of a queued task — one spawn and one executed
+    /// task — only the liveness counter skips its round-trip (the child
+    /// runs inside the caller's unit). A panic in the child unwinds
+    /// through the caller's frame, aborting the session exactly as a
+    /// panic in a queued child would. Past the inline-depth guard the
+    /// child is pushed instead and the caller keeps running: one deque
+    /// push, with an allocation only when the closure exceeds the inline
+    /// [`Task`] payload.
+    ///
+    /// A flat loop of `spawn`s therefore runs serially on the spawning
+    /// worker. To fork wide, fork with [`Worker::spawn2`] trees.
     pub fn spawn(&self, f: impl FnOnce(&Worker) + Send + 'static) {
-        let session = self.session();
-        if session.spawn_order == SpawnOrder::ChildFirst {
-            let d = self.inline_depth.get();
-            if d < MAX_INLINE_DEPTH {
-                session.events.record(self.index, TraceKind::Spawn, 0, 1);
-                session.events.record(self.index, TraceKind::Exec, 0, 1);
-                self.inline_depth.set(d + 1);
-                f(self);
-                self.inline_depth.set(d);
-                return;
-            }
+        let d = self.inline_depth.get();
+        if d < MAX_INLINE_DEPTH {
+            let session = self.session();
+            session.events.record(self.index, TraceKind::Spawn, 0, 1);
+            session.events.record(self.index, TraceKind::Exec, 0, 1);
+            self.inline_depth.set(d + 1);
+            f(self);
+            self.inline_depth.set(d);
+            return;
         }
         self.spawn_task(Task::new(f));
     }
 
     /// Spawn two tasks with one round of liveness/stat accounting — the
     /// two-child fan-out every tree algorithm performs at each internal
-    /// node.
-    ///
-    /// Under the default [`SpawnOrder::ChildFirst`], `f` is pushed (one
-    /// stealable child per fork, preserving the paper's parallelism) and
-    /// `g` runs inline first — the same order a LIFO owner would pop.
-    ///
-    /// Under [`SpawnOrder::ParentFirst`] it is equivalent to two
-    /// [`Worker::spawn`] calls (`g` is pushed last, so a LIFO owner pops
-    /// it first) but with a single `fetch_add(2)` on the session's
-    /// liveness counter.
+    /// node. `f` is pushed (one stealable child per fork, preserving the
+    /// paper's parallelism) and `g` runs inline first — the same order a
+    /// LIFO owner would pop. Past the inline-depth guard both are pushed
+    /// (`g` last, so the owner pops it first) with a single
+    /// `fetch_add(2)` on the session's liveness counter.
     pub fn spawn2(
         &self,
         f: impl FnOnce(&Worker) + Send + 'static,
         g: impl FnOnce(&Worker) + Send + 'static,
     ) {
-        if self.session().spawn_order == SpawnOrder::ChildFirst {
-            let d = self.inline_depth.get();
-            if d < MAX_INLINE_DEPTH {
-                let session = self.clone_session();
-                session.add_units(1);
-                session.events.record(self.index, TraceKind::Spawn, 0, 2);
-                session.events.record(self.index, TraceKind::Exec, 0, 1);
-                self.local.push(SessionTask {
-                    session,
-                    task: Task::new(f),
-                });
-                self.notify_push(1);
-                self.inline_depth.set(d + 1);
-                g(self);
-                self.inline_depth.set(d);
-                return;
-            }
+        let d = self.inline_depth.get();
+        if d < MAX_INLINE_DEPTH {
+            let session = self.clone_session();
+            session.add_units(1);
+            session.events.record(self.index, TraceKind::Spawn, 0, 2);
+            session.events.record(self.index, TraceKind::Exec, 0, 1);
+            self.local.push(SessionTask {
+                session,
+                task: Task::new(f),
+            });
+            self.notify_push(1);
+            self.inline_depth.set(d + 1);
+            g(self);
+            self.inline_depth.set(d);
+            return;
         }
         let session = self.clone_session();
         session.add_units(2);
@@ -480,22 +479,63 @@ mod tests {
     #[test]
     fn worker_indices_cover_pool() {
         let seen = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
-        let s2 = Arc::clone(&seen);
-        // Parent-first: a flat `spawn` loop is pushed, hence stealable.
-        let rt = Runtime::builder(4)
-            .spawn_order(SpawnOrder::ParentFirst)
-            .build();
-        rt.run(move |wk| {
-            for _ in 0..4000 {
-                let s = Arc::clone(&s2);
-                wk.spawn(move |wk| {
-                    s.lock().unwrap().insert(wk.index());
-                    std::thread::yield_now();
-                });
+        // A `spawn2` tree of 4096 leaves: every fork pushes one stealable
+        // child, so the leaves spread over the pool.
+        fn fork(wk: &Worker, depth: u32, seen: Arc<Mutex<std::collections::BTreeSet<usize>>>) {
+            if depth == 0 {
+                seen.lock().unwrap().insert(wk.index());
+                std::thread::yield_now();
+                return;
             }
-        });
-        // With 4000 tiny tasks, stealing should engage several workers.
+            let s = Arc::clone(&seen);
+            wk.spawn2(
+                move |wk| fork(wk, depth - 1, s),
+                move |wk| fork(wk, depth - 1, seen),
+            );
+        }
+        let s2 = Arc::clone(&seen);
+        Runtime::new(4).run(move |wk| fork(wk, 12, s2));
+        // With 4096 tiny tasks, stealing should engage several workers.
         assert!(seen.lock().unwrap().len() >= 2, "stealing never happened");
+    }
+
+    #[test]
+    fn spawn_past_the_inline_depth_guard_pushes_a_stealable_child() {
+        // Nest `spawn` until the next one meets the depth guard: that child
+        // is pushed, not run, and the spawning task then waits for it, so
+        // only a steal by the pool's other worker can run it.
+        fn nest(wk: &Worker, depth: usize, ran_on: Arc<AtomicU64>) {
+            if depth < MAX_INLINE_DEPTH {
+                wk.spawn(move |wk| nest(wk, depth + 1, ran_on));
+                return;
+            }
+            let probe = Arc::clone(&ran_on);
+            wk.spawn(move |wk| probe.store(wk.index() as u64, Ordering::Release));
+            assert_eq!(
+                ran_on.load(Ordering::Acquire),
+                u64::MAX,
+                "the child past the guard ran inline"
+            );
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while ran_on.load(Ordering::Acquire) == u64::MAX {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the pushed child was never stolen"
+                );
+                std::thread::yield_now();
+            }
+            assert_ne!(ran_on.load(Ordering::Acquire), wk.index() as u64);
+        }
+        let ran_on = Arc::new(AtomicU64::new(u64::MAX));
+        let r2 = Arc::clone(&ran_on);
+        let stats = Runtime::new(2).run_stats(move |wk| nest(wk, 0, r2));
+        assert_ne!(ran_on.load(Ordering::Acquire), u64::MAX);
+        // Counted as the inline path counts: one spawn and one executed
+        // task per child, whether it ran inline or was pushed.
+        let children = MAX_INLINE_DEPTH as u64 + 1;
+        assert_eq!(stats.spawns, children);
+        assert_eq!(stats.tasks_executed, children + 1);
+        assert_eq!(stats.steals, 1);
     }
 
     #[test]
@@ -594,15 +634,12 @@ mod tests {
 
     #[test]
     fn global_and_shared_pools() {
-        let g = Runtime::global();
-        assert!(g.nthreads() >= 1);
-        let (w, r) = cell::<u32>();
-        g.run(move |wk| w.fulfill(wk, 3));
-        assert_eq!(r.expect(), 3);
-
+        // One pool per width for the whole process: another OS thread
+        // asking for the same width gets the same pool.
         let a = Runtime::shared(2);
-        let b = Runtime::shared(2);
+        let b = std::thread::spawn(|| Runtime::shared(2)).join().unwrap();
         assert!(Arc::ptr_eq(&a, &b), "shared(2) must return one pool");
+        assert!(!Arc::ptr_eq(&a, &Runtime::shared(1)));
         let (w, r) = cell::<u32>();
         a.run(move |wk| w.fulfill(wk, 9));
         assert_eq!(r.expect(), 9);

@@ -70,15 +70,12 @@ use pf_trace::{TraceKind, KIND_COUNT};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
-/// Default per-lane ring capacity, in events — overridable per runtime
-/// with [`RuntimeBuilder::trace_ring_cap`]. Sized so every behavioral
-/// test and typical service session fits without wraparound (a
-/// 2^11-node tree session records a few thousand events per worker);
-/// larger sessions keep their newest `cap` events per lane and report
-/// the drops (also surfaced in the Perfetto export metadata). Present
-/// in every build so the builder's default needs no cfg.
-///
-/// [`RuntimeBuilder::trace_ring_cap`]: crate::RuntimeBuilder::trace_ring_cap
+/// Per-lane ring capacity, in events. Sized so every behavioral test
+/// and typical service session fits without wraparound (a 2^11-node
+/// tree session records a few thousand events per worker); larger
+/// sessions keep their newest `DEFAULT_RING_CAP` events per lane and
+/// report the drops (also surfaced in the Perfetto export metadata).
+#[cfg(feature = "trace")]
 pub(crate) const DEFAULT_RING_CAP: usize = 1 << 14;
 
 /// One lane's per-kind event counts, padded so the owner's bumps never
@@ -97,7 +94,6 @@ pub(crate) struct SessionEvents {
 impl SessionEvents {
     pub(crate) fn new(
         nthreads: usize,
-        #[cfg(feature = "trace")] ring_cap: usize,
         #[cfg(feature = "trace")] epoch: std::time::Instant,
     ) -> SessionEvents {
         SessionEvents {
@@ -109,9 +105,12 @@ impl SessionEvents {
                 epoch,
                 start_ns: epoch.elapsed().as_nanos() as u64,
                 rings: (0..nthreads + 1)
-                    .map(|_| Ring(std::sync::Mutex::new(pf_trace::TraceRing::new(ring_cap))))
+                    .map(|_| {
+                        Ring(std::sync::Mutex::new(pf_trace::TraceRing::new(
+                            DEFAULT_RING_CAP,
+                        )))
+                    })
                     .collect(),
-                ring_cap,
             },
         }
     }
@@ -164,13 +163,9 @@ impl SessionEvents {
     }
 
     /// Drain the rings into the session's timeline and read the counters
-    /// into its summary, tagged with the session's spawn-order label.
+    /// into its summary.
     #[cfg(feature = "trace")]
-    pub(crate) fn drain(
-        &self,
-        session: u64,
-        policy: &str,
-    ) -> (pf_trace::SessionTrace, pf_trace::TraceStats) {
+    pub(crate) fn drain(&self, session: u64) -> (pf_trace::SessionTrace, pf_trace::TraceStats) {
         use pf_trace::{WorkerSummary, WorkerTrace};
         let (mut traces, mut sums): (Vec<_>, Vec<_>) = self
             .lanes
@@ -191,14 +186,12 @@ impl SessionEvents {
             pf_trace::SessionTrace {
                 session,
                 start_ns: self.timeline.start_ns,
-                policy: policy.to_string(),
-                ring_capacity: self.timeline.ring_cap,
+                ring_capacity: DEFAULT_RING_CAP,
                 workers: traces,
                 client,
             },
             pf_trace::TraceStats {
                 session,
-                policy: policy.to_string(),
                 per_worker: sums,
                 client: client_sum,
             },
@@ -221,6 +214,4 @@ struct Timeline {
     /// Session start, nanoseconds since the epoch.
     start_ns: u64,
     rings: Box<[Ring]>,
-    /// Per-lane ring capacity (builder knob), reported in exports.
-    ring_cap: usize,
 }

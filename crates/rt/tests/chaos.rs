@@ -9,17 +9,15 @@
 #![cfg(pf_chaos)]
 
 use pf_rt::chaos::{injected_panics, injected_wedges, install, ChaosConfig};
-use pf_rt::{cell, Runtime, Session, SessionError, SpawnOrder, Worker};
+use pf_rt::{cell, Runtime, Session, SessionError, Worker};
 
-/// A parent-first pool: every `spawn` below is a push, so each stage is
-/// a task of its own — a task boundary for the panic and wedge seams,
-/// and a steal for the denial seam. Under the default work-first order
-/// the flat fan-outs would run inline in the root task and meet none of
-/// them.
-fn pushing(threads: usize) -> Runtime {
-    Runtime::builder(threads)
-        .spawn_order(SpawnOrder::ParentFirst)
-        .build()
+/// Queue `f` as a task of its own: `spawn2` pushes its first closure and
+/// runs its second (here empty) inline. Each stage below is then a task
+/// boundary for the panic and wedge seams, and a steal for the denial
+/// seam; a plain `spawn` would run the flat fan-outs inline in the root
+/// task and meet none of them.
+fn push(wk: &Worker, f: impl FnOnce(&Worker) + Send + 'static) {
+    wk.spawn2(f, |_| {});
 }
 
 /// A pipelined computation with real suspensions: a chain of cells where
@@ -41,7 +39,7 @@ fn chained_sum(rt: &Runtime, depth: u64) -> Result<u64, SessionError> {
     let last = prev.clone();
     rt.try_run(move |wk| {
         for st in stages {
-            wk.spawn(move |wk| st(wk));
+            push(wk, st);
         }
         w0.fulfill(wk, 0);
     })?;
@@ -51,7 +49,7 @@ fn chained_sum(rt: &Runtime, depth: u64) -> Result<u64, SessionError> {
 
 #[test]
 fn seeded_chaos_sessions_fail_contained_or_complete() {
-    let rt = pushing(4);
+    let rt = Runtime::new(4);
     let mut failed = 0usize;
     let mut completed = 0usize;
 
@@ -115,7 +113,7 @@ fn seeded_chaos_sessions_fail_contained_or_complete() {
         let before = injected_panics();
         let res = rt.try_run(|wk| {
             for _ in 0..128 {
-                wk.spawn(|_| std::hint::black_box(()));
+                push(wk, |_| std::hint::black_box(()));
             }
         });
         let res = res.and_then(|_| chained_sum(&rt, 24));
@@ -163,9 +161,9 @@ fn seeded_chaos_sessions_fail_contained_or_complete() {
             let pill = s.spawn(move || {
                 rt.try_run(|wk| {
                     for _ in 0..32 {
-                        wk.spawn(|_| std::hint::black_box(()));
+                        push(wk, |_| std::hint::black_box(()));
                     }
-                    wk.spawn(|_| panic!("session pill"));
+                    push(wk, |_| panic!("session pill"));
                 })
             });
             let v = chained_sum(rt, 24)
@@ -208,7 +206,7 @@ fn seeded_chaos_sessions_fail_contained_or_complete() {
         let last = prev.clone();
         rt.try_run_session(Session::new().stall_budget(budget), move |wk| {
             for st in stages {
-                wk.spawn(move |wk| st(wk));
+                push(wk, st);
             }
             w0.fulfill(wk, 0);
         })?;

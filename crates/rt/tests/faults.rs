@@ -63,8 +63,8 @@ fn recovered_abort_drops_suspended_continuations() {
 #[test]
 fn task_panic_does_not_eat_the_inline_budget() {
     use pf_rt::Worker;
-    // Each link spawns a child that writes a cell, then touches it: under
-    // the default child-first order the child runs inline, so on one
+    // Each link spawns a child that writes a cell, then touches it: the
+    // work-first `spawn` runs the child inline, so on one
     // worker no touch ever suspends — as long as the inline budget holds.
     fn chain(wk: &Worker, links: u32) {
         if links == 0 {
@@ -172,7 +172,7 @@ fn watchdog_reports_a_stalled_session_with_the_stuck_cell() {
 }
 
 /// 500 seeded iterations mixing clean and faulty sessions on the
-/// process-global pool: `try_run` must return `Err` exactly for the
+/// process-wide two-worker pool (`Runtime::shared(2)`): `try_run` must return `Err` exactly for the
 /// faulty ones and the pool must keep serving throughout.
 #[test]
 fn global_pool_survives_repeated_faults() {
@@ -197,7 +197,7 @@ fn global_pool_survives_repeated_faults() {
             .wrapping_add(1442695040888963407);
         s >> 33
     };
-    let rt = Runtime::global();
+    let rt = Runtime::shared(2);
     let mut failures = 0usize;
     for i in 0..500u64 {
         let faulty = lcg() % 3 == 0;

@@ -1,10 +1,11 @@
 //! Pool edge cases that randomized stress can't reliably pin down: the
 //! degenerate single-worker pool, sessions that spawn nothing, and two OS
-//! threads contending for `Runtime::global()` back to back. The model
+//! threads contending for one process-wide `Runtime::shared` pool back to
+//! back. The model
 //! checker (`crates/check`) covers the interleavings; these cover the
 //! real-thread configurations.
 
-#![cfg(not(pf_check))] // global()/shared() don't exist in model builds
+#![cfg(not(pf_check))] // shared() doesn't exist in model builds
 
 use pf_rt::{cell, Runtime};
 use std::sync::Arc;
@@ -52,7 +53,7 @@ fn zero_task_run_quiesces_immediately() {
 #[test]
 fn global_contention_from_two_os_threads() {
     // Two OS threads each push back-to-back sessions through the one
-    // global pool. Sessions co-execute (each gets its own slot in the
+    // process-wide two-worker pool. Sessions co-execute (each gets its own slot in the
     // session table); the assertion is that neither thread's results or
     // per-session stats are polluted by the other's tasks (cross-session
     // leakage through the shared injector/deques). The dedicated
@@ -67,7 +68,7 @@ fn global_contention_from_two_os_threads() {
                     let outs: Vec<_> = (0..n).map(|_| cell::<u64>()).collect();
                     let (out_w, out_r): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
                     let tag = t * 1_000_000 + round * 1_000;
-                    let stats = Runtime::global().run_stats(move |wk| {
+                    let stats = Runtime::shared(2).run_stats(move |wk| {
                         for (r, ow) in reads.into_iter().zip(out_w) {
                             wk.spawn(move |wk| {
                                 r.touch(wk, move |v, wk| ow.fulfill(wk, v ^ 1));

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pf_rt::{cell, CancelToken, Runtime, Session, SessionError, SpawnOrder, StallDetector};
+use pf_rt::{cell, CancelToken, Runtime, Session, SessionError, StallDetector};
 
 /// The tentpole claim, literally: a short session submitted while a
 /// long session is mid-flight returns `Ok` while the long sibling is
@@ -341,9 +341,9 @@ fn cross_session_fulfil_resumes_into_the_waiters_session() {
 /// Spawn a sibling thread that pumps short busy sessions on `rt` until
 /// `stop` is raised, counting completed sessions in `pumped`. Each task
 /// spins briefly so the pool's workers stay genuinely busy — the
-/// condition under which the old idle-pool watchdog was blind. The flat
-/// `spawn` loop is pushed, not run inline (parent-first), so the tasks
-/// spread over every worker.
+/// condition under which the old idle-pool watchdog was blind. Each
+/// `spawn2` pushes one spinning task and runs the other inline, so the
+/// tasks spread over every worker.
 fn busy_sibling(
     rt: &Arc<Runtime>,
     stop: &Arc<AtomicBool>,
@@ -351,15 +351,15 @@ fn busy_sibling(
 ) -> std::thread::JoinHandle<()> {
     let (rt, stop, pumped) = (Arc::clone(rt), Arc::clone(stop), Arc::clone(pumped));
     std::thread::spawn(move || {
-        let fan_out = Session::new().spawn_order(SpawnOrder::ParentFirst);
+        let spin = |_: &pf_rt::Worker| {
+            for _ in 0..2_000 {
+                std::hint::spin_loop();
+            }
+        };
         while !stop.load(Ordering::Acquire) {
-            rt.try_run_session(fan_out.clone(), |wk| {
-                for _ in 0..8 {
-                    wk.spawn(|_| {
-                        for _ in 0..2_000 {
-                            std::hint::spin_loop();
-                        }
-                    });
+            rt.try_run(move |wk| {
+                for _ in 0..4 {
+                    wk.spawn2(spin, spin);
                 }
             })
             .expect("healthy pump session");

@@ -7,16 +7,20 @@
 //! effects). Deterministic interleaving coverage is `pf-check`'s job: see
 //! `crates/check` and the model suite in `crates/check/tests/model_rt.rs`.
 
-use pf_rt::{cell, FutRead, Runtime, SpawnOrder, Worker};
+use pf_rt::{cell, FutRead, Runtime, Worker};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-/// A pool that pushes every `spawn` instead of running it inline (the
-/// default): the flat fan-outs below are meant to race across workers.
-fn fan_out(threads: usize) -> Runtime {
-    Runtime::builder(threads)
-        .spawn_order(SpawnOrder::ParentFirst)
-        .build()
+/// Fork `f` off: with `push`, as a queued task a sibling may steal
+/// (`spawn2` pushes its first closure and runs its second, here empty,
+/// inline), so a flat fan-out races across workers; without, inline
+/// like every `spawn`.
+fn fork(wk: &Worker, push: bool, f: impl FnOnce(&Worker) + Send + 'static) {
+    if push {
+        wk.spawn2(f, |_| {});
+    } else {
+        wk.spawn(f);
+    }
 }
 
 /// A half-open cell pair: the write side is taken (`Option`) when a task
@@ -115,15 +119,11 @@ fn run_layered(seed: u64, width: usize, layers: usize, threads: usize) -> Vec<u6
         .map(|row| row.iter().map(|c| c.1.clone()).collect())
         .collect();
 
-    // Even seeds race the fan-out across workers; odd seeds run it under
-    // the default order, where relays and consumers suspend in program
-    // order on the root's worker and only their resumes are stolen.
-    let rt = if seed.is_multiple_of(2) {
-        fan_out(threads)
-    } else {
-        Runtime::new(threads)
-    };
-    rt.run(move |wk: &Worker| {
+    // Even seeds race the fan-out across workers; odd seeds run it
+    // inline, where relays and consumers suspend in program order on the
+    // root's worker and only their resumes are stolen.
+    let push = seed.is_multiple_of(2);
+    Runtime::new(threads).run(move |wk: &Worker| {
         // Relay tasks: touch each produced cell once, fan out.
         for (l, per_src) in relay.iter_mut().enumerate() {
             for (src, consumers) in per_src.iter_mut().enumerate() {
@@ -132,7 +132,7 @@ fn run_layered(seed: u64, width: usize, layers: usize, threads: usize) -> Vec<u6
                     .iter_mut()
                     .map(|c| c.0.take().expect("w"))
                     .collect();
-                wk.spawn(move |wk| {
+                fork(wk, push, move |wk| {
                     reads.touch(wk, move |v, wk| {
                         for w in writes {
                             w.fulfill(wk, v);
@@ -155,7 +155,7 @@ fn run_layered(seed: u64, width: usize, layers: usize, threads: usize) -> Vec<u6
                         r
                     })
                     .collect();
-                wk.spawn(move |wk| {
+                fork(wk, push, move |wk| {
                     fn sum_rec(
                         wk: &Worker,
                         mut reads: Vec<FutRead<u64>>,
@@ -176,7 +176,7 @@ fn run_layered(seed: u64, width: usize, layers: usize, threads: usize) -> Vec<u6
         // Producers last: maximize racing against already-suspended
         // consumers.
         for (w, v) in layer0_writes.into_iter().zip(layer0(seed, width)) {
-            wk.spawn(move |wk| w.fulfill(wk, v));
+            fork(wk, push, move |wk| w.fulfill(wk, v));
         }
     });
 
@@ -211,7 +211,7 @@ fn persistent_pool_150_sessions_with_races() {
     //     corrupt sums or crash a consumed-write invariant);
     //   * that per-run stats were reset (counts match this run's shape,
     //     not an accumulation over the pool's lifetime).
-    let rt = fan_out(4);
+    let rt = Runtime::new(4);
     for round in 0u64..150 {
         let n = 32 + (round as usize % 17);
         let pairs: Vec<_> = (0..n).map(|_| cell::<u64>()).collect();
@@ -219,15 +219,14 @@ fn persistent_pool_150_sessions_with_races() {
         let outs: Vec<_> = (0..n).map(|_| cell::<u64>()).collect();
         let (out_w, out_r): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
         let stats = rt.run_stats(move |wk| {
-            // Consumers first: most will suspend, producers reactivate
-            // them from racing workers.
-            for (r, ow) in reads.into_iter().zip(out_w) {
-                wk.spawn(move |wk| {
-                    r.touch(wk, move |v, wk| ow.fulfill(wk, v.wrapping_mul(3)));
-                });
-            }
-            for (i, w) in writes.into_iter().enumerate() {
-                wk.spawn(move |wk| w.fulfill(wk, round.wrapping_add(i as u64)));
+            // Each fork pushes its producer and runs its consumer inline:
+            // most consumers suspend, and producers stolen by racing
+            // workers reactivate them.
+            for (i, ((r, ow), w)) in reads.into_iter().zip(out_w).zip(writes).enumerate() {
+                wk.spawn2(
+                    move |wk| w.fulfill(wk, round.wrapping_add(i as u64)),
+                    move |wk| r.touch(wk, move |v, wk| ow.fulfill(wk, v.wrapping_mul(3))),
+                );
             }
         });
         for (i, o) in out_r.iter().enumerate() {

@@ -12,7 +12,7 @@
 
 #![cfg(feature = "trace")]
 
-use pf_rt::{cell, Runtime, Session, SessionError, SpawnOrder, TraceKind};
+use pf_rt::{cell, Runtime, Session, SessionError, TraceKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,16 +42,14 @@ fn fork_heavy_session_steals_on_a_wide_pool() {
     // Stealing is how tasks reach workers 1..4 at all (the injector only
     // ever holds the root), so a fan-out of thousands of yielding tasks
     // engages it reliably; the retry loop absorbs pathological schedules.
-    // Parent-first, so the flat `spawn` loop pushes instead of running
-    // each task inline.
-    let rt = Runtime::builder(4)
-        .spawn_order(SpawnOrder::ParentFirst)
-        .build();
+    // Each `spawn2` pushes one task (the other runs inline), so the loop
+    // leaves 2000 stealable tasks on the root's deque.
+    let rt = Runtime::new(4);
     let mut last = 0;
     for _ in 0..20 {
         let stats = rt.run_stats(|wk| {
-            for _ in 0..4000 {
-                wk.spawn(|_| std::thread::yield_now());
+            for _ in 0..2000 {
+                wk.spawn2(|_| std::thread::yield_now(), |_| std::thread::yield_now());
             }
         });
         let trace = stats.trace.as_ref().unwrap();

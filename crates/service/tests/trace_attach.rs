@@ -1,14 +1,13 @@
 //! `trace`-feature integration: a degraded wave ships with the timeline
 //! of the session that failed it, and a failed pipelined window's
-//! timeline travels on the drain report (the same plumbing also tags
-//! every timeline with the session's spawn-order label).
+//! timeline travels on the drain report.
 
 #![cfg(feature = "trace")]
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use pf_rt::{Runtime, SpawnOrder};
+use pf_rt::Runtime;
 use pf_service::{Fault, Request, ServiceConfig, SetService, ShardMap};
 
 fn service() -> SetService<i64> {
@@ -61,7 +60,6 @@ fn degraded_wave_ships_with_its_timeline() {
         .as_ref()
         .expect("degraded wave must carry its failed session's trace");
     assert!(tr.events() > 0);
-    assert_eq!(tr.policy, SpawnOrder::default().label());
 
     // Served waves carry no timeline — diagnosis is for failures.
     assert!(report

@@ -241,10 +241,6 @@ pub struct SessionTrace {
     /// Session start, in nanoseconds since the pool epoch — the zero
     /// point of the Chrome-trace export.
     pub start_ns: u64,
-    /// Label of the spawn order the session ran under (`"child"` or
-    /// `"parent"`), so timelines of the two stay distinguishable after
-    /// export. Empty when the recorder predates tagging.
-    pub policy: String,
     /// Per-lane ring capacity the recorder used — together with the
     /// per-lane drop counts this makes a truncated timeline
     /// self-describing.
@@ -270,7 +266,6 @@ impl SessionTrace {
     pub fn stats(&self) -> TraceStats {
         TraceStats {
             session: self.session,
-            policy: self.policy.clone(),
             per_worker: self.workers.iter().map(|w| w.summary()).collect(),
             client: self.client.summary(),
         }
@@ -281,9 +276,8 @@ impl SessionTrace {
     /// directly): one instant event per [`TraceEvent`], one timeline row
     /// (`tid`) per worker plus one for the client lane, timestamps in
     /// microseconds relative to the session start. A trailing
-    /// `"metadata"` object carries the session's spawn-order
-    /// label, the ring capacity, and the total drop count, so a
-    /// truncated export is self-describing.
+    /// `"metadata"` object carries the ring capacity and the total drop
+    /// count, so a truncated export is self-describing.
     pub fn to_chrome_trace(&self) -> String {
         let mut out = String::with_capacity(64 * (self.events() + self.workers.len() + 2));
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
@@ -322,12 +316,8 @@ impl SessionTrace {
         for ev in &self.client.events {
             emit(client_tid, ev);
         }
-        // The policy label is machine-generated ([a-z-] only), so it
-        // needs no JSON escaping.
         out.push_str(&format!(
-            "\n],\"metadata\":{{\"policy\":\"{}\",\"ringCapacity\":{},\
-             \"droppedEvents\":{}}}}}\n",
-            self.policy,
+            "\n],\"metadata\":{{\"ringCapacity\":{},\"droppedEvents\":{}}}}}\n",
             self.ring_capacity,
             self.dropped()
         ));
@@ -406,9 +396,6 @@ impl WorkerSummary {
 pub struct TraceStats {
     /// Session id of the (first) summarized session.
     pub session: u64,
-    /// Spawn-order label of the (first) summarized session. Empty
-    /// when the recorder predates tagging.
-    pub policy: String,
     /// One summary per worker, indexed by worker.
     pub per_worker: Vec<WorkerSummary>,
     /// The client lane's summary (abort-time poison events).
@@ -469,8 +456,7 @@ impl TraceStats {
 
     /// Fold another summary into this one, lane by lane (a service
     /// accumulating per-session stats over a whole run). Keeps `self`'s
-    /// session id and policy label; lane counts are added, extra lanes
-    /// appended.
+    /// session id; lane counts are added, extra lanes appended.
     pub fn merge(&mut self, other: &TraceStats) {
         if self.per_worker.len() < other.per_worker.len() {
             self.per_worker
@@ -577,7 +563,6 @@ mod tests {
         let tr = SessionTrace {
             session: 7,
             start_ns: 100,
-            policy: "parent".to_string(),
             ring_capacity: 16,
             workers: vec![
                 WorkerTrace {
@@ -606,7 +591,6 @@ mod tests {
         };
         let s = tr.stats();
         assert_eq!(s.session, 7);
-        assert_eq!(s.policy, "parent");
         assert_eq!(s.per_worker.len(), 2);
         assert_eq!(s.per_worker[0].executed(), 2);
         assert_eq!(s.per_worker[0].steals(), 1);
@@ -626,7 +610,6 @@ mod tests {
     fn stats_merge_adds_lanes_elementwise() {
         let mut a = TraceStats {
             session: 1,
-            policy: "parent".to_string(),
             per_worker: vec![WorkerSummary {
                 counts: {
                     let mut c = [0; KIND_COUNT];
@@ -639,7 +622,6 @@ mod tests {
         };
         let b = TraceStats {
             session: 2,
-            policy: "child".to_string(),
             per_worker: vec![
                 WorkerSummary {
                     counts: {
@@ -656,7 +638,6 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.session, 1, "merge keeps the first session id");
-        assert_eq!(a.policy, "parent", "merge keeps the first policy label");
         assert_eq!(a.per_worker.len(), 2, "extra lanes are appended");
         assert_eq!(a.per_worker[0].executed(), 5);
         assert_eq!(a.per_worker[0].steals(), 1);
@@ -668,7 +649,6 @@ mod tests {
         let tr = SessionTrace {
             session: 3,
             start_ns: 1_000,
-            policy: "parent".to_string(),
             ring_capacity: 1 << 14,
             workers: vec![WorkerTrace {
                 events: vec![
@@ -700,15 +680,11 @@ mod tests {
         assert!(json.contains("\"name\":\"worker 0\""));
         assert!(json.contains("\"name\":\"client\""));
         // The trailing metadata object makes the export self-describing.
-        assert!(json.contains(
-            "\"metadata\":{\"policy\":\"parent\",\
-             \"ringCapacity\":16384,\"droppedEvents\":5}"
-        ));
+        assert!(json.contains("\"metadata\":{\"ringCapacity\":16384,\"droppedEvents\":5}"));
         // A timestamp before the session start clamps to zero.
         let early = SessionTrace {
             session: 1,
             start_ns: 10_000,
-            policy: String::new(),
             ring_capacity: 4,
             workers: vec![WorkerTrace {
                 events: vec![ev(5_000, TraceKind::Park, 0)],

@@ -258,17 +258,16 @@ fn seq_oracle_rejects_touch_before_write() {
     });
 }
 
-/// Both spawn orders yield bit-identical algorithm results — keys *and*
-/// deterministic tree shape — and identical order-independent
+/// Every pool width yields bit-identical algorithm results — keys *and*
+/// deterministic tree shape — and identical schedule-independent
 /// accounting on the tri-backend suite's treap-union and mergesort
-/// workloads. "Order-independent accounting" is `spawns` (a spawned
+/// workloads. "Schedule-independent accounting" is `spawns` (a spawned
 /// task is counted once whether pushed or run inline) plus the liveness
 /// identity `tasks_executed - suspensions == spawns + 1`; raw executed
-/// counts legitimately vary between the orders because whether a touch
-/// suspends depends on the schedule.
+/// counts legitimately vary because whether a touch suspends depends on
+/// the schedule.
 #[test]
 fn every_sched_policy_is_result_identical_across_the_suite() {
-    use pf_rt::SpawnOrder;
     // Union reference (sequential oracle).
     let a = entries((0..400).map(|i| 3 * i));
     let b = entries((0..400).map(|i| 2 * i));
@@ -282,104 +281,76 @@ fn every_sched_policy_is_result_identical_across_the_suite() {
     let (mroot, _) = run_msort(&keys, false, Mode::Pipelined);
     let msort_height = mroot.get().height();
 
-    for threads in [1usize, 4] {
-        let mut union_spawns: Option<u64> = None;
-        let mut msort_spawns: Option<u64> = None;
-        for order in [SpawnOrder::ChildFirst, SpawnOrder::ParentFirst] {
-            let rt = Runtime::builder(threads).spawn_order(order).build();
-            let label = order.label();
+    let mut union_spawns: Option<u64> = None;
+    let mut msort_spawns: Option<u64> = None;
+    for threads in [1usize, 2, 4] {
+        let rt = Runtime::new(threads);
 
-            let (op, of) = cell();
-            let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
-            let stats = rt.run_stats(move |wk| union(wk, ta, tb, op, Pipelined));
-            let t = of.expect();
-            assert_eq!(t.to_sorted_vec(), union_keys, "union {label} t={threads}");
-            assert_eq!(t.height(), union_height, "union {label} t={threads}");
-            let s = *union_spawns.get_or_insert(stats.spawns);
-            assert_eq!(stats.spawns, s, "union {label} t={threads}: spawns");
-            assert_eq!(
-                stats.tasks_executed - stats.suspensions,
-                stats.spawns + 1,
-                "union {label} t={threads}: liveness identity"
-            );
+        let (op, of) = cell();
+        let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
+        let stats = rt.run_stats(move |wk| union(wk, ta, tb, op, Pipelined));
+        let t = of.expect();
+        assert_eq!(t.to_sorted_vec(), union_keys, "union t={threads}");
+        assert_eq!(t.height(), union_height, "union t={threads}");
+        let s = *union_spawns.get_or_insert(stats.spawns);
+        assert_eq!(stats.spawns, s, "union t={threads}: spawns");
+        assert_eq!(
+            stats.tasks_executed - stats.suspensions,
+            stats.spawns + 1,
+            "union t={threads}: liveness identity"
+        );
 
-            let keys = keys.clone();
-            let (t, stats) = on_rt(&rt, move |wk| msort_on(wk, &keys, false, Pipelined));
-            assert_eq!(t.to_sorted_vec(), sorted, "msort {label} t={threads}");
-            assert_eq!(t.height(), msort_height, "msort {label} t={threads}");
-            let s = *msort_spawns.get_or_insert(stats.spawns);
-            assert_eq!(stats.spawns, s, "msort {label} t={threads}: spawns");
-            assert_eq!(
-                stats.tasks_executed - stats.suspensions,
-                stats.spawns + 1,
-                "msort {label} t={threads}: liveness identity"
-            );
-        }
+        let keys = keys.clone();
+        let (t, stats) = on_rt(&rt, move |wk| msort_on(wk, &keys, false, Pipelined));
+        assert_eq!(t.to_sorted_vec(), sorted, "msort t={threads}");
+        assert_eq!(t.height(), msort_height, "msort t={threads}");
+        let s = *msort_spawns.get_or_insert(stats.spawns);
+        assert_eq!(stats.spawns, s, "msort t={threads}: spawns");
+        assert_eq!(
+            stats.tasks_executed - stats.suspensions,
+            stats.spawns + 1,
+            "msort t={threads}: liveness identity"
+        );
     }
 }
 
-/// The work-first default at one worker: a fork runs the future's body
-/// before its parent's continuation, so on pre-written inputs shallower
-/// than the runtime's inline-depth guard every cell `union` and `merge`
-/// touch is already written — zero suspensions, where parent-first
-/// suspends on nearly every internal node. `diff` still suspends in its
+/// Work-first at one worker: a fork runs the future's body before its
+/// parent's continuation, so on pre-written inputs shallower than the
+/// runtime's inline-depth guard every cell `union` and `merge` touch is
+/// already written — zero suspensions. `diff` still suspends in its
 /// ascending phase: a node whose key is deleted joins its two recursive
 /// results, and the left one is the stealable (pushed) child of the
 /// `fork2`, so it waits for it — once per deleted key. (Deletions dense
 /// enough that a join meets a nested join still pending add a few
-/// more: 214 for 200 deleted keys of these 400.) The fork structure
-/// itself is order-blind: `spawns` matches the parent-first run
-/// exactly.
+/// more: 214 for 200 deleted keys of these 400.)
 #[test]
 fn work_first_default_does_not_suspend_at_one_worker() {
-    use pf_rt::{RunStats, SpawnOrder};
-    // Run `session` under the default order and under parent-first.
-    let both = |session: &dyn Fn(&Runtime) -> RunStats| {
-        let parent_first = Runtime::builder(1)
-            .spawn_order(SpawnOrder::ParentFirst)
-            .build();
-        (session(&Runtime::new(1)), session(&parent_first))
-    };
-
+    let rt = Runtime::new(1);
     let a = entries((0..400).map(|i| 3 * i));
     let b = entries((0..400).map(|i| 2 * i));
-    let (child, parent) = both(&|rt| {
-        let (op, of) = cell();
-        let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
-        let stats = rt.run_stats(move |wk| union(wk, ta, tb, op, Pipelined));
-        assert_eq!(of.expect().to_sorted_vec().len(), 800 - 134);
-        stats
-    });
-    assert_eq!(child.suspensions, 0, "union");
-    assert!(parent.suspensions > 0, "union: parent-first must suspend");
-    assert_eq!(child.spawns, parent.spawns, "union");
+    let (op, of) = cell();
+    let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
+    let stats = rt.run_stats(move |wk| union(wk, ta, tb, op, Pipelined));
+    assert_eq!(of.expect().to_sorted_vec().len(), 800 - 134);
+    assert_eq!(stats.suspensions, 0, "union");
 
     let b = entries((0..300).map(|i| 24 * i));
     let found = 50; // the multiples of 24 below 1200
-    let (child, parent) = both(&|rt| {
-        let (op, of) = cell();
-        let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
-        let stats = rt.run_stats(move |wk| diff(wk, ta, tb, op, Pipelined));
-        assert_eq!(of.expect().to_sorted_vec().len(), 400 - found as usize);
-        stats
-    });
+    let (op, of) = cell();
+    let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
+    let stats = rt.run_stats(move |wk| diff(wk, ta, tb, op, Pipelined));
+    assert_eq!(of.expect().to_sorted_vec().len(), 400 - found);
     assert!(
-        child.suspensions <= found as u64,
+        stats.suspensions <= found as u64,
         "diff suspended {} times for {found} found keys",
-        child.suspensions
+        stats.suspensions
     );
-    assert_eq!(child.spawns, parent.spawns, "diff");
 
     let a: Vec<i64> = (0..777).map(|i| 2 * i).collect();
     let b: Vec<i64> = (0..333).map(|i| 2 * i + 1).collect();
-    let (child, parent) = both(&|rt| {
-        let (a, b) = (a.clone(), b.clone());
-        let (t, stats) = on_rt(rt, move |wk| merge_on(wk, &a, &b, Pipelined));
-        assert_eq!(t.to_sorted_vec().len(), 777 + 333);
-        stats
-    });
-    assert_eq!(child.suspensions, 0, "merge");
-    assert_eq!(child.spawns, parent.spawns, "merge");
+    let (t, stats) = on_rt(&rt, move |wk| merge_on(wk, &a, &b, Pipelined));
+    assert_eq!(t.to_sorted_vec().len(), 777 + 333);
+    assert_eq!(stats.suspensions, 0, "merge");
 }
 
 #[test]
@@ -557,12 +528,11 @@ fn cutoff_builds_the_same_trees_on_the_runtime() {
 
 /// A service window in miniature: eight waves, each a union tree of its
 /// groups, chained in one session through result cells — so a wave may
-/// find its predecessor's root still pending (parent-first makes that the
-/// rule), sized (the predecessor ran plain code) or unsized (it forked:
+/// find its predecessor's root still pending (a stolen fork, or an
+/// unsized predecessor's pushed children), sized (the predecessor ran plain code) or unsized (it forked:
 /// wave 3 is more than one grain of work).
 #[test]
 fn eight_waves_chain_through_unresolved_cells() {
-    use pf_rt::SpawnOrder;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(16);
     let root = entries((0..20_000).map(|i| 5 * i));
@@ -592,32 +562,27 @@ fn eight_waves_chain_through_unresolved_cells() {
         };
     }
     for threads in [1, 2, 4] {
-        for order in [SpawnOrder::ChildFirst, SpawnOrder::ParentFirst] {
-            for sized_root in [true, false] {
-                let mut state = rt_input(&root, sized_root);
-                let waves = waves.clone();
-                let (op, of) = cell();
-                let rt = Runtime::builder(threads).spawn_order(order).build();
-                rt.run(move |wk| {
-                    for (insert, groups) in waves {
-                        let futs = groups.iter().map(|g| rt_input(g, true)).collect();
-                        let batch = union_many(wk, futs, Pipelined);
-                        let (p, f) = cell();
-                        if insert {
-                            union(wk, state, batch, p, Pipelined);
-                        } else {
-                            diff(wk, state, batch, p, Pipelined);
-                        }
-                        state = f;
+        let rt = Runtime::new(threads);
+        for sized_root in [true, false] {
+            let mut state = rt_input(&root, sized_root);
+            let waves = waves.clone();
+            let (op, of) = cell();
+            rt.run(move |wk| {
+                for (insert, groups) in waves {
+                    let futs = groups.iter().map(|g| rt_input(g, true)).collect();
+                    let batch = union_many(wk, futs, Pipelined);
+                    let (p, f) = cell();
+                    if insert {
+                        union(wk, state, batch, p, Pipelined);
+                    } else {
+                        diff(wk, state, batch, p, Pipelined);
                     }
-                    state.touch(wk, move |v, wk| op.fulfill(wk, v));
-                });
-                let what = format!(
-                    "threads={threads} {} sized_root={sized_root}",
-                    order.label()
-                );
-                assert_same_tree(&of.expect(), &want, &what);
-            }
+                    state = f;
+                }
+                state.touch(wk, move |v, wk| op.fulfill(wk, v));
+            });
+            let what = format!("threads={threads} sized_root={sized_root}");
+            assert_same_tree(&of.expect(), &want, &what);
         }
     }
 }
