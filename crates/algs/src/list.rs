@@ -22,14 +22,14 @@ pub type ListFut<B, K> = <B as PipeBackend>::Fut<List<B, K>>;
 pub type ListWr<B, K> = <B as PipeBackend>::Wr<List<B, K>>;
 
 /// A list whose tail is a future cell of engine `B`.
-pub enum List<B: PipeBackend, K: 'static> {
+pub enum List<B: PipeBackend, K: Val> {
     /// The empty list.
     Nil,
     /// A cons cell: head value, future tail.
     Cons(Arc<(K, ListFut<B, K>)>),
 }
 
-impl<B: PipeBackend, K> Clone for List<B, K> {
+impl<B: PipeBackend, K: Val> Clone for List<B, K> {
     fn clone(&self) -> Self {
         match self {
             List::Nil => List::Nil,
@@ -38,7 +38,7 @@ impl<B: PipeBackend, K> Clone for List<B, K> {
     }
 }
 
-impl<B: PipeBackend, K> List<B, K> {
+impl<B: PipeBackend, K: Key> List<B, K> {
     /// The empty list.
     pub fn nil() -> Self {
         List::Nil
@@ -56,19 +56,10 @@ impl<B: PipeBackend, K> List<B, K> {
             List::Cons(rc) => Some((&rc.0, &rc.1)),
         }
     }
-}
 
-impl<B: PipeBackend, K: Key> List<B, K>
-where
-    List<B, K>: Val,
-    ListFut<B, K>: Val,
-{
     /// Build from a slice with **free** pre-written tails
     /// ([`PipeBackend::input`] — input construction).
-    pub fn from_slice(bk: &B, keys: &[K]) -> List<B, K>
-    where
-        ListWr<B, K>: Send,
-    {
+    pub fn from_slice(bk: &B, keys: &[K]) -> List<B, K> {
         let mut cur = List::Nil;
         for k in keys.iter().rev() {
             let f = bk.input(cur);
@@ -104,12 +95,7 @@ where
 
 /// Figure 1's `produce(n)`: build the list `n, n−1, …, 1`, one future per
 /// tail, writing each cons as soon as its head is known.
-pub fn produce<B: PipeBackend>(bk: &B, n: u64, out: ListWr<B, u64>)
-where
-    List<B, u64>: Val,
-    ListFut<B, u64>: Val,
-    ListWr<B, u64>: Send,
-{
+pub fn produce<B: PipeBackend>(bk: &B, n: u64, out: ListWr<B, u64>) {
     bk.tick(1);
     if n == 0 {
         bk.fulfill(out, List::Nil);
@@ -122,13 +108,7 @@ where
 
 /// Figure 1's `consume`: fold the list with `+`, chasing the producer
 /// tail by tail. The sum is written to `out` when the list ends.
-pub fn consume<B: PipeBackend>(bk: &B, l: List<B, u64>, acc: u64, out: B::Wr<u64>)
-where
-    List<B, u64>: Val,
-    ListFut<B, u64>: Val,
-    B::Fut<u64>: Val,
-    B::Wr<u64>: Send,
-{
+pub fn consume<B: PipeBackend>(bk: &B, l: List<B, u64>, acc: u64, out: B::Wr<u64>) {
     bk.tick(1);
     match l {
         List::Nil => bk.fulfill(out, acc),
@@ -149,11 +129,7 @@ pub fn partition<B: PipeBackend, K: Key>(
     l: List<B, K>,
     lout: ListWr<B, K>,
     gout: ListWr<B, K>,
-) where
-    List<B, K>: Val,
-    ListFut<B, K>: Val,
-    ListWr<B, K>: Send,
-{
+) {
     bk.tick(1);
     match l {
         List::Nil => {
@@ -188,11 +164,7 @@ pub fn qs<B: PipeBackend, K: Key>(
     rest: List<B, K>,
     out: ListWr<B, K>,
     mode: Mode,
-) where
-    List<B, K>: Val,
-    ListFut<B, K>: Val,
-    ListWr<B, K>: Send,
-{
+) {
     bk.tick(1);
     match l {
         List::Nil => bk.fulfill(out, rest),

@@ -16,7 +16,7 @@
 //! monomorphized code is the hand-CPS runtime merge.
 
 use crate::tree::{Tree, TreeFut, TreeWr};
-use crate::{fork_call, Key, Mode, PipeBackend, Val};
+use crate::{fork_call, Key, Mode, PipeBackend};
 
 /// `split(s, t)`: partition `t` into keys `< s` (written to `lout`) and
 /// keys `>= s` (written to `rout`).
@@ -32,11 +32,7 @@ pub fn split<B: PipeBackend, K: Key>(
     t: Tree<B, K>,
     lout: TreeWr<B, K>,
     rout: TreeWr<B, K>,
-) where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-{
+) {
     bk.tick(1); // pattern match + comparison dispatch
     match t {
         Tree::Leaf => {
@@ -70,11 +66,7 @@ pub fn merge<B: PipeBackend, K: Key>(
     b: TreeFut<B, K>,
     out: TreeWr<B, K>,
     mode: Mode,
-) where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-{
+) {
     bk.touch(&a, move |bk, av| {
         bk.tick(1); // pattern dispatch on the first argument
         match av {

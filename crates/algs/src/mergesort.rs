@@ -16,18 +16,12 @@
 use pf_backend::PipeBackend;
 
 use crate::merge::merge;
-use crate::rebalance::{RankedFut, RankedTree, RankedWr, SizedTree};
-use crate::tree::{Tree, TreeFut, TreeWr};
-use crate::{Key, Mode, Val};
+use crate::tree::{Tree, TreeWr};
+use crate::{Key, Mode};
 
 /// Sort `keys` (distinct, in any order) into a BST by recursive halving
 /// and pipelined merging.
-pub fn msort<B: PipeBackend, K: Key>(bk: &B, keys: Vec<K>, out: TreeWr<B, K>, mode: Mode)
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-{
+pub fn msort<B: PipeBackend, K: Key>(bk: &B, keys: Vec<K>, out: TreeWr<B, K>, mode: Mode) {
     bk.tick(1);
     match keys.len() {
         0 => bk.fulfill(out, Tree::Leaf),
@@ -54,19 +48,7 @@ where
 /// reach height lg a + lg b, and those heights feed the next merge's
 /// depth; rebalancing between levels keeps every merge input at the
 /// optimal height — an ablation for the E13 conjecture measurement.
-pub fn msort_balanced<B: PipeBackend, K: Key>(bk: &B, keys: Vec<K>, out: TreeWr<B, K>, mode: Mode)
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-    RankedTree<B, K>: Val,
-    RankedFut<B, K>: Val,
-    RankedWr<B, K>: Send,
-    B::Fut<SizedTree<K>>: Val,
-    B::Wr<SizedTree<K>>: Send,
-    B::Fut<K>: Val,
-    B::Wr<K>: Send,
-{
+pub fn msort_balanced<B: PipeBackend, K: Key>(bk: &B, keys: Vec<K>, out: TreeWr<B, K>, mode: Mode) {
     bk.tick(1);
     match keys.len() {
         0 => bk.fulfill(out, Tree::Leaf),

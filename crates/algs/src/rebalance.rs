@@ -74,7 +74,7 @@ impl<K> SizedTree<K> {
 
 /// Phase-2 output: nodes stamped with symmetric-order ranks, children as
 /// futures so the rebuild phase can chase a node the moment it appears.
-pub enum RankedTree<B: PipeBackend, K: 'static> {
+pub enum RankedTree<B: PipeBackend, K: Val> {
     /// The empty tree.
     Leaf,
     /// An interior node.
@@ -82,7 +82,7 @@ pub enum RankedTree<B: PipeBackend, K: 'static> {
 }
 
 /// An interior node of a [`RankedTree`].
-pub struct RankedNode<B: PipeBackend, K: 'static> {
+pub struct RankedNode<B: PipeBackend, K: Val> {
     /// The key stored at this node.
     pub key: K,
     /// Symmetric-order rank of this key (0-based).
@@ -93,7 +93,7 @@ pub struct RankedNode<B: PipeBackend, K: 'static> {
     pub right: RankedFut<B, K>,
 }
 
-impl<B: PipeBackend, K> Clone for RankedTree<B, K> {
+impl<B: PipeBackend, K: Val> Clone for RankedTree<B, K> {
     fn clone(&self) -> Self {
         match self {
             RankedTree::Leaf => RankedTree::Leaf,
@@ -102,7 +102,7 @@ impl<B: PipeBackend, K> Clone for RankedTree<B, K> {
     }
 }
 
-impl<B: PipeBackend, K> RankedTree<B, K> {
+impl<B: PipeBackend, K: Val> RankedTree<B, K> {
     /// Construct an interior node.
     pub fn node(key: K, rank: usize, left: RankedFut<B, K>, right: RankedFut<B, K>) -> Self {
         RankedTree::Node(Arc::new(RankedNode {
@@ -118,13 +118,7 @@ impl<B: PipeBackend, K> RankedTree<B, K> {
 /// result for a node is written only after both children's results arrive —
 /// inherently non-pipelining, which is why rebalance costs Θ(h) depth even
 /// with futures.
-pub fn annotate_sizes<B: PipeBackend, K: Key>(bk: &B, t: TreeFut<B, K>, out: B::Wr<SizedTree<K>>)
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    B::Fut<SizedTree<K>>: Val,
-    B::Wr<SizedTree<K>>: Send,
-{
+pub fn annotate_sizes<B: PipeBackend, K: Key>(bk: &B, t: TreeFut<B, K>, out: B::Wr<SizedTree<K>>) {
     bk.touch(&t, move |bk, tv| {
         bk.tick(1);
         match tv {
@@ -168,12 +162,7 @@ pub fn assign_ranks<B: PipeBackend, K: Key>(
     t: SizedTree<K>,
     offset: usize,
     out: RankedWr<B, K>,
-) where
-    RankedTree<B, K>: Val,
-    RankedFut<B, K>: Val,
-    RankedWr<B, K>: Send,
-    SizedTree<K>: Val,
-{
+) {
     bk.tick(1);
     match t {
         SizedTree::Leaf => bk.fulfill(out, RankedTree::Leaf),
@@ -206,13 +195,7 @@ pub fn split_rank<B: PipeBackend, K: Key>(
     lout: RankedWr<B, K>,
     rout: RankedWr<B, K>,
     kout: B::Wr<K>,
-) where
-    RankedTree<B, K>: Val,
-    RankedFut<B, K>: Val,
-    RankedWr<B, K>: Send,
-    B::Fut<K>: Val,
-    B::Wr<K>: Send,
-{
+) {
     bk.tick(1);
     match t {
         RankedTree::Leaf => unreachable!("split_rank: rank {r} not present"),
@@ -257,16 +240,7 @@ pub fn rebuild<B: PipeBackend, K: Key>(
     hi: usize,
     out: TreeWr<B, K>,
     mode: Mode,
-) where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-    RankedTree<B, K>: Val,
-    RankedFut<B, K>: Val,
-    RankedWr<B, K>: Send,
-    B::Fut<K>: Val,
-    B::Wr<K>: Send,
-{
+) {
     bk.tick(1); // interval test
     if lo >= hi {
         bk.fulfill(out, Tree::Leaf);
@@ -295,19 +269,7 @@ pub fn rebuild<B: PipeBackend, K: Key>(
 
 /// The full §3.1 rebalance: size pass, rank pass, rebuild — three pipelined
 /// phases chained through future cells (Theorem 3.2).
-pub fn rebalance<B: PipeBackend, K: Key>(bk: &B, t: TreeFut<B, K>, out: TreeWr<B, K>, mode: Mode)
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-    RankedTree<B, K>: Val,
-    RankedFut<B, K>: Val,
-    RankedWr<B, K>: Send,
-    B::Fut<SizedTree<K>>: Val,
-    B::Wr<SizedTree<K>>: Send,
-    B::Fut<K>: Val,
-    B::Wr<K>: Send,
-{
+pub fn rebalance<B: PipeBackend, K: Key>(bk: &B, t: TreeFut<B, K>, out: TreeWr<B, K>, mode: Mode) {
     let (sp, sf) = bk.cell();
     bk.fork(move |bk| annotate_sizes(bk, t, sp));
     bk.touch(&sf, move |bk, sv| {
@@ -326,18 +288,7 @@ pub fn merge_balanced<B: PipeBackend, K: Key>(
     b: TreeFut<B, K>,
     out: TreeWr<B, K>,
     mode: Mode,
-) where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-    RankedTree<B, K>: Val,
-    RankedFut<B, K>: Val,
-    RankedWr<B, K>: Send,
-    B::Fut<SizedTree<K>>: Val,
-    B::Wr<SizedTree<K>>: Send,
-    B::Fut<K>: Val,
-    B::Wr<K>: Send,
-{
+) {
     let (mp, mf) = bk.cell();
     bk.fork(move |bk| crate::merge::merge(bk, a, b, mp, mode));
     rebalance(bk, mf, out, mode);
@@ -346,12 +297,7 @@ pub fn merge_balanced<B: PipeBackend, K: Key>(
 /// Build a maximally **unbalanced** tree (right spine) from keys inserted
 /// in the given order, as free input cells — the stress input for the
 /// rebalance tests on every backend.
-pub fn unbalanced_from<B: PipeBackend, K: Key>(bk: &B, keys: &[K]) -> Tree<B, K>
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-{
+pub fn unbalanced_from<B: PipeBackend, K: Key>(bk: &B, keys: &[K]) -> Tree<B, K> {
     enum P<K> {
         Leaf,
         Node(K, Box<P<K>>, Box<P<K>>),
@@ -368,12 +314,7 @@ where
             }
         }
     }
-    fn conv<B: PipeBackend, K: Key>(bk: &B, t: &P<K>) -> Tree<B, K>
-    where
-        Tree<B, K>: Val,
-        TreeFut<B, K>: Val,
-        TreeWr<B, K>: Send,
-    {
+    fn conv<B: PipeBackend, K: Key>(bk: &B, t: &P<K>) -> Tree<B, K> {
         match t {
             P::Leaf => Tree::Leaf,
             P::Node(k, l, r) => {

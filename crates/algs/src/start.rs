@@ -8,17 +8,15 @@
 //! session for real threads. The future is written once the run has
 //! quiesced; the trees' `expect` reads it on any engine.
 
-use crate::list::{consume, produce, qs, List, ListFut, ListWr};
+use crate::list::{consume, produce, qs, List, ListFut};
 use crate::merge::merge;
 use crate::mergesort::{msort, msort_balanced};
 use crate::plain::Entry;
-use crate::rebalance::{
-    merge_balanced, rebalance, unbalanced_from, RankedFut, RankedTree, RankedWr, SizedTree,
-};
-use crate::treap::{diff, intersect, union, Treap, TreapFut, TreapWr};
-use crate::tree::{Tree, TreeFut, TreeWr};
-use crate::two_six::{insert_many, TsFut, TsTree, TsWr};
-use crate::{Key, Mode, PipeBackend, Val};
+use crate::rebalance::{merge_balanced, rebalance, unbalanced_from};
+use crate::treap::{diff, intersect, union, Treap, TreapFut};
+use crate::tree::{Tree, TreeFut};
+use crate::two_six::{insert_many, TsFut, TsTree};
+use crate::{Key, Mode, PipeBackend};
 
 /// `union` of the treaps of two entry sets.
 pub fn union_on<B: PipeBackend, K: Key>(
@@ -26,14 +24,7 @@ pub fn union_on<B: PipeBackend, K: Key>(
     a: &[Entry<K>],
     b: &[Entry<K>],
     mode: Mode,
-) -> TreapFut<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
+) -> TreapFut<B, K> {
     let fa = bk.input(Treap::from_entries(bk, a));
     let fb = bk.input(Treap::from_entries(bk, b));
     let (out, root) = bk.cell();
@@ -47,14 +38,7 @@ pub fn diff_on<B: PipeBackend, K: Key>(
     a: &[Entry<K>],
     b: &[Entry<K>],
     mode: Mode,
-) -> TreapFut<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
+) -> TreapFut<B, K> {
     let fa = bk.input(Treap::from_entries(bk, a));
     let fb = bk.input(Treap::from_entries(bk, b));
     let (out, root) = bk.cell();
@@ -68,14 +52,7 @@ pub fn intersect_on<B: PipeBackend, K: Key>(
     a: &[Entry<K>],
     b: &[Entry<K>],
     mode: Mode,
-) -> TreapFut<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
+) -> TreapFut<B, K> {
     let fa = bk.input(Treap::from_entries(bk, a));
     let fb = bk.input(Treap::from_entries(bk, b));
     let (out, root) = bk.cell();
@@ -84,12 +61,7 @@ where
 }
 
 /// `merge` of the balanced trees of two sorted, disjoint key sets.
-pub fn merge_on<B: PipeBackend, K: Key>(bk: &B, a: &[K], b: &[K], mode: Mode) -> TreeFut<B, K>
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-{
+pub fn merge_on<B: PipeBackend, K: Key>(bk: &B, a: &[K], b: &[K], mode: Mode) -> TreeFut<B, K> {
     let fa = bk.input(Tree::from_sorted(bk, a));
     let fb = bk.input(Tree::from_sorted(bk, b));
     let (out, root) = bk.cell();
@@ -103,19 +75,7 @@ pub fn merge_balanced_on<B: PipeBackend, K: Key>(
     a: &[K],
     b: &[K],
     mode: Mode,
-) -> TreeFut<B, K>
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-    RankedTree<B, K>: Val,
-    RankedFut<B, K>: Val,
-    RankedWr<B, K>: Send,
-    B::Fut<SizedTree<K>>: Val,
-    B::Wr<SizedTree<K>>: Send,
-    B::Fut<K>: Val,
-    B::Wr<K>: Send,
-{
+) -> TreeFut<B, K> {
     let fa = bk.input(Tree::from_sorted(bk, a));
     let fb = bk.input(Tree::from_sorted(bk, b));
     let (out, root) = bk.cell();
@@ -124,19 +84,7 @@ where
 }
 
 /// `rebalance` of the BST that inserting `keys` in order builds.
-pub fn rebalance_on<B: PipeBackend, K: Key>(bk: &B, keys: &[K], mode: Mode) -> TreeFut<B, K>
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-    RankedTree<B, K>: Val,
-    RankedFut<B, K>: Val,
-    RankedWr<B, K>: Send,
-    B::Fut<SizedTree<K>>: Val,
-    B::Wr<SizedTree<K>>: Send,
-    B::Fut<K>: Val,
-    B::Wr<K>: Send,
-{
+pub fn rebalance_on<B: PipeBackend, K: Key>(bk: &B, keys: &[K], mode: Mode) -> TreeFut<B, K> {
     let ft = bk.input(unbalanced_from(bk, keys));
     let (out, root) = bk.cell();
     rebalance(bk, ft, out, mode);
@@ -150,12 +98,7 @@ pub fn insert_many_on<B: PipeBackend, K: Key>(
     initial: &[K],
     keys: &[K],
     mode: Mode,
-) -> TsFut<B, K>
-where
-    TsTree<B, K>: Val,
-    TsFut<B, K>: Val,
-    TsWr<B, K>: Send,
-{
+) -> TsFut<B, K> {
     let ft = bk.input(TsTree::from_sorted(bk, initial));
     insert_many(bk, keys, ft, mode)
 }
@@ -167,19 +110,7 @@ pub fn msort_on<B: PipeBackend, K: Key>(
     keys: &[K],
     balanced: bool,
     mode: Mode,
-) -> TreeFut<B, K>
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-    TreeWr<B, K>: Send,
-    RankedTree<B, K>: Val,
-    RankedFut<B, K>: Val,
-    RankedWr<B, K>: Send,
-    B::Fut<SizedTree<K>>: Val,
-    B::Wr<SizedTree<K>>: Send,
-    B::Fut<K>: Val,
-    B::Wr<K>: Send,
-{
+) -> TreeFut<B, K> {
     let (out, root) = bk.cell();
     if balanced {
         msort_balanced(bk, keys.to_vec(), out, mode);
@@ -190,12 +121,7 @@ where
 }
 
 /// The Figure 2 quicksort of `keys`, as the future of the sorted list.
-pub fn quicksort_on<B: PipeBackend, K: Key>(bk: &B, keys: &[K], mode: Mode) -> ListFut<B, K>
-where
-    List<B, K>: Val,
-    ListFut<B, K>: Val,
-    ListWr<B, K>: Send,
-{
+pub fn quicksort_on<B: PipeBackend, K: Key>(bk: &B, keys: &[K], mode: Mode) -> ListFut<B, K> {
     let (out, sorted) = bk.cell();
     qs(bk, List::from_slice(bk, keys), List::nil(), out, mode);
     sorted
@@ -203,14 +129,7 @@ where
 
 /// The Figure 1 pipeline — `consume(produce(n))` — as the future of the
 /// sum. In [`Mode::Strict`] the consumer sees the list once it is whole.
-pub fn pipeline_on<B: PipeBackend>(bk: &B, n: u64, mode: Mode) -> B::Fut<u64>
-where
-    List<B, u64>: Val,
-    ListFut<B, u64>: Val,
-    ListWr<B, u64>: Send,
-    B::Fut<u64>: Val,
-    B::Wr<u64>: Send,
-{
+pub fn pipeline_on<B: PipeBackend>(bk: &B, n: u64, mode: Mode) -> B::Fut<u64> {
     let (lp, lf) = bk.cell();
     match mode {
         Mode::Pipelined => produce(bk, n, lp),

@@ -74,7 +74,7 @@ const LEAF_KEYS: usize = 32;
 const _: () = assert!(LEAF_KEYS <= 64);
 
 /// A treap on engine `B`.
-pub enum Treap<B: PipeBackend, K: 'static> {
+pub enum Treap<B: PipeBackend, K: Val> {
     /// The empty treap.
     Leaf,
     /// An interior node (shared, immutable).
@@ -88,7 +88,7 @@ pub enum Treap<B: PipeBackend, K: 'static> {
 
 /// A child of a [`TreapNode`]: a future cell where the subtreap may still
 /// be pending, the subtreap itself where it is known to be finished.
-pub enum Child<B: PipeBackend, K: 'static> {
+pub enum Child<B: PipeBackend, K: Val> {
     /// A finished subtreap, held directly.
     Done(Treap<B, K>),
     /// The future of a subtreap.
@@ -96,7 +96,7 @@ pub enum Child<B: PipeBackend, K: 'static> {
 }
 
 /// An interior node of a [`Treap`].
-pub struct TreapNode<B: PipeBackend, K: 'static> {
+pub struct TreapNode<B: PipeBackend, K: Val> {
     /// Key (symmetric order).
     pub key: K,
     /// Priority (max-heap order, ties broken by key).
@@ -114,7 +114,7 @@ pub struct TreapNode<B: PipeBackend, K: 'static> {
     pub right: Child<B, K>,
 }
 
-impl<B: PipeBackend, K> Clone for Treap<B, K> {
+impl<B: PipeBackend, K: Val> Clone for Treap<B, K> {
     fn clone(&self) -> Self {
         match self {
             Treap::Leaf => Treap::Leaf,
@@ -124,7 +124,7 @@ impl<B: PipeBackend, K> Clone for Treap<B, K> {
     }
 }
 
-impl<B: PipeBackend, K> Clone for Child<B, K> {
+impl<B: PipeBackend, K: Val> Clone for Child<B, K> {
     fn clone(&self) -> Self {
         match self {
             Child::Done(t) => Child::Done(t.clone()),
@@ -133,7 +133,54 @@ impl<B: PipeBackend, K> Clone for Child<B, K> {
     }
 }
 
-impl<B: PipeBackend, K> Treap<B, K> {
+impl<B: PipeBackend, K: Val> TreapNode<B, K> {
+    /// [`size`](TreapNode::size), if the node makes the claim.
+    pub fn sized(&self) -> Option<usize> {
+        (self.size != 0).then_some(self.size)
+    }
+}
+
+impl<B: PipeBackend, K: Key> Child<B, K> {
+    /// The subtreap, if it is held directly — as every child below a sized
+    /// node is.
+    pub fn done(&self) -> Option<&Treap<B, K>> {
+        match self {
+            Child::Done(t) => Some(t),
+            Child::Cell(_) => None,
+        }
+    }
+
+    /// The finished subtreap (post-run inspection): borrowed if held
+    /// directly, else read out of its cell.
+    ///
+    /// # Panics
+    /// If the cell is still unwritten.
+    pub fn get(&self) -> Cow<'_, Treap<B, K>> {
+        match self {
+            Child::Done(t) => Cow::Borrowed(t),
+            Child::Cell(f) => Cow::Owned(Treap::expect(f)),
+        }
+    }
+
+    /// The data edge to the child: a touch of its cell, or nothing at all
+    /// in front of `k` when the subtreap is held directly.
+    fn touch(&self, bk: &B, k: impl FnOnce(&B, Treap<B, K>) + Send + 'static) {
+        match self {
+            Child::Done(t) => k(bk, t.clone()),
+            Child::Cell(f) => bk.touch(f, k),
+        }
+    }
+
+    /// The child as the future a recursive call takes.
+    fn into_fut(self, bk: &B) -> TreapFut<B, K> {
+        match self {
+            Child::Done(t) => bk.input(t),
+            Child::Cell(f) => f,
+        }
+    }
+}
+
+impl<B: PipeBackend, K: Key> Treap<B, K> {
     /// Construct an interior node over cells that may still be pending:
     /// the node is unsized.
     pub fn node(key: K, prio: u64, left: TreapFut<B, K>, right: TreapFut<B, K>) -> Self {
@@ -147,10 +194,7 @@ impl<B: PipeBackend, K> Treap<B, K> {
     /// # Panics
     /// If `left` or `right` is unsized, or if together they fit a block
     /// but one of them is a node (which the rule never builds).
-    pub fn node_sized(key: K, prio: u64, left: Treap<B, K>, right: Treap<B, K>) -> Self
-    where
-        K: Clone,
-    {
+    pub fn node_sized(key: K, prio: u64, left: Treap<B, K>, right: Treap<B, K>) -> Self {
         let size = 1 + len(&left) + len(&right);
         if fits::<B>(size) {
             let (Some(l), Some(r)) = (fringe(&left), fringe(&right)) else {
@@ -169,10 +213,7 @@ impl<B: PipeBackend, K> Treap<B, K> {
     /// a caller that is not on a worker. The plain treap is the Cartesian
     /// tree of its entries, so this is
     /// [`from_sorted_complete`](Self::from_sorted_complete) of them.
-    pub fn from_plain_complete(t: &Option<Box<PlainTreap<K>>>) -> Self
-    where
-        K: Key,
-    {
+    pub fn from_plain_complete(t: &Option<Box<PlainTreap<K>>>) -> Self {
         fn inorder<K: Clone>(t: &Option<Box<PlainTreap<K>>>, out: &mut Vec<Entry<K>>) {
             if let Some(n) = t {
                 inorder(&n.left, out);
@@ -194,10 +235,7 @@ impl<B: PipeBackend, K> Treap<B, K> {
     /// one popped as its left child — then the treap is made bottom-up.
     /// Every subtree covers a contiguous run of `entries`, so one that fits
     /// a block is that run, copied once; the rest are sized nodes.
-    pub fn from_sorted_complete(entries: &[Entry<K>]) -> Self
-    where
-        K: Ord + Clone,
-    {
+    pub fn from_sorted_complete(entries: &[Entry<K>]) -> Self {
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "entries must be sorted by key and distinct"
@@ -221,7 +259,7 @@ impl<B: PipeBackend, K> Treap<B, K> {
             top = i;
         }
         // The subtree rooted at entry `i`, which covers `entries[span]`.
-        fn build<B: PipeBackend, K: Clone>(
+        fn build<B: PipeBackend, K: Key>(
             entries: &[Entry<K>],
             links: &[[usize; 3]],
             i: usize,
@@ -272,10 +310,7 @@ impl<B: PipeBackend, K> Treap<B, K> {
     ///
     /// # Panics
     /// If the walk meets a future cell.
-    pub fn contains(&self, key: &K) -> bool
-    where
-        K: Ord,
-    {
+    pub fn contains(&self, key: &K) -> bool {
         let mut cur = self;
         loop {
             match cur {
@@ -289,69 +324,7 @@ impl<B: PipeBackend, K> Treap<B, K> {
             }
         }
     }
-}
 
-impl<B: PipeBackend, K> TreapNode<B, K> {
-    /// [`size`](TreapNode::size), if the node makes the claim.
-    pub fn sized(&self) -> Option<usize> {
-        (self.size != 0).then_some(self.size)
-    }
-}
-
-impl<B: PipeBackend, K> Child<B, K> {
-    /// The subtreap, if it is held directly — as every child below a sized
-    /// node is.
-    pub fn done(&self) -> Option<&Treap<B, K>> {
-        match self {
-            Child::Done(t) => Some(t),
-            Child::Cell(_) => None,
-        }
-    }
-}
-
-impl<B: PipeBackend, K: Key> Child<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-{
-    /// The finished subtreap (post-run inspection): borrowed if held
-    /// directly, else read out of its cell.
-    ///
-    /// # Panics
-    /// If the cell is still unwritten.
-    pub fn get(&self) -> Cow<'_, Treap<B, K>> {
-        match self {
-            Child::Done(t) => Cow::Borrowed(t),
-            Child::Cell(f) => Cow::Owned(Treap::expect(f)),
-        }
-    }
-
-    /// The data edge to the child: a touch of its cell, or nothing at all
-    /// in front of `k` when the subtreap is held directly.
-    fn touch(&self, bk: &B, k: impl FnOnce(&B, Treap<B, K>) + Send + 'static) {
-        match self {
-            Child::Done(t) => k(bk, t.clone()),
-            Child::Cell(f) => bk.touch(f, k),
-        }
-    }
-
-    /// The child as the future a recursive call takes.
-    fn into_fut(self, bk: &B) -> TreapFut<B, K>
-    where
-        TreapWr<B, K>: Send,
-    {
-        match self {
-            Child::Done(t) => bk.input(t),
-            Child::Cell(f) => f,
-        }
-    }
-}
-
-impl<B: PipeBackend, K: Key> Treap<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-{
     /// Read a finished cell (post-run inspection).
     ///
     /// # Panics
@@ -363,10 +336,7 @@ where
     /// Convert a sequential treap into an engine treap (input
     /// construction, zero cost): complete nodes on an engine that cuts,
     /// unsized nodes over free pre-written cells on one that does not.
-    pub fn from_plain(bk: &B, t: &Option<Box<PlainTreap<K>>>) -> Treap<B, K>
-    where
-        TreapWr<B, K>: Send,
-    {
+    pub fn from_plain(bk: &B, t: &Option<Box<PlainTreap<K>>>) -> Treap<B, K> {
         if B::GRAIN != 0 {
             return Self::from_plain_complete(t);
         }
@@ -380,10 +350,7 @@ where
 
     /// Build directly from entries (builds a [`PlainTreap`] first, so the
     /// shape is the oracle's shape by construction).
-    pub fn from_entries(bk: &B, entries: &[Entry<K>]) -> Treap<B, K>
-    where
-        TreapWr<B, K>: Send,
-    {
+    pub fn from_entries(bk: &B, entries: &[Entry<K>]) -> Treap<B, K> {
         let plain = PlainTreap::from_entries(entries);
         Self::from_plain(bk, &plain)
     }
@@ -433,11 +400,7 @@ where
                 run(&b[i + 1..], out);
             }
         }
-        fn rec<B: PipeBackend, K: Key>(t: &Treap<B, K>, out: &mut Vec<Entry<K>>)
-        where
-            Treap<B, K>: Val,
-            TreapFut<B, K>: Val,
-        {
+        fn rec<B: PipeBackend, K: Key>(t: &Treap<B, K>, out: &mut Vec<Entry<K>>) {
             match t {
                 Treap::Leaf => {}
                 Treap::Node(n) => {
@@ -489,11 +452,7 @@ where
     /// is empty, oversize or out of key order; on one that does not, no
     /// block at all.
     pub fn check_invariants(&self) -> bool {
-        fn rec<B: PipeBackend, K: Key>(t: &Treap<B, K>, max_prio: Option<(u64, K)>) -> bool
-        where
-            Treap<B, K>: Val,
-            TreapFut<B, K>: Val,
-        {
+        fn rec<B: PipeBackend, K: Key>(t: &Treap<B, K>, max_prio: Option<(u64, K)>) -> bool {
             let beats_above = |k: &K, p: u64| {
                 max_prio
                     .as_ref()
@@ -514,11 +473,7 @@ where
         // The subtree's key count; `None` for a size violation: a wrong
         // count, an unsized node or a cell (written or not) below a sized
         // node, or a subtree the rule would have stored the other way.
-        fn count<B: PipeBackend, K: Key>(t: &Treap<B, K>, sized_above: bool) -> Option<usize>
-        where
-            Treap<B, K>: Val,
-            TreapFut<B, K>: Val,
-        {
+        fn count<B: PipeBackend, K: Key>(t: &Treap<B, K>, sized_above: bool) -> Option<usize> {
             let n = match t {
                 Treap::Leaf => return Some(0),
                 Treap::Block(b) => {
@@ -560,12 +515,12 @@ where
 // over their entries; a block meets a node by [`expose`].
 
 /// The subtreap below a node of a complete treap.
-fn kid<B: PipeBackend, K>(c: &Child<B, K>) -> &Treap<B, K> {
+fn kid<B: PipeBackend, K: Key>(c: &Child<B, K>) -> &Treap<B, K> {
     c.done().expect("a complete treap holds no future cell")
 }
 
 /// The key count of a subtreap reached through a sized node.
-fn len<B: PipeBackend, K>(t: &Treap<B, K>) -> usize {
+fn len<B: PipeBackend, K: Key>(t: &Treap<B, K>) -> usize {
     t.sized().expect("unsized treap node below a sized one")
 }
 
@@ -576,7 +531,7 @@ fn fits<B: PipeBackend>(n: usize) -> bool {
 
 /// The entries of a complete subtreap that fits a block — a block's own,
 /// none for the empty treap — or `None` for a node.
-fn fringe<B: PipeBackend, K>(t: &Treap<B, K>) -> Option<&[Entry<K>]> {
+fn fringe<B: PipeBackend, K: Val>(t: &Treap<B, K>) -> Option<&[Entry<K>]> {
     match t {
         Treap::Leaf => Some(&[]),
         Treap::Block(b) => Some(b),
@@ -596,7 +551,7 @@ fn top<K: Ord>(b: &[Entry<K>]) -> usize {
 }
 
 /// The root entry of a nonempty treap.
-fn root<B: PipeBackend, K: Ord>(t: &Treap<B, K>) -> (&K, u64) {
+fn root<B: PipeBackend, K: Key>(t: &Treap<B, K>) -> (&K, u64) {
     match t {
         Treap::Node(n) => (&n.key, n.prio),
         Treap::Block(b) => {
@@ -608,7 +563,7 @@ fn root<B: PipeBackend, K: Ord>(t: &Treap<B, K>) -> (&K, u64) {
 }
 
 /// Does the root of `a` win over the root of `b` (both nonempty)?
-fn wins_over<B: PipeBackend, K: Ord>(a: &Treap<B, K>, b: &Treap<B, K>) -> bool {
+fn wins_over<B: PipeBackend, K: Key>(a: &Treap<B, K>, b: &Treap<B, K>) -> bool {
     let ((ka, pa), (kb, pb)) = (root(a), root(b));
     wins(ka, pa, kb, pb)
 }
@@ -648,7 +603,7 @@ fn parts<B: PipeBackend, K: Key>(t: &Treap<B, K>) -> (K, u64, Child<B, K>, Child
 }
 
 /// `b[span]` as a complete treap: `b` itself if that is all of it.
-fn sub<B: PipeBackend, K: Clone>(b: &Arc<[Entry<K>]>, span: Range<usize>) -> Treap<B, K> {
+fn sub<B: PipeBackend, K: Key>(b: &Arc<[Entry<K>]>, span: Range<usize>) -> Treap<B, K> {
     match span.len() {
         0 => Treap::Leaf,
         n if n == b.len() => Treap::Block(Arc::clone(b)),
@@ -668,7 +623,7 @@ fn from_run<B: PipeBackend, K: Key>(n: usize, mut next: impl FnMut() -> Entry<K>
 }
 
 /// Are `a` and `b` the same subtreap (not merely equal)?
-fn same<B: PipeBackend, K>(a: &Treap<B, K>, b: &Treap<B, K>) -> bool {
+fn same<B: PipeBackend, K: Val>(a: &Treap<B, K>, b: &Treap<B, K>) -> bool {
     match (a, b) {
         (Treap::Leaf, Treap::Leaf) => true,
         (Treap::Node(x), Treap::Node(y)) => Arc::ptr_eq(x, y),
@@ -714,7 +669,7 @@ fn within_grain<B: PipeBackend>(a: Option<usize>, b: Option<usize>) -> bool {
 /// Is `t` complete on an engine that cuts at all? Then it is split or
 /// joined plainly whatever its size: that is O(height), and its pieces
 /// stay complete.
-fn plainly<B: PipeBackend, K>(t: &Treap<B, K>) -> bool {
+fn plainly<B: PipeBackend, K: Key>(t: &Treap<B, K>) -> bool {
     B::GRAIN > 0 && t.sized().is_some()
 }
 
@@ -931,13 +886,7 @@ pub fn splitm<B: PipeBackend, K: Key>(
     lout: TreapWr<B, K>,
     rout: TreapWr<B, K>,
     fout: B::Wr<bool>,
-) where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
+) {
     if plainly(&t) {
         let (l, r, found) = split_plain(&t, &s);
         bk.fulfill(lout, l);
@@ -987,12 +936,7 @@ pub fn splitm<B: PipeBackend, K: Key>(
 /// is smaller than every key of `r`. Takes already-touched root values;
 /// the recursion forks so the result spine pipelines upward — the
 /// ρ-value analysis of Lemma 3.10.
-pub fn join<B: PipeBackend, K: Key>(bk: &B, l: Treap<B, K>, r: Treap<B, K>, out: TreapWr<B, K>)
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-{
+pub fn join<B: PipeBackend, K: Key>(bk: &B, l: Treap<B, K>, r: Treap<B, K>, out: TreapWr<B, K>) {
     if plainly(&l) && plainly(&r) {
         bk.fulfill(out, join_plain(&l, &r));
         return;
@@ -1028,13 +972,7 @@ pub fn union<B: PipeBackend, K: Key>(
     b: TreapFut<B, K>,
     out: TreapWr<B, K>,
     mode: Mode,
-) where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
+) {
     bk.touch(&a, move |bk, av| {
         bk.tick(1);
         if av.is_leaf() {
@@ -1088,13 +1026,7 @@ pub fn diff<B: PipeBackend, K: Key>(
     b: TreapFut<B, K>,
     out: TreapWr<B, K>,
     mode: Mode,
-) where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
+) {
     select::<B, K, false>(bk, a, b, out, mode)
 }
 
@@ -1109,13 +1041,7 @@ pub fn intersect<B: PipeBackend, K: Key>(
     b: TreapFut<B, K>,
     out: TreapWr<B, K>,
     mode: Mode,
-) where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
+) {
     select::<B, K, true>(bk, a, b, out, mode)
 }
 
@@ -1130,13 +1056,7 @@ fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
     b: TreapFut<B, K>,
     out: TreapWr<B, K>,
     mode: Mode,
-) where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
+) {
     bk.touch(&a, move |bk, av| {
         bk.tick(1);
         if av.is_leaf() {
@@ -1203,14 +1123,7 @@ pub fn union_many<B: PipeBackend, K: Key>(
     bk: &B,
     mut futs: Vec<TreapFut<B, K>>,
     mode: Mode,
-) -> TreapFut<B, K>
-where
-    Treap<B, K>: Val,
-    TreapFut<B, K>: Val,
-    TreapWr<B, K>: Send,
-    B::Fut<bool>: Val,
-    B::Wr<bool>: Send,
-{
+) -> TreapFut<B, K> {
     match futs.len() {
         0 => bk.input(Treap::Leaf),
         1 => futs.pop().expect("len checked"),
@@ -1412,11 +1325,7 @@ mod tests {
     /// The engine-free entry points answer exactly when the pipelined
     /// functions would run plain code — both operands sized, the estimate
     /// within the grain, to the key — and then with the oracle's tree.
-    fn within_grain_is_the_plain_rule<B: PipeBackend>()
-    where
-        Treap<B, i64>: Val,
-        TreapFut<B, i64>: Val,
-    {
+    fn within_grain_is_the_plain_rule<B: PipeBackend>() {
         let t = |e: &[Entry<i64>]| Treap::<B, i64>::from_sorted_complete(e);
         let same_tree = |got: Option<Treap<B, i64>>, want, what: &str| {
             let got = got.unwrap_or_else(|| panic!("{what}: within the grain"));

@@ -22,7 +22,7 @@ pub type TreeFut<B, K> = <B as PipeBackend>::Fut<Tree<B, K>>;
 pub type TreeWr<B, K> = <B as PipeBackend>::Wr<Tree<B, K>>;
 
 /// A binary search tree whose children are future cells of engine `B`.
-pub enum Tree<B: PipeBackend, K: 'static> {
+pub enum Tree<B: PipeBackend, K: Val> {
     /// The empty tree.
     Leaf,
     /// An interior node (shared, immutable).
@@ -30,7 +30,7 @@ pub enum Tree<B: PipeBackend, K: 'static> {
 }
 
 /// An interior node of a [`Tree`].
-pub struct Node<B: PipeBackend, K: 'static> {
+pub struct Node<B: PipeBackend, K: Val> {
     /// The key stored at this node.
     pub key: K,
     /// Future of the left subtree (keys `< key`).
@@ -39,7 +39,7 @@ pub struct Node<B: PipeBackend, K: 'static> {
     pub right: TreeFut<B, K>,
 }
 
-impl<B: PipeBackend, K> Clone for Tree<B, K> {
+impl<B: PipeBackend, K: Val> Clone for Tree<B, K> {
     fn clone(&self) -> Self {
         match self {
             Tree::Leaf => Tree::Leaf,
@@ -48,7 +48,7 @@ impl<B: PipeBackend, K> Clone for Tree<B, K> {
     }
 }
 
-impl<B: PipeBackend, K> Tree<B, K> {
+impl<B: PipeBackend, K: Key> Tree<B, K> {
     /// Construct an interior node.
     pub fn node(key: K, left: TreeFut<B, K>, right: TreeFut<B, K>) -> Self {
         Tree::Node(Arc::new(Node { key, left, right }))
@@ -58,13 +58,7 @@ impl<B: PipeBackend, K> Tree<B, K> {
     pub fn is_leaf(&self) -> bool {
         matches!(self, Tree::Leaf)
     }
-}
 
-impl<B: PipeBackend, K: Key> Tree<B, K>
-where
-    Tree<B, K>: Val,
-    TreeFut<B, K>: Val,
-{
     /// Read a finished child cell (post-run inspection).
     ///
     /// # Panics
@@ -76,10 +70,7 @@ where
     /// Build a balanced tree from a sorted slice using **free** pre-written
     /// cells ([`PipeBackend::input`]) — input construction must not pollute
     /// the measured cost of the algorithm under test.
-    pub fn from_sorted(bk: &B, sorted: &[K]) -> Tree<B, K>
-    where
-        TreeWr<B, K>: Send,
-    {
+    pub fn from_sorted(bk: &B, sorted: &[K]) -> Tree<B, K> {
         if sorted.is_empty() {
             return Tree::Leaf;
         }
@@ -97,7 +88,7 @@ where
     /// # Panics
     /// If any child cell is still unwritten.
     pub fn to_sorted_vec(&self) -> Vec<K> {
-        enum Frame<B: PipeBackend, K: 'static> {
+        enum Frame<B: PipeBackend, K: Val> {
             Tree(Tree<B, K>),
             Key(K),
         }

@@ -35,7 +35,7 @@ pub type TsFut<B, K> = <B as PipeBackend>::Fut<TsTree<B, K>>;
 pub type TsWr<B, K> = <B as PipeBackend>::Wr<TsTree<B, K>>;
 
 /// A 2-6 tree with future children on engine `B`.
-pub enum TsTree<B: PipeBackend, K: 'static> {
+pub enum TsTree<B: PipeBackend, K: Val> {
     /// A leaf holding 1–5 keys (0 keys only for the empty tree).
     Leaf(Arc<Vec<K>>),
     /// An internal node: 1–5 splitter keys, `keys + 1` children.
@@ -43,14 +43,14 @@ pub enum TsTree<B: PipeBackend, K: 'static> {
 }
 
 /// An internal node of a [`TsTree`].
-pub struct TsNode<B: PipeBackend, K: 'static> {
+pub struct TsNode<B: PipeBackend, K: Val> {
     /// Splitter keys, sorted; these are real keys of the set.
     pub keys: Vec<K>,
     /// Children (`keys.len() + 1` of them), as futures.
     pub children: Vec<TsFut<B, K>>,
 }
 
-impl<B: PipeBackend, K> Clone for TsTree<B, K> {
+impl<B: PipeBackend, K: Val> Clone for TsTree<B, K> {
     fn clone(&self) -> Self {
         match self {
             TsTree::Leaf(ks) => TsTree::Leaf(Arc::clone(ks)),
@@ -71,13 +71,7 @@ impl<B: PipeBackend, K: Key> TsTree<B, K> {
             TsTree::Node(n) => n.keys.len(),
         }
     }
-}
 
-impl<B: PipeBackend, K: Key> TsTree<B, K>
-where
-    TsTree<B, K>: Val,
-    TsFut<B, K>: Val,
-{
     /// Read a finished cell (post-run inspection).
     ///
     /// # Panics
@@ -137,11 +131,7 @@ where
         if keys.windows(2).any(|w| w[0] >= w[1]) {
             return Err("keys not strictly increasing in symmetric order".into());
         }
-        fn rec<B: PipeBackend, K: Key>(t: &TsTree<B, K>, is_root: bool) -> Result<usize, String>
-        where
-            TsTree<B, K>: Val,
-            TsFut<B, K>: Val,
-        {
+        fn rec<B: PipeBackend, K: Key>(t: &TsTree<B, K>, is_root: bool) -> Result<usize, String> {
             match t {
                 TsTree::Leaf(ks) => {
                     if ks.is_empty() && !is_root {
@@ -165,7 +155,7 @@ where
                     }
                     let mut depth = None;
                     for c in &n.children {
-                        let d = rec(&TsTree::expect(c), false)?;
+                        let d = rec(&TsTree::<B, K>::expect(c), false)?;
                         match depth {
                             None => depth = Some(d),
                             Some(prev) if prev != d => {
@@ -185,10 +175,7 @@ where
     /// cells ([`PipeBackend::input`]). Leaves get one or two keys, internal
     /// nodes two or three children — a well-filled tree with insertion
     /// slack.
-    pub fn from_sorted(bk: &B, keys: &[K]) -> TsTree<B, K>
-    where
-        TsWr<B, K>: Send,
-    {
+    pub fn from_sorted(bk: &B, keys: &[K]) -> TsTree<B, K> {
         if keys.is_empty() {
             return TsTree::empty();
         }
@@ -203,10 +190,7 @@ where
         Self::build_h(bk, keys, h)
     }
 
-    fn build_h(bk: &B, keys: &[K], h: usize) -> TsTree<B, K>
-    where
-        TsWr<B, K>: Send,
-    {
+    fn build_h(bk: &B, keys: &[K], h: usize) -> TsTree<B, K> {
         if h == 0 {
             debug_assert!((1..=2).contains(&keys.len()));
             return TsTree::Leaf(Arc::new(keys.to_vec()));
@@ -343,12 +327,7 @@ fn queue_insert<B: PipeBackend, K: Key>(
     part: Vec<K>,
     subtree: TsTree<B, K>,
     pending: &mut Pending<B, K>,
-) -> TsFut<B, K>
-where
-    TsTree<B, K>: Val,
-    TsFut<B, K>: Val,
-    TsWr<B, K>: Send,
-{
+) -> TsFut<B, K> {
     if part.is_empty() {
         bk.ready(subtree)
     } else {
@@ -362,7 +341,7 @@ where
 /// pass 1 touches the children that receive keys (one continuation hop
 /// each) and decides the new node's structure; once all buckets are
 /// placed, the node is published and the recursive inserts fork.
-struct Builder<B: PipeBackend, K: 'static> {
+struct Builder<B: PipeBackend, K: Val> {
     node: Arc<TsNode<B, K>>,
     parts: Vec<Vec<K>>, // one bucket per original child
     i: usize,
@@ -372,12 +351,7 @@ struct Builder<B: PipeBackend, K: 'static> {
     out: TsWr<B, K>,
 }
 
-fn build_step<B: PipeBackend, K: Key>(bk: &B, mut b: Builder<B, K>)
-where
-    TsTree<B, K>: Val,
-    TsFut<B, K>: Val,
-    TsWr<B, K>: Send,
-{
+fn build_step<B: PipeBackend, K: Key>(bk: &B, mut b: Builder<B, K>) {
     while b.i < b.node.children.len() {
         let i = b.i;
         let part = std::mem::take(&mut b.parts[i]);
@@ -434,12 +408,7 @@ where
 /// caller has already touched and, if necessary, split down to a 2-3
 /// node). Writes the new node to `out` in constant depth; children are
 /// futures filled by forked recursive inserts.
-pub fn insert_val<B: PipeBackend, K: Key>(bk: &B, keys: Vec<K>, t: TsTree<B, K>, out: TsWr<B, K>)
-where
-    TsTree<B, K>: Val,
-    TsFut<B, K>: Val,
-    TsWr<B, K>: Send,
-{
+pub fn insert_val<B: PipeBackend, K: Key>(bk: &B, keys: Vec<K>, t: TsTree<B, K>, out: TsWr<B, K>) {
     bk.tick(1);
     if keys.is_empty() {
         bk.fulfill(out, t);
@@ -477,12 +446,7 @@ where
 
 /// Insert one well-separated wave into the tree rooted at `t`, splitting
 /// the root first if needed (the only place the tree grows in height).
-pub fn insert_wave<B: PipeBackend, K: Key>(bk: &B, keys: Vec<K>, t: TsFut<B, K>, out: TsWr<B, K>)
-where
-    TsTree<B, K>: Val,
-    TsFut<B, K>: Val,
-    TsWr<B, K>: Send,
-{
+pub fn insert_wave<B: PipeBackend, K: Key>(bk: &B, keys: Vec<K>, t: TsFut<B, K>, out: TsWr<B, K>) {
     bk.touch(&t, move |bk, tv| {
         bk.tick(1);
         if keys.is_empty() {
@@ -535,12 +499,7 @@ pub fn insert_many<B: PipeBackend, K: Key>(
     keys: &[K],
     t: TsFut<B, K>,
     mode: Mode,
-) -> TsFut<B, K>
-where
-    TsTree<B, K>: Val,
-    TsFut<B, K>: Val,
-    TsWr<B, K>: Send,
-{
+) -> TsFut<B, K> {
     insert_many_with_waves(bk, keys, t, mode)
         .pop()
         .expect("at least the initial tree")
@@ -556,12 +515,7 @@ pub fn insert_many_with_waves<B: PipeBackend, K: Key>(
     keys: &[K],
     t: TsFut<B, K>,
     mode: Mode,
-) -> Vec<TsFut<B, K>>
-where
-    TsTree<B, K>: Val,
-    TsFut<B, K>: Val,
-    TsWr<B, K>: Send,
-{
+) -> Vec<TsFut<B, K>> {
     let mut waves_out = vec![t.clone()];
     let mut cur = t;
     for wave in level_arrays(keys) {

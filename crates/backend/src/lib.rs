@@ -36,13 +36,71 @@
 //!
 //! Cell payloads are [`Val`] (cloneable, sendable, `'static`): the model's
 //! values are immutable, so an aliasing clone is observationally a deep
-//! copy, and the real engine moves them across OS threads. The GATs
-//! [`PipeBackend::Fut`]/[`PipeBackend::Wr`] carry **no** `Send` item bounds
-//! of their own — a bounded GAT would send the trait solver into a cycle on
-//! recursive types like `Tree<B, K>` (whose nodes hold `B::Fut<Tree<B, K>>`
-//! children). Instead, generic algorithms state the handful of
-//! `B::Fut<…>: Val` / `B::Wr<…>: Send` facts they need as ordinary `where`
-//! clauses, which every engine discharges structurally at instantiation.
+//! copy, and the real engine moves them across OS threads. What every
+//! engine's cells guarantee in return is stated once, as item bounds on
+//! the GATs: for a `Send + Sync` payload, [`PipeBackend::Fut`] is
+//! `Clone + Send + Sync` and [`PipeBackend::Wr`] is `Send`. A generic
+//! algorithm needs no `where` clause about the cells it creates, touches,
+//! writes or moves into a forked closure.
+//!
+//! The item bounds are auto traits and nothing else, and that is why they
+//! hold on recursive types such as `Tree<B, K>`, whose nodes hold
+//! `B::Fut<Tree<B, K>>` children: the solver proves an auto trait
+//! coinductively, so the cycle through the child's own type closes. A GAT
+//! bounded by [`Val`] instead overflows the solver (`E0275`) wherever an
+//! algorithm is instantiated on an engine: `Clone` is not an auto trait,
+//! and proving it for the payload needs the bound being proved.
+//!
+//! A field `B::Fut<Self>` is well formed only if `Self` is `Send + Sync`,
+//! so a data type that holds one bounds its key by [`Val`], not by
+//! `'static`. The smallest such type, with a producer and a consumer that
+//! carry no `where` clause, run on [`Seq`]:
+//!
+//! ```
+//! use pf_backend::{PipeBackend, Seq};
+//!
+//! /// A stream whose tail is a future cell: Figure 1's list, without keys.
+//! enum Stream<B: PipeBackend> {
+//!     End,
+//!     More(u64, B::Fut<Stream<B>>),
+//! }
+//!
+//! impl<B: PipeBackend> Clone for Stream<B> {
+//!     fn clone(&self) -> Self {
+//!         match self {
+//!             Stream::End => Stream::End,
+//!             Stream::More(x, tail) => Stream::More(*x, tail.clone()),
+//!         }
+//!     }
+//! }
+//!
+//! /// Write `n, n-1, …, 1` into `out`, one cell per tail.
+//! fn count_down<B: PipeBackend>(bk: &B, n: u64, out: B::Wr<Stream<B>>) {
+//!     if n == 0 {
+//!         return bk.fulfill(out, Stream::End);
+//!     }
+//!     let (w, tail) = bk.cell();
+//!     bk.fulfill(out, Stream::More(n, tail));
+//!     bk.fork(move |bk| count_down(bk, n - 1, w));
+//! }
+//!
+//! /// Chase the stream tail by tail and write its sum into `out`.
+//! fn sum<B: PipeBackend>(bk: &B, s: &B::Fut<Stream<B>>, acc: u64, out: B::Wr<u64>) {
+//!     bk.touch(s, move |bk, s| match s {
+//!         Stream::End => bk.fulfill(out, acc),
+//!         Stream::More(x, tail) => sum(bk, &tail, acc + x, out),
+//!     });
+//! }
+//!
+//! let total = Seq::run(|bk| {
+//!     let (w, stream) = bk.cell();
+//!     count_down(bk, 4, w);
+//!     let (w, total) = bk.cell();
+//!     sum(bk, &stream, 0, w);
+//!     Seq::peek(&total)
+//! });
+//! assert_eq!(total, Some(10));
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,10 +155,10 @@ impl Mode {
 /// suspension.
 pub trait PipeBackend: Sized + 'static {
     /// The read pointer of a future cell holding a `T`.
-    type Fut<T: 'static>: Clone + 'static;
+    type Fut<T: Send + Sync + 'static>: Clone + Send + Sync + 'static;
     /// The write pointer; consumed by [`fulfill`](PipeBackend::fulfill), so
     /// each cell is written at most once by construction.
-    type Wr<T: 'static>: 'static;
+    type Wr<T: Send + Sync + 'static>: Send + 'static;
 
     /// The engine's grain, in the cost model's unit actions: an algorithm
     /// that can see that its operands are complete (every cell below them
@@ -122,21 +180,14 @@ pub trait PipeBackend: Sized + 'static {
 
     /// Create an empty future cell. Creation is charged to the enclosing
     /// fork (constant per §4), so the call itself is free on every engine.
-    fn cell<T: Val>(&self) -> (Self::Wr<T>, Self::Fut<T>)
-    where
-        Self::Fut<T>: Val,
-        Self::Wr<T>: Send;
+    fn cell<T: Val>(&self) -> (Self::Wr<T>, Self::Fut<T>);
 
     /// Create a cell that is already written with `value`, **charging the
     /// normal write cost**. Used when an algorithm produces a value *now*
     /// but must hand it to a consumer expecting a future (e.g. the ready
     /// halves of a freshly split 2-6 tree node). For free-of-charge input
     /// construction use [`input`](PipeBackend::input) instead.
-    fn ready<T: Val>(&self, value: T) -> Self::Fut<T>
-    where
-        Self::Fut<T>: Val,
-        Self::Wr<T>: Send,
-    {
+    fn ready<T: Val>(&self, value: T) -> Self::Fut<T> {
         let (w, f) = self.cell();
         self.fulfill(w, value);
         f
@@ -147,20 +198,13 @@ pub trait PipeBackend: Sized + 'static {
     /// marshalling, not part of the measured computation, so the simulator
     /// overrides this with its zero-cost preload; engines without clocks
     /// just use [`ready`](PipeBackend::ready) (free there anyway).
-    fn input<T: Val>(&self, value: T) -> Self::Fut<T>
-    where
-        Self::Fut<T>: Val,
-        Self::Wr<T>: Send,
-    {
+    fn input<T: Val>(&self, value: T) -> Self::Fut<T> {
         self.ready(value)
     }
 
     /// Write `value` into the cell — the paper's write action. If a
     /// continuation is suspended in the cell (real engine), reactivate it.
-    fn fulfill<T: Val>(&self, w: Self::Wr<T>, value: T)
-    where
-        Self::Fut<T>: Val,
-        Self::Wr<T>: Send;
+    fn fulfill<T: Val>(&self, w: Self::Wr<T>, value: T);
 
     /// Touch the cell — the data edge — and run `k` with the value.
     ///
@@ -170,9 +214,7 @@ pub trait PipeBackend: Sized + 'static {
     /// real engine an unwritten cell stores `k` (pre-bound to the cell, one
     /// allocation) and the writer reactivates it; a written cell runs `k`
     /// inline or as a task, per the scheduler's discretion.
-    fn touch<T: Val>(&self, f: &Self::Fut<T>, k: impl FnOnce(&Self, T) + Send + 'static)
-    where
-        Self::Fut<T>: Val;
+    fn touch<T: Val>(&self, f: &Self::Fut<T>, k: impl FnOnce(&Self, T) + Send + 'static);
 
     /// Fork a thread running `body` — the fork edge. The caller is charged
     /// the fork cost and continues immediately.
@@ -210,7 +252,5 @@ pub trait PipeBackend: Sized + 'static {
     /// Read a cell without a continuation, if written: free-of-charge
     /// inspection of finished structures *after* a run. Not a touch — no
     /// cost, no data edge, no linearity accounting.
-    fn peek<T: Val>(f: &Self::Fut<T>) -> Option<T>
-    where
-        Self::Fut<T>: Val;
+    fn peek<T: Val>(f: &Self::Fut<T>) -> Option<T>;
 }

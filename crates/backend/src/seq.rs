@@ -69,8 +69,8 @@ impl Seq {
 }
 
 impl PipeBackend for Seq {
-    type Fut<T: 'static> = SeqFut<T>;
-    type Wr<T: 'static> = SeqFut<T>;
+    type Fut<T: Send + Sync + 'static> = SeqFut<T>;
+    type Wr<T: Send + Sync + 'static> = SeqFut<T>;
 
     fn cell<T: Val>(&self) -> (SeqFut<T>, SeqFut<T>) {
         let c = SeqFut(Arc::new(OnceLock::new()));

@@ -146,6 +146,7 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
     use crate::workloads::union_entries;
     use pf_algs::start::{insert_many_on, union_on};
     use pf_machine::{replay, steal_replay, Discipline, StealConfig};
+    use pf_rt::TraceKind;
 
     let n = 1usize << lg_n;
     // Runtime workloads identical to the ones `capture_traces` feeds the
@@ -198,10 +199,10 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
                     .1
                 };
                 let ts = stats.trace.as_ref().expect("traced build attaches stats");
-                steals += ts.steals() as f64;
-                suspends += ts.suspends() as f64;
-                execs += ts.executed() as f64;
-                parks += ts.parks() as f64;
+                steals += ts.total(TraceKind::Steal) as f64;
+                suspends += ts.total(TraceKind::Suspend) as f64;
+                execs += ts.total(TraceKind::Exec) as f64;
+                parks += ts.total(TraceKind::Park) as f64;
             }
             let r = reps as f64;
             t.row(vec![

@@ -30,8 +30,8 @@ use crate::ctx::Ctx;
 use crate::fut::{Fut, Promise};
 
 impl PipeBackend for Ctx {
-    type Fut<T: 'static> = Fut<T>;
-    type Wr<T: 'static> = Promise<T>;
+    type Fut<T: Send + Sync + 'static> = Fut<T>;
+    type Wr<T: Send + Sync + 'static> = Promise<T>;
 
     /// Never cut: the cost model charges the paper's DAG action for action.
     const GRAIN: u64 = 0;

@@ -34,8 +34,8 @@ use crate::cell::{cell, ready, FutRead, FutWrite};
 use crate::scheduler::Worker;
 
 impl PipeBackend for Worker {
-    type Fut<T: 'static> = FutRead<T>;
-    type Wr<T: 'static> = FutWrite<T>;
+    type Fut<T: Send + Sync + 'static> = FutRead<T>;
+    type Wr<T: Send + Sync + 'static> = FutWrite<T>;
 
     fn cell<T: Val>(&self) -> (FutWrite<T>, FutRead<T>) {
         cell()

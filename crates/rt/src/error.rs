@@ -13,8 +13,9 @@
 //!   cleanup adds a stall's stuck cells, and its rendering is the
 //!   poison context.
 //! * [`CancelToken`] — a cloneable handle that cooperatively aborts the
-//!   session it is registered with; [`Session`] carries it (and an
-//!   optional deadline) into [`Runtime::try_run_session`].
+//!   session it is registered with; [`Session`] carries it, an optional
+//!   deadline and an optional stall budget into
+//!   [`Runtime::try_run_session`].
 //! * [`PoisonInfo`] — the context stamped into every future cell whose
 //!   continuation was still suspended when its session aborted (the
 //!   session id and the error's rendering). A
@@ -59,10 +60,15 @@ pub enum SessionError {
         /// The deadline that was set.
         deadline: Duration,
     },
-    /// The quiescence watchdog found the pool stalled: every worker parked,
-    /// no task queued anywhere, but live suspended continuations remain —
-    /// a cyclic touch chain or a dropped write. Previously this state
-    /// deadlocked forever; now it aborts with the stuck cell set.
+    /// The quiescence watchdog found the session stalled: live units
+    /// remain, but none can make progress — a cyclic touch chain, a
+    /// dropped write, or (under an explicit [`Session::stall_budget`]) a
+    /// task wedged in its body. Either of two detectors files it, and
+    /// [`StallReport::detector`] says which: [`StallDetector::Provable`]
+    /// (every worker parked, every queue empty, the session's units all
+    /// suspended) or [`StallDetector::Heartbeat`] (the session's progress
+    /// epoch frozen for its stall budget, however busy sibling sessions
+    /// keep the pool). The report lists the cells it poisoned.
     Stalled {
         /// Id of the aborted session.
         session: u64,
@@ -271,8 +277,9 @@ pub(crate) trait PoisonTarget: Send + Sync {
     fn poison(&self, ctx: &Arc<PoisonInfo>) -> PoisonOutcome;
 }
 
-/// Options for one session: an optional deadline and an optional
-/// [`CancelToken`]. Passed to
+/// Options for one session: an optional deadline, an optional
+/// [`CancelToken`] and an optional stall budget
+/// ([`Session::stall_budget`]). Passed to
 /// [`Runtime::try_run_session`](crate::Runtime::try_run_session).
 ///
 /// ```
@@ -295,8 +302,9 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session with no deadline and no cancel token (the
-    /// [`Runtime::try_run`](crate::Runtime::try_run) default).
+    /// A session with no deadline, no cancel token and the default stall
+    /// detection (the [`Runtime::try_run`](crate::Runtime::try_run)
+    /// default).
     pub fn new() -> Self {
         Session::default()
     }

@@ -77,11 +77,12 @@ fn every_policy_computes_the_same_tree_sum() {
         );
         #[cfg(feature = "trace")]
         {
+            use pf_rt::TraceKind;
             let trace = stats.trace.as_ref().expect("traced build");
-            assert_eq!(trace.spawns(), stats.spawns);
-            assert_eq!(trace.executed(), stats.tasks_executed);
-            assert_eq!(trace.suspends(), stats.suspensions);
-            assert_eq!(trace.steals(), stats.steals);
+            assert_eq!(trace.total(TraceKind::Spawn), stats.spawns);
+            assert_eq!(trace.total(TraceKind::Exec), stats.tasks_executed);
+            assert_eq!(trace.total(TraceKind::Suspend), stats.suspensions);
+            assert_eq!(trace.total(TraceKind::Steal), stats.steals);
         }
     }
 }
@@ -101,6 +102,7 @@ fn every_policy_completes_a_deep_chain() {
 #[cfg(feature = "trace")]
 mod traced {
     use super::*;
+    use pf_rt::TraceKind;
 
     #[test]
     fn tiny_ring_reports_drops_in_stats_and_export() {
@@ -123,12 +125,12 @@ mod traced {
         assert_eq!(stats.tasks_executed, nodes + internal);
         let trace = stats.trace.as_ref().unwrap();
         assert_eq!(
-            trace.executed(),
+            trace.total(TraceKind::Exec),
             stats.tasks_executed,
             "counters never drop"
         );
-        assert_eq!(trace.spawns(), stats.spawns);
-        assert_eq!(trace.total(pf_rt::TraceKind::Fulfill), nodes);
+        assert_eq!(trace.total(TraceKind::Spawn), stats.spawns);
+        assert_eq!(trace.total(TraceKind::Fulfill), nodes);
         assert!(trace.dropped() > 0, "a 2^14-event ring must overflow");
         let timeline = rt.take_last_trace().unwrap();
         assert_eq!(timeline.ring_capacity, 1 << 14);

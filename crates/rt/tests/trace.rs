@@ -30,11 +30,18 @@ fn single_worker_records_zero_steals() {
     let rt = Runtime::new(1);
     let stats = rt.run_stats(|wk| fork_tree(wk, 8));
     let trace = stats.trace.as_ref().expect("traced build attaches stats");
-    assert_eq!(trace.steals(), 0, "a lone worker has nobody to steal from");
-    assert_eq!(trace.steals(), stats.steals);
+    assert_eq!(
+        trace.total(TraceKind::Steal),
+        0,
+        "a lone worker has nobody to steal from"
+    );
+    assert_eq!(trace.total(TraceKind::Steal), stats.steals);
     assert_eq!(trace.per_worker.len(), 1);
     // Everything ran on worker 0.
-    assert_eq!(trace.per_worker[0].executed(), stats.tasks_executed);
+    assert_eq!(
+        trace.per_worker[0].count(TraceKind::Exec),
+        stats.tasks_executed
+    );
 }
 
 #[test]
@@ -53,8 +60,12 @@ fn fork_heavy_session_steals_on_a_wide_pool() {
             }
         });
         let trace = stats.trace.as_ref().unwrap();
-        assert_eq!(trace.steals(), stats.steals, "trace and counter agree");
-        last = trace.steals();
+        assert_eq!(
+            trace.total(TraceKind::Steal),
+            stats.steals,
+            "trace and counter agree"
+        );
+        last = trace.total(TraceKind::Steal);
         if last > 0 {
             return;
         }
@@ -77,11 +88,19 @@ fn touch_before_fulfill_records_suspend_resume_pairs() {
         }
     });
     let trace = stats.trace.as_ref().unwrap();
-    assert_eq!(trace.suspends(), N as u64);
-    assert_eq!(trace.resumes(), N as u64, "every suspension was resumed");
-    assert_eq!(trace.suspends(), stats.suspensions);
+    assert_eq!(trace.total(TraceKind::Suspend), N as u64);
+    assert_eq!(
+        trace.total(TraceKind::Resume),
+        N as u64,
+        "every suspension was resumed"
+    );
+    assert_eq!(trace.total(TraceKind::Suspend), stats.suspensions);
     assert_eq!(trace.total(TraceKind::Fulfill), N as u64);
-    assert_eq!(trace.poisons(), 0, "healthy session poisons nothing");
+    assert_eq!(
+        trace.client.count(TraceKind::Poison),
+        0,
+        "healthy session poisons nothing"
+    );
 }
 
 #[test]
@@ -93,8 +112,8 @@ fn write_before_touch_records_no_suspension() {
         r.touch(wk, |v, _| assert_eq!(v, 7));
     });
     let trace = stats.trace.as_ref().unwrap();
-    assert_eq!(trace.suspends(), 0);
-    assert_eq!(trace.resumes(), 0);
+    assert_eq!(trace.total(TraceKind::Suspend), 0);
+    assert_eq!(trace.total(TraceKind::Resume), 0);
     assert_eq!(trace.total(TraceKind::Fulfill), 1);
 }
 
@@ -124,7 +143,7 @@ fn stalled_session_records_poison_per_stuck_cell() {
         .expect("aborted sessions leave their timeline behind");
     let stats = trace.stats();
     assert_eq!(
-        stats.poisons(),
+        stats.client.count(TraceKind::Poison),
         report.stuck.len() as u64,
         "one poison event per stuck cell"
     );
@@ -140,7 +159,11 @@ fn stalled_session_records_poison_per_stuck_cell() {
     traced.sort_unstable();
     reported.sort_unstable();
     assert_eq!(traced, reported);
-    assert_eq!(stats.suspends(), 3, "the suspensions that wedged the pool");
+    assert_eq!(
+        stats.total(TraceKind::Suspend),
+        3,
+        "the suspensions that wedged the pool"
+    );
 }
 
 #[test]
@@ -168,8 +191,8 @@ fn accumulate_merges_trace_summaries() {
         total.accumulate(&rt.run_stats(|wk| fork_tree(wk, 6)));
     }
     let trace = total.trace.as_ref().expect("merge keeps the summary");
-    assert_eq!(trace.executed(), total.tasks_executed);
-    assert_eq!(trace.spawns(), total.spawns);
+    assert_eq!(trace.total(TraceKind::Exec), total.tasks_executed);
+    assert_eq!(trace.total(TraceKind::Spawn), total.spawns);
 }
 
 /// Across 100 seeded random workloads (mixed fan-out, cells touched and
@@ -201,21 +224,33 @@ fn trace_counts_reconcile_with_run_stats_over_seeded_workloads() {
             }
         });
         let trace = stats.trace.as_ref().expect("traced build");
-        let executed: u64 = trace.per_worker.iter().map(|w| w.executed()).sum();
+        let executed: u64 = trace
+            .per_worker
+            .iter()
+            .map(|w| w.count(TraceKind::Exec))
+            .sum();
         assert_eq!(
             executed, stats.tasks_executed,
             "iter {iter}: per-worker exec events vs RunStats.tasks_executed"
         );
-        assert_eq!(trace.spawns(), stats.spawns, "iter {iter}: spawns");
         assert_eq!(
-            trace.suspends(),
+            trace.total(TraceKind::Spawn),
+            stats.spawns,
+            "iter {iter}: spawns"
+        );
+        assert_eq!(
+            trace.total(TraceKind::Suspend),
             stats.suspensions,
             "iter {iter}: committed suspensions (raced touches un-note)"
         );
-        assert_eq!(trace.steals(), stats.steals, "iter {iter}: steals");
         assert_eq!(
-            trace.resumes(),
-            trace.suspends(),
+            trace.total(TraceKind::Steal),
+            stats.steals,
+            "iter {iter}: steals"
+        );
+        assert_eq!(
+            trace.total(TraceKind::Resume),
+            trace.total(TraceKind::Suspend),
             "iter {iter}: every suspension in a finished session resumed"
         );
         assert_eq!(trace.dropped(), 0, "iter {iter}: workloads fit the ring");

@@ -234,7 +234,7 @@ impl DrainReport {
 /// One shard: its ingress queue and committed root. The root mutex is
 /// held only for a clone (readers, pass setup) or a swap (commit) —
 /// never across an apply pass, nor while the replaced root is freed.
-struct Shard<K: 'static> {
+struct Shard<K: Key> {
     ingress: Mutex<Vec<Request<K>>>,
     root: Mutex<RTreap<K>>,
     /// This shard's circuit breaker; held only for a state-machine step.

@@ -343,41 +343,6 @@ impl WorkerSummary {
         self.counts[kind as usize]
     }
 
-    /// Tasks obtained by stealing.
-    pub fn steals(&self) -> u64 {
-        self.count(TraceKind::Steal)
-    }
-
-    /// Tasks executed.
-    pub fn executed(&self) -> u64 {
-        self.count(TraceKind::Exec)
-    }
-
-    /// Touches that suspended in their cell.
-    pub fn suspends(&self) -> u64 {
-        self.count(TraceKind::Suspend)
-    }
-
-    /// Suspended continuations this lane's writes reactivated.
-    pub fn resumes(&self) -> u64 {
-        self.count(TraceKind::Resume)
-    }
-
-    /// Times this worker parked.
-    pub fn parks(&self) -> u64 {
-        self.count(TraceKind::Park)
-    }
-
-    /// Times this worker's park returned.
-    pub fn unparks(&self) -> u64 {
-        self.count(TraceKind::Unpark)
-    }
-
-    /// Tasks spawned from this lane.
-    pub fn spawns(&self) -> u64 {
-        self.count(TraceKind::Spawn)
-    }
-
     fn merge(&mut self, other: &WorkerSummary) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
@@ -403,50 +368,11 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Total events of `kind` across every worker lane (client excluded;
-    /// its only events are poisons — see [`TraceStats::poisons`]).
+    /// Total events of `kind` across every worker lane. The client lane
+    /// is excluded: its only events are the poisons of an abort, read as
+    /// `client.count(TraceKind::Poison)`.
     pub fn total(&self, kind: TraceKind) -> u64 {
         self.per_worker.iter().map(|w| w.count(kind)).sum()
-    }
-
-    /// Total successful steals.
-    pub fn steals(&self) -> u64 {
-        self.total(TraceKind::Steal)
-    }
-
-    /// Total touches that suspended.
-    pub fn suspends(&self) -> u64 {
-        self.total(TraceKind::Suspend)
-    }
-
-    /// Total suspended continuations reactivated by writes.
-    pub fn resumes(&self) -> u64 {
-        self.total(TraceKind::Resume)
-    }
-
-    /// Total tasks executed.
-    pub fn executed(&self) -> u64 {
-        self.total(TraceKind::Exec)
-    }
-
-    /// Total tasks spawned.
-    pub fn spawns(&self) -> u64 {
-        self.total(TraceKind::Spawn)
-    }
-
-    /// Total parks (idle workers going to sleep during the session).
-    pub fn parks(&self) -> u64 {
-        self.total(TraceKind::Park)
-    }
-
-    /// Total unparks (parked workers waking).
-    pub fn unparks(&self) -> u64 {
-        self.total(TraceKind::Unpark)
-    }
-
-    /// Cells poisoned by an abort of the session (client lane).
-    pub fn poisons(&self) -> u64 {
-        self.client.count(TraceKind::Poison)
     }
 
     /// Total events lost to ring wraparound, all lanes.
@@ -592,16 +518,21 @@ mod tests {
         let s = tr.stats();
         assert_eq!(s.session, 7);
         assert_eq!(s.per_worker.len(), 2);
-        assert_eq!(s.per_worker[0].executed(), 2);
-        assert_eq!(s.per_worker[0].steals(), 1);
-        assert_eq!(s.per_worker[1].suspends(), 1);
-        assert_eq!(s.per_worker[1].parks(), 1);
-        assert_eq!(s.per_worker[1].unparks(), 1);
+        assert_eq!(s.per_worker[0].count(TraceKind::Exec), 2);
+        assert_eq!(s.per_worker[0].count(TraceKind::Steal), 1);
+        assert_eq!(s.per_worker[1].count(TraceKind::Suspend), 1);
+        assert_eq!(s.per_worker[1].count(TraceKind::Park), 1);
+        assert_eq!(s.per_worker[1].count(TraceKind::Unpark), 1);
         assert_eq!(
-            (s.executed(), s.steals(), s.suspends(), s.resumes()),
+            (
+                s.total(TraceKind::Exec),
+                s.total(TraceKind::Steal),
+                s.total(TraceKind::Suspend),
+                s.total(TraceKind::Resume)
+            ),
             (2, 1, 1, 1)
         );
-        assert_eq!(s.poisons(), 1);
+        assert_eq!(s.client.count(TraceKind::Poison), 1);
         assert_eq!(s.dropped(), 3);
         assert_eq!(tr.events(), 9);
     }
@@ -639,8 +570,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.session, 1, "merge keeps the first session id");
         assert_eq!(a.per_worker.len(), 2, "extra lanes are appended");
-        assert_eq!(a.per_worker[0].executed(), 5);
-        assert_eq!(a.per_worker[0].steals(), 1);
+        assert_eq!(a.per_worker[0].count(TraceKind::Exec), 5);
+        assert_eq!(a.per_worker[0].count(TraceKind::Steal), 1);
         assert_eq!(a.dropped(), 1);
     }
 

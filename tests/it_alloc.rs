@@ -4,15 +4,22 @@
 //! the plain below-grain code allocates nothing else: no cell per child.
 //! One `#[test]` on purpose: the counters are process-wide, so nothing else
 //! may run beside it.
+//!
+//! A pool's own bookkeeping is not counted: a session's slot is freed by
+//! whichever of its client and its worker lets go of it last, and on one
+//! core that may be the worker, after `run` has returned and a later window
+//! has opened. So the test's thread counts except inside `rt.run`, and a
+//! worker counts only while it runs the operation under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use pf_algs::plain::PlainTreap;
 use pf_algs::treap::{diff, union, Treap, TreapFut, TreapNode, TreapWr};
-use pf_algs::{Mode, PipeBackend, Seq, Val};
+use pf_algs::{Mode, PipeBackend, Seq};
 use pf_rt::{cell, ready, Runtime, Worker};
 use pf_tests::{entries, RTreap};
 
@@ -24,9 +31,8 @@ const NODE: usize = std::mem::size_of::<TreapNode<Worker, i64>>() + 16;
 const _: () = assert!(NODE == 88 && NODE == std::mem::size_of::<TreapNode<Seq, i64>>() + 16);
 
 /// Allocations that are neither nodes nor blocks, per operation: its
-/// operand and result cells on `Seq`; on pf-rt those plus the session
-/// (root task, latch, stats). Independent of the operands' sizes — a cell
-/// per node built would be thousands here.
+/// operand and result cells, on either engine. Independent of the
+/// operands' sizes — a cell per node built would be thousands here.
 const SLACK: usize = 16;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -34,24 +40,43 @@ static FREES: AtomicUsize = AtomicUsize::new(0);
 static NODE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static NODE_FREES: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations and frees count.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` with this thread's allocations counted, or not.
+fn counting<R>(on: bool, f: impl FnOnce() -> R) -> R {
+    let was = COUNTING.replace(on);
+    let r = f();
+    COUNTING.set(was);
+    r
+}
+
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are side effects only.
+// `GlobalAlloc` contract; the counters are side effects only, and the
+// `COUNTING` flag is const-initialised with no destructor, so reading it
+// never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        if layout.size() == NODE {
-            NODE_ALLOCS.fetch_add(1, Relaxed);
+        if COUNTING.get() {
+            ALLOCS.fetch_add(1, Relaxed);
+            if layout.size() == NODE {
+                NODE_ALLOCS.fetch_add(1, Relaxed);
+            }
         }
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Relaxed);
-        if layout.size() == NODE {
-            NODE_FREES.fetch_add(1, Relaxed);
+        if COUNTING.get() {
+            FREES.fetch_add(1, Relaxed);
+            if layout.size() == NODE {
+                NODE_FREES.fetch_add(1, Relaxed);
+            }
         }
         // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, with
         // this layout.
@@ -73,11 +98,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> ([usize; 4], R) {
 }
 
 /// The addresses of `t`'s nodes (`.0`) and of its blocks (`.1`).
-fn parts<B: PipeBackend>(t: &Treap<B, i64>, out: &mut [HashSet<usize>; 2])
-where
-    Treap<B, i64>: Val,
-    TreapFut<B, i64>: Val,
-{
+fn parts<B: PipeBackend>(t: &Treap<B, i64>, out: &mut [HashSet<usize>; 2]) {
     match t {
         Treap::Leaf => {}
         Treap::Node(n) => {
@@ -97,11 +118,7 @@ fn fresh<B: PipeBackend>(
     out: &Treap<B, i64>,
     a: &Treap<B, i64>,
     b: &Treap<B, i64>,
-) -> (usize, usize)
-where
-    Treap<B, i64>: Val,
-    TreapFut<B, i64>: Val,
-{
+) -> (usize, usize) {
     let (mut old, mut new) = <[[HashSet<usize>; 2]; 2]>::default().into();
     parts(a, &mut old);
     parts(b, &mut old);
@@ -140,10 +157,7 @@ fn check_op<B: PipeBackend>(
     b: &Treap<B, i64>,
     one_key: bool,
     run: impl FnOnce(Treap<B, i64>, Treap<B, i64>) -> Treap<B, i64>,
-) where
-    Treap<B, i64>: Val,
-    TreapFut<B, i64>: Val,
-{
+) {
     let (a2, b2) = (a.clone(), b.clone());
     let ([allocs, frees, node_allocs, node_frees], out) = counted(move || run(a2, b2));
     assert!(out.sized().is_some(), "{what}: ran above the grain");
@@ -164,6 +178,7 @@ fn check_op<B: PipeBackend>(
 
 #[test]
 fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
+    COUNTING.set(true);
     let k = 10_000usize;
     let big = entries((0..k as i64).map(|i| 3 * i));
     let plain = PlainTreap::from_entries(&big);
@@ -202,8 +217,6 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
     // blocks the result does not keep) and a single key (they do not).
     type Op<B> = fn(&B, TreapFut<B, i64>, TreapFut<B, i64>, TreapWr<B, i64>, Mode);
     let rt = Runtime::new(1);
-    // The pool keeps a few allocations across sessions once it has run one.
-    rt.run(|_| {});
     type Case = (&'static str, Vec<(i64, u64)>, bool, Op<Seq>, Op<Worker>);
     let cases: [Case; 4] = [
         (
@@ -235,7 +248,11 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
         let rb = RTreap::from_plain_complete(&PlainTreap::from_entries(&b));
         check_op(&format!("pf-rt {what}"), &ra, &rb, one_key, |a, b| {
             let (p, f) = cell();
-            rt.run(move |wk| rt_op(wk, ready(a), ready(b), p, Mode::Pipelined));
+            counting(false, || {
+                rt.run(move |wk| {
+                    counting(true, || rt_op(wk, ready(a), ready(b), p, Mode::Pipelined))
+                })
+            });
             f.expect()
         });
     }
