@@ -456,7 +456,7 @@ fn cancel_racing_fulfill() {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent sessions (PR 9: the session table)
+// Concurrent sessions (PR 9: per-session slots)
 // ---------------------------------------------------------------------------
 
 /// Two client threads run sessions concurrently on one pool: both must

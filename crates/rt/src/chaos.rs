@@ -15,8 +15,8 @@
 //!   and watchdog paths far more often than a healthy pool would;
 //! * `maybe_wedge` — parks a worker *inside* a task body (a bounded
 //!   spin that also releases when the owning session aborts or the chaos
-//!   config is reinstalled), modeling the mid-task wedge the progress-
-//!   heartbeat stall detector exists to catch under load.
+//!   config is reinstalled), modeling the mid-task wedge that a
+//!   session's stall budget exists to catch under load.
 //!
 //! Faults are drawn from a per-thread `splitmix64` stream derived from
 //! the seed in `ChaosConfig`, so a given seed produces a reproducible

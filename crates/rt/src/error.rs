@@ -61,37 +61,18 @@ pub enum SessionError {
         deadline: Duration,
     },
     /// The quiescence watchdog found the session stalled: live units
-    /// remain, but none can make progress — a cyclic touch chain, a
-    /// dropped write, or (under an explicit [`Session::stall_budget`]) a
-    /// task wedged in its body. Either of two detectors files it, and
-    /// [`StallReport::detector`] says which: [`StallDetector::Provable`]
-    /// (every worker parked, every queue empty, the session's units all
-    /// suspended) or [`StallDetector::Heartbeat`] (the session's progress
-    /// epoch frozen for its stall budget, however busy sibling sessions
-    /// keep the pool). The report lists the cells it poisoned.
+    /// remain, but the session's progress epoch stayed frozen for its
+    /// stall budget, however busy or idle the rest of the pool was — a
+    /// cyclic touch chain, a dropped write, or (under an explicit
+    /// [`Session::stall_budget`]) a task wedged in its body. Without an
+    /// explicit budget, a session whose remaining units are all suspended
+    /// is declared after 1 s. The report lists the cells it poisoned.
     Stalled {
         /// Id of the aborted session.
         session: u64,
         /// What was stuck: liveness count and the poisoned cells.
         report: StallReport,
     },
-}
-
-/// Which of the watchdog's two detectors declared a stall (see the
-/// "Quiescence watchdog" section of the `pool` module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StallDetector {
-    /// Every worker parked, every queue empty, the session's units all
-    /// suspended: nothing can ever change again. Fires after a handful
-    /// of 2 ms samples, whatever the session's stall budget — also next
-    /// to a sibling session, in any gap where that sibling leaves the
-    /// whole pool parked.
-    #[default]
-    Provable,
-    /// The session's progress epoch stayed frozen for its whole stall
-    /// budget while sibling sessions kept workers busy:
-    /// [`StallReport::frozen_for`] is at least the budget.
-    Heartbeat,
 }
 
 /// Diagnostic payload of [`SessionError::Stalled`].
@@ -101,19 +82,15 @@ pub struct StallReport {
     /// repeated here so the report is self-contained when logged alone).
     pub session: u64,
     /// Value of the live-closure counter at detection time (number of
-    /// continuations that were queued, running, or suspended — under the
-    /// provable and default heartbeat detectors all of them are
-    /// suspended; an explicit [`Session::stall_budget`] also catches a
-    /// *running* wedge, where some are not).
+    /// continuations that were queued, running, or suspended — without
+    /// an explicit [`Session::stall_budget`] all of them are suspended;
+    /// a budget also catches a *running* wedge, where some are not).
     pub live: usize,
     /// The session's last progress epoch — the value that froze.
     pub epoch: u64,
-    /// Consecutive watchdog samples that saw the epoch frozen.
-    pub frozen: u32,
-    /// Wall-clock length of the freeze at detection time.
+    /// Wall-clock length of the freeze at detection time: at least the
+    /// session's stall budget.
     pub frozen_for: Duration,
-    /// The detector that filed the abort.
-    pub detector: StallDetector,
     /// The cells whose suspended continuations were drained and dropped at
     /// the abort rendezvous.
     pub stuck: Vec<StuckCell>,
@@ -198,8 +175,8 @@ impl fmt::Display for SessionError {
                 write!(
                     f,
                     "session {session} stalled: {} live unit(s), progress epoch {} \
-                     frozen for ~{:?} ({} samples, {:?} detector)",
-                    report.live, report.epoch, report.frozen_for, report.frozen, report.detector
+                     frozen for ~{:?}",
+                    report.live, report.epoch, report.frozen_for
                 )?;
                 // Empty while the abort cleanup (which fills it) renders
                 // this error as its poison context.
@@ -331,19 +308,20 @@ impl Session {
     /// Set the session's stall-detection budget: the watchdog declares
     /// [`SessionError::Stalled`] once the session's progress epoch (one
     /// tick per scheduler event attributed to the session — exec, spawn,
-    /// suspend, resume, fulfill) stays frozen for `budget` while live
-    /// units remain, no matter how busy sibling sessions keep the pool.
+    /// steal, suspend, resume, fulfill) stays frozen for `budget` while
+    /// live units remain, however busy or idle the rest of the pool is.
     ///
     /// Without an explicit budget, a session whose remaining units are
-    /// all *suspended* still gets heartbeat detection under a generous
-    /// default, and a provably-wedged idle pool is detected within a few
-    /// milliseconds; but a *running* wedge — a task body spinning
-    /// forever — is left to the deadline, because a frozen epoch under a
-    /// running task also describes a long, legitimate compute-only
-    /// closure. Setting a budget is the caller's assertion that no legal
-    /// closure of this session goes `budget` without a scheduler event,
-    /// which arms the detector for running wedges too. (Inert under the
-    /// model checker, which has no clock.)
+    /// all *suspended* is declared after a generous 1 s default — an idle
+    /// pool alone is no verdict, since the write a suspended session
+    /// waits for may come from a later session. A *running* wedge — a
+    /// task body spinning forever — is then left to the deadline,
+    /// because a frozen epoch under a running task also describes a
+    /// long, legitimate compute-only closure. Setting a budget is the
+    /// caller's assertion that no legal closure of this session goes
+    /// `budget` without a scheduler event, which arms the detector for
+    /// running wedges too. (Inert under the model checker, which has no
+    /// clock.)
     pub fn stall_budget(mut self, budget: Duration) -> Self {
         self.stall = Some(budget);
         self

@@ -73,9 +73,7 @@ pub mod trace;
 
 pub use cell::{cell, ready, FutRead, FutWrite};
 
-pub use error::{
-    CancelToken, PoisonInfo, Session, SessionError, StallDetector, StallReport, StuckCell,
-};
+pub use error::{CancelToken, PoisonInfo, Session, SessionError, StallReport, StuckCell};
 /// The trace data layer (`--features trace` only): event kinds, session
 /// timelines, summaries, and the Perfetto export. Re-exported so users
 /// of a traced runtime need not depend on `pf-trace` directly.

@@ -1,4 +1,4 @@
-//! Persistent worker pool with a session table and exact per-session
+//! Persistent worker pool with per-session slots and exact per-session
 //! quiescence detection.
 //!
 //! [`Runtime::new`] spawns its workers **once**; every [`Runtime::run`]
@@ -9,17 +9,16 @@
 //! calling [`Runtime::try_run_session`] co-executes with the others on
 //! the same workers, with per-session fault containment.
 //!
-//! # The session table
+//! # Session slots
 //!
 //! A session's entire mutable state lives in one `SessionSlot`,
 //! allocated at session start and shared (`Arc`) by everything that acts
 //! on the session's behalf: every queued task carries its slot (a
 //! `SessionTask` is a [`Task`] plus the owning `Arc`), every suspended
 //! continuation stores it in its cell, the client holds it while
-//! waiting, and cancel tokens hold a `Weak`. The pool itself keeps only
-//! a `Weak` registry of slots (diagnostics); a slot dies with its last
-//! task — there is no per-session cleanup of pool state because there is
-//! no per-session pool state.
+//! waiting, and cancel tokens hold a `Weak`. The pool keeps no list of
+//! slots; a slot dies with its last reference — there is no per-session
+//! cleanup of pool state because there is no per-session pool state.
 //!
 //! Slot contents: the session id, the packed liveness counter (below),
 //! the abort slot (open flag + first filed
@@ -116,9 +115,11 @@
 //! cell (one uncontended lock on the suspension path — a path that
 //! already allocates). A cell holds one waiter, so a registered cell that
 //! is still waiting holds a continuation of this session and nobody
-//! else's. Sharing an *unwritten* cell across sessions is a documented
-//! program error; the cell state machine arbitrates every such race to a
-//! panic (never undefined behavior).
+//! else's. Touching one *unwritten* cell from two sessions breaks
+//! linearity, a documented program error; the cell state machine
+//! arbitrates every such race to a panic (never undefined behavior).
+//! Writing it from another session is fine: the waiter resumes into its
+//! own session.
 //!
 //! # Quiescence watchdog: per-session progress heartbeats
 //!
@@ -128,55 +129,48 @@
 //! **progress epoch** is the sum of its task-attributed event counters
 //! (spawn, steal, exec, suspend, resume, fulfill — [`crate::trace`]),
 //! so every such event moves it. The client's wait loop (outside the
-//! model checker, which has no clock) samples its own session's epoch a
-//! few hundred times per second and declares a stall through one of two
-//! detectors:
+//! model checker, which has no clock) samples its own session's epoch
+//! every 2 ms and declares the session stalled once the epoch has stayed
+//! frozen for the session's budget, **however busy or idle the rest of
+//! the pool is**:
 //!
-//! * **Provable idle-pool stall.** When the pool's sleeper bitmask stays
-//!   full, the session's epoch stays frozen, every queue stays empty,
-//!   and the session's units are all suspended across several
-//!   consecutive samples, nothing can ever change again — a parked
-//!   worker only wakes for a push, and no task is running anywhere to
-//!   push one. Detection is immediate (a handful of 2 ms samples), no
-//!   budget involved. If queues are *non-empty* with all workers parked,
-//!   that is a lost wakeup (a runtime bug, closed by the fence protocol
-//!   above, but cheap to defend against): the watchdog re-kicks the pool
-//!   a bounded number of times before giving up.
-//!
-//! * **Heartbeat stall.** The provable detector abstains while a sibling
-//!   session keeps even one worker busy — but the *session's own* epoch
-//!   does not: a session whose remaining units are all suspended and
-//!   whose epoch stays frozen past a budget is declared stalled
-//!   **regardless of how busy sibling sessions keep the pool** (progress
-//!   for such a session can only arrive via a fulfill, which would bump
-//!   its epoch). The budget is [`Session::stall_budget`] when set, a
-//!   generous default otherwise. With an explicit budget the detector
-//!   also covers the *running* wedge — a task spinning forever inside
-//!   its body — which the default leaves to deadlines, because a frozen
-//!   epoch with a running task is indistinguishable from a long,
-//!   legitimate compute-only closure; the budget is the caller's
+//! * with [`Session::stall_budget`] set, that budget, whatever the
+//!   session's units are doing. This also covers the *running* wedge — a
+//!   task spinning forever inside its body; the budget is the caller's
 //!   assertion that no legal closure goes that long without a scheduler
-//!   event.
+//!   event;
+//! * otherwise 1 s, once every remaining unit is suspended (progress for
+//!   such a session can only arrive through a fulfill, which would bump
+//!   its epoch). A running unit with no explicit budget abstains: a
+//!   frozen epoch under a running task is indistinguishable from a long,
+//!   legitimate compute-only closure, so that case is left to deadlines.
+//!
+//! An idle pool is no verdict on its own: a session suspended on a cell
+//! that a *later* session writes sees every worker parked in between,
+//! and is not declared before its budget has passed.
 //!
 //! The counters are plain owner-only `Relaxed` words. Relaxed suffices:
 //! the watchdog only compares successive *sums* for equality, each
 //! counter is monotone, and a lagging read can only delay a freeze
-//! verdict by one 2 ms sample — noise against any realistic budget;
-//! hysteresis (several consecutive frozen samples) absorbs the rest.
-//! Either way the watchdog returns a [`StallReport`] (last epoch, frozen
-//! sample count, frozen duration, and which of the two detectors fired —
-//! the budget bounds the frozen duration from below only for the
-//! heartbeat), the slot files it as [`SessionError::Stalled`], and the
-//! abort cleanup fills in its stuck cell set — instead of hanging the
-//! client forever. The deadline detector is per-session, independent,
-//! and unaffected.
+//! verdict by one 2 ms sample — noise against any realistic budget. A
+//! stall comes back as a [`StallReport`] (last epoch, live count, frozen
+//! duration — at least the budget), the slot files it as
+//! [`SessionError::Stalled`], and the abort cleanup fills in its stuck
+//! cell set — instead of hanging the client forever. The deadline
+//! detector is per-session, independent, and unaffected.
+//!
+//! The same sample recovers from a lost wakeup, which the fence protocol
+//! above rules out but which is cheap to defend against: when the epoch
+//! is unchanged, every worker is parked and some queue (of any session)
+//! is non-empty, it unparks every worker. That is recovery only; it
+//! files nothing.
 
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use crate::error::{PoisonInfo, PoisonTarget, Session, SessionError, StuckCell};
 #[cfg(not(pf_check))]
-use crate::error::{StallDetector, StallReport};
+use crate::error::StallReport;
+use crate::error::{PoisonInfo, PoisonTarget, Session, SessionError, StuckCell};
 
 use crate::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use crate::sync::thread::{JoinHandle, Thread};
@@ -331,13 +325,13 @@ fn susp_of(units: u64) -> u64 {
     units >> 32
 }
 
-/// One live session's entire mutable state — the session table's row.
+/// One live session's entire mutable state.
 ///
 /// Shared by `Arc`: the client holds one while waiting, every queued
 /// [`SessionTask`] carries one, every suspended continuation stores one
-/// in its cell, and cancel tokens hold a `Weak`. The pool's session
-/// table holds only `Weak`s, so a slot is garbage-collected the moment
-/// its session's last artifact dies — no cross-session cleanup exists.
+/// in its cell, and cancel tokens hold a `Weak`. The pool holds none, so
+/// a slot is freed the moment its session's last artifact dies — no
+/// cross-session cleanup exists.
 pub(crate) struct SessionSlot {
     /// Session id, unique per pool, numbered from 1.
     pub(crate) id: u64,
@@ -478,11 +472,6 @@ impl SessionSlot {
         self.done_cv.notify_all();
         true
     }
-
-    /// Is the session still between start and end?
-    fn is_open(&self) -> bool {
-        lock(&self.abort).open
-    }
 }
 
 /// A queued unit of work tagged with its owning session: every task in
@@ -506,11 +495,6 @@ pub(crate) struct Shared {
     shutdown: AtomicBool,
     /// Session-id allocator (ids start at 1).
     next_session: AtomicU64,
-    /// The session table: `Weak` handles to every slot issued by this
-    /// pool, swept opportunistically at registration. Diagnostics only —
-    /// the pool never acts on a slot; everything per-session reaches the
-    /// slot through its tasks.
-    sessions: Mutex<Vec<Weak<SessionSlot>>>,
 }
 
 /// Ignore mutex poisoning: every guarded invariant here is re-established
@@ -550,14 +534,6 @@ impl Shared {
                 t.unpark();
             }
         }
-    }
-
-    /// Register a fresh slot in the session table, sweeping entries
-    /// whose sessions have been garbage-collected.
-    fn register_session(&self, slot: &Arc<SessionSlot>) {
-        let mut table = lock(&self.sessions);
-        table.retain(|w| w.strong_count() > 0);
-        table.push(Arc::downgrade(slot));
     }
 }
 
@@ -667,7 +643,6 @@ impl Runtime {
             threads: OnceLock::new(),
             shutdown: AtomicBool::new(false),
             next_session: AtomicU64::new(0),
-            sessions: Mutex::new(Vec::new()),
         });
         let handles: Vec<JoinHandle<()>> = locals
             .into_iter()
@@ -698,16 +673,6 @@ impl Runtime {
             #[cfg(feature = "trace")]
             last_trace: Mutex::new(None),
         }
-    }
-
-    /// Number of sessions currently live on this pool (started, not yet
-    /// ended). Diagnostic; the count is a snapshot and may be stale by
-    /// the time it is read.
-    pub fn live_sessions(&self) -> usize {
-        lock(&self.shared.sessions)
-            .iter()
-            .filter(|w| w.upgrade().is_some_and(|s| s.is_open()))
-            .count()
     }
 
     /// Take the most recently ended session's full event timeline
@@ -802,7 +767,6 @@ impl Runtime {
                 self.trace_epoch,
             ),
         ));
-        shared.register_session(&slot);
 
         // Register the cancel token against the fresh slot. A token
         // fired before registration is caught by the flag re-check; one
@@ -887,7 +851,8 @@ impl Runtime {
     fn wait_session(&self, slot: &SessionSlot, opts: &Session) {
         use std::time::Instant;
         let deadline = opts.deadline.map(|d| (Instant::now() + d, d));
-        let mut watchdog = Watchdog::default();
+        // The watchdog's last epoch sample and when it was first seen.
+        let mut last = None;
         let mut done = lock(&slot.done);
         loop {
             if *done || slot.aborting() {
@@ -915,8 +880,7 @@ impl Runtime {
                 .unwrap_or_else(|e| e.into_inner());
             done = g;
             if timeout.timed_out() {
-                if let Some(report) = watchdog.sample(&self.shared, slot, self.nthreads, opts.stall)
-                {
+                if let Some(report) = self.watchdog_sample(slot, opts.stall, &mut last) {
                     drop(done);
                     slot.request_abort(SessionError::Stalled {
                         session: slot.id,
@@ -926,6 +890,58 @@ impl Runtime {
                 }
             }
         }
+    }
+
+    /// One watchdog sample of `slot` (module docs). `last` is the epoch
+    /// seen before and when it was first seen. Returns the report (its
+    /// `stuck` list still empty) once the session's epoch has stayed
+    /// frozen for its budget: `stall`, or [`WATCHDOG_SUSPENDED_BUDGET`]
+    /// when every remaining unit is suspended. Without an explicit budget
+    /// a *running* unit abstains: a frozen epoch under a running task
+    /// also describes a long compute-only closure. A frozen sample also
+    /// unparks a fully parked pool that has work queued (lost-wakeup
+    /// recovery).
+    #[cfg(not(pf_check))]
+    fn watchdog_sample(
+        &self,
+        slot: &SessionSlot,
+        stall: Option<Duration>,
+        last: &mut Option<(u64, std::time::Instant)>,
+    ) -> Option<StallReport> {
+        let units = slot.units.load(Ordering::SeqCst);
+        let live = live_of(units) as usize;
+        if live == 0 || slot.aborting() {
+            return None;
+        }
+        let epoch = slot.events.epoch();
+        let since = match *last {
+            Some((seen, since)) if seen == epoch => since,
+            _ => {
+                *last = Some((epoch, std::time::Instant::now()));
+                return None;
+            }
+        };
+        let shared = &*self.shared;
+        let all_parked =
+            shared.sleepers.load(Ordering::SeqCst).count_ones() as usize == self.nthreads;
+        if all_parked
+            && !(shared.injector.is_empty() && shared.stealers.iter().all(|s| s.is_empty()))
+        {
+            shared.unpark_all();
+        }
+        let budget = match stall {
+            Some(b) => b,
+            None if live_of(units) == susp_of(units) => WATCHDOG_SUSPENDED_BUDGET,
+            None => return None,
+        };
+        let frozen_for = since.elapsed();
+        (frozen_for >= budget).then(|| StallReport {
+            session: slot.id,
+            live,
+            epoch,
+            frozen_for,
+            stuck: Vec::new(),
+        })
     }
 
     #[cfg(pf_check)]
@@ -999,123 +1015,15 @@ impl Runtime {
 /// Client-side wait-loop poll interval; also the watchdog sample period.
 #[cfg(not(pf_check))]
 const WATCHDOG_POLL: Duration = Duration::from_millis(2);
-/// Consecutive frozen samples before the watchdog declares a stall.
-#[cfg(not(pf_check))]
-const WATCHDOG_STABLE: u32 = 4;
-/// Re-kicks of a fully-parked pool with non-empty queues (defensive lost-
-/// wakeup recovery) before giving up and declaring a stall.
-#[cfg(not(pf_check))]
-const WATCHDOG_KICKS: u32 = 16;
-/// Heartbeat budget for a suspended-only session with no explicit
+/// Stall budget of a suspended-only session with no explicit
 /// [`Session::stall_budget`]: how long its progress epoch may stay
-/// frozen, next to busy siblings, before the watchdog declares a stall.
-/// Generous on purpose — a suspended-only session's epoch can only move
-/// through a fulfill, so the sole false-positive risk is a cross-session
-/// fulfill arriving later than this after *every* other event of the
+/// frozen before the watchdog declares a stall. Generous on purpose — a
+/// suspended-only session's epoch can only move through a fulfill, so
+/// the sole false-positive risk is a fulfill (from another session or
+/// thread) arriving later than this after *every* other event of the
 /// session; set an explicit budget to tighten it.
 #[cfg(not(pf_check))]
 const WATCHDOG_SUSPENDED_BUDGET: Duration = Duration::from_millis(1000);
-
-/// Detects a wedged session by sampling its progress epoch (module docs).
-#[cfg(not(pf_check))]
-#[derive(Default)]
-struct Watchdog {
-    last_epoch: Option<u64>,
-    /// Consecutive samples that saw `last_epoch` unchanged.
-    frozen: u32,
-    /// When the current freeze was first observed.
-    frozen_since: Option<std::time::Instant>,
-    kicks: u32,
-}
-
-#[cfg(not(pf_check))]
-impl Watchdog {
-    /// One sample of the pool + this session's slot. Returns the report
-    /// (its `stuck` list still empty) when the session is stalled,
-    /// through either detector (module docs):
-    ///
-    /// * **provable** — every worker parked (so *no* session has a
-    ///   running task), this session's remaining units all suspended,
-    ///   its epoch frozen across [`WATCHDOG_STABLE`] samples, and either
-    ///   every queue empty (a true stall — absorbing, because only a
-    ///   running task can produce work or wake a sleeper) or
-    ///   [`WATCHDOG_KICKS`] recovery unparks failed to restart the pool;
-    /// * **heartbeat** — the session's own epoch frozen past its budget
-    ///   (`stall`, or [`WATCHDOG_SUSPENDED_BUDGET`] when the remaining
-    ///   units are all suspended), no matter how busy sibling sessions
-    ///   keep the pool. Without an explicit budget a *running* unit
-    ///   abstains: a frozen epoch under a running task also describes a
-    ///   long compute-only closure.
-    fn sample(
-        &mut self,
-        shared: &Shared,
-        slot: &SessionSlot,
-        nthreads: usize,
-        stall: Option<Duration>,
-    ) -> Option<StallReport> {
-        let units = slot.units.load(Ordering::SeqCst);
-        let live = live_of(units) as usize;
-        if live == 0 || slot.aborting() {
-            *self = Watchdog::default();
-            return None;
-        }
-        let epoch = slot.events.epoch();
-        if self.last_epoch != Some(epoch) {
-            self.last_epoch = Some(epoch);
-            self.frozen = 0;
-            self.frozen_since = Some(std::time::Instant::now());
-            self.kicks = 0;
-            return None;
-        }
-        self.frozen += 1;
-        if self.frozen < WATCHDOG_STABLE {
-            return None;
-        }
-        let frozen_for = self
-            .frozen_since
-            .map(|t| t.elapsed())
-            .unwrap_or(Duration::ZERO);
-        let seen = |detector| StallReport {
-            session: slot.id,
-            live,
-            epoch,
-            frozen: self.frozen,
-            frozen_for,
-            detector,
-            stuck: Vec::new(),
-        };
-        let suspended_only = live_of(units) == susp_of(units);
-        let all_parked = shared.sleepers.load(Ordering::SeqCst).count_ones() as usize == nthreads;
-        if all_parked {
-            let queues_empty =
-                shared.injector.is_empty() && shared.stealers.iter().all(|s| s.is_empty());
-            if queues_empty {
-                if suspended_only {
-                    return Some(seen(StallDetector::Provable));
-                }
-                // `units` claims a queued-or-running task, yet nothing is
-                // queued and nobody runs: a decrement in flight. The next
-                // sample sees the settled state; fall through meanwhile.
-            } else {
-                // All workers parked yet work is queued (any session's):
-                // a lost wakeup. The fence protocol makes this
-                // unreachable; recover anyway, boundedly.
-                self.kicks += 1;
-                if self.kicks > WATCHDOG_KICKS {
-                    return Some(seen(StallDetector::Provable));
-                }
-                shared.unpark_all();
-                return None;
-            }
-        }
-        let budget = match (stall, suspended_only) {
-            (Some(b), _) => b,
-            (None, true) => WATCHDOG_SUSPENDED_BUDGET,
-            (None, false) => return None,
-        };
-        (frozen_for >= budget).then(|| seen(StallDetector::Heartbeat))
-    }
-}
 
 impl Drop for Runtime {
     fn drop(&mut self) {

@@ -2,7 +2,7 @@
 //! per-worker LIFO deques (the paper's stack discipline), a global
 //! injector, and the liveness accounting that drives quiescence
 //! detection. The pool that hosts workers — thread lifecycle, parking,
-//! the session table, abort and panic protocols — lives in
+//! session slots, abort and panic protocols — lives in
 //! [`crate::pool`].
 //!
 //! Every queued task is a `SessionTask`: the closure plus the `Arc` of
@@ -133,7 +133,7 @@ impl Worker {
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Chaos seams: a seeded probability of a spurious panic right
             // here exercises the whole abort path, and a seeded wedge
-            // parks this worker mid-task to exercise the stall detectors
+            // parks this worker mid-task to exercise the stall detector
             // (both off outside pf_chaos).
             crate::chaos::maybe_panic();
             crate::chaos::maybe_wedge(&|| session.aborting());

@@ -183,10 +183,9 @@ fn seeded_chaos_sessions_fail_contained_or_complete() {
     }
     assert_eq!(pill_failed, 60, "every pill session must have aborted");
 
-    // Phase 4 (PR 10): seeded mid-task wedges against the progress-
-    // heartbeat stall detector. A wedge parks a worker inside a task
-    // body (no panic, no event — the exact signature the old idle-pool
-    // watchdog could not see while siblings kept the pool busy). Two
+    // Phase 4 (PR 10): seeded mid-task wedges against the stall
+    // detector. A wedge parks a worker inside a task body (no panic, no
+    // event — a frozen epoch that only an explicit budget declares). Two
     // concurrent budgeted sessions per seed: each must come back — `Ok`
     // when its wedge released in time (the hold is bounded), `Stalled`
     // otherwise, never a hang — and every stall must trace back to an

@@ -160,10 +160,10 @@ fn watchdog_reports_a_stalled_session_with_the_stuck_cell() {
             assert_eq!(report.stuck.len(), 1, "{report:?}");
             assert!(report.stuck[0].payload_type.contains("u32"));
             // Freeze provenance: the report names its session and how
-            // long progress was frozen (several consecutive samples).
+            // long progress was frozen — at least the 1 s default budget
+            // of a suspended-only session, even on an idle pool.
             assert_eq!(report.session, err.session(), "{report:?}");
-            assert!(report.frozen >= 2, "{report:?}");
-            assert!(report.frozen_for > Duration::ZERO, "{report:?}");
+            assert!(report.frozen_for >= Duration::from_secs(1), "{report:?}");
         }
         other => panic!("expected Stalled, got {other}"),
     }

@@ -53,8 +53,8 @@ fn zero_task_run_quiesces_immediately() {
 #[test]
 fn global_contention_from_two_os_threads() {
     // Two OS threads each push back-to-back sessions through the one
-    // process-wide two-worker pool. Sessions co-execute (each gets its own slot in the
-    // session table); the assertion is that neither thread's results or
+    // process-wide two-worker pool. Sessions co-execute (each gets its own
+    // session slot); the assertion is that neither thread's results or
     // per-session stats are polluted by the other's tasks (cross-session
     // leakage through the shared injector/deques). The dedicated
     // concurrent-session suite is tests/sessions.rs.

@@ -120,7 +120,8 @@ fn write_before_touch_records_no_suspension() {
 #[test]
 fn stalled_session_records_poison_per_stuck_cell() {
     // Three touches of cells nobody will ever write wedge the session;
-    // the watchdog aborts it and the cleanup must poison exactly the
+    // the watchdog aborts it (after the 1 s default budget of a
+    // suspended-only session) and the cleanup must poison exactly the
     // cells the StallReport names — with one client-lane Poison event
     // (carrying the cell address) for each.
     let rt = Runtime::new(2);

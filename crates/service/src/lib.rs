@@ -32,10 +32,10 @@
 //!   each with its own persistent treap root, apply their waves in
 //!   fault-contained sessions ([`pf_rt::Runtime::try_run_session`]) on
 //!   one shared worker pool. Shard sessions genuinely co-execute (each
-//!   gets its own slot in the pool's session table), so shard
-//!   concurrency covers session execution itself as well as everything
-//!   around it — batch treap construction, coalescing, commit
-//!   bookkeeping — and a failed shard degrades alone, its abort
+//!   gets its own session slot), so shard concurrency covers session
+//!   execution itself as well as everything around it — batch treap
+//!   construction, coalescing, commit bookkeeping — and a failed shard
+//!   degrades alone, its abort
 //!   confined to its own slot.
 //! * **Snapshot reads** ([`SetService::contains`]): readers walk the
 //!   shard's last *committed* root — sealed at commit, so it holds no

@@ -420,10 +420,9 @@ impl<K: Key> SetService<K> {
     /// arrival is a pipeline stage overlapping coalescing, batch-treap
     /// construction, and the other shards' sessions. The shard sessions
     /// genuinely co-execute: each `try_run_session` call gets its own
-    /// slot in the pool's session table and they share the worker pool,
-    /// so one shard's stall (or injected fault) neither blocks nor
-    /// corrupts a sibling's wave — fault containment is per slot, not
-    /// per pool. Returns when every submitted request has been applied
+    /// session slot and they share the worker pool, so one shard's stall
+    /// (or injected fault) neither blocks nor corrupts a sibling's wave
+    /// — fault containment is per slot, not per pool. Returns when every submitted request has been applied
     /// or degraded.
     pub fn drive<I>(&self, requests: I) -> DrainReport
     where

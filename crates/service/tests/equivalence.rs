@@ -195,7 +195,19 @@ fn healthy_drive_matches_pump() {
     for i in 0..SHARDS {
         assert_eq!(svc_a.shard_keys(i), svc_b.shard_keys(i));
     }
-    assert_eq!(report_a.keys_applied, report_b.keys_applied);
+    // Every request was served on both paths. (Not `keys_applied`: it
+    // counts each wave's keys after deduplication, and which requests
+    // share a wave under `drive` depends on what each shard's apply
+    // thread finds queued when it starts a window.)
+    let served = |r: &DrainReport| {
+        r.outcomes
+            .iter()
+            .filter(|o| o.served)
+            .flat_map(|o| o.tags.iter().copied())
+            .collect::<BTreeSet<u64>>()
+    };
+    assert_eq!(served(&report_a), (0..40).collect());
+    assert_eq!(served(&report_b), served(&report_a));
 }
 
 #[test]
