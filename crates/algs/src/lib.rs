@@ -47,10 +47,10 @@
 //! Every pipelined algorithm takes a [`Mode`]: [`Mode::Strict`] is the same
 //! code with each call's results withheld until the call has finished —
 //! the paper's non-pipelined comparison point. On the simulator (a
-//! dev-dependency here: each module's tests check its text on all three
-//! engines) the union of two 1024-key treaps does the same work either
-//! way, at less than half the depth when pipelined, reading every cell at
-//! most once:
+//! dev-dependency here; the workspace `tests/` crate checks this text on
+//! all three engines) the union of two 1024-key treaps does the same work
+//! either way, at less than half the depth when pipelined, reading every
+//! cell at most once:
 //!
 //! ```
 //! use pf_algs::{plain::splitmix64, start::union_on, Mode};
@@ -87,26 +87,11 @@ pub mod treap;
 pub mod tree;
 pub mod two_six;
 
-#[cfg(test)]
-pub(crate) mod testkit;
-
-// Test-only modules, named as their suites have always run: the Figure 1
-// and Figure 2 cost tests of [`list`] on the simulator, and each
-// algorithm on the work-stealing runtime (`pf_rt::Worker`).
-#[cfg(test)]
-mod pipeline;
-#[cfg(test)]
-mod quicksort;
-#[cfg(test)]
-mod rlist;
-#[cfg(test)]
-mod rrebalance;
-#[cfg(test)]
-mod rtreap;
-#[cfg(test)]
-mod rtree;
-#[cfg(test)]
-mod rtwosix;
+// The algorithm suite — each algorithm against its oracle on `Seq`, the
+// simulator and pf-rt, and the simulator's cost assertions — is the
+// workspace `tests/` crate (`pf_tests`, whose lib documents it). The unit
+// tests here are those of private items and of the data types' own
+// constructors and accessors.
 
 pub use pf_backend::{Key, Mode, PipeBackend, Seq, SeqFut, Val};
 

@@ -192,7 +192,6 @@ pub fn qs<B: PipeBackend, K: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::start::{pipeline_on, quicksort_on};
     use crate::Seq;
 
     #[test]
@@ -216,38 +215,5 @@ mod tests {
             assert_eq!(*h, 9);
             assert!(List::<Seq, i64>::expect_vec(t).is_empty());
         });
-    }
-
-    #[test]
-    fn pipeline_sums_on_the_oracle() {
-        for n in [0u64, 1, 10, 500] {
-            let sum = Seq::run(|bk| pipeline_on(bk, n, Mode::Pipelined).expect());
-            assert_eq!(sum, n * (n + 1) / 2, "n={n}");
-        }
-    }
-
-    #[test]
-    fn quicksort_on_the_oracle() {
-        // A fixed scramble: no RNG needed for the oracle check.
-        let keys: Vec<i64> = (0..200).map(|i| (i * 83) % 200).collect();
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        let sorted = Seq::run(|bk| {
-            quicksort_on(bk, &keys, Mode::Pipelined)
-                .expect()
-                .collect_vec()
-        });
-        assert_eq!(sorted, expect);
-    }
-
-    #[test]
-    fn quicksort_duplicates_on_the_oracle() {
-        let keys = vec![3i64, 1, 3, 2, 1, 3, 0];
-        let sorted = Seq::run(|bk| {
-            quicksort_on(bk, &keys, Mode::Pipelined)
-                .expect()
-                .collect_vec()
-        });
-        assert_eq!(sorted, vec![0, 1, 1, 2, 3, 3, 3]);
     }
 }

@@ -106,162 +106,3 @@ pub fn merge<B: PipeBackend, K: Key>(
         }
     });
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::start::merge_on;
-    use crate::testkit::{evens, odds, run_merge};
-    use crate::Seq;
-    use pf_core::Sim;
-
-    #[test]
-    fn merge_on_the_oracle() {
-        for (na, nb) in [(0, 0), (1, 0), (0, 1), (5, 3), (16, 16), (100, 31)] {
-            let (a, b) = (evens(na), odds(nb));
-            let mut expect: Vec<i64> = a.iter().chain(b.iter()).copied().collect();
-            expect.sort_unstable();
-            let got = Seq::run(|bk| merge_on(bk, &a, &b, Mode::Pipelined).expect());
-            assert!(got.is_search_tree());
-            assert_eq!(got.to_sorted_vec(), expect, "na={na} nb={nb}");
-        }
-    }
-
-    #[test]
-    fn split_on_the_oracle() {
-        let (l, r) = Seq::run(|bk| {
-            let t = Tree::from_sorted(bk, &evens(100));
-            let (lp, lf) = bk.cell();
-            let (rp, rf) = bk.cell();
-            split(bk, 41i64, t, lp, rp);
-            (Tree::<Seq, i64>::expect(&lf), Tree::<Seq, i64>::expect(&rf))
-        });
-        let (lv, rv) = (l.to_sorted_vec(), r.to_sorted_vec());
-        assert!(lv.iter().all(|&k| k < 41));
-        assert!(rv.iter().all(|&k| k >= 41));
-        assert_eq!(lv.len() + rv.len(), 100);
-    }
-
-    fn oracle(a: &[i64], b: &[i64]) -> Vec<i64> {
-        let mut v: Vec<i64> = a.iter().chain(b.iter()).copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    #[test]
-    fn merges_correctly_small() {
-        for (na, nb) in [(0, 0), (1, 0), (0, 1), (3, 5), (8, 8), (17, 4)] {
-            let a = evens(na);
-            let b = odds(nb);
-            let (root, _) = run_merge(&a, &b, Mode::Pipelined);
-            let t = root.get();
-            assert!(t.is_search_tree());
-            assert_eq!(t.to_sorted_vec(), oracle(&a, &b), "na={na} nb={nb}");
-        }
-    }
-
-    #[test]
-    fn strict_mode_same_result_same_work() {
-        let a = evens(100);
-        let b = odds(100);
-        let (r1, c1) = run_merge(&a, &b, Mode::Pipelined);
-        let (r2, c2) = run_merge(&a, &b, Mode::Strict);
-        assert_eq!(r1.get().to_sorted_vec(), r2.get().to_sorted_vec());
-        assert_eq!(c1.work, c2.work, "strictness must not change the work");
-        assert!(c1.depth <= c2.depth);
-    }
-
-    #[test]
-    fn pipelined_depth_is_logarithmic() {
-        // depth(n, n) should grow by a constant (not by lg n) when n doubles.
-        let d = |n: usize| run_merge(&evens(n), &odds(n), Mode::Pipelined).1.depth;
-        let (d1k, d2k, d4k) = (d(1 << 10), d(1 << 11), d(1 << 12));
-        let g1 = d2k as i64 - d1k as i64;
-        let g2 = d4k as i64 - d2k as i64;
-        assert!(g1 > 0 && g2 > 0);
-        // Θ(lg n + lg m): doubling n adds O(1) depth. Allow slack for the
-        // constant but rule out Θ(lg² n) (which would add ~lg n ≈ 11 per
-        // doubling times the constant).
-        assert!(
-            g2 <= g1 + 16,
-            "depth increments should be ~constant: {d1k} {d2k} {d4k}"
-        );
-    }
-
-    #[test]
-    fn strict_depth_is_log_squared() {
-        let n = 1 << 10;
-        let (_, cp) = run_merge(&evens(n), &odds(n), Mode::Pipelined);
-        let (_, cs) = run_merge(&evens(n), &odds(n), Mode::Strict);
-        // lg(1024) = 10: the strict depth must be several times the
-        // pipelined depth.
-        assert!(
-            cs.depth > 2 * cp.depth,
-            "strict {} vs pipelined {}",
-            cs.depth,
-            cp.depth
-        );
-    }
-
-    #[test]
-    fn merge_is_linear_code() {
-        let (_, c) = run_merge(&evens(256), &odds(256), Mode::Pipelined);
-        assert!(c.is_linear(), "every future cell must be read at most once");
-    }
-
-    #[test]
-    fn work_is_m_log_n_over_m() {
-        // With m << n the work should be far below O(n).
-        let n = 1 << 14;
-        let m = 1 << 4;
-        let (_, c) = run_merge(&evens(n), &odds(m), Mode::Pipelined);
-        assert!(
-            c.work < (n as u64) / 4,
-            "work {} should be o(n) for m << n",
-            c.work
-        );
-    }
-
-    #[test]
-    fn result_height_bounded() {
-        let n = 1 << 8;
-        let (root, _) = run_merge(&evens(n), &odds(n), Mode::Pipelined);
-        let t = root.get();
-        // Paper: result height can reach lg n + lg m but no more.
-        assert!(t.height() <= 8 + 8 + 2, "height {}", t.height());
-    }
-
-    #[test]
-    fn split_partitions() {
-        let (parts, _) = Sim::new().run(|ctx| {
-            let t = Tree::from_sorted(ctx, &evens(100));
-            let (lp, lf) = ctx.promise();
-            let (rp, rf) = ctx.promise();
-            split(ctx, 41, t, lp, rp);
-            (lf, rf)
-        });
-        let l = parts.0.get().to_sorted_vec();
-        let r = parts.1.get().to_sorted_vec();
-        assert!(l.iter().all(|&k| k < 41));
-        assert!(r.iter().all(|&k| k >= 41));
-        assert_eq!(l.len() + r.len(), 100);
-    }
-
-    #[test]
-    fn split_at_extremes() {
-        for s in [-1i64, 0, 199, 500] {
-            let (parts, _) = Sim::new().run(|ctx| {
-                let t = Tree::from_sorted(ctx, &evens(100));
-                let (lp, lf) = ctx.promise();
-                let (rp, rf) = ctx.promise();
-                split(ctx, s, t, lp, rp);
-                (lf, rf)
-            });
-            let l = parts.0.get().to_sorted_vec();
-            let r = parts.1.get().to_sorted_vec();
-            assert_eq!(l.len() + r.len(), 100);
-            assert!(l.iter().all(|&k| k < s));
-            assert!(r.iter().all(|&k| k >= s));
-        }
-    }
-}

@@ -401,8 +401,13 @@ pub fn pvw_insert_many<K: Key>(tree: &mut PvwTree<K>, keys: &[K]) -> PvwStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{evens, run_insert_many};
+    use crate::start::insert_many_on;
     use crate::Mode;
+    use pf_core::Sim;
+
+    fn evens(n: usize) -> Vec<i64> {
+        (0..n as i64).map(|i| 2 * i).collect()
+    }
 
     #[test]
     fn builds_valid_trees() {
@@ -492,7 +497,8 @@ mod tests {
         newk_sorted.dedup();
         let mut t = PvwTree::from_sorted(&initial);
         pvw_insert_many(&mut t, &newk_sorted);
-        let (root, _) = run_insert_many(&initial, &newk_sorted, Mode::Pipelined);
+        let (root, _) =
+            Sim::new().run(|ctx| insert_many_on(ctx, &initial, &newk_sorted, Mode::Pipelined));
         assert_eq!(t.to_sorted_vec(), root.get().to_sorted_vec());
     }
 }

@@ -330,141 +330,3 @@ pub fn unbalanced_from<B: PipeBackend, K: Key>(bk: &B, keys: &[K]) -> Tree<B, K>
     }
     conv(bk, &p)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::start::{merge_balanced_on, rebalance_on};
-    use crate::testkit::{run_merge_balanced, run_rebalance, shuffled};
-    use crate::Seq;
-
-    #[test]
-    fn rebalance_spine_on_the_oracle() {
-        let keys: Vec<i64> = (0..127).collect();
-        let t = Seq::run(|bk| {
-            let spine = unbalanced_from(bk, &keys);
-            assert_eq!(spine.height(), 127, "in-order insertion gives a spine");
-            rebalance_on(bk, &keys, Mode::Pipelined).expect()
-        });
-        assert!(t.is_search_tree());
-        assert_eq!(t.to_sorted_vec(), keys);
-        assert_eq!(t.height(), 7, "127 nodes must rebalance to height 7");
-    }
-
-    #[test]
-    fn merge_balanced_on_the_oracle() {
-        let a: Vec<i64> = (0..64).map(|i| 2 * i).collect();
-        let b: Vec<i64> = (0..63).map(|i| 2 * i + 1).collect();
-        let t = Seq::run(|bk| merge_balanced_on(bk, &a, &b, Mode::Pipelined).expect());
-        assert!(t.is_search_tree());
-        assert_eq!(t.size(), 127);
-        assert_eq!(t.height(), 7);
-    }
-
-    #[test]
-    fn rebalance_preserves_keys_and_balances() {
-        let keys = shuffled(200, 1);
-        let (root, _) = run_rebalance(&keys, Mode::Pipelined);
-        let t = root.get();
-        assert!(t.is_search_tree());
-        assert_eq!(t.to_sorted_vec(), (0..200).collect::<Vec<_>>());
-        assert_eq!(t.height(), 8, "200 keys must pack into height 8");
-    }
-
-    #[test]
-    fn rebalance_pathological_input() {
-        // A fully sorted insertion order gives a height-n right spine.
-        let keys: Vec<i64> = (0..128).collect();
-        let (root, _) = run_rebalance(&keys, Mode::Pipelined);
-        let t = root.get();
-        assert_eq!(t.height(), 8);
-        assert_eq!(t.size(), 128);
-    }
-
-    #[test]
-    fn rebalance_small_cases() {
-        for n in [0usize, 1, 2, 3] {
-            let keys: Vec<i64> = (0..n as i64).collect();
-            let (root, _) = run_rebalance(&keys, Mode::Pipelined);
-            let t = root.get();
-            assert_eq!(t.size(), n);
-            assert!(t.is_search_tree());
-        }
-    }
-
-    #[test]
-    fn pipelined_rebuild_shallower_than_strict() {
-        let keys = shuffled(1 << 10, 4);
-        let (_, cp) = run_rebalance(&keys, Mode::Pipelined);
-        let (_, cs) = run_rebalance(&keys, Mode::Strict);
-        assert_eq!(cp.work, cs.work);
-        assert!(
-            cs.depth > cp.depth + cp.depth / 4,
-            "strict {} vs pipelined {}",
-            cs.depth,
-            cp.depth
-        );
-    }
-
-    #[test]
-    fn merge_balanced_composite() {
-        let a: Vec<i64> = (0..700).map(|i| 2 * i).collect();
-        let b: Vec<i64> = (0..500).map(|i| 2 * i + 1).collect();
-        let (root, c) = run_merge_balanced(&a, &b, Mode::Pipelined);
-        let t = root.get();
-        assert!(t.is_search_tree());
-        assert_eq!(t.size(), 1200);
-        // Perfectly balanced: 1200 keys fit in height 11.
-        assert_eq!(t.height(), 11);
-        assert!(c.is_linear());
-        // The composite depth stays close to the raw merge + a rebalance,
-        // i.e. logarithmic — far below the sequential work.
-        assert!(c.depth * 20 < c.work, "depth {} work {}", c.depth, c.work);
-    }
-
-    #[test]
-    fn merge_balanced_depth_logarithmic() {
-        let d = |lg: u32| {
-            let n = 1usize << lg;
-            let a: Vec<i64> = (0..n as i64).map(|i| 2 * i).collect();
-            let b: Vec<i64> = (0..n as i64).map(|i| 2 * i + 1).collect();
-            run_merge_balanced(&a, &b, Mode::Pipelined).1.depth as i64
-        };
-        let (d1, d2, d3) = (d(9), d(10), d(11));
-        let (g1, g2) = (d2 - d1, d3 - d2);
-        assert!(
-            g2 <= g1 + d1 / 4,
-            "composite depth should add ~constant per doubling: {d1} {d2} {d3}"
-        );
-    }
-
-    #[test]
-    fn rebalance_is_linear_code() {
-        let keys = shuffled(300, 9);
-        let (_, c) = run_rebalance(&keys, Mode::Pipelined);
-        assert!(c.is_linear());
-    }
-
-    #[test]
-    fn work_is_linear_in_n() {
-        let w = |n: usize| run_rebalance(&shuffled(n, 2), Mode::Pipelined).1.work as f64;
-        let ratio = w(2048) / w(1024);
-        assert!(
-            (1.7..2.4).contains(&ratio),
-            "rebalance work should be Θ(n): ratio {ratio}"
-        );
-    }
-
-    #[test]
-    fn depth_is_logarithmic() {
-        // The rebalance depth is O(height of the input), which for a random
-        // BST is ~3 lg n with noticeable variance; quadrupling n must not
-        // come close to doubling the depth.
-        let d = |n: usize| run_rebalance(&shuffled(n, 6), Mode::Pipelined).1.depth as i64;
-        let (d1, d3) = (d(1 << 9), d(1 << 11));
-        assert!(
-            d3 < 2 * d1,
-            "depth should grow logarithmically: {d1} -> {d3}"
-        );
-    }
-}

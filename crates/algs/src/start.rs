@@ -139,92 +139,3 @@ pub fn pipeline_on<B: PipeBackend>(bk: &B, n: u64, mode: Mode) -> B::Fut<u64> {
     bk.touch(&lf, move |bk, l| consume(bk, l, 0, sp));
     sum
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::plain::PlainTreap;
-    use crate::testkit::{entries, evens, odds, on_rt, shuffled};
-    use crate::Seq;
-    use pf_core::Sim;
-
-    /// The sorted keys and the height — with a deterministic shape, the
-    /// whole tree — of what `$start`, one starter call on `$bk` reading the
-    /// inputs `$v`, builds on each engine: `Seq`, the simulator, pf-rt at
-    /// one and two workers.
-    macro_rules! on_every_engine {
-        (($($v:ident),*), |$bk:ident| $start:expr) => {{
-            let seq = Seq::run(|$bk| $start.expect());
-            let sim = Sim::new().run(|$bk| $start).0.get();
-            let mut got = vec![
-                (seq.to_sorted_vec(), seq.height()),
-                (sim.to_sorted_vec(), sim.height()),
-            ];
-            for threads in [1, 2] {
-                $(let $v = $v.clone();)*
-                let rt = on_rt(threads, move |$bk| $start);
-                got.push((rt.to_sorted_vec(), rt.height()));
-            }
-            got
-        }};
-    }
-
-    const M: Mode = Mode::Pipelined;
-
-    #[test]
-    fn treap_starters_build_the_plain_oracles_treap_on_every_engine() {
-        let a = entries((0..300).map(|i| 3 * i));
-        let b = entries((0..300).map(|i| 2 * i));
-        let pa = || PlainTreap::from_entries(&a);
-        let pb = || PlainTreap::from_entries(&b);
-        let shape = |t| (PlainTreap::to_sorted_vec(&t), PlainTreap::height(&t));
-        let want = shape(PlainTreap::union(pa(), pb()));
-        for got in on_every_engine!((a, b), |bk| union_on(bk, &a, &b, M)) {
-            assert_eq!(got, want, "union");
-        }
-        let want = shape(PlainTreap::diff(pa(), pb()));
-        for got in on_every_engine!((a, b), |bk| diff_on(bk, &a, &b, M)) {
-            assert_eq!(got, want, "diff");
-        }
-        let want = shape(PlainTreap::diff(pa(), PlainTreap::diff(pa(), pb())));
-        for got in on_every_engine!((a, b), |bk| intersect_on(bk, &a, &b, M)) {
-            assert_eq!(got, want, "intersect");
-        }
-    }
-
-    #[test]
-    fn tree_starters_agree_with_the_sorted_vec_on_every_engine() {
-        let (a, b) = (evens(300), odds(200));
-        let mut merged = [a.clone(), b.clone()].concat();
-        merged.sort_unstable();
-        for (keys, _) in on_every_engine!((a, b), |bk| merge_on(bk, &a, &b, M)) {
-            assert_eq!(keys, merged, "merge");
-        }
-        for got in on_every_engine!((a, b), |bk| merge_balanced_on(bk, &a, &b, M)) {
-            assert_eq!(got, (merged.clone(), 9), "500 keys balance to height 9");
-        }
-        let keys = shuffled(257, 3);
-        let sorted: Vec<i64> = (0..257).collect();
-        for got in on_every_engine!((keys), |bk| rebalance_on(bk, &keys, M)) {
-            assert_eq!(got, (sorted.clone(), 9), "257 keys balance to height 9");
-        }
-        for balanced in [false, true] {
-            for (got, _) in on_every_engine!((keys), |bk| msort_on(bk, &keys, balanced, M)) {
-                assert_eq!(got, sorted, "msort balanced={balanced}");
-            }
-        }
-    }
-
-    #[test]
-    fn two_six_starter_agrees_with_btreeset_on_every_engine() {
-        let initial = evens(400);
-        let newk: Vec<i64> = (0..100).map(|i| 8 * i + 1).collect();
-        let mut want: std::collections::BTreeSet<i64> = initial.iter().copied().collect();
-        want.extend(&newk);
-        for (got, _) in
-            on_every_engine!((initial, newk), |bk| insert_many_on(bk, &initial, &newk, M))
-        {
-            assert!(got.iter().eq(&want));
-        }
-    }
-}

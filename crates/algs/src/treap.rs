@@ -1142,201 +1142,29 @@ pub fn union_many<B: PipeBackend, K: Key>(
 mod tests {
     use super::*;
     use crate::plain::splitmix64;
-    use crate::start::{diff_on, intersect_on, union_on};
-    use crate::testkit::{entries, run_diff, run_intersect, run_union};
     use crate::Seq;
-    use pf_core::{Ctx, Fut, Sim};
-
-    /// How deep the unsized top of a test input reaches: `ALL` is no node
-    /// sized and every child a written cell, as a pipelined producer would
-    /// have published the treap; `Some(0)` is the complete treap of
-    /// `from_entries`; `Some(d)` is `d` levels of unsized nodes, each over
-    /// one cell and one directly held sized subtree, above complete ones.
-    type Crust = Option<usize>;
-    const ALL: Crust = None;
-    const SIZED: Crust = Some(0);
-
-    fn build(bk: &Seq, entries: &[Entry<i64>], crust: Crust) -> Treap<Seq, i64> {
-        fn rec(bk: &Seq, t: &Option<Box<PlainTreap<i64>>>, crust: Crust) -> Treap<Seq, i64> {
-            let Some(n) = t else { return Treap::Leaf };
-            let cell = |t, crust| Child::Cell(bk.input(rec(bk, t, crust)));
-            let (l, r) = match crust {
-                ALL => (cell(&n.left, ALL), cell(&n.right, ALL)),
-                SIZED => return Treap::from_plain(bk, t),
-                Some(d) => {
-                    let done = |t| Child::Done(Treap::from_plain(bk, t));
-                    if d % 2 == 0 {
-                        (cell(&n.left, Some(d - 1)), done(&n.right))
-                    } else {
-                        (done(&n.left), cell(&n.right, Some(d - 1)))
-                    }
-                }
-            };
-            Treap::node_over(n.key, n.prio, 0, l, r)
-        }
-        rec(bk, &PlainTreap::from_entries(entries), crust)
-    }
-
-    /// The plain treap's entries in preorder, as `Treap::preorder` lists
-    /// an engine treap's: with the search order, that fixes the shape.
-    fn plain_preorder(t: &Option<Box<PlainTreap<i64>>>) -> Vec<Entry<i64>> {
-        fn rec(t: &Option<Box<PlainTreap<i64>>>, out: &mut Vec<Entry<i64>>) {
-            if let Some(n) = t {
-                out.push((n.key, n.prio));
-                rec(&n.left, out);
-                rec(&n.right, out);
-            }
-        }
-        let mut out = vec![];
-        rec(t, &mut out);
-        out
-    }
-
-    /// The cutoff and the representation are invisible in the result: on
-    /// complete operands (plain code below the grain, plain splits and
-    /// joins above it), on unsized ones over cells (the paper's step
-    /// throughout), on one of each, and on operands whose unsized top
-    /// holds one child directly and the other in a cell, union, difference
-    /// and intersection build `PlainTreap`'s tree, entry for entry — and
-    /// sealing the result keeps the tree and leaves no cell in it.
-    #[test]
-    fn sized_and_unsized_operands_build_the_oracles_tree() {
-        let reprio = |e: &[Entry<i64>]| {
-            e.iter()
-                .map(|&(k, p)| (k, splitmix64(p)))
-                .collect::<Vec<_>>()
-        };
-        let x = entries((0..120).map(|i| 3 * i));
-        let big = entries((0..6000).map(|i| 2 * i));
-        type Entries = Vec<Entry<i64>>;
-        let cases: Vec<(Entries, Entries)> = vec![
-            (vec![], vec![]),
-            (vec![], x.clone()),
-            (x.clone(), vec![]),
-            (entries([30]), x.clone()),
-            (x.clone(), entries([31])),
-            (entries(0..50), entries(100..150)),
-            (x.clone(), x.clone()),
-            (x.clone(), reprio(&x)),
-            (entries(0..200), entries((0..200).map(|i| 2 * i))),
-            // More than one grain of work: the top of these forks.
-            (big.clone(), entries((0..6000).map(|i| 3 * i + 1))),
-            (
-                entries(0..20_000),
-                reprio(&entries((0..1500).map(|i| 13 * i))),
-            ),
-        ];
-        for (i, (a, b)) in cases.iter().enumerate() {
-            let (pa, pb) = (
-                || PlainTreap::from_entries(a),
-                || PlainTreap::from_entries(b),
-            );
-            let want = [
-                PlainTreap::union(pa(), pb()),
-                PlainTreap::diff(pa(), pb()),
-                PlainTreap::diff(pa(), PlainTreap::diff(pa(), pb())),
-            ];
-            for (sa, sb) in [
-                (SIZED, SIZED),
-                (ALL, ALL),
-                (ALL, SIZED),
-                (Some(3), SIZED),
-                (SIZED, Some(4)),
-                (Some(2), ALL),
-            ] {
-                let got = Seq::run(|bk| {
-                    let fa = bk.input(build(bk, a, sa));
-                    let fb = bk.input(build(bk, b, sb));
-                    let outs = [bk.cell(), bk.cell(), bk.cell()];
-                    let [(u, uf), (d, df), (n, nf)] = outs;
-                    union(bk, fa.clone(), fb.clone(), u, Mode::Pipelined);
-                    diff(bk, fa.clone(), fb.clone(), d, Mode::Pipelined);
-                    intersect(bk, fa, fb, n, Mode::Pipelined);
-                    [uf, df, nf].map(|f| Treap::<Seq, i64>::expect(&f))
-                });
-                for (op, (got, want)) in got.iter().zip(&want).enumerate() {
-                    let w = plain_preorder(want);
-                    let what = format!("case {i} op {op} crust=({sa:?},{sb:?})");
-                    assert_eq!(got.preorder(), w, "{what}");
-                    assert!(got.check_invariants(), "{what}");
-                    if (sa, sb) == (SIZED, SIZED) && work_estimate(a.len(), b.len()) <= Seq::GRAIN {
-                        assert_eq!(got.sized(), Some(w.len()), "{what}");
-                    }
-                    let sealed = got.sealed();
-                    assert_eq!(sealed.preorder(), w, "sealed, {what}");
-                    assert_eq!(sealed.sized(), Some(w.len()), "sealed, {what}");
-                    assert!(sealed.check_invariants(), "sealed, {what}");
-                }
-            }
-        }
-    }
-
-    /// With no engine in hand, `from_plain_complete` builds what
-    /// `from_plain` builds on an engine that cuts: the plain treap's keys
-    /// and shape, every node sized exactly, and no cell (a sized root
-    /// passes `check_invariants` only over complete, directly held
-    /// subtreaps, blocks wherever 32 keys or fewer hang together).
-    #[test]
-    fn from_plain_complete_builds_from_plains_tree_without_an_engine() {
-        let plain = PlainTreap::from_entries(&entries((0..700).map(|i| 3 * i)));
-        let free = Treap::<Seq, i64>::from_plain_complete(&plain);
-        let on_seq = Seq::run(|bk| Treap::from_plain(bk, &plain));
-        assert_eq!(free.preorder(), plain_preorder(&plain));
-        assert_eq!(free.preorder(), on_seq.preorder());
-        assert_eq!((free.sized(), on_seq.sized()), (Some(700), Some(700)));
-        assert!(free.check_invariants());
-        assert!(Treap::<Seq, i64>::from_plain_complete(&None).is_leaf());
-    }
-
-    /// The linear-time builder makes `from_plain_complete`'s tree of
-    /// `PlainTreap::from_entries`, entry for entry, whatever the priorities
-    /// do: random, a right spine, a left spine, and all equal (ties go to
-    /// the larger key); and the representation is canonical, so 32 keys are
-    /// one block and 33 are a node over blocks.
-    #[test]
-    fn from_sorted_complete_builds_the_oracles_tree_in_one_scan() {
-        let keys = || (0..600).map(|i| 5 * i - 700);
-        let inputs: [Vec<Entry<i64>>; 5] = [
-            entries(keys()),
-            keys().map(|k| (k, (k + 1000) as u64)).collect(),
-            keys().map(|k| (k, (5000 - k) as u64)).collect(),
-            keys().map(|k| (k, 7)).collect(),
-            entries([42]),
-        ];
-        for (i, e) in inputs.iter().enumerate() {
-            let got = Treap::<Seq, i64>::from_sorted_complete(e);
-            let plain = PlainTreap::from_entries(e);
-            let via_plain = Treap::<Seq, i64>::from_plain_complete(&plain);
-            assert_eq!(got.preorder(), via_plain.preorder(), "input {i}");
-            assert_eq!(got.preorder(), plain_preorder(&plain), "input {i}");
-            assert_eq!(got.sized(), Some(e.len()), "input {i}");
-            assert!(got.check_invariants(), "input {i}");
-        }
-        assert!(Treap::<Seq, i64>::from_sorted_complete(&[]).is_leaf());
-        let (fits, over) = (entries(0..32), entries(0..33));
-        assert!(
-            matches!(Treap::<Seq, i64>::from_sorted_complete(&fits), Treap::Block(b) if b.len() == 32)
-        );
-        assert!(
-            matches!(Treap::<Seq, i64>::from_sorted_complete(&over), Treap::Node(n) if n.size == 33)
-        );
-    }
+    use pf_core::Ctx;
 
     /// The engine-free entry points answer exactly when the pipelined
     /// functions would run plain code — both operands sized, the estimate
     /// within the grain, to the key — and then with the oracle's tree.
     fn within_grain_is_the_plain_rule<B: PipeBackend>() {
+        fn e(keys: impl IntoIterator<Item = i64>) -> Vec<Entry<i64>> {
+            keys.into_iter()
+                .map(|k| (k, splitmix64(k as u64)))
+                .collect()
+        }
         let t = |e: &[Entry<i64>]| Treap::<B, i64>::from_sorted_complete(e);
         let same_tree = |got: Option<Treap<B, i64>>, want, what: &str| {
             let got = got.unwrap_or_else(|| panic!("{what}: within the grain"));
-            let w = plain_preorder(&want);
-            assert_eq!(got.preorder(), w, "{what}");
-            assert_eq!(got.sized(), Some(w.len()), "{what}");
+            let want = Treap::<B, i64>::from_plain_complete(&want);
+            assert_eq!(got.preorder(), want.preorder(), "{what}");
+            assert_eq!(got.sized(), want.sized(), "{what}");
         };
         // Equal sizes make the estimate the size itself.
         let grain = B::GRAIN as i64;
         for (n, fits) in [(120, true), (grain, true), (grain + 1, false)] {
-            let (a, b) = (entries(0..n), entries((0..n).map(|i| 3 * i)));
+            let (a, b) = (e(0..n), e((0..n).map(|i| 3 * i)));
             let (pa, pb) = (
                 || PlainTreap::from_entries(&a),
                 || PlainTreap::from_entries(&b),
@@ -1354,7 +1182,7 @@ mod tests {
         }
         // A big operand against a small one still fits; an unsized one
         // never does, on either side.
-        let (big, one) = (entries(0..50 * grain), entries([7]));
+        let (big, one) = (e(0..50 * grain), e([7]));
         same_tree(
             union_within_grain(&t(&one), &t(&big)),
             PlainTreap::from_entries(&big),
@@ -1417,426 +1245,5 @@ mod tests {
         let leaf = || Child::Done(C::Leaf);
         assert!(C::node_over(1, 9, 1, leaf(), leaf()).check_invariants());
         assert!(!C::Block(Arc::from([(1, 5)])).check_invariants());
-    }
-
-    #[test]
-    fn union_on_the_oracle_matches_plain() {
-        let a = entries(0..80);
-        let b = entries(40..120);
-        let got = Seq::run(|bk| union_on(bk, &a, &b, Mode::Pipelined).expect());
-        assert!(got.check_invariants());
-        let pu = PlainTreap::union(PlainTreap::from_entries(&a), PlainTreap::from_entries(&b));
-        assert_eq!(got.to_sorted_vec(), PlainTreap::to_sorted_vec(&pu));
-        assert_eq!(got.height(), PlainTreap::height(&pu));
-    }
-
-    #[test]
-    fn diff_and_intersect_on_the_oracle() {
-        let a = entries(0..100);
-        let b = entries((0..100).filter(|k| k % 3 == 0));
-        let d = Seq::run(|bk| diff_on(bk, &a, &b, Mode::Pipelined).expect());
-        let i = Seq::run(|bk| intersect_on(bk, &a, &b, Mode::Pipelined).expect());
-        assert!(d.check_invariants() && i.check_invariants());
-        assert_eq!(
-            d.to_sorted_vec(),
-            (0..100).filter(|k| k % 3 != 0).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            i.to_sorted_vec(),
-            (0..100).filter(|k| k % 3 == 0).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn union_many_matches_sequential_fold() {
-        // Overlapping batches, duplicate keys across batches with
-        // *different* priorities: the union tree must resolve every
-        // duplicate to the max-priority entry, same as the left fold.
-        let batches: Vec<Vec<Entry<i64>>> = (0..5)
-            .map(|b| {
-                (0..40)
-                    .map(|i| {
-                        let k = (7 * i + b) % 60;
-                        (k, splitmix64((k as u64) << 8 | b as u64))
-                    })
-                    .collect()
-            })
-            .collect();
-        for (take, sized) in [0usize, 1, 2, 3, 5]
-            .into_iter()
-            .zip([SIZED, ALL, Some(2)].into_iter().cycle())
-        {
-            let got = Seq::run(|bk| {
-                let futs: Vec<_> = batches[..take]
-                    .iter()
-                    .map(|b| bk.input(build(bk, b, sized)))
-                    .collect();
-                let f = union_many(bk, futs, Mode::Pipelined);
-                Treap::<Seq, i64>::expect(&f)
-            });
-            assert!(got.check_invariants(), "take={take}");
-            let mut want: Option<Box<PlainTreap<i64>>> = None;
-            for b in &batches[..take] {
-                want = PlainTreap::union(want, PlainTreap::from_entries(b));
-            }
-            assert_eq!(
-                got.to_sorted_vec(),
-                PlainTreap::to_sorted_vec(&want),
-                "take={take}"
-            );
-            assert_eq!(got.height(), PlainTreap::height(&want), "take={take}");
-        }
-    }
-
-    type Op = fn(&Ctx, TreapFut<Ctx, i64>, TreapFut<Ctx, i64>, TreapWr<Ctx, i64>, Mode);
-
-    /// One batch update pipelined onto `t` inside the running simulation:
-    /// `op` (union or diff) of `t` and a ready treap of `batch`.
-    fn apply(
-        ctx: &Ctx,
-        op: Op,
-        t: TreapFut<Ctx, i64>,
-        batch: &[Entry<i64>],
-    ) -> Fut<Treap<Ctx, i64>> {
-        let b = PipeBackend::input(ctx, Treap::from_entries(ctx, batch));
-        let (p, f) = PipeBackend::cell(ctx);
-        PipeBackend::fork(ctx, move |ctx| op(ctx, t, b, p, Mode::Pipelined));
-        f
-    }
-
-    /// Largest write time of any cell of the treap behind `root`.
-    fn completion_time(root: &Fut<Treap<Ctx, i64>>) -> u64 {
-        let below = root.with(|t| match t {
-            Treap::Leaf => 0,
-            Treap::Node(n) => [&n.left, &n.right]
-                .map(|c| match c {
-                    Child::Cell(f) => completion_time(f),
-                    Child::Done(_) => unreachable!("the simulator never cuts"),
-                })
-                .into_iter()
-                .max()
-                .unwrap_or(0),
-            Treap::Block(_) => unreachable!("the simulator never builds a block"),
-        });
-        root.time().max(below)
-    }
-
-    fn sorted_union(a: &[Entry<i64>], b: &[Entry<i64>]) -> Vec<i64> {
-        let mut v: Vec<i64> = a.iter().chain(b.iter()).map(|e| e.0).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    fn sorted_diff(a: &[Entry<i64>], b: &[Entry<i64>]) -> Vec<i64> {
-        let bs: std::collections::BTreeSet<i64> = b.iter().map(|e| e.0).collect();
-        a.iter().map(|e| e.0).filter(|k| !bs.contains(k)).collect()
-    }
-
-    #[test]
-    fn union_correct_disjoint() {
-        let a = entries((0..100).map(|i| 2 * i));
-        let b = entries((0..50).map(|i| 2 * i + 1));
-        let (root, _) = run_union(&a, &b, Mode::Pipelined);
-        let t = root.get();
-        assert!(t.check_invariants());
-        assert_eq!(t.to_sorted_vec(), sorted_union(&a, &b));
-    }
-
-    #[test]
-    fn union_correct_overlapping() {
-        let a = entries(0..80);
-        let b = entries(40..120);
-        let (root, _) = run_union(&a, &b, Mode::Pipelined);
-        let t = root.get();
-        assert!(t.check_invariants());
-        assert_eq!(t.to_sorted_vec(), sorted_union(&a, &b));
-        assert_eq!(t.size(), 120);
-    }
-
-    #[test]
-    fn union_matches_sequential_shape() {
-        // Same tie-break rule ⇒ same treap shape as the sequential oracle.
-        let a = entries((0..200).map(|i| 3 * i));
-        let b = entries((0..150).map(|i| 2 * i));
-        let (root, _) = run_union(&a, &b, Mode::Pipelined);
-        let pa = PlainTreap::from_entries(&a);
-        let pb = PlainTreap::from_entries(&b);
-        let pu = PlainTreap::union(pa, pb);
-        assert_eq!(root.get().height(), PlainTreap::height(&pu));
-        assert_eq!(root.get().to_sorted_vec(), PlainTreap::to_sorted_vec(&pu));
-    }
-
-    #[test]
-    fn union_edge_cases() {
-        let e: Vec<Entry<i64>> = vec![];
-        let one = entries([7]);
-        for (a, b) in [(&e, &e), (&one, &e), (&e, &one), (&one, &one)] {
-            let (root, _) = run_union(a, b, Mode::Pipelined);
-            assert_eq!(root.get().to_sorted_vec(), sorted_union(a, b));
-        }
-    }
-
-    #[test]
-    fn union_strict_same_result_more_depth() {
-        let a = entries(0..512);
-        let b = entries((0..512).map(|i| i + 256));
-        let (r1, c1) = run_union(&a, &b, Mode::Pipelined);
-        let (r2, c2) = run_union(&a, &b, Mode::Strict);
-        assert_eq!(r1.get().to_sorted_vec(), r2.get().to_sorted_vec());
-        assert_eq!(c1.work, c2.work);
-        assert!(
-            c2.depth > c1.depth + c1.depth / 2,
-            "strict union should be noticeably deeper: {} vs {}",
-            c2.depth,
-            c1.depth
-        );
-    }
-
-    #[test]
-    fn union_depth_logarithmic() {
-        let d = |n: i64| {
-            let a = entries((0..n).map(|i| 2 * i));
-            let b = entries((0..n).map(|i| 2 * i + 1));
-            run_union(&a, &b, Mode::Pipelined).1.depth
-        };
-        let (d1, d2, d3) = (d(1 << 10), d(1 << 11), d(1 << 12));
-        let g1 = d2 as i64 - d1 as i64;
-        let g2 = d3 as i64 - d2 as i64;
-        // Expected O(lg n + lg m): roughly constant increment per doubling.
-        assert!(g1.abs() < d1 as i64 / 2, "increment {g1} vs base {d1}");
-        assert!(g2.abs() < d1 as i64 / 2, "increment {g2} vs base {d1}");
-    }
-
-    #[test]
-    fn union_is_linear_code() {
-        let a = entries(0..300);
-        let b = entries(150..450);
-        let (_, c) = run_union(&a, &b, Mode::Pipelined);
-        assert!(c.is_linear());
-    }
-
-    #[test]
-    fn diff_correct() {
-        let a = entries(0..100);
-        let b = entries((0..100).filter(|k| k % 3 == 0));
-        let (root, _) = run_diff(&a, &b, Mode::Pipelined);
-        let t = root.get();
-        assert!(t.check_invariants());
-        assert_eq!(t.to_sorted_vec(), sorted_diff(&a, &b));
-    }
-
-    #[test]
-    fn diff_disjoint_is_identity() {
-        let a = entries((0..64).map(|i| 2 * i));
-        let b = entries((0..64).map(|i| 2 * i + 1));
-        let (root, _) = run_diff(&a, &b, Mode::Pipelined);
-        assert_eq!(root.get().to_sorted_vec(), sorted_diff(&a, &b));
-        assert_eq!(root.get().size(), 64);
-    }
-
-    #[test]
-    fn diff_total_overlap_empties() {
-        let a = entries(0..64);
-        let (root, _) = run_diff(&a, &a, Mode::Pipelined);
-        assert!(root.get().is_leaf());
-    }
-
-    #[test]
-    fn diff_edge_cases() {
-        let e: Vec<Entry<i64>> = vec![];
-        let one = entries([7]);
-        for (a, b) in [(&e, &e), (&one, &e), (&e, &one), (&one, &one)] {
-            let (root, _) = run_diff(a, b, Mode::Pipelined);
-            assert_eq!(root.get().to_sorted_vec(), sorted_diff(a, b));
-        }
-    }
-
-    #[test]
-    fn diff_strict_same_result() {
-        let a = entries(0..256);
-        let b = entries((0..256).filter(|k| k % 2 == 0));
-        let (r1, c1) = run_diff(&a, &b, Mode::Pipelined);
-        let (r2, c2) = run_diff(&a, &b, Mode::Strict);
-        assert_eq!(r1.get().to_sorted_vec(), r2.get().to_sorted_vec());
-        assert_eq!(c1.work, c2.work);
-        assert!(c1.depth <= c2.depth);
-    }
-
-    #[test]
-    fn diff_matches_sequential_oracle_shape() {
-        let a = entries(0..300);
-        let b = entries((0..300).filter(|k| k % 5 == 0));
-        let (root, _) = run_diff(&a, &b, Mode::Pipelined);
-        let pd = PlainTreap::diff(PlainTreap::from_entries(&a), PlainTreap::from_entries(&b));
-        assert_eq!(root.get().to_sorted_vec(), PlainTreap::to_sorted_vec(&pd));
-        assert_eq!(root.get().height(), PlainTreap::height(&pd));
-    }
-
-    #[test]
-    fn diff_is_linear_code() {
-        let a = entries(0..200);
-        let b = entries((0..200).filter(|k| k % 4 == 0));
-        let (_, c) = run_diff(&a, &b, Mode::Pipelined);
-        assert!(c.is_linear());
-    }
-
-    #[test]
-    fn splitm_excludes_splitter() {
-        let (out, _) = Sim::new().run(|ctx| {
-            let t = Treap::from_entries(ctx, &entries(0..50));
-            let (lp, lf) = ctx.promise();
-            let (rp, rf) = ctx.promise();
-            let (fp, ff) = ctx.promise();
-            splitm(ctx, 25, t, lp, rp, fp);
-            (lf, rf, ff)
-        });
-        assert!(out.2.get());
-        let l = out.0.get().to_sorted_vec();
-        let r = out.1.get().to_sorted_vec();
-        assert_eq!(l, (0..25).collect::<Vec<_>>());
-        assert_eq!(r, (26..50).collect::<Vec<_>>());
-        assert!(out.0.get().check_invariants());
-        assert!(out.1.get().check_invariants());
-    }
-
-    #[test]
-    fn splitm_absent_splitter() {
-        let (out, _) = Sim::new().run(|ctx| {
-            let t = Treap::from_entries(ctx, &entries((0..50).map(|i| 2 * i)));
-            let (lp, lf) = ctx.promise();
-            let (rp, rf) = ctx.promise();
-            let (fp, ff) = ctx.promise();
-            splitm(ctx, 31, t, lp, rp, fp);
-            (lf, rf, ff)
-        });
-        assert!(!out.2.get());
-        assert_eq!(out.0.get().size() + out.1.get().size(), 50);
-    }
-
-    #[test]
-    fn join_concatenates() {
-        let (root, _) = Sim::new().run(|ctx| {
-            let l = Treap::from_entries(ctx, &entries(0..40));
-            let r = Treap::from_entries(ctx, &entries(100..140));
-            let (jp, jf) = ctx.promise();
-            join(ctx, l, r, jp);
-            jf
-        });
-        let t = root.get();
-        assert!(t.check_invariants());
-        assert_eq!(t.size(), 80);
-        let keys = t.to_sorted_vec();
-        assert_eq!(keys[..40], (0..40).collect::<Vec<_>>()[..]);
-        assert_eq!(keys[40..], (100..140).collect::<Vec<_>>()[..]);
-    }
-
-    #[test]
-    fn intersect_correct() {
-        let a = entries(0..120);
-        let b = entries((0..240).filter(|k| k % 3 == 0));
-        let (root, c) = run_intersect(&a, &b, Mode::Pipelined);
-        let t = root.get();
-        assert!(t.check_invariants());
-        assert_eq!(
-            t.to_sorted_vec(),
-            (0..120).filter(|k| k % 3 == 0).collect::<Vec<_>>()
-        );
-        assert!(c.is_linear());
-    }
-
-    #[test]
-    fn intersect_edge_cases() {
-        let e: Vec<Entry<i64>> = vec![];
-        let one = entries([7]);
-        let other = entries([9]);
-        for (a, b, expect) in [
-            (&e, &e, vec![]),
-            (&one, &e, vec![]),
-            (&e, &one, vec![]),
-            (&one, &one, vec![7]),
-            (&one, &other, vec![]),
-        ] {
-            let (root, _) = run_intersect(a, b, Mode::Pipelined);
-            assert_eq!(root.get().to_sorted_vec(), expect);
-        }
-    }
-
-    #[test]
-    fn intersect_is_diff_of_diff() {
-        // a ∩ b == a \ (a \ b): check against the other two set operations.
-        let a = entries((0..200).map(|i| 3 * i));
-        let b = entries((0..200).map(|i| 2 * i));
-        let (i1, _) = run_intersect(&a, &b, Mode::Pipelined);
-        let (d1, _) = run_diff(&a, &b, Mode::Pipelined);
-        let d1e: Vec<Entry<i64>> = entries(d1.get().to_sorted_vec());
-        let (d2, _) = run_diff(&a, &d1e, Mode::Pipelined);
-        assert_eq!(i1.get().to_sorted_vec(), d2.get().to_sorted_vec());
-    }
-
-    #[test]
-    fn intersect_strict_same_result() {
-        let a = entries(0..150);
-        let b = entries(75..225);
-        let (r1, c1) = run_intersect(&a, &b, Mode::Pipelined);
-        let (r2, c2) = run_intersect(&a, &b, Mode::Strict);
-        assert_eq!(r1.get().to_sorted_vec(), r2.get().to_sorted_vec());
-        assert_eq!(c1.work, c2.work);
-        assert!(c1.depth <= c2.depth);
-    }
-
-    #[test]
-    fn bulk_insert_delete_pipeline() {
-        // A chain of batched updates, all pipelined within ONE simulation:
-        // each batch consumes the previous batch's root future.
-        let (root, c) = Sim::new().run(|ctx| {
-            let t = Treap::from_entries(ctx, &entries(0..100));
-            let ft = ctx.preload(t);
-            let t1 = apply(ctx, union, ft, &entries(100..180));
-            let t2 = apply(ctx, diff, t1, &entries((0..180).filter(|k| k % 3 == 0)));
-            apply(ctx, union, t2, &entries(200..240))
-        });
-        let t = root.get();
-        assert!(t.check_invariants());
-        let expect: Vec<i64> = (0..180).filter(|k| k % 3 != 0).chain(200..240).collect();
-        assert_eq!(t.to_sorted_vec(), expect);
-        assert!(c.is_linear());
-    }
-
-    #[test]
-    fn chained_batches_pipeline_across_operations() {
-        // The second batch may start before the first completes: its root
-        // must be written well before the first operation's deepest write.
-        let ((r1, r2), _) = Sim::new().run(|ctx| {
-            let t = Treap::from_entries(ctx, &entries(0..2000));
-            let ft = ctx.preload(t);
-            let t1 = apply(ctx, union, ft, &entries(2000..3000));
-            let t2 = apply(ctx, union, t1.clone(), &entries(3000..4000));
-            (t1, t2)
-        });
-        let first_done = completion_time(&r1);
-        assert!(
-            r2.time() < first_done,
-            "op 2's root ({}) should beat op 1's completion ({first_done})",
-            r2.time()
-        );
-        assert!(r2.get().check_invariants());
-    }
-
-    #[test]
-    fn join_with_empty_sides() {
-        let (roots, _) = Sim::new().run(|ctx| {
-            let t = Treap::from_entries(ctx, &entries(0..10));
-            let (p1, f1) = ctx.promise();
-            join(ctx, Treap::Leaf, t.clone(), p1);
-            let (p2, f2) = ctx.promise();
-            join(ctx, t, Treap::Leaf, p2);
-            let (p3, f3) = ctx.promise();
-            join(ctx, Treap::<Ctx, i64>::Leaf, Treap::Leaf, p3);
-            (f1, f2, f3)
-        });
-        assert_eq!(roots.0.get().size(), 10);
-        assert_eq!(roots.1.get().size(), 10);
-        assert!(roots.2.get().is_leaf());
     }
 }

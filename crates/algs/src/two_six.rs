@@ -532,13 +532,11 @@ pub fn insert_many_with_waves<B: PipeBackend, K: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::start::insert_many_on;
-    use crate::testkit::{evens, run_insert_many};
     use crate::Seq;
     use pf_core::{Ctx, Sim};
 
-    fn run_insert(initial: &[i64], newk: &[i64]) -> TsTree<Seq, i64> {
-        Seq::run(|bk| insert_many_on(bk, initial, newk, Mode::Pipelined).expect())
+    fn evens(n: usize) -> Vec<i64> {
+        (0..n as i64).map(|i| 2 * i).collect()
     }
 
     #[test]
@@ -548,28 +546,6 @@ mod tests {
             t.validate().unwrap_or_else(|e| panic!("n={n}: {e}"));
             assert_eq!(t.to_sorted_vec(), evens(n));
         }
-    }
-
-    #[test]
-    fn insert_on_the_oracle() {
-        for (n, m) in [(0usize, 50usize), (10, 3), (200, 64), (333, 100)] {
-            let initial = evens(n);
-            let newk: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-            let t = run_insert(&initial, &newk);
-            t.validate().unwrap_or_else(|e| panic!("n={n} m={m}: {e}"));
-            let mut expect = initial.clone();
-            expect.extend(&newk);
-            expect.sort_unstable();
-            assert_eq!(t.to_sorted_vec(), expect, "n={n} m={m}");
-        }
-    }
-
-    #[test]
-    fn reinsert_is_noop_on_the_oracle() {
-        let initial = evens(100);
-        let t = run_insert(&initial, &evens(50));
-        t.validate().unwrap();
-        assert_eq!(t.to_sorted_vec(), initial);
     }
 
     #[test]
@@ -615,138 +591,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_into_empty() {
-        let keys: Vec<i64> = (0..50).collect();
-        let (root, _) = run_insert_many(&[], &keys, Mode::Pipelined);
-        let t = root.get();
-        t.validate().unwrap();
-        assert_eq!(t.to_sorted_vec(), keys);
-    }
-
-    #[test]
-    fn insert_correct_many_sizes() {
-        for (n, m) in [
-            (10usize, 3usize),
-            (50, 20),
-            (200, 64),
-            (333, 100),
-            (1000, 1),
-        ] {
-            let initial = evens(n);
-            let new_keys: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-            let (root, _) = run_insert_many(&initial, &new_keys, Mode::Pipelined);
-            let t = root.get();
-            t.validate().unwrap_or_else(|e| panic!("n={n} m={m}: {e}"));
-            let mut expect = initial.clone();
-            expect.extend(&new_keys);
-            expect.sort_unstable();
-            assert_eq!(t.to_sorted_vec(), expect, "n={n} m={m}");
-        }
-    }
-
-    #[test]
-    fn insert_spread_keys() {
-        // Inserted keys spread across the whole key space.
-        let initial: Vec<i64> = (0..500).map(|i| 10 * i).collect();
-        let new_keys: Vec<i64> = (0..200).map(|i| 25 * i + 1).collect();
-        let (root, _) = run_insert_many(&initial, &new_keys, Mode::Pipelined);
-        let t = root.get();
-        t.validate().unwrap();
-        let mut expect = initial.clone();
-        expect.extend(&new_keys);
-        expect.sort_unstable();
-        expect.dedup();
-        assert_eq!(t.to_sorted_vec(), expect);
-    }
-
-    #[test]
-    fn insert_duplicates_of_existing_keys() {
-        // Set semantics: re-inserting existing keys is a no-op.
-        let initial = evens(100);
-        let (root, _) = run_insert_many(&initial, &evens(50), Mode::Pipelined);
-        let t = root.get();
-        t.validate().unwrap();
-        assert_eq!(t.to_sorted_vec(), initial);
-    }
-
-    #[test]
-    fn strict_same_result() {
-        let initial = evens(300);
-        let new_keys: Vec<i64> = (0..100).map(|i| 6 * i + 1).collect();
-        let (r1, c1) = run_insert_many(&initial, &new_keys, Mode::Pipelined);
-        let (r2, c2) = run_insert_many(&initial, &new_keys, Mode::Strict);
-        assert_eq!(r1.get().to_sorted_vec(), r2.get().to_sorted_vec());
-        assert_eq!(c1.work, c2.work);
-        assert!(c1.depth <= c2.depth);
-    }
-
-    #[test]
-    fn pipelined_depth_beats_strict() {
-        let n = 1 << 12;
-        let m = 1 << 8;
-        let initial = evens(n);
-        let new_keys: Vec<i64> = (0..m as i64).map(|i| 2 * i + 1).collect();
-        let (_, cp) = run_insert_many(&initial, &new_keys, Mode::Pipelined);
-        let (_, cs) = run_insert_many(&initial, &new_keys, Mode::Strict);
-        // lg m = 8 waves of depth ~lg n each vs pipelined lg n + lg m.
-        assert!(
-            cs.depth as f64 > 1.8 * cp.depth as f64,
-            "strict {} vs pipelined {}",
-            cs.depth,
-            cp.depth
-        );
-    }
-
-    #[test]
-    fn depth_logarithmic_in_n() {
-        let d = |n: usize| {
-            let initial = evens(n);
-            let m = 64;
-            let new_keys: Vec<i64> = (0..m).map(|i| 2 * i + 1).collect();
-            run_insert_many(&initial, &new_keys, Mode::Pipelined)
-                .1
-                .depth as i64
-        };
-        let (d1, d2, d3) = (d(1 << 9), d(1 << 10), d(1 << 11));
-        let g1 = d2 - d1;
-        let g2 = d3 - d2;
-        assert!(
-            g2 < g1 + d1 / 3,
-            "doubling n should add ~constant depth: {d1} {d2} {d3}"
-        );
-    }
-
-    #[test]
-    fn insert_is_linear_code() {
-        let initial = evens(200);
-        let new_keys: Vec<i64> = (0..64).map(|i| 2 * i + 1).collect();
-        let (_, c) = run_insert_many(&initial, &new_keys, Mode::Pipelined);
-        assert!(c.is_linear());
-    }
-
-    #[test]
     fn array_split_semantics() {
         let (out, r) = Sim::new().run(|ctx| array_split(ctx, &[1i64, 3, 5, 7, 9], &5));
         assert_eq!(out.0, vec![1, 3]);
         assert_eq!(out.1, vec![7, 9]); // 5 dropped
         assert_eq!(r.depth, 2);
         assert_eq!(r.work, 6); // 5 units + sink
-    }
-
-    #[test]
-    fn tall_tree_after_many_inserts_stays_valid() {
-        // Repeated bulk inserts force many root splits.
-        let (root, _) = Sim::new().run(|ctx| {
-            let t = TsTree::<Ctx, i64>::empty();
-            let mut cur = ctx.preload(t);
-            for round in 0..6i64 {
-                let keys: Vec<i64> = (0..100).map(|i| i * 7 + round).collect();
-                cur = insert_many(ctx, &keys, cur, Mode::Pipelined);
-            }
-            cur
-        });
-        let t = root.get();
-        t.validate().unwrap();
-        assert!(t.height() >= 2);
     }
 }

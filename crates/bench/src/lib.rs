@@ -1,9 +1,10 @@
 //! # pf-bench — the experiment harness
 //!
 //! One function per paper experiment (see DESIGN.md §6 for the index);
-//! each returns [`Table`]s that the corresponding `src/bin/eXX_*.rs`
-//! binary prints. The integration tests smoke-run every experiment at
-//! reduced sizes, so the harness itself is covered by `cargo test`.
+//! each returns [`Table`]s that the `pf-bench <table> [ci]` binary
+//! (`src/bin/pf-bench.rs`) prints. The integration tests smoke-run every
+//! experiment at reduced sizes, so the harness itself is covered by
+//! `cargo test`.
 //!
 //! What the experiments share sits beside them: seeded input generators
 //! ([`workloads`]), each `pf_algs::start` starter in a simulation of its

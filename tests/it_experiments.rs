@@ -173,7 +173,7 @@ fn e18_cole_exact_and_futures_close() {
     }
 }
 
-/// E16's model table at the `e16_pvw ci` size, byte for byte.
+/// E16's model table at the `pf-bench e16 ci` size, byte for byte.
 const E16_CI: &str = concat!(
     "== E16 implicit (futures) vs explicit (PVW-style) pipelining, 2-6 bulk insert ==\n",
     "   n   m  futures depth  hand rounds  depth/rounds  hand max waves\n",
@@ -182,7 +182,7 @@ const E16_CI: &str = concat!(
     "2048  32            178           17         10.47               4\n",
 );
 
-/// E18's model table at the `e18_cole ci` size, byte for byte.
+/// E18's model table at the `pf-bench e18 ci` size, byte for byte.
 const E18_CI: &str = concat!(
     "== E18 Cole cascade (hand pipeline) vs futures mergesort ==\n",
     "  n  cole stages   3·lg n   cole work/(n·lg n)  E[futures depth]  depth/stages\n",

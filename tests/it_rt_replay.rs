@@ -14,13 +14,14 @@
 //! the depth bound is demonstrably the DAG the runtime executes (same
 //! algorithm, same input, same output shape), not an artifact of `Sim`.
 
+use pf_algs::plain::PlainTreap;
 use pf_algs::start::{insert_many_on, union_on};
 use pf_algs::treap::union;
-use pf_algs::Mode;
+use pf_algs::PipeBackend;
 use pf_core::Sim;
 use pf_machine::{replay, Discipline, INFINITE_P};
 use pf_rt::{cell, Runtime};
-use pf_tests::{entries, on_rt, unsized_ready};
+use pf_tests::{crusted, entries, on_rt, ALL, M};
 
 #[test]
 fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
@@ -28,7 +29,7 @@ fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
     let b = entries((0..300).map(|i| 2 * i));
 
     // Simulator, traced.
-    let (of, report, trace) = Sim::new().run_traced(|ctx| union_on(ctx, &a, &b, Mode::Pipelined));
+    let (of, report, trace) = Sim::new().run_traced(|ctx| union_on(ctx, &a, &b, M));
     let model = of.get();
     assert!(model.check_invariants());
     let (keys, height) = (model.to_sorted_vec(), model.height());
@@ -45,12 +46,19 @@ fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
 
     // Real runtime on the same input: identical tree (keys AND shape —
     // treap shape is priority-determined, so equality is exact), and
-    // stats that account for every executed closure.
+    // stats that account for every executed closure. The operands are
+    // unsized, so pf-rt takes the paper's step throughout.
+    let (pa, pb) = (PlainTreap::from_entries(&a), PlainTreap::from_entries(&b));
     for threads in [1, 2, 4] {
         let (op, of) = cell();
-        let (ta, tb) = (unsized_ready(&a), unsized_ready(&b));
-        let rstats =
-            Runtime::new(threads).run_stats(move |wk| union(wk, ta, tb, op, Mode::Pipelined));
+        let (pa, pb) = (pa.clone(), pb.clone());
+        let rstats = Runtime::new(threads).run_stats(move |wk| {
+            let (ta, tb) = (
+                wk.input(crusted(wk, &pa, ALL)),
+                wk.input(crusted(wk, &pb, ALL)),
+            );
+            union(wk, ta, tb, op, M)
+        });
         let t = of.expect();
         assert!(t.check_invariants(), "threads={threads}");
         assert_eq!(t.to_sorted_vec(), keys, "threads={threads}");
@@ -74,8 +82,7 @@ fn two_six_insert_replay_meets_depth_bound_and_rt_agrees() {
     let initial: Vec<i64> = (0..200).map(|i| 2 * i).collect();
     let keys: Vec<i64> = (0..150).map(|i| 2 * i + 1).collect();
 
-    let (ft, report, trace) =
-        Sim::new().run_traced(|ctx| insert_many_on(ctx, &initial, &keys, Mode::Pipelined));
+    let (ft, report, trace) = Sim::new().run_traced(|ctx| insert_many_on(ctx, &initial, &keys, M));
     let model = ft.get();
     model.validate().expect("sim 2-6 tree invariants");
     let model_keys = model.to_sorted_vec();
@@ -91,7 +98,7 @@ fn two_six_insert_replay_meets_depth_bound_and_rt_agrees() {
     for threads in [1, 3] {
         let (i3, k3) = (initial.clone(), keys.clone());
         let (t, rstats) = on_rt(&Runtime::new(threads), move |wk| {
-            insert_many_on(wk, &i3, &k3, Mode::Pipelined)
+            insert_many_on(wk, &i3, &k3, M)
         });
         t.validate()
             .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
