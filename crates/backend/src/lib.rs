@@ -135,13 +135,6 @@ pub enum Mode {
     Strict,
 }
 
-impl Mode {
-    /// Is this the pipelined mode?
-    pub fn is_pipelined(self) -> bool {
-        matches!(self, Mode::Pipelined)
-    }
-}
-
 /// An execution engine for futures programs: the paper's five primitives.
 ///
 /// Implementations: `pf_core::Ctx` (virtual-time cost model),

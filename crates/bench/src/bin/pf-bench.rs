@@ -112,7 +112,7 @@ fn e20(ci: bool) {
     }
 
     // Sample timeline export: one traced union session at the widest
-    // measured width, straight out of `Runtime::take_last_trace`.
+    // measured width, straight out of `pf_rt::take_last_trace`.
     let sample_t = *threads.last().unwrap();
     let n = 1usize << lg_n;
     let (ea, eb) = pf_bench::workloads::union_entries(n, n, 11);
@@ -120,9 +120,7 @@ fn e20(ci: bool) {
     rt.run(move |wk| {
         pf_algs::start::union_on(wk, &ea, &eb, Mode::Pipelined);
     });
-    let trace = rt
-        .take_last_trace()
-        .expect("traced session leaves a timeline");
+    let trace = pf_rt::take_last_trace().expect("traced session leaves a timeline");
     let (events, dropped) = (trace.events(), trace.dropped());
     std::fs::create_dir_all("results").expect("results dir");
     let path = format!("results/e20_union_t{sample_t}.trace.json");

@@ -127,7 +127,7 @@ pub fn e15_cost_constants(lg_n: u32, ks: &[u64]) -> Table {
 
 /// E20 — the first measured-vs-model scheduler comparison: run treap
 /// union and 2-6 bulk insert *traced* on the real pool and print each
-/// session's steal and suspension counts (from [`pf_rt::TraceStats`])
+/// session's steal and suspension counts (from [`pf_rt::take_last_trace`])
 /// side-by-side with pf-machine's predictions over the same DAGs —
 /// suspensions from the E09 greedy replay (`Discipline::Stack`), steals
 /// from the E17 work-stealing replay (steal latency 3, the E17 seeds).
@@ -188,17 +188,16 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
             let (mut steals, mut suspends, mut execs, mut parks) = (0f64, 0f64, 0f64, 0f64);
             let rt = pf_rt::Runtime::shared(th);
             for _ in 0..reps {
-                let stats = if *name == "union" {
+                if *name == "union" {
                     let (ea, eb) = (ea.clone(), eb.clone());
-                    on_rt(&rt, move |wk| union_on(wk, &ea, &eb, Mode::Pipelined)).1
+                    on_rt(&rt, move |wk| union_on(wk, &ea, &eb, Mode::Pipelined));
                 } else {
                     let (initial, newk) = (initial.clone(), newk.clone());
                     on_rt(&rt, move |wk| {
                         insert_many_on(wk, &initial, &newk, Mode::Pipelined)
-                    })
-                    .1
-                };
-                let ts = stats.trace.as_ref().expect("traced build attaches stats");
+                    });
+                }
+                let ts = pf_rt::take_last_trace().expect("a traced session leaves its record");
                 steals += ts.total(TraceKind::Steal) as f64;
                 suspends += ts.total(TraceKind::Suspend) as f64;
                 execs += ts.total(TraceKind::Exec) as f64;

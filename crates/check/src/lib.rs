@@ -319,12 +319,3 @@ where
 {
     CheckBuilder::new().run(f);
 }
-
-/// Like [`check`] with an explicit base seed (for suites that want
-/// distinct exploration randomness per test).
-pub fn check_with_seed<F>(seed: u64, f: F)
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    CheckBuilder::new().seed(seed).run(f);
-}

@@ -243,11 +243,6 @@ impl Ctx {
         self.time.get()
     }
 
-    /// The id of the simulated thread this context belongs to.
-    pub fn thread_id(&self) -> ThreadId {
-        self.thread
-    }
-
     /// The cost constants in effect.
     pub fn costs(&self) -> CostModel {
         self.st.costs

@@ -75,11 +75,14 @@ pub use cell::{cell, ready, FutRead, FutWrite};
 
 pub use error::{CancelToken, PoisonInfo, Session, SessionError, StallReport, StuckCell};
 /// The trace data layer (`--features trace` only): event kinds, session
-/// timelines, summaries, and the Perfetto export. Re-exported so users
-/// of a traced runtime need not depend on `pf-trace` directly.
+/// records with their exact per-lane counts, and the Perfetto export.
+/// Re-exported so users of a traced runtime need not depend on `pf-trace`
+/// directly.
 #[cfg(feature = "trace")]
-pub use pf_trace::{SessionTrace, TraceEvent, TraceKind, TraceStats, WorkerSummary, WorkerTrace};
+pub use pf_trace::{SessionTrace, TraceEvent, TraceKind, WorkerTrace};
 pub use scheduler::{RunStats, Runtime, Worker};
+#[cfg(feature = "trace")]
+pub use trace::take_last_trace;
 
 // The engine-agnostic surface `Worker` implements (see `backend`):
 // re-exported so runtime-side code can name the trait without a separate

@@ -211,11 +211,7 @@ thread_local! {
 }
 
 /// Execution statistics of one [`Runtime::run_stats`] call.
-///
-/// `Copy` except under `--features trace`, where the optional
-/// `RunStats::trace` summary carries per-worker vectors.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(not(feature = "trace"), derive(Copy))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Closures executed (root + spawned tasks + reactivated waiters).
     pub tasks_executed: u64,
@@ -233,13 +229,6 @@ pub struct RunStats {
     /// overlapping wall-clock — divide by an externally measured window
     /// instead ([`RunStats::ops_per_sec_wall`]).
     pub elapsed: Duration,
-    /// The session's scheduler-behavior summary (per-worker steal,
-    /// suspension, execution, and park/unpark counts): the same counters
-    /// as the four fields above, lane by lane. Only present when
-    /// tracing is compiled in — see `src/trace.rs`. The full event
-    /// timeline is one [`Runtime::take_last_trace`] call away.
-    #[cfg(feature = "trace")]
-    pub trace: Option<pf_trace::TraceStats>,
 }
 
 impl RunStats {
@@ -286,12 +275,6 @@ impl RunStats {
         self.suspensions += other.suspensions;
         self.steals += other.steals;
         self.elapsed += other.elapsed;
-        #[cfg(feature = "trace")]
-        match (&mut self.trace, &other.trace) {
-            (Some(a), Some(b)) => a.merge(b),
-            (t @ None, Some(b)) => *t = Some(b.clone()),
-            _ => {}
-        }
     }
 }
 
@@ -615,15 +598,6 @@ pub struct Runtime {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     nthreads: usize,
-    /// One monotonic clock per pool: every session's lanes stamp against
-    /// it, so concurrent sessions share a timeline.
-    #[cfg(feature = "trace")]
-    trace_epoch: std::time::Instant,
-    /// The most recently *ended* session's full event timeline, parked
-    /// here for [`Runtime::take_last_trace`]. With concurrent sessions,
-    /// last to end wins.
-    #[cfg(feature = "trace")]
-    last_trace: Mutex<Option<pf_trace::SessionTrace>>,
 }
 
 impl Runtime {
@@ -668,23 +642,7 @@ impl Runtime {
             shared,
             handles: Mutex::new(handles),
             nthreads,
-            #[cfg(feature = "trace")]
-            trace_epoch: std::time::Instant::now(),
-            #[cfg(feature = "trace")]
-            last_trace: Mutex::new(None),
         }
-    }
-
-    /// Take the most recently ended session's full event timeline
-    /// (tracing builds only). `None` until a session has ended, or after
-    /// the trace was already taken; with concurrent sessions, the last
-    /// to end wins. Available for failed sessions too — the poison
-    /// events an abort records are often exactly what a post-mortem
-    /// needs — whereas the summary on [`RunStats`] only travels with
-    /// successful sessions.
-    #[cfg(feature = "trace")]
-    pub fn take_last_trace(&self) -> Option<pf_trace::SessionTrace> {
-        lock(&self.last_trace).take()
     }
 
     /// A process-wide shared runtime with exactly `nthreads` workers,
@@ -759,14 +717,7 @@ impl Runtime {
         );
         let shared = &*self.shared;
         let sid = shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = Arc::new(SessionSlot::new(
-            sid,
-            SessionEvents::new(
-                self.nthreads,
-                #[cfg(feature = "trace")]
-                self.trace_epoch,
-            ),
-        ));
+        let slot = Arc::new(SessionSlot::new(sid, SessionEvents::new(self.nthreads)));
 
         // Register the cancel token against the fresh slot. A token
         // fired before registration is caught by the flag re-check; one
@@ -810,14 +761,9 @@ impl Runtime {
             if let SessionError::Stalled { report, .. } = &mut err {
                 report.stuck = stuck;
             }
-            // Drain *after* the abort cleanup so its poison events are in
-            // the timeline. No RunStats travels on this path; the trace
-            // is reachable through `take_last_trace`.
-            #[cfg(feature = "trace")]
-            {
-                let (session_trace, _) = slot.events.drain(sid);
-                *lock(&self.last_trace) = Some(session_trace);
-            }
+            // Finish *after* the abort cleanup, so the record holds its
+            // poison events.
+            slot.events.finish(sid);
             return Err(err);
         }
 
@@ -827,18 +773,13 @@ impl Runtime {
         // the RMW chain on `units` plus the done-mutex handoff order all
         // of them before this read.
         let ev = &slot.events;
+        ev.finish(sid);
         Ok(RunStats {
             tasks_executed: ev.total(TraceKind::Exec),
             spawns: ev.total(TraceKind::Spawn),
             suspensions: ev.total(TraceKind::Suspend),
             steals: ev.total(TraceKind::Steal),
             elapsed,
-            #[cfg(feature = "trace")]
-            trace: {
-                let (session_trace, summary) = ev.drain(sid);
-                *lock(&self.last_trace) = Some(session_trace);
-                Some(summary)
-            },
         })
     }
 

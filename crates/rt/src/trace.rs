@@ -21,7 +21,9 @@
 //!   fulfill; never park, unpark or poison, so a worker parking after a
 //!   stalled session's last task cannot reset its freeze), sampled while
 //!   the session runs (see the pool docs);
-//! * in traced builds, [`pf_trace::TraceStats`], lane by lane.
+//! * in traced builds, the session's [`pf_trace::SessionTrace`], which
+//!   copies each lane's counters into [`pf_trace::WorkerTrace::counts`]
+//!   when the session ends.
 //!
 //! Attribution: a worker executing a task records into *that task's*
 //! session. Steals are attributed to the stolen task's session, a resume
@@ -40,20 +42,26 @@
 //!
 //! # Timeline (`--features trace`)
 //!
-//! Traced builds also push every event, stamped against the pool's
-//! monotonic clock (captured at pool creation, so concurrent sessions'
-//! timelines are mutually comparable), into a fixed-capacity
+//! Traced builds also push every event, stamped against one
+//! process-wide monotonic epoch (so timelines of concurrent sessions, and
+//! of different pools, are mutually comparable), into a fixed-capacity
 //! [`pf_trace::TraceRing`] per lane — the timeline for
 //! [`pf_trace::SessionTrace::to_chrome_trace`]. When a session produces
 //! more events than the ring holds, the **oldest** are overwritten and
-//! the drop count says so; the counters never drop. Rings are born
-//! empty with the slot and drained exactly once by the client when the
+//! the drop count says so; the counters never drop, and the drained
+//! trace carries them. Rings are born empty with the slot and drained
+//! exactly once, by `SessionEvents::finish` on the client when the
 //! session ends — on the abort path *after* `finish_abort`, so the
-//! client's poison events are included. Each ring is a `Mutex` padded
-//! to its own cache line: the owner's push is an uncontended lock, and
-//! the idle loop's park/unpark events — recorded while the attributed
-//! session may be draining — stay sound. pf-perf records what the
-//! timeline costs a whole union as `bench.trace_overhead_share`.
+//! client's poison events are included. The drained trace is parked in
+//! a thread-local of that client, where `pf_rt::take_last_trace` finds
+//! it: a session blocks its client until it ends, so concurrent sessions
+//! have distinct clients and never overwrite each other's record. Each ring
+//! is a `Mutex` padded to its own cache line: the owner's push is an
+//! uncontended lock, and the idle loop's park/unpark events — recorded
+//! while the attributed session may be draining — stay sound. Nothing
+//! measures what the timeline costs yet: pf-perf never enables this
+//! feature, and its `bench.trace_overhead_share` row is the cost of
+//! pf-perf's own span recorder.
 //!
 //! The timeline is incompatible with `--cfg pf_check`: the model checker
 //! virtualizes the sync layer and has no clock, so real `Instant`
@@ -66,6 +74,8 @@ compile_error!(
      virtual clock cannot order real timestamps (same rule as pf_chaos)"
 );
 
+#[cfg(feature = "trace")]
+use pf_trace::{SessionTrace, TraceEvent, TraceRing, WorkerTrace};
 use pf_trace::{TraceKind, KIND_COUNT};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -76,7 +86,7 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 /// sessions keep their newest `DEFAULT_RING_CAP` events per lane and
 /// report the drops (also surfaced in the Perfetto export metadata).
 #[cfg(feature = "trace")]
-pub(crate) const DEFAULT_RING_CAP: usize = 1 << 14;
+const DEFAULT_RING_CAP: usize = 1 << 14;
 
 /// One lane's per-kind event counts, padded so the owner's bumps never
 /// share a cache line with a sibling's.
@@ -88,30 +98,24 @@ struct Lane([AtomicU64; KIND_COUNT]);
 pub(crate) struct SessionEvents {
     lanes: Box<[Lane]>,
     #[cfg(feature = "trace")]
-    timeline: Timeline,
+    rings: Box<[Ring]>,
+    /// Session start, nanoseconds since the trace epoch.
+    #[cfg(feature = "trace")]
+    start_ns: u64,
 }
 
 impl SessionEvents {
-    pub(crate) fn new(
-        nthreads: usize,
-        #[cfg(feature = "trace")] epoch: std::time::Instant,
-    ) -> SessionEvents {
+    pub(crate) fn new(nthreads: usize) -> SessionEvents {
         SessionEvents {
             lanes: (0..nthreads + 1)
                 .map(|_| Lane(std::array::from_fn(|_| AtomicU64::new(0))))
                 .collect(),
             #[cfg(feature = "trace")]
-            timeline: Timeline {
-                epoch,
-                start_ns: epoch.elapsed().as_nanos() as u64,
-                rings: (0..nthreads + 1)
-                    .map(|_| {
-                        Ring(std::sync::Mutex::new(pf_trace::TraceRing::new(
-                            DEFAULT_RING_CAP,
-                        )))
-                    })
-                    .collect(),
-            },
+            rings: (0..nthreads + 1)
+                .map(|_| Ring(std::sync::Mutex::new(TraceRing::new(DEFAULT_RING_CAP))))
+                .collect(),
+            #[cfg(feature = "trace")]
+            start_ns: now_ns(),
         }
     }
 
@@ -125,11 +129,10 @@ impl SessionEvents {
         c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
         #[cfg(feature = "trace")]
         {
-            let t = &self.timeline;
-            let ts_ns = t.epoch.elapsed().as_nanos() as u64;
-            let mut ring = crate::pool::lock(&t.rings[lane].0);
+            let ts_ns = now_ns();
+            let mut ring = crate::pool::lock(&self.rings[lane].0);
             for _ in 0..n {
-                ring.push(pf_trace::TraceEvent { ts_ns, kind, arg });
+                ring.push(TraceEvent { ts_ns, kind, arg });
             }
         }
         #[cfg(not(feature = "trace"))]
@@ -162,56 +165,69 @@ impl SessionEvents {
         self.lanes.len() - 1
     }
 
-    /// Drain the rings into the session's timeline and read the counters
-    /// into its summary.
-    #[cfg(feature = "trace")]
-    pub(crate) fn drain(&self, session: u64) -> (pf_trace::SessionTrace, pf_trace::TraceStats) {
-        use pf_trace::{WorkerSummary, WorkerTrace};
-        let (mut traces, mut sums): (Vec<_>, Vec<_>) = self
-            .lanes
-            .iter()
-            .zip(self.timeline.rings.iter())
-            .map(|(lane, ring)| {
-                let (events, dropped) = crate::pool::lock(&ring.0).drain();
-                let counts = std::array::from_fn(|k| lane.0[k].load(Ordering::Relaxed));
-                (
-                    WorkerTrace { events, dropped },
-                    WorkerSummary { counts, dropped },
-                )
-            })
-            .unzip();
-        let client = traces.pop().expect("the client lane is the last");
-        let client_sum = sums.pop().expect("the client lane is the last");
-        (
-            pf_trace::SessionTrace {
+    /// The session has ended: drain the rings and the counters into its
+    /// `SessionTrace` and hand it to the calling client thread, for
+    /// `take_last_trace`. Called once per session. No-op untraced.
+    pub(crate) fn finish(&self, session: u64) {
+        #[cfg(feature = "trace")]
+        {
+            let mut workers: Vec<WorkerTrace> = self
+                .lanes
+                .iter()
+                .zip(self.rings.iter())
+                .map(|(lane, ring)| {
+                    let (events, dropped) = crate::pool::lock(&ring.0).drain();
+                    let counts = std::array::from_fn(|k| lane.0[k].load(Ordering::Relaxed));
+                    WorkerTrace {
+                        events,
+                        dropped,
+                        counts,
+                    }
+                })
+                .collect();
+            let client = workers.pop().expect("the client lane is the last");
+            LAST_TRACE.set(Some(SessionTrace {
                 session,
-                start_ns: self.timeline.start_ns,
+                start_ns: self.start_ns,
                 ring_capacity: DEFAULT_RING_CAP,
-                workers: traces,
+                workers,
                 client,
-            },
-            pf_trace::TraceStats {
-                session,
-                per_worker: sums,
-                client: client_sum,
-            },
-        )
+            }));
+        }
+        #[cfg(not(feature = "trace"))]
+        let _ = session;
     }
 }
 
+/// Take the record of the last session the calling thread ran —
+/// successful or failed — or `None` if it ran none since the last take.
+/// A failed session's trace includes the poison events of its abort,
+/// often exactly what a post-mortem needs.
+#[cfg(feature = "trace")]
+pub fn take_last_trace() -> Option<SessionTrace> {
+    LAST_TRACE.take()
+}
+
+#[cfg(feature = "trace")]
+thread_local! {
+    /// The calling thread's last finished session (see [`take_last_trace`]).
+    static LAST_TRACE: std::cell::Cell<Option<SessionTrace>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Nanoseconds since the process-wide trace epoch, set by the first call.
+#[cfg(feature = "trace")]
+fn now_ns() -> u64 {
+    static EPOCH: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+    EPOCH
+        .get_or_init(std::time::Instant::now)
+        .elapsed()
+        .as_nanos() as u64
+}
+
 /// One lane's ring, padded so the owner's pushes never share a cache
-/// line with a sibling's.
+/// line with a sibling's. Cheap to construct per session: a `TraceRing`
+/// allocates lazily on first push.
 #[cfg(feature = "trace")]
 #[repr(align(128))]
-struct Ring(std::sync::Mutex<pf_trace::TraceRing>);
-
-/// One session's rings, stamping against the pool's clock. Cheap to
-/// construct per session: a `TraceRing` allocates lazily on first push.
-#[cfg(feature = "trace")]
-struct Timeline {
-    /// The pool's epoch — every session of a pool shares it.
-    epoch: std::time::Instant,
-    /// Session start, nanoseconds since the epoch.
-    start_ns: u64,
-    rings: Box<[Ring]>,
-}
+struct Ring(std::sync::Mutex<TraceRing>);

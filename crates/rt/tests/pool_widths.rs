@@ -78,7 +78,7 @@ fn every_pool_width_computes_the_same_tree_sum() {
         #[cfg(feature = "trace")]
         {
             use pf_rt::TraceKind;
-            let trace = stats.trace.as_ref().expect("traced build");
+            let trace = pf_rt::take_last_trace().expect("traced build");
             assert_eq!(trace.total(TraceKind::Spawn), stats.spawns);
             assert_eq!(trace.total(TraceKind::Exec), stats.tasks_executed);
             assert_eq!(trace.total(TraceKind::Suspend), stats.suspensions);
@@ -108,7 +108,7 @@ mod traced {
     fn tiny_ring_reports_drops_in_stats_and_export() {
         // A 2^14-task session on one worker records about six events per
         // task on one lane, overflowing the fixed 2^14-event ring: the
-        // exact counters stay exact, the drop counter owns the
+        // timeline's counts stay exact, the drop counter owns the
         // difference, and the Perfetto export says so in its metadata.
         const DEPTH: u32 = 14;
         let rt = Runtime::new(1);
@@ -123,18 +123,16 @@ mod traced {
         assert_eq!(stats.spawns, nodes - 1);
         assert_eq!(stats.suspensions, internal);
         assert_eq!(stats.tasks_executed, nodes + internal);
-        let trace = stats.trace.as_ref().unwrap();
+        let timeline = pf_rt::take_last_trace().unwrap();
         assert_eq!(
-            trace.total(TraceKind::Exec),
+            timeline.total(TraceKind::Exec),
             stats.tasks_executed,
-            "counters never drop"
+            "counts never drop"
         );
-        assert_eq!(trace.total(TraceKind::Spawn), stats.spawns);
-        assert_eq!(trace.total(TraceKind::Fulfill), nodes);
-        assert!(trace.dropped() > 0, "a 2^14-event ring must overflow");
-        let timeline = rt.take_last_trace().unwrap();
+        assert_eq!(timeline.total(TraceKind::Spawn), stats.spawns);
+        assert_eq!(timeline.total(TraceKind::Fulfill), nodes);
+        assert!(timeline.dropped() > 0, "a 2^14-event ring must overflow");
         assert_eq!(timeline.ring_capacity, 1 << 14);
-        assert_eq!(timeline.dropped(), trace.dropped());
         let json = timeline.to_chrome_trace();
         assert!(json.contains("\"ringCapacity\":16384"));
         assert!(json.contains(&format!("\"droppedEvents\":{}", timeline.dropped())));

@@ -1,18 +1,23 @@
 //! Behavioral scheduler tests over the tracing layer (`--features trace`).
 //!
 //! Until this suite, tests could only assert *end-state* values (cells
-//! hold the right numbers) and aggregate counters. `TraceStats` lets them
-//! assert scheduler *behavior*: that a single-threaded session cannot
-//! steal, that a fork-heavy session on a wide pool does, that
-//! touch-before-fulfill produces matched suspend/resume pairs, and that
-//! an aborted session poisons exactly the cells its `StallReport` names.
-//! The reconciliation test at the bottom pins the trace summary to
-//! `RunStats` across 100 seeded random workloads (both read the slot's
-//! one counter array, so it holds by construction; the test keeps it so).
+//! hold the right numbers) and aggregate counters. A session's
+//! `SessionTrace`, taken back by the thread that ran it, carries each
+//! worker lane's exact per-kind counts, so these tests assert scheduler
+//! *behavior*: that a single-threaded session cannot steal, that a
+//! fork-heavy session on a wide pool does, that touch-before-fulfill
+//! produces matched suspend/resume pairs, that an aborted session poisons
+//! exactly the cells its `StallReport` names, and that two clients on one
+//! pool each get their own session back. The reconciliation test at the
+//! bottom pins the trace counts to `RunStats` across 100 seeded random
+//! workloads (both read the slot's one counter array, so it holds by
+//! construction; the test keeps it so).
 
 #![cfg(feature = "trace")]
 
-use pf_rt::{cell, Runtime, Session, SessionError, TraceKind};
+use std::sync::{mpsc, Arc};
+
+use pf_rt::{cell, take_last_trace, Runtime, Session, SessionError, SessionTrace, TraceKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,17 +34,17 @@ fn fork_tree(wk: &pf_rt::Worker, depth: usize) {
 fn single_worker_records_zero_steals() {
     let rt = Runtime::new(1);
     let stats = rt.run_stats(|wk| fork_tree(wk, 8));
-    let trace = stats.trace.as_ref().expect("traced build attaches stats");
+    let trace = taken();
     assert_eq!(
         trace.total(TraceKind::Steal),
         0,
         "a lone worker has nobody to steal from"
     );
     assert_eq!(trace.total(TraceKind::Steal), stats.steals);
-    assert_eq!(trace.per_worker.len(), 1);
+    assert_eq!(trace.workers.len(), 1);
     // Everything ran on worker 0.
     assert_eq!(
-        trace.per_worker[0].count(TraceKind::Exec),
+        trace.workers[0].count(TraceKind::Exec),
         stats.tasks_executed
     );
 }
@@ -59,7 +64,7 @@ fn fork_heavy_session_steals_on_a_wide_pool() {
                 wk.spawn2(|_| std::thread::yield_now(), |_| std::thread::yield_now());
             }
         });
-        let trace = stats.trace.as_ref().unwrap();
+        let trace = taken();
         assert_eq!(
             trace.total(TraceKind::Steal),
             stats.steals,
@@ -87,7 +92,7 @@ fn touch_before_fulfill_records_suspend_resume_pairs() {
             wk.spawn(move |wk| w.fulfill(wk, i));
         }
     });
-    let trace = stats.trace.as_ref().unwrap();
+    let trace = taken();
     assert_eq!(trace.total(TraceKind::Suspend), N as u64);
     assert_eq!(
         trace.total(TraceKind::Resume),
@@ -106,12 +111,12 @@ fn touch_before_fulfill_records_suspend_resume_pairs() {
 #[test]
 fn write_before_touch_records_no_suspension() {
     let rt = Runtime::new(1);
-    let stats = rt.run_stats(|wk| {
+    rt.run(|wk| {
         let (w, r) = cell::<u32>();
         w.fulfill(wk, 7);
         r.touch(wk, |v, _| assert_eq!(v, 7));
     });
-    let trace = stats.trace.as_ref().unwrap();
+    let trace = taken();
     assert_eq!(trace.total(TraceKind::Suspend), 0);
     assert_eq!(trace.total(TraceKind::Resume), 0);
     assert_eq!(trace.total(TraceKind::Fulfill), 1);
@@ -134,17 +139,16 @@ fn stalled_session_records_poison_per_stuck_cell() {
             }
         })
         .expect_err("a never-written touch must stall the session");
+    let err_session = err.session();
     let report = match err {
         SessionError::Stalled { report, .. } => report,
         other => panic!("expected Stalled, got {other}"),
     };
     assert_eq!(report.stuck.len(), 3);
-    let trace = rt
-        .take_last_trace()
-        .expect("aborted sessions leave their timeline behind");
-    let stats = trace.stats();
+    let trace = take_last_trace().expect("aborted sessions leave their timeline behind");
+    assert_eq!(trace.session, err_session);
     assert_eq!(
-        stats.client.count(TraceKind::Poison),
+        trace.client.count(TraceKind::Poison),
         report.stuck.len() as u64,
         "one poison event per stuck cell"
     );
@@ -161,7 +165,7 @@ fn stalled_session_records_poison_per_stuck_cell() {
     reported.sort_unstable();
     assert_eq!(traced, reported);
     assert_eq!(
-        stats.total(TraceKind::Suspend),
+        trace.total(TraceKind::Suspend),
         3,
         "the suspensions that wedged the pool"
     );
@@ -175,25 +179,67 @@ fn timeline_is_exported_and_consumed_once() {
         r.touch(wk, |_, _| {});
         wk.spawn(move |wk| w.fulfill(wk, 1));
     });
-    let trace = rt.take_last_trace().expect("timeline available");
-    assert_eq!(trace.session, stats.trace.as_ref().unwrap().session);
+    let trace = taken();
+    assert_eq!(trace.total(TraceKind::Exec), stats.tasks_executed);
     assert!(trace.events() > 0);
     let json = trace.to_chrome_trace();
     assert!(json.contains("\"name\":\"exec\""));
     assert!(json.contains("\"name\":\"suspend\""));
-    assert!(rt.take_last_trace().is_none(), "take consumes");
+    assert!(take_last_trace().is_none(), "take consumes");
 }
 
+/// Two clients on one pool, in a forced order: A's session fails, then
+/// B's succeeds, then A takes its trace back and B takes its own. Each
+/// record goes back to the thread that ran the session, so the later
+/// session cannot overwrite the failed one's.
 #[test]
-fn accumulate_merges_trace_summaries() {
-    let rt = Runtime::new(2);
-    let mut total = pf_rt::RunStats::default();
-    for _ in 0..3 {
-        total.accumulate(&rt.run_stats(|wk| fork_tree(wk, 6)));
-    }
-    let trace = total.trace.as_ref().expect("merge keeps the summary");
-    assert_eq!(trace.total(TraceKind::Exec), total.tasks_executed);
-    assert_eq!(trace.total(TraceKind::Spawn), total.spawns);
+fn each_client_takes_back_the_session_it_ran() {
+    let rt = Arc::new(Runtime::new(2));
+    let (a_failed, after_a_failed) = mpsc::channel();
+    let (b_ran, after_b_ran) = mpsc::channel();
+    let (a_took, after_a_took) = mpsc::channel();
+    let a = {
+        let rt = Arc::clone(&rt);
+        std::thread::spawn(move || {
+            let err = rt
+                .try_run(|wk| fork_tree_then_panic(wk, 4))
+                .expect_err("the pill fails A's session");
+            a_failed.send(()).unwrap();
+            after_b_ran.recv().unwrap();
+            let trace = take_last_trace();
+            a_took.send(()).unwrap();
+            (err.session(), trace)
+        })
+    };
+    let b = std::thread::spawn(move || {
+        after_a_failed.recv().unwrap();
+        let stats = rt.run_stats(|wk| fork_tree(wk, 6));
+        b_ran.send(()).unwrap();
+        after_a_took.recv().unwrap();
+        (stats, take_last_trace())
+    });
+    let (a_session, a_trace) = a.join().unwrap();
+    let (b_stats, b_trace) = b.join().unwrap();
+    let a_trace = a_trace.expect("A gets its failed session back");
+    assert_eq!(a_trace.session, a_session, "A's own session, not B's");
+    let b_trace = b_trace.expect("B gets its own session back");
+    assert_eq!(
+        b_trace.session,
+        a_session + 1,
+        "B ran the pool's next session"
+    );
+    assert_eq!(b_trace.total(TraceKind::Exec), b_stats.tasks_executed);
+}
+
+fn fork_tree_then_panic(wk: &pf_rt::Worker, depth: usize) {
+    fork_tree(wk, depth);
+    panic!("injected fault");
+}
+
+/// The calling thread's last session record, which a traced build always
+/// leaves.
+fn taken() -> SessionTrace {
+    take_last_trace().expect("a traced session leaves its record")
 }
 
 /// Across 100 seeded random workloads (mixed fan-out, cells touched and
@@ -224,12 +270,8 @@ fn trace_counts_reconcile_with_run_stats_over_seeded_workloads() {
                 }
             }
         });
-        let trace = stats.trace.as_ref().expect("traced build");
-        let executed: u64 = trace
-            .per_worker
-            .iter()
-            .map(|w| w.count(TraceKind::Exec))
-            .sum();
+        let trace = taken();
+        let executed: u64 = trace.workers.iter().map(|w| w.count(TraceKind::Exec)).sum();
         assert_eq!(
             executed, stats.tasks_executed,
             "iter {iter}: per-worker exec events vs RunStats.tasks_executed"

@@ -141,11 +141,9 @@ pub struct WaveOutcome {
     /// load after too many consecutive degraded windows.
     pub shed: bool,
     /// The full event timeline of the failed session that degraded this
-    /// wave (`trace` feature only), taken from
-    /// [`Runtime::take_last_trace`] at degrade time — a degraded wave
-    /// ships with its own diagnosis. `None` for served waves (and for
-    /// degraded waves when another session raced the pool's last-trace
-    /// slot on a shared runtime).
+    /// wave (`trace` feature only), taken from [`pf_rt::take_last_trace`]
+    /// on the apply thread that ran it — a degraded wave ships with its
+    /// own diagnosis. `None` for served waves.
     #[cfg(feature = "trace")]
     pub trace: Option<Arc<pf_rt::SessionTrace>>,
 }
@@ -194,13 +192,14 @@ pub struct DrainReport {
     /// Waves dropped by an open circuit breaker without running a
     /// session. `served + degraded + shed == outcomes.len()`.
     pub shed: u64,
-    /// Full event timelines of failed *window* sessions (`trace` feature
-    /// only): one entry per pipelined window whose session failed and was
-    /// replayed wave-by-wave, captured before the replay sessions
-    /// overwrite the pool's last-trace slot — so the window's diagnosis
-    /// travels with the report even when every replayed wave then serves.
+    /// Failed *window* sessions' errors (as displayed, `session N …`) and
+    /// full event timelines (`trace` feature only): one entry per
+    /// pipelined window whose session failed and was replayed
+    /// wave-by-wave, taken before the replay sessions on the same apply
+    /// thread replace the timeline — so the window's diagnosis travels
+    /// with the report even when every replayed wave then serves.
     #[cfg(feature = "trace")]
-    pub window_traces: Vec<Arc<pf_rt::SessionTrace>>,
+    pub window_traces: Vec<(String, Arc<pf_rt::SessionTrace>)>,
 }
 
 impl DrainReport {
@@ -534,13 +533,15 @@ impl<K: Key> SetService<K> {
             Err(failed) if waves.len() == 1 => {
                 degraded = !self.retry_wave(shard, &waves[0], false, Some(failed), report);
             }
-            Err(_) => {
-                // The failed window's timeline, captured before the
-                // replay sessions overwrite the pool's last-trace slot.
+            Err((err, _)) => {
+                // The failed window's error and timeline, taken before
+                // this thread's replay sessions replace the timeline.
                 #[cfg(feature = "trace")]
                 report
                     .window_traces
-                    .extend(self.rt.take_last_trace().map(Arc::new));
+                    .extend(pf_rt::take_last_trace().map(|t| (err.to_string(), Arc::new(t))));
+                #[cfg(not(feature = "trace"))]
+                let _ = err;
                 // Replay: one wave per pass (plus retries), committing
                 // the healthy ones in order; the shard root advances past
                 // each.
@@ -572,7 +573,7 @@ impl<K: Key> SetService<K> {
                 if attempts > self.cfg.retry.attempts {
                     let mut o = outcome(shard, w, false, Some(&err), took, replayed);
                     o.attempts = attempts;
-                    report.record(self.attach_failed_trace(o));
+                    report.record(attach_failed_trace(o));
                     return false;
                 }
                 // Bounded backoff: the shard's ingress keeps queueing
@@ -694,17 +695,6 @@ impl<K: Key> SetService<K> {
         // written, so the unsized top of the new root can be sealed.
         Ok((of.expect().sealed(), stats))
     }
-
-    /// Attach the pool's last session timeline — the failed session that
-    /// degraded `o` — to the outcome. No-op without the `trace` feature.
-    #[cfg_attr(not(feature = "trace"), allow(unused_mut, clippy::unused_self))]
-    fn attach_failed_trace(&self, mut o: WaveOutcome) -> WaveOutcome {
-        #[cfg(feature = "trace")]
-        {
-            o.trace = self.rt.take_last_trace().map(Arc::new);
-        }
-        o
-    }
 }
 
 impl DrainReport {
@@ -786,6 +776,17 @@ fn apply_inline<K: Key>(root: &RTreap<K>, waves: &[WavePlan<K>]) -> Option<(RTre
         ..RunStats::default()
     };
     Some((new_root, stats))
+}
+
+/// Attach the calling thread's last session record — the failed session
+/// that degraded `o` — to the outcome. No-op without the `trace` feature.
+#[cfg_attr(not(feature = "trace"), allow(unused_mut))]
+fn attach_failed_trace(mut o: WaveOutcome) -> WaveOutcome {
+    #[cfg(feature = "trace")]
+    {
+        o.trace = pf_rt::take_last_trace().map(Arc::new);
+    }
+    o
 }
 
 fn outcome<K>(

@@ -17,19 +17,18 @@
 //!   owning worker pushes; when full, the **oldest** event is
 //!   overwritten (the newest events are the ones a post-mortem wants)
 //!   and a drop counter records the loss — nothing disappears silently;
-//! * [`SessionTrace`] — the per-worker rings of one runtime session,
-//!   drained at the session rendezvous, plus a lane for events the
-//!   *client* thread records during an abort (cell poisoning);
-//! * [`TraceStats`] — the compact per-worker summary (steals,
-//!   suspensions, tasks executed, park/unpark churn) that
-//!   `pf_rt::RunStats` carries when tracing is compiled in;
+//! * [`SessionTrace`] — one runtime session's record: per worker a
+//!   [`WorkerTrace`] holding the drained ring and the lane's exact
+//!   per-kind counts, plus a lane for events the *client* thread records
+//!   during an abort (cell poisoning). [`SessionTrace::total`] sums a
+//!   kind over the workers, exact even when rings dropped events;
 //! * [`SessionTrace::to_chrome_trace`] — a Chrome-trace/Perfetto JSON
 //!   export (open in `ui.perfetto.dev` or `chrome://tracing`), one
 //!   timeline row per worker.
 //!
 //! This crate is intentionally free of any runtime dependency (and of
 //! `unsafe`): `pf-rt` owns the synchronization and the clock; everything
-//! here is plain data, so the exporters and summaries are unit-testable
+//! here is plain data, so the ring and the export are unit-testable
 //! without threads.
 
 #![forbid(unsafe_code)]
@@ -38,7 +37,7 @@
 use std::fmt;
 
 /// What happened. One byte; the discriminants index pf-rt's per-session
-/// counter lanes and the per-kind count arrays in [`WorkerSummary`].
+/// counter lanes and [`WorkerTrace::counts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum TraceKind {
@@ -113,9 +112,9 @@ impl fmt::Display for TraceKind {
 /// One recorded scheduler event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Monotonic nanoseconds since the owning pool's epoch (pool
-    /// creation), so events of different workers — and of different
-    /// sessions on one pool — share one timeline.
+    /// Monotonic nanoseconds since the process-wide trace epoch, so
+    /// events of different workers, sessions and pools share one
+    /// timeline.
     pub ts_ns: u64,
     /// What happened.
     pub kind: TraceKind,
@@ -197,18 +196,11 @@ impl TraceRing {
         self.next = 0;
         (out, std::mem::take(&mut self.dropped))
     }
-
-    /// Drop every retained event and reset the drop counter (session
-    /// start: stale idle-loop events of the gap between sessions go).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.next = 0;
-        self.dropped = 0;
-    }
 }
 
 /// One drained lane of a [`SessionTrace`]: a worker's (or the client's)
-/// events in FIFO order, plus how many were overwritten.
+/// events in FIFO order, how many were overwritten, and how many of each
+/// kind it recorded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerTrace {
     /// Events in record order (oldest retained first).
@@ -216,18 +208,16 @@ pub struct WorkerTrace {
     /// Events lost to ring wraparound (oldest-first), reported so a
     /// truncated trace is never mistaken for a complete one.
     pub dropped: u64,
+    /// Events recorded per kind, indexed by `TraceKind as usize`: pf-rt's
+    /// lane counters read at the drain, so they count dropped events too.
+    pub counts: [u64; KIND_COUNT],
 }
 
 impl WorkerTrace {
-    fn summary(&self) -> WorkerSummary {
-        let mut s = WorkerSummary {
-            counts: [0; KIND_COUNT],
-            dropped: self.dropped,
-        };
-        for ev in &self.events {
-            s.counts[ev.kind as usize] += 1;
-        }
-        s
+    /// Events of `kind` this lane recorded — exact, even when the ring
+    /// dropped some of them.
+    pub fn count(&self, kind: TraceKind) -> u64 {
+        self.counts[kind as usize]
     }
 }
 
@@ -238,8 +228,8 @@ impl WorkerTrace {
 pub struct SessionTrace {
     /// Pool-local id of the traced session (sessions number from 1).
     pub session: u64,
-    /// Session start, in nanoseconds since the pool epoch — the zero
-    /// point of the Chrome-trace export.
+    /// Session start, in nanoseconds since the process-wide trace epoch
+    /// — the zero point of the Chrome-trace export.
     pub start_ns: u64,
     /// Per-lane ring capacity the recorder used — together with the
     /// per-lane drop counts this makes a truncated timeline
@@ -262,13 +252,11 @@ impl SessionTrace {
         self.workers.iter().map(|w| w.dropped).sum::<u64>() + self.client.dropped
     }
 
-    /// Summarize into per-worker behavior counters.
-    pub fn stats(&self) -> TraceStats {
-        TraceStats {
-            session: self.session,
-            per_worker: self.workers.iter().map(|w| w.summary()).collect(),
-            client: self.client.summary(),
-        }
+    /// Events of `kind` across every worker lane, exact. The client lane
+    /// is excluded: its only events are the poisons of an abort, read as
+    /// `client.count(TraceKind::Poison)`.
+    pub fn total(&self, kind: TraceKind) -> u64 {
+        self.workers.iter().map(|w| w.count(kind)).sum()
     }
 
     /// Render as Chrome-trace JSON (the "JSON Object Format" both
@@ -299,7 +287,7 @@ impl SessionTrace {
         let mut emit = |tid: usize, ev: &TraceEvent| {
             // Rebase onto the session start; idle-loop events recorded
             // just before the drain may trail the quiescence signal, but
-            // never precede the session (lanes are cleared at start).
+            // never precede the session (rings are born with it).
             let us = ev.ts_ns.saturating_sub(self.start_ns) as f64 / 1e3;
             out.push_str(&format!(
                 ",\n{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{us:.3},\
@@ -322,76 +310,6 @@ impl SessionTrace {
             self.dropped()
         ));
         out
-    }
-}
-
-/// Per-kind event counts of one lane, plus its drop count.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerSummary {
-    /// Event counts, indexed by `TraceKind as usize`.
-    pub counts: [u64; KIND_COUNT],
-    /// Events lost to ring wraparound. A summary rebuilt from a drained
-    /// timeline ([`SessionTrace::stats`]) counts only retained events, so
-    /// there a non-zero drop count means undercounting; pf-rt's own
-    /// summaries read its counters and are exact.
-    pub dropped: u64,
-}
-
-impl WorkerSummary {
-    /// Events of `kind` retained on this lane.
-    pub fn count(&self, kind: TraceKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
-    fn merge(&mut self, other: &WorkerSummary) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.dropped += other.dropped;
-    }
-}
-
-/// The compact scheduler-behavior summary of one (or, after
-/// [`TraceStats::merge`], several) traced sessions: per-worker steal,
-/// suspension, execution, and park/unpark counts. This is what
-/// `pf_rt::RunStats` carries when the `trace` feature is on — cheap
-/// enough to keep per session, precise enough to *assert* scheduler
-/// behavior in tests.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceStats {
-    /// Session id of the (first) summarized session.
-    pub session: u64,
-    /// One summary per worker, indexed by worker.
-    pub per_worker: Vec<WorkerSummary>,
-    /// The client lane's summary (abort-time poison events).
-    pub client: WorkerSummary,
-}
-
-impl TraceStats {
-    /// Total events of `kind` across every worker lane. The client lane
-    /// is excluded: its only events are the poisons of an abort, read as
-    /// `client.count(TraceKind::Poison)`.
-    pub fn total(&self, kind: TraceKind) -> u64 {
-        self.per_worker.iter().map(|w| w.count(kind)).sum()
-    }
-
-    /// Total events lost to ring wraparound, all lanes.
-    pub fn dropped(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.dropped).sum::<u64>() + self.client.dropped
-    }
-
-    /// Fold another summary into this one, lane by lane (a service
-    /// accumulating per-session stats over a whole run). Keeps `self`'s
-    /// session id; lane counts are added, extra lanes appended.
-    pub fn merge(&mut self, other: &TraceStats) {
-        if self.per_worker.len() < other.per_worker.len() {
-            self.per_worker
-                .resize(other.per_worker.len(), WorkerSummary::default());
-        }
-        for (a, b) in self.per_worker.iter_mut().zip(other.per_worker.iter()) {
-            a.merge(b);
-        }
-        self.client.merge(&other.client);
     }
 }
 
@@ -471,108 +389,79 @@ mod tests {
     }
 
     #[test]
-    fn ring_clear_discards_everything() {
-        let mut r = TraceRing::new(2);
-        for i in 0..5 {
-            r.push(ev(i, TraceKind::Spawn, 0));
-        }
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 0);
-        let (evs, d) = r.drain();
-        assert!(evs.is_empty());
-        assert_eq!(d, 0);
-    }
-
-    #[test]
     fn stats_count_per_kind_and_per_worker() {
+        // A lane's counts come from the recorder, not from its retained
+        // events: lane 1's ring dropped three exec events, which its
+        // counts still hold.
+        let lane = |events: Vec<TraceEvent>, dropped: u64, extra: &[(TraceKind, u64)]| {
+            let mut counts = [0; KIND_COUNT];
+            for e in &events {
+                counts[e.kind as usize] += 1;
+            }
+            for &(k, n) in extra {
+                counts[k as usize] += n;
+            }
+            WorkerTrace {
+                events,
+                dropped,
+                counts,
+            }
+        };
         let tr = SessionTrace {
             session: 7,
             start_ns: 100,
-            ring_capacity: 16,
+            ring_capacity: 4,
             workers: vec![
-                WorkerTrace {
-                    events: vec![
+                lane(
+                    vec![
                         ev(110, TraceKind::Exec, 0),
                         ev(120, TraceKind::Spawn, 0),
                         ev(130, TraceKind::Steal, 1),
                         ev(140, TraceKind::Exec, 0),
                     ],
-                    dropped: 0,
-                },
-                WorkerTrace {
-                    events: vec![
+                    0,
+                    &[],
+                ),
+                lane(
+                    vec![
                         ev(115, TraceKind::Suspend, 0xdead),
                         ev(125, TraceKind::Resume, 0),
                         ev(135, TraceKind::Park, 0),
                         ev(145, TraceKind::Unpark, 0),
                     ],
-                    dropped: 3,
-                },
+                    3,
+                    &[(TraceKind::Exec, 3)],
+                ),
             ],
-            client: WorkerTrace {
-                events: vec![ev(150, TraceKind::Poison, 0xbeef)],
-                dropped: 0,
-            },
+            client: lane(vec![ev(150, TraceKind::Poison, 0xbeef)], 0, &[]),
         };
-        let s = tr.stats();
-        assert_eq!(s.session, 7);
-        assert_eq!(s.per_worker.len(), 2);
-        assert_eq!(s.per_worker[0].count(TraceKind::Exec), 2);
-        assert_eq!(s.per_worker[0].count(TraceKind::Steal), 1);
-        assert_eq!(s.per_worker[1].count(TraceKind::Suspend), 1);
-        assert_eq!(s.per_worker[1].count(TraceKind::Park), 1);
-        assert_eq!(s.per_worker[1].count(TraceKind::Unpark), 1);
+        assert_eq!(tr.workers[0].count(TraceKind::Exec), 2);
+        assert_eq!(tr.workers[0].count(TraceKind::Steal), 1);
+        assert_eq!(
+            tr.workers[1].count(TraceKind::Exec),
+            3,
+            "dropped, still counted"
+        );
+        assert_eq!(tr.workers[1].count(TraceKind::Suspend), 1);
+        assert_eq!(tr.workers[1].count(TraceKind::Park), 1);
+        assert_eq!(tr.workers[1].count(TraceKind::Unpark), 1);
         assert_eq!(
             (
-                s.total(TraceKind::Exec),
-                s.total(TraceKind::Steal),
-                s.total(TraceKind::Suspend),
-                s.total(TraceKind::Resume)
+                tr.total(TraceKind::Exec),
+                tr.total(TraceKind::Steal),
+                tr.total(TraceKind::Suspend),
+                tr.total(TraceKind::Resume)
             ),
-            (2, 1, 1, 1)
+            (5, 1, 1, 1)
         );
-        assert_eq!(s.client.count(TraceKind::Poison), 1);
-        assert_eq!(s.dropped(), 3);
-        assert_eq!(tr.events(), 9);
-    }
-
-    #[test]
-    fn stats_merge_adds_lanes_elementwise() {
-        let mut a = TraceStats {
-            session: 1,
-            per_worker: vec![WorkerSummary {
-                counts: {
-                    let mut c = [0; KIND_COUNT];
-                    c[TraceKind::Exec as usize] = 2;
-                    c
-                },
-                dropped: 1,
-            }],
-            client: WorkerSummary::default(),
-        };
-        let b = TraceStats {
-            session: 2,
-            per_worker: vec![
-                WorkerSummary {
-                    counts: {
-                        let mut c = [0; KIND_COUNT];
-                        c[TraceKind::Exec as usize] = 3;
-                        c[TraceKind::Steal as usize] = 1;
-                        c
-                    },
-                    dropped: 0,
-                },
-                WorkerSummary::default(),
-            ],
-            client: WorkerSummary::default(),
-        };
-        a.merge(&b);
-        assert_eq!(a.session, 1, "merge keeps the first session id");
-        assert_eq!(a.per_worker.len(), 2, "extra lanes are appended");
-        assert_eq!(a.per_worker[0].count(TraceKind::Exec), 5);
-        assert_eq!(a.per_worker[0].count(TraceKind::Steal), 1);
-        assert_eq!(a.dropped(), 1);
+        assert_eq!(
+            tr.total(TraceKind::Poison),
+            0,
+            "the client lane is not summed"
+        );
+        assert_eq!(tr.client.count(TraceKind::Poison), 1);
+        assert_eq!(tr.dropped(), 3);
+        assert_eq!(tr.events(), 9, "retained events only");
     }
 
     #[test]
@@ -587,10 +476,11 @@ mod tests {
                     ev(2_500, TraceKind::Steal, 1),
                 ],
                 dropped: 5,
+                ..WorkerTrace::default()
             }],
             client: WorkerTrace {
                 events: vec![ev(3_000, TraceKind::Poison, 42)],
-                dropped: 0,
+                ..WorkerTrace::default()
             },
         };
         let json = tr.to_chrome_trace();
@@ -619,7 +509,7 @@ mod tests {
             ring_capacity: 4,
             workers: vec![WorkerTrace {
                 events: vec![ev(5_000, TraceKind::Park, 0)],
-                dropped: 0,
+                ..WorkerTrace::default()
             }],
             client: WorkerTrace::default(),
         };
