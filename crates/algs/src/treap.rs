@@ -37,23 +37,22 @@
 //! rule and nothing else.
 //!
 //! On such an engine `union`, `diff`, `intersect`, `splitm` and `join`
-//! choose from what they can observe: two complete operands whose work
-//! estimate m·(⌊lg(n/m)⌋+1) is within the grain run direct-style
-//! persistent code (walk by reference, fulfil `out` once, fork nothing,
-//! touch no engine; two blocks meet in a merge, a filter, a binary search
-//! or a concatenation); a complete operand of any size is split or joined
-//! plainly, so its pieces stay complete; everything else — an unsized or
-//! still-pending operand, or more work than one grain — takes the paper's
-//! pipelined step, which copies a child into the node it publishes
-//! whichever kind it is, and takes a block apart at its root entry when
-//! the block meets a pending operand. The within-grain question is itself
-//! public ([`within_grain`], a function of the two sizes), and so are two
-//! plain operations for a caller with no engine in hand and a small operand
-//! that is a key-sorted run rather than a treap: [`union_run`] and
-//! [`diff_run`] apply it to a complete treap without ever building it.
-//! An engine that never cuts never fuses either: with `GRAIN == 0` the
-//! input constructors build unsized nodes on cells and nothing builds a
-//! block, so every step and every data edge is the paper's.
+//! choose from what they can observe. Two complete operands whose work
+//! estimate m·(⌊lg(n/m)⌋+1) is within the grain ([`within_grain`], a
+//! public function of the two sizes) meet in one plain kernel, persistent
+//! and direct-style: the smaller operand, flattened into a key-sorted run,
+//! is applied to the other by [`union_run`], or by [`diff_run`] and its
+//! dual — cut by binary search at each node, merged into or filtered at
+//! each block. A near-equal union merges the two runs whole instead, and a
+//! difference or intersection against a much larger operand looks its keys
+//! up in it. A complete operand of any size is split or joined plainly, so
+//! its pieces stay complete; everything else — an unsized or still-pending
+//! operand, or more work than one grain — takes the paper's pipelined
+//! step, which copies a child into the node it publishes whichever kind it
+//! is, and takes a block apart at its root entry when the block meets a
+//! pending operand. An engine that never cuts never fuses either: with
+//! `GRAIN == 0` the input constructors build unsized nodes on cells and
+//! nothing builds a block, so every step and every data edge is the paper's.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -72,7 +71,7 @@ pub type TreapWr<B, K> = <B as PipeBackend>::Wr<Treap<B, K>>;
 /// The most keys a block holds. Not a knob: DESIGN.md "Granularity" has
 /// the 16 / 32 / 64 sweep that fixed it.
 const LEAF_KEYS: usize = 32;
-// `filter` keeps a block's survivors in one `u64` mask.
+// `keep` marks a block's survivors in one `u64`.
 const _: () = assert!(LEAF_KEYS <= 64);
 
 /// A treap on engine `B`.
@@ -374,19 +373,20 @@ impl<B: PipeBackend, K: Key> Treap<B, K> {
     /// Post-run inspection: sorted key vector.
     pub fn to_sorted_vec(&self) -> Vec<K> {
         let mut v = Vec::with_capacity(self.sized().unwrap_or(0));
-        self.inorder_into(&mut v);
+        self.inorder(&mut |k, _| v.push(k.clone()));
         v
     }
 
-    fn inorder_into(&self, out: &mut Vec<K>) {
+    /// Call `f` on every entry, in key order.
+    fn inorder(&self, f: &mut impl FnMut(&K, u64)) {
         match self {
             Treap::Leaf => {}
             Treap::Node(n) => {
-                n.left.get().inorder_into(out);
-                out.push(n.key.clone());
-                n.right.get().inorder_into(out);
+                n.left.get().inorder(f);
+                f(&n.key, n.prio);
+                n.right.get().inorder(f);
             }
-            Treap::Block(b) => out.extend(b.iter().map(|e| e.0.clone())),
+            Treap::Block(b) => b.iter().for_each(|e| f(&e.0, e.1)),
         }
     }
 
@@ -510,11 +510,8 @@ impl<B: PipeBackend, K: Key> Treap<B, K> {
 //
 // Inputs are shared and immutable, so every function copies the path it
 // changes and shares the rest — down to the node or block itself when
-// nothing below it changed; results are complete. Reached only through
-// complete operands, whose children are all held directly: a pointer walk
-// down to the blocks, one allocation per node or block built, and no engine
-// anywhere. Two blocks (or a block and the empty treap) meet in one pass
-// over their entries; a block meets a node by [`expose`].
+// nothing below it changed; results are complete. A walk by reference down
+// to the blocks, one allocation per node or block built, and no engine.
 
 /// The subtreap below a node of a complete treap.
 fn kid<B: PipeBackend, K: Key>(c: &Child<B, K>) -> &Treap<B, K> {
@@ -539,6 +536,17 @@ fn fringe<B: PipeBackend, K: Val>(t: &Treap<B, K>) -> Option<&[Entry<K>]> {
         Treap::Block(b) => Some(b),
         Treap::Node(_) => None,
     }
+}
+
+/// The entries of a complete treap in key order: [`fringe`]'s, borrowed,
+/// or gathered by one in-order walk of a node.
+fn entries<B: PipeBackend, K: Key>(t: &Treap<B, K>) -> Cow<'_, [Entry<K>]> {
+    if let Some(x) = fringe(t) {
+        return Cow::Borrowed(x);
+    }
+    let mut out = Vec::with_capacity(len(t));
+    t.inorder(&mut |k, p| out.push((k.clone(), p)));
+    Cow::Owned(out)
 }
 
 /// The index of a block's root: the entry that [`wins`] over the others.
@@ -650,27 +658,18 @@ fn with_kids<B: PipeBackend, K: Key>(
     Treap::node_sized(key.clone(), prio, l, r)
 }
 
-/// The paper's work bound for a set operation on `n` and `m` keys
-/// (Theorems 3.5 and 3.7) with its constant dropped: m·(⌊lg(n/m)⌋+1), m
-/// the smaller.
-fn work_estimate(n: usize, m: usize) -> u64 {
-    let (m, n) = (m.min(n) as u64, m.max(n) as u64);
-    if m == 0 {
-        0
-    } else {
-        m * u64::from((n / m).ilog2() + 1)
-    }
-}
-
 /// Can engine `B` run a set operation on complete operands of `n` and `m`
 /// keys as plain code: is its work estimate m·(⌊lg(n/m)⌋+1), m the
-/// smaller, within [`PipeBackend::GRAIN`]? The rule of the module docs
+/// smaller — the paper's bound (Theorems 3.5 and 3.7) with its constant
+/// dropped — within [`PipeBackend::GRAIN`]? The rule of the module docs
 /// ("Granularity"), which the pipelined [`union`], [`diff`] and
 /// [`intersect`] apply at every step to two sized operands; a caller with
 /// no engine in hand (pf-service's inline pass) asks it of sizes it knows
 /// or bounds, then runs [`union_run`] and [`diff_run`].
 pub fn within_grain<B: PipeBackend>(n: usize, m: usize) -> bool {
-    B::GRAIN > 0 && work_estimate(n, m) <= B::GRAIN
+    let (m, n) = (m.min(n) as u64, m.max(n) as u64);
+    let work = m * u64::from(n.checked_div(m).map_or(0, |q| q.ilog2() + 1));
+    B::GRAIN > 0 && work <= B::GRAIN
 }
 
 /// Are `a` and `b` both [`sized`](Treap::sized), and their set operation
@@ -738,21 +737,6 @@ fn join_plain<B: PipeBackend, K: Key>(l: &Treap<B, K>, r: &Treap<B, K>) -> Treap
     }
 }
 
-fn union_plain<B: PipeBackend, K: Key>(a: &Treap<B, K>, b: &Treap<B, K>) -> Treap<B, K> {
-    if let (Treap::Leaf, t) | (t, Treap::Leaf) = (a, b) {
-        return t.clone();
-    }
-    if let (Some(x), Some(y)) = (fringe(a), fringe(b)) {
-        return merge(a, x, Some(b), y);
-    }
-    let (w, loser) = if wins_over(a, b) { (a, b) } else { (b, a) };
-    let (key, _, wl, wr) = expose(w);
-    let (l2, r2, _dup) = split_plain(loser, key);
-    let l = union_plain(&wl, &l2);
-    let r = union_plain(&wr, &r2);
-    with_kids(w, l, r)
-}
-
 /// The next entry of the union of the key-sorted runs `x[i..]` and
 /// `y[j..]`, advancing past it — a key in both yields its [`wins`] winner,
 /// `x`'s if they are the same entry, and advances both — and whether it
@@ -785,16 +769,10 @@ fn merge_next<'a, K: Ord>(
     }
 }
 
-/// The union of the entries `x` of `a` and `y` of `b`, a block or the
-/// empty treap each — or `y` a bare key-sorted run, `b` then `None`: a
-/// two-finger merge keeping the [`wins`] winner of a key in both, and `a`
-/// or `b` itself when the other adds nothing to it.
-fn merge<B: PipeBackend, K: Key>(
-    a: &Treap<B, K>,
-    x: &[Entry<K>],
-    b: Option<&Treap<B, K>>,
-    y: &[Entry<K>],
-) -> Treap<B, K> {
+/// The union of the entries `x` of the complete treap `a` and the
+/// key-sorted run `y`: a two-finger merge keeping the [`wins`] winner of a
+/// key in both, and `a` itself when `y` adds nothing to it.
+fn merge<B: PipeBackend, K: Key>(a: &Treap<B, K>, x: &[Entry<K>], y: &[Entry<K>]) -> Treap<B, K> {
     let (mut n, mut from_x, mut at) = (0, 0, (0, 0));
     while at.0 < x.len() || at.1 < y.len() {
         n += 1;
@@ -803,120 +781,132 @@ fn merge<B: PipeBackend, K: Key>(
     if n == x.len() && from_x == n {
         return a.clone();
     }
-    if let Some(b) = b.filter(|_| n == y.len() && from_x == 0) {
-        return b.clone();
-    }
     let mut at = (0, 0);
     from_run(n, || merge_next(x, y, &mut at).0.clone())
 }
 
-/// `diff` (`keep_found == false`: `a`'s keys not in `b`) and its dual
-/// `intersect` (`keep_found == true`: `a`'s keys also in `b`), which
-/// differ only in which verdict keeps the root.
-fn select_plain<B: PipeBackend, K: Key>(
-    a: &Treap<B, K>,
-    b: &Treap<B, K>,
-    keep_found: bool,
-) -> Treap<B, K> {
-    if a.is_leaf() || b.is_leaf() {
-        return if keep_found { Treap::Leaf } else { a.clone() };
-    }
-    let n1 = match a {
-        Treap::Node(n1) => n1,
-        Treap::Block(x) => return filter(a, x, |k| b.contains(k) == keep_found),
-        Treap::Leaf => unreachable!("handled above"),
-    };
-    let (l2, r2, found) = split_plain(b, &n1.key);
-    let l = select_plain(kid(&n1.left), &l2, keep_found);
-    let r = select_plain(kid(&n1.right), &r2, keep_found);
-    if found == keep_found {
-        with_kids(a, l, r)
-    } else {
-        join_plain(&l, &r)
-    }
-}
-
-/// The entries `x` of the block `a` whose key `keeps`, in a block — `a`
-/// itself if that is all of them: [`select_plain`] and [`diff_run`] at a
-/// block.
-fn filter<B: PipeBackend, K: Key>(
-    a: &Treap<B, K>,
-    x: &[Entry<K>],
-    keeps: impl Fn(&K) -> bool,
-) -> Treap<B, K> {
-    let keep = (x.iter().enumerate())
-        .filter(|(_, e)| keeps(&e.0))
-        .fold(0u64, |m, (i, _)| m | 1 << i);
-    let n = keep.count_ones() as usize;
-    if n == x.len() {
-        return a.clone();
-    }
-    let mut kept = (x.iter().enumerate())
-        .filter(|&(i, _)| keep >> i & 1 == 1)
-        .map(|(_, e)| e.clone());
-    from_run(n, || kept.next().expect("counted"))
+/// Does [`union_run`] merge a run of `m` entries into a treap of `n` keys
+/// whole, not cut it in: is it more than half the treap? Cuts would copy
+/// all of the treap anyway.
+fn merges(n: usize, m: usize) -> bool {
+    n < 2 * m
 }
 
 /// The union of the complete treap `t` and `run` — entries sorted by key,
-/// no key twice — as plain code with no engine: the complete treap of
-/// their entries, a key in both keeping its [`wins`] winner, and `t`
-/// itself if `run` adds nothing. The plain union with the small operand
-/// left a slice, cut by binary search instead of split node by node: at a
-/// node, either the run's winner beats the node's entry, becomes the root,
-/// and `t` is split plainly by its key, or the run is cut at the node's key
-/// (an entry with that key loses to the node and is dropped); a leaf or a
-/// block meets what is left of the run in one two-finger merge.
+/// no key twice — as plain code with no engine: a key in both keeps its
+/// [`wins`] winner, and `t` itself comes back if `run` adds nothing. At a
+/// node the run's winner either beats the node's entry and becomes the
+/// root over `t` split plainly by its key, or the run is cut at the node's
+/// key by binary search (an entry with that key loses to the node); each
+/// leaf or block the cuts reach meets its piece of the run in one
+/// two-finger merge, and so does a `t` at most twice the run's size.
 ///
 /// # Panics
 /// If `t` holds a future cell.
 pub fn union_run<B: PipeBackend, K: Key>(t: &Treap<B, K>, run: &[Entry<K>]) -> Treap<B, K> {
+    match t {
+        Treap::Node(n) if merges(n.size, run.len()) => merge(t, &entries(t), run),
+        _ => union_cut(t, run, None),
+    }
+}
+
+/// [`union_run`] below its one [`merges`] question, told the index of
+/// `run`'s winner when a cut left it there: only the other side rescans.
+fn union_cut<B: PipeBackend, K: Key>(
+    t: &Treap<B, K>,
+    run: &[Entry<K>],
+    winner: Option<usize>,
+) -> Treap<B, K> {
     if run.is_empty() {
         return t.clone();
     }
     let Treap::Node(n) = t else {
-        let x = fringe(t).expect("a leaf or a block");
-        return merge(t, x, None, run);
+        return merge(t, fringe(t).expect("a leaf or a block"), run);
     };
-    let i = top(run);
+    let i = winner.unwrap_or_else(|| top(run));
     let (key, prio) = (&run[i].0, run[i].1);
     if wins(key, prio, &n.key, n.prio) {
         let (l, r, _dup) = split_plain(t, key);
-        let (l, r) = (union_run(&l, &run[..i]), union_run(&r, &run[i + 1..]));
+        let l = union_cut(&l, &run[..i], None);
+        let r = union_cut(&r, &run[i + 1..], None);
         return Treap::node_sized(key.clone(), prio, l, r);
     }
     let below = run.partition_point(|e| e.0 < n.key);
     let above = below + usize::from(run.get(below).is_some_and(|e| e.0 == n.key));
-    let l = union_run(kid(&n.left), &run[..below]);
-    let r = union_run(kid(&n.right), &run[above..]);
+    let l = union_cut(kid(&n.left), &run[..below], (i < below).then_some(i));
+    let r = union_cut(kid(&n.right), &run[above..], i.checked_sub(above));
     with_kids(t, l, r)
 }
 
 /// The complete treap `t` without `keys` — sorted, no key twice — as plain
-/// code with no engine, and `t` itself if it holds none of them:
-/// the plain difference with the small operand left a slice, cut at each
-/// node's key by binary search; a found key is removed by joining its two
-/// sides, and a block keeps the entries the slice lacks.
+/// code with no engine, and `t` itself if it holds none of them: the slice
+/// is cut at each node's key by binary search, a found key is removed by
+/// joining its two sides, and a block keeps the entries the slice lacks.
 ///
 /// # Panics
 /// If `t` holds a future cell.
 pub fn diff_run<B: PipeBackend, K: Key>(t: &Treap<B, K>, keys: &[K]) -> Treap<B, K> {
+    select_run::<B, K, false>(t, keys)
+}
+
+/// [`diff_run`] (`KEEP_FOUND == false`) and its dual (`true`: the entries
+/// whose keys are in `keys`), as [`select`] is of [`diff`] and [`intersect`]:
+/// a node stays iff the verdict on its key is `KEEP_FOUND`, else its sides
+/// are joined; a block [`keep`]s the entries with that verdict.
+fn select_run<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
+    t: &Treap<B, K>,
+    keys: &[K],
+) -> Treap<B, K> {
     if keys.is_empty() {
-        return t.clone();
+        return if KEEP_FOUND { Treap::Leaf } else { t.clone() };
     }
     let n = match t {
         Treap::Leaf => return Treap::Leaf,
-        Treap::Block(x) => return filter(t, x, |k| keys.binary_search(k).is_err()),
+        Treap::Block(_) => return keep(t, |k| keys.binary_search(k).is_ok() == KEEP_FOUND),
         Treap::Node(n) => n,
     };
     let below = keys.partition_point(|k| *k < n.key);
     let found = keys.get(below) == Some(&n.key);
-    let l = diff_run(kid(&n.left), &keys[..below]);
-    let r = diff_run(kid(&n.right), &keys[below + usize::from(found)..]);
-    if found {
-        join_plain(&l, &r)
-    } else {
+    let l = select_run::<B, K, KEEP_FOUND>(kid(&n.left), &keys[..below]);
+    let r = select_run::<B, K, KEEP_FOUND>(kid(&n.right), &keys[below + usize::from(found)..]);
+    if found == KEEP_FOUND {
         with_kids(t, l, r)
+    } else {
+        join_plain(&l, &r)
     }
+}
+
+/// The complete treap of `t`'s entries whose key `keeps`, `t` itself if
+/// that is all of them: a block marks its survivors in one `u64`, a larger
+/// treap is flattened, filtered and built again.
+fn keep<B: PipeBackend, K: Key>(t: &Treap<B, K>, keeps: impl Fn(&K) -> bool) -> Treap<B, K> {
+    if let Treap::Block(x) = t {
+        let mask = (x.iter().enumerate())
+            .filter(|(_, e)| keeps(&e.0))
+            .fold(0u64, |m, (i, _)| m | 1 << i);
+        let n = mask.count_ones() as usize;
+        if n == x.len() {
+            return t.clone();
+        }
+        let mut kept = (x.iter().enumerate())
+            .filter(|&(i, _)| mask >> i & 1 == 1)
+            .map(|(_, e)| e.clone());
+        return from_run(n, || kept.next().expect("counted"));
+    }
+    let mut x = entries(t).into_owned();
+    let n = x.len();
+    x.retain(|e| keeps(&e.0));
+    if x.len() == n {
+        return t.clone();
+    }
+    Treap::from_sorted_complete(&x)
+}
+
+/// Does a plain [`select`] of `a`'s `m` keys against `b`'s `n` look them up
+/// in `b` rather than walk all of `b` for [`select_run`]: is `b` more than
+/// 4 times larger?
+fn looks_up(m: usize, n: usize) -> bool {
+    n > 4 * m
 }
 
 /// `splitm(s, t)` (Figure 4): partition `t` by the splitter `s` into keys
@@ -1026,7 +1016,9 @@ pub fn union<B: PipeBackend, K: Key>(
         }
         bk.touch(&b, move |bk, bv| {
             if fuses(&av, &bv) {
-                bk.fulfill(out, union_plain(&av, &bv));
+                let mut by_size = [&av, &bv];
+                by_size.sort_by_key(|t| len(t));
+                bk.fulfill(out, union_run(by_size[1], &entries(by_size[0])));
                 return;
             }
             bk.tick(1);
@@ -1091,7 +1083,7 @@ pub fn intersect<B: PipeBackend, K: Key>(
 }
 
 /// The one body of [`diff`] (`KEEP_FOUND == false`) and [`intersect`]
-/// (`true`), as [`select_plain`] is of their plain code: a root stays iff
+/// (`true`), as [`select_run`] is of their plain code: a root stays iff
 /// `splitm`'s verdict on its key equals `KEEP_FOUND`, else its two
 /// recursive results are joined. A const, so each verdict is its own
 /// monomorphic text and no closure carries it.
@@ -1110,7 +1102,12 @@ fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
         }
         bk.touch(&b, move |bk, bv| {
             if fuses(&av, &bv) {
-                bk.fulfill(out, select_plain(&av, &bv, KEEP_FOUND));
+                let got = if looks_up(len(&av), len(&bv)) {
+                    keep(&av, |k| bv.contains(k) == KEEP_FOUND)
+                } else {
+                    select_run::<B, K, KEEP_FOUND>(&av, &bv.to_sorted_vec())
+                };
+                bk.fulfill(out, got);
                 return;
             }
             bk.tick(1);
@@ -1220,31 +1217,32 @@ mod tests {
         let pending = Treap::<B, i64>::node_over(7, 9, 0, leaf(), leaf());
         assert!(fuses(&t(&one), &t(&big)));
         assert!(!fuses(&pending, &t(&one)) && !fuses(&t(&one), &pending));
-        // The run operations: into a block, a node and a big treap.
+        // The run operations: into a block, a node cut and a node merged
+        // whole (more than half its size), and a big treap. Intersection is
+        // `a` without `a` minus `b`, once by its run and once by lookups.
         let p = |e: &[Entry<i64>]| PlainTreap::from_entries(e);
-        for (a, b) in [
-            (e(0..20), e(10..40)),
-            (e(0..120), e((0..40).map(|i| 3 * i))),
+        for (a, b, whole) in [
+            (e(0..20), e(10..40), true),
+            (e(0..120), e((0..40).map(|i| 3 * i)), false),
+            (e(0..120), e((0..70).map(|i| 2 * i + 1)), true),
         ] {
+            assert_eq!(merges(a.len(), b.len()), whole);
             let keys: Vec<i64> = b.iter().map(|e| e.0).collect();
-            same_tree(
-                union_run(&t(&a), &b),
-                PlainTreap::union(p(&a), p(&b)),
-                "union",
-            );
-            same_tree(
-                diff_run(&t(&a), &keys),
-                PlainTreap::diff(p(&a), p(&b)),
-                "diff",
-            );
+            let (ta, tb) = (t(&a), t(&b));
+            same_tree(union_run(&ta, &b), PlainTreap::union(p(&a), p(&b)), "union");
+            let want = || PlainTreap::diff(p(&a), p(&b));
+            same_tree(diff_run(&ta, &keys), want(), "diff");
+            same_tree(keep(&ta, |k| !tb.contains(k)), want(), "diff by lookups");
+            let want = || PlainTreap::diff(p(&a), want());
+            same_tree(select_run::<B, i64, true>(&ta, &keys), want(), "intersect");
+            same_tree(keep(&ta, |k| tb.contains(k)), want(), "meet by lookups");
         }
         let root = t(&big);
         same_tree(union_run(&root, &one), p(&big), "one key into many");
         assert!(same(&union_run(&root, &one), &root), "nothing to add");
-        assert!(
-            same(&diff_run(&root, &[-1, 1 << 40]), &root),
-            "nothing to delete"
-        );
+        let absent = diff_run(&root, &[-1, 1 << 40]);
+        assert!(same(&absent, &root), "nothing to delete");
+        assert!(same(&keep(&root, |_| true), &root), "nothing to drop");
     }
 
     #[test]

@@ -50,8 +50,9 @@ fn same<B: PipeBackend, K: Key>(a: &Treap<B, K>, b: &Treap<B, K>) -> bool {
 
 /// On engine `B`: `union_run` and `diff_run` of the complete treap of `t`
 /// with `run` and `dels` build `PlainTreap`'s union and difference in the
-/// canonical representation, and return `t` itself for an empty run and
-/// for deletes of absent keys only.
+/// canonical representation, and return `t` itself for an empty run, for
+/// `t`'s own entries (merged whole) or its first (cut in), and for deletes
+/// of absent keys only.
 fn check_runs<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
     let plain = || PlainTreap::from_entries(t);
     let tree = Treap::<B, i64>::from_sorted_complete(t);
@@ -77,6 +78,8 @@ fn check_runs<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]
         assert_eq!(got.sized(), want.sized(), "case {i}");
     }
     assert!(same(&union_run(&tree, &[]), &tree), "an empty run");
+    assert!(same(&union_run(&tree, t), &tree), "its own entries");
+    assert!(same(&union_run(&tree, &t[..t.len().min(1)]), &tree), "one");
     assert!(same(&diff_run(&tree, &absent), &tree), "absent deletes");
 }
 
@@ -119,8 +122,10 @@ proptest! {
     /// of 0 to 96 keys — 32 and 33, the block/node edge, one case in four —
     /// or a few thousand more; a run of new keys, of present keys
     /// re-prioritised higher or lower, and of entries that beat `t`'s root
-    /// at a new key or a present one (`edits`: 200 × how + key); deletes of
-    /// present and absent keys.
+    /// at a new key or a present one (`edits`: 200 × how + key), plus
+    /// `grow` halves of `t`'s size in keys drawn over its key range — up to
+    /// twice `t`, so the run reaches `t`'s size and beyond and `union_run`
+    /// merges it whole; deletes of present and absent keys.
     #[test]
     fn run_operations_build_the_oracles_tree(
         small in btree_map(0i64..160, 0u64..1 << 40, 97..98),
@@ -129,6 +134,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         tie in 0u64..4,
         edits in vec(0i64..1000, 0..40),
+        grow in 0usize..5,
         dels in btree_set(-20i64..220, 0..30),
     ) {
         let len = if len < 97 { len } else { 32 + len % 2 };
@@ -147,6 +153,11 @@ proptest! {
                 _ => (k, if tie == 0 { h % 4 } else { h }),
             };
             run.entry(key).or_insert(prio);
+        }
+        let (lo, hi) = (t.first().map_or(0, |e| e.0), t.last().map_or(160, |e| e.0 + 1));
+        for i in 0..(grow * t.len().max(8) / 2) as u64 {
+            let h = splitmix64(seed ^ 0x5EED ^ i.wrapping_mul(0x9E37_79B9));
+            run.entry(lo + (h % (hi - lo) as u64) as i64).or_insert(h >> 20);
         }
         let run: Vec<Entry<i64>> = run.into_iter().collect();
         let dels: Vec<i64> = dels.into_iter().collect();

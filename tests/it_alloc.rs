@@ -194,7 +194,7 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
     assert_eq!((allocs, frees, node_allocs), built, "Seq from_plain");
     let ([_, frees, _, node_frees], ()) = counted(move || drop(t));
     assert_eq!((frees, node_frees), (nodes + blocks, nodes), "Seq drop");
-    let ([_, _, node_allocs, _], a) = counted(|| Treap::from_entries(&Seq, &big));
+    let ([_, _, node_allocs, _], _) = counted(|| Treap::from_entries(&Seq, &big));
     assert_eq!(node_allocs, nodes, "Seq from_entries");
     let ([allocs, frees, node_allocs, _], ra) = counted(|| RTreap::from_plain_complete(&plain));
     assert_eq!(
@@ -213,38 +213,77 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
     );
     drop(sorted);
 
-    // Below-grain operations: a 100-key batch (its splits build nodes and
-    // blocks the result does not keep) and a single key (they do not).
+    // Below-grain operations on the big treap: a 100-key batch (its splits
+    // build nodes and blocks the result does not keep) and a single key
+    // (they do not). Then the two ends of the size rules: 2 000 keys
+    // interleaved with 3 000, more than half, merged whole from both
+    // treaps' entries; a 200-key batch minus the big treap, its keys
+    // looked up there.
     type Op<B> = fn(&B, TreapFut<B, i64>, TreapFut<B, i64>, TreapWr<B, i64>, Mode);
+    let near = entries((0..3000).map(|i| 2 * i));
+    let batch = entries((0..200).map(|i| 3 * i + i % 2));
     let rt = Runtime::new(1);
-    type Case = (&'static str, Vec<(i64, u64)>, bool, Op<Seq>, Op<Worker>);
-    let cases: [Case; 4] = [
+    type Case<'a> = (
+        &'static str,
+        &'a [(i64, u64)],
+        Vec<(i64, u64)>,
+        bool,
+        Op<Seq>,
+        Op<Worker>,
+    );
+    let cases: [Case<'_>; 6] = [
         (
             "union of a batch",
+            &big,
             entries((0..100).map(|i| 290 * i + 1)),
             false,
             union,
             union,
         ),
-        ("union of one key", entries([4_001]), true, union, union),
+        (
+            "union of one key",
+            &big,
+            entries([4_001]),
+            true,
+            union,
+            union,
+        ),
         (
             "diff of a batch",
+            &big,
             entries((0..100).map(|i| 291 * i)),
             false,
             diff,
             diff,
         ),
-        ("diff of one key", entries([3_000]), true, diff, diff),
+        ("diff of one key", &big, entries([3_000]), true, diff, diff),
+        (
+            "near-equal union",
+            &near,
+            entries((0..2000).map(|i| 2 * i + 1)),
+            false,
+            union,
+            union,
+        ),
+        (
+            "batch minus the big treap",
+            &batch,
+            big.clone(),
+            false,
+            diff,
+            diff,
+        ),
     ];
-    for (what, b, one_key, seq_op, rt_op) in cases {
-        let sb = Treap::from_entries(&Seq, &b);
-        check_op(&format!("Seq {what}"), &a, &sb, one_key, |a, b| {
+    for (what, a, b, one_key, seq_op, rt_op) in cases {
+        let (sa, sb) = (Treap::from_entries(&Seq, a), Treap::from_entries(&Seq, &b));
+        check_op(&format!("Seq {what}"), &sa, &sb, one_key, |a, b| {
             Seq::run(|bk| {
                 let (p, f) = bk.cell();
                 seq_op(bk, bk.input(a), bk.input(b), p, Mode::Pipelined);
                 Treap::expect(&f)
             })
         });
+        let ra = RTreap::from_plain_complete(&PlainTreap::from_entries(a));
         let rb = RTreap::from_plain_complete(&PlainTreap::from_entries(&b));
         check_op(&format!("pf-rt {what}"), &ra, &rb, one_key, |a, b| {
             let (p, f) = cell();

@@ -378,6 +378,17 @@ impl<K: Key + Debug> SetOps<K> {
     }
 }
 
+/// Operand pairs either side of the plain kernel's size rules, both ways
+/// round: a union merges 600 keys into 1 199 and cuts them into 1 200; 300
+/// keys are looked up in 1 201 and meet 1 200 flattened into a key run.
+#[cfg(test)]
+pub(crate) fn size_rule_pairs() -> Vec<[Vec<Entry<i64>>; 2]> {
+    let sizes = [(1199, 600), (1200, 600), (1201, 300), (1200, 300)];
+    let pair = |(n, m)| [entries(evens(n)), entries((0..m).map(|i| 3 * i + 1))];
+    let orders = |[a, b]: [Vec<Entry<i64>>; 2]| [[a.clone(), b.clone()], [b, a]];
+    sizes.into_iter().map(pair).flat_map(orders).collect()
+}
+
 /// On engine `B`: `splitm` of `t` (with its unsized top `crust` deep) at
 /// `s` builds `PlainTreap::split`'s two trees and reports whether `s` was
 /// there; `join` of the two builds `PlainTreap::join`'s tree.

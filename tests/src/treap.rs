@@ -31,14 +31,15 @@ mod tests {
     /// throughout), on one of each, and on operands whose unsized top holds
     /// one child directly and the other in a cell, every set operation
     /// builds `PlainTreap`'s tree on `Seq` and on pf-rt at every width (the
-    /// two engines side by side).
+    /// two engines side by side) — also either side of the plain kernel's
+    /// size rules.
     #[test]
     fn sized_and_unsized_operands_build_the_oracles_tree() {
         let reprio = |e: &[Entry<i64>]| -> Vec<Entry<i64>> {
             e.iter().map(|&(k, p)| (k, splitmix64(p))).collect()
         };
         let x = entries((0..120).map(|i| 3 * i));
-        let cases = [
+        let mut cases = vec![
             (vec![], vec![]),
             (vec![], x.clone()),
             (x.clone(), vec![]),
@@ -58,6 +59,7 @@ mod tests {
                 reprio(&entries((0..1500).map(|i| 13 * i))),
             ),
         ];
+        cases.extend(size_rule_pairs().into_iter().map(|[a, b]| (a, b)));
         for (a, b) in &cases {
             let ops = SetOps::new(a, b);
             std::thread::scope(|s| {
@@ -173,7 +175,9 @@ mod tests {
         on_sim(Union, &entries(0..80), &entries(40..120));
     }
 
-    /// Same tie-break rule ⇒ same treap shape as the sequential oracle.
+    /// Same tie-break rule ⇒ same treap shape as the sequential oracle —
+    /// for difference and intersection too, on the size-rule pairs' operands
+    /// (a shape check only: the simulator never fuses, so runs no kernel).
     #[test]
     fn union_matches_sequential_shape() {
         on_sim(
@@ -181,6 +185,9 @@ mod tests {
             &entries((0..200).map(|i| 3 * i)),
             &entries((0..150).map(|i| 2 * i)),
         );
+        for [a, b] in size_rule_pairs() {
+            SetOps::new(&a, &b).check::<Ctx>(&[Union, Diff, Intersect], &BOTH_SIZED);
+        }
     }
 
     #[test]
