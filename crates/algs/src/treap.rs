@@ -53,6 +53,13 @@
 //! pending operand. An engine that never cuts never fuses either: with
 //! `GRAIN == 0` the input constructors build unsized nodes on cells and
 //! nothing builds a block, so every step and every data edge is the paper's.
+//!
+//! The run kernel is written once over what it does at a subtreap whose
+//! answer it knows: build it now, sharing what did not change — the path
+//! copy that the pipelined step and every shared operand need — or record
+//! it in a [`Patch`] ([`plan_union`], [`plan_diff`]) that
+//! [`Patch::commit`] later applies in place to a treap nothing else holds,
+//! with no comparison, key clone or allocation left to run.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -296,6 +303,17 @@ impl<B: PipeBackend, K: Key> Treap<B, K> {
         matches!(self, Treap::Leaf)
     }
 
+    /// Are `self` and `other` the same subtreap in memory, not merely
+    /// equal?
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Treap::Leaf, Treap::Leaf) => true,
+            (Treap::Node(x), Treap::Node(y)) => Arc::ptr_eq(x, y),
+            (Treap::Block(x), Treap::Block(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        }
+    }
+
     /// The number of keys, if the treap is known to be complete (the empty
     /// treap is).
     pub fn sized(&self) -> Option<usize> {
@@ -512,6 +530,8 @@ impl<B: PipeBackend, K: Key> Treap<B, K> {
 // changes and shares the rest — down to the node or block itself when
 // nothing below it changed; results are complete. A walk by reference down
 // to the blocks, one allocation per node or block built, and no engine.
+// The run kernel's `Record` emitter is the one exception: it writes
+// nothing either, but leaves a patch for `Patch::commit` to apply in place.
 
 /// The subtreap below a node of a complete treap.
 fn kid<B: PipeBackend, K: Key>(c: &Child<B, K>) -> &Treap<B, K> {
@@ -632,16 +652,6 @@ fn from_run<B: PipeBackend, K: Key>(n: usize, mut next: impl FnMut() -> Entry<K>
     }
 }
 
-/// Are `a` and `b` the same subtreap (not merely equal)?
-fn same<B: PipeBackend, K: Val>(a: &Treap<B, K>, b: &Treap<B, K>) -> bool {
-    match (a, b) {
-        (Treap::Leaf, Treap::Leaf) => true,
-        (Treap::Node(x), Treap::Node(y)) => Arc::ptr_eq(x, y),
-        (Treap::Block(x), Treap::Block(y)) => Arc::ptr_eq(x, y),
-        _ => false,
-    }
-}
-
 /// The complete treap `t`'s root entry over the complete subtreaps `l` and
 /// `r`: `t` itself if it is a node and those are the children it has.
 fn with_kids<B: PipeBackend, K: Key>(
@@ -650,7 +660,7 @@ fn with_kids<B: PipeBackend, K: Key>(
     r: Treap<B, K>,
 ) -> Treap<B, K> {
     if let Treap::Node(n) = t {
-        if same(kid(&n.left), &l) && same(kid(&n.right), &r) {
+        if kid(&n.left).ptr_eq(&l) && kid(&n.right).ptr_eq(&r) {
             return t.clone();
         }
     }
@@ -800,80 +810,382 @@ fn merges(n: usize, m: usize) -> bool {
 /// key by binary search (an entry with that key loses to the node); each
 /// leaf or block the cuts reach meets its piece of the run in one
 /// two-finger merge, and so does a `t` at most twice the run's size.
+/// [`plan_union`] is the same kernel, recorded for an edit in place.
 ///
 /// # Panics
 /// If `t` holds a future cell.
 pub fn union_run<B: PipeBackend, K: Key>(t: &Treap<B, K>, run: &[Entry<K>]) -> Treap<B, K> {
-    match t {
-        Treap::Node(n) if merges(n.size, run.len()) => merge(t, &entries(t), run),
-        _ => union_cut(t, run, None),
-    }
-}
-
-/// [`union_run`] below its one [`merges`] question, told the index of
-/// `run`'s winner when a cut left it there: only the other side rescans.
-fn union_cut<B: PipeBackend, K: Key>(
-    t: &Treap<B, K>,
-    run: &[Entry<K>],
-    winner: Option<usize>,
-) -> Treap<B, K> {
-    if run.is_empty() {
-        return t.clone();
-    }
-    let Treap::Node(n) = t else {
-        return merge(t, fringe(t).expect("a leaf or a block"), run);
-    };
-    let i = winner.unwrap_or_else(|| top(run));
-    let (key, prio) = (&run[i].0, run[i].1);
-    if wins(key, prio, &n.key, n.prio) {
-        let (l, r, _dup) = split_plain(t, key);
-        let l = union_cut(&l, &run[..i], None);
-        let r = union_cut(&r, &run[i + 1..], None);
-        return Treap::node_sized(key.clone(), prio, l, r);
-    }
-    let below = run.partition_point(|e| e.0 < n.key);
-    let above = below + usize::from(run.get(below).is_some_and(|e| e.0 == n.key));
-    let l = union_cut(kid(&n.left), &run[..below], (i < below).then_some(i));
-    let r = union_cut(kid(&n.right), &run[above..], i.checked_sub(above));
-    with_kids(t, l, r)
+    union_with(&mut Build, t, run)
 }
 
 /// The complete treap `t` without `keys` — sorted, no key twice — as plain
 /// code with no engine, and `t` itself if it holds none of them: the slice
 /// is cut at each node's key by binary search, a found key is removed by
 /// joining its two sides, and a block keeps the entries the slice lacks.
+/// [`plan_diff`] is the same kernel, recorded for an edit in place.
 ///
 /// # Panics
 /// If `t` holds a future cell.
 pub fn diff_run<B: PipeBackend, K: Key>(t: &Treap<B, K>, keys: &[K]) -> Treap<B, K> {
-    select_run::<B, K, false>(t, keys)
+    select_run::<B, K, _, false>(&mut Build, t, keys)
+}
+
+/// [`union_run`] of `t` and `run`, recorded as a [`Patch`] of `t` instead
+/// of built: every comparison, key clone and block build happens here, and
+/// [`Patch::commit`] then only stores sizes and moves subtreaps. A node the
+/// union keeps over changed children is edited in place only if nothing
+/// else can reach it: `t`'s root if at most `owners` handles hold it (the
+/// caller's own among them), a node below if only its parent does. At a
+/// node anyone else holds — a reader's snapshot, say — the union of its
+/// subtreap is built as [`union_run`] builds it and put in whole, so the
+/// patch copies only what others hold.
+///
+/// # Panics
+/// If `t` holds a future cell.
+pub fn plan_union<B: PipeBackend, K: Key>(
+    t: &Treap<B, K>,
+    run: &[Entry<K>],
+    owners: usize,
+) -> Patch<B, K> {
+    let mut rec = Record::new(owners);
+    union_with(&mut rec, t, run);
+    Patch { edits: rec.edits }
+}
+
+/// [`diff_run`] of `t` and `keys`, recorded as a [`Patch`] of `t`: the
+/// difference's counterpart of [`plan_union`], with the same `owners`.
+///
+/// # Panics
+/// If `t` holds a future cell.
+pub fn plan_diff<B: PipeBackend, K: Key>(
+    t: &Treap<B, K>,
+    keys: &[K],
+    owners: usize,
+) -> Patch<B, K> {
+    let mut rec = Record::new(owners);
+    select_run::<B, K, _, false>(&mut rec, t, keys);
+    Patch { edits: rec.edits }
+}
+
+/// What the run kernel does with a subtreap once it knows its answer:
+/// [`Build`] makes the answer now, a complete treap that shares whatever
+/// did not change (the path copy every shared operand needs); [`Record`]
+/// notes it in a [`Patch`]. The kernel is written once over this trait.
+trait Emit<B: PipeBackend, K: Key> {
+    /// The answer for one subtreap.
+    type Out;
+    /// What [`open`](Emit::open) hands to [`leave`](Emit::leave).
+    type Mark;
+    /// `t` unchanged.
+    fn same(&mut self, t: &Treap<B, K>) -> Self::Out;
+    /// `t` replaced by the complete treap `new`, built now — perhaps `t`
+    /// itself.
+    fn put(&mut self, t: &Treap<B, K>, new: Treap<B, K>) -> Self::Out;
+    /// May the kernel answer for node `n` through [`open`](Emit::open) and
+    /// [`leave`](Emit::leave)? If not, it builds the answer and
+    /// [`put`](Emit::put)s it.
+    fn owns(&self, n: &Arc<TreapNode<B, K>>) -> bool;
+    /// The kernel keeps the entry of the node it [`owns`](Emit::owns) and
+    /// answers for its two children next, left first.
+    fn open(&mut self) -> Self::Mark;
+    /// The node `t`, opened, over its children's answers `l` and `r`.
+    fn leave(&mut self, at: Self::Mark, t: &Treap<B, K>, l: Self::Out, r: Self::Out) -> Self::Out;
+}
+
+/// The emitter that builds: a path copy.
+struct Build;
+
+impl<B: PipeBackend, K: Key> Emit<B, K> for Build {
+    type Out = Treap<B, K>;
+    type Mark = ();
+    fn same(&mut self, t: &Treap<B, K>) -> Treap<B, K> {
+        t.clone()
+    }
+    fn put(&mut self, _: &Treap<B, K>, new: Treap<B, K>) -> Treap<B, K> {
+        new
+    }
+    fn owns(&self, _: &Arc<TreapNode<B, K>>) -> bool {
+        true
+    }
+    fn open(&mut self) {}
+    fn leave(&mut self, _: (), t: &Treap<B, K>, l: Treap<B, K>, r: Treap<B, K>) -> Treap<B, K> {
+        with_kids(t, l, r)
+    }
+}
+
+/// A recorded edit of a complete treap ([`plan_union`], [`plan_diff`]):
+/// one edit per subtreap it changes, in preorder; none if it changes
+/// nothing.
+pub struct Patch<B: PipeBackend, K: Val> {
+    edits: Vec<Edit<B, K>>,
+}
+
+/// What a [`Patch`] does to one subtreap it changes.
+enum Edit<B: PipeBackend, K: Val> {
+    /// Keep the node's entry over this many keys. The edits of the
+    /// children that change follow: the left's if `left`, then the
+    /// right's if `right`.
+    Resize {
+        keys: usize,
+        left: bool,
+        right: bool,
+    },
+    /// Replace the subtreap by this complete treap, built while planning.
+    Put(Treap<B, K>),
+}
+
+/// The emitter that records. An answer is where the subtreap's edit sits
+/// in `edits` — `None` if it is unchanged — and its key count after it.
+struct Record<B: PipeBackend, K: Val> {
+    edits: Vec<Edit<B, K>>,
+    /// The handles on the root that the planner accounts for.
+    owners: usize,
+}
+
+impl<B: PipeBackend, K: Key> Record<B, K> {
+    fn new(owners: usize) -> Self {
+        Record {
+            edits: Vec::with_capacity(32),
+            owners,
+        }
+    }
+}
+
+impl<B: PipeBackend, K: Key> Emit<B, K> for Record<B, K> {
+    type Out = (Option<usize>, usize);
+    type Mark = usize;
+    fn same(&mut self, t: &Treap<B, K>) -> (Option<usize>, usize) {
+        (None, len(t))
+    }
+    fn put(&mut self, t: &Treap<B, K>, new: Treap<B, K>) -> (Option<usize>, usize) {
+        if new.ptr_eq(t) {
+            return self.same(t);
+        }
+        let keys = len(&new);
+        self.edits.push(Edit::Put(new));
+        (Some(self.edits.len() - 1), keys)
+    }
+    fn owns(&self, n: &Arc<TreapNode<B, K>>) -> bool {
+        // Nothing is recorded before the root is opened.
+        let owners = if self.edits.is_empty() {
+            self.owners
+        } else {
+            1
+        };
+        Arc::strong_count(n) <= owners
+    }
+    fn open(&mut self) -> usize {
+        // A placeholder, until `leave` knows the node's edit.
+        let edit = Edit::Resize {
+            keys: 0,
+            left: false,
+            right: false,
+        };
+        self.edits.push(edit);
+        self.edits.len() - 1
+    }
+    fn leave(
+        &mut self,
+        at: usize,
+        t: &Treap<B, K>,
+        (l, lk): (Option<usize>, usize),
+        (r, rk): (Option<usize>, usize),
+    ) -> (Option<usize>, usize) {
+        if l.is_none() && r.is_none() {
+            self.edits.truncate(at);
+            return (None, len(t));
+        }
+        let keys = 1 + lk + rk;
+        if !fits::<B>(keys) {
+            let (left, right) = (l.is_some(), r.is_some());
+            self.edits[at] = Edit::Resize { keys, left, right };
+            return (Some(at), keys);
+        }
+        // A subtreap this small is a block, so each side was a leaf or a
+        // block, and its edit, if any, a put: build the block now.
+        let Treap::Node(n) = t else {
+            unreachable!("an opened subtreap is a node")
+        };
+        let mut side = |edit: Option<usize>, old: &Treap<B, K>| match edit {
+            Some(_) => match self.edits.pop() {
+                Some(Edit::Put(new)) => new,
+                _ => unreachable!("a side of at most 31 keys is put whole"),
+            },
+            None => old.clone(),
+        };
+        let right = side(r, kid(&n.right));
+        let left = side(l, kid(&n.left));
+        self.edits[at] = Edit::Put(Treap::node_sized(n.key.clone(), n.prio, left, right));
+        (Some(at), keys)
+    }
+}
+
+impl<B: PipeBackend, K: Key> Patch<B, K> {
+    /// Does committing the patch keep the root node of the treap it was
+    /// planned against — edited in place or untouched — rather than put a
+    /// new treap in its place?
+    pub fn keeps_root(&self) -> bool {
+        !matches!(self.edits.first(), Some(Edit::Put(_)))
+    }
+
+    /// Apply the patch in place to `t`, the treap it was planned against
+    /// (the same root, not an equal one): each node it edits takes its new
+    /// size, and each subtreap it replaces moves into the returned
+    /// [`Graveyard`], for the caller to drop when it likes. Runs no `Ord`,
+    /// no `Clone` and allocates nothing. A node it edits must be held by
+    /// nothing but its parent — `t` alone, for the root; at one that is
+    /// not, it puts back what it had changed and gives the patch back.
+    ///
+    /// # Errors
+    /// The patch itself, with `t` as it was, if a node it edits is shared.
+    pub fn commit(mut self, t: &mut Treap<B, K>) -> Result<Graveyard<B, K>, Self> {
+        let all = self.edits.len();
+        let mut at = 0;
+        if all == 0 || swap_in(t, &mut self.edits, &mut at, all) {
+            return Ok(Graveyard {
+                _replaced: self.edits,
+            });
+        }
+        // The same walk again, up to the shared node, swaps it all back.
+        swap_in(t, &mut self.edits, &mut 0, at);
+        Err(self)
+    }
+}
+
+/// Trade the edits from `*at` on with what they edit in `t`, in preorder: a
+/// put subtreap with the one it replaces, a new size with the node's.
+/// Stops at edit `stop`, or at a node [`Arc::get_mut`] finds shared — with
+/// `*at` on its edit and `false`. Trading the same edits again undoes them.
+fn swap_in<B: PipeBackend, K: Key>(
+    t: &mut Treap<B, K>,
+    edits: &mut [Edit<B, K>],
+    at: &mut usize,
+    stop: usize,
+) -> bool {
+    if *at == stop {
+        return false;
+    }
+    let (left, right) = match &mut edits[*at] {
+        Edit::Put(new) => {
+            std::mem::swap(t, new);
+            *at += 1;
+            return true;
+        }
+        Edit::Resize { keys, left, right } => {
+            let Treap::Node(n) = t else {
+                unreachable!("a resized subtreap is a node")
+            };
+            let Some(n) = Arc::get_mut(n) else {
+                return false;
+            };
+            std::mem::swap(&mut n.size, keys);
+            *at += 1;
+            (left.then_some(&mut n.left), right.then_some(&mut n.right))
+        }
+    };
+    let mut below =
+        |c: Option<&mut Child<B, K>>| c.is_none_or(|c| swap_in(done_mut(c), edits, at, stop));
+    below(left) && below(right)
+}
+
+/// What a [`Patch::commit`] replaced: dropping it frees every subtreap
+/// the commit took out that nothing else holds.
+pub struct Graveyard<B: PipeBackend, K: Val> {
+    _replaced: Vec<Edit<B, K>>,
+}
+
+/// The subtreap below a node of a complete treap, writable.
+fn done_mut<B: PipeBackend, K: Key>(c: &mut Child<B, K>) -> &mut Treap<B, K> {
+    match c {
+        Child::Done(t) => t,
+        Child::Cell(_) => unreachable!("a complete treap holds no future cell"),
+    }
+}
+
+/// [`union_run`], or [`plan_union`] with a [`Record`]: the [`merges`]
+/// question, then [`union_cut`].
+fn union_with<B: PipeBackend, K: Key, E: Emit<B, K>>(
+    e: &mut E,
+    t: &Treap<B, K>,
+    run: &[Entry<K>],
+) -> E::Out {
+    match t {
+        Treap::Node(n) if merges(n.size, run.len()) => e.put(t, merge(t, &entries(t), run)),
+        _ => union_cut(e, t, run, None),
+    }
+}
+
+/// [`union_with`] below its one [`merges`] question, told the index of
+/// `run`'s winner when a cut left it there: only the other side rescans.
+fn union_cut<B: PipeBackend, K: Key, E: Emit<B, K>>(
+    e: &mut E,
+    t: &Treap<B, K>,
+    run: &[Entry<K>],
+    winner: Option<usize>,
+) -> E::Out {
+    if run.is_empty() {
+        return e.same(t);
+    }
+    let Treap::Node(n) = t else {
+        return e.put(t, merge(t, fringe(t).expect("a leaf or a block"), run));
+    };
+    if !e.owns(n) {
+        return e.put(t, union_cut(&mut Build, t, run, winner));
+    }
+    let i = winner.unwrap_or_else(|| top(run));
+    let (key, prio) = (&run[i].0, run[i].1);
+    if wins(key, prio, &n.key, n.prio) {
+        let (l, r, _dup) = split_plain(t, key);
+        let l = union_cut(&mut Build, &l, &run[..i], None);
+        let r = union_cut(&mut Build, &r, &run[i + 1..], None);
+        return e.put(t, Treap::node_sized(key.clone(), prio, l, r));
+    }
+    let below = run.partition_point(|e| e.0 < n.key);
+    let above = below + usize::from(run.get(below).is_some_and(|e| e.0 == n.key));
+    let at = e.open();
+    let l = union_cut(e, kid(&n.left), &run[..below], (i < below).then_some(i));
+    let r = union_cut(e, kid(&n.right), &run[above..], i.checked_sub(above));
+    e.leave(at, t, l, r)
 }
 
 /// [`diff_run`] (`KEEP_FOUND == false`) and its dual (`true`: the entries
 /// whose keys are in `keys`), as [`select`] is of [`diff`] and [`intersect`]:
 /// a node stays iff the verdict on its key is `KEEP_FOUND`, else its sides
 /// are joined; a block [`keep`]s the entries with that verdict.
-fn select_run<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
+fn select_run<B: PipeBackend, K: Key, E: Emit<B, K>, const KEEP_FOUND: bool>(
+    e: &mut E,
     t: &Treap<B, K>,
     keys: &[K],
-) -> Treap<B, K> {
+) -> E::Out {
     if keys.is_empty() {
-        return if KEEP_FOUND { Treap::Leaf } else { t.clone() };
+        return if KEEP_FOUND {
+            e.put(t, Treap::Leaf)
+        } else {
+            e.same(t)
+        };
     }
     let n = match t {
-        Treap::Leaf => return Treap::Leaf,
-        Treap::Block(_) => return keep(t, |k| keys.binary_search(k).is_ok() == KEEP_FOUND),
+        Treap::Leaf => return e.same(t),
+        Treap::Block(_) => {
+            return e.put(t, keep(t, |k| keys.binary_search(k).is_ok() == KEEP_FOUND))
+        }
         Treap::Node(n) => n,
     };
+    if !e.owns(n) {
+        return e.put(t, select_run::<B, K, _, KEEP_FOUND>(&mut Build, t, keys));
+    }
     let below = keys.partition_point(|k| *k < n.key);
     let found = keys.get(below) == Some(&n.key);
-    let l = select_run::<B, K, KEEP_FOUND>(kid(&n.left), &keys[..below]);
-    let r = select_run::<B, K, KEEP_FOUND>(kid(&n.right), &keys[below + usize::from(found)..]);
-    if found == KEEP_FOUND {
-        with_kids(t, l, r)
-    } else {
-        join_plain(&l, &r)
+    let (lk, rk) = (&keys[..below], &keys[below + usize::from(found)..]);
+    if found != KEEP_FOUND {
+        let l = select_run::<B, K, _, KEEP_FOUND>(&mut Build, kid(&n.left), lk);
+        let r = select_run::<B, K, _, KEEP_FOUND>(&mut Build, kid(&n.right), rk);
+        return e.put(t, join_plain(&l, &r));
     }
+    let at = e.open();
+    let l = select_run::<B, K, E, KEEP_FOUND>(e, kid(&n.left), lk);
+    let r = select_run::<B, K, E, KEEP_FOUND>(e, kid(&n.right), rk);
+    e.leave(at, t, l, r)
 }
 
 /// The complete treap of `t`'s entries whose key `keeps`, `t` itself if
@@ -1105,7 +1417,7 @@ fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
                 let got = if looks_up(len(&av), len(&bv)) {
                     keep(&av, |k| bv.contains(k) == KEEP_FOUND)
                 } else {
-                    select_run::<B, K, KEEP_FOUND>(&av, &bv.to_sorted_vec())
+                    select_run::<B, K, _, KEEP_FOUND>(&mut Build, &av, &bv.to_sorted_vec())
                 };
                 bk.fulfill(out, got);
                 return;
@@ -1234,15 +1546,19 @@ mod tests {
             same_tree(diff_run(&ta, &keys), want(), "diff");
             same_tree(keep(&ta, |k| !tb.contains(k)), want(), "diff by lookups");
             let want = || PlainTreap::diff(p(&a), want());
-            same_tree(select_run::<B, i64, true>(&ta, &keys), want(), "intersect");
+            same_tree(
+                select_run::<B, i64, _, true>(&mut Build, &ta, &keys),
+                want(),
+                "intersect",
+            );
             same_tree(keep(&ta, |k| tb.contains(k)), want(), "meet by lookups");
         }
         let root = t(&big);
         same_tree(union_run(&root, &one), p(&big), "one key into many");
-        assert!(same(&union_run(&root, &one), &root), "nothing to add");
+        assert!(union_run(&root, &one).ptr_eq(&root), "nothing to add");
         let absent = diff_run(&root, &[-1, 1 << 40]);
-        assert!(same(&absent, &root), "nothing to delete");
-        assert!(same(&keep(&root, |_| true), &root), "nothing to drop");
+        assert!(absent.ptr_eq(&root), "nothing to delete");
+        assert!(keep(&root, |_| true).ptr_eq(&root), "nothing to drop");
     }
 
     #[test]

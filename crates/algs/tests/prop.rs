@@ -6,18 +6,17 @@
 
 use std::collections::BTreeMap;
 
-use std::sync::Arc;
-
 use pf_algs::plain::{splitmix64, Entry, PlainTreap};
-use pf_algs::treap::{diff_run, union_run, Treap};
+use pf_algs::treap::{diff_run, plan_diff, plan_union, union_run, Patch, Treap};
 use pf_algs::tree::Tree;
 use pf_algs::two_six::level_arrays;
-use pf_algs::{Key, PipeBackend, Seq};
+use pf_algs::{PipeBackend, Seq};
 use pf_core::{Ctx, Sim};
 use pf_tests::sim::run_merge;
 use pf_tests::*;
 use proptest::collection::{btree_map, btree_set, vec};
 use proptest::prelude::*;
+use proptest::TestRng;
 
 /// Up to 96 random entries, their priorities cut to two bits when `tie` is
 /// 0 (ties go to the larger key), plus a few thousand more when `bulk`
@@ -37,16 +36,6 @@ fn operand(small: BTreeMap<i64, u64>, bulk: bool, seed: u64, tie: u64) -> Vec<En
 
 /// The crusts the boundary test draws its operands from.
 const DRAWN: [Crust; 4] = [SIZED, ALL, Some(1), Some(4)];
-
-/// Are `a` and `b` the same treap in memory, not merely equal?
-fn same<B: PipeBackend, K: Key>(a: &Treap<B, K>, b: &Treap<B, K>) -> bool {
-    match (a, b) {
-        (Treap::Leaf, Treap::Leaf) => true,
-        (Treap::Node(x), Treap::Node(y)) => Arc::ptr_eq(x, y),
-        (Treap::Block(x), Treap::Block(y)) => Arc::ptr_eq(x, y),
-        _ => false,
-    }
-}
 
 /// On engine `B`: `union_run` and `diff_run` of the complete treap of `t`
 /// with `run` and `dels` build `PlainTreap`'s union and difference in the
@@ -77,10 +66,139 @@ fn check_runs<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]
         assert!(got.check_invariants(), "case {i}");
         assert_eq!(got.sized(), want.sized(), "case {i}");
     }
-    assert!(same(&union_run(&tree, &[]), &tree), "an empty run");
-    assert!(same(&union_run(&tree, t), &tree), "its own entries");
-    assert!(same(&union_run(&tree, &t[..t.len().min(1)]), &tree), "one");
-    assert!(same(&diff_run(&tree, &absent), &tree), "absent deletes");
+    assert!(union_run(&tree, &[]).ptr_eq(&tree), "an empty run");
+    assert!(union_run(&tree, t).ptr_eq(&tree), "its own entries");
+    assert!(union_run(&tree, &t[..t.len().min(1)]).ptr_eq(&tree), "one");
+    assert!(diff_run(&tree, &absent).ptr_eq(&tree), "absent deletes");
+}
+
+/// The run operations' inputs: `t` of 0 to 96 keys — 32 and 33, the
+/// block/node edge, one case in four — or a few thousand more; a run of new
+/// keys, of present keys re-prioritised higher or lower, and of entries
+/// that beat `t`'s root at a new key or a present one (`edits`: 200 × how +
+/// key), plus `grow` halves of `t`'s size in keys drawn over its key range
+/// — up to twice `t`, so the run reaches `t`'s size and beyond and
+/// `union_run` merges it whole; deletes of present and absent keys.
+struct RunCase;
+
+impl Strategy for RunCase {
+    type Value = (Vec<Entry<i64>>, Vec<Entry<i64>>, Vec<i64>);
+
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        let small = btree_map(0i64..160, 0u64..1 << 40, 97..98).generate(rng);
+        let len = (0usize..130).generate(rng);
+        let bulk = (0u64..2).generate(rng);
+        let seed = (0u64..u64::MAX).generate(rng);
+        let tie = (0u64..4).generate(rng);
+        let edits = vec(0i64..1000, 0..40).generate(rng);
+        let grow = (0usize..5).generate(rng);
+        let dels = btree_set(-20i64..220, 0..30).generate(rng);
+        let len = if len < 97 { len } else { 32 + len % 2 };
+        let t = operand(small.into_iter().take(len).collect(), bulk == 1, seed, tie);
+        let root = t.iter().map(|e| e.1).max().unwrap_or(0);
+        let mut run: BTreeMap<i64, u64> = BTreeMap::new();
+        for (i, &edit) in edits.iter().enumerate() {
+            let (k, how) = (edit % 200, edit / 200);
+            let h = splitmix64(seed ^ k as u64);
+            let present = (!t.is_empty()).then(|| t[k as usize % t.len()]);
+            let (key, prio) = match (how, present) {
+                (1, Some((pk, p))) => (pk, p.saturating_add(1 + h % 8)),
+                (2, Some((pk, p))) => (pk, p.saturating_sub(1 + h % 8)),
+                (3, _) => (k + 1000, root.saturating_add(1 + i as u64)),
+                (4, Some((pk, _))) => (pk, root.saturating_add(1 + i as u64)),
+                _ => (k, if tie == 0 { h % 4 } else { h }),
+            };
+            run.entry(key).or_insert(prio);
+        }
+        let (lo, hi) = (
+            t.first().map_or(0, |e| e.0),
+            t.last().map_or(160, |e| e.0 + 1),
+        );
+        for i in 0..(grow * t.len().max(8) / 2) as u64 {
+            let h = splitmix64(seed ^ 0x5EED ^ i.wrapping_mul(0x9E37_79B9));
+            run.entry(lo + (h % (hi - lo) as u64) as i64)
+                .or_insert(h >> 20);
+        }
+        let run: Vec<Entry<i64>> = run.into_iter().collect();
+        let dels: Vec<i64> = dels.into_iter().collect();
+        (t, run, dels)
+    }
+}
+
+/// On engine `B`: `union_run` of `run` and `diff_run` of `dels`, planned
+/// as patches of the complete treap of `t` and committed in place, build
+/// what the run operations build — the oracle's tree, by [`check_runs`] —
+/// with the treap unshared, held by a clone from before the plan (which
+/// the patch copies around), or held between plan and commit at its root
+/// or at its deepest node on the way to the first key (which the commit
+/// refuses and undoes, and commits once the clone is gone). No clone
+/// changes.
+fn check_commits<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
+    let tree = || Treap::<B, i64>::from_sorted_complete(t);
+    let before = tree().preorder();
+    type Plan<'a, B> = &'a dyn Fn(&Treap<B, i64>) -> Patch<B, i64>;
+    let plans: [Plan<'_, B>; 2] = [&|x| plan_union(x, run, 1), &|x| plan_diff(x, dels, 1)];
+    let builds = [union_run(&tree(), run), diff_run(&tree(), dels)];
+    let firsts = [run.first().map(|e| e.0), dels.first().copied()];
+    for (op, ((plan, built), first)) in plans.into_iter().zip(builds).zip(firsts).enumerate() {
+        let is_built = |got: &Treap<B, i64>, how: &str| {
+            assert_eq!(got.preorder(), built.preorder(), "op {op}, {how}");
+            assert!(got.check_invariants(), "op {op}, {how}");
+            assert_eq!(got.sized(), built.sized(), "op {op}, {how}");
+        };
+        let kept = |held: &Treap<B, i64>, was: &[Entry<i64>], how: &str| {
+            assert_eq!(held.preorder(), was, "op {op}, {how}");
+            assert!(held.check_invariants(), "op {op}, {how}");
+            assert_eq!(held.sized(), Some(held.size()), "op {op}, {how}");
+        };
+        let mut mine = tree();
+        let committed = plan(&mine).commit(&mut mine);
+        assert!(committed.is_ok(), "op {op}: unshared");
+        is_built(&mine, "unshared");
+
+        let mut mine = tree();
+        let held = mine.clone();
+        let committed = plan(&mine).commit(&mut mine);
+        assert!(committed.is_ok(), "op {op}: a copied root needs no owner");
+        is_built(&mine, "held before the plan");
+        kept(&held, &before, "the clone held before the plan");
+
+        for deep in [false, true] {
+            let mut mine = tree();
+            let patch = plan(&mine);
+            let held = match (deep, first) {
+                (true, Some(k)) => deepest(&mine, k),
+                _ => mine.clone(),
+            };
+            let was = held.preorder();
+            match patch.commit(&mut mine) {
+                Ok(_) => is_built(&mine, "held across"),
+                Err(patch) => {
+                    kept(&mine, &before, "refused");
+                    kept(&held, &was, "the clone the commit refused for");
+                    drop(held);
+                    assert!(patch.commit(&mut mine).is_ok(), "op {op}: once let go");
+                    is_built(&mine, "once let go");
+                    continue;
+                }
+            }
+            kept(&held, &was, "the clone held across the commit");
+        }
+    }
+}
+
+/// A clone of the last node on `t`'s search path for `key`, or of `t`
+/// itself if its root is not a node.
+fn deepest<B: PipeBackend>(t: &Treap<B, i64>, key: i64) -> Treap<B, i64> {
+    let mut at = t;
+    while let Treap::Node(n) = at {
+        let next = if key < n.key { &n.left } else { &n.right };
+        match next.done() {
+            Some(below @ Treap::Node(_)) if key != n.key => at = below,
+            _ => break,
+        }
+    }
+    at.clone()
 }
 
 proptest! {
@@ -118,51 +236,21 @@ proptest! {
         check_split_join::<Seq, i64>(&PlainTreap::from_entries(&a), ca, splitter);
     }
 
-    /// The engine-free run operations, on `Seq` and on pf-rt's engine: `t`
-    /// of 0 to 96 keys — 32 and 33, the block/node edge, one case in four —
-    /// or a few thousand more; a run of new keys, of present keys
-    /// re-prioritised higher or lower, and of entries that beat `t`'s root
-    /// at a new key or a present one (`edits`: 200 × how + key), plus
-    /// `grow` halves of `t`'s size in keys drawn over its key range — up to
-    /// twice `t`, so the run reaches `t`'s size and beyond and `union_run`
-    /// merges it whole; deletes of present and absent keys.
+    /// The engine-free run operations, built, on `Seq` and on pf-rt's
+    /// engine, over [`RunCase`]'s inputs.
     #[test]
-    fn run_operations_build_the_oracles_tree(
-        small in btree_map(0i64..160, 0u64..1 << 40, 97..98),
-        len in 0usize..130,
-        bulk in 0u64..2,
-        seed in 0u64..u64::MAX,
-        tie in 0u64..4,
-        edits in vec(0i64..1000, 0..40),
-        grow in 0usize..5,
-        dels in btree_set(-20i64..220, 0..30),
-    ) {
-        let len = if len < 97 { len } else { 32 + len % 2 };
-        let t = operand(small.into_iter().take(len).collect(), bulk == 1, seed, tie);
-        let root = t.iter().map(|e| e.1).max().unwrap_or(0);
-        let mut run: BTreeMap<i64, u64> = BTreeMap::new();
-        for (i, &edit) in edits.iter().enumerate() {
-            let (k, how) = (edit % 200, edit / 200);
-            let h = splitmix64(seed ^ k as u64);
-            let present = (!t.is_empty()).then(|| t[k as usize % t.len()]);
-            let (key, prio) = match (how, present) {
-                (1, Some((pk, p))) => (pk, p.saturating_add(1 + h % 8)),
-                (2, Some((pk, p))) => (pk, p.saturating_sub(1 + h % 8)),
-                (3, _) => (k + 1000, root.saturating_add(1 + i as u64)),
-                (4, Some((pk, _))) => (pk, root.saturating_add(1 + i as u64)),
-                _ => (k, if tie == 0 { h % 4 } else { h }),
-            };
-            run.entry(key).or_insert(prio);
-        }
-        let (lo, hi) = (t.first().map_or(0, |e| e.0), t.last().map_or(160, |e| e.0 + 1));
-        for i in 0..(grow * t.len().max(8) / 2) as u64 {
-            let h = splitmix64(seed ^ 0x5EED ^ i.wrapping_mul(0x9E37_79B9));
-            run.entry(lo + (h % (hi - lo) as u64) as i64).or_insert(h >> 20);
-        }
-        let run: Vec<Entry<i64>> = run.into_iter().collect();
-        let dels: Vec<i64> = dels.into_iter().collect();
+    fn run_operations_build_the_oracles_tree((t, run, dels) in RunCase) {
         check_runs::<Seq>(&t, &run, &dels);
         check_runs::<pf_rt::Worker>(&t, &run, &dels);
+    }
+
+    /// The same run operations recorded as patches and committed in place,
+    /// on both engines, over the same inputs: the oracle's tree, and a clone
+    /// held before the plan or taken between plan and commit unchanged.
+    #[test]
+    fn recorded_runs_commit_the_oracles_tree((t, run, dels) in RunCase) {
+        check_commits::<Seq>(&t, &run, &dels);
+        check_commits::<pf_rt::Worker>(&t, &run, &dels);
     }
 
     /// Thm 3.1 depth bound with an explicit constant: pipelined merge

@@ -11,10 +11,12 @@
 //!
 //! ```text
 //!   ingress ──► coalesce ──► apply pass per window ──► commit
-//!   (queue      (dedup,       ├ inline: the window's    (swap the root
-//!    per         wave         │  net effect as plain     under the lock,
-//!    shard)      merging,     │  code on the caller,      free the old
-//!                groups)      │  within one grain         path after it)
+//!   (queue      (dedup,       ├ inline: the window's    (under the root
+//!    per         wave         │  net effect as plain     lock: edit the
+//!    shard)      merging,     │  code on the caller,     root in place or
+//!                groups)      │  within one grain,       swap a new one
+//!                             │  planned off-lock        in; free what it
+//!                             │                          replaced after)
 //!                             └ pooled: try_run_session,
 //!                                fault-contained; groups
 //!                                union-treed, batch N+1
@@ -42,9 +44,11 @@
 //! * **Snapshot reads** ([`SetService::contains`]): readers walk the
 //!   shard's last *committed* root — sealed at commit, so it holds no
 //!   future cell and the walk is a pointer chase down to a sorted block
-//!   of at most 32 keys and a binary search in it — so reads never block
-//!   on writes and cost O(lg n) with zero synchronization beyond one
-//!   root clone.
+//!   of at most 32 keys and a binary search in it — and cost O(lg n) with
+//!   zero synchronization beyond one root clone. A reader never waits for
+//!   a session or a plan: taking the clone waits at most for one commit
+//!   walk or swap, and what it then holds never changes, since a commit
+//!   edits in place only nodes that nothing but the shard holds.
 //! * **Cross-batch pipelining** ([`ApplyMode::Pipelined`]): inside one
 //!   session a *window* of waves is chained through unresolved future
 //!   cells — wave N+1's `union` touches wave N's still-being-written
@@ -64,9 +68,12 @@
 //!   plain code on the calling thread: one difference and one union of
 //!   key-sorted runs against the committed root
 //!   ([`pf_algs::treap::diff_run`], [`pf_algs::treap::union_run`]), the
-//!   batch never built as a treap. Anything else falls through to the
-//!   pooled session. No option selects it: the decision is a function of
-//!   sizes and `Worker::GRAIN`. The pooled session marshals its batches
+//!   batch never built as a treap. A window of one kind is planned
+//!   off-lock and committed in place where nothing but the shard holds
+//!   what it edits ([`DrainReport::in_place`]). Anything else falls
+//!   through to the pooled session. No option selects either: the
+//!   decisions are functions of sizes, `Worker::GRAIN` and reference
+//!   counts. The pooled session marshals its batches
 //!   on its own worker, so a batch's nodes are allocated by the thread
 //!   that goes on to walk them.
 //!

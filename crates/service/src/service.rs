@@ -20,7 +20,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pf_algs::plain::wins;
-use pf_algs::treap::{diff, diff_run, union, union_many, union_run, within_grain, Child, Treap};
+use pf_algs::treap::{
+    diff, diff_run, plan_diff, plan_union, union, union_many, union_run, within_grain, Child, Treap,
+};
 use pf_algs::{Key, Mode, PipeBackend};
 use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Session, SessionError, Worker};
 
@@ -170,6 +172,12 @@ pub struct DrainReport {
     /// function of sizes only; an inline pass cannot fail, so the pooled
     /// session stays the only error path.
     pub inline: u64,
+    /// The passes among `inline` that committed in place: a window of one
+    /// kind whose patch kept the shard's root node, because nothing but
+    /// the shard held a node it edits ([`pf_algs::treap::Patch::commit`]).
+    /// The rest of `inline` copied their paths and swapped the new root in
+    /// — a mixed window, or a reader holding the root.
+    pub in_place: u64,
     /// Wall-clock span of the drain that produced this report (stamped
     /// by [`SetService::pump`] and [`SetService::drive`]). Distinct from
     /// `stats.elapsed`, which *sums* per-session busy time: concurrent
@@ -208,6 +216,7 @@ impl DrainReport {
         self.stats.accumulate(&other.stats);
         self.sessions += other.sessions;
         self.inline += other.inline;
+        self.in_place += other.in_place;
         self.keys_applied += other.keys_applied;
         self.served += other.served;
         self.degraded += other.degraded;
@@ -230,8 +239,9 @@ impl DrainReport {
 }
 
 /// One shard: its ingress queue and committed root. The root mutex is
-/// held only for a clone (readers, pass setup) or a swap (commit) —
-/// never across an apply pass, nor while the replaced root is freed.
+/// held only for a clone (readers, pass setup), a commit walk or a swap —
+/// never across an apply pass or its plan, nor while what a commit
+/// replaced is freed.
 struct Shard<K: Key> {
     ingress: Mutex<Vec<Request<K>>>,
     root: Mutex<RTreap<K>>,
@@ -360,10 +370,11 @@ impl<K: Key> SetService<K> {
     /// Snapshot membership read: walks the owning shard's last committed
     /// root. Costs one root clone plus an O(lg n) walk by reference down
     /// the nodes ([`Treap::contains`]) and a binary search of the block at
-    /// the bottom; never blocks on in-flight writes (which build a *new*
-    /// root — the committed one is immutable). Reads-your-writes only after
-    /// the write's wave commits: this is a snapshot consistency model, by
-    /// design.
+    /// the bottom; never waits for an in-flight pass, only for a commit
+    /// walk or swap, and the snapshot it walks never changes: a commit
+    /// edits in place only nodes that nothing but the shard holds.
+    /// Reads-your-writes only after the write's wave commits: this is a
+    /// snapshot consistency model, by design.
     pub fn contains(&self, key: &K) -> bool {
         self.snapshot(self.map.shard_of(key)).contains(key)
     }
@@ -612,18 +623,22 @@ impl<K: Key> SetService<K> {
         report: &mut DrainReport,
     ) -> Result<Duration, (SessionError, Duration)> {
         report.sessions += 1;
+        let slot = &self.shards[shard].root;
         let root = self.snapshot(shard);
-        let (new_root, stats) = match apply_inline(&root, waves) {
-            Some(applied) => {
+        let root = match apply_inline(slot, root, waves) {
+            Ok((stats, in_place)) => {
                 report.inline += 1;
-                applied
+                report.in_place += u64::from(in_place);
+                report.stats.accumulate(&stats);
+                return Ok(stats.elapsed);
             }
-            None => self.run_window_session(root, waves)?,
+            Err(root) => root,
         };
+        let (new_root, stats) = self.run_window_session(root, waves)?;
         // Swap under the lock every `snapshot()` takes, free after it:
         // dropping the last handle on the old root frees the whole
         // replaced path — per key, the nodes above its block and the block.
-        let replaced = std::mem::replace(&mut *lock(&self.shards[shard].root), new_root);
+        let replaced = std::mem::replace(&mut *lock(slot), new_root);
         drop(replaced);
         report.stats.accumulate(&stats);
         Ok(stats.elapsed)
@@ -739,65 +754,130 @@ fn range_into<K: Key>(t: &RTreap<K>, lo: &K, hi: &K, out: &mut Vec<K>) {
     }
 }
 
-/// The window as plain code on the calling thread, or `None` — and the
-/// caller opens a session — unless every wave is healthy, holds at most
-/// `GRAIN` keys, and is [`within_grain`] against an upper bound on the
-/// running root: the committed root's size plus every key inserted earlier
-/// in the window. A function of sizes alone, checked before any work. The
-/// pass applies the window's net effect: one stable sort of its entries by
-/// key (wave order within a key), then per key a delete if any wave
-/// deletes it, and an insert of the [`wins`] winner among the entries
+/// The window as plain code on the calling thread, committed — its
+/// [`RunStats`], and whether it edited the shard's root in place — or
+/// `root` handed back, and the caller opens a session, unless every wave
+/// is healthy, holds at most `GRAIN` keys, and is [`within_grain`] against
+/// an upper bound on the running root: the committed root's size plus
+/// every key inserted earlier in the window. A function of sizes alone,
+/// checked before any work.
+///
+/// The pass applies the window's net effect: one stable sort of its
+/// entries by key (wave order within a key), then per key a delete if any
+/// wave deletes it, and an insert of the [`wins`] winner among the entries
 /// inserted after its last delete — two key-sorted runs, taken out of
-/// `root` ([`diff_run`]) and put into what is left ([`union_run`]). A
-/// treap is a function of its entries, so the result is the tree the
-/// waves' unions and differences build one by one, at no more work than
-/// their estimates summed. A panic in here (a key's `Ord`, the allocator)
-/// is `None` too: operands are persistent, so nothing is half-written,
-/// and the session that follows reports the error.
-fn apply_inline<K: Key>(root: &RTreap<K>, waves: &[WavePlan<K>]) -> Option<(RTreap<K>, RunStats)> {
+/// `root` ([`diff_run`]) and put into what is left ([`union_run`]). A treap
+/// is a function of its entries, so the result is the tree the waves'
+/// unions and differences build one by one, at no more work than their
+/// estimates summed.
+///
+/// A window of one kind is planned off-lock ([`plan_diff`], [`plan_union`])
+/// and committed under the root lock in place
+/// ([`Patch::commit`](pf_algs::treap::Patch::commit)) if the
+/// shard still holds the planned root and nothing but the shard holds a
+/// node the patch edits; it is copied and swapped in otherwise, as a mixed
+/// window always is. Every comparison and clone of a key runs before the
+/// lock is taken, under `catch_unwind`: a panic there hands `root` back
+/// with the shard untouched, and the session that follows reports the
+/// error. A reader waits for the commit walk at most, and the subtreaps it
+/// replaces are freed after the lock is released. The elapsed time covers
+/// the plan and the commit, not that free.
+fn apply_inline<K: Key>(
+    slot: &Mutex<RTreap<K>>,
+    root: RTreap<K>,
+    waves: &[WavePlan<K>],
+) -> Result<(RunStats, bool), RTreap<K>> {
     let started = Instant::now();
-    let mut bound = root.sized()?;
+    let Some(mut bound) = root.sized() else {
+        return Err(root);
+    };
     for w in waves {
         let healthy = w.fault == Fault::None && w.keys as u64 <= Worker::GRAIN;
         if !healthy || !within_grain::<Worker>(bound, w.keys) {
-            return None;
+            return Err(root);
         }
         if w.kind == OpKind::Insert {
             bound += w.keys;
         }
     }
-    let pass = || {
-        let mut ops: Vec<(&Entry<K>, OpKind)> = (waves.iter())
-            .flat_map(|w| w.groups.iter().flatten().map(move |e| (e, w.kind)))
-            .collect();
-        ops.sort_by(|(a, _), (b, _)| a.0.cmp(&b.0));
-        let (mut deletes, mut inserts) = (Vec::new(), Vec::new());
-        for same_key in ops.chunk_by(|(a, _), (b, _)| a.0 == b.0) {
-            let after = match same_key.iter().rposition(|&(_, k)| k == OpKind::Delete) {
-                Some(d) => {
-                    deletes.push(same_key[d].0 .0.clone());
-                    &same_key[d + 1..]
-                }
-                None => same_key,
-            };
-            let winner = after.iter().map(|&(e, _)| e).reduce(|best, e| {
-                if wins(&e.0, e.1, &best.0, best.1) {
-                    e
-                } else {
-                    best
-                }
-            });
-            inserts.extend(winner.cloned());
-        }
-        union_run(&diff_run(root, &deletes), &inserts)
-    };
-    let new_root = catch_unwind(AssertUnwindSafe(pass)).ok()?;
-    let stats = RunStats {
+    let stats = || RunStats {
         tasks_executed: 1,
         elapsed: started.elapsed(),
         ..RunStats::default()
     };
-    Some((new_root, stats))
+    // The shard's handle and this pass's: a reader's is a third.
+    const OWNERS: usize = 2;
+    let plan = || {
+        let (deletes, inserts) = net_effect(waves);
+        let patch = match (deletes.is_empty(), inserts.is_empty()) {
+            (true, _) => Some(plan_union(&root, &inserts, OWNERS)),
+            (_, true) => Some(plan_diff(&root, &deletes, OWNERS)),
+            _ => None,
+        };
+        (deletes, inserts, patch)
+    };
+    let Ok((deletes, inserts, patch)) = catch_unwind(AssertUnwindSafe(plan)) else {
+        return Err(root);
+    };
+    let mut root = root;
+    if let Some(patch) = patch {
+        let mut guard = lock(slot);
+        if guard.ptr_eq(&root) {
+            let in_place = patch.keeps_root();
+            drop(root);
+            match patch.commit(&mut guard) {
+                Ok(graveyard) => {
+                    drop(guard);
+                    let stats = stats();
+                    drop(graveyard);
+                    return Ok((stats, in_place));
+                }
+                // A reader took hold of an edited node since the plan.
+                Err(refused) => {
+                    root = guard.clone();
+                    drop(guard);
+                    drop(refused);
+                }
+            }
+        }
+    }
+    let copy = || union_run(&diff_run(&root, &deletes), &inserts);
+    let Ok(new_root) = catch_unwind(AssertUnwindSafe(copy)) else {
+        return Err(root);
+    };
+    let replaced = std::mem::replace(&mut *lock(slot), new_root);
+    let stats = stats();
+    drop(replaced);
+    Ok((stats, false))
+}
+
+/// The net effect of `waves`: the keys some wave deletes, and per key the
+/// [`wins`] winner among the entries inserted after its last delete, each
+/// run sorted by key.
+fn net_effect<K: Key>(waves: &[WavePlan<K>]) -> (Vec<K>, Vec<Entry<K>>) {
+    let mut ops: Vec<(&Entry<K>, OpKind)> = (waves.iter())
+        .flat_map(|w| w.groups.iter().flatten().map(move |e| (e, w.kind)))
+        .collect();
+    ops.sort_by(|(a, _), (b, _)| a.0.cmp(&b.0));
+    let (mut deletes, mut inserts) = (Vec::new(), Vec::new());
+    for same_key in ops.chunk_by(|(a, _), (b, _)| a.0 == b.0) {
+        let after = match same_key.iter().rposition(|&(_, k)| k == OpKind::Delete) {
+            Some(d) => {
+                deletes.push(same_key[d].0 .0.clone());
+                &same_key[d + 1..]
+            }
+            None => same_key,
+        };
+        let winner = after.iter().map(|&(e, _)| e).reduce(|best, e| {
+            if wins(&e.0, e.1, &best.0, best.1) {
+                e
+            } else {
+                best
+            }
+        });
+        inserts.extend(winner.cloned());
+    }
+    (deletes, inserts)
 }
 
 /// Attach the calling thread's last session record — the failed session

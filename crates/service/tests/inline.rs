@@ -6,9 +6,11 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::time::Duration;
 
+use pf_algs::plain::splitmix64;
+use pf_algs::treap::Treap;
 use pf_service::{OpKind, Request, RetryPolicy, ServiceConfig, SetService, ShardMap};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
@@ -145,4 +147,147 @@ fn a_panic_in_the_inline_pass_falls_through_to_the_sessions_error() {
     let report = svc.pump();
     assert_eq!((report.sessions, report.inline, report.served), (1, 1, 1));
     assert!(svc.contains(&Touchy(4)));
+}
+
+/// Comparisons a [`Fused`] key may still make before every one panics.
+static FUSE: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Comparisons of [`Fused`] keys so far.
+static COMPARED: AtomicUsize = AtomicUsize::new(0);
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Fused(i64);
+
+impl Ord for Fused {
+    fn cmp(&self, other: &Self) -> Ordering {
+        COMPARED.fetch_add(1, SeqCst);
+        let burnt = FUSE.fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1));
+        assert!(burnt.is_ok(), "Fused::cmp after the fuse burnt");
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Fused {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A service of one shard holding the 3 000 keys `3k`.
+fn fused_service() -> SetService<Fused> {
+    let svc = SetService::new(ShardMap::<Fused>::new(Vec::new()), cfg());
+    let keys = (0..3000).map(|k| (Fused(3 * k), splitmix64(k as u64)));
+    svc.submit(Request::insert(keys.collect()));
+    assert_eq!(svc.pump().served, 1);
+    svc
+}
+
+#[test]
+fn a_panic_partway_through_the_plan_leaves_no_residue() {
+    let window = |kind| {
+        let keys = (0..8).map(|i| 1111 * i + 300);
+        let entries = keys.map(|k| match kind {
+            OpKind::Insert => (Fused(k + 1), splitmix64(!(k as u64))),
+            OpKind::Delete => (Fused(k), 0),
+        });
+        let entries: Vec<_> = entries.collect();
+        match kind {
+            OpKind::Insert => Request::insert(entries),
+            OpKind::Delete => Request::delete(entries),
+        }
+    };
+    let (svc, twin) = (fused_service(), fused_service());
+    for kind in [OpKind::Insert, OpKind::Delete] {
+        // The twin applies the window healthy and counts its comparisons:
+        // the coalescer's, the pass's sort, and the plan's cuts.
+        twin.submit(window(kind));
+        let before = COMPARED.load(SeqCst);
+        let report = twin.pump();
+        let compared = COMPARED.load(SeqCst) - before;
+        assert_eq!((report.inline, report.in_place), (1, 1), "{report:?}");
+        assert!(compared > 60, "{kind:?}: {compared} comparisons");
+
+        // The same window panics a few comparisons before the plan's end,
+        // with most of its cuts made.
+        let (keys, shape) = (svc.shard_keys(0), svc.snapshot(0).preorder());
+        svc.submit(window(kind).tagged(9));
+        FUSE.store(compared - 3, SeqCst);
+        let report = svc.pump();
+        FUSE.store(usize::MAX, SeqCst);
+        assert_eq!((report.sessions, report.inline), (3, 0), "{report:?}");
+        assert_eq!((report.served, report.degraded), (0, 1));
+        let o = &report.outcomes[0];
+        assert_eq!((o.kind, o.tags.as_slice()), (kind, &[9][..]));
+        let error = o.error.as_deref().unwrap();
+        assert!(error.contains("Fused::cmp after the fuse burnt"), "{error}");
+        assert_eq!(svc.shard_keys(0), keys, "{kind:?}: key residue");
+        let root = svc.snapshot(0);
+        assert_eq!(root.preorder(), shape, "{kind:?}: shape residue");
+        assert!(root.check_invariants(), "{kind:?}");
+
+        // Healthy again, the window applies inline — in place unless the
+        // failed sessions' worker still holds the root it was handed.
+        svc.submit(window(kind));
+        let report = svc.pump();
+        assert_eq!((report.inline, report.served), (1, 1));
+        assert_eq!(svc.snapshot(0).preorder(), twin.snapshot(0).preorder());
+    }
+}
+
+#[test]
+fn a_held_snapshot_never_sees_an_in_place_commit() {
+    let svc = SetService::new(ShardMap::uniform(1, 0, 1 << 20), cfg());
+    let mut oracle: BTreeSet<i64> = (0..3000).map(|k| 5 * k).collect();
+    let preload = oracle.iter().map(|&k| (k, splitmix64(k as u64)));
+    svc.submit(Request::insert(preload.collect()));
+    svc.pump();
+    let mut apply = |kind, keys: &[i64]| {
+        let entries: Vec<(i64, u64)> = keys.iter().map(|&k| (k, k as u64)).collect();
+        svc.submit(match kind {
+            OpKind::Insert => {
+                oracle.extend(keys);
+                Request::insert(entries)
+            }
+            OpKind::Delete => {
+                keys.iter().for_each(|k| {
+                    oracle.remove(k);
+                });
+                Request::delete(entries)
+            }
+        });
+        let report = svc.pump();
+        assert_eq!((report.inline, report.served), (1, 1), "{report:?}");
+        report.in_place
+    };
+    let unchanged = |held: &Treap<_, i64>, was: &(Vec<(i64, u64)>, Option<usize>)| {
+        assert_eq!((&held.preorder(), held.sized()), (&was.0, was.1));
+        assert!(held.check_invariants());
+    };
+
+    // Nothing else holds the root: the commit edits it in place.
+    assert_eq!(apply(OpKind::Insert, &[7, 8]), 1);
+    // A snapshot taken before a pump keeps its tree through it: the pass
+    // copies the root path. The next pass edits that new root in place and
+    // copies whatever it shares with the snapshot, so the snapshot keeps
+    // its tree through passes of either kind.
+    let held = svc.snapshot(0);
+    let was = (held.preorder(), held.sized());
+    assert_eq!(apply(OpKind::Insert, &[12, 13_001]), 0);
+    assert_eq!(apply(OpKind::Delete, &[7, 10, 14_000]), 1);
+    assert_eq!(apply(OpKind::Insert, &[7, 10, 11]), 1);
+    unchanged(&held, &was);
+    drop(held);
+    // A reader holding a subtreap below the root: the pass edits the root
+    // in place and copies only what the reader holds.
+    let sub = match svc.snapshot(0) {
+        Treap::Node(n) => n.left.done().expect("a committed root").clone(),
+        _ => unreachable!("3 000 keys make a node"),
+    };
+    let sub_was = (sub.preorder(), sub.sized());
+    let smallest = svc.shard_keys(0)[0];
+    assert_eq!(apply(OpKind::Delete, &[smallest, 13_001]), 1);
+    assert_eq!(apply(OpKind::Insert, &[1, 2, 3]), 1);
+    unchanged(&sub, &sub_was);
+    let root = svc.snapshot(0);
+    assert!(root.check_invariants());
+    assert!(svc.shard_keys(0).into_iter().eq(oracle.iter().copied()));
 }

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use pf_algs::plain::PlainTreap;
-use pf_algs::treap::{diff, union, Treap, TreapFut, TreapNode, TreapWr};
+use pf_algs::treap::{diff, plan_diff, plan_union, union, Treap, TreapFut, TreapNode, TreapWr};
 use pf_algs::{Mode, PipeBackend, Seq};
 use pf_rt::{cell, ready, Runtime, Worker};
 use pf_tests::{entries, RTreap};
@@ -176,6 +176,55 @@ fn check_op<B: PipeBackend>(
     assert_eq!((frees, node_frees), (nodes + blocks, nodes), "{what}: drop");
 }
 
+/// A 1-key insert and a 1-key delete, planned against the complete treap
+/// of `plain` and committed. Unshared, the commit edits the treap in
+/// place: it builds no node and at most one block — the one the key lands
+/// in or leaves — and allocates nothing else but the patch. With a clone
+/// held, the same pass copies its path, and the clone keeps its tree.
+fn check_in_place<B: PipeBackend>(plain: &Option<Box<PlainTreap<i64>>>) {
+    let (one, none) = (entries([4_001]), Vec::new());
+    for (what, ins, del) in [("insert", &one, vec![]), ("delete", &none, vec![3_000])] {
+        let plan = |t: &Treap<B, i64>| match del.is_empty() {
+            true => plan_union(t, ins, 1),
+            false => plan_diff(t, &del, 1),
+        };
+        let mut t = Treap::<B, i64>::from_plain_complete(plain);
+        let mut old = <[HashSet<usize>; 2]>::default();
+        parts(&t, &mut old);
+        let ([allocs, _, node_allocs, _], graveyard) = counted(|| {
+            let patch = plan(&t);
+            patch.commit(&mut t).ok().expect("an unshared treap")
+        });
+        let mut new = <[HashSet<usize>; 2]>::default();
+        parts(&t, &mut new);
+        let built = |i: usize| new[i].difference(&old[i]).count();
+        assert_eq!((node_allocs, built(0)), (0, 0), "{what} in place: nodes");
+        assert!(built(1) <= 1, "{what} in place: {} blocks", built(1));
+        assert!(
+            allocs <= built(1) + 1,
+            "{what} in place: {allocs} allocations"
+        );
+        assert!(t.check_invariants(), "{what} in place");
+        drop(graveyard);
+
+        let mut t = Treap::<B, i64>::from_plain_complete(plain);
+        let held = t.clone();
+        let was = held.preorder();
+        let ([_, _, node_allocs, _], graveyard) = counted(|| {
+            let patch = plan(&t);
+            patch
+                .commit(&mut t)
+                .ok()
+                .expect("a copied root needs no owner")
+        });
+        let (nodes, blocks) = fresh(&t, &held, &Treap::Leaf);
+        assert!(nodes > 0, "{what} with a clone held: nothing copied");
+        assert_eq!((node_allocs, blocks), (nodes, 1), "{what}: path copied");
+        assert_eq!(held.preorder(), was, "{what}: the clone changed");
+        drop(graveyard);
+    }
+}
+
 #[test]
 fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
     COUNTING.set(true);
@@ -295,4 +344,9 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
             f.expect()
         });
     }
+
+    // In place, and the same pass beside a held clone: the plan and the
+    // commit allocate the block they change and the patch, no path.
+    check_in_place::<Seq>(&plain);
+    check_in_place::<Worker>(&plain);
 }
