@@ -1460,38 +1460,6 @@ fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
     });
 }
 
-/// Collapse `k` treap futures into one: the **union tree** a coalescing
-/// ingress queue wants. Instead of folding the batches into the root one
-/// at a time (k sequential unions, each re-walking the accumulated
-/// result), the batches combine pairwise in a balanced tree — ⌈lg k⌉
-/// levels of unions whose operands are other *unresolved* unions, so the
-/// whole tree pipelines: an upper union starts splitting as soon as the
-/// lower union's root node is written. Duplicate keys across batches
-/// resolve to the highest-priority entry regardless of the tree shape
-/// (union keeps the [`wins`] winner), so the result is a function of the
-/// combined entry set only.
-///
-/// Returns the input future unchanged for k = 1 and a ready `Leaf` for
-/// k = 0.
-pub fn union_many<B: PipeBackend, K: Key>(
-    bk: &B,
-    mut futs: Vec<TreapFut<B, K>>,
-    mode: Mode,
-) -> TreapFut<B, K> {
-    match futs.len() {
-        0 => bk.input(Treap::Leaf),
-        1 => futs.pop().expect("len checked"),
-        n => {
-            let right = futs.split_off(n / 2);
-            let l = union_many(bk, futs, mode);
-            let r = union_many(bk, right, mode);
-            let (p, f) = bk.cell();
-            bk.fork(move |bk| union(bk, l, r, p, mode));
-            f
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

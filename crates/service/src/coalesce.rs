@@ -1,24 +1,18 @@
 //! Request coalescing: turn a drained run of ingress requests into the
 //! smallest equivalent sequence of apply **waves**.
 //!
-//! Three rewrites, all order-preserving on the per-shard request stream:
+//! Two rewrites, both order-preserving on the per-shard request stream:
 //!
 //! 1. **Elision** — a request with no entries is dropped (it is a no-op
 //!    on the key set, so it never costs a session).
-//! 2. **Insert-run merging** — consecutive *small* requests of the same
-//!    kind merge into one multi-key wave group, sorted and deduplicated
-//!    (keep-first, matching `PlainTreap::from_entries`' duplicate
+//! 2. **Run merging** — consecutive requests of the same kind merge into
+//!    one wave whose entries are one key-sorted run, deduplicated
+//!    keep-first (matching `PlainTreap::from_entries`' duplicate
 //!    no-ops). This is the 2-6 tree's "m keys in one wave" plan applied
 //!    at the ingress boundary: one root walk for the whole run instead
-//!    of one per request.
-//! 3. **Union-tree collapsing** — consecutive *large* batches of the
-//!    same kind against the same root stay separate groups of one wave.
-//!    A pooled session combines them with a balanced
-//!    [`pf_algs::treap::union_many`] tree (⌈lg k⌉ pairwise unions,
-//!    each pipelining into the next) and touches the shard root once;
-//!    the inline pass needs no tree, since it sorts every entry of its
-//!    window into one run and keeps, per key, the `wins` winner among
-//!    the groups.
+//!    of one per request, and one sorted array, as §3.4's batch insert
+//!    takes it. A pooled session builds the run into one complete treap
+//!    in linear time; the inline pass reads it as it is.
 //!
 //! A wave is closed by: a kind change (insert → delete or back), the
 //! per-wave key budget ([`CoalescePolicy::max_wave_keys`]), or a faulty
@@ -38,32 +32,24 @@ pub struct CoalescePolicy {
     /// Close a wave before it exceeds this many keys (a latency bound:
     /// one wave is one unit of commit).
     pub max_wave_keys: usize,
-    /// Requests with fewer entries than this merge into the wave's
-    /// shared group (rewrite 2); larger ones become their own union-tree
-    /// group (rewrite 3), since re-sorting a big batch into the shared
-    /// group costs more than a pairwise union resolves.
-    pub merge_below: usize,
 }
 
 impl Default for CoalescePolicy {
     fn default() -> Self {
         CoalescePolicy {
             max_wave_keys: 8192,
-            merge_below: 64,
         }
     }
 }
 
-/// One apply unit: a kind, one or more entry groups (each sorted,
-/// deduplicated), and the tags of the requests folded into it.
+/// One apply unit: a kind, one key-sorted run of distinct entries, and
+/// the tags of the requests folded into it.
 #[derive(Clone, Debug)]
 pub struct Wave<K> {
     /// Insert or delete (a wave never mixes kinds).
     pub kind: OpKind,
-    /// Entry groups. Group 0 holds the merged small-request run (if
-    /// any); each large batch keeps its own group. A pooled session
-    /// union-trees the groups into one treap before touching the root;
-    /// the inline pass folds them into its window's sorted runs.
+    /// Always exactly one run: the wave's entries, sorted by key and
+    /// deduplicated keep-first across every request of the wave.
     pub groups: Vec<Vec<Entry<K>>>,
     /// Injected misbehavior (isolated: a faulty wave holds exactly the
     /// faulty request).
@@ -73,7 +59,7 @@ pub struct Wave<K> {
 }
 
 impl<K> Wave<K> {
-    /// Total keys across the wave's groups.
+    /// The wave's distinct keys.
     pub fn keys(&self) -> usize {
         self.groups.iter().map(Vec::len).sum()
     }
@@ -82,64 +68,34 @@ impl<K> Wave<K> {
 /// Sort by key (stable) and drop duplicate keys keep-first — the same
 /// duplicate semantics as `PlainTreap::from_entries`, where a duplicate
 /// insert is a no-op.
-fn sanitize<K: Ord + Clone>(mut entries: Vec<Entry<K>>) -> Vec<Entry<K>> {
+fn sanitize<K: Ord>(mut entries: Vec<Entry<K>>) -> Vec<Entry<K>> {
     entries.sort_by(|a, b| a.0.cmp(&b.0));
     entries.dedup_by(|a, b| a.0 == b.0);
     entries
 }
 
-struct Builder<K> {
-    kind: OpKind,
-    merged: Vec<Entry<K>>,
-    groups: Vec<Vec<Entry<K>>>,
-    tags: Vec<u64>,
-    keys: usize,
-}
-
-impl<K: Ord + Clone> Builder<K> {
-    fn new(kind: OpKind) -> Self {
-        Builder {
-            kind,
-            merged: Vec::new(),
-            groups: Vec::new(),
-            tags: Vec::new(),
-            keys: 0,
-        }
-    }
-
-    fn finish(self) -> Option<Wave<K>> {
-        let mut groups = Vec::with_capacity(self.groups.len() + 1);
-        if !self.merged.is_empty() {
-            groups.push(sanitize(self.merged));
-        }
-        groups.extend(self.groups);
-        if groups.is_empty() {
-            return None;
-        }
-        Some(Wave {
-            kind: self.kind,
-            groups,
-            fault: Fault::None,
-            tags: self.tags,
-        })
+/// One wave: `entries` in request order, one run once sanitized.
+fn wave<K: Ord>(kind: OpKind, entries: Vec<Entry<K>>, fault: Fault, tags: Vec<u64>) -> Wave<K> {
+    Wave {
+        kind,
+        groups: vec![sanitize(entries)],
+        fault,
+        tags,
     }
 }
 
 /// Coalesce one shard's drained request run into apply waves (module
 /// docs for the rewrite rules). Request order is preserved across wave
 /// boundaries; within a wave, reordering is sound because same-kind set
-/// operations commute and duplicate keys resolve identically (keep-first
-/// within the merged group, max-priority across union-tree groups —
-/// associativity-independent either way).
-pub fn coalesce<K: Ord + Clone>(
-    requests: Vec<Request<K>>,
-    policy: &CoalescePolicy,
-) -> Vec<Wave<K>> {
+/// operations commute and a duplicate key resolves keep-first, to the
+/// entry of the earliest request that holds it.
+pub fn coalesce<K: Ord>(requests: Vec<Request<K>>, policy: &CoalescePolicy) -> Vec<Wave<K>> {
     let mut waves: Vec<Wave<K>> = Vec::new();
-    let mut open: Option<Builder<K>> = None;
-    let close = |open: &mut Option<Builder<K>>, waves: &mut Vec<Wave<K>>| {
-        if let Some(b) = open.take() {
-            waves.extend(b.finish());
+    // The open wave: its kind, its entries in request order, its tags.
+    let mut open: Option<(OpKind, Vec<Entry<K>>, Vec<u64>)> = None;
+    let close = |open: &mut Option<_>, waves: &mut Vec<Wave<K>>| {
+        if let Some((kind, entries, tags)) = open.take() {
+            waves.push(wave(kind, entries, Fault::None, tags));
         }
     };
     for req in requests {
@@ -149,28 +105,18 @@ pub fn coalesce<K: Ord + Clone>(
         if req.fault != Fault::None {
             // Isolate the faulty request into its own wave.
             close(&mut open, &mut waves);
-            waves.push(Wave {
-                kind: req.kind,
-                groups: vec![sanitize(req.entries)],
-                fault: req.fault,
-                tags: vec![req.tag],
-            });
+            waves.push(wave(req.kind, req.entries, req.fault, vec![req.tag]));
             continue;
         }
-        let mismatched = open.as_ref().is_some_and(|b| {
-            b.kind != req.kind || b.keys + req.entries.len() > policy.max_wave_keys
+        let mismatched = open.as_ref().is_some_and(|(kind, entries, _)| {
+            *kind != req.kind || entries.len() + req.entries.len() > policy.max_wave_keys
         });
         if mismatched {
             close(&mut open, &mut waves);
         }
-        let b = open.get_or_insert_with(|| Builder::new(req.kind));
-        b.keys += req.entries.len();
-        b.tags.push(req.tag);
-        if req.entries.len() < policy.merge_below {
-            b.merged.extend(req.entries); // rewrite 2: run merging
-        } else {
-            b.groups.push(sanitize(req.entries)); // rewrite 3: union tree
-        }
+        let (_, entries, tags) = open.get_or_insert_with(|| (req.kind, Vec::new(), Vec::new()));
+        entries.extend(req.entries); // rewrite 2: run merging
+        tags.push(req.tag);
     }
     close(&mut open, &mut waves);
     waves

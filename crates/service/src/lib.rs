@@ -13,25 +13,24 @@
 //!   ingress ──► coalesce ──► apply pass per window ──► commit
 //!   (queue      (dedup,       ├ inline: the window's    (under the root
 //!    per         wave         │  net effect as plain     lock: edit the
-//!    shard)      merging,     │  code on the caller,     root in place or
-//!                groups)      │  within one grain,       swap a new one
-//!                             │  planned off-lock        in; free what it
+//!    shard)      merging:     │  code on the caller,     root in place or
+//!                one sorted   │  within one grain,       swap a new one
+//!                run a wave)  │  planned off-lock        in; free what it
 //!                             │                          replaced after)
 //!                             └ pooled: try_run_session,
-//!                                fault-contained; groups
-//!                                union-treed, batch N+1
-//!                                splits against batch N's
-//!                                unresolved root
+//!                                fault-contained; one
+//!                                batch treap a wave, batch
+//!                                N+1 splits against batch
+//!                                N's unresolved root
 //! ```
 //!
 //! * **Ingress + coalescing** ([`coalesce()`]): requests land in a
-//!   per-shard queue; a run of consecutive small inserts collapses into
-//!   one multi-insert *wave* (the 2-6 tree's m-keys-in-one-wave plan,
+//!   per-shard queue; a run of consecutive requests of one kind
+//!   collapses into one *wave* whose entries are one key-sorted run,
+//!   deduplicated keep-first (the 2-6 tree's m-keys-in-one-wave plan,
 //!   realized here on treaps because the shard root must also support
-//!   deletes), and consecutive pre-batched updates against the same
-//!   shard root stay groups of one wave, which a pooled session collapses
-//!   into one **union tree** ([`pf_algs::treap::union_many`]) instead of
-//!   k sequential root unions.
+//!   deletes), so a wave meets the shard root in one set operation
+//!   however many requests it holds.
 //! * **Key-range sharding** ([`shard::ShardMap`]): S independent shards,
 //!   each with its own persistent treap root, apply their waves in
 //!   fault-contained sessions ([`pf_rt::Runtime::try_run_session`]) on

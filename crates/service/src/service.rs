@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use pf_algs::plain::wins;
 use pf_algs::treap::{
-    diff, diff_run, plan_diff, plan_union, union, union_many, union_run, within_grain, Child, Treap,
+    diff, diff_run, plan_diff, plan_union, union, union_run, within_grain, Child, Treap,
 };
 use pf_algs::{Key, Mode, PipeBackend};
 use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Session, SessionError, Worker};
@@ -41,7 +41,7 @@ type RTreap<K> = Treap<Worker, K>;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApplyMode {
     /// One session per **window** of up to [`ServiceConfig::window`]
-    /// waves (or that many times [`CoalescePolicy::merge_below`] keys),
+    /// waves (or `window × 64` keys, whichever is reached first),
     /// chained through unresolved future cells: wave N+1's union
     /// touches wave N's still-being-written output root, so its splits
     /// begin as soon as N's root node exists — the paper's composition
@@ -62,8 +62,8 @@ pub struct ServiceConfig {
     /// ([`Runtime::shared`]`(threads)`).
     pub threads: usize,
     /// Max waves chained into one pipelined session (ignored in
-    /// [`ApplyMode::Barriered`]). A window also closes once it holds
-    /// `window × policy.merge_below` keys.
+    /// [`ApplyMode::Barriered`]). A window also closes before it would
+    /// hold more than `window × 64` keys (512 at the default 8).
     pub window: usize,
     /// Apply mode (pipelined by default; barriered for A/B runs).
     pub mode: ApplyMode,
@@ -252,10 +252,10 @@ struct Shard<K: Key> {
 }
 
 /// The apply plan of one wave: what [`WaveOutcome`] reports of it, and
-/// its entry groups (each sorted and distinct, [`Wave::groups`]) shared
-/// with whichever pass applies them. An inline pass reads them as sorted
-/// runs and builds no batch treap; a pooled session marshals them into
-/// treaps on the worker that runs it, so a batch's nodes come from the
+/// its one run of entries (sorted and distinct, [`Wave::groups`]) shared
+/// with whichever pass applies it. An inline pass reads the run as it is
+/// and builds no batch treap; a pooled session builds it into one treap
+/// on the worker that runs it, so a batch's nodes come from the
 /// allocator arena of the thread that goes on to walk them, and a bulk
 /// load never lands in the arena the caller's small path copies recycle.
 struct WavePlan<K> {
@@ -263,20 +263,28 @@ struct WavePlan<K> {
     fault: Fault,
     tags: Vec<u64>,
     keys: usize,
-    groups: Arc<Vec<Vec<Entry<K>>>>,
+    run: Arc<[Entry<K>]>,
 }
 
 impl<K> From<Wave<K>> for WavePlan<K> {
     fn from(w: Wave<K>) -> Self {
+        let Ok([run]) = <[_; 1]>::try_from(w.groups) else {
+            unreachable!("a wave is one run")
+        };
         WavePlan {
             kind: w.kind,
             fault: w.fault,
-            keys: w.keys(),
             tags: w.tags,
-            groups: Arc::new(w.groups),
+            keys: run.len(),
+            run: run.into(),
         }
     }
 }
+
+/// A window's key budget per wave it may hold: a window of up to `window`
+/// waves also closes before it holds `window × 64` keys, 512 at the
+/// default 8 (why, in `apply_pending`).
+const WINDOW_KEYS_PER_WAVE: usize = 64;
 
 /// Ignore mutex poisoning: the guarded values (a request vector, a
 /// committed root) are valid at every step, and a panicking shard thread
@@ -498,7 +506,7 @@ impl<K: Key> SetService<K> {
         // small requests in keys, whichever comes first: session time is
         // linear in keys, so bounding only the wave count lets a window of
         // large waves set the latency tail of every wave chained in it.
-        let key_budget = window * self.cfg.policy.merge_below;
+        let key_budget = window * WINDOW_KEYS_PER_WAVE;
         let mut start = 0;
         while start < waves.len() {
             let (mut end, mut keys) = (start + 1, waves[start].keys);
@@ -647,12 +655,12 @@ impl<K: Key> SetService<K> {
     /// One apply session: chain every wave of the window through
     /// unresolved result cells (cross-batch pipelining), then read the
     /// final root out, sealed — the one place a committable root that
-    /// took futures to build comes from. Each wave's groups are
-    /// marshalled here, on the worker that runs the session's root task,
-    /// and collapse through a balanced union tree before touching the
-    /// chain. On failure the caller gets the error plus the session's
-    /// wall-clock cost; the pool is already clean (aborted sessions
-    /// poison their cells and drop their continuations) and the
+    /// took futures to build comes from. Each wave's run is built here
+    /// into one complete treap ([`Treap::from_sorted_complete`]), on the
+    /// worker that runs the session's root task, and meets the chain in
+    /// one `union` or `diff`. On failure the caller gets the error plus
+    /// the session's wall-clock cost; the pool is already clean (aborted
+    /// sessions poison their cells and drop their continuations) and the
     /// pre-session root is untouched — it holds no cell, so the poison
     /// pass cannot reach it.
     #[allow(clippy::type_complexity)]
@@ -671,14 +679,14 @@ impl<K: Key> SetService<K> {
         }
         let steps: Vec<_> = waves
             .iter()
-            .map(|w| (w.kind, w.fault, Arc::clone(&w.groups)))
+            .map(|w| (w.kind, w.fault, Arc::clone(&w.run)))
             .collect();
         let started = Instant::now();
         let stats = self
             .rt
             .try_run_session(sess, move |wk: &Worker| {
                 let mut state: FutRead<RTreap<K>> = ready(root);
-                for (kind, fault, groups) in steps {
+                for (kind, fault, run) in steps {
                     match fault {
                         Fault::Panic => {
                             wk.spawn(|_| panic!("injected fault: malformed request payload"))
@@ -690,11 +698,7 @@ impl<K: Key> SetService<K> {
                         }),
                         Fault::None => {}
                     }
-                    let futs = groups
-                        .iter()
-                        .map(|g| ready(Treap::from_sorted_complete(g)))
-                        .collect();
-                    let batch = union_many(wk, futs, Mode::Pipelined);
+                    let batch = ready(Treap::from_sorted_complete(&run));
                     let (p, f) = cell();
                     match kind {
                         OpKind::Insert => union(wk, state, batch, p, Mode::Pipelined),
@@ -856,7 +860,7 @@ fn apply_inline<K: Key>(
 /// run sorted by key.
 fn net_effect<K: Key>(waves: &[WavePlan<K>]) -> (Vec<K>, Vec<Entry<K>>) {
     let mut ops: Vec<(&Entry<K>, OpKind)> = (waves.iter())
-        .flat_map(|w| w.groups.iter().flatten().map(move |e| (e, w.kind)))
+        .flat_map(|w| w.run.iter().map(move |e| (e, w.kind)))
         .collect();
     ops.sort_by(|(a, _), (b, _)| a.0.cmp(&b.0));
     let (mut deletes, mut inserts) = (Vec::new(), Vec::new());

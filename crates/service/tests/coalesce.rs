@@ -3,13 +3,6 @@
 
 use pf_service::{coalesce, CoalescePolicy, Fault, OpKind, Request};
 
-fn policy(max_wave_keys: usize, merge_below: usize) -> CoalescePolicy {
-    CoalescePolicy {
-        max_wave_keys,
-        merge_below,
-    }
-}
-
 #[test]
 fn empty_requests_are_elided() {
     let reqs: Vec<Request<i64>> = vec![
@@ -31,16 +24,16 @@ fn all_empty_input_produces_no_waves() {
 
 #[test]
 fn insert_run_merges_into_one_wave() {
-    // Five consecutive small inserts → one wave, one merged group.
+    // Five consecutive small inserts → one wave, one run.
     let reqs: Vec<Request<i64>> = (0..5)
         .map(|i| Request::insert(vec![(i * 10, i as u64), (i * 10 + 1, i as u64)]).tagged(i as u64))
         .collect();
     let waves = coalesce(reqs, &CoalescePolicy::default());
     assert_eq!(waves.len(), 1);
-    assert_eq!(waves[0].groups.len(), 1, "small run merges into group 0");
+    assert_eq!(waves[0].groups.len(), 1, "a wave is one run");
     assert_eq!(waves[0].keys(), 10);
     assert_eq!(waves[0].tags, vec![0, 1, 2, 3, 4]);
-    // Merged group is sorted by key.
+    // The run is sorted by key.
     let keys: Vec<i64> = waves[0].groups[0].iter().map(|e| e.0).collect();
     let mut sorted = keys.clone();
     sorted.sort_unstable();
@@ -61,23 +54,26 @@ fn duplicate_keys_dedup_keep_first() {
 }
 
 #[test]
-fn large_batches_stay_separate_union_groups() {
-    // Two pre-batched updates ≥ merge_below plus one small request:
-    // one wave, three groups (merged run first, then each big batch),
-    // ready for the balanced union tree.
-    let big_a: Vec<(i64, u64)> = (0..8).map(|i| (100 + i, 1)).collect();
-    let big_b: Vec<(i64, u64)> = (0..8).map(|i| (200 + i, 2)).collect();
+fn large_requests_join_the_one_run_keep_first() {
+    // One small request and two large ones, which share key 150 at
+    // different priorities: one wave, one sorted run, the first request's
+    // entry for 150 kept (not the higher priority), and 150 counted once.
+    let big_a: Vec<(i64, u64)> = (100..200).map(|k| (k, 1)).collect();
+    let big_b: Vec<(i64, u64)> = (200..300).map(|k| (k, 2)).chain([(150, 99)]).collect();
     let reqs = vec![
         Request::insert(vec![(5, 50)]),
         Request::insert(big_a.clone()),
-        Request::insert(big_b.clone()),
+        Request::insert(big_b),
     ];
-    let waves = coalesce(reqs, &policy(8192, 4));
-    assert_eq!(waves.len(), 1, "same-kind batches collapse into one wave");
-    assert_eq!(waves[0].groups.len(), 3);
-    assert_eq!(waves[0].groups[0], vec![(5, 50)]);
-    assert_eq!(waves[0].groups[1], big_a);
-    assert_eq!(waves[0].groups[2], big_b);
+    let waves = coalesce(reqs, &CoalescePolicy::default());
+    assert_eq!(waves.len(), 1, "same-kind requests collapse into one wave");
+    let run: Vec<(i64, u64)> = [(5, 50)]
+        .into_iter()
+        .chain(big_a)
+        .chain((200..300).map(|k| (k, 2)))
+        .collect();
+    assert_eq!(waves[0].groups, vec![run]);
+    assert_eq!(waves[0].keys(), 201);
 }
 
 #[test]
@@ -100,7 +96,7 @@ fn key_budget_closes_the_wave() {
     let reqs: Vec<Request<i64>> = (0..4)
         .map(|i| Request::insert(vec![(i * 2, 0), (i * 2 + 1, 0)]))
         .collect();
-    let waves = coalesce(reqs, &policy(4, 64));
+    let waves = coalesce(reqs, &CoalescePolicy { max_wave_keys: 4 });
     assert_eq!(waves.len(), 2);
     assert!(waves.iter().all(|w| w.keys() <= 4));
 }

@@ -53,7 +53,7 @@ fn workload(seed: u64) -> Vec<Request<i64>> {
                     live.extend(batch.iter().map(|e| e.0));
                     Request::insert(batch)
                 }
-                // Pre-batched bulk insert (lands as its own union group).
+                // Pre-batched bulk insert (merges into its wave's one run).
                 5..=7 => {
                     let batch: Vec<(i64, u64)> = (0..rng.gen_range(100..300))
                         .map(|_| (rng.gen_range(0..KEYSPACE), rng.gen()))
@@ -234,13 +234,12 @@ fn healthy_drive_matches_pump() {
 fn a_window_closes_at_its_key_budget() {
     // Six waves of 200 keys (alternating kinds keep them apart): with
     // window = 8 one session would take them all, but the key budget is
-    // 8 × merge_below = 512, so windows hold two waves each. A wave
-    // larger than the whole budget still gets a window of its own.
+    // 8 × 64 = 512, so windows hold two waves each. A wave larger than
+    // the whole budget still gets a window of its own.
     let cfg = ServiceConfig {
         threads: 2,
         ..ServiceConfig::default()
     };
-    assert_eq!(cfg.window * cfg.policy.merge_below, 512);
     let svc = SetService::new(ShardMap::uniform(1, 0, KEYSPACE), cfg);
     let batch = |from: i64| {
         (from..from + 200)
@@ -273,8 +272,9 @@ fn one_window_applies_its_net_effect_in_both_modes() {
     // window takes together (kinds alternate, so none merge):
     // 1. delete the root's key; 2. re-insert it at a lower priority, and
     // re-insert a present key higher; 3. delete absent keys; 4. re-insert
-    // that present key lower, and a key both in the merged group of small
-    // requests and in a large request of its own group.
+    // that present key lower, and a key twice in the wave's one run: high
+    // in a small request, then low in a large one. The run keeps the
+    // first entry, the one the oracle's unions keep as the higher.
     let base: Vec<Entry<i64>> = (0..100).map(|k| (2 * k, splitmix64(k as u64))).collect();
     let root = *base.iter().max_by_key(|e| e.1).unwrap();
     let present = base[base.len() / 3];

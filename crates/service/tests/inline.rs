@@ -9,8 +9,9 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::time::Duration;
 
-use pf_algs::plain::splitmix64;
+use pf_algs::plain::{splitmix64, PlainTreap};
 use pf_algs::treap::Treap;
+use pf_rt::Worker;
 use pf_service::{OpKind, Request, RetryPolicy, ServiceConfig, SetService, ShardMap};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
@@ -91,6 +92,35 @@ fn a_wave_over_the_grain_opens_a_session() {
     let report = svc.pump();
     assert_eq!((report.sessions, report.inline, report.served), (1, 1, 1));
     assert!(!svc.contains(&10) && svc.contains(&15));
+}
+
+#[test]
+fn an_over_grain_wave_builds_its_one_run_keep_first() {
+    // Two large requests of one wave share 100 keys, the second at higher
+    // priorities: more than one grain of distinct keys, so the wave runs
+    // in a pooled session, and it commits the tree of its entries kept
+    // first, each repeated key applied and counted once.
+    let svc = SetService::new(ShardMap::uniform(1, 0, 1 << 20), cfg());
+    let mut rng = SmallRng::seed_from_u64(38);
+    let base: Vec<(i64, u64)> = (0..1000).map(|k| (13 * k, rng.gen())).collect();
+    svc.submit(Request::insert(base.clone()));
+    assert_eq!(svc.pump().inline, 1);
+    let evens: Vec<(i64, u64)> = (0..3000).map(|k| (2 * k, rng.gen::<u64>() >> 1)).collect();
+    let odds = (0..3000).map(|k| (2 * k + 1, rng.gen()));
+    let repeats = evens[..100].iter().map(|&(k, p)| (k, p | 1 << 63));
+    let wave = [evens.clone(), odds.chain(repeats).collect()];
+    for r in &wave {
+        svc.submit(Request::insert(r.clone()));
+    }
+    let report = svc.pump();
+    assert_eq!((report.sessions, report.inline, report.served), (1, 0, 1));
+    assert_eq!(report.keys_applied, 6000);
+    let batch = PlainTreap::from_entries(&wave.concat());
+    let oracle = PlainTreap::union(PlainTreap::from_entries(&base), batch);
+    assert_eq!(
+        svc.snapshot(0).preorder(),
+        Treap::<Worker, i64>::from_plain_complete(&oracle).preorder()
+    );
 }
 
 /// While set, comparing two [`Touchy`] keys panics.

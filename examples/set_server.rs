@@ -122,9 +122,9 @@ fn shard_stream(reqs: &[Request<i64>], map: &ShardMap<i64>, shard: usize) -> Vec
 }
 
 /// Sequential shape oracle: replay one shard's *served* coalesced waves
-/// on a `PlainTreap`. Wave groups fold through `union` — associative on
-/// the final entry set (max-priority wins per key) — so this walks the
-/// exact entry stream the parallel union tree applied.
+/// on a `PlainTreap`. Each wave is one sorted, keep-first run, built into
+/// one batch treap, so this walks the exact entry stream the service
+/// applied.
 fn replay_shard_plain(
     stream: Vec<Request<i64>>,
     shard: usize,
@@ -136,11 +136,7 @@ fn replay_shard_plain(
         if !served.contains(&(shard, wave.tags[0])) {
             continue; // a wave serves or degrades atomically
         }
-        let batch = wave
-            .groups
-            .iter()
-            .map(|g| PlainTreap::from_entries(g))
-            .fold(None, PlainTreap::union);
+        let batch = PlainTreap::from_entries(&wave.groups[0]);
         state = match wave.kind {
             OpKind::Insert => PlainTreap::union(state, batch),
             OpKind::Delete => PlainTreap::diff(state, batch),

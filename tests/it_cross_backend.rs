@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use pf_algs::plain::{splitmix64, PlainTreap};
 use pf_algs::start::{merge_on, msort_on, union_on};
-use pf_algs::treap::{diff, union, union_many, Treap, TreapFut, TreapWr};
+use pf_algs::treap::{diff, union, Treap, TreapFut, TreapWr};
 use pf_algs::{Mode, PipeBackend, Seq};
 use pf_bench::workloads::shuffled_keys;
 use pf_core::Ctx;
@@ -212,21 +212,8 @@ fn union_is_bit_identical_under_concurrent_panicking_sibling() {
     }
 }
 
-#[test]
-#[should_panic(expected = "future cell touched before it was written")]
-fn seq_oracle_rejects_touch_before_write() {
-    // The sequential backend is the Σ_f ⇒ Σ oracle: it must refuse any
-    // program whose futures-free erasure would read an unwritten cell.
-    Seq::run(|bk| {
-        let (_wr, f) = bk.cell::<i64>();
-        bk.touch(&f, |_bk, _v| {});
-    });
-}
-
-type Entries = Vec<(i64, u64)>;
-
-/// A service window in miniature: eight waves, each a union tree of its
-/// groups, chained in one session through result cells — so a wave may
+/// A service window in miniature: eight waves, each one batch treap,
+/// chained in one session through result cells — so a wave may
 /// find its predecessor's root still pending (a stolen fork, or an
 /// unsized predecessor's pushed children), sized (the predecessor ran
 /// plain code) or unsized (it forked: wave 3 is more than one grain of
@@ -238,25 +225,18 @@ fn eight_waves_chain_through_unresolved_cells() {
     let root = Arc::new(PlainTreap::from_entries(&entries(
         (0..20_000).map(|i| 5 * i),
     )));
-    let waves: Vec<(bool, Vec<Entries>)> = (0..8)
+    let waves: Vec<(bool, Vec<(i64, u64)>)> = (0..8)
         .map(|w| {
-            let insert = w % 3 != 2;
-            let groups = (0..1 + w % 3)
-                .map(|_| {
-                    let keys = if w == 3 { 3000 } else { rng.gen_range(1..200) };
-                    (0..keys)
-                        .map(|_| (rng.gen_range(0..100_000), rng.gen()))
-                        .collect()
-                })
+            let keys = if w == 3 { 3000 } else { rng.gen_range(1..200) };
+            let batch = (0..keys)
+                .map(|_| (rng.gen_range(0..100_000), rng.gen()))
                 .collect();
-            (insert, groups)
+            (w % 3 != 2, batch)
         })
         .collect();
     let mut want = (*root).clone();
-    for (insert, groups) in &waves {
-        let batch = groups.iter().fold(None, |acc, g| {
-            PlainTreap::union(acc, PlainTreap::from_entries(g))
-        });
+    for (insert, batch) in &waves {
+        let batch = PlainTreap::from_entries(batch);
         want = if *insert {
             PlainTreap::union(want, batch)
         } else {
@@ -270,9 +250,8 @@ fn eight_waves_chain_through_unresolved_cells() {
             let (op, of) = cell();
             rt.run(move |wk| {
                 let mut state = wk.input(crusted(wk, &root, crust));
-                for (insert, groups) in waves {
-                    let futs = groups.iter().map(|g| wk.input(Treap::from_entries(wk, g)));
-                    let batch = union_many(wk, futs.collect(), M);
+                for (insert, batch) in waves {
+                    let batch = wk.input(Treap::from_entries(wk, &batch));
                     let (p, f) = cell();
                     if insert {
                         union(wk, state, batch, p, M);

@@ -10,7 +10,7 @@
 //!
 //! | check | result on every engine |
 //! |---|---|
-//! | [`SetOps::check`] | union, difference, intersection, `union_many`: `PlainTreap`'s tree entry for entry, invariants, canonical representation once sealed |
+//! | [`SetOps::check`] | union, difference, intersection, a union of a pending union: `PlainTreap`'s tree entry for entry, invariants, canonical representation once sealed |
 //! | [`check_split_join`] | `splitm` then `join`: `PlainTreap::split`'s trees and flag, then `PlainTreap::join`'s tree |
 //! | [`check_split`] | BST `split`: the keys below and from the splitter |
 //! | [`check_merge`] | `merge` (`Seq`'s height) and `merge_balanced` (balanced height) |
@@ -37,9 +37,7 @@ use pf_algs::list::ListFut;
 use pf_algs::merge::split;
 use pf_algs::plain::{splitmix64, Entry, PlainTreap};
 use pf_algs::start::*;
-use pf_algs::treap::{
-    diff, intersect, join, splitm, union, union_many, within_grain, Child, Treap, TreapNode,
-};
+use pf_algs::treap::{diff, intersect, join, splitm, union, within_grain, Child, Treap, TreapNode};
 use pf_algs::tree::{Tree, TreeFut};
 use pf_algs::two_six::TsFut;
 use pf_algs::{Key, Mode, PipeBackend, Seq, Val};
@@ -296,9 +294,9 @@ pub enum SetOp {
     Diff,
     /// `intersect(a, b)`: `a \ (a \ b)`, with `a`'s priorities.
     Intersect,
-    /// `union_many([a, b, a])`: a union tree whose upper union takes a
-    /// pending one.
-    UnionMany,
+    /// `union(a, union(b, a))`, the inner union forked and read through
+    /// its cell: an upper union whose operand may still be pending.
+    UnionChain,
 }
 
 /// Every [`SetOp`].
@@ -306,7 +304,7 @@ pub const SET_OPS: [SetOp; 4] = [
     SetOp::Union,
     SetOp::Diff,
     SetOp::Intersect,
-    SetOp::UnionMany,
+    SetOp::UnionChain,
 ];
 
 /// Two treap operands, as plain treaps, and what each [`SetOp`] of them
@@ -352,11 +350,19 @@ impl<K: Key + Debug> SetOps<K> {
                     let (fa, fb) = (bk.input(crusted(bk, &a, ca)), bk.input(crusted(bk, &b, cb)));
                     let set_op = |op| {
                         let (fa, fb) = (fa.clone(), fb.clone());
+                        let fb = match op {
+                            SetOp::UnionChain => {
+                                let (inner, f) = bk.cell();
+                                let a = fa.clone();
+                                bk.fork(move |bk| union(bk, fb, a, inner, M));
+                                f
+                            }
+                            _ => fb,
+                        };
                         let binary = match op {
-                            SetOp::Union => union,
+                            SetOp::Union | SetOp::UnionChain => union,
                             SetOp::Diff => diff,
                             SetOp::Intersect => intersect,
-                            SetOp::UnionMany => return union_many(bk, vec![fa.clone(), fb, fa], M),
                         };
                         let (out, f) = bk.cell();
                         binary(bk, fa, fb, out, M);
@@ -368,7 +374,7 @@ impl<K: Key + Debug> SetOps<K> {
                     for ((&op, want), got) in ops.iter().zip(&want).zip(&got) {
                         let what = format!("{engine}: {op:?}, crusts ({ca:?}, {cb:?})");
                         want.assert(got, &what);
-                        if plain && (ca, cb) == (SIZED, SIZED) && op != SetOp::UnionMany {
+                        if plain && (ca, cb) == (SIZED, SIZED) && op != SetOp::UnionChain {
                             assert_eq!(got.sized(), Some(want.preorder.len()), "{what}");
                         }
                     }

@@ -1,12 +1,12 @@
-//! The treap family — union, difference, intersection, `splitm`, `join`,
-//! `union_many` — on `Seq` and the simulator, plus its pf-rt half of the
+//! The treap family — union, difference, intersection, `splitm`, `join` —
+//! on `Seq` and the simulator, plus its pf-rt half of the
 //! representation check: results against `PlainTreap`, then the
 //! simulator's cost assertions.
 
 mod tests {
     use pf_algs::plain::{splitmix64, Entry, PlainTreap};
     use pf_algs::start::{diff_on, intersect_on, union_on};
-    use pf_algs::treap::{diff, union, union_many, Treap, TreapFut, TreapWr};
+    use pf_algs::treap::{diff, union, Treap, TreapFut, TreapWr};
     use pf_algs::{Mode, PipeBackend, Seq};
     use pf_bench::analysis::{completion_time, walk_treap};
     use pf_core::{Ctx, Fut, Sim};
@@ -129,36 +129,6 @@ mod tests {
     fn diff_and_intersect_on_the_oracle() {
         let (a, b) = (entries(0..100), entries((0..100).filter(|k| k % 3 == 0)));
         SetOps::new(&a, &b).check::<Seq>(&[Diff, Intersect], &BOTH_SIZED);
-    }
-
-    /// Overlapping batches, duplicate keys across batches with *different*
-    /// priorities: the union tree resolves every duplicate to the
-    /// max-priority entry, as the left fold does.
-    #[test]
-    fn union_many_matches_sequential_fold() {
-        let batches: Vec<Plain> = (0..5)
-            .map(|b| {
-                let batch: Vec<Entry<i64>> = (0..40)
-                    .map(|i| (7 * i + b) % 60)
-                    .map(|k| (k, splitmix64((k as u64) << 8 | b as u64)))
-                    .collect();
-                PlainTreap::from_entries(&batch)
-            })
-            .collect();
-        let crusts = [SIZED, ALL, Some(2)].into_iter().cycle();
-        for (take, crust) in [0usize, 1, 2, 3, 5].into_iter().zip(crusts) {
-            let got = Seq::run(|bk| {
-                let futs = (batches[..take].iter())
-                    .map(|b| bk.input(crusted(bk, b, crust)))
-                    .collect();
-                Treap::<Seq, i64>::expect(&union_many(bk, futs, M))
-            });
-            let want = batches[..take]
-                .iter()
-                .cloned()
-                .fold(None, PlainTreap::union);
-            assert_oracles_tree(&got, &want, &format!("take={take}"));
-        }
     }
 
     #[test]
