@@ -41,9 +41,9 @@
 //! estimate m·(⌊lg(n/m)⌋+1) is within the grain ([`within_grain`], a
 //! public function of the two sizes) meet in one plain kernel, persistent
 //! and direct-style: the smaller operand, flattened into a key-sorted run,
-//! is applied to the other by [`union_run`], or by [`diff_run`] and its
-//! dual — cut by binary search at each node, merged into or filtered at
-//! each block. A near-equal union merges the two runs whole instead, and a
+//! is applied to the other by [`apply_run`] (as inserts, or as deletes)
+//! or by its dual — cut by binary search at each node, merged into or
+//! filtered at each block. A near-equal union merges the two runs whole instead, and a
 //! difference or intersection against a much larger operand looks its keys
 //! up in it. A complete operand of any size is split or joined plainly, so
 //! its pieces stay complete; everything else — an unsized or still-pending
@@ -57,9 +57,11 @@
 //! The run kernel is written once over what it does at a subtreap whose
 //! answer it knows: build it now, sharing what did not change — the path
 //! copy that the pipelined step and every shared operand need — or record
-//! it in a [`Patch`] ([`plan_union`], [`plan_diff`]) that
-//! [`Patch::commit`] later applies in place to a treap nothing else holds,
-//! with no comparison, key clone or allocation left to run.
+//! it in a [`Patch`] ([`plan_run`]) that [`Patch::commit`] later applies
+//! in place to a treap nothing else holds, with no comparison, key clone or
+//! allocation left to run. One walk applies deletes and inserts together,
+//! so a caller with both (pf-service's inline pass, a window's net effect)
+//! copies or records each changed path once.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -675,7 +677,7 @@ fn with_kids<B: PipeBackend, K: Key>(
 /// ("Granularity"), which the pipelined [`union`], [`diff`] and
 /// [`intersect`] apply at every step to two sized operands; a caller with
 /// no engine in hand (pf-service's inline pass) asks it of sizes it knows
-/// or bounds, then runs [`union_run`] and [`diff_run`].
+/// or bounds, then runs [`apply_run`] or [`plan_run`].
 pub fn within_grain<B: PipeBackend>(n: usize, m: usize) -> bool {
     let (m, n) = (m.min(n) as u64, m.max(n) as u64);
     let work = m * u64::from(n.checked_div(m).map_or(0, |q| q.ilog2() + 1));
@@ -795,75 +797,57 @@ fn merge<B: PipeBackend, K: Key>(a: &Treap<B, K>, x: &[Entry<K>], y: &[Entry<K>]
     from_run(n, || merge_next(x, y, &mut at).0.clone())
 }
 
-/// Does [`union_run`] merge a run of `m` entries into a treap of `n` keys
+/// Does [`apply_run`] merge a run of `m` inserts into a treap of `n` keys
 /// whole, not cut it in: is it more than half the treap? Cuts would copy
 /// all of the treap anyway.
 fn merges(n: usize, m: usize) -> bool {
     n < 2 * m
 }
 
-/// The union of the complete treap `t` and `run` — entries sorted by key,
-/// no key twice — as plain code with no engine: a key in both keeps its
-/// [`wins`] winner, and `t` itself comes back if `run` adds nothing. At a
-/// node the run's winner either beats the node's entry and becomes the
-/// root over `t` split plainly by its key, or the run is cut at the node's
-/// key by binary search (an entry with that key loses to the node); each
-/// leaf or block the cuts reach meets its piece of the run in one
-/// two-finger merge, and so does a `t` at most twice the run's size.
-/// [`plan_union`] is the same kernel, recorded for an edit in place.
+/// The complete treap `t` without the keys `deletes`, united with the run
+/// `inserts` — each sorted by key, no key twice — as plain code with no
+/// engine: a key in both is deleted and then inserted, a key in `t` and
+/// `inserts` alone keeps its [`wins`] winner, and `t` itself comes back if
+/// neither side changes it. One walk: at a node the inserts' winner either
+/// beats the node's entry and becomes the root over `t` split plainly by
+/// its key, or both sides are cut at the node's key by binary search (an
+/// insert with that key loses to a node that stays) and a deleted node's
+/// two sides are joined; each leaf or block the cuts reach keeps the
+/// entries `deletes` lacks and meets its piece of `inserts` in one
+/// two-finger merge, and so does a `t` at most twice the inserts' size.
+/// [`plan_run`] is the same kernel, recorded for an edit in place.
 ///
 /// # Panics
 /// If `t` holds a future cell.
-pub fn union_run<B: PipeBackend, K: Key>(t: &Treap<B, K>, run: &[Entry<K>]) -> Treap<B, K> {
-    union_with(&mut Build, t, run)
-}
-
-/// The complete treap `t` without `keys` — sorted, no key twice — as plain
-/// code with no engine, and `t` itself if it holds none of them: the slice
-/// is cut at each node's key by binary search, a found key is removed by
-/// joining its two sides, and a block keeps the entries the slice lacks.
-/// [`plan_diff`] is the same kernel, recorded for an edit in place.
-///
-/// # Panics
-/// If `t` holds a future cell.
-pub fn diff_run<B: PipeBackend, K: Key>(t: &Treap<B, K>, keys: &[K]) -> Treap<B, K> {
-    select_run::<B, K, _, false>(&mut Build, t, keys)
-}
-
-/// [`union_run`] of `t` and `run`, recorded as a [`Patch`] of `t` instead
-/// of built: every comparison, key clone and block build happens here, and
-/// [`Patch::commit`] then only stores sizes and moves subtreaps. A node the
-/// union keeps over changed children is edited in place only if nothing
-/// else can reach it: `t`'s root if at most `owners` handles hold it (the
-/// caller's own among them), a node below if only its parent does. At a
-/// node anyone else holds — a reader's snapshot, say — the union of its
-/// subtreap is built as [`union_run`] builds it and put in whole, so the
-/// patch copies only what others hold.
-///
-/// # Panics
-/// If `t` holds a future cell.
-pub fn plan_union<B: PipeBackend, K: Key>(
+pub fn apply_run<B: PipeBackend, K: Key>(
     t: &Treap<B, K>,
-    run: &[Entry<K>],
+    deletes: &[K],
+    inserts: &[Entry<K>],
+) -> Treap<B, K> {
+    edit_run::<B, K, _, false>(&mut Build, t, deletes, inserts)
+}
+
+/// [`apply_run`] of `t`, `deletes` and `inserts`, recorded as a [`Patch`]
+/// of `t` instead of built: every comparison, key clone and block build
+/// happens here, and [`Patch::commit`] then only stores sizes and moves
+/// subtreaps. A node the edit keeps over changed children is edited in
+/// place only if nothing else can reach it: `t`'s root if at most `owners`
+/// handles hold it (the caller's own among them), a node below if only its
+/// parent does. At a node anyone else holds — a reader's snapshot, say —
+/// and at a node the edit deletes or puts a new root above, the answer for
+/// its subtreap is built as [`apply_run`] builds it and put in whole, so
+/// the patch copies only what others hold or what changes shape.
+///
+/// # Panics
+/// If `t` holds a future cell.
+pub fn plan_run<B: PipeBackend, K: Key>(
+    t: &Treap<B, K>,
+    deletes: &[K],
+    inserts: &[Entry<K>],
     owners: usize,
 ) -> Patch<B, K> {
     let mut rec = Record::new(owners);
-    union_with(&mut rec, t, run);
-    Patch { edits: rec.edits }
-}
-
-/// [`diff_run`] of `t` and `keys`, recorded as a [`Patch`] of `t`: the
-/// difference's counterpart of [`plan_union`], with the same `owners`.
-///
-/// # Panics
-/// If `t` holds a future cell.
-pub fn plan_diff<B: PipeBackend, K: Key>(
-    t: &Treap<B, K>,
-    keys: &[K],
-    owners: usize,
-) -> Patch<B, K> {
-    let mut rec = Record::new(owners);
-    select_run::<B, K, _, false>(&mut rec, t, keys);
+    edit_run::<B, K, _, false>(&mut rec, t, deletes, inserts);
     Patch { edits: rec.edits }
 }
 
@@ -913,7 +897,7 @@ impl<B: PipeBackend, K: Key> Emit<B, K> for Build {
     }
 }
 
-/// A recorded edit of a complete treap ([`plan_union`], [`plan_diff`]):
+/// A recorded edit of a complete treap ([`plan_run`]):
 /// one edit per subtreap it changes, in preorder; none if it changes
 /// nothing.
 pub struct Patch<B: PipeBackend, K: Val> {
@@ -1102,90 +1086,102 @@ fn done_mut<B: PipeBackend, K: Key>(c: &mut Child<B, K>) -> &mut Treap<B, K> {
     }
 }
 
-/// [`union_run`], or [`plan_union`] with a [`Record`]: the [`merges`]
-/// question, then [`union_cut`].
-fn union_with<B: PipeBackend, K: Key, E: Emit<B, K>>(
-    e: &mut E,
-    t: &Treap<B, K>,
-    run: &[Entry<K>],
-) -> E::Out {
-    match t {
-        Treap::Node(n) if merges(n.size, run.len()) => e.put(t, merge(t, &entries(t), run)),
-        _ => union_cut(e, t, run, None),
-    }
-}
-
-/// [`union_with`] below its one [`merges`] question, told the index of
-/// `run`'s winner when a cut left it there: only the other side rescans.
-fn union_cut<B: PipeBackend, K: Key, E: Emit<B, K>>(
-    e: &mut E,
-    t: &Treap<B, K>,
-    run: &[Entry<K>],
-    winner: Option<usize>,
-) -> E::Out {
-    if run.is_empty() {
-        return e.same(t);
-    }
-    let Treap::Node(n) = t else {
-        return e.put(t, merge(t, fringe(t).expect("a leaf or a block"), run));
-    };
-    if !e.owns(n) {
-        return e.put(t, union_cut(&mut Build, t, run, winner));
-    }
-    let i = winner.unwrap_or_else(|| top(run));
-    let (key, prio) = (&run[i].0, run[i].1);
-    if wins(key, prio, &n.key, n.prio) {
-        let (l, r, _dup) = split_plain(t, key);
-        let l = union_cut(&mut Build, &l, &run[..i], None);
-        let r = union_cut(&mut Build, &r, &run[i + 1..], None);
-        return e.put(t, Treap::node_sized(key.clone(), prio, l, r));
-    }
-    let below = run.partition_point(|e| e.0 < n.key);
-    let above = below + usize::from(run.get(below).is_some_and(|e| e.0 == n.key));
-    let at = e.open();
-    let l = union_cut(e, kid(&n.left), &run[..below], (i < below).then_some(i));
-    let r = union_cut(e, kid(&n.right), &run[above..], i.checked_sub(above));
-    e.leave(at, t, l, r)
-}
-
-/// [`diff_run`] (`KEEP_FOUND == false`) and its dual (`true`: the entries
-/// whose keys are in `keys`), as [`select`] is of [`diff`] and [`intersect`]:
-/// a node stays iff the verdict on its key is `KEEP_FOUND`, else its sides
-/// are joined; a block [`keep`]s the entries with that verdict.
-fn select_run<B: PipeBackend, K: Key, E: Emit<B, K>, const KEEP_FOUND: bool>(
+/// [`apply_run`] (`KEEP_FOUND == false`), [`plan_run`] with a [`Record`],
+/// and the plain code of [`intersect`] (`true`, with no `run`: the entries
+/// whose keys are in `keys`), as [`select`] is of [`diff`] and
+/// [`intersect`]: the [`merges`] question, then [`edit_cut`].
+fn edit_run<B: PipeBackend, K: Key, E: Emit<B, K>, const KEEP_FOUND: bool>(
     e: &mut E,
     t: &Treap<B, K>,
     keys: &[K],
+    run: &[Entry<K>],
 ) -> E::Out {
-    if keys.is_empty() {
+    debug_assert!(!KEEP_FOUND || run.is_empty(), "the dual inserts nothing");
+    match t {
+        Treap::Node(n) if merges(n.size, run.len()) => {
+            e.put(t, keep_merge::<B, K, KEEP_FOUND>(t, keys, run))
+        }
+        _ => edit_cut::<B, K, E, KEEP_FOUND>(e, t, keys, run, None),
+    }
+}
+
+/// [`edit_run`] below its one [`merges`] question, told the index of
+/// `run`'s winner when a cut left it there: only the other side rescans.
+/// A node stays iff the verdict on its key is `KEEP_FOUND` and `run`'s
+/// winner does not beat it; only such a node is opened, and only if the
+/// emitter [`owns`](Emit::owns) it.
+fn edit_cut<B: PipeBackend, K: Key, E: Emit<B, K>, const KEEP_FOUND: bool>(
+    e: &mut E,
+    t: &Treap<B, K>,
+    keys: &[K],
+    run: &[Entry<K>],
+    winner: Option<usize>,
+) -> E::Out {
+    if keys.is_empty() && run.is_empty() {
         return if KEEP_FOUND {
             e.put(t, Treap::Leaf)
         } else {
             e.same(t)
         };
     }
-    let n = match t {
-        Treap::Leaf => return e.same(t),
-        Treap::Block(_) => {
-            return e.put(t, keep(t, |k| keys.binary_search(k).is_ok() == KEEP_FOUND))
-        }
-        Treap::Node(n) => n,
+    let Treap::Node(n) = t else {
+        return e.put(t, keep_merge::<B, K, KEEP_FOUND>(t, keys, run));
     };
     if !e.owns(n) {
-        return e.put(t, select_run::<B, K, _, KEEP_FOUND>(&mut Build, t, keys));
+        let built = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, t, keys, run, winner);
+        return e.put(t, built);
     }
-    let below = keys.partition_point(|k| *k < n.key);
-    let found = keys.get(below) == Some(&n.key);
-    let (lk, rk) = (&keys[..below], &keys[below + usize::from(found)..]);
-    if found != KEEP_FOUND {
-        let l = select_run::<B, K, _, KEEP_FOUND>(&mut Build, kid(&n.left), lk);
-        let r = select_run::<B, K, _, KEEP_FOUND>(&mut Build, kid(&n.right), rk);
-        return e.put(t, join_plain(&l, &r));
+    let winner = (!run.is_empty()).then(|| winner.unwrap_or_else(|| top(run)));
+    if let Some(i) = winner.filter(|&i| wins(&run[i].0, run[i].1, &n.key, n.prio)) {
+        let (key, prio) = (&run[i].0, run[i].1);
+        let (l, r, _dup) = split_plain(t, key);
+        let (lk, _, rk) = cut(keys, key, |k| k);
+        let l = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, &l, lk, &run[..i], None);
+        let r = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, &r, rk, &run[i + 1..], None);
+        return e.put(t, Treap::node_sized(key.clone(), prio, l, r));
+    }
+    let (lk, hit, rk) = cut(keys, &n.key, |k| k);
+    let (lr, again, rr) = cut(run, &n.key, |e| &e.0);
+    let lw = winner.filter(|&i| i < lr.len());
+    let rw = winner.and_then(|i| i.checked_sub(lr.len() + again.len()));
+    if hit.is_empty() == KEEP_FOUND {
+        // The verdict on the node's key drops it: join its sides.
+        let l = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, kid(&n.left), lk, lr, lw);
+        let r = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, kid(&n.right), rk, rr, rw);
+        // The node's key, inserted again after its delete.
+        let back = edit_cut::<B, K, _, false>(&mut Build, &join_plain(&l, &r), &[], again, None);
+        return e.put(t, back);
     }
     let at = e.open();
-    let l = select_run::<B, K, E, KEEP_FOUND>(e, kid(&n.left), lk);
-    let r = select_run::<B, K, E, KEEP_FOUND>(e, kid(&n.right), rk);
+    let l = edit_cut::<B, K, E, KEEP_FOUND>(e, kid(&n.left), lk, lr, lw);
+    let r = edit_cut::<B, K, E, KEEP_FOUND>(e, kid(&n.right), rk, rr, rw);
     e.leave(at, t, l, r)
+}
+
+/// `xs`, sorted by `key` with no key twice, cut at `at`: the part below it,
+/// the one element with key `at` if there is one, and the part above it.
+fn cut<'a, T, K: Ord>(xs: &'a [T], at: &K, key: impl Fn(&T) -> &K) -> (&'a [T], &'a [T], &'a [T]) {
+    let below = xs.partition_point(|x| key(x) < at);
+    let above = below + usize::from(xs.get(below).is_some_and(|x| key(x) == at));
+    (&xs[..below], &xs[below..above], &xs[above..])
+}
+
+/// The complete treap of `t`'s entries whose verdict against `keys` is
+/// `KEEP_FOUND`, united with `run` by one two-finger [`merge`]: `t` itself
+/// if that changes nothing.
+fn keep_merge<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
+    t: &Treap<B, K>,
+    keys: &[K],
+    run: &[Entry<K>],
+) -> Treap<B, K> {
+    if keys.is_empty() && !KEEP_FOUND {
+        return merge(t, &entries(t), run);
+    }
+    let kept = keep(t, |k| keys.binary_search(k).is_ok() == KEEP_FOUND);
+    if run.is_empty() {
+        return kept;
+    }
+    merge(&kept, &entries(&kept), run)
 }
 
 /// The complete treap of `t`'s entries whose key `keeps`, `t` itself if
@@ -1215,7 +1211,7 @@ fn keep<B: PipeBackend, K: Key>(t: &Treap<B, K>, keeps: impl Fn(&K) -> bool) -> 
 }
 
 /// Does a plain [`select`] of `a`'s `m` keys against `b`'s `n` look them up
-/// in `b` rather than walk all of `b` for [`select_run`]: is `b` more than
+/// in `b` rather than walk all of `b` for [`edit_run`]: is `b` more than
 /// 4 times larger?
 fn looks_up(m: usize, n: usize) -> bool {
     n > 4 * m
@@ -1330,7 +1326,7 @@ pub fn union<B: PipeBackend, K: Key>(
             if fuses(&av, &bv) {
                 let mut by_size = [&av, &bv];
                 by_size.sort_by_key(|t| len(t));
-                bk.fulfill(out, union_run(by_size[1], &entries(by_size[0])));
+                bk.fulfill(out, apply_run(by_size[1], &[], &entries(by_size[0])));
                 return;
             }
             bk.tick(1);
@@ -1395,7 +1391,7 @@ pub fn intersect<B: PipeBackend, K: Key>(
 }
 
 /// The one body of [`diff`] (`KEEP_FOUND == false`) and [`intersect`]
-/// (`true`), as [`select_run`] is of their plain code: a root stays iff
+/// (`true`), as [`edit_run`] is of their plain code: a root stays iff
 /// `splitm`'s verdict on its key equals `KEEP_FOUND`, else its two
 /// recursive results are joined. A const, so each verdict is its own
 /// monomorphic text and no closure carries it.
@@ -1417,7 +1413,8 @@ fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
                 let got = if looks_up(len(&av), len(&bv)) {
                     keep(&av, |k| bv.contains(k) == KEEP_FOUND)
                 } else {
-                    select_run::<B, K, _, KEEP_FOUND>(&mut Build, &av, &bv.to_sorted_vec())
+                    let keys = bv.to_sorted_vec();
+                    edit_run::<B, K, _, KEEP_FOUND>(&mut Build, &av, &keys, &[])
                 };
                 bk.fulfill(out, got);
                 return;
@@ -1509,22 +1506,31 @@ mod tests {
             assert_eq!(merges(a.len(), b.len()), whole);
             let keys: Vec<i64> = b.iter().map(|e| e.0).collect();
             let (ta, tb) = (t(&a), t(&b));
-            same_tree(union_run(&ta, &b), PlainTreap::union(p(&a), p(&b)), "union");
+            same_tree(
+                apply_run(&ta, &[], &b),
+                PlainTreap::union(p(&a), p(&b)),
+                "union",
+            );
             let want = || PlainTreap::diff(p(&a), p(&b));
-            same_tree(diff_run(&ta, &keys), want(), "diff");
+            same_tree(apply_run(&ta, &keys, &[]), want(), "diff");
+            // Both at once: `b`'s keys deleted from `a`, then every third
+            // entry of `a` inserted back, re-prioritised.
+            let back: Vec<Entry<i64>> = a.iter().step_by(3).map(|&(k, p)| (k, p / 2)).collect();
+            let both = PlainTreap::union(want(), p(&back));
+            same_tree(apply_run(&ta, &keys, &back), both, "deletes and inserts");
             same_tree(keep(&ta, |k| !tb.contains(k)), want(), "diff by lookups");
             let want = || PlainTreap::diff(p(&a), want());
             same_tree(
-                select_run::<B, i64, _, true>(&mut Build, &ta, &keys),
+                edit_run::<B, i64, _, true>(&mut Build, &ta, &keys, &[]),
                 want(),
                 "intersect",
             );
             same_tree(keep(&ta, |k| tb.contains(k)), want(), "meet by lookups");
         }
         let root = t(&big);
-        same_tree(union_run(&root, &one), p(&big), "one key into many");
-        assert!(union_run(&root, &one).ptr_eq(&root), "nothing to add");
-        let absent = diff_run(&root, &[-1, 1 << 40]);
+        same_tree(apply_run(&root, &[], &one), p(&big), "one key into many");
+        assert!(apply_run(&root, &[], &one).ptr_eq(&root), "nothing to add");
+        let absent = apply_run(&root, &[-1, 1 << 40], &[]);
         assert!(absent.ptr_eq(&root), "nothing to delete");
         assert!(keep(&root, |_| true).ptr_eq(&root), "nothing to drop");
     }

@@ -6,8 +6,8 @@
 
 use std::collections::BTreeMap;
 
-use pf_algs::plain::{splitmix64, Entry, PlainTreap};
-use pf_algs::treap::{diff_run, plan_diff, plan_union, union_run, Patch, Treap};
+use pf_algs::plain::{splitmix64, wins, Entry, PlainTreap};
+use pf_algs::treap::{apply_run, plan_run, Patch, Treap};
 use pf_algs::tree::Tree;
 use pf_algs::two_six::level_arrays;
 use pf_algs::{PipeBackend, Seq};
@@ -37,27 +37,59 @@ fn operand(small: BTreeMap<i64, u64>, bulk: bool, seed: u64, tie: u64) -> Vec<En
 /// The crusts the boundary test draws its operands from.
 const DRAWN: [Crust; 4] = [SIZED, ALL, Some(1), Some(4)];
 
-/// On engine `B`: `union_run` and `diff_run` of the complete treap of `t`
-/// with `run` and `dels` build `PlainTreap`'s union and difference in the
-/// canonical representation, and return `t` itself for an empty run, for
-/// `t`'s own entries (merged whole) or its first (cut in), and for deletes
-/// of absent keys only.
+/// The winner among `xs` by [`wins`], if any.
+fn winner(xs: &[Entry<i64>]) -> Option<&Entry<i64>> {
+    xs.iter()
+        .reduce(|a, b| if wins(&b.0, b.1, &a.0, a.1) { b } else { a })
+}
+
+/// A mixed window: deletes `dels` plus the keys of `run`'s first entry,
+/// of its winner and of `t`'s root, and inserts `run` plus `t`'s root
+/// entry at a lower priority unless `run` holds its key. So the root is
+/// deleted, and keys — the root's among them — are deleted and inserted
+/// again in one window.
+fn mixed(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) -> (Vec<i64>, Vec<Entry<i64>>) {
+    let root = winner(t);
+    let again = run.first().into_iter().chain(winner(run)).chain(root);
+    let mut keys: Vec<i64> = dels.iter().copied().chain(again.map(|e| e.0)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut inserts = run.to_vec();
+    if let Some(&(k, p)) = root {
+        if let Err(at) = inserts.binary_search_by_key(&k, |e| e.0) {
+            inserts.insert(at, (k, p / 2));
+        }
+    }
+    (keys, inserts)
+}
+
+/// On engine `B`: `apply_run` of the complete treap of `t` with inserts
+/// `run`, deletes `dels`, and both at once ([`mixed`])
+/// builds `PlainTreap`'s union, difference, and union after difference in
+/// the canonical representation, and returns `t` itself for nothing to do,
+/// for `t`'s own entries (merged whole) or its first (cut in), for deletes
+/// of absent keys only, and for both of those at once.
 fn check_runs<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
     let plain = || PlainTreap::from_entries(t);
     let tree = Treap::<B, i64>::from_sorted_complete(t);
     let absent: Vec<i64> = (dels.iter().copied())
         .filter(|k| t.binary_search_by_key(k, |e| e.0).is_err())
         .collect();
-    let dels: Vec<Entry<i64>> = dels.iter().map(|&k| (k, 0)).collect();
+    let without = |keys: &[i64]| {
+        let keys: Vec<Entry<i64>> = keys.iter().map(|&k| (k, 0)).collect();
+        PlainTreap::diff(plain(), PlainTreap::from_entries(&keys))
+    };
+    let (md, mi) = mixed(t, run, dels);
     let cases = [
         (
-            union_run(&tree, run),
+            apply_run(&tree, &[], run),
             PlainTreap::union(plain(), PlainTreap::from_entries(run)),
         ),
-        (diff_run(&tree, &absent), plain()),
+        (apply_run(&tree, &absent, &[]), plain()),
+        (apply_run(&tree, dels, &[]), without(dels)),
         (
-            diff_run(&tree, &dels.iter().map(|e| e.0).collect::<Vec<_>>()),
-            PlainTreap::diff(plain(), PlainTreap::from_entries(&dels)),
+            apply_run(&tree, &md, &mi),
+            PlainTreap::union(without(&md), PlainTreap::from_entries(&mi)),
         ),
     ];
     for (i, (got, want)) in cases.into_iter().enumerate() {
@@ -66,10 +98,13 @@ fn check_runs<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]
         assert!(got.check_invariants(), "case {i}");
         assert_eq!(got.sized(), want.sized(), "case {i}");
     }
-    assert!(union_run(&tree, &[]).ptr_eq(&tree), "an empty run");
-    assert!(union_run(&tree, t).ptr_eq(&tree), "its own entries");
-    assert!(union_run(&tree, &t[..t.len().min(1)]).ptr_eq(&tree), "one");
-    assert!(diff_run(&tree, &absent).ptr_eq(&tree), "absent deletes");
+    let unchanged = |dels: &[i64], ins: &[Entry<i64>]| apply_run(&tree, dels, ins).ptr_eq(&tree);
+    let one = &t[..t.len().min(1)];
+    assert!(unchanged(&[], &[]), "an empty run");
+    assert!(unchanged(&[], t), "its own entries");
+    assert!(unchanged(&[], one), "one");
+    assert!(unchanged(&absent, &[]), "absent deletes");
+    assert!(unchanged(&absent, one), "both at once");
 }
 
 /// The run operations' inputs: `t` of 0 to 96 keys — 32 and 33, the
@@ -78,7 +113,7 @@ fn check_runs<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]
 /// that beat `t`'s root at a new key or a present one (`edits`: 200 × how +
 /// key), plus `grow` halves of `t`'s size in keys drawn over its key range
 /// — up to twice `t`, so the run reaches `t`'s size and beyond and
-/// `union_run` merges it whole; deletes of present and absent keys.
+/// `apply_run` merges it whole; deletes of present and absent keys.
 struct RunCase;
 
 impl Strategy for RunCase {
@@ -125,9 +160,10 @@ impl Strategy for RunCase {
     }
 }
 
-/// On engine `B`: `union_run` of `run` and `diff_run` of `dels`, planned
-/// as patches of the complete treap of `t` and committed in place, build
-/// what the run operations build — the oracle's tree, by [`check_runs`] —
+/// On engine `B`: `apply_run` of `run`, of `dels`, and of both at once
+/// ([`mixed`]), planned as patches of the complete treap
+/// of `t` and committed in place, build what `apply_run` builds — the
+/// oracle's tree, by [`check_runs`] —
 /// with the treap unshared, held by a clone from before the plan (which
 /// the patch copies around), or held between plan and commit at its root
 /// or at its deepest node on the way to the first key (which the commit
@@ -137,9 +173,22 @@ fn check_commits<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i
     let tree = || Treap::<B, i64>::from_sorted_complete(t);
     let before = tree().preorder();
     type Plan<'a, B> = &'a dyn Fn(&Treap<B, i64>) -> Patch<B, i64>;
-    let plans: [Plan<'_, B>; 2] = [&|x| plan_union(x, run, 1), &|x| plan_diff(x, dels, 1)];
-    let builds = [union_run(&tree(), run), diff_run(&tree(), dels)];
-    let firsts = [run.first().map(|e| e.0), dels.first().copied()];
+    let (md, mi) = mixed(t, run, dels);
+    let plans: [Plan<'_, B>; 3] = [
+        &|x| plan_run(x, &[], run, 1),
+        &|x| plan_run(x, dels, &[], 1),
+        &|x| plan_run(x, &md, &mi, 1),
+    ];
+    let builds = [
+        apply_run(&tree(), &[], run),
+        apply_run(&tree(), dels, &[]),
+        apply_run(&tree(), &md, &mi),
+    ];
+    let firsts = [
+        run.first().map(|e| e.0),
+        dels.first().copied(),
+        md.first().copied(),
+    ];
     for (op, ((plan, built), first)) in plans.into_iter().zip(builds).zip(firsts).enumerate() {
         let is_built = |got: &Treap<B, i64>, how: &str| {
             assert_eq!(got.preorder(), built.preorder(), "op {op}, {how}");
@@ -236,17 +285,19 @@ proptest! {
         check_split_join::<Seq, i64>(&PlainTreap::from_entries(&a), ca, splitter);
     }
 
-    /// The engine-free run operations, built, on `Seq` and on pf-rt's
-    /// engine, over [`RunCase`]'s inputs.
+    /// The engine-free run operation, built — inserts, deletes, and both
+    /// in one walk — on `Seq` and on pf-rt's engine, over [`RunCase`]'s
+    /// inputs.
     #[test]
     fn run_operations_build_the_oracles_tree((t, run, dels) in RunCase) {
         check_runs::<Seq>(&t, &run, &dels);
         check_runs::<pf_rt::Worker>(&t, &run, &dels);
     }
 
-    /// The same run operations recorded as patches and committed in place,
-    /// on both engines, over the same inputs: the oracle's tree, and a clone
-    /// held before the plan or taken between plan and commit unchanged.
+    /// The same run operation recorded as patches and committed in place —
+    /// inserts, deletes and mixed plans — on both engines, over the same
+    /// inputs: the oracle's tree, and a clone held before the plan or taken
+    /// between plan and commit unchanged.
     #[test]
     fn recorded_runs_commit_the_oracles_tree((t, run, dels) in RunCase) {
         check_commits::<Seq>(&t, &run, &dels);

@@ -39,7 +39,12 @@
 //!   execution itself as well as everything around it — batch treap
 //!   construction, coalescing, commit bookkeeping — and a failed shard
 //!   degrades alone, its abort
-//!   confined to its own slot.
+//!   confined to its own slot. A shard takes one applier at a time, from
+//!   taking its ingress through its last commit, so `pump`s and a `drive`
+//!   may run side by side and each shard still applies in ingress order;
+//!   readers never take that lock. [`SetService::drive`] applies shard 0
+//!   on its calling thread once the feed is done, and the rest each on a
+//!   thread of its own.
 //! * **Snapshot reads** ([`SetService::contains`]): readers walk the
 //!   shard's last *committed* root — sealed at commit, so it holds no
 //!   future cell and the walk is a pointer chase down to a sorted block
@@ -64,12 +69,12 @@
 //!   `GRAIN` keys, and within one grain against an upper bound on the
 //!   running root by the rule `union` and `diff` apply themselves
 //!   ([`pf_algs::treap::within_grain`]) — and applies its net effect as
-//!   plain code on the calling thread: one difference and one union of
-//!   key-sorted runs against the committed root
-//!   ([`pf_algs::treap::diff_run`], [`pf_algs::treap::union_run`]), the
-//!   batch never built as a treap. A window of one kind is planned
-//!   off-lock and committed in place where nothing but the shard holds
-//!   what it edits ([`DrainReport::in_place`]). Anything else falls
+//!   plain code on the calling thread: its key-sorted deletes and inserts
+//!   applied to the committed root in one walk, the batch never built as
+//!   a treap. Every such window is planned off-lock
+//!   ([`pf_algs::treap::plan_run`]) and committed in place where nothing
+//!   but the shard holds what it edits ([`DrainReport::in_place`]); a
+//!   reader's snapshot makes it copy what the reader holds. Anything else falls
 //!   through to the pooled session. No option selects either: the
 //!   decisions are functions of sizes, `Worker::GRAIN` and reference
 //!   counts. The pooled session marshals its batches

@@ -20,9 +20,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pf_algs::plain::wins;
-use pf_algs::treap::{
-    diff, diff_run, plan_diff, plan_union, union, union_run, within_grain, Child, Treap,
-};
+use pf_algs::treap::{apply_run, diff, plan_run, union, within_grain, Child, Treap};
 use pf_algs::{Key, Mode, PipeBackend};
 use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Session, SessionError, Worker};
 
@@ -172,11 +170,11 @@ pub struct DrainReport {
     /// function of sizes only; an inline pass cannot fail, so the pooled
     /// session stays the only error path.
     pub inline: u64,
-    /// The passes among `inline` that committed in place: a window of one
-    /// kind whose patch kept the shard's root node, because nothing but
-    /// the shard held a node it edits ([`pf_algs::treap::Patch::commit`]).
-    /// The rest of `inline` copied their paths and swapped the new root in
-    /// — a mixed window, or a reader holding the root.
+    /// The passes among `inline` that committed in place: the window's
+    /// patch kept the shard's root node, because nothing but the shard held
+    /// a node it edits ([`pf_algs::treap::Patch::commit`]). The rest copied
+    /// — a reader holding the root (or, rarely, a window that replaces the
+    /// root entry itself).
     pub in_place: u64,
     /// Wall-clock span of the drain that produced this report (stamped
     /// by [`SetService::pump`] and [`SetService::drive`]). Distinct from
@@ -244,6 +242,11 @@ impl DrainReport {
 /// replaced is freed.
 struct Shard<K: Key> {
     ingress: Mutex<Vec<Request<K>>>,
+    /// Held by one applier from taking the ingress through its last
+    /// commit, so passes on the shard never overlap and apply in ingress
+    /// order: each plans against the root the one before it committed.
+    /// Readers never take it.
+    apply: Mutex<()>,
     root: Mutex<RTreap<K>>,
     /// This shard's circuit breaker; held only for a state-machine step.
     breaker: Mutex<CircuitBreaker>,
@@ -318,6 +321,7 @@ impl<K: Key> SetService<K> {
         let shards = (0..map.shards())
             .map(|i| Shard {
                 ingress: Mutex::new(Vec::new()),
+                apply: Mutex::new(()),
                 root: Mutex::new(RTreap::Leaf),
                 breaker: Mutex::new(CircuitBreaker::new(cfg.breaker)),
                 backoff: Mutex::new(cfg.retry.stream(i)),
@@ -421,7 +425,9 @@ impl<K: Key> SetService<K> {
     }
 
     /// Apply everything queued, shard by shard, on the calling thread —
-    /// the deterministic path tests and single-threaded replays use.
+    /// the deterministic path tests and single-threaded replays use. Safe
+    /// beside other `pump`s and a [`SetService::drive`]: a shard takes one
+    /// applier at a time, and each commits everything it took.
     pub fn pump(&self) -> DrainReport {
         let started = Instant::now();
         let mut out = DrainReport::default();
@@ -432,15 +438,18 @@ impl<K: Key> SetService<K> {
         out
     }
 
-    /// Concurrent open-loop drain: one apply thread per shard pulls from
-    /// its ingress queue while the calling thread feeds `requests` in —
-    /// arrival is a pipeline stage overlapping coalescing, batch-treap
-    /// construction, and the other shards' sessions. The shard sessions
-    /// genuinely co-execute: each `try_run_session` call gets its own
-    /// session slot and they share the worker pool, so one shard's stall
-    /// (or injected fault) neither blocks nor corrupts a sibling's wave
-    /// — fault containment is per slot, not per pool. Returns when every submitted request has been applied
-    /// or degraded.
+    /// Concurrent open-loop drain: one apply thread per shard but the
+    /// first pulls from its ingress queue while the calling thread feeds
+    /// `requests` in — arrival is a pipeline stage overlapping coalescing,
+    /// batch-treap construction, and the other shards' sessions — and
+    /// then the calling thread drains shard 0 itself rather than wait in
+    /// `join`. A drive spawns one thread fewer, and the host no longer
+    /// stacks two fresh apply threads on one core (EXPERIMENTS.md E34).
+    /// The shard sessions genuinely co-execute: each `try_run_session`
+    /// call gets its own session slot and they share the worker pool, so
+    /// one shard's stall (or injected fault) neither blocks nor corrupts a
+    /// sibling's wave — fault containment is per slot, not per pool.
+    /// Returns when every submitted request has been applied or degraded.
     pub fn drive<I>(&self, requests: I) -> DrainReport
     where
         I: IntoIterator<Item = Request<K>>,
@@ -448,36 +457,17 @@ impl<K: Key> SetService<K> {
         let started = Instant::now();
         let closed = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.shards.len())
+            let handles: Vec<_> = (1..self.shards.len())
                 .map(|i| {
                     let closed = &closed;
-                    s.spawn(move || {
-                        let mut rep = DrainReport::default();
-                        loop {
-                            let got = self.apply_pending(i);
-                            let idle = got.sessions == 0 && got.outcomes.is_empty();
-                            rep.merge(got);
-                            if !idle {
-                                continue;
-                            }
-                            if closed.load(Ordering::Acquire) {
-                                // Final sweep: the close flag is set
-                                // after the last submit, so one more
-                                // drain observes everything.
-                                rep.merge(self.apply_pending(i));
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                        rep
-                    })
+                    s.spawn(move || self.drain_until(i, closed))
                 })
                 .collect();
             for req in requests {
                 self.submit(req);
             }
             closed.store(true, Ordering::Release);
-            let mut out = DrainReport::default();
+            let mut out = self.drain_until(0, &closed);
             for h in handles {
                 out.merge(h.join().expect("shard apply thread panicked"));
             }
@@ -486,9 +476,31 @@ impl<K: Key> SetService<K> {
         })
     }
 
+    /// Drain `shard` over and over until `closed` is set and one more
+    /// drain has run after that.
+    fn drain_until(&self, shard: usize, closed: &AtomicBool) -> DrainReport {
+        let mut rep = DrainReport::default();
+        loop {
+            let got = self.apply_pending(shard);
+            let idle = got.sessions == 0 && got.outcomes.is_empty();
+            rep.merge(got);
+            if !idle {
+                continue;
+            }
+            if closed.load(Ordering::Acquire) {
+                // Final sweep: the close flag is set after the last
+                // submit, so one more drain observes everything.
+                rep.merge(self.apply_pending(shard));
+                return rep;
+            }
+            std::thread::yield_now();
+        }
+    }
+
     /// Drain one shard's pending requests: coalesce into waves, chop
     /// into windows, apply each window in one pass.
     fn apply_pending(&self, shard: usize) -> DrainReport {
+        let _applier = lock(&self.shards[shard].apply);
         let pending = std::mem::take(&mut *lock(&self.shards[shard].ingress));
         let mut report = DrainReport::default();
         if pending.is_empty() {
@@ -770,22 +782,24 @@ fn range_into<K: Key>(t: &RTreap<K>, lo: &K, hi: &K, out: &mut Vec<K>) {
 /// entries by key (wave order within a key), then per key a delete if any
 /// wave deletes it, and an insert of the [`wins`] winner among the entries
 /// inserted after its last delete — two key-sorted runs, taken out of
-/// `root` ([`diff_run`]) and put into what is left ([`union_run`]). A treap
-/// is a function of its entries, so the result is the tree the waves'
-/// unions and differences build one by one, at no more work than their
-/// estimates summed.
+/// `root` and put into what is left in one walk. A treap is a function of
+/// its entries, so the result is the tree the waves' unions and
+/// differences build one by one, at no more work than their estimates
+/// summed.
 ///
-/// A window of one kind is planned off-lock ([`plan_diff`], [`plan_union`])
-/// and committed under the root lock in place
-/// ([`Patch::commit`](pf_algs::treap::Patch::commit)) if the
-/// shard still holds the planned root and nothing but the shard holds a
-/// node the patch edits; it is copied and swapped in otherwise, as a mixed
-/// window always is. Every comparison and clone of a key runs before the
-/// lock is taken, under `catch_unwind`: a panic there hands `root` back
-/// with the shard untouched, and the session that follows reports the
-/// error. A reader waits for the commit walk at most, and the subtreaps it
-/// replaces are freed after the lock is released. The elapsed time covers
-/// the plan and the commit, not that free.
+/// The window is planned off-lock ([`plan_run`]) and committed under the
+/// root lock ([`Patch::commit`](pf_algs::treap::Patch::commit)): in place
+/// where nothing but the shard holds a node the patch edits, a copy of
+/// the path put in where a reader held a node at plan time. The shard's
+/// apply lock keeps the planned root committed until then. A commit
+/// refused because a reader took hold of an edited node since the plan
+/// copies instead ([`apply_run`]) and swaps the copy in. Every comparison
+/// and clone of a key runs before the root lock is taken, under
+/// `catch_unwind`: a panic there hands `root` back with the shard
+/// untouched, and the session that follows reports the error. A reader
+/// waits for the commit walk at most, and the subtreaps it replaces are
+/// freed after the lock is released. The elapsed time covers the plan and
+/// the commit, not that free.
 fn apply_inline<K: Key>(
     slot: &Mutex<RTreap<K>>,
     root: RTreap<K>,
@@ -813,39 +827,30 @@ fn apply_inline<K: Key>(
     const OWNERS: usize = 2;
     let plan = || {
         let (deletes, inserts) = net_effect(waves);
-        let patch = match (deletes.is_empty(), inserts.is_empty()) {
-            (true, _) => Some(plan_union(&root, &inserts, OWNERS)),
-            (_, true) => Some(plan_diff(&root, &deletes, OWNERS)),
-            _ => None,
-        };
+        let patch = plan_run(&root, &deletes, &inserts, OWNERS);
         (deletes, inserts, patch)
     };
     let Ok((deletes, inserts, patch)) = catch_unwind(AssertUnwindSafe(plan)) else {
         return Err(root);
     };
-    let mut root = root;
-    if let Some(patch) = patch {
-        let mut guard = lock(slot);
-        if guard.ptr_eq(&root) {
-            let in_place = patch.keeps_root();
-            drop(root);
-            match patch.commit(&mut guard) {
-                Ok(graveyard) => {
-                    drop(guard);
-                    let stats = stats();
-                    drop(graveyard);
-                    return Ok((stats, in_place));
-                }
-                // A reader took hold of an edited node since the plan.
-                Err(refused) => {
-                    root = guard.clone();
-                    drop(guard);
-                    drop(refused);
-                }
-            }
+    let mut guard = lock(slot);
+    debug_assert!(guard.ptr_eq(&root), "the apply lock keeps the planned root");
+    let in_place = patch.keeps_root();
+    drop(root);
+    let refused = match patch.commit(&mut guard) {
+        Ok(graveyard) => {
+            drop(guard);
+            let stats = stats();
+            drop(graveyard);
+            return Ok((stats, in_place));
         }
-    }
-    let copy = || union_run(&diff_run(&root, &deletes), &inserts);
+        Err(refused) => refused,
+    };
+    // A reader took hold of an edited node since the plan.
+    let root = guard.clone();
+    drop(guard);
+    drop(refused);
+    let copy = || apply_run(&root, &deletes, &inserts);
     let Ok(new_root) = catch_unwind(AssertUnwindSafe(copy)) else {
         return Err(root);
     };

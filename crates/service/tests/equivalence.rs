@@ -187,11 +187,13 @@ fn pipelined_and_barriered_agree_with_oracle_under_faults() {
     }
 }
 
-#[test]
-fn healthy_drive_matches_pump() {
-    // The concurrent drive() path and the sequential pump() path agree
-    // on a fault-free workload.
-    let reqs: Vec<Request<i64>> = workload(7)
+/// The concurrent `drive()` path and the sequential `pump()` path agree
+/// on the fault-free workload of `seed` over `shards` shards: the same
+/// tree per shard, and every request served on both. `drive` applies
+/// shard 0 on its calling thread once every request is fed, so that
+/// shard's windows group differently from `pump`'s; its tree must not.
+fn drive_matches_pump(shards: usize, seed: u64) {
+    let reqs: Vec<Request<i64>> = workload(seed)
         .into_iter()
         .map(|r| r.faulty(Fault::None))
         .collect();
@@ -200,25 +202,25 @@ fn healthy_drive_matches_pump() {
         threads: 2,
         ..ServiceConfig::default()
     };
-    let svc_a = SetService::new(ShardMap::uniform(SHARDS, 0, KEYSPACE), cfg);
+    let svc_a = SetService::new(ShardMap::uniform(shards, 0, KEYSPACE), cfg);
     let report_a = svc_a.drive(reqs.clone());
     assert_eq!(report_a.degraded, 0);
 
-    let svc_b = SetService::new(ShardMap::uniform(SHARDS, 0, KEYSPACE), cfg);
+    let svc_b = SetService::new(ShardMap::uniform(shards, 0, KEYSPACE), cfg);
     for r in reqs {
         svc_b.submit(r);
     }
     let report_b = svc_b.pump();
     assert_eq!(report_b.degraded, 0);
 
-    assert_eq!(trees(&svc_a), trees(&svc_b));
-    for i in 0..SHARDS {
+    assert_eq!(trees(&svc_a), trees(&svc_b), "{shards} shards");
+    for i in 0..shards {
         assert_eq!(svc_a.shard_keys(i), svc_b.shard_keys(i));
     }
     // Every request was served on both paths. (Not `keys_applied`: it
     // counts each wave's keys after deduplication, and which requests
-    // share a wave under `drive` depends on what each shard's apply
-    // thread finds queued when it starts a window.)
+    // share a wave under `drive` depends on what each shard's applier
+    // finds queued when it starts a window.)
     let served = |r: &DrainReport| {
         r.outcomes
             .iter()
@@ -228,6 +230,18 @@ fn healthy_drive_matches_pump() {
     };
     assert_eq!(served(&report_a), (0..40).collect());
     assert_eq!(served(&report_b), served(&report_a));
+}
+
+#[test]
+fn healthy_drive_matches_pump() {
+    drive_matches_pump(SHARDS, 7);
+}
+
+#[test]
+fn drive_matches_pump_on_one_shard_and_on_four() {
+    // One shard: the calling thread applies everything, after the feed.
+    drive_matches_pump(1, 11);
+    drive_matches_pump(4, 11);
 }
 
 #[test]

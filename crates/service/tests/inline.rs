@@ -7,6 +7,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use pf_algs::plain::{splitmix64, PlainTreap};
@@ -320,4 +321,86 @@ fn a_held_snapshot_never_sees_an_in_place_commit() {
     let root = svc.snapshot(0);
     assert!(root.check_invariants());
     assert!(svc.shard_keys(0).into_iter().eq(oracle.iter().copied()));
+}
+
+#[test]
+fn a_mixed_window_commits_in_place_unless_a_snapshot_is_held() {
+    let svc = SetService::new(ShardMap::uniform(1, 0, 1 << 20), cfg());
+    let preload: Vec<(i64, u64)> = (0..3000).map(|k| (5 * k, splitmix64(k as u64))).collect();
+    let mut oracle = PlainTreap::from_entries(&preload);
+    svc.submit(Request::insert(preload));
+    svc.pump();
+    let Treap::Node(root) = svc.snapshot(0) else {
+        unreachable!("3 000 keys make a node")
+    };
+    let root_key = root.key;
+    drop(root);
+    // One window of a delete wave then an insert wave, replayed on the
+    // oracle as a difference then a union. Low priorities and a kept root
+    // key leave the root node where it is.
+    let mut window = |dels: &[i64], ins: &[i64]| {
+        assert!(!dels.contains(&root_key));
+        let dels: Vec<(i64, u64)> = dels.iter().map(|&k| (k, 0)).collect();
+        let ins: Vec<(i64, u64)> = ins.iter().map(|&k| (k, k as u64)).collect();
+        let without = PlainTreap::diff(oracle.take(), PlainTreap::from_entries(&dels));
+        oracle = PlainTreap::union(without, PlainTreap::from_entries(&ins));
+        svc.submit(Request::delete(dels));
+        svc.submit(Request::insert(ins));
+        let report = svc.pump();
+        let counts = (report.sessions, report.inline, report.served);
+        assert_eq!(counts, (1, 1, 2), "{report:?}");
+        let want = Treap::<Worker, i64>::from_plain_complete(&oracle);
+        let got = svc.snapshot(0);
+        assert_eq!(got.preorder(), want.preorder());
+        assert!(got.check_invariants());
+        report.in_place
+    };
+    // 500 is deleted and inserted again at a new priority; 13 is absent.
+    let dels = [500, 1000, 13].map(|k| if k == root_key { k + 5 } else { k });
+    assert_eq!(window(&dels, &[500, 7, 8]), 1);
+    // A held snapshot: the mixed pass copies what the reader holds, and
+    // the snapshot keeps its tree.
+    let held = svc.snapshot(0);
+    let was = held.preorder();
+    let dels = [1500, 7].map(|k| if k == root_key { k + 5 } else { k });
+    assert_eq!(window(&dels, &[7, 9, 2001]), 0);
+    assert_eq!(held.preorder(), was);
+    assert!(held.check_invariants());
+}
+
+#[test]
+fn concurrent_pumps_on_one_shard_keep_every_commit() {
+    // Two threads each submit and pump one-key inserts on one shard. A
+    // pass that planned against a root the other thread then replaced
+    // would drop that thread's wave, although it reported it served.
+    const PER_THREAD: i64 = 20_000;
+    let svc = SetService::new(ShardMap::uniform(1, 0, 1 << 20), cfg());
+    let preload = (0..PER_THREAD).map(|k| (3 * k, splitmix64(k as u64)));
+    svc.submit(Request::insert(preload.collect()));
+    svc.pump();
+    let start = Barrier::new(2);
+    let applied: u64 = std::thread::scope(|s| {
+        let pumps: Vec<_> = (1..=2)
+            .map(|offset| {
+                let (svc, start) = (&svc, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut applied = 0;
+                    for k in 0..PER_THREAD {
+                        let key = 3 * k + offset;
+                        svc.submit(Request::insert(vec![(key, splitmix64(key as u64))]));
+                        applied += svc.pump().keys_applied;
+                    }
+                    applied
+                })
+            })
+            .collect();
+        pumps.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    let keys = svc.shard_keys(0);
+    // Either pump may apply the other's request: count keys, not waves.
+    assert_eq!(applied, 2 * PER_THREAD as u64);
+    assert_eq!(keys.len() as i64, 3 * PER_THREAD, "commits lost");
+    assert!(keys.into_iter().eq(0..3 * PER_THREAD));
+    assert!(svc.snapshot(0).check_invariants());
 }
