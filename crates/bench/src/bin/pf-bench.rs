@@ -1,14 +1,13 @@
 //! `pf-bench <table> [ci]`: print one experiment's tables (DESIGN.md §6
 //! has the index, EXPERIMENTS.md the claims they test). `ci` runs E13,
 //! E16, E18 and E20 at the small sizes CI smoke-tests; every other table
-//! has one size. E20 reads the runtime's event timeline, so it needs
-//! `--features trace`; without it, it prints the rebuild line and exits
-//! successfully, so a sweep over every table does not fail.
+//! has one size. E20 reads the event timelines of its own traced
+//! sessions.
 //!
 //! ```text
 //! cargo run --release -p pf-bench -- e09
 //! cargo run --release -p pf-bench -- e16 ci
-//! cargo run --release -p pf-bench --features trace -- e20 ci
+//! cargo run --release -p pf-bench -- e20 ci
 //! ```
 
 use pf_bench::{exp_linear, exp_machine, exp_model, exp_rt, Table};
@@ -83,23 +82,14 @@ fn main() {
     }
 }
 
-#[cfg(not(feature = "trace"))]
-fn e20(_ci: bool) {
-    eprintln!(
-        "e20 needs the runtime's tracing layer compiled in; rebuild with\n  \
-         cargo run --release -p pf-bench --features trace -- e20"
-    );
-}
-
 /// E20: treap union and 2-6 bulk insert traced on the real pool, each
 /// session's steal/suspension counts beside the model's predictions over
 /// the same DAGs (E09 greedy replay, E17 steal replay); then one sample
 /// Perfetto timeline, `results/e20_union_t<width>.trace.json` relative to
 /// the working directory, for <https://ui.perfetto.dev>.
-#[cfg(feature = "trace")]
 fn e20(ci: bool) {
     use pf_algs::Mode;
-    use pf_bench::exp_rt::e20_trace_vs_model;
+    use pf_bench::exp_rt::{e20_trace_vs_model, traced};
 
     let (lg_n, threads, reps): (u32, Vec<usize>, usize) = if ci {
         (9, vec![1, 2], 1)
@@ -112,15 +102,13 @@ fn e20(ci: bool) {
     }
 
     // Sample timeline export: one traced union session at the widest
-    // measured width, straight out of `pf_rt::take_last_trace`.
+    // measured width.
     let sample_t = *threads.last().unwrap();
     let n = 1usize << lg_n;
     let (ea, eb) = pf_bench::workloads::union_entries(n, n, 11);
-    let rt = pf_rt::Runtime::shared(sample_t);
-    rt.run(move |wk| {
+    let trace = traced(&pf_rt::Runtime::shared(sample_t), move |wk| {
         pf_algs::start::union_on(wk, &ea, &eb, Mode::Pipelined);
     });
-    let trace = pf_rt::take_last_trace().expect("traced session leaves a timeline");
     let (events, dropped) = (trace.events(), trace.dropped());
     std::fs::create_dir_all("results").expect("results dir");
     let path = format!("results/e20_union_t{sample_t}.trace.json");

@@ -9,6 +9,7 @@ use std::time::Duration;
 use pf_algs::start::merge_on;
 use pf_algs::Mode;
 use pf_core::{CostModel, Sim};
+use pf_rt::{Runtime, Session, SessionTrace, Worker};
 
 use crate::baselines::{
     best_of, time_cole, time_insert_rt, time_insert_seq, time_msort_rt, time_pvw, time_sort_seq,
@@ -125,9 +126,18 @@ pub fn e15_cost_constants(lg_n: u32, ks: &[u64]) -> Table {
     t
 }
 
+/// Run `root` on `rt` in a traced session ([`Session::trace`]) and take
+/// its record back. A failed session resumes its panic.
+pub fn traced(rt: &Runtime, root: impl FnOnce(&Worker) + Send + 'static) -> SessionTrace {
+    if let Err(e) = rt.try_run_session(Session::new().trace(), root) {
+        e.resume();
+    }
+    pf_rt::take_last_trace().expect("a traced session leaves its record")
+}
+
 /// E20 — the first measured-vs-model scheduler comparison: run treap
-/// union and 2-6 bulk insert *traced* on the real pool and print each
-/// session's steal and suspension counts (from [`pf_rt::take_last_trace`])
+/// union and 2-6 bulk insert in traced sessions on the real pool and
+/// print each session's steal and suspension counts (from [`traced`])
 /// side-by-side with pf-machine's predictions over the same DAGs —
 /// suspensions from the E09 greedy replay (`Discipline::Stack`), steals
 /// from the E17 work-stealing replay (steal latency 3, the E17 seeds).
@@ -140,9 +150,7 @@ pub fn e15_cost_constants(lg_n: u32, ks: &[u64]) -> Table {
 /// comparison *does* pin: t=1 has zero steals in both worlds, suspension
 /// counts land in the same order of magnitude (same DAG, same touch
 /// structure), and both grow with thread count.
-#[cfg(feature = "trace")]
 pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Table> {
-    use crate::baselines::on_rt;
     use crate::workloads::union_entries;
     use pf_algs::start::{insert_many_on, union_on};
     use pf_machine::{replay, steal_replay, Discipline, StealConfig};
@@ -188,16 +196,17 @@ pub fn e20_trace_vs_model(lg_n: u32, threads: &[usize], reps: usize) -> Vec<Tabl
             let (mut steals, mut suspends, mut execs, mut parks) = (0f64, 0f64, 0f64, 0f64);
             let rt = pf_rt::Runtime::shared(th);
             for _ in 0..reps {
-                if *name == "union" {
+                let ts = if *name == "union" {
                     let (ea, eb) = (ea.clone(), eb.clone());
-                    on_rt(&rt, move |wk| union_on(wk, &ea, &eb, Mode::Pipelined));
+                    traced(&rt, move |wk| {
+                        union_on(wk, &ea, &eb, Mode::Pipelined);
+                    })
                 } else {
                     let (initial, newk) = (initial.clone(), newk.clone());
-                    on_rt(&rt, move |wk| {
-                        insert_many_on(wk, &initial, &newk, Mode::Pipelined)
-                    });
-                }
-                let ts = pf_rt::take_last_trace().expect("a traced session leaves its record");
+                    traced(&rt, move |wk| {
+                        insert_many_on(wk, &initial, &newk, Mode::Pipelined);
+                    })
+                };
                 steals += ts.total(TraceKind::Steal) as f64;
                 suspends += ts.total(TraceKind::Suspend) as f64;
                 execs += ts.total(TraceKind::Exec) as f64;
@@ -247,7 +256,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn e20_smoke() {
         let ts = e20_trace_vs_model(8, &[1, 2], 1);

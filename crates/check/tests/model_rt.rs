@@ -276,6 +276,30 @@ fn pool_panic_rendezvous_leaves_pool_reusable() {
     });
 }
 
+/// `Session::trace` is inert under the model checker, which has no
+/// clock: a traced session runs to quiescence in every interleaving and
+/// leaves no record behind.
+#[cfg(not(pf_check_lost_wakeup))]
+#[test]
+fn traced_session_is_inert_and_leaves_no_record() {
+    rt_budget().run(|| {
+        let (w, r) = cell::<u32>();
+        let (ow, or) = cell::<u32>();
+        let rt = Runtime::new(2);
+        rt.try_run_session(Session::new().trace(), move |wk| {
+            r.touch(wk, move |v, wk| ow.fulfill(wk, v + 1));
+            push(wk, move |wk| w.fulfill(wk, 3));
+        })
+        .expect("a traced session completes like any other");
+        assert_eq!(or.expect(), 4);
+        assert!(
+            pf_rt::take_last_trace().is_none(),
+            "no timeline in the model"
+        );
+        drop(rt);
+    });
+}
+
 /// Single-worker pool: quiescence and cell handoff must not rely on a
 /// sibling existing (notify_push skips the fence for 1-worker pools —
 /// that shortcut must still be wakeup-correct against the client).

@@ -255,8 +255,9 @@ pub(crate) trait PoisonTarget: Send + Sync {
 }
 
 /// Options for one session: an optional deadline, an optional
-/// [`CancelToken`] and an optional stall budget
-/// ([`Session::stall_budget`]). Passed to
+/// [`CancelToken`], an optional stall budget
+/// ([`Session::stall_budget`]) and whether it records its event timeline
+/// ([`Session::trace`]). Passed to
 /// [`Runtime::try_run_session`](crate::Runtime::try_run_session).
 ///
 /// ```
@@ -276,11 +277,12 @@ pub struct Session {
     pub(crate) deadline: Option<Duration>,
     pub(crate) cancel: Option<CancelToken>,
     pub(crate) stall: Option<Duration>,
+    pub(crate) trace: bool,
 }
 
 impl Session {
-    /// A session with no deadline, no cancel token and the default stall
-    /// detection (the [`Runtime::try_run`](crate::Runtime::try_run)
+    /// A session with no deadline, no cancel token, the default stall
+    /// detection and no timeline (the [`Runtime::try_run`](crate::Runtime::try_run)
     /// default).
     pub fn new() -> Self {
         Session::default()
@@ -324,6 +326,17 @@ impl Session {
     /// clock.)
     pub fn stall_budget(mut self, budget: Duration) -> Self {
         self.stall = Some(budget);
+        self
+    }
+
+    /// Record the session's event timeline. When the session ends, failed
+    /// or not, its [`SessionTrace`](crate::SessionTrace) goes back to the
+    /// thread that ran it, for [`take_last_trace`](crate::take_last_trace).
+    /// Every session counts its events; the timeline adds a clock read and
+    /// a ring push to each. (Inert under the model checker, which has no
+    /// clock.)
+    pub fn trace(mut self) -> Self {
+        self.trace = true;
         self
     }
 }

@@ -43,6 +43,12 @@
 //! reusable. A `--cfg pf_chaos` build arms deterministic fault injection
 //! ([`mod@chaos`]) to stress exactly these paths.
 //!
+//! **Every session counts its scheduler events** ([`mod@trace`]), for
+//! [`RunStats`] and the stall heartbeat; one opened with
+//! [`Session::trace`] also records when each happened, and its
+//! [`SessionTrace`] goes back to the thread that ran it
+//! ([`take_last_trace`]).
+//!
 //! ```
 //! use pf_rt::{cell, Runtime};
 //!
@@ -74,14 +80,11 @@ pub mod trace;
 pub use cell::{cell, ready, FutRead, FutWrite};
 
 pub use error::{CancelToken, PoisonInfo, Session, SessionError, StallReport, StuckCell};
-/// The trace data layer (`--features trace` only): event kinds, session
-/// records with their exact per-lane counts, and the Perfetto export.
-/// Re-exported so users of a traced runtime need not depend on `pf-trace`
-/// directly.
-#[cfg(feature = "trace")]
+/// The trace data layer: event kinds, session records with their exact
+/// per-lane counts, and the Perfetto export. Re-exported so callers of
+/// [`Session::trace`] need not depend on `pf-trace` directly.
 pub use pf_trace::{SessionTrace, TraceEvent, TraceKind, WorkerTrace};
 pub use scheduler::{RunStats, Runtime, Worker};
-#[cfg(feature = "trace")]
 pub use trace::take_last_trace;
 
 // The engine-agnostic surface `Worker` implements (see `backend`):

@@ -25,7 +25,7 @@
 //! [`SessionError`]), the done flag + condvar the client blocks on, the
 //! poison registry of suspended cells, and the session's event counters
 //! (one per-kind lane per worker plus the client's — see
-//! [`crate::trace`]; in traced builds also the timeline rings).
+//! [`crate::trace`]; for a traced session also the timeline rings).
 //!
 //! # Per-session quiescence
 //!
@@ -528,9 +528,9 @@ fn worker_loop(wk: &Worker) {
     let shared = wk.shared();
     let bit = 1u64 << wk.index();
     let mut idle: u32 = 0;
-    // The slot of the last task this worker ran: park/unpark events are
-    // attributed to it (the session whose dry spell parked us).
-    #[cfg(feature = "trace")]
+    // The slot of the last task this worker ran, if that session is
+    // traced: park/unpark events are attributed to it (the session whose
+    // dry spell parked us).
     let mut last: Option<Arc<SessionSlot>> = None;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -539,12 +539,7 @@ fn worker_loop(wk: &Worker) {
         if let Some(st) = wk.find_task() {
             idle = 0;
             let finished = wk.execute(st);
-            #[cfg(feature = "trace")]
-            {
-                last = Some(finished);
-            }
-            #[cfg(not(feature = "trace"))]
-            drop(finished);
+            last = finished.events.traced().then_some(finished);
             continue;
         }
         idle += 1;
@@ -568,12 +563,10 @@ fn worker_loop(wk: &Worker) {
                 idle = 0;
                 continue;
             }
-            #[cfg(feature = "trace")]
             if let Some(slot) = &last {
                 slot.events.record(wk.index(), TraceKind::Park, 0, 1);
             }
             crate::sync::thread::park();
-            #[cfg(feature = "trace")]
             if let Some(slot) = &last {
                 slot.events.record(wk.index(), TraceKind::Unpark, 0, 1);
             }
@@ -703,8 +696,8 @@ impl Runtime {
     }
 
     /// [`Runtime::try_run`] with per-session options: a wall-clock
-    /// [`Session::deadline`], a [`Session::cancel_token`], and/or a
-    /// [`Session::stall_budget`]. Callable concurrently from any number of
+    /// [`Session::deadline`], a [`Session::cancel_token`], a
+    /// [`Session::stall_budget`], and/or a [`Session::trace`] timeline. Callable concurrently from any number of
     /// threads; each call is an independent session with its own slot.
     pub fn try_run_session(
         &self,
@@ -717,7 +710,10 @@ impl Runtime {
         );
         let shared = &*self.shared;
         let sid = shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = Arc::new(SessionSlot::new(sid, SessionEvents::new(self.nthreads)));
+        let slot = Arc::new(SessionSlot::new(
+            sid,
+            SessionEvents::new(self.nthreads, opts.trace),
+        ));
 
         // Register the cancel token against the fresh slot. A token
         // fired before registration is caught by the flag re-check; one

@@ -1,5 +1,6 @@
 //! Scheduler event recording: the one place pf-rt counts what its §4
-//! runtime does, and (`--features trace`) the timeline of when.
+//! runtime does, and, for a session opened with
+//! [`Session::trace`](crate::Session::trace), the timeline of when.
 //!
 //! # What is recorded
 //!
@@ -21,9 +22,9 @@
 //!   fulfill; never park, unpark or poison, so a worker parking after a
 //!   stalled session's last task cannot reset its freeze), sampled while
 //!   the session runs (see the pool docs);
-//! * in traced builds, the session's [`pf_trace::SessionTrace`], which
-//!   copies each lane's counters into [`pf_trace::WorkerTrace::counts`]
-//!   when the session ends.
+//! * for a traced session, its [`pf_trace::SessionTrace`], which copies
+//!   each lane's counters into [`pf_trace::WorkerTrace::counts`] when
+//!   the session ends.
 //!
 //! Attribution: a worker executing a task records into *that task's*
 //! session. Steals are attributed to the stolen task's session, a resume
@@ -36,56 +37,46 @@
 //!
 //! Park/unpark happen outside any task, so they are attributed to the
 //! session of the last task the worker ran — the session whose dry spell
-//! put the worker to sleep. They are recorded only in traced builds:
-//! only the timeline needs that last-run slot, and under `--cfg
-//! pf_check` they would add schedule points to the idle loop.
+//! put the worker to sleep. The idle loop keeps that slot, and records
+//! them, only for a traced session: only the timeline needs them.
 //!
-//! # Timeline (`--features trace`)
+//! # Timeline (traced sessions)
 //!
-//! Traced builds also push every event, stamped against one
+//! A traced session also pushes every event, stamped against one
 //! process-wide monotonic epoch (so timelines of concurrent sessions, and
 //! of different pools, are mutually comparable), into a fixed-capacity
 //! [`pf_trace::TraceRing`] per lane — the timeline for
 //! [`pf_trace::SessionTrace::to_chrome_trace`]. When a session produces
 //! more events than the ring holds, the **oldest** are overwritten and
 //! the drop count says so; the counters never drop, and the drained
-//! trace carries them. Rings are born empty with the slot and drained
-//! exactly once, by `SessionEvents::finish` on the client when the
-//! session ends — on the abort path *after* `finish_abort`, so the
-//! client's poison events are included. The drained trace is parked in
-//! a thread-local of that client, where `pf_rt::take_last_trace` finds
-//! it: a session blocks its client until it ends, so concurrent sessions
-//! have distinct clients and never overwrite each other's record. Each ring
-//! is a `Mutex` padded to its own cache line: the owner's push is an
-//! uncontended lock, and the idle loop's park/unpark events — recorded
-//! while the attributed session may be draining — stay sound. Nothing
-//! measures what the timeline costs yet: pf-perf never enables this
-//! feature, and its `bench.trace_overhead_share` row is the cost of
-//! pf-perf's own span recorder.
+//! trace carries them. Only a traced session's slot holds rings, so an
+//! untraced `record` pays one predictable branch beside its counter.
+//! Rings are drained exactly once, by `SessionEvents::finish` on the
+//! client when the session ends — on the abort path *after*
+//! `finish_abort`, so the client's poison events are included — into a
+//! thread-local of that client, where [`take_last_trace`] finds it: a
+//! session blocks its client until it ends, so concurrent sessions never
+//! overwrite each other's record. An untraced session's `finish` clears
+//! that thread-local, so an older record never stands in for it. Each
+//! ring is a `Mutex` padded to its own cache line: the owner's push is
+//! uncontended, and the idle loop's park/unpark events — recorded while
+//! the attributed session may be draining — stay sound. Nothing measures
+//! what the timeline costs yet (DESIGN.md §5b).
 //!
-//! The timeline is incompatible with `--cfg pf_check`: the model checker
-//! virtualizes the sync layer and has no clock, so real `Instant`
-//! timestamps (and real std mutexes on the rings) would order nothing
-//! the checker can see.
+//! Under `--cfg pf_check` the option is inert, like the deadline and
+//! the stall budget: the model has no clock to stamp events with, so a
+//! traced session there records no timeline and leaves no record.
 
-#[cfg(all(feature = "trace", pf_check))]
-compile_error!(
-    "feature \"trace\" is incompatible with --cfg pf_check: the model checker's \
-     virtual clock cannot order real timestamps (same rule as pf_chaos)"
-);
-
-#[cfg(feature = "trace")]
-use pf_trace::{SessionTrace, TraceEvent, TraceRing, WorkerTrace};
-use pf_trace::{TraceKind, KIND_COUNT};
+use pf_trace::{SessionTrace, TraceEvent, TraceKind, TraceRing, WorkerTrace, KIND_COUNT};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::Mutex;
 
 /// Per-lane ring capacity, in events. Sized so every behavioral test
 /// and typical service session fits without wraparound (a 2^11-node
 /// tree session records a few thousand events per worker); larger
 /// sessions keep their newest `DEFAULT_RING_CAP` events per lane and
 /// report the drops (also surfaced in the Perfetto export metadata).
-#[cfg(feature = "trace")]
 const DEFAULT_RING_CAP: usize = 1 << 14;
 
 /// One lane's per-kind event counts, padded so the owner's bumps never
@@ -94,29 +85,40 @@ const DEFAULT_RING_CAP: usize = 1 << 14;
 struct Lane([AtomicU64; KIND_COUNT]);
 
 /// One session's event record, owned by its slot: a lane per worker plus
-/// a final client lane.
+/// a final client lane, and a traced session's timeline.
 pub(crate) struct SessionEvents {
     lanes: Box<[Lane]>,
-    #[cfg(feature = "trace")]
+    timeline: Option<Timeline>,
+}
+
+/// A traced session's rings, one per lane, and its start stamp.
+struct Timeline {
     rings: Box<[Ring]>,
     /// Session start, nanoseconds since the trace epoch.
-    #[cfg(feature = "trace")]
     start_ns: u64,
 }
 
 impl SessionEvents {
-    pub(crate) fn new(nthreads: usize) -> SessionEvents {
+    /// A session's record; `traced` adds the timeline, except under
+    /// `--cfg pf_check`, whose model has no clock.
+    pub(crate) fn new(nthreads: usize, traced: bool) -> SessionEvents {
+        let lanes = nthreads + 1;
         SessionEvents {
-            lanes: (0..nthreads + 1)
+            lanes: (0..lanes)
                 .map(|_| Lane(std::array::from_fn(|_| AtomicU64::new(0))))
                 .collect(),
-            #[cfg(feature = "trace")]
-            rings: (0..nthreads + 1)
-                .map(|_| Ring(std::sync::Mutex::new(TraceRing::new(DEFAULT_RING_CAP))))
-                .collect(),
-            #[cfg(feature = "trace")]
-            start_ns: now_ns(),
+            timeline: (traced && !cfg!(pf_check)).then(|| Timeline {
+                rings: (0..lanes)
+                    .map(|_| Ring(Mutex::new(TraceRing::new(DEFAULT_RING_CAP))))
+                    .collect(),
+                start_ns: now_ns(),
+            }),
         }
+    }
+
+    /// Does this session record a timeline?
+    pub(crate) fn traced(&self) -> bool {
+        self.timeline.is_some()
     }
 
     /// Record `n` events of `kind` on `lane` (`arg`: a victim index or a
@@ -127,16 +129,9 @@ impl SessionEvents {
         // because each lane is written by a single thread.
         let c = &self.lanes[lane].0[kind as usize];
         c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
-        #[cfg(feature = "trace")]
-        {
-            let ts_ns = now_ns();
-            let mut ring = crate::pool::lock(&self.rings[lane].0);
-            for _ in 0..n {
-                ring.push(TraceEvent { ts_ns, kind, arg });
-            }
+        if let Some(t) = &self.timeline {
+            t.push(lane, kind, arg, n);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = arg;
     }
 
     /// Events of `kind`, summed over every lane.
@@ -165,50 +160,64 @@ impl SessionEvents {
         self.lanes.len() - 1
     }
 
-    /// The session has ended: drain the rings and the counters into its
-    /// `SessionTrace` and hand it to the calling client thread, for
-    /// `take_last_trace`. Called once per session. No-op untraced.
+    /// The session has ended: hand the calling client thread, for
+    /// [`take_last_trace`], a traced session's `SessionTrace` (its
+    /// drained rings and counters), or nothing for an untraced one, so no
+    /// older record stands in for it. Called once per session.
     pub(crate) fn finish(&self, session: u64) {
-        #[cfg(feature = "trace")]
-        {
-            let mut workers: Vec<WorkerTrace> = self
-                .lanes
-                .iter()
-                .zip(self.rings.iter())
-                .map(|(lane, ring)| {
-                    let (events, dropped) = crate::pool::lock(&ring.0).drain();
-                    let counts = std::array::from_fn(|k| lane.0[k].load(Ordering::Relaxed));
-                    WorkerTrace {
-                        events,
-                        dropped,
-                        counts,
-                    }
-                })
-                .collect();
-            let client = workers.pop().expect("the client lane is the last");
-            LAST_TRACE.set(Some(SessionTrace {
-                session,
-                start_ns: self.start_ns,
-                ring_capacity: DEFAULT_RING_CAP,
-                workers,
-                client,
-            }));
+        LAST_TRACE.set(
+            self.timeline
+                .as_ref()
+                .map(|t| t.drain(session, &self.lanes)),
+        );
+    }
+}
+
+impl Timeline {
+    #[cold]
+    fn push(&self, lane: usize, kind: TraceKind, arg: u64, n: u64) {
+        let ts_ns = now_ns();
+        let mut ring = crate::pool::lock(&self.rings[lane].0);
+        for _ in 0..n {
+            ring.push(TraceEvent { ts_ns, kind, arg });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = session;
+    }
+
+    fn drain(&self, session: u64, lanes: &[Lane]) -> SessionTrace {
+        let mut workers: Vec<WorkerTrace> = lanes
+            .iter()
+            .zip(self.rings.iter())
+            .map(|(lane, ring)| {
+                let (events, dropped) = crate::pool::lock(&ring.0).drain();
+                let counts = std::array::from_fn(|k| lane.0[k].load(Ordering::Relaxed));
+                WorkerTrace {
+                    events,
+                    dropped,
+                    counts,
+                }
+            })
+            .collect();
+        let client = workers.pop().expect("the client lane is the last");
+        SessionTrace {
+            session,
+            start_ns: self.start_ns,
+            ring_capacity: DEFAULT_RING_CAP,
+            workers,
+            client,
+        }
     }
 }
 
 /// Take the record of the last session the calling thread ran —
-/// successful or failed — or `None` if it ran none since the last take.
-/// A failed session's trace includes the poison events of its abort,
-/// often exactly what a post-mortem needs.
-#[cfg(feature = "trace")]
+/// successful or failed — if that session was traced
+/// ([`Session::trace`](crate::Session::trace)); `None` if it was not,
+/// or if the thread ran none since the last take. A failed session's
+/// trace includes the poison events of its abort, often exactly what a
+/// post-mortem needs.
 pub fn take_last_trace() -> Option<SessionTrace> {
     LAST_TRACE.take()
 }
 
-#[cfg(feature = "trace")]
 thread_local! {
     /// The calling thread's last finished session (see [`take_last_trace`]).
     static LAST_TRACE: std::cell::Cell<Option<SessionTrace>> =
@@ -216,7 +225,6 @@ thread_local! {
 }
 
 /// Nanoseconds since the process-wide trace epoch, set by the first call.
-#[cfg(feature = "trace")]
 fn now_ns() -> u64 {
     static EPOCH: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
     EPOCH
@@ -228,6 +236,5 @@ fn now_ns() -> u64 {
 /// One lane's ring, padded so the owner's pushes never share a cache
 /// line with a sibling's. Cheap to construct per session: a `TraceRing`
 /// allocates lazily on first push.
-#[cfg(feature = "trace")]
 #[repr(align(128))]
-struct Ring(std::sync::Mutex<TraceRing>);
+struct Ring(Mutex<TraceRing>);

@@ -8,7 +8,7 @@
 //! scheduling (a touch only suspends if it loses its race with the
 //! fulfill).
 
-use pf_rt::{cell, FutWrite, Runtime, Worker};
+use pf_rt::{cell, take_last_trace, FutWrite, Runtime, Session, TraceKind, Worker};
 
 /// A binary fork tree of depth `d` summing 2^d leaf ones through cells:
 /// exercises inline and pushed children, stealing, suspension, and resume in one
@@ -63,7 +63,9 @@ fn every_pool_width_computes_the_same_tree_sum() {
     for threads in [1usize, 2, 4] {
         let rt = Runtime::new(threads);
         let (ow, or) = cell::<u64>();
-        let stats = rt.run_stats(move |wk| tree_sum(wk, DEPTH, ow));
+        let stats = rt
+            .try_run_session(Session::new().trace(), move |wk| tree_sum(wk, DEPTH, ow))
+            .unwrap();
         assert_eq!(or.expect(), 1u64 << DEPTH, "t={threads}: wrong sum");
         let spawns = *pinned_spawns.get_or_insert(stats.spawns);
         assert_eq!(
@@ -75,15 +77,11 @@ fn every_pool_width_computes_the_same_tree_sum() {
             stats.spawns + 1,
             "t={threads}: tasks - suspensions == spawns + root"
         );
-        #[cfg(feature = "trace")]
-        {
-            use pf_rt::TraceKind;
-            let trace = pf_rt::take_last_trace().expect("traced build");
-            assert_eq!(trace.total(TraceKind::Spawn), stats.spawns);
-            assert_eq!(trace.total(TraceKind::Exec), stats.tasks_executed);
-            assert_eq!(trace.total(TraceKind::Suspend), stats.suspensions);
-            assert_eq!(trace.total(TraceKind::Steal), stats.steals);
-        }
+        let trace = take_last_trace().expect("a traced session leaves its record");
+        assert_eq!(trace.total(TraceKind::Spawn), stats.spawns);
+        assert_eq!(trace.total(TraceKind::Exec), stats.tasks_executed);
+        assert_eq!(trace.total(TraceKind::Suspend), stats.suspensions);
+        assert_eq!(trace.total(TraceKind::Steal), stats.steals);
     }
 }
 
@@ -99,10 +97,8 @@ fn every_pool_width_completes_a_deep_chain() {
     }
 }
 
-#[cfg(feature = "trace")]
 mod traced {
     use super::*;
-    use pf_rt::TraceKind;
 
     #[test]
     fn tiny_ring_reports_drops_in_stats_and_export() {
@@ -113,7 +109,9 @@ mod traced {
         const DEPTH: u32 = 14;
         let rt = Runtime::new(1);
         let (ow, or) = cell::<u64>();
-        let stats = rt.run_stats(move |wk| tree_sum(wk, DEPTH, ow));
+        let stats = rt
+            .try_run_session(Session::new().trace(), move |wk| tree_sum(wk, DEPTH, ow))
+            .unwrap();
         assert_eq!(or.expect(), 1 << DEPTH);
         // Every node but the root is spawned. On one worker each fork's
         // pushed left child is still queued when its parent touches it, so
@@ -123,7 +121,7 @@ mod traced {
         assert_eq!(stats.spawns, nodes - 1);
         assert_eq!(stats.suspensions, internal);
         assert_eq!(stats.tasks_executed, nodes + internal);
-        let timeline = pf_rt::take_last_trace().unwrap();
+        let timeline = take_last_trace().unwrap();
         assert_eq!(
             timeline.total(TraceKind::Exec),
             stats.tasks_executed,

@@ -1,4 +1,5 @@
-//! Behavioral scheduler tests over the tracing layer (`--features trace`).
+//! Behavioral scheduler tests over the tracing layer: every session here
+//! is opened with `Session::trace`.
 //!
 //! Until this suite, tests could only assert *end-state* values (cells
 //! hold the right numbers) and aggregate counters. A session's
@@ -11,15 +12,20 @@
 //! pool each get their own session back. The reconciliation test at the
 //! bottom pins the trace counts to `RunStats` across 100 seeded random
 //! workloads (both read the slot's one counter array, so it holds by
-//! construction; the test keeps it so).
+//! construction; the test keeps it so), and `run_traced` checks the same
+//! for every other session here.
 
-#![cfg(feature = "trace")]
-
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
-use pf_rt::{cell, take_last_trace, Runtime, Session, SessionError, SessionTrace, TraceKind};
+use pf_rt::{
+    cell, take_last_trace, RunStats, Runtime, Session, SessionError, SessionTrace, TraceKind,
+    Worker,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use TraceKind::{Exec, Fulfill, Poison, Resume, Spawn, Steal, Suspend};
 
 fn fork_tree(wk: &pf_rt::Worker, depth: usize) {
     if depth > 0 {
@@ -33,49 +39,29 @@ fn fork_tree(wk: &pf_rt::Worker, depth: usize) {
 #[test]
 fn single_worker_records_zero_steals() {
     let rt = Runtime::new(1);
-    let stats = rt.run_stats(|wk| fork_tree(wk, 8));
-    let trace = taken();
-    assert_eq!(
-        trace.total(TraceKind::Steal),
-        0,
-        "a lone worker has nobody to steal from"
-    );
-    assert_eq!(trace.total(TraceKind::Steal), stats.steals);
+    let (stats, trace) = run_traced(&rt, |wk| fork_tree(wk, 8));
+    assert_eq!(stats.steals, 0, "a lone worker has nobody to steal from");
     assert_eq!(trace.workers.len(), 1);
     // Everything ran on worker 0.
-    assert_eq!(
-        trace.workers[0].count(TraceKind::Exec),
-        stats.tasks_executed
-    );
+    assert_eq!(trace.workers[0].count(Exec), stats.tasks_executed);
 }
 
 #[test]
 fn fork_heavy_session_steals_on_a_wide_pool() {
-    // Stealing is how tasks reach workers 1..4 at all (the injector only
-    // ever holds the root), so a fan-out of thousands of yielding tasks
-    // engages it reliably; the retry loop absorbs pathological schedules.
-    // Each `spawn2` pushes one task (the other runs inline), so the loop
-    // leaves 2000 stealable tasks on the root's deque.
+    // Causal, on any core count: the root pushes one child and does not
+    // return until the child has run, so only a thief can have run it.
     let rt = Runtime::new(4);
-    let mut last = 0;
-    for _ in 0..20 {
-        let stats = rt.run_stats(|wk| {
-            for _ in 0..2000 {
-                wk.spawn2(|_| std::thread::yield_now(), |_| std::thread::yield_now());
-            }
-        });
-        let trace = taken();
-        assert_eq!(
-            trace.total(TraceKind::Steal),
-            stats.steals,
-            "trace and counter agree"
-        );
-        last = trace.total(TraceKind::Steal);
-        if last > 0 {
-            return;
+    let (_, trace) = run_traced(&rt, |wk| {
+        let ran = Arc::new(AtomicBool::new(false));
+        let child = Arc::clone(&ran);
+        wk.spawn2(move |_| child.store(true, Ordering::SeqCst), |_| {});
+        let started = Instant::now();
+        while !ran.load(Ordering::SeqCst) {
+            assert!(started.elapsed() < Duration::from_secs(30), "no thief");
+            std::thread::yield_now();
         }
-    }
-    panic!("no steal in 20 fork-heavy sessions at t=4 (last trace: {last})");
+    });
+    assert!(trace.total(Steal) >= 1, "the child was stolen");
 }
 
 #[test]
@@ -85,24 +71,18 @@ fn touch_before_fulfill_records_suspend_resume_pairs() {
     // suspends and each write resumes exactly one waiter.
     const N: usize = 25;
     let rt = Runtime::new(1);
-    let stats = rt.run_stats(|wk| {
+    let (_, trace) = run_traced(&rt, |wk| {
         for i in 0..N {
             let (w, r) = cell::<usize>();
             r.touch(wk, move |v, _| assert_eq!(v, i));
             wk.spawn(move |wk| w.fulfill(wk, i));
         }
     });
-    let trace = taken();
-    assert_eq!(trace.total(TraceKind::Suspend), N as u64);
+    assert_eq!(trace.total(Suspend), N as u64);
+    assert_eq!(trace.total(Resume), N as u64, "every suspension resumed");
+    assert_eq!(trace.total(Fulfill), N as u64);
     assert_eq!(
-        trace.total(TraceKind::Resume),
-        N as u64,
-        "every suspension was resumed"
-    );
-    assert_eq!(trace.total(TraceKind::Suspend), stats.suspensions);
-    assert_eq!(trace.total(TraceKind::Fulfill), N as u64);
-    assert_eq!(
-        trace.client.count(TraceKind::Poison),
+        trace.client.count(Poison),
         0,
         "healthy session poisons nothing"
     );
@@ -111,15 +91,15 @@ fn touch_before_fulfill_records_suspend_resume_pairs() {
 #[test]
 fn write_before_touch_records_no_suspension() {
     let rt = Runtime::new(1);
-    rt.run(|wk| {
+    let (_, trace) = run_traced(&rt, |wk| {
         let (w, r) = cell::<u32>();
         w.fulfill(wk, 7);
         r.touch(wk, |v, _| assert_eq!(v, 7));
     });
-    let trace = taken();
-    assert_eq!(trace.total(TraceKind::Suspend), 0);
-    assert_eq!(trace.total(TraceKind::Resume), 0);
-    assert_eq!(trace.total(TraceKind::Fulfill), 1);
+    assert_eq!(
+        [Suspend, Resume, Fulfill].map(|k| trace.total(k)),
+        [0, 0, 1]
+    );
 }
 
 #[test]
@@ -131,7 +111,7 @@ fn stalled_session_records_poison_per_stuck_cell() {
     // (carrying the cell address) for each.
     let rt = Runtime::new(2);
     let err = rt
-        .try_run_session(Session::new(), |wk| {
+        .try_run_session(Session::new().trace(), |wk| {
             for _ in 0..3 {
                 let (w, r) = cell::<u32>();
                 r.touch(wk, |_, _| {});
@@ -148,7 +128,7 @@ fn stalled_session_records_poison_per_stuck_cell() {
     let trace = take_last_trace().expect("aborted sessions leave their timeline behind");
     assert_eq!(trace.session, err_session);
     assert_eq!(
-        trace.client.count(TraceKind::Poison),
+        trace.client.count(Poison),
         report.stuck.len() as u64,
         "one poison event per stuck cell"
     );
@@ -157,7 +137,7 @@ fn stalled_session_records_poison_per_stuck_cell() {
         .client
         .events
         .iter()
-        .filter(|e| e.kind == TraceKind::Poison)
+        .filter(|e| e.kind == Poison)
         .map(|e| e.arg)
         .collect();
     let mut reported: Vec<u64> = report.stuck.iter().map(|c| c.addr as u64).collect();
@@ -165,7 +145,7 @@ fn stalled_session_records_poison_per_stuck_cell() {
     reported.sort_unstable();
     assert_eq!(traced, reported);
     assert_eq!(
-        trace.total(TraceKind::Suspend),
+        trace.total(Suspend),
         3,
         "the suspensions that wedged the pool"
     );
@@ -174,13 +154,11 @@ fn stalled_session_records_poison_per_stuck_cell() {
 #[test]
 fn timeline_is_exported_and_consumed_once() {
     let rt = Runtime::new(2);
-    let stats = rt.run_stats(|wk| {
+    let (_, trace) = run_traced(&rt, |wk| {
         let (w, r) = cell::<u32>();
         r.touch(wk, |_, _| {});
         wk.spawn(move |wk| w.fulfill(wk, 1));
     });
-    let trace = taken();
-    assert_eq!(trace.total(TraceKind::Exec), stats.tasks_executed);
     assert!(trace.events() > 0);
     let json = trace.to_chrome_trace();
     assert!(json.contains("\"name\":\"exec\""));
@@ -202,7 +180,7 @@ fn each_client_takes_back_the_session_it_ran() {
         let rt = Arc::clone(&rt);
         std::thread::spawn(move || {
             let err = rt
-                .try_run(|wk| fork_tree_then_panic(wk, 4))
+                .try_run_session(Session::new().trace(), |wk| fork_tree_then_panic(wk, 4))
                 .expect_err("the pill fails A's session");
             a_failed.send(()).unwrap();
             after_b_ran.recv().unwrap();
@@ -213,7 +191,9 @@ fn each_client_takes_back_the_session_it_ran() {
     };
     let b = std::thread::spawn(move || {
         after_a_failed.recv().unwrap();
-        let stats = rt.run_stats(|wk| fork_tree(wk, 6));
+        let stats = rt
+            .try_run_session(Session::new().trace(), |wk| fork_tree(wk, 6))
+            .unwrap();
         b_ran.send(()).unwrap();
         after_a_took.recv().unwrap();
         (stats, take_last_trace())
@@ -228,7 +208,7 @@ fn each_client_takes_back_the_session_it_ran() {
         a_session + 1,
         "B ran the pool's next session"
     );
-    assert_eq!(b_trace.total(TraceKind::Exec), b_stats.tasks_executed);
+    assert_eq!(b_trace.total(Exec), b_stats.tasks_executed);
 }
 
 fn fork_tree_then_panic(wk: &pf_rt::Worker, depth: usize) {
@@ -236,10 +216,45 @@ fn fork_tree_then_panic(wk: &pf_rt::Worker, depth: usize) {
     panic!("injected fault");
 }
 
-/// The calling thread's last session record, which a traced build always
-/// leaves.
-fn taken() -> SessionTrace {
-    take_last_trace().expect("a traced session leaves its record")
+/// Run `root` to quiescence in a traced session and take its record
+/// back, whose counts must equal the session's `RunStats`. A failed
+/// session resumes its panic.
+fn run_traced(
+    rt: &Runtime,
+    root: impl FnOnce(&Worker) + Send + 'static,
+) -> (RunStats, SessionTrace) {
+    let stats = rt
+        .try_run_session(Session::new().trace(), root)
+        .unwrap_or_else(|e| e.resume());
+    let trace = take_last_trace().expect("a traced session leaves its record");
+    let counted = [
+        stats.tasks_executed,
+        stats.spawns,
+        stats.suspensions,
+        stats.steals,
+    ];
+    assert_eq!(
+        [Exec, Spawn, Suspend, Steal].map(|k| trace.total(k)),
+        counted
+    );
+    (stats, trace)
+}
+
+/// An untraced session clears the thread's record: a traced session's
+/// trace, left untaken, must not stand in for the untraced session that
+/// ran after it on the same thread.
+#[test]
+fn an_untraced_session_leaves_no_record_behind() {
+    let rt = Runtime::new(2);
+    let traced = Session::new().trace();
+    rt.try_run_session(traced.clone(), |wk| fork_tree(wk, 4))
+        .unwrap();
+    rt.run(|wk| fork_tree(wk, 4));
+    assert!(take_last_trace().is_none(), "the untraced run cleared it");
+    // Failed sessions follow the same rule.
+    rt.try_run_session(traced, |wk| fork_tree(wk, 2)).unwrap();
+    assert!(rt.try_run(|wk| fork_tree_then_panic(wk, 2)).is_err());
+    assert!(take_last_trace().is_none(), "a failed untraced session too");
 }
 
 /// Across 100 seeded random workloads (mixed fan-out, cells touched and
@@ -255,7 +270,7 @@ fn trace_counts_reconcile_with_run_stats_over_seeded_workloads() {
         let cells: usize = rng.gen_range(0..24);
         let touch_first: bool = rng.gen();
         let rt = Runtime::shared(threads);
-        let stats = rt.run_stats(move |wk| {
+        let (stats, trace) = run_traced(&rt, move |wk| {
             for _ in 0..plain {
                 wk.spawn(|_| {});
             }
@@ -270,30 +285,13 @@ fn trace_counts_reconcile_with_run_stats_over_seeded_workloads() {
                 }
             }
         });
-        let trace = taken();
-        let executed: u64 = trace.workers.iter().map(|w| w.count(TraceKind::Exec)).sum();
+        // `run_traced` reconciled the totals; the workers' lanes alone
+        // hold every execution.
+        let executed: u64 = trace.workers.iter().map(|w| w.count(Exec)).sum();
+        assert_eq!(executed, stats.tasks_executed, "iter {iter}: executed");
         assert_eq!(
-            executed, stats.tasks_executed,
-            "iter {iter}: per-worker exec events vs RunStats.tasks_executed"
-        );
-        assert_eq!(
-            trace.total(TraceKind::Spawn),
-            stats.spawns,
-            "iter {iter}: spawns"
-        );
-        assert_eq!(
-            trace.total(TraceKind::Suspend),
-            stats.suspensions,
-            "iter {iter}: committed suspensions (raced touches un-note)"
-        );
-        assert_eq!(
-            trace.total(TraceKind::Steal),
-            stats.steals,
-            "iter {iter}: steals"
-        );
-        assert_eq!(
-            trace.total(TraceKind::Resume),
-            trace.total(TraceKind::Suspend),
+            trace.total(Resume),
+            trace.total(Suspend),
             "iter {iter}: every suspension in a finished session resumed"
         );
         assert_eq!(trace.dropped(), 0, "iter {iter}: workloads fit the ring");

@@ -140,10 +140,10 @@ pub struct WaveOutcome {
     /// load after too many consecutive degraded windows.
     pub shed: bool,
     /// The full event timeline of the failed session that degraded this
-    /// wave (`trace` feature only), taken from [`pf_rt::take_last_trace`]
-    /// on the apply thread that ran it — a degraded wave ships with its
-    /// own diagnosis. `None` for served waves.
-    #[cfg(feature = "trace")]
+    /// wave, taken from [`pf_rt::take_last_trace`] on the apply thread
+    /// that ran it — a degraded wave ships with its own diagnosis, since
+    /// every pooled session is traced ([`pf_rt::Session::trace`]). `None`
+    /// for served waves.
     pub trace: Option<Arc<pf_rt::SessionTrace>>,
 }
 
@@ -198,12 +198,11 @@ pub struct DrainReport {
     /// session. `served + degraded + shed == outcomes.len()`.
     pub shed: u64,
     /// Failed *window* sessions' errors (as displayed, `session N …`) and
-    /// full event timelines (`trace` feature only): one entry per
-    /// pipelined window whose session failed and was replayed
-    /// wave-by-wave, taken before the replay sessions on the same apply
-    /// thread replace the timeline — so the window's diagnosis travels
-    /// with the report even when every replayed wave then serves.
-    #[cfg(feature = "trace")]
+    /// full event timelines: one entry per pipelined window whose session
+    /// failed and was replayed wave-by-wave, taken before the replay
+    /// sessions on the same apply thread replace the timeline — so the
+    /// window's diagnosis travels with the report even when every
+    /// replayed wave then serves.
     pub window_traces: Vec<(String, Arc<pf_rt::SessionTrace>)>,
 }
 
@@ -222,7 +221,6 @@ impl DrainReport {
         self.recovered += other.recovered;
         self.shed += other.shed;
         self.wall = self.wall.max(other.wall);
-        #[cfg(feature = "trace")]
         self.window_traces.extend(other.window_traces);
     }
 
@@ -566,12 +564,9 @@ impl<K: Key> SetService<K> {
             Err((err, _)) => {
                 // The failed window's error and timeline, taken before
                 // this thread's replay sessions replace the timeline.
-                #[cfg(feature = "trace")]
                 report
                     .window_traces
                     .extend(pf_rt::take_last_trace().map(|t| (err.to_string(), Arc::new(t))));
-                #[cfg(not(feature = "trace"))]
-                let _ = err;
                 // Replay: one wave per pass (plus retries), committing
                 // the healthy ones in order; the shard root advances past
                 // each.
@@ -603,7 +598,9 @@ impl<K: Key> SetService<K> {
                 if attempts > self.cfg.retry.attempts {
                     let mut o = outcome(shard, w, false, Some(&err), took, replayed);
                     o.attempts = attempts;
-                    report.record(attach_failed_trace(o));
+                    // The failed session that degraded it, on this thread.
+                    o.trace = pf_rt::take_last_trace().map(Arc::new);
+                    report.record(o);
                     return false;
                 }
                 // Bounded backoff: the shard's ingress keeps queueing
@@ -682,7 +679,8 @@ impl<K: Key> SetService<K> {
         waves: &[WavePlan<K>],
     ) -> Result<(RTreap<K>, RunStats), (SessionError, Duration)> {
         let (op, of) = cell();
-        let mut sess = Session::new();
+        // Traced, so a failed session leaves its own timeline behind.
+        let mut sess = Session::new().trace();
         if let Some(d) = self.cfg.deadline {
             sess = sess.deadline(d);
         }
@@ -889,17 +887,6 @@ fn net_effect<K: Key>(waves: &[WavePlan<K>]) -> (Vec<K>, Vec<Entry<K>>) {
     (deletes, inserts)
 }
 
-/// Attach the calling thread's last session record — the failed session
-/// that degraded `o` — to the outcome. No-op without the `trace` feature.
-#[cfg_attr(not(feature = "trace"), allow(unused_mut))]
-fn attach_failed_trace(mut o: WaveOutcome) -> WaveOutcome {
-    #[cfg(feature = "trace")]
-    {
-        o.trace = pf_rt::take_last_trace().map(Arc::new);
-    }
-    o
-}
-
 fn outcome<K>(
     shard: usize,
     w: &WavePlan<K>,
@@ -919,7 +906,6 @@ fn outcome<K>(
         replayed,
         attempts: 1,
         shed: false,
-        #[cfg(feature = "trace")]
         trace: None,
     }
 }

@@ -1,9 +1,8 @@
-//! `trace`-feature integration: a degraded wave ships with the timeline
-//! of the session that failed it, and a failed pipelined window's
-//! timeline travels on the drain report — on the shared pool, next to
-//! other sessions, each record is the failed session's own.
-
-#![cfg(feature = "trace")]
+//! Timeline attach: pf-service traces every pooled session, so a
+//! degraded wave ships with the timeline of the session that failed it,
+//! and a failed pipelined window's timeline travels on the drain report
+//! — on the shared pool, next to other sessions, each record is the
+//! failed session's own.
 
 use std::time::Duration;
 

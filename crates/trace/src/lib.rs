@@ -9,7 +9,8 @@
 //!   unpark}`); pf-rt's per-session counters, on in every build, are
 //!   indexed by it;
 //!
-//! and of its opt-in timeline (`pf-rt --features trace`):
+//! and of the timeline a session opened with `pf_rt::Session::trace`
+//! records:
 //!
 //! * [`TraceEvent`] — one scheduler event with a monotonic nanosecond
 //!   timestamp and a one-word argument (a victim index, a cell address);
