@@ -6,13 +6,13 @@
 //! 1. **Elision** — a request with no entries is dropped (it is a no-op
 //!    on the key set, so it never costs a session).
 //! 2. **Run merging** — consecutive requests of the same kind merge into
-//!    one wave whose entries are one key-sorted run, deduplicated
-//!    keep-first (matching `PlainTreap::from_entries`' duplicate
-//!    no-ops). This is the 2-6 tree's "m keys in one wave" plan applied
-//!    at the ingress boundary: one root walk for the whole run instead
-//!    of one per request, and one sorted array, as §3.4's batch insert
-//!    takes it. A pooled session builds the run into one complete treap
-//!    in linear time; the inline pass reads it as it is.
+//!    one wave whose entries are one key-sorted run, a repeated key
+//!    resolved to its highest-priority entry, the one a union of the
+//!    requests keeps ([`wins`](pf_algs::plain::wins)). This is the 2-6
+//!    tree's "m keys in one wave" plan applied at the ingress boundary:
+//!    one root walk for the whole run instead of one per request, and one
+//!    sorted array, as §3.4's batch insert takes it. Either apply pass
+//!    folds its window's runs into their net effect.
 //!
 //! A wave is closed by: a kind change (insert → delete or back), the
 //! per-wave key budget ([`CoalescePolicy::max_wave_keys`]), or a faulty
@@ -48,8 +48,9 @@ impl Default for CoalescePolicy {
 pub struct Wave<K> {
     /// Insert or delete (a wave never mixes kinds).
     pub kind: OpKind,
-    /// Always exactly one run: the wave's entries, sorted by key and
-    /// deduplicated keep-first across every request of the wave.
+    /// Always exactly one run: the wave's entries, sorted by key, one
+    /// per key — the highest-priority entry any request of the wave
+    /// holds for it.
     pub groups: Vec<Vec<Entry<K>>>,
     /// Injected misbehavior (isolated: a faulty wave holds exactly the
     /// faulty request).
@@ -65,20 +66,21 @@ impl<K> Wave<K> {
     }
 }
 
-/// Sort by key (stable) and drop duplicate keys keep-first — the same
-/// duplicate semantics as `PlainTreap::from_entries`, where a duplicate
-/// insert is a no-op.
-fn sanitize<K: Ord>(mut entries: Vec<Entry<K>>) -> Vec<Entry<K>> {
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    entries.dedup_by(|a, b| a.0 == b.0);
-    entries
-}
-
-/// One wave: `entries` in request order, one run once sanitized.
-fn wave<K: Ord>(kind: OpKind, entries: Vec<Entry<K>>, fault: Fault, tags: Vec<u64>) -> Wave<K> {
+/// One wave: `run`, its requests' entries, sorted by key (stable), and
+/// one entry kept per key — the highest-priority one, the entry a union
+/// keeps ([`wins`](pf_algs::plain::wins)), so the wave applies exactly
+/// what its requests' unions, one by one, would.
+fn wave<K: Ord>(kind: OpKind, mut run: Vec<Entry<K>>, fault: Fault, tags: Vec<u64>) -> Wave<K> {
+    run.sort_by(|a, b| a.0.cmp(&b.0));
+    run.dedup_by(|later, kept| {
+        if later.0 == kept.0 && later.1 > kept.1 {
+            std::mem::swap(later, kept);
+        }
+        later.0 == kept.0
+    });
     Wave {
         kind,
-        groups: vec![sanitize(entries)],
+        groups: vec![run],
         fault,
         tags,
     }
@@ -87,8 +89,8 @@ fn wave<K: Ord>(kind: OpKind, entries: Vec<Entry<K>>, fault: Fault, tags: Vec<u6
 /// Coalesce one shard's drained request run into apply waves (module
 /// docs for the rewrite rules). Request order is preserved across wave
 /// boundaries; within a wave, reordering is sound because same-kind set
-/// operations commute and a duplicate key resolves keep-first, to the
-/// entry of the earliest request that holds it.
+/// operations commute, and a duplicate key resolves as a union resolves
+/// it, to its highest-priority entry.
 pub fn coalesce<K: Ord>(requests: Vec<Request<K>>, policy: &CoalescePolicy) -> Vec<Wave<K>> {
     let mut waves: Vec<Wave<K>> = Vec::new();
     // The open wave: its kind, its entries in request order, its tags.

@@ -2,35 +2,31 @@
 //!
 //! This crate turns the repo's engines into a *service*: the thing a
 //! front end (or a benchmark driver) hands requests to and gets a
-//! continuously updated, snapshot-readable key set back from. It is the
-//! paper's composition story — independent operations whose futures
-//! compose into one pipeline — promoted from an example replay
-//! (`examples/set_server.rs` before PR 6) to a reusable concurrent core.
+//! continuously updated, snapshot-readable key set back from, grown out
+//! of an example replay (`examples/set_server.rs`) into a reusable
+//! concurrent core.
 //!
 //! The request path is a four-stage pipeline:
 //!
 //! ```text
-//!   ingress ──► coalesce ──► apply pass per window ──► commit
-//!   (queue      (dedup,       ├ inline: the window's    (under the root
-//!    per         wave         │  net effect as plain     lock: edit the
-//!    shard)      merging:     │  code on the caller,     root in place or
-//!                one sorted   │  within one grain,       swap a new one
-//!                run a wave)  │  planned off-lock        in; free what it
-//!                             │                          replaced after)
-//!                             └ pooled: try_run_session,
-//!                                fault-contained; one
-//!                                batch treap a wave, batch
-//!                                N+1 splits against batch
-//!                                N's unresolved root
+//!   ingress ──► coalesce ──► net effect per window ──► commit
+//!   (queue      (dedup,       (D: keys deleted,         (under the root
+//!    per         wave          I: entries inserted)      lock: edit the
+//!    shard)      merging:     ├ inline: plain code on    root in place or
+//!                one sorted   │  the caller, within one  swap a new one
+//!                run a wave)  │  grain, planned off-lock in; free what it
+//!                             └ pooled: try_run_session, replaced after)
+//!                                union(diff(root, D), I),
+//!                                one future hop
 //! ```
 //!
 //! * **Ingress + coalescing** ([`coalesce()`]): requests land in a
 //!   per-shard queue; a run of consecutive requests of one kind
-//!   collapses into one *wave* whose entries are one key-sorted run,
-//!   deduplicated keep-first (the 2-6 tree's m-keys-in-one-wave plan,
-//!   realized here on treaps because the shard root must also support
-//!   deletes), so a wave meets the shard root in one set operation
-//!   however many requests it holds.
+//!   collapses into one *wave* whose entries are one key-sorted run, one
+//!   entry a key, the one a union keeps (the 2-6 tree's
+//!   m-keys-in-one-wave plan, realized here on treaps because the shard
+//!   root must also support deletes), so a wave meets the shard root in
+//!   one set operation however many requests it holds.
 //! * **Key-range sharding** ([`shard::ShardMap`]): S independent shards,
 //!   each with its own persistent treap root, apply their waves in
 //!   fault-contained sessions ([`pf_rt::Runtime::try_run_session`]) on
@@ -38,13 +34,12 @@
 //!   gets its own session slot), so shard concurrency covers session
 //!   execution itself as well as everything around it — batch treap
 //!   construction, coalescing, commit bookkeeping — and a failed shard
-//!   degrades alone, its abort
-//!   confined to its own slot. A shard takes one applier at a time, from
-//!   taking its ingress through its last commit, so `pump`s and a `drive`
-//!   may run side by side and each shard still applies in ingress order;
-//!   readers never take that lock. [`SetService::drive`] applies shard 0
-//!   on its calling thread once the feed is done, and the rest each on a
-//!   thread of its own.
+//!   degrades alone, its abort confined to its own slot. A shard takes
+//!   one applier at a time, from taking its ingress through its last
+//!   commit, so `pump`s and a `drive` may run side by side and each shard
+//!   still applies in ingress order; readers never take that lock.
+//!   [`SetService::drive`] applies shard 0 on its calling thread once the
+//!   feed is done, and the rest each on a thread of its own.
 //! * **Snapshot reads** ([`SetService::contains`]): readers walk the
 //!   shard's last *committed* root — sealed at commit, so it holds no
 //!   future cell and the walk is a pointer chase down to a sorted block
@@ -53,16 +48,13 @@
 //!   a session or a plan: taking the clone waits at most for one commit
 //!   walk or swap, and what it then holds never changes, since a commit
 //!   edits in place only nodes that nothing but the shard holds.
-//! * **Cross-batch pipelining** ([`ApplyMode::Pipelined`]): inside one
-//!   session a *window* of waves is chained through unresolved future
-//!   cells — wave N+1's `union` touches wave N's still-being-written
-//!   output root, so its splits start the moment N's root node exists
-//!   instead of waiting for N's whole tree at a barrier. The barriered
-//!   fallback ([`ApplyMode::Barriered`]: one wave per session) is kept
-//!   for A/B measurement: pf-perf's `svc-bulk` workload reports it as
-//!   `service.service.barriered_keys_per_s` and `pipelining_gain` (where
-//!   both modes run every window inline, so that ratio compares fused
-//!   multi-wave plain passes with one-wave ones, not futures).
+//! * **One apply algebra** ([`ApplyMode`]): a pass applies its window's
+//!   net effect, never its waves one by one. A pooled session runs
+//!   `union(diff(root, D), I)`, the difference's pending root feeding the
+//!   union — one future hop, not a chain of them; DESIGN.md §5a says why,
+//!   and where the paper's pipelining is measured. Windows of one
+//!   ([`ApplyMode::Barriered`]) are pf-perf's A/B baseline for
+//!   `barriered_keys_per_s` and `pipelining_gain`.
 //! * **The inline pass** ([`DrainReport::inline`]): a window that has no
 //!   future in it needs no session. Before opening one, the service
 //!   admits the window by sizes alone — every wave healthy, of at most
@@ -84,7 +76,7 @@
 //! Failure is a per-wave outcome, not a process event: a wave that
 //! panics, wedges past the deadline, or stalls degrades — the shard keeps
 //! its previous committed root (an `Arc` clone) and keeps serving. A
-//! failed *pipelined window* is replayed wave-by-wave in barriered mode,
+//! failed multi-wave window is replayed wave by wave,
 //! so only the genuinely faulty wave is dropped and the final state is
 //! identical to what barriered application would have produced (pinned
 //! by the `equivalence` test). Degradation then self-heals in two

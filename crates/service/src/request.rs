@@ -38,7 +38,8 @@ pub struct Request<K> {
     /// Insert or delete.
     pub kind: OpKind,
     /// The `(key, priority)` entries. May be unsorted and may contain
-    /// duplicate keys — the coalescer sorts and dedups (keep-first).
+    /// duplicate keys — the coalescer sorts them and keeps, per key, the
+    /// highest-priority entry, as a union would.
     pub entries: Vec<Entry<K>>,
     /// Injected misbehavior (test instrumentation); [`Fault::None`] in
     /// production traffic.

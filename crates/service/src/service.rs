@@ -1,8 +1,8 @@
 //! The service core: per-shard ingress queues feeding coalesced waves
-//! into apply passes — the window's net effect as plain code on the
-//! calling thread where its sizes keep it within one grain, a
-//! fault-contained session with cross-batch pipelining for everything
-//! else.
+//! into apply passes of one window each. Either pass applies the
+//! window's net effect — as plain code on the calling thread where its
+//! sizes keep it within one grain, as one pipelined difference feeding
+//! one union in a fault-contained session otherwise.
 //!
 //! See the crate docs for the architecture. The one invariant everything
 //! here leans on: a shard's *committed* root only ever comes out of an
@@ -32,24 +32,18 @@ use crate::shard::ShardMap;
 /// A shard's treap: the one generic treap, on the runtime's engine.
 type RTreap<K> = Treap<Worker, K>;
 
-/// How waves are grouped into apply passes. Either way a pass whose
-/// sizes keep it within one grain runs as plain code on the calling
-/// thread and opens no session ([`DrainReport::inline`]); "session"
-/// below is what the other passes open.
+/// How many waves one apply pass takes. Either way a pass applies its
+/// window's net effect, inline where its sizes keep it within one grain
+/// ([`DrainReport::inline`]), in one pooled session otherwise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApplyMode {
-    /// One session per **window** of up to [`ServiceConfig::window`]
-    /// waves (or `window × 64` keys, whichever is reached first),
-    /// chained through unresolved future cells: wave N+1's union
-    /// touches wave N's still-being-written output root, so its splits
-    /// begin as soon as N's root node exists — the paper's composition
-    /// story as a throughput feature. A failed window is replayed
-    /// wave-by-wave in barriered mode, so only the faulty wave degrades.
+    /// One pass per **window** of up to [`ServiceConfig::window`] waves
+    /// (or `window × 64` keys, whichever is reached first). A failed
+    /// window is replayed wave by wave, so only the faulty wave degrades.
     Pipelined,
-    /// One session per wave: every wave waits for its predecessor's full
-    /// quiescence (the barrier the paper's futures exist to remove).
-    /// Kept as the A/B baseline of pf-perf's `barriered_keys_per_s` and
-    /// `pipelining_gain`.
+    /// One pass per wave: a window of one. Kept as the A/B baseline of
+    /// pf-perf's `barriered_keys_per_s` and `pipelining_gain`, which
+    /// therefore compare windows of 8 waves with windows of 1.
     Barriered,
 }
 
@@ -59,7 +53,7 @@ pub struct ServiceConfig {
     /// Worker threads of the shared apply pool
     /// ([`Runtime::shared`]`(threads)`).
     pub threads: usize,
-    /// Max waves chained into one pipelined session (ignored in
+    /// Max waves one pass folds into its net effect (ignored in
     /// [`ApplyMode::Barriered`]). A window also closes before it would
     /// hold more than `window × 64` keys (512 at the default 8).
     pub window: usize,
@@ -126,10 +120,10 @@ pub struct WaveOutcome {
     pub error: Option<String>,
     /// Apply latency: the elapsed time of the apply pass, inline or
     /// pooled, that decided this wave's fate (shared by every wave of a
-    /// pipelined window; from [`RunStats::elapsed`], the same source the
-    /// benchmark reports).
+    /// window; from [`RunStats::elapsed`], the same source the benchmark
+    /// reports).
     pub latency: Duration,
-    /// Served by the wave-by-wave replay of a failed pipelined window
+    /// Served by the wave-by-wave replay of a failed multi-wave window
     /// rather than by its original window session.
     pub replayed: bool,
     /// Sessions that decided this wave's fate: 1 for a first-try wave,
@@ -198,7 +192,7 @@ pub struct DrainReport {
     /// session. `served + degraded + shed == outcomes.len()`.
     pub shed: u64,
     /// Failed *window* sessions' errors (as displayed, `session N …`) and
-    /// full event timelines: one entry per pipelined window whose session
+    /// full event timelines: one entry per multi-wave window whose session
     /// failed and was replayed wave-by-wave, taken before the replay
     /// sessions on the same apply thread replace the timeline — so the
     /// window's diagnosis travels with the report even when every
@@ -243,22 +237,21 @@ struct Shard<K: Key> {
     /// Held by one applier from taking the ingress through its last
     /// commit, so passes on the shard never overlap and apply in ingress
     /// order: each plans against the root the one before it committed.
-    /// Readers never take it.
-    apply: Mutex<()>,
+    /// Readers never take it. It guards the shard's backoff-jitter stream
+    /// ([`RetryPolicy::stream`]), which only an applier's retries draw.
+    apply: Mutex<u64>,
     root: Mutex<RTreap<K>>,
     /// This shard's circuit breaker; held only for a state-machine step.
     breaker: Mutex<CircuitBreaker>,
-    /// This shard's backoff-jitter stream ([`RetryPolicy::stream`]).
-    backoff: Mutex<u64>,
 }
 
 /// The apply plan of one wave: what [`WaveOutcome`] reports of it, and
-/// its one run of entries (sorted and distinct, [`Wave::groups`]) shared
-/// with whichever pass applies it. An inline pass reads the run as it is
-/// and builds no batch treap; a pooled session builds it into one treap
-/// on the worker that runs it, so a batch's nodes come from the
-/// allocator arena of the thread that goes on to walk them, and a bulk
-/// load never lands in the arena the caller's small path copies recycle.
+/// its one run of entries (sorted and distinct, [`Wave::groups`]), shared
+/// by clones. Whoever applies a window builds its batches: a pooled
+/// session on its worker, so a bulk load's nodes come from the arena of
+/// the thread that walks them, not the one the caller's small path
+/// copies recycle; an inline pass builds none.
+#[derive(Clone)]
 struct WavePlan<K> {
     kind: OpKind,
     fault: Fault,
@@ -319,10 +312,9 @@ impl<K: Key> SetService<K> {
         let shards = (0..map.shards())
             .map(|i| Shard {
                 ingress: Mutex::new(Vec::new()),
-                apply: Mutex::new(()),
+                apply: Mutex::new(cfg.retry.stream(i)),
                 root: Mutex::new(RTreap::Leaf),
                 breaker: Mutex::new(CircuitBreaker::new(cfg.breaker)),
-                backoff: Mutex::new(cfg.retry.stream(i)),
             })
             .collect();
         SetService {
@@ -498,7 +490,7 @@ impl<K: Key> SetService<K> {
     /// Drain one shard's pending requests: coalesce into waves, chop
     /// into windows, apply each window in one pass.
     fn apply_pending(&self, shard: usize) -> DrainReport {
-        let _applier = lock(&self.shards[shard].apply);
+        let mut jitter = lock(&self.shards[shard].apply);
         let pending = std::mem::take(&mut *lock(&self.shards[shard].ingress));
         let mut report = DrainReport::default();
         if pending.is_empty() {
@@ -515,7 +507,7 @@ impl<K: Key> SetService<K> {
         // A window closes at `window` waves or at `window` waves' worth of
         // small requests in keys, whichever comes first: session time is
         // linear in keys, so bounding only the wave count lets a window of
-        // large waves set the latency tail of every wave chained in it.
+        // large waves set the latency tail of every wave folded into it.
         let key_budget = window * WINDOW_KEYS_PER_WAVE;
         let mut start = 0;
         while start < waves.len() {
@@ -525,21 +517,28 @@ impl<K: Key> SetService<K> {
                 keys += waves[end].keys;
                 end += 1;
             }
-            self.apply_window(shard, &waves[start..end], &mut report);
+            self.apply_window(shard, &waves[start..end], &mut jitter, &mut report);
             start = end;
         }
         report
     }
 
     /// Apply one window of waves. On window failure with more than one
-    /// wave, fall back to wave-by-wave barriered replay so only the
-    /// faulty wave degrades — keeping pipelined and barriered end states
-    /// identical (the equivalence test pins this). Around that protocol
-    /// sit the self-healing layers: the shard's circuit breaker gates
-    /// the window (an open breaker sheds it in O(1)), each degraded wave
-    /// gets [`ServiceConfig::retry`] fresh-session attempts with
-    /// jittered backoff, and the window's final fate feeds the breaker.
-    fn apply_window(&self, shard: usize, waves: &[WavePlan<K>], report: &mut DrainReport) {
+    /// wave, fall back to a wave-by-wave replay so only the faulty wave
+    /// degrades — keeping pipelined and barriered end states identical
+    /// (the equivalence test pins this). Around that protocol sit the
+    /// self-healing layers: the shard's circuit breaker gates the window
+    /// (an open breaker sheds it in O(1)), each degraded wave gets
+    /// [`ServiceConfig::retry`] fresh-session attempts with backoff
+    /// jittered from the shard's stream `jitter`, and the window's final
+    /// fate feeds the breaker.
+    fn apply_window(
+        &self,
+        shard: usize,
+        waves: &[WavePlan<K>],
+        jitter: &mut u64,
+        report: &mut DrainReport,
+    ) {
         if !lock(&self.shards[shard].breaker).admit(self.started.elapsed()) {
             for w in waves {
                 let mut o = outcome(shard, w, false, None, Duration::ZERO, false);
@@ -559,7 +558,7 @@ impl<K: Key> SetService<K> {
                 }
             }
             Err(failed) if waves.len() == 1 => {
-                degraded = !self.retry_wave(shard, &waves[0], false, Some(failed), report);
+                degraded = !self.retry_wave(shard, &waves[0], false, Some(failed), jitter, report);
             }
             Err((err, _)) => {
                 // The failed window's error and timeline, taken before
@@ -571,7 +570,7 @@ impl<K: Key> SetService<K> {
                 // the healthy ones in order; the shard root advances past
                 // each.
                 for w in waves {
-                    degraded |= !self.retry_wave(shard, w, true, None, report);
+                    degraded |= !self.retry_wave(shard, w, true, None, jitter, report);
                 }
             }
         }
@@ -581,14 +580,15 @@ impl<K: Key> SetService<K> {
     /// Run `w` alone in fresh passes until it serves or its retry budget
     /// is spent, recording exactly one outcome. `failed` carries an
     /// attempt the caller already ran (the single-wave window session);
-    /// each subsequent attempt waits out a jittered exponential backoff
-    /// first. Returns whether the wave served.
+    /// each subsequent attempt waits out an exponential backoff jittered
+    /// from `jitter` first. Returns whether the wave served.
     fn retry_wave(
         &self,
         shard: usize,
         w: &WavePlan<K>,
         replayed: bool,
         failed: Option<(SessionError, Duration)>,
+        jitter: &mut u64,
         report: &mut DrainReport,
     ) -> bool {
         let mut attempts: u32 = failed.iter().count() as u32;
@@ -606,11 +606,7 @@ impl<K: Key> SetService<K> {
                 // Bounded backoff: the shard's ingress keeps queueing
                 // while we sleep; a transient fault (a wedge released, a
                 // contended sibling) gets breathing room to clear.
-                let delay = {
-                    let mut stream = lock(&self.shards[shard].backoff);
-                    self.cfg.retry.delay(attempts - 1, &mut stream)
-                };
-                std::thread::sleep(delay);
+                std::thread::sleep(self.cfg.retry.delay(attempts - 1, jitter));
                 report.retries += 1;
             }
             attempts += 1;
@@ -661,24 +657,25 @@ impl<K: Key> SetService<K> {
         Ok(stats.elapsed)
     }
 
-    /// One apply session: chain every wave of the window through
-    /// unresolved result cells (cross-batch pipelining), then read the
-    /// final root out, sealed — the one place a committable root that
-    /// took futures to build comes from. Each wave's run is built here
-    /// into one complete treap ([`Treap::from_sorted_complete`]), on the
-    /// worker that runs the session's root task, and meets the chain in
-    /// one `union` or `diff`. On failure the caller gets the error plus
-    /// the session's wall-clock cost; the pool is already clean (aborted
-    /// sessions poison their cells and drop their continuations) and the
-    /// pre-session root is untouched — it holds no cell, so the poison
-    /// pass cannot reach it.
+    /// One apply session: the window's net effect ([`net_effect`]) as one
+    /// pipelined hop, `union(diff(root, D), I)`, an empty run's operation
+    /// skipped, then the final root read out, sealed — the one place a
+    /// committable root that took futures to build comes from. The fold
+    /// and the builds of `D` and `I` ([`Treap::from_sorted_complete`]; the
+    /// difference ignores `D`'s priorities) run on the session's worker; a
+    /// one-wave window is its own net effect, its run built as it is. The
+    /// waves remain only to inject their faults. On failure the caller
+    /// gets the error plus the session's wall-clock cost; the pool is
+    /// already clean (aborted sessions poison their cells and drop their
+    /// continuations) and the pre-session root is untouched — it holds no
+    /// cell, so the poison pass cannot reach it.
     #[allow(clippy::type_complexity)]
     fn run_window_session(
         &self,
         root: RTreap<K>,
         waves: &[WavePlan<K>],
     ) -> Result<(RTreap<K>, RunStats), (SessionError, Duration)> {
-        let (op, of) = cell();
+        let (out, of) = cell();
         // Traced, so a failed session leaves its own timeline behind.
         let mut sess = Session::new().trace();
         if let Some(d) = self.cfg.deadline {
@@ -687,17 +684,13 @@ impl<K: Key> SetService<K> {
         if let Some(b) = self.cfg.stall_budget {
             sess = sess.stall_budget(b);
         }
-        let steps: Vec<_> = waves
-            .iter()
-            .map(|w| (w.kind, w.fault, Arc::clone(&w.run)))
-            .collect();
+        let window = waves.to_vec();
         let started = Instant::now();
         let stats = self
             .rt
             .try_run_session(sess, move |wk: &Worker| {
-                let mut state: FutRead<RTreap<K>> = ready(root);
-                for (kind, fault, run) in steps {
-                    match fault {
+                for w in &window {
+                    match w.fault {
                         Fault::Panic => {
                             wk.spawn(|_| panic!("injected fault: malformed request payload"))
                         }
@@ -708,18 +701,29 @@ impl<K: Key> SetService<K> {
                         }),
                         Fault::None => {}
                     }
-                    let batch = ready(Treap::from_sorted_complete(&run));
-                    let (p, f) = cell();
-                    match kind {
-                        OpKind::Insert => union(wk, state, batch, p, Mode::Pipelined),
-                        OpKind::Delete => diff(wk, state, batch, p, Mode::Pipelined),
+                }
+                let folded;
+                let (deletes, inserts): (&[Entry<K>], &[Entry<K>]) = match &window[..] {
+                    [w] if w.kind == OpKind::Insert => (&[], &w.run),
+                    [w] => (&w.run, &[]),
+                    _ => {
+                        folded = net_effect(&window, Clone::clone);
+                        (&folded.0, &folded.1)
                     }
+                };
+                let hops: [(_, fn(&Worker, _, _, _, Mode)); 2] =
+                    [(deletes, diff), (inserts, union)];
+                let mut state: FutRead<RTreap<K>> = ready(root);
+                for (run, op) in hops.into_iter().filter(|(run, _)| !run.is_empty()) {
+                    let (p, f) = cell();
+                    let batch = ready(Treap::from_sorted_complete(run));
+                    op(wk, state, batch, p, Mode::Pipelined);
                     state = f;
                 }
-                state.touch(wk, move |v, wk| op.fulfill(wk, v));
+                state.touch(wk, move |v, wk| out.fulfill(wk, v));
             })
             .map_err(|e| (e, started.elapsed()))?;
-        // Quiescence ⇒ the final chain cell and every cell below it is
+        // Quiescence ⇒ the last result cell and every cell below it is
         // written, so the unsized top of the new root can be sealed.
         Ok((of.expect().sealed(), stats))
     }
@@ -776,14 +780,8 @@ fn range_into<K: Key>(t: &RTreap<K>, lo: &K, hi: &K, out: &mut Vec<K>) {
 /// every key inserted earlier in the window. A function of sizes alone,
 /// checked before any work.
 ///
-/// The pass applies the window's net effect: one stable sort of its
-/// entries by key (wave order within a key), then per key a delete if any
-/// wave deletes it, and an insert of the [`wins`] winner among the entries
-/// inserted after its last delete — two key-sorted runs, taken out of
-/// `root` and put into what is left in one walk. A treap is a function of
-/// its entries, so the result is the tree the waves' unions and
-/// differences build one by one, at no more work than their estimates
-/// summed.
+/// The pass applies the window's [`net_effect`], two key-sorted runs,
+/// taken out of `root` and put into what is left in one walk.
 ///
 /// The window is planned off-lock ([`plan_run`]) and committed under the
 /// root lock ([`Patch::commit`](pf_algs::treap::Patch::commit)): in place
@@ -824,7 +822,7 @@ fn apply_inline<K: Key>(
     // The shard's handle and this pass's: a reader's is a third.
     const OWNERS: usize = 2;
     let plan = || {
-        let (deletes, inserts) = net_effect(waves);
+        let (deletes, inserts) = net_effect(waves, |e| e.0.clone());
         let patch = plan_run(&root, &deletes, &inserts, OWNERS);
         (deletes, inserts, patch)
     };
@@ -858,10 +856,17 @@ fn apply_inline<K: Key>(
     Ok((stats, false))
 }
 
-/// The net effect of `waves`: the keys some wave deletes, and per key the
-/// [`wins`] winner among the entries inserted after its last delete, each
-/// run sorted by key.
-fn net_effect<K: Key>(waves: &[WavePlan<K>]) -> (Vec<K>, Vec<Entry<K>>) {
+/// The net effect of `waves`, which every pass applies: one stable sort
+/// of their entries by key (wave order within a key), then per key a
+/// delete if any wave deletes it (`deleted` of its last delete's entry),
+/// and an insert of the [`wins`] winner among the entries inserted after
+/// its last delete. A treap is a function of its entries, so the two runs
+/// build the tree the waves' unions and differences build one by one, at
+/// no more work than their estimates summed.
+fn net_effect<K: Key, D>(
+    waves: &[WavePlan<K>],
+    deleted: impl Fn(&Entry<K>) -> D,
+) -> (Vec<D>, Vec<Entry<K>>) {
     let mut ops: Vec<(&Entry<K>, OpKind)> = (waves.iter())
         .flat_map(|w| w.run.iter().map(move |e| (e, w.kind)))
         .collect();
@@ -870,7 +875,7 @@ fn net_effect<K: Key>(waves: &[WavePlan<K>]) -> (Vec<K>, Vec<Entry<K>>) {
     for same_key in ops.chunk_by(|(a, _), (b, _)| a.0 == b.0) {
         let after = match same_key.iter().rposition(|&(_, k)| k == OpKind::Delete) {
             Some(d) => {
-                deletes.push(same_key[d].0 .0.clone());
+                deletes.push(deleted(same_key[d].0));
                 &same_key[d + 1..]
             }
             None => same_key,

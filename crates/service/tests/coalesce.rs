@@ -41,23 +41,25 @@ fn insert_run_merges_into_one_wave() {
 }
 
 #[test]
-fn duplicate_keys_dedup_keep_first() {
-    // Same key from two requests in one run: the first writer wins,
-    // matching PlainTreap::from_entries (duplicate insert is a no-op).
+fn duplicate_keys_dedup_to_the_union_winner() {
+    // Same key from two requests in one run: the higher priority wins, as
+    // the union of the two requests keeps it, so a wave applies the same
+    // entries however its requests were grouped.
     let reqs: Vec<Request<i64>> = vec![
         Request::insert(vec![(7, 111), (3, 30)]),
         Request::insert(vec![(7, 222), (9, 90)]),
+        Request::insert(vec![(9, 5)]),
     ];
     let waves = coalesce(reqs, &CoalescePolicy::default());
     assert_eq!(waves.len(), 1);
-    assert_eq!(waves[0].groups[0], vec![(3, 30), (7, 111), (9, 90)]);
+    assert_eq!(waves[0].groups[0], vec![(3, 30), (7, 222), (9, 90)]);
 }
 
 #[test]
-fn large_requests_join_the_one_run_keep_first() {
+fn large_requests_join_the_one_run() {
     // One small request and two large ones, which share key 150 at
-    // different priorities: one wave, one sorted run, the first request's
-    // entry for 150 kept (not the higher priority), and 150 counted once.
+    // different priorities: one wave, one sorted run, the higher-priority
+    // entry for 150 kept, and 150 counted once.
     let big_a: Vec<(i64, u64)> = (100..200).map(|k| (k, 1)).collect();
     let big_b: Vec<(i64, u64)> = (200..300).map(|k| (k, 2)).chain([(150, 99)]).collect();
     let reqs = vec![
@@ -67,11 +69,12 @@ fn large_requests_join_the_one_run_keep_first() {
     ];
     let waves = coalesce(reqs, &CoalescePolicy::default());
     assert_eq!(waves.len(), 1, "same-kind requests collapse into one wave");
-    let run: Vec<(i64, u64)> = [(5, 50)]
+    let mut run: Vec<(i64, u64)> = [(5, 50)]
         .into_iter()
         .chain(big_a)
         .chain((200..300).map(|k| (k, 2)))
         .collect();
+    run[51] = (150, 99);
     assert_eq!(waves[0].groups, vec![run]);
     assert_eq!(waves[0].keys(), 201);
 }

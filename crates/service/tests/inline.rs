@@ -96,11 +96,11 @@ fn a_wave_over_the_grain_opens_a_session() {
 }
 
 #[test]
-fn an_over_grain_wave_builds_its_one_run_keep_first() {
+fn an_over_grain_wave_builds_the_union_of_its_requests() {
     // Two large requests of one wave share 100 keys, the second at higher
     // priorities: more than one grain of distinct keys, so the wave runs
-    // in a pooled session, and it commits the tree of its entries kept
-    // first, each repeated key applied and counted once.
+    // in a pooled session, and it commits the tree the two requests'
+    // unions build, each repeated key applied and counted once.
     let svc = SetService::new(ShardMap::uniform(1, 0, 1 << 20), cfg());
     let mut rng = SmallRng::seed_from_u64(38);
     let base: Vec<(i64, u64)> = (0..1000).map(|k| (13 * k, rng.gen())).collect();
@@ -116,8 +116,9 @@ fn an_over_grain_wave_builds_its_one_run_keep_first() {
     let report = svc.pump();
     assert_eq!((report.sessions, report.inline, report.served), (1, 0, 1));
     assert_eq!(report.keys_applied, 6000);
-    let batch = PlainTreap::from_entries(&wave.concat());
-    let oracle = PlainTreap::union(PlainTreap::from_entries(&base), batch);
+    let oracle = (wave.iter()).fold(PlainTreap::from_entries(&base), |t, r| {
+        PlainTreap::union(t, PlainTreap::from_entries(r))
+    });
     assert_eq!(
         svc.snapshot(0).preorder(),
         Treap::<Worker, i64>::from_plain_complete(&oracle).preorder()

@@ -1,12 +1,14 @@
 //! set_server: the "dynamic dictionary" workload of §3.2–3.3, now served
-//! by the `pf-service` crate — a sharded, coalescing set service with
-//! cross-batch pipelining — instead of a hand-rolled per-batch loop.
+//! by the `pf-service` crate — a sharded, coalescing set service — instead
+//! of a hand-rolled per-batch loop.
 //!
 //! A server holds a large keyset (e.g. active session ids). Batches of
 //! inserts and deletes arrive tagged with request ids; the service splits
 //! them by key range across shards, coalesces each shard's run into apply
-//! waves, and chains windows of waves through unresolved future cells in
-//! one fault-contained session (`ApplyMode::Pipelined`). The example
+//! waves, and applies each window of waves as its net effect: the keys it
+//! deletes and the entries it inserts, inline when the window is small
+//! against the shard, else in one fault-contained session as a pipelined
+//! difference feeding a union (`ApplyMode::Pipelined`). The example
 //! replays a synthetic day of traffic through the concurrent `drive()`
 //! path and validates the outcome three ways:
 //!
@@ -65,7 +67,7 @@ fn synthesize_traffic(rounds: usize, seed: u64) -> Vec<Request<i64>> {
                 .map(|_| (rng.gen_range(0..KEYSPACE), rng.gen::<u64>()))
                 .collect();
             // Round 4: a client retried — the batch carries duplicates,
-            // which the coalescer's sanitize pass drops (keep-first).
+            // which the coalescer drops.
             if r == 4 {
                 let dups: Vec<Entry<i64>> = fresh.iter().take(m / 4).copied().collect();
                 fresh.extend(dups);
@@ -122,9 +124,9 @@ fn shard_stream(reqs: &[Request<i64>], map: &ShardMap<i64>, shard: usize) -> Vec
 }
 
 /// Sequential shape oracle: replay one shard's *served* coalesced waves
-/// on a `PlainTreap`. Each wave is one sorted, keep-first run, built into
-/// one batch treap, so this walks the exact entry stream the service
-/// applied.
+/// on a `PlainTreap`. Each wave is one sorted run, one entry a key, built
+/// into one batch treap; the service applies the same entries, so it
+/// builds the same tree however its windows grouped the waves.
 fn replay_shard_plain(
     stream: Vec<Request<i64>>,
     shard: usize,

@@ -212,8 +212,9 @@ fn union_is_bit_identical_under_concurrent_panicking_sibling() {
     }
 }
 
-/// A service window in miniature: eight waves, each one batch treap,
-/// chained in one session through result cells — so a wave may
+/// The paper's pipelining across operations: eight waves, each one batch
+/// treap, chained in one session through result cells (pf-service ran
+/// its pooled windows this way until it moved to one hop) — so a wave may
 /// find its predecessor's root still pending (a stolen fork, or an
 /// unsized predecessor's pushed children), sized (the predecessor ran
 /// plain code) or unsized (it forked: wave 3 is more than one grain of
