@@ -1466,20 +1466,14 @@ mod tests {
 
     /// `within_grain` says yes exactly when the pipelined functions would
     /// run plain code — both operands sized, the estimate within the grain,
-    /// to the key — and the run operations build the oracle's tree from a
-    /// complete treap and a sorted run, the treap itself when the run
-    /// changes nothing.
+    /// to the key — and a run is merged whole exactly when it is more than
+    /// half the treap. (What the plain code builds, the algorithm suite
+    /// checks against its oracle: pf-algs' `tests/prop.rs` and the
+    /// size-rule pairs of `pf_tests::SetOps`.)
     fn within_grain_is_the_plain_rule<B: PipeBackend>() {
-        fn e(keys: impl IntoIterator<Item = i64>) -> Vec<Entry<i64>> {
-            keys.into_iter()
-                .map(|k| (k, splitmix64(k as u64)))
-                .collect()
-        }
-        let t = |e: &[Entry<i64>]| Treap::<B, i64>::from_sorted_complete(e);
-        let same_tree = |got: Treap<B, i64>, want, what: &str| {
-            let want = Treap::<B, i64>::from_plain_complete(&want);
-            assert_eq!(got.preorder(), want.preorder(), "{what}");
-            assert_eq!(got.sized(), want.sized(), "{what}");
+        let t = |n: i64| {
+            let e: Vec<Entry<i64>> = (0..n).map(|k| (k, splitmix64(k as u64))).collect();
+            Treap::<B, i64>::from_sorted_complete(&e)
         };
         // Equal sizes make the estimate the size itself.
         let grain = B::GRAIN as usize;
@@ -1489,50 +1483,18 @@ mod tests {
         // A big operand against a small one still fits; an unsized one
         // never does, on either side.
         assert!(within_grain::<B>(50 * grain, 1) && within_grain::<B>(1, 50 * grain));
-        let (big, one) = (e(0..50 * grain as i64), e([7]));
         let leaf = || Child::Done(Treap::<B, i64>::Leaf);
         let pending = Treap::<B, i64>::node_over(7, 9, 0, leaf(), leaf());
-        assert!(fuses(&t(&one), &t(&big)));
-        assert!(!fuses(&pending, &t(&one)) && !fuses(&t(&one), &pending));
-        // The run operations: into a block, a node cut and a node merged
-        // whole (more than half its size), and a big treap. Intersection is
-        // `a` without `a` minus `b`, once by its run and once by lookups.
-        let p = |e: &[Entry<i64>]| PlainTreap::from_entries(e);
-        for (a, b, whole) in [
-            (e(0..20), e(10..40), true),
-            (e(0..120), e((0..40).map(|i| 3 * i)), false),
-            (e(0..120), e((0..70).map(|i| 2 * i + 1)), true),
+        assert!(fuses(&t(1), &t(50 * grain as i64)));
+        assert!(!fuses(&pending, &t(1)) && !fuses(&t(1), &pending));
+        for (n, m, whole) in [
+            (20, 30, true),
+            (120, 40, false),
+            (120, 70, true),
+            (120, 60, false),
         ] {
-            assert_eq!(merges(a.len(), b.len()), whole);
-            let keys: Vec<i64> = b.iter().map(|e| e.0).collect();
-            let (ta, tb) = (t(&a), t(&b));
-            same_tree(
-                apply_run(&ta, &[], &b),
-                PlainTreap::union(p(&a), p(&b)),
-                "union",
-            );
-            let want = || PlainTreap::diff(p(&a), p(&b));
-            same_tree(apply_run(&ta, &keys, &[]), want(), "diff");
-            // Both at once: `b`'s keys deleted from `a`, then every third
-            // entry of `a` inserted back, re-prioritised.
-            let back: Vec<Entry<i64>> = a.iter().step_by(3).map(|&(k, p)| (k, p / 2)).collect();
-            let both = PlainTreap::union(want(), p(&back));
-            same_tree(apply_run(&ta, &keys, &back), both, "deletes and inserts");
-            same_tree(keep(&ta, |k| !tb.contains(k)), want(), "diff by lookups");
-            let want = || PlainTreap::diff(p(&a), want());
-            same_tree(
-                edit_run::<B, i64, _, true>(&mut Build, &ta, &keys, &[]),
-                want(),
-                "intersect",
-            );
-            same_tree(keep(&ta, |k| tb.contains(k)), want(), "meet by lookups");
+            assert_eq!(merges(n, m), whole, "{m} keys into {n}");
         }
-        let root = t(&big);
-        same_tree(apply_run(&root, &[], &one), p(&big), "one key into many");
-        assert!(apply_run(&root, &[], &one).ptr_eq(&root), "nothing to add");
-        let absent = apply_run(&root, &[-1, 1 << 40], &[]);
-        assert!(absent.ptr_eq(&root), "nothing to delete");
-        assert!(keep(&root, |_| true).ptr_eq(&root), "nothing to drop");
     }
 
     #[test]

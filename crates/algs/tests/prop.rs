@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use pf_algs::plain::{splitmix64, wins, Entry, PlainTreap};
-use pf_algs::treap::{apply_run, plan_run, Patch, Treap};
+use pf_algs::treap::{apply_run, plan_run, Treap};
 use pf_algs::tree::Tree;
 use pf_algs::two_six::level_arrays;
 use pf_algs::{PipeBackend, Seq};
@@ -64,39 +64,23 @@ fn mixed(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) -> (Vec<i64>, Vec<E
 }
 
 /// On engine `B`: `apply_run` of the complete treap of `t` with inserts
-/// `run`, deletes `dels`, and both at once ([`mixed`])
-/// builds `PlainTreap`'s union, difference, and union after difference in
-/// the canonical representation, and returns `t` itself for nothing to do,
-/// for `t`'s own entries (merged whole) or its first (cut in), for deletes
-/// of absent keys only, and for both of those at once.
+/// `run`, deletes of absent keys, deletes `dels`, and both at once
+/// ([`mixed`]) builds the [`fold`] of `t` in the canonical representation,
+/// and returns `t` itself for nothing to do, for `t`'s own entries (merged
+/// whole) or its first (cut in), for deletes of absent keys only, and for
+/// both of those at once.
 fn check_runs<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
-    let plain = || PlainTreap::from_entries(t);
     let tree = Treap::<B, i64>::from_sorted_complete(t);
     let absent: Vec<i64> = (dels.iter().copied())
         .filter(|k| t.binary_search_by_key(k, |e| e.0).is_err())
         .collect();
-    let without = |keys: &[i64]| {
-        let keys: Vec<Entry<i64>> = keys.iter().map(|&k| (k, 0)).collect();
-        PlainTreap::diff(plain(), PlainTreap::from_entries(&keys))
-    };
     let (md, mi) = mixed(t, run, dels);
-    let cases = [
-        (
-            apply_run(&tree, &[], run),
-            PlainTreap::union(plain(), PlainTreap::from_entries(run)),
-        ),
-        (apply_run(&tree, &absent, &[]), plain()),
-        (apply_run(&tree, dels, &[]), without(dels)),
-        (
-            apply_run(&tree, &md, &mi),
-            PlainTreap::union(without(&md), PlainTreap::from_entries(&mi)),
-        ),
-    ];
-    for (i, (got, want)) in cases.into_iter().enumerate() {
-        let want = Treap::<B, i64>::from_plain_complete(&want);
-        assert_eq!(got.preorder(), want.preorder(), "case {i}");
-        assert!(got.check_invariants(), "case {i}");
-        assert_eq!(got.sized(), want.sized(), "case {i}");
+    for (i, (d, ins)) in [(&[][..], run), (&absent, &[]), (dels, &[]), (&md, &mi)]
+        .into_iter()
+        .enumerate()
+    {
+        let want = fold(PlainTreap::from_entries(t), d, ins);
+        assert_complete(&apply_run(&tree, d, ins), &want, &format!("case {i}"));
     }
     let unchanged = |dels: &[i64], ins: &[Entry<i64>]| apply_run(&tree, dels, ins).ptr_eq(&tree);
     let one = &t[..t.len().min(1)];
@@ -160,58 +144,39 @@ impl Strategy for RunCase {
     }
 }
 
-/// On engine `B`: `apply_run` of `run`, of `dels`, and of both at once
-/// ([`mixed`]), planned as patches of the complete treap
-/// of `t` and committed in place, build what `apply_run` builds — the
-/// oracle's tree, by [`check_runs`] —
-/// with the treap unshared, held by a clone from before the plan (which
-/// the patch copies around), or held between plan and commit at its root
-/// or at its deepest node on the way to the first key (which the commit
-/// refuses and undoes, and commits once the clone is gone). No clone
-/// changes.
+/// On engine `B`: `run`, `dels`, and both at once ([`mixed`]), planned
+/// as patches of the complete treap of `t` and committed in place, build
+/// the [`fold`] of `t` with the treap unshared, held by a clone from
+/// before the plan (which the patch copies around), or held between plan
+/// and commit at its root or at its deepest node on the way to the first
+/// key (which the commit refuses and undoes, and commits once the clone is
+/// gone). No clone changes.
 fn check_commits<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
     let tree = || Treap::<B, i64>::from_sorted_complete(t);
-    let before = tree().preorder();
-    type Plan<'a, B> = &'a dyn Fn(&Treap<B, i64>) -> Patch<B, i64>;
+    let plain = PlainTreap::from_entries(t);
     let (md, mi) = mixed(t, run, dels);
-    let plans: [Plan<'_, B>; 3] = [
-        &|x| plan_run(x, &[], run, 1),
-        &|x| plan_run(x, dels, &[], 1),
-        &|x| plan_run(x, &md, &mi, 1),
-    ];
-    let builds = [
-        apply_run(&tree(), &[], run),
-        apply_run(&tree(), dels, &[]),
-        apply_run(&tree(), &md, &mi),
-    ];
-    let firsts = [
-        run.first().map(|e| e.0),
-        dels.first().copied(),
-        md.first().copied(),
-    ];
-    for (op, ((plan, built), first)) in plans.into_iter().zip(builds).zip(firsts).enumerate() {
-        let is_built = |got: &Treap<B, i64>, how: &str| {
-            assert_eq!(got.preorder(), built.preorder(), "op {op}, {how}");
-            assert!(got.check_invariants(), "op {op}, {how}");
-            assert_eq!(got.sized(), built.sized(), "op {op}, {how}");
+    for (op, (d, ins)) in [(&[][..], run), (dels, &[]), (&md, &mi)]
+        .into_iter()
+        .enumerate()
+    {
+        let want = fold(plain.clone(), d, ins);
+        let is = |got: &Treap<B, i64>, want: &Plain, how: &str| {
+            assert_complete(got, want, &format!("op {op}, {how}"))
         };
-        let kept = |held: &Treap<B, i64>, was: &[Entry<i64>], how: &str| {
-            assert_eq!(held.preorder(), was, "op {op}, {how}");
-            assert!(held.check_invariants(), "op {op}, {how}");
-            assert_eq!(held.sized(), Some(held.size()), "op {op}, {how}");
-        };
+        let plan = |x: &Treap<B, i64>| plan_run(x, d, ins, 1);
         let mut mine = tree();
         let committed = plan(&mine).commit(&mut mine);
         assert!(committed.is_ok(), "op {op}: unshared");
-        is_built(&mine, "unshared");
+        is(&mine, &want, "unshared");
 
         let mut mine = tree();
         let held = mine.clone();
         let committed = plan(&mine).commit(&mut mine);
         assert!(committed.is_ok(), "op {op}: a copied root needs no owner");
-        is_built(&mine, "held before the plan");
-        kept(&held, &before, "the clone held before the plan");
+        is(&mine, &want, "held before the plan");
+        is(&held, &plain, "the clone held before the plan");
 
+        let first = d.first().copied().or(ins.first().map(|e| e.0));
         for deep in [false, true] {
             let mut mine = tree();
             let patch = plan(&mine);
@@ -220,18 +185,23 @@ fn check_commits<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i
                 _ => mine.clone(),
             };
             let was = held.preorder();
+            let kept = |how: &str| {
+                assert_eq!(held.preorder(), was, "op {op}, {how}");
+                assert!(held.check_invariants(), "op {op}, {how}");
+                assert_eq!(held.sized(), Some(held.size()), "op {op}, {how}");
+            };
             match patch.commit(&mut mine) {
-                Ok(_) => is_built(&mine, "held across"),
+                Ok(_) => is(&mine, &want, "held across"),
                 Err(patch) => {
-                    kept(&mine, &before, "refused");
-                    kept(&held, &was, "the clone the commit refused for");
+                    is(&mine, &plain, "refused");
+                    kept("the clone the commit refused for");
                     drop(held);
                     assert!(patch.commit(&mut mine).is_ok(), "op {op}: once let go");
-                    is_built(&mine, "once let go");
+                    is(&mine, &want, "once let go");
                     continue;
                 }
             }
-            kept(&held, &was, "the clone held across the commit");
+            kept("the clone held across the commit");
         }
     }
 }

@@ -212,22 +212,28 @@ fn deque_two_thieves_claim_disjoint() {
 #[cfg(not(pf_check_lost_wakeup))]
 #[test]
 fn pool_quiescence_no_lost_wakeup() {
-    rt_budget().run(|| {
-        let done = Arc::new(AtomicUsize::new(0));
-        let d2 = Arc::clone(&done);
-        let rt = Runtime::new(2);
-        rt.run(move |wk| {
-            let (a, b) = (Arc::clone(&d2), Arc::clone(&d2));
-            push(wk, move |_| {
-                a.fetch_add(1, Ordering::Relaxed);
-            });
-            push(wk, move |_| {
-                b.fetch_add(1, Ordering::Relaxed);
-            });
+    rt_budget().run(two_pushes_quiesce);
+}
+
+/// Two tasks pushed onto a two-worker pool just as its workers go idle:
+/// the session must run both and reach quiescence. The model of
+/// `pool_quiescence_no_lost_wakeup`, and the one the seeded lost-wakeup
+/// mutation must fail.
+fn two_pushes_quiesce() {
+    let done = Arc::new(AtomicUsize::new(0));
+    let d2 = Arc::clone(&done);
+    let rt = Runtime::new(2);
+    rt.run(move |wk| {
+        let (a, b) = (Arc::clone(&d2), Arc::clone(&d2));
+        push(wk, move |_| {
+            a.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(done.load(Ordering::Relaxed), 2);
-        drop(rt);
+        push(wk, move |_| {
+            b.fetch_add(1, Ordering::Relaxed);
+        });
     });
+    assert_eq!(done.load(Ordering::Relaxed), 2);
+    drop(rt);
 }
 
 /// Back-to-back sessions on one pool: the second session must see a
@@ -607,22 +613,7 @@ fn seeded_lost_wakeup_is_caught() {
         .pct_iters(60)
         .random_iters(300)
         .expect_failure()
-        .run(|| {
-            let done = Arc::new(AtomicUsize::new(0));
-            let d2 = Arc::clone(&done);
-            let rt = Runtime::new(2);
-            rt.run(move |wk| {
-                let (a, b) = (Arc::clone(&d2), Arc::clone(&d2));
-                push(wk, move |_| {
-                    a.fetch_add(1, Ordering::Relaxed);
-                });
-                push(wk, move |_| {
-                    b.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-            assert_eq!(done.load(Ordering::Relaxed), 2);
-            drop(rt);
-        });
+        .run(two_pushes_quiesce);
     let f =
         failure.expect("the seeded lost-wakeup bug was NOT found — the model checker is vacuous");
     assert_eq!(

@@ -9,40 +9,42 @@ use proptest::prelude::*;
 /// work, optionally a flat primitive, writes two cells at different times
 /// (the pipelining pattern), and touches its children's early cells
 /// before their late cells.
-fn run_program(seed: u64, fanout: usize, depth: usize, costs: CostModel) -> pf_core::CostReport {
-    fn node(ctx: &Ctx, seed: u64, fanout: usize, depth: usize) -> u64 {
-        ctx.tick(1 + seed % 4);
-        if depth == 0 {
-            return seed;
-        }
-        let kids: Vec<_> = (0..fanout)
-            .map(|i| {
-                let s = seed
-                    .wrapping_mul(0x9E3779B97F4A7C15)
-                    .wrapping_add(i as u64 + 1);
-                let (early_p, early) = ctx.promise();
-                let (late_p, late) = ctx.promise();
-                ctx.fork_unit(move |ctx| {
-                    ctx.tick(1);
-                    early_p.fulfill(ctx, s % 100);
-                    let v = node(ctx, s, fanout, depth - 1);
-                    late_p.fulfill(ctx, v);
-                });
-                (early, late)
-            })
-            .collect();
-        if seed.is_multiple_of(3) {
-            ctx.flat(seed % 23 + 1);
-        }
-        let mut acc = 0u64;
-        for (early, _late) in &kids {
-            acc = acc.wrapping_add(ctx.touch(early));
-        }
-        for (_, late) in &kids {
-            acc = acc.wrapping_add(ctx.touch(late));
-        }
-        acc
+fn node(ctx: &Ctx, seed: u64, fanout: usize, depth: usize) -> u64 {
+    ctx.tick(1 + seed % 4);
+    if depth == 0 {
+        return seed;
     }
+    let kids: Vec<_> = (0..fanout)
+        .map(|i| {
+            let s = seed
+                .wrapping_mul(0x9E3779B97F4A7C15)
+                .wrapping_add(i as u64 + 1);
+            let (early_p, early) = ctx.promise();
+            let (late_p, late) = ctx.promise();
+            ctx.fork_unit(move |ctx| {
+                ctx.tick(1);
+                early_p.fulfill(ctx, s % 100);
+                let v = node(ctx, s, fanout, depth - 1);
+                late_p.fulfill(ctx, v);
+            });
+            (early, late)
+        })
+        .collect();
+    if seed.is_multiple_of(3) {
+        ctx.flat(seed % 23 + 1);
+    }
+    let mut acc = 0u64;
+    for (early, _late) in &kids {
+        acc = acc.wrapping_add(ctx.touch(early));
+    }
+    for (_, late) in &kids {
+        acc = acc.wrapping_add(ctx.touch(late));
+    }
+    acc
+}
+
+/// [`node`]'s program run at `costs`.
+fn run_program(seed: u64, fanout: usize, depth: usize, costs: CostModel) -> pf_core::CostReport {
     let (_, report) = Sim::with_costs(costs).run(|ctx| node(ctx, seed, fanout, depth));
     report
 }
@@ -114,43 +116,7 @@ proptest! {
     #[test]
     fn traced_run_matches_untraced(seed in 0u64..3_000, fanout in 1usize..3, depth in 0usize..4) {
         let plain = run_program(seed, fanout, depth, CostModel::default());
-        let (_, traced, trace) = Sim::new().run_traced(|ctx| {
-            // Same program, traced.
-            fn node(ctx: &Ctx, seed: u64, fanout: usize, depth: usize) -> u64 {
-                ctx.tick(1 + seed % 4);
-                if depth == 0 {
-                    return seed;
-                }
-                let kids: Vec<_> = (0..fanout)
-                    .map(|i| {
-                        let s = seed
-                            .wrapping_mul(0x9E3779B97F4A7C15)
-                            .wrapping_add(i as u64 + 1);
-                        let (early_p, early) = ctx.promise();
-                        let (late_p, late) = ctx.promise();
-                        ctx.fork_unit(move |ctx| {
-                            ctx.tick(1);
-                            early_p.fulfill(ctx, s % 100);
-                            let v = node(ctx, s, fanout, depth - 1);
-                            late_p.fulfill(ctx, v);
-                        });
-                        (early, late)
-                    })
-                    .collect();
-                if seed.is_multiple_of(3) {
-                    ctx.flat(seed % 23 + 1);
-                }
-                let mut acc = 0u64;
-                for (early, _) in &kids {
-                    acc = acc.wrapping_add(ctx.touch(early));
-                }
-                for (_, late) in &kids {
-                    acc = acc.wrapping_add(ctx.touch(late));
-                }
-                acc
-            }
-            node(ctx, seed, fanout, depth)
-        });
+        let (_, traced, trace) = Sim::new().run_traced(|ctx| node(ctx, seed, fanout, depth));
         prop_assert_eq!(plain.work, traced.work, "tracing must not change costs");
         prop_assert_eq!(plain.depth, traced.depth);
         prop_assert_eq!(trace.total_actions(), traced.work);

@@ -26,6 +26,11 @@ fn push(wk: &Worker, f: impl FnOnce(&Worker) + Send + 'static) {
 /// panics, delays, and steal denials land on suspends, fulfills, wakeups,
 /// and steals — not just task boundaries.
 fn chained_sum(rt: &Runtime, depth: u64) -> Result<u64, SessionError> {
+    chained_sum_in(rt, depth, Session::new())
+}
+
+/// [`chained_sum`] in a session of options `sess`.
+fn chained_sum_in(rt: &Runtime, depth: u64, sess: Session) -> Result<u64, SessionError> {
     let (w0, mut prev) = cell::<u64>();
     let mut stages: Vec<Box<dyn FnOnce(&Worker) + Send>> = Vec::new();
     for _ in 0..depth {
@@ -37,7 +42,7 @@ fn chained_sum(rt: &Runtime, depth: u64) -> Result<u64, SessionError> {
         prev = r;
     }
     let last = prev.clone();
-    rt.try_run(move |wk| {
+    rt.try_run_session(sess, move |wk| {
         for st in stages {
             push(wk, st);
         }
@@ -191,26 +196,7 @@ fn seeded_chaos_sessions_fail_contained_or_complete() {
     // otherwise, never a hang — and every stall must trace back to an
     // injected wedge and be declared within 2× the configured budget.
     let budget = std::time::Duration::from_millis(250);
-    let run_budgeted = |depth: u64| -> Result<u64, SessionError> {
-        let (w0, mut prev) = cell::<u64>();
-        let mut stages: Vec<Box<dyn FnOnce(&Worker) + Send>> = Vec::new();
-        for _ in 0..depth {
-            let (w, r) = cell::<u64>();
-            let src = prev.clone();
-            stages.push(Box::new(move |wk: &Worker| {
-                src.touch(wk, move |v, wk| w.fulfill(wk, v + 1));
-            }));
-            prev = r;
-        }
-        let last = prev.clone();
-        rt.try_run_session(Session::new().stall_budget(budget), move |wk| {
-            for st in stages {
-                push(wk, st);
-            }
-            w0.fulfill(wk, 0);
-        })?;
-        Ok(last.expect())
-    };
+    let run_budgeted = |depth| chained_sum_in(&rt, depth, Session::new().stall_budget(budget));
     let mut stalled = 0usize;
     let mut wedged_ok = 0usize;
     for seed in 0..25u64 {

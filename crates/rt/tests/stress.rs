@@ -7,7 +7,7 @@
 //! effects). Deterministic interleaving coverage is `pf-check`'s job: see
 //! `crates/check` and the model suite in `crates/check/tests/model_rt.rs`.
 
-use pf_rt::{cell, FutRead, Runtime, Worker};
+use pf_rt::{cell, FutRead, FutWrite, Runtime, Worker};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -22,10 +22,6 @@ fn fork(wk: &Worker, push: bool, f: impl FnOnce(&Worker) + Send + 'static) {
         wk.spawn(f);
     }
 }
-
-/// A half-open cell pair: the write side is taken (`Option`) when a task
-/// claims it.
-type CellPair = (Option<pf_rt::FutWrite<u64>>, FutRead<u64>);
 
 /// The random dataflow shape shared by the expected-value computation and
 /// the runtime execution: `plan[l - 1][i]` lists the source indices in
@@ -68,119 +64,57 @@ fn layered_expected(seed: u64, width: usize, layers: usize) -> Vec<Vec<u64>> {
     vals
 }
 
+/// The same plan executed as a cell DAG on `threads` workers. A cell has
+/// one reader, so each produced cell gets a relay task that touches it
+/// once and fans its value out to one fresh cell per consumer, and each
+/// consumer task sums its relay cells. Producers fork last, to race
+/// consumers already suspended. Even seeds race the fan-out across
+/// workers; odd seeds run it inline, where relays and consumers suspend
+/// in program order on the root's worker and only their resumes are
+/// stolen.
 fn run_layered(seed: u64, width: usize, layers: usize, threads: usize) -> Vec<u64> {
-    // Same plan as layered_expected, but executed as a cell DAG.
     let plan = build_plan(seed, width, layers);
-    let mut cells: Vec<Vec<CellPair>> = (0..layers)
-        .map(|_| {
-            (0..width)
-                .map(|_| {
-                    let (w, r) = cell();
-                    (Some(w), r)
-                })
-                .collect()
-        })
-        .collect();
-
-    // Every consumer must touch each source cell at most once (linearity);
-    // but several consumers may share a source, so give each consumer its
-    // own clone of the read handle — the dynamic check is per-touch on the
-    // same handle chain, and the mutex-free cell allows only ONE waiter.
-    // To stay linear we route each layer through combining tasks that
-    // touch each produced cell exactly once and distribute values by
-    // plain memory: a relay task per cell fans its value out to the
-    // (precomputed) consumers via dedicated cells.
-    let mut relay: Vec<Vec<Vec<CellPair>>> = Vec::new();
-    for l in 1..layers {
-        // fanout[src] = list of (consumer cell) for value of (l-1, src).
-        let mut per_src: Vec<Vec<CellPair>> = (0..width).map(|_| Vec::new()).collect();
-        for srcs in &plan[l - 1] {
-            for &s in srcs {
-                let (w, r) = cell();
-                per_src[s].push((Some(w), r));
-            }
-        }
-        relay.push(per_src);
-    }
-
-    let out_reads: Vec<FutRead<u64>> = cells[layers - 1].iter().map(|c| c.1.clone()).collect();
-
-    // Collect the moves for the runtime closure.
-    let layer0_writes: Vec<pf_rt::FutWrite<u64>> = cells[0]
-        .iter_mut()
-        .map(|c| c.0.take().expect("unwritten"))
-        .collect();
-    let mut later_writes: Vec<Vec<pf_rt::FutWrite<u64>>> = Vec::new();
-    for row in cells.iter_mut().skip(1) {
-        later_writes.push(row.iter_mut().map(|c| c.0.take().expect("w")).collect());
-    }
-    let layer_reads: Vec<Vec<FutRead<u64>>> = cells
-        .iter()
-        .map(|row| row.iter().map(|c| c.1.clone()).collect())
-        .collect();
-
-    // Even seeds race the fan-out across workers; odd seeds run it
-    // inline, where relays and consumers suspend in program order on the
-    // root's worker and only their resumes are stolen.
+    let (mut writes, reads): (Vec<Vec<_>>, Vec<Vec<_>>) = (0..layers)
+        .map(|_| (0..width).map(|_| cell::<u64>()).unzip())
+        .unzip();
+    let out = reads[layers - 1].clone();
     let push = seed.is_multiple_of(2);
     Runtime::new(threads).run(move |wk: &Worker| {
-        // Relay tasks: touch each produced cell once, fan out.
-        for (l, per_src) in relay.iter_mut().enumerate() {
-            for (src, consumers) in per_src.iter_mut().enumerate() {
-                let reads = layer_reads[l][src].clone();
-                let writes: Vec<pf_rt::FutWrite<u64>> = consumers
-                    .iter_mut()
-                    .map(|c| c.0.take().expect("w"))
-                    .collect();
-                fork(wk, push, move |wk| {
-                    reads.touch(wk, move |v, wk| {
-                        for w in writes {
-                            w.fulfill(wk, v);
-                        }
-                    });
-                });
+        for l in 1..layers {
+            let mut fan: Vec<Vec<FutWrite<u64>>> = (0..width).map(|_| vec![]).collect();
+            for (srcs, w) in plan[l - 1].iter().zip(std::mem::take(&mut writes[l])) {
+                let mut relayed = |s: usize| {
+                    let (w, r) = cell();
+                    fan[s].push(w);
+                    r
+                };
+                let mine: Vec<FutRead<u64>> = srcs.iter().map(|&s| relayed(s)).collect();
+                fork(wk, push, move |wk| sum(wk, mine, 0, w));
             }
-        }
-        // Consumer tasks: sum their relay cells.
-        for (l, rows) in later_writes.into_iter().enumerate() {
-            // Walk the relay row in the same order it was built.
-            let mut idx = vec![0usize; width];
-            for (i, out_w) in rows.into_iter().enumerate() {
-                let srcs = &plan[l][i];
-                let my_reads: Vec<FutRead<u64>> = srcs
-                    .iter()
-                    .map(|&s| {
-                        let r = relay[l][s][idx[s]].1.clone();
-                        idx[s] += 1;
-                        r
+            for (r, ws) in reads[l - 1].iter().cloned().zip(fan) {
+                fork(wk, push, move |wk| {
+                    r.touch(wk, move |v, wk| {
+                        ws.into_iter().for_each(|w| w.fulfill(wk, v))
                     })
-                    .collect();
-                fork(wk, push, move |wk| {
-                    fn sum_rec(
-                        wk: &Worker,
-                        mut reads: Vec<FutRead<u64>>,
-                        acc: u64,
-                        out: pf_rt::FutWrite<u64>,
-                    ) {
-                        match reads.pop() {
-                            None => out.fulfill(wk, acc),
-                            Some(r) => r.touch(wk, move |v, wk| {
-                                sum_rec(wk, reads, acc.wrapping_add(v), out)
-                            }),
-                        }
-                    }
-                    sum_rec(wk, my_reads, 0, out_w);
                 });
             }
         }
-        // Producers last: maximize racing against already-suspended
-        // consumers.
-        for (w, v) in layer0_writes.into_iter().zip(layer0(seed, width)) {
+        for (w, v) in std::mem::take(&mut writes[0])
+            .into_iter()
+            .zip(layer0(seed, width))
+        {
             fork(wk, push, move |wk| w.fulfill(wk, v));
         }
     });
+    out.iter().map(FutRead::expect).collect()
+}
 
-    out_reads.iter().map(|r| r.expect()).collect()
+/// Sum `reads`, touching each once, into `out`.
+fn sum(wk: &Worker, mut reads: Vec<FutRead<u64>>, acc: u64, out: FutWrite<u64>) {
+    match reads.pop() {
+        None => out.fulfill(wk, acc),
+        Some(r) => r.touch(wk, move |v, wk| sum(wk, reads, acc.wrapping_add(v), out)),
+    }
 }
 
 proptest! {

@@ -241,7 +241,8 @@ struct Shard<K: Key> {
     /// ([`RetryPolicy::stream`]), which only an applier's retries draw.
     apply: Mutex<u64>,
     root: Mutex<RTreap<K>>,
-    /// This shard's circuit breaker; held only for a state-machine step.
+    /// This shard's circuit breaker, stepped under `apply` but locked on its
+    /// own: [`SetService::breaker_state`] must not wait out a failing pass.
     breaker: Mutex<CircuitBreaker>,
 }
 
@@ -661,14 +662,15 @@ impl<K: Key> SetService<K> {
     /// pipelined hop, `union(diff(root, D), I)`, an empty run's operation
     /// skipped, then the final root read out, sealed — the one place a
     /// committable root that took futures to build comes from. The fold
-    /// and the builds of `D` and `I` ([`Treap::from_sorted_complete`]; the
-    /// difference ignores `D`'s priorities) run on the session's worker; a
-    /// one-wave window is its own net effect, its run built as it is. The
-    /// waves remain only to inject their faults. On failure the caller
-    /// gets the error plus the session's wall-clock cost; the pool is
-    /// already clean (aborted sessions poison their cells and drop their
-    /// continuations) and the pre-session root is untouched — it holds no
-    /// cell, so the poison pass cannot reach it.
+    /// and the builds of `D` and `I` ([`Treap::from_sorted_complete`]) run
+    /// on the session's worker; a one-wave insert window's run is `I` as
+    /// it is. `D` holds the deleted keys at the trailing zeros of their
+    /// ranks, balanced whatever priorities callers sent. The waves only
+    /// inject faults. On failure the caller gets the error plus the
+    /// session's wall-clock cost; the pool is already clean (aborted
+    /// sessions poison their cells and drop their continuations) and the
+    /// pre-session root is untouched — it holds no cell, so the poison pass
+    /// cannot reach it.
     #[allow(clippy::type_complexity)]
     fn run_window_session(
         &self,
@@ -703,16 +705,17 @@ impl<K: Key> SetService<K> {
                     }
                 }
                 let folded;
-                let (deletes, inserts): (&[Entry<K>], &[Entry<K>]) = match &window[..] {
+                let (deletes, inserts): (&[K], &[Entry<K>]) = match &window[..] {
                     [w] if w.kind == OpKind::Insert => (&[], &w.run),
-                    [w] => (&w.run, &[]),
                     _ => {
-                        folded = net_effect(&window, Clone::clone);
+                        folded = net_effect(&window);
                         (&folded.0, &folded.1)
                     }
                 };
-                let hops: [(_, fn(&Worker, _, _, _, Mode)); 2] =
-                    [(deletes, diff), (inserts, union)];
+                let d: Vec<Entry<K>> = (deletes.iter().zip(1u64..))
+                    .map(|(k, i)| (k.clone(), u64::from(i.trailing_zeros())))
+                    .collect();
+                let hops: [(_, fn(&Worker, _, _, _, Mode)); 2] = [(&d[..], diff), (inserts, union)];
                 let mut state: FutRead<RTreap<K>> = ready(root);
                 for (run, op) in hops.into_iter().filter(|(run, _)| !run.is_empty()) {
                     let (p, f) = cell();
@@ -822,7 +825,7 @@ fn apply_inline<K: Key>(
     // The shard's handle and this pass's: a reader's is a third.
     const OWNERS: usize = 2;
     let plan = || {
-        let (deletes, inserts) = net_effect(waves, |e| e.0.clone());
+        let (deletes, inserts) = net_effect(waves);
         let patch = plan_run(&root, &deletes, &inserts, OWNERS);
         (deletes, inserts, patch)
     };
@@ -858,15 +861,12 @@ fn apply_inline<K: Key>(
 
 /// The net effect of `waves`, which every pass applies: one stable sort
 /// of their entries by key (wave order within a key), then per key a
-/// delete if any wave deletes it (`deleted` of its last delete's entry),
-/// and an insert of the [`wins`] winner among the entries inserted after
-/// its last delete. A treap is a function of its entries, so the two runs
-/// build the tree the waves' unions and differences build one by one, at
-/// no more work than their estimates summed.
-fn net_effect<K: Key, D>(
-    waves: &[WavePlan<K>],
-    deleted: impl Fn(&Entry<K>) -> D,
-) -> (Vec<D>, Vec<Entry<K>>) {
+/// delete of the key if any wave deletes it, and an insert of the [`wins`]
+/// winner among the entries inserted after its last delete. A treap is a
+/// function of its entries, so the two runs build the tree the waves'
+/// unions and differences build one by one, at no more work than their
+/// estimates summed.
+fn net_effect<K: Key>(waves: &[WavePlan<K>]) -> (Vec<K>, Vec<Entry<K>>) {
     let mut ops: Vec<(&Entry<K>, OpKind)> = (waves.iter())
         .flat_map(|w| w.run.iter().map(move |e| (e, w.kind)))
         .collect();
@@ -875,7 +875,7 @@ fn net_effect<K: Key, D>(
     for same_key in ops.chunk_by(|(a, _), (b, _)| a.0 == b.0) {
         let after = match same_key.iter().rposition(|&(_, k)| k == OpKind::Delete) {
             Some(d) => {
-                deletes.push(deleted(same_key[d].0));
+                deletes.push(same_key[d].0 .0.clone());
                 &same_key[d + 1..]
             }
             None => same_key,

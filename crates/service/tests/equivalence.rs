@@ -12,11 +12,10 @@ use std::collections::{BTreeSet, HashSet};
 use std::time::Duration;
 
 use pf_algs::plain::{splitmix64, Entry, PlainTreap};
-use pf_algs::treap::Treap;
-use pf_rt::Worker;
 use pf_service::{
     ApplyMode, DrainReport, Fault, OpKind, Request, ServiceConfig, SetService, ShardMap,
 };
+use pf_tests::{assert_complete, fold, Plain};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 
@@ -89,17 +88,9 @@ fn trees(svc: &SetService<i64>) -> Vec<Vec<Entry<i64>>> {
         .collect()
 }
 
-/// Run the workload in one mode; return the final per-shard key sets and
-/// trees, the served (shard, tag) pairs, and the drain report.
-#[allow(clippy::type_complexity)]
-fn run(
-    mode: ApplyMode,
-) -> (
-    Vec<Vec<i64>>,
-    Vec<Vec<Entry<i64>>>,
-    HashSet<(usize, u64)>,
-    DrainReport,
-) {
+/// Run the workload in one mode: the service, the served (shard, tag)
+/// pairs, and the drain report.
+fn run(mode: ApplyMode) -> (SetService<i64>, HashSet<(usize, u64)>, DrainReport) {
     let cfg = ServiceConfig {
         threads: 2,
         mode,
@@ -116,44 +107,44 @@ fn run(
         svc.submit(req);
     }
     let report = svc.pump();
-    let keys = (0..SHARDS).map(|i| svc.shard_keys(i)).collect();
     let served = report
         .outcomes
         .iter()
         .filter(|o| o.served)
         .flat_map(|o| o.tags.iter().map(move |t| (o.shard, *t)))
         .collect();
-    (keys, trees(&svc), served, report)
+    (svc, served, report)
 }
 
 /// Sequential oracle: split each request with the same shard map and
-/// apply its sub-batch to a per-shard `BTreeSet` iff that (shard, tag)
+/// fold its sub-batch into a per-shard `PlainTreap` iff that (shard, tag)
 /// was served.
-fn oracle(served: &HashSet<(usize, u64)>) -> Vec<Vec<i64>> {
+fn oracle(served: &HashSet<(usize, u64)>) -> Vec<Plain> {
     let map = ShardMap::uniform(SHARDS, 0, KEYSPACE);
-    let mut sets: Vec<BTreeSet<i64>> = vec![BTreeSet::new(); SHARDS];
+    let mut trees: Vec<Plain> = vec![None; SHARDS];
     for req in workload(42) {
         for (shard, part) in map.split(req.entries).into_iter().enumerate() {
             if part.is_empty() || !served.contains(&(shard, req.tag)) {
                 continue;
             }
-            match req.kind {
-                OpKind::Insert => sets[shard].extend(part.into_iter().map(|e| e.0)),
-                OpKind::Delete => {
-                    for (k, _) in part {
-                        sets[shard].remove(&k);
-                    }
-                }
-            }
+            trees[shard] = apply(trees[shard].take(), req.kind, &part);
         }
     }
-    sets.into_iter().map(|s| s.into_iter().collect()).collect()
+    trees
+}
+
+/// One request's entries folded into `t` by the oracle.
+fn apply(t: Plain, kind: OpKind, entries: &[Entry<i64>]) -> Plain {
+    match kind {
+        OpKind::Insert => fold(t, &[], entries),
+        OpKind::Delete => fold(t, &entries.iter().map(|e| e.0).collect::<Vec<_>>(), &[]),
+    }
 }
 
 #[test]
 fn pipelined_and_barriered_agree_with_oracle_under_faults() {
-    let (keys_p, trees_p, served_p, report_p) = run(ApplyMode::Pipelined);
-    let (keys_b, trees_b, served_b, report_b) = run(ApplyMode::Barriered);
+    let (svc_p, served_p, report_p) = run(ApplyMode::Pipelined);
+    let (svc_b, served_b, report_b) = run(ApplyMode::Barriered);
 
     // Both modes degrade exactly the same requests: the two poison
     // pills, in every shard their keys landed in.
@@ -177,13 +168,11 @@ fn pipelined_and_barriered_agree_with_oracle_under_faults() {
     );
     assert!(!report_b.outcomes.iter().any(|o| o.replayed));
 
-    // Identical final trees per shard, and both hold the oracle's keys.
-    let expect = oracle(&served_p);
-    for i in 0..SHARDS {
-        assert_eq!(trees_p[i], trees_b[i], "shard {i} diverged between modes");
-        assert_eq!(keys_p[i], keys_b[i], "shard {i} diverged between modes");
-        assert_eq!(keys_p[i], expect[i], "shard {i} diverged from oracle");
-        assert!(!keys_p[i].is_empty(), "shard {i} ended empty — weak test");
+    // Both modes commit the oracle's tree on every shard.
+    for (i, want) in oracle(&served_p).iter().enumerate() {
+        assert_complete(&svc_p.snapshot(i), want, &format!("pipelined, shard {i}"));
+        assert_complete(&svc_b.snapshot(i), want, &format!("barriered, shard {i}"));
+        assert!(want.is_some(), "shard {i} ended empty — weak test");
     }
 }
 
@@ -320,15 +309,8 @@ fn window_net_effect(base_keys: u64, large_keys: i64, passes: [(u64, u64); 2]) {
         Request::insert(vec![(shared, 1 << 50)]),
         Request::insert(large),
     ];
-    let mut oracle = PlainTreap::from_entries(&base);
-    for r in &window {
-        let batch = PlainTreap::from_entries(&r.entries);
-        oracle = match r.kind {
-            OpKind::Insert => PlainTreap::union(oracle, batch),
-            OpKind::Delete => PlainTreap::diff(oracle, batch),
-        };
-    }
-    let want = Treap::<Worker, i64>::from_plain_complete(&oracle).preorder();
+    let base_tree = PlainTreap::from_entries(&base);
+    let want = (window.iter()).fold(base_tree, |t, r| apply(t, r.kind, &r.entries));
     for (mode, passes) in [ApplyMode::Pipelined, ApplyMode::Barriered]
         .into_iter()
         .zip(passes)
@@ -347,6 +329,6 @@ fn window_net_effect(base_keys: u64, large_keys: i64, passes: [(u64, u64); 2]) {
         let report = svc.pump();
         assert_eq!(report.served, 4, "{mode:?}");
         assert_eq!((report.sessions, report.inline), passes, "{mode:?}");
-        assert_eq!(trees(&svc), std::slice::from_ref(&want), "{mode:?}");
+        assert_complete(&svc.snapshot(0), &want, &format!("{mode:?}"));
     }
 }

@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use pf_algs::plain::{splitmix64, PlainTreap};
 use pf_algs::treap::Treap;
-use pf_rt::Worker;
 use pf_service::{OpKind, Request, RetryPolicy, ServiceConfig, SetService, ShardMap};
+use pf_tests::{assert_complete, fold};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 
@@ -93,6 +93,17 @@ fn a_wave_over_the_grain_opens_a_session() {
     let report = svc.pump();
     assert_eq!((report.sessions, report.inline, report.served), (1, 1, 1));
     assert!(!svc.contains(&10) && svc.contains(&15));
+    // A delete wave over the grain is pooled; its priorities are not read.
+    let gone: Vec<i64> = (0..6000).map(|k| 15 * k).collect();
+    svc.submit(Request::delete(gone.iter().map(|&k| (k, 0)).collect()));
+    let report = svc.pump();
+    assert_eq!((report.sessions, report.inline, report.served), (1, 0, 1));
+    let want = fold(
+        PlainTreap::from_entries(&big),
+        &[&[10][..], &gone].concat(),
+        &[],
+    );
+    assert_complete(&svc.snapshot(0), &want, "a pooled delete");
 }
 
 #[test]
@@ -116,13 +127,8 @@ fn an_over_grain_wave_builds_the_union_of_its_requests() {
     let report = svc.pump();
     assert_eq!((report.sessions, report.inline, report.served), (1, 0, 1));
     assert_eq!(report.keys_applied, 6000);
-    let oracle = (wave.iter()).fold(PlainTreap::from_entries(&base), |t, r| {
-        PlainTreap::union(t, PlainTreap::from_entries(r))
-    });
-    assert_eq!(
-        svc.snapshot(0).preorder(),
-        Treap::<Worker, i64>::from_plain_complete(&oracle).preorder()
-    );
+    let oracle = (wave.iter()).fold(PlainTreap::from_entries(&base), |t, r| fold(t, &[], r));
+    assert_complete(&svc.snapshot(0), &oracle, "the union of the requests");
 }
 
 /// While set, comparing two [`Touchy`] keys panics.
@@ -268,45 +274,38 @@ fn a_panic_partway_through_the_plan_leaves_no_residue() {
 #[test]
 fn a_held_snapshot_never_sees_an_in_place_commit() {
     let svc = SetService::new(ShardMap::uniform(1, 0, 1 << 20), cfg());
-    let mut oracle: BTreeSet<i64> = (0..3000).map(|k| 5 * k).collect();
-    let preload = oracle.iter().map(|&k| (k, splitmix64(k as u64)));
-    svc.submit(Request::insert(preload.collect()));
+    let preload: Vec<(i64, u64)> = (0..3000).map(|k| (5 * k, splitmix64(k as u64))).collect();
+    let mut oracle = PlainTreap::from_entries(&preload);
+    svc.submit(Request::insert(preload));
     svc.pump();
     let mut apply = |kind, keys: &[i64]| {
         let entries: Vec<(i64, u64)> = keys.iter().map(|&k| (k, k as u64)).collect();
-        svc.submit(match kind {
-            OpKind::Insert => {
-                oracle.extend(keys);
-                Request::insert(entries)
-            }
-            OpKind::Delete => {
-                keys.iter().for_each(|k| {
-                    oracle.remove(k);
-                });
-                Request::delete(entries)
-            }
+        oracle = match kind {
+            OpKind::Insert => fold(oracle.take(), &[], &entries),
+            OpKind::Delete => fold(oracle.take(), keys, &[]),
+        };
+        svc.submit(Request {
+            kind,
+            ..Request::insert(entries)
         });
         let report = svc.pump();
         assert_eq!((report.inline, report.served), (1, 1), "{report:?}");
-        report.in_place
-    };
-    let unchanged = |held: &Treap<_, i64>, was: &(Vec<(i64, u64)>, Option<usize>)| {
-        assert_eq!((&held.preorder(), held.sized()), (&was.0, was.1));
-        assert!(held.check_invariants());
+        assert_complete(&svc.snapshot(0), &oracle, &format!("{kind:?} {keys:?}"));
+        (report.in_place, oracle.clone())
     };
 
     // Nothing else holds the root: the commit edits it in place.
-    assert_eq!(apply(OpKind::Insert, &[7, 8]), 1);
+    let (in_place, was) = apply(OpKind::Insert, &[7, 8]);
+    assert_eq!(in_place, 1);
     // A snapshot taken before a pump keeps its tree through it: the pass
     // copies the root path. The next pass edits that new root in place and
     // copies whatever it shares with the snapshot, so the snapshot keeps
     // its tree through passes of either kind.
     let held = svc.snapshot(0);
-    let was = (held.preorder(), held.sized());
-    assert_eq!(apply(OpKind::Insert, &[12, 13_001]), 0);
-    assert_eq!(apply(OpKind::Delete, &[7, 10, 14_000]), 1);
-    assert_eq!(apply(OpKind::Insert, &[7, 10, 11]), 1);
-    unchanged(&held, &was);
+    assert_eq!(apply(OpKind::Insert, &[12, 13_001]).0, 0);
+    assert_eq!(apply(OpKind::Delete, &[7, 10, 14_000]).0, 1);
+    assert_eq!(apply(OpKind::Insert, &[7, 10, 11]).0, 1);
+    assert_complete(&held, &was, "the held snapshot");
     drop(held);
     // A reader holding a subtreap below the root: the pass edits the root
     // in place and copies only what the reader holds.
@@ -314,14 +313,12 @@ fn a_held_snapshot_never_sees_an_in_place_commit() {
         Treap::Node(n) => n.left.done().expect("a committed root").clone(),
         _ => unreachable!("3 000 keys make a node"),
     };
-    let sub_was = (sub.preorder(), sub.sized());
+    let sub_was = sub.preorder();
     let smallest = svc.shard_keys(0)[0];
-    assert_eq!(apply(OpKind::Delete, &[smallest, 13_001]), 1);
-    assert_eq!(apply(OpKind::Insert, &[1, 2, 3]), 1);
-    unchanged(&sub, &sub_was);
-    let root = svc.snapshot(0);
-    assert!(root.check_invariants());
-    assert!(svc.shard_keys(0).into_iter().eq(oracle.iter().copied()));
+    assert_eq!(apply(OpKind::Delete, &[smallest, 13_001]).0, 1);
+    assert_eq!(apply(OpKind::Insert, &[1, 2, 3]).0, 1);
+    assert_eq!(sub.preorder(), sub_was);
+    assert!(sub.check_invariants() && sub.sized() == Some(sub_was.len()));
 }
 
 #[test]
@@ -341,32 +338,26 @@ fn a_mixed_window_commits_in_place_unless_a_snapshot_is_held() {
     // key leave the root node where it is.
     let mut window = |dels: &[i64], ins: &[i64]| {
         assert!(!dels.contains(&root_key));
-        let dels: Vec<(i64, u64)> = dels.iter().map(|&k| (k, 0)).collect();
         let ins: Vec<(i64, u64)> = ins.iter().map(|&k| (k, k as u64)).collect();
-        let without = PlainTreap::diff(oracle.take(), PlainTreap::from_entries(&dels));
-        oracle = PlainTreap::union(without, PlainTreap::from_entries(&ins));
-        svc.submit(Request::delete(dels));
+        oracle = fold(oracle.take(), dels, &ins);
+        svc.submit(Request::delete(dels.iter().map(|&k| (k, 0)).collect()));
         svc.submit(Request::insert(ins));
         let report = svc.pump();
         let counts = (report.sessions, report.inline, report.served);
         assert_eq!(counts, (1, 1, 2), "{report:?}");
-        let want = Treap::<Worker, i64>::from_plain_complete(&oracle);
-        let got = svc.snapshot(0);
-        assert_eq!(got.preorder(), want.preorder());
-        assert!(got.check_invariants());
-        report.in_place
+        assert_complete(&svc.snapshot(0), &oracle, &format!("{dels:?}"));
+        (report.in_place, oracle.clone())
     };
     // 500 is deleted and inserted again at a new priority; 13 is absent.
     let dels = [500, 1000, 13].map(|k| if k == root_key { k + 5 } else { k });
-    assert_eq!(window(&dels, &[500, 7, 8]), 1);
+    let (in_place, was) = window(&dels, &[500, 7, 8]);
+    assert_eq!(in_place, 1);
     // A held snapshot: the mixed pass copies what the reader holds, and
     // the snapshot keeps its tree.
     let held = svc.snapshot(0);
-    let was = held.preorder();
     let dels = [1500, 7].map(|k| if k == root_key { k + 5 } else { k });
-    assert_eq!(window(&dels, &[7, 9, 2001]), 0);
-    assert_eq!(held.preorder(), was);
-    assert!(held.check_invariants());
+    assert_eq!(window(&dels, &[7, 9, 2001]).0, 0);
+    assert_complete(&held, &was, "the held snapshot");
 }
 
 #[test]
@@ -376,8 +367,10 @@ fn concurrent_pumps_on_one_shard_keep_every_commit() {
     // would drop that thread's wave, although it reported it served.
     const PER_THREAD: i64 = 20_000;
     let svc = SetService::new(ShardMap::uniform(1, 0, 1 << 20), cfg());
-    let preload = (0..PER_THREAD).map(|k| (3 * k, splitmix64(k as u64)));
-    svc.submit(Request::insert(preload.collect()));
+    let preload: Vec<(i64, u64)> = (0..PER_THREAD)
+        .map(|k| (3 * k, splitmix64(k as u64)))
+        .collect();
+    svc.submit(Request::insert(preload.clone()));
     svc.pump();
     let start = Barrier::new(2);
     let applied: u64 = std::thread::scope(|s| {
@@ -398,10 +391,12 @@ fn concurrent_pumps_on_one_shard_keep_every_commit() {
             .collect();
         pumps.into_iter().map(|h| h.join().unwrap()).sum()
     });
-    let keys = svc.shard_keys(0);
     // Either pump may apply the other's request: count keys, not waves.
     assert_eq!(applied, 2 * PER_THREAD as u64);
-    assert_eq!(keys.len() as i64, 3 * PER_THREAD, "commits lost");
-    assert!(keys.into_iter().eq(0..3 * PER_THREAD));
-    assert!(svc.snapshot(0).check_invariants());
+    let inserted: Vec<(i64, u64)> = (0..3 * PER_THREAD)
+        .filter(|k| k % 3 != 0)
+        .map(|k| (k, splitmix64(k as u64)))
+        .collect();
+    let want = fold(PlainTreap::from_entries(&preload), &[], &inserted);
+    assert_complete(&svc.snapshot(0), &want, "commits lost");
 }

@@ -63,56 +63,37 @@ fn run_seq(cfg: BreakerConfig, seq: &[Ev]) -> [bool; 3] {
                 let pre = b.state();
                 b.on_window(degraded, now);
                 let post = b.state();
-                if cfg.threshold == 0 {
+                let open = BreakerState::Open {
+                    until: now + cfg.open_for,
+                };
+                let want = match (pre, degraded) {
                     // Disabled: the machine is inert.
-                    assert_eq!(post, pre, "threshold 0 must never transition");
-                } else {
-                    match (pre, degraded) {
-                        (BreakerState::Closed { consecutive }, true) => {
-                            if consecutive + 1 >= cfg.threshold {
-                                assert_eq!(
-                                    post,
-                                    BreakerState::Open {
-                                        until: now + cfg.open_for
-                                    }
-                                );
-                            } else {
-                                assert_eq!(
-                                    post,
-                                    BreakerState::Closed {
-                                        consecutive: consecutive + 1
-                                    }
-                                );
+                    _ if cfg.threshold == 0 => pre,
+                    (BreakerState::Closed { consecutive }, true) => {
+                        if consecutive + 1 >= cfg.threshold {
+                            open
+                        } else {
+                            BreakerState::Closed {
+                                consecutive: consecutive + 1,
                             }
-                        }
-                        (BreakerState::Closed { .. }, false) => {
-                            assert_eq!(post, BreakerState::Closed { consecutive: 0 });
-                        }
-                        (BreakerState::HalfOpen { .. }, true) => {
-                            assert_eq!(
-                                post,
-                                BreakerState::Open {
-                                    until: now + cfg.open_for
-                                }
-                            );
-                        }
-                        (BreakerState::HalfOpen { healthy }, false) => {
-                            if healthy + 1 >= cfg.probes.max(1) {
-                                assert_eq!(post, BreakerState::Closed { consecutive: 0 });
-                            } else {
-                                assert_eq!(
-                                    post,
-                                    BreakerState::HalfOpen {
-                                        healthy: healthy + 1
-                                    }
-                                );
-                            }
-                        }
-                        (BreakerState::Open { .. }, _) => {
-                            unreachable!("admit already flipped an expired open breaker")
                         }
                     }
-                }
+                    (BreakerState::Closed { .. }, false) => BreakerState::Closed { consecutive: 0 },
+                    (BreakerState::HalfOpen { .. }, true) => open,
+                    (BreakerState::HalfOpen { healthy }, false) => {
+                        if healthy + 1 >= cfg.probes.max(1) {
+                            BreakerState::Closed { consecutive: 0 }
+                        } else {
+                            BreakerState::HalfOpen {
+                                healthy: healthy + 1,
+                            }
+                        }
+                    }
+                    (BreakerState::Open { .. }, _) => {
+                        unreachable!("admit already flipped an expired open breaker")
+                    }
+                };
+                assert_eq!(post, want, "{pre:?}, degraded {degraded}, at {now:?}");
                 note(post, &mut visited);
             }
         }

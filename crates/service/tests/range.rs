@@ -9,9 +9,11 @@
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Included};
 
+use pf_algs::plain::PlainTreap;
 use pf_algs::treap::Treap;
 use pf_rt::Worker;
 use pf_service::{Request, ServiceConfig, SetService, ShardMap};
+use pf_tests::{assert_complete, fold, Plain};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 
@@ -215,9 +217,9 @@ fn drive_report_carries_wall_clock_throughput() {
 /// Every committed root is sealed. A wave of more than one grain of work
 /// takes the pipelined step at the top, so what its session hands back has
 /// unsized nodes over future cells there; the commit rebuilds those, and
-/// readers and the next wave find a complete treap with no cell in it, in
-/// the canonical representation —
-/// after a multi-wave preload window, one larger-than-grain wave, a tiny
+/// readers and the next wave find a complete treap (sized, so no cell is
+/// left in it) in the canonical representation — the oracle's, by
+/// `assert_complete` — after a multi-wave preload window, one larger-than-grain wave, a tiny
 /// wave on top of that, and a larger-than-grain delete.
 #[test]
 fn a_committed_root_holds_no_cell() {
@@ -230,31 +232,25 @@ fn a_committed_root_holds_no_cell() {
             ..ServiceConfig::default()
         },
     );
-    let mut oracle = BTreeSet::new();
+    let mut oracle: Plain = None;
     for (insert, keys) in [(true, 20_000), (true, 6_000), (true, 3), (false, 5_000)] {
-        let req = if insert {
+        let what = format!("{keys} keys, insert={insert}");
+        if insert {
             let entries: Vec<(i64, u64)> = (0..keys)
                 .map(|_| (rng.gen_range(0..SPACE), rng.gen()))
                 .collect();
-            oracle.extend(entries.iter().map(|e| e.0));
-            Request::insert(entries)
+            oracle = fold(oracle, &[], &entries);
+            svc.submit(Request::insert(entries));
         } else {
-            let gone: Vec<i64> = oracle.iter().copied().step_by(4).take(keys).collect();
-            gone.iter().for_each(|k| assert!(oracle.remove(k)));
-            Request::delete(gone.into_iter().map(|k| (k, 0)).collect())
-        };
-        svc.submit(req);
+            let all = PlainTreap::to_sorted_vec(&oracle);
+            let gone: Vec<i64> = all.into_iter().step_by(4).take(keys).collect();
+            oracle = fold(oracle, &gone, &[]);
+            svc.submit(Request::delete(gone.into_iter().map(|k| (k, 0)).collect()));
+        }
         assert_eq!(svc.pump().degraded, 0);
-        let root = svc.snapshot(0);
-        assert_eq!(
-            root.sized(),
-            Some(oracle.len()),
-            "{keys} keys, insert={insert}"
-        );
-        assert!(root.check_invariants(), "{keys} keys, insert={insert}");
-        block_runs(&root, &mut vec![]);
-        let all: Vec<i64> = oracle.iter().copied().collect();
-        assert_eq!(svc.range(&i64::MIN, &i64::MAX), all);
-        assert!(all.iter().step_by(97).all(|k| svc.contains(k)));
+        assert_complete(&svc.snapshot(0), &oracle, &what);
+        let all = PlainTreap::to_sorted_vec(&oracle);
+        assert_eq!(svc.range(&i64::MIN, &i64::MAX), all, "{what}");
+        assert!(all.iter().step_by(97).all(|k| svc.contains(k)), "{what}");
     }
 }

@@ -21,7 +21,7 @@ use pf_algs::plain::PlainTreap;
 use pf_algs::treap::{diff, plan_run, union, Treap, TreapFut, TreapNode, TreapWr};
 use pf_algs::{Mode, PipeBackend, Seq};
 use pf_rt::{cell, ready, Runtime, Worker};
-use pf_tests::{entries, RTreap};
+use pf_tests::{assert_complete, entries, fold, Plain, RTreap};
 
 /// The allocation behind an `Arc<TreapNode<_, i64>>`: two counters and a
 /// 72-byte node — key, priority, size and two 24-byte children, since a
@@ -130,9 +130,9 @@ fn fresh<B: PipeBackend>(
 /// The nodes and blocks of the complete treap of `t`'s entries, counted on
 /// the plain treap itself: a node per subtree of more than 32 keys, a
 /// block per largest subtree of at most 32.
-fn canonical(t: &Option<Box<PlainTreap<i64>>>) -> (usize, usize) {
+fn canonical(t: &Plain) -> (usize, usize) {
     // (nodes, blocks, keys)
-    fn rec(t: &Option<Box<PlainTreap<i64>>>) -> (usize, usize, usize) {
+    fn rec(t: &Plain) -> (usize, usize, usize) {
         let Some(n) = t else { return (0, 0, 0) };
         let ((ln, lb, lk), (rn, rb, rk)) = (rec(&n.left), rec(&n.right));
         match 1 + lk + rk {
@@ -150,17 +150,18 @@ fn canonical(t: &Option<Box<PlainTreap<i64>>>) -> (usize, usize) {
 /// before it returns, allocates nothing else beyond a constant and what it
 /// builds and frees at the fringe, and dropping the result frees exactly
 /// the copied paths. With `one_key`, no node is built that the result
-/// does not keep, and the copied path ends in one block.
+/// does not keep, and the copied path ends in one block. The result is
+/// `want`, complete.
 fn check_op<B: PipeBackend>(
     what: &str,
-    a: &Treap<B, i64>,
-    b: &Treap<B, i64>,
+    (a, b): (&Treap<B, i64>, &Treap<B, i64>),
+    want: &Plain,
     one_key: bool,
     run: impl FnOnce(Treap<B, i64>, Treap<B, i64>) -> Treap<B, i64>,
 ) {
     let (a2, b2) = (a.clone(), b.clone());
     let ([allocs, frees, node_allocs, node_frees], out) = counted(move || run(a2, b2));
-    assert!(out.sized().is_some(), "{what}: ran above the grain");
+    assert_complete(&out, want, what);
     let (nodes, blocks) = fresh(&out, a, b);
     assert!(nodes > 0, "{what}: nothing to count");
     assert_eq!(node_allocs - node_frees, nodes, "{what}: nodes kept");
@@ -182,7 +183,7 @@ fn check_op<B: PipeBackend>(
 /// the one the key lands in or leaves — and allocates nothing else but the
 /// patch. With a clone held, the same pass copies each key's path, and the
 /// clone keeps its tree.
-fn check_in_place<B: PipeBackend>(plain: &Option<Box<PlainTreap<i64>>>) {
+fn check_in_place<B: PipeBackend>(plain: &Plain) {
     let (one, none) = (entries([4_001]), Vec::new());
     for (what, ins, del, paths) in [
         ("insert", &one, vec![], 1),
@@ -206,12 +207,12 @@ fn check_in_place<B: PipeBackend>(plain: &Option<Box<PlainTreap<i64>>>) {
             allocs <= built(1) + 1,
             "{what} in place: {allocs} allocations"
         );
-        assert!(t.check_invariants(), "{what} in place");
+        let want = fold(plain.clone(), &del, ins);
+        assert_complete(&t, &want, &format!("{what} in place"));
         drop(graveyard);
 
         let mut t = Treap::<B, i64>::from_plain_complete(plain);
         let held = t.clone();
-        let was = held.preorder();
         let ([_, _, node_allocs, _], graveyard) = counted(|| {
             let patch = plan(&t);
             patch
@@ -222,7 +223,8 @@ fn check_in_place<B: PipeBackend>(plain: &Option<Box<PlainTreap<i64>>>) {
         let (nodes, blocks) = fresh(&t, &held, &Treap::Leaf);
         assert!(nodes > 0, "{what} with a clone held: nothing copied");
         assert_eq!((node_allocs, blocks), (nodes, paths), "{what}: path copied");
-        assert_eq!(held.preorder(), was, "{what}: the clone changed");
+        assert_complete(&t, &want, &format!("{what} with a clone held"));
+        assert_complete(&held, plain, &format!("{what}: the clone"));
         drop(graveyard);
     }
 }
@@ -274,77 +276,77 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
     let near = entries((0..3000).map(|i| 2 * i));
     let batch = entries((0..200).map(|i| 3 * i + i % 2));
     let rt = Runtime::new(1);
-    type Case<'a> = (
-        &'static str,
-        &'a [(i64, u64)],
-        Vec<(i64, u64)>,
-        bool,
-        Op<Seq>,
-        Op<Worker>,
-    );
+    // (what, a, b, one key, union (or diff))
+    type Case<'a> = (&'static str, &'a [(i64, u64)], Vec<(i64, u64)>, bool, bool);
     let cases: [Case<'_>; 6] = [
         (
             "union of a batch",
             &big,
             entries((0..100).map(|i| 290 * i + 1)),
             false,
-            union,
-            union,
-        ),
-        (
-            "union of one key",
-            &big,
-            entries([4_001]),
             true,
-            union,
-            union,
         ),
+        ("union of one key", &big, entries([4_001]), true, true),
         (
             "diff of a batch",
             &big,
             entries((0..100).map(|i| 291 * i)),
             false,
-            diff,
-            diff,
+            false,
         ),
-        ("diff of one key", &big, entries([3_000]), true, diff, diff),
+        ("diff of one key", &big, entries([3_000]), true, false),
         (
             "near-equal union",
             &near,
             entries((0..2000).map(|i| 2 * i + 1)),
             false,
-            union,
-            union,
+            true,
         ),
         (
             "batch minus the big treap",
             &batch,
             big.clone(),
             false,
-            diff,
-            diff,
+            false,
         ),
     ];
-    for (what, a, b, one_key, seq_op, rt_op) in cases {
+    for (what, a, b, one_key, is_union) in cases {
+        let keys: Vec<i64> = b.iter().map(|e| e.0).collect();
+        let (seq_op, rt_op, want): (Op<Seq>, Op<Worker>, _) = match is_union {
+            true => (union, union, fold(PlainTreap::from_entries(a), &[], &b)),
+            false => (diff, diff, fold(PlainTreap::from_entries(a), &keys, &[])),
+        };
         let (sa, sb) = (Treap::from_entries(&Seq, a), Treap::from_entries(&Seq, &b));
-        check_op(&format!("Seq {what}"), &sa, &sb, one_key, |a, b| {
-            Seq::run(|bk| {
-                let (p, f) = bk.cell();
-                seq_op(bk, bk.input(a), bk.input(b), p, Mode::Pipelined);
-                Treap::expect(&f)
-            })
-        });
+        check_op(
+            &format!("Seq {what}"),
+            (&sa, &sb),
+            &want,
+            one_key,
+            |a, b| {
+                Seq::run(|bk| {
+                    let (p, f) = bk.cell();
+                    seq_op(bk, bk.input(a), bk.input(b), p, Mode::Pipelined);
+                    Treap::expect(&f)
+                })
+            },
+        );
         let ra = RTreap::from_plain_complete(&PlainTreap::from_entries(a));
         let rb = RTreap::from_plain_complete(&PlainTreap::from_entries(&b));
-        check_op(&format!("pf-rt {what}"), &ra, &rb, one_key, |a, b| {
-            let (p, f) = cell();
-            counting(false, || {
-                rt.run(move |wk| {
-                    counting(true, || rt_op(wk, ready(a), ready(b), p, Mode::Pipelined))
-                })
-            });
-            f.expect()
-        });
+        check_op(
+            &format!("pf-rt {what}"),
+            (&ra, &rb),
+            &want,
+            one_key,
+            |a, b| {
+                let (p, f) = cell();
+                counting(false, || {
+                    rt.run(move |wk| {
+                        counting(true, || rt_op(wk, ready(a), ready(b), p, Mode::Pipelined))
+                    })
+                });
+                f.expect()
+            },
+        );
     }
 
     // In place, and the same pass beside a held clone: the plan and the

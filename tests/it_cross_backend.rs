@@ -18,21 +18,24 @@ use pf_tests::*;
 
 #[test]
 fn merge_agrees_across_backends() {
-    for (na, nb) in [(0, 5), (5, 0), (100, 100), (777, 333)] {
+    for (na, nb) in [(0, 5), (5, 0), (100, 100), (300, 200), (777, 333)] {
+        check_merge::<Seq, i64>(&evens(na), &odds(nb));
         check_merge::<Ctx, i64>(&evens(na), &odds(nb));
         check_merge::<Worker, i64>(&evens(na), &odds(nb));
     }
 }
 
+/// The union's shape, and every other set operation's, on complete
+/// operands.
 #[test]
 fn union_shape_agrees_across_all_three_backends() {
     let ops = SetOps::new(
         &entries((0..500).map(|i| 3 * i)),
         &entries((0..500).map(|i| 2 * i)),
     );
-    ops.check::<Seq>(&[SetOp::Union], &BOTH_SIZED);
-    ops.check::<Ctx>(&[SetOp::Union], &BOTH_SIZED);
-    ops.check::<Worker>(&[SetOp::Union], &BOTH_SIZED);
+    ops.check::<Seq>(&SET_OPS, &BOTH_SIZED);
+    ops.check::<Ctx>(&SET_OPS, &BOTH_SIZED);
+    ops.check::<Worker>(&SET_OPS, &BOTH_SIZED);
 }
 
 #[test]
@@ -103,14 +106,18 @@ fn algorithms_are_generic_over_key_types() {
     ops.check::<Ctx>(&SET_OPS, &BOTH_SIZED);
 }
 
-/// And the mergesort of 300 keys spawns as many tasks at every pool width.
+/// At `Seq`'s height and balanced; and the mergesort of 300 keys spawns
+/// as many tasks at every pool width.
 #[test]
 fn mergesort_agrees_across_all_three_backends() {
-    for n in [0usize, 1, 2, 37, 300] {
+    for (n, balanced) in [0usize, 1, 2, 37, 300]
+        .into_iter()
+        .flat_map(|n| [(n, false), (n, true)])
+    {
         let keys = shuffled_keys(n, 5 + n as u64);
-        check_msort::<Seq, i64>(&keys, false);
-        check_msort::<Ctx, i64>(&keys, false);
-        check_msort::<Worker, i64>(&keys, false);
+        check_msort::<Seq, i64>(&keys, balanced);
+        check_msort::<Ctx, i64>(&keys, balanced);
+        check_msort::<Worker, i64>(&keys, balanced);
     }
     let keys = shuffled_keys(300, 77);
     same_spawns_at_every_width(move |wk| msort_on(wk, &keys, false, M));
@@ -301,10 +308,9 @@ fn aborted_window_leaves_the_old_root_sized_and_usable() {
     );
     assert!(aborted.is_err(), "the wedged window must abort");
     drop(of);
-    assert!(root.check_invariants());
-    assert_eq!(root.sized(), Some(5000));
+    assert_complete(&root, &old, "the old root");
 
-    let want = PlainTreap::union(old, PlainTreap::from_entries(&next));
+    let want = fold(old, &[], &next);
     let (op, of) = cell();
     rt.run(move |wk| {
         union(

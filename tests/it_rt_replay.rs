@@ -21,7 +21,7 @@ use pf_algs::PipeBackend;
 use pf_core::Sim;
 use pf_machine::{replay, Discipline, INFINITE_P};
 use pf_rt::{cell, Runtime};
-use pf_tests::{crusted, entries, on_rt, ALL, M};
+use pf_tests::{assert_oracles_tree, crusted, entries, fold, on_rt, ALL, M};
 
 #[test]
 fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
@@ -30,9 +30,9 @@ fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
 
     // Simulator, traced.
     let (of, report, trace) = Sim::new().run_traced(|ctx| union_on(ctx, &a, &b, M));
-    let model = of.get();
-    assert!(model.check_invariants());
-    let (keys, height) = (model.to_sorted_vec(), model.height());
+    let pa = PlainTreap::from_entries(&a);
+    let want = fold(pa.clone(), &[], &b);
+    assert_oracles_tree(&of.get(), &want, "the simulator");
 
     // Lemma 4.1 at p = ∞ on the captured DAG: exactly `depth` steps, all
     // work executed, every suspension reactivated.
@@ -44,11 +44,10 @@ fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
     assert_eq!(stats.work_executed, report.work);
     assert_eq!(stats.suspensions, stats.reactivations);
 
-    // Real runtime on the same input: identical tree (keys AND shape —
-    // treap shape is priority-determined, so equality is exact), and
-    // stats that account for every executed closure. The operands are
-    // unsized, so pf-rt takes the paper's step throughout.
-    let (pa, pb) = (PlainTreap::from_entries(&a), PlainTreap::from_entries(&b));
+    // Real runtime on the same input: the same tree, and stats that
+    // account for every executed closure. The operands are unsized, so
+    // pf-rt takes the paper's step throughout.
+    let pb = PlainTreap::from_entries(&b);
     for threads in [1, 2, 4] {
         let (op, of) = cell();
         let (pa, pb) = (pa.clone(), pb.clone());
@@ -59,10 +58,7 @@ fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
             );
             union(wk, ta, tb, op, M)
         });
-        let t = of.expect();
-        assert!(t.check_invariants(), "threads={threads}");
-        assert_eq!(t.to_sorted_vec(), keys, "threads={threads}");
-        assert_eq!(t.height(), height, "threads={threads}");
+        assert_oracles_tree(&of.expect(), &want, &format!("threads={threads}"));
         assert_eq!(
             rstats.tasks_executed,
             1 + rstats.spawns + rstats.suspensions,

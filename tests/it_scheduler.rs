@@ -3,6 +3,7 @@
 //! conservation, and discipline-independence of the outcome.
 
 use pf_bench::exp_machine::capture_traces;
+use pf_core::{Ctx, Sim};
 use pf_machine::{replay, Discipline, INFINITE_P};
 use proptest::prelude::*;
 
@@ -116,31 +117,39 @@ fn async_steal_respects_bounds_on_all_algorithms() {
     }
 }
 
+/// A random futures program of `fanout`-way forks `depth` deep, each
+/// node ticking 1–3 units and, on every `flat.0`-th seed, a flat step of
+/// up to `flat.1`; its value folds the children's.
+fn random_program(ctx: &Ctx, seed: u64, fanout: usize, depth: usize, flat: (u64, u64)) -> u64 {
+    ctx.tick(1 + (seed % 3));
+    if depth == 0 {
+        return seed;
+    }
+    let futs: Vec<_> = (0..fanout)
+        .map(|i| {
+            let s = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(i as u64);
+            ctx.fork(move |ctx| random_program(ctx, s, fanout, depth - 1, flat))
+        })
+        .collect();
+    if seed.is_multiple_of(flat.0) {
+        ctx.flat(seed % flat.1 + 1);
+    }
+    futs.iter()
+        .map(|f| ctx.touch(f))
+        .fold(0u64, u64::wrapping_add)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random futures programs under the asynchronous work stealer.
     #[test]
     fn random_programs_steal_replay(seed in 0u64..3000, fanout in 1usize..4, depth in 1usize..5, p in 1usize..6) {
-        use pf_core::{Ctx, Sim};
         use pf_machine::{steal_replay, StealConfig};
-        fn build(ctx: &Ctx, seed: u64, fanout: usize, depth: usize) -> u64 {
-            ctx.tick(1 + (seed % 3));
-            if depth == 0 {
-                return seed;
-            }
-            let futs: Vec<_> = (0..fanout)
-                .map(|i| {
-                    let s = seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-                    ctx.fork(move |ctx| build(ctx, s, fanout, depth - 1))
-                })
-                .collect();
-            if seed.is_multiple_of(5) {
-                ctx.flat(seed % 29 + 1);
-            }
-            futs.iter().map(|f| ctx.touch(f)).fold(0u64, u64::wrapping_add)
-        }
-        let (_, report, trace) = Sim::new().run_traced(move |ctx| build(ctx, seed, fanout, depth));
+        let program = move |ctx: &Ctx| random_program(ctx, seed, fanout, depth, (5, 29));
+        let (_, report, trace) = Sim::new().run_traced(program);
         let cfg = StealConfig { p, steal_latency: 3, seed };
         let s = steal_replay(&trace, cfg);
         prop_assert_eq!(s.work_executed, report.work);
@@ -152,28 +161,8 @@ proptest! {
     /// the simulator, trace it, and check the replay invariants.
     #[test]
     fn random_programs_replay_correctly(seed in 0u64..5000, fanout in 1usize..4, depth in 1usize..6) {
-        use pf_core::{Ctx, Sim};
-        fn build(ctx: &Ctx, seed: u64, fanout: usize, depth: usize) -> u64 {
-            ctx.tick(1 + (seed % 3));
-            if depth == 0 {
-                return seed;
-            }
-            let futs: Vec<_> = (0..fanout)
-                .map(|i| {
-                    let s = seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-                    ctx.fork(move |ctx| build(ctx, s, fanout, depth - 1))
-                })
-                .collect();
-            if seed.is_multiple_of(4) {
-                ctx.flat(seed % 17 + 1);
-            }
-            let mut acc = 0u64;
-            for f in &futs {
-                acc = acc.wrapping_add(ctx.touch(f));
-            }
-            acc
-        }
-        let (_, report, trace) = Sim::new().run_traced(move |ctx| build(ctx, seed, fanout, depth));
+        let program = move |ctx: &Ctx| random_program(ctx, seed, fanout, depth, (4, 17));
+        let (_, report, trace) = Sim::new().run_traced(program);
         prop_assert_eq!(trace.total_actions(), report.work);
         let sinf = replay(&trace, INFINITE_P, Discipline::Stack);
         prop_assert_eq!(sinf.steps, report.depth);

@@ -18,6 +18,7 @@
 //! | [`check_msort`] | the sorted keys, at `Seq`'s height or balanced |
 //! | [`check_insert26`] | a valid 2-6 tree of the union of the keys |
 //! | [`check_quicksort`], [`check_pipeline`] | the sorted list, the sum |
+//! | [`assert_complete`] of a [`fold`] | a treap set kernel on a complete treap — `apply_run`, a committed patch, a pf-service root: `PlainTreap` folded through the deletes and then the inserts, entry for entry, invariants, canonical representation, [`Treap::sized`] |
 //!
 //! On pf-rt every run also holds its session to the scheduler's liveness
 //! identity, `tasks_executed - suspensions == spawns + 1`; and
@@ -167,21 +168,50 @@ struct Expected<K> {
     complete: Vec<Part<K>>,
 }
 
+/// The layout of the complete treap of `t`'s entries, read off the plain
+/// treap itself by the representation rule: a node with its size over
+/// more than 32 keys, one block of the entries in key order for every
+/// largest subtree of at most 32.
+fn canonical<K: Key>(t: &Plain<K>, out: &mut Vec<Part<K>>) {
+    fn in_order<K: Clone>(t: &Plain<K>, out: &mut Vec<Entry<K>>) {
+        if let Some(n) = t {
+            in_order(&n.left, out);
+            out.push((n.key.clone(), n.prio));
+            in_order(&n.right, out);
+        }
+    }
+    let Some(n) = t else { return };
+    match PlainTreap::size(t) {
+        size if size <= 32 => {
+            let mut block = vec![];
+            in_order(t, &mut block);
+            out.push(Part::Block(block));
+        }
+        size => {
+            out.push(Part::Node((n.key.clone(), n.prio), size));
+            canonical(&n.left, out);
+            canonical(&n.right, out);
+        }
+    }
+}
+
 impl<K: Key + Debug> Expected<K> {
     fn new<B: PipeBackend>(want: &Plain<K>) -> Self {
-        let preorder = plain_preorder(want);
         let mut complete = vec![];
         if B::GRAIN > 0 {
-            let mut sorted = preorder.clone();
-            sorted.sort_unstable_by(|x, y| x.0.cmp(&y.0));
-            layout(&Treap::<B, K>::from_sorted_complete(&sorted), &mut complete);
+            canonical(want, &mut complete);
         }
+        let preorder = plain_preorder(want);
         Expected { preorder, complete }
     }
 
-    fn assert<B: PipeBackend>(&self, got: &Treap<B, K>, what: &str) {
+    /// With `complete`, `got` must also be sized: a plain kernel's result.
+    fn assert<B: PipeBackend>(&self, got: &Treap<B, K>, complete: bool, what: &str) {
         assert_eq!(got.preorder(), self.preorder, "{what}");
         assert!(got.check_invariants(), "{what}");
+        if complete {
+            assert_eq!(got.sized(), Some(self.preorder.len()), "complete, {what}");
+        }
         if B::GRAIN > 0 {
             let (sealed, mut parts) = (got.sealed(), vec![]);
             layout(&sealed, &mut parts);
@@ -200,7 +230,32 @@ pub fn assert_oracles_tree<B: PipeBackend, K: Key + Debug>(
     want: &Plain<K>,
     what: &str,
 ) {
-    Expected::new::<B>(want).assert(got, what);
+    Expected::new::<B>(want).assert(got, false, what);
+}
+
+/// The set kernels' one oracle: `t` without the keys `deletes`, then
+/// united with `inserts`, by `PlainTreap`. A key `inserts` holds twice
+/// keeps its [`wins`](pf_algs::plain::wins) winner, as a union of the two
+/// keeps it.
+pub fn fold<K: Key>(t: Plain<K>, deletes: &[K], inserts: &[Entry<K>]) -> Plain<K> {
+    let deletes: Vec<Entry<K>> = (deletes.iter().enumerate())
+        .map(|(i, k)| (k.clone(), splitmix64(i as u64)))
+        .collect();
+    let mut inserts = inserts.to_vec();
+    inserts.sort_by_key(|e| std::cmp::Reverse(e.1));
+    let without = PlainTreap::diff(t, PlainTreap::from_entries(&deletes));
+    PlainTreap::union(without, PlainTreap::from_entries(&inserts))
+}
+
+/// [`assert_oracles_tree`], and `got` is complete — its
+/// [`sized`](Treap::sized) counts every key — as a plain kernel's result
+/// and a committed root are.
+pub fn assert_complete<B: PipeBackend, K: Key + Debug>(
+    got: &Treap<B, K>,
+    want: &Plain<K>,
+    what: &str,
+) {
+    Expected::new::<B>(want).assert(got, true, what);
 }
 
 /// A future of engine `B`.
@@ -373,10 +428,8 @@ impl<K: Key + Debug> SetOps<K> {
                 |engine, got| {
                     for ((&op, want), got) in ops.iter().zip(&want).zip(&got) {
                         let what = format!("{engine}: {op:?}, crusts ({ca:?}, {cb:?})");
-                        want.assert(got, &what);
-                        if plain && (ca, cb) == (SIZED, SIZED) && op != SetOp::UnionChain {
-                            assert_eq!(got.sized(), Some(want.preorder.len()), "{what}");
-                        }
+                        let complete = plain && (ca, cb) == (SIZED, SIZED);
+                        want.assert(got, complete && op != SetOp::UnionChain, &what);
                     }
                 },
             );
@@ -589,8 +642,8 @@ pub fn strict_vs_pipelined<T: Clone, V: PartialEq + Debug>(
     [p, s]
 }
 
-// The fixed cases: each family on `Seq` and the simulator, the same family
-// on pf-rt (`r…`), and every family on all three engines at once (`start`).
+// The fixed cases: each family on `Seq` and the simulator, and the same
+// family on pf-rt (`r…`).
 #[cfg(test)]
 mod list;
 #[cfg(test)]
@@ -613,8 +666,6 @@ mod rtreap;
 mod rtree;
 #[cfg(test)]
 mod rtwosix;
-#[cfg(test)]
-mod start;
 #[cfg(test)]
 mod treap;
 #[cfg(test)]

@@ -78,19 +78,20 @@ mod tests {
     fn from_plain_complete_builds_from_plains_tree_without_an_engine() {
         let plain = plain((0..700).map(|i| 3 * i));
         let free = Treap::<Seq, i64>::from_plain_complete(&plain);
-        let on_seq = Seq::run(|bk| Treap::from_plain(bk, &plain));
-        assert_eq!(free.preorder(), plain_preorder(&plain));
-        assert_eq!(free.preorder(), on_seq.preorder());
-        assert_eq!((free.sized(), on_seq.sized()), (Some(700), Some(700)));
-        assert!(free.check_invariants());
+        assert_complete(&free, &plain, "without an engine");
+        assert_complete(
+            &Seq::run(|bk| Treap::from_plain(bk, &plain)),
+            &plain,
+            "on Seq",
+        );
         assert!(Treap::<Seq, i64>::from_plain_complete(&None).is_leaf());
     }
 
-    /// The linear-time builder makes `from_plain_complete`'s tree of
-    /// `PlainTreap::from_entries`, entry for entry, whatever the priorities
-    /// do: random, a right spine, a left spine, and all equal (ties go to
-    /// the larger key); and the representation is canonical, so 32 keys are
-    /// one block and 33 are a node over blocks.
+    /// The linear-time builder makes `PlainTreap::from_entries`'s tree,
+    /// entry for entry, whatever the priorities do: random, a right spine,
+    /// a left spine, and all equal (ties go to the larger key); and the
+    /// representation is canonical, so 32 keys are one block and 33 are a
+    /// node over blocks.
     #[test]
     fn from_sorted_complete_builds_the_oracles_tree_in_one_scan() {
         let keys = || (0..600).map(|i| 5 * i - 700);
@@ -103,16 +104,8 @@ mod tests {
         ];
         type T = Treap<Seq, i64>;
         for (i, e) in inputs.iter().enumerate() {
-            let got = T::from_sorted_complete(e);
-            let plain = PlainTreap::from_entries(e);
-            assert_eq!(
-                got.preorder(),
-                T::from_plain_complete(&plain).preorder(),
-                "input {i}"
-            );
-            assert_eq!(got.preorder(), plain_preorder(&plain), "input {i}");
-            assert_eq!(got.sized(), Some(e.len()), "input {i}");
-            assert!(got.check_invariants(), "input {i}");
+            let want = PlainTreap::from_entries(e);
+            assert_complete(&T::from_sorted_complete(e), &want, &format!("input {i}"));
         }
         assert!(T::from_sorted_complete(&[]).is_leaf());
         let (fits, over) = (entries(0..32), entries(0..33));
@@ -332,10 +325,10 @@ mod tests {
             let t2 = apply(ctx, diff, t1, &entries((0..180).filter(|k| k % 3 == 0)));
             apply(ctx, union, t2, &entries(200..240))
         });
-        let t = root.get();
-        assert!(t.check_invariants());
-        let expect: Vec<i64> = (0..180).filter(|k| k % 3 != 0).chain(200..240).collect();
-        assert_eq!(t.to_sorted_vec(), expect);
+        let dels: Vec<i64> = (0..180).filter(|k| k % 3 == 0).collect();
+        let want = fold(plain(0..100), &[], &entries(100..180));
+        let want = fold(fold(want, &dels, &[]), &[], &entries(200..240));
+        assert_oracles_tree(&root.get(), &want, "three batches");
         assert!(c.is_linear());
     }
 
