@@ -7,7 +7,7 @@
 //! * [`merge`] — BST merge + split (§3.1, Figure 3, Theorem 3.1);
 //! * [`rebalance`] — the three-phase §3.1 rebalance and the
 //!   merge-then-rebalance composite;
-//! * [`treap`] — treap union / difference / intersection / join
+//! * [`treap`] — treap union / difference / join
 //!   (§3.2–3.3, Figures 4 and 7);
 //! * [`two_six`] — the 2-6 tree multi-insert (§3.4, Theorem 3.13);
 //! * [`list`] — the Figure 1 producer/consumer pipeline and Halstead's

@@ -49,14 +49,6 @@ impl<B: PipeBackend, K: Key> List<B, K> {
         List::Cons(Arc::new((head, tail)))
     }
 
-    /// View as a cons cell: `(head, future tail)`.
-    pub fn as_cons(&self) -> Option<(&K, &ListFut<B, K>)> {
-        match self {
-            List::Nil => None,
-            List::Cons(rc) => Some((&rc.0, &rc.1)),
-        }
-    }
-
     /// Build from a slice with **free** pre-written tails
     /// ([`PipeBackend::input`] — input construction).
     pub fn from_slice(bk: &B, keys: &[K]) -> List<B, K> {
@@ -66,16 +58,6 @@ impl<B: PipeBackend, K: Key> List<B, K> {
             cur = List::cons(k.clone(), f);
         }
         cur
-    }
-
-    /// Read a finished cell and collect it (post-run inspection).
-    ///
-    /// # Panics
-    /// If the cell (or any tail) is still unwritten.
-    pub fn expect_vec(f: &ListFut<B, K>) -> Vec<K> {
-        B::peek(f)
-            .expect("list cell not written: the run has not quiesced")
-            .collect_vec()
     }
 
     /// Post-run inspection: collect the elements into a `Vec`.
@@ -203,17 +185,6 @@ mod tests {
     #[test]
     fn nil_properties() {
         let nil = List::<Seq, i64>::nil();
-        assert!(nil.as_cons().is_none());
         assert!(nil.collect_vec().is_empty());
-    }
-
-    #[test]
-    fn as_cons_exposes_head_and_tail() {
-        Seq::run(|bk| {
-            let l = List::<Seq, i64>::cons(9, bk.input(List::nil()));
-            let (h, t) = l.as_cons().unwrap();
-            assert_eq!(*h, 9);
-            assert!(List::<Seq, i64>::expect_vec(t).is_empty());
-        });
     }
 }

@@ -13,7 +13,7 @@ use crate::merge::merge;
 use crate::mergesort::{msort, msort_balanced};
 use crate::plain::Entry;
 use crate::rebalance::{merge_balanced, rebalance, unbalanced_from};
-use crate::treap::{diff, intersect, union, Treap, TreapFut};
+use crate::treap::{diff, union, Treap, TreapFut};
 use crate::tree::{Tree, TreeFut};
 use crate::two_six::{insert_many, TsFut, TsTree};
 use crate::{Key, Mode, PipeBackend};
@@ -43,20 +43,6 @@ pub fn diff_on<B: PipeBackend, K: Key>(
     let fb = bk.input(Treap::from_entries(bk, b));
     let (out, root) = bk.cell();
     diff(bk, fa, fb, out, mode);
-    root
-}
-
-/// `intersect` of the treaps of two entry sets.
-pub fn intersect_on<B: PipeBackend, K: Key>(
-    bk: &B,
-    a: &[Entry<K>],
-    b: &[Entry<K>],
-    mode: Mode,
-) -> TreapFut<B, K> {
-    let fa = bk.input(Treap::from_entries(bk, a));
-    let fb = bk.input(Treap::from_entries(bk, b));
-    let (out, root) = bk.cell();
-    intersect(bk, fa, fb, out, mode);
     root
 }
 

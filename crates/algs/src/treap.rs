@@ -16,10 +16,6 @@
 //! [`crate::plain`] uses the same rule, which the cross-backend tests rely
 //! on.
 //!
-//! Beyond the paper's two headline operations the module adds
-//! [`intersect`] (the dual of [`diff`], from the companion
-//! set-operations paper the text cites).
-//!
 //! ## Granularity
 //!
 //! A node carries a [`size`](TreapNode::size) that is non-zero only when
@@ -36,21 +32,21 @@
 //! constructors and the plain code below build complete treaps by that
 //! rule and nothing else.
 //!
-//! On such an engine `union`, `diff`, `intersect`, `splitm` and `join`
-//! choose from what they can observe. Two complete operands whose work
-//! estimate m·(⌊lg(n/m)⌋+1) is within the grain ([`within_grain`], a
-//! public function of the two sizes) meet in one plain kernel, persistent
-//! and direct-style: the smaller operand, flattened into a key-sorted run,
-//! is applied to the other by [`apply_run`] (as inserts, or as deletes)
-//! or by its dual — cut by binary search at each node, merged into or
-//! filtered at each block. A near-equal union merges the two runs whole instead, and a
-//! difference or intersection against a much larger operand looks its keys
-//! up in it. A complete operand of any size is split or joined plainly, so
-//! its pieces stay complete; everything else — an unsized or still-pending
-//! operand, or more work than one grain — takes the paper's pipelined
-//! step, which copies a child into the node it publishes whichever kind it
-//! is, and takes a block apart at its root entry when the block meets a
-//! pending operand. An engine that never cuts never fuses either: with
+//! On such an engine `union`, `diff`, `splitm` and `join` choose from
+//! what they can observe. Two complete operands whose work estimate
+//! m·(⌊lg(n/m)⌋+1) is within the grain ([`within_grain`], a public
+//! function of the two sizes) meet in one plain kernel, persistent and
+//! direct-style: the smaller operand, flattened into a key-sorted run, is
+//! applied to the other by [`apply_run`] (as inserts, or as deletes) —
+//! cut by binary search at each node, merged into or filtered at each
+//! block. A near-equal union merges the two runs whole instead, and a
+//! difference against a much larger operand looks its keys up in it. A
+//! complete operand of any size is split or joined plainly, so its pieces
+//! stay complete; everything else — an unsized or still-pending operand,
+//! or more work than one grain — takes the paper's pipelined step, which
+//! copies a child into the node it publishes whichever kind it is, and
+//! takes a block apart at its root entry when the block meets a pending
+//! operand. An engine that never cuts never fuses either: with
 //! `GRAIN == 0` the input constructors build unsized nodes on cells and
 //! nothing builds a block, so every step and every data edge is the paper's.
 //!
@@ -674,10 +670,10 @@ fn with_kids<B: PipeBackend, K: Key>(
 /// keys as plain code: is its work estimate m·(⌊lg(n/m)⌋+1), m the
 /// smaller — the paper's bound (Theorems 3.5 and 3.7) with its constant
 /// dropped — within [`PipeBackend::GRAIN`]? The rule of the module docs
-/// ("Granularity"), which the pipelined [`union`], [`diff`] and
-/// [`intersect`] apply at every step to two sized operands; a caller with
-/// no engine in hand (pf-service's inline pass) asks it of sizes it knows
-/// or bounds, then runs [`apply_run`] or [`plan_run`].
+/// ("Granularity"), which the pipelined [`union`] and [`diff`] apply at
+/// every step to two sized operands; a caller with no engine in hand
+/// (pf-service's inline pass) asks it of sizes it knows or bounds, then
+/// runs [`apply_run`] or [`plan_run`].
 pub fn within_grain<B: PipeBackend>(n: usize, m: usize) -> bool {
     let (m, n) = (m.min(n) as u64, m.max(n) as u64);
     let work = m * u64::from(n.checked_div(m).map_or(0, |q| q.ilog2() + 1));
@@ -824,7 +820,7 @@ pub fn apply_run<B: PipeBackend, K: Key>(
     deletes: &[K],
     inserts: &[Entry<K>],
 ) -> Treap<B, K> {
-    edit_run::<B, K, _, false>(&mut Build, t, deletes, inserts)
+    edit_run(&mut Build, t, deletes, inserts)
 }
 
 /// [`apply_run`] of `t`, `deletes` and `inserts`, recorded as a [`Patch`]
@@ -847,7 +843,7 @@ pub fn plan_run<B: PipeBackend, K: Key>(
     owners: usize,
 ) -> Patch<B, K> {
     let mut rec = Record::new(owners);
-    edit_run::<B, K, _, false>(&mut rec, t, deletes, inserts);
+    edit_run(&mut rec, t, deletes, inserts);
     Patch { edits: rec.edits }
 }
 
@@ -1086,31 +1082,26 @@ fn done_mut<B: PipeBackend, K: Key>(c: &mut Child<B, K>) -> &mut Treap<B, K> {
     }
 }
 
-/// [`apply_run`] (`KEEP_FOUND == false`), [`plan_run`] with a [`Record`],
-/// and the plain code of [`intersect`] (`true`, with no `run`: the entries
-/// whose keys are in `keys`), as [`select`] is of [`diff`] and
-/// [`intersect`]: the [`merges`] question, then [`edit_cut`].
-fn edit_run<B: PipeBackend, K: Key, E: Emit<B, K>, const KEEP_FOUND: bool>(
+/// [`apply_run`], and [`plan_run`] with a [`Record`]: the [`merges`]
+/// question, then [`edit_cut`].
+fn edit_run<B: PipeBackend, K: Key, E: Emit<B, K>>(
     e: &mut E,
     t: &Treap<B, K>,
     keys: &[K],
     run: &[Entry<K>],
 ) -> E::Out {
-    debug_assert!(!KEEP_FOUND || run.is_empty(), "the dual inserts nothing");
     match t {
-        Treap::Node(n) if merges(n.size, run.len()) => {
-            e.put(t, keep_merge::<B, K, KEEP_FOUND>(t, keys, run))
-        }
-        _ => edit_cut::<B, K, E, KEEP_FOUND>(e, t, keys, run, None),
+        Treap::Node(n) if merges(n.size, run.len()) => e.put(t, keep_merge(t, keys, run)),
+        _ => edit_cut(e, t, keys, run, None),
     }
 }
 
 /// [`edit_run`] below its one [`merges`] question, told the index of
 /// `run`'s winner when a cut left it there: only the other side rescans.
-/// A node stays iff the verdict on its key is `KEEP_FOUND` and `run`'s
-/// winner does not beat it; only such a node is opened, and only if the
-/// emitter [`owns`](Emit::owns) it.
-fn edit_cut<B: PipeBackend, K: Key, E: Emit<B, K>, const KEEP_FOUND: bool>(
+/// A node stays iff its key is not in `keys` and `run`'s winner does not
+/// beat it; only such a node is opened, and only if the emitter
+/// [`owns`](Emit::owns) it.
+fn edit_cut<B: PipeBackend, K: Key, E: Emit<B, K>>(
     e: &mut E,
     t: &Treap<B, K>,
     keys: &[K],
@@ -1118,17 +1109,13 @@ fn edit_cut<B: PipeBackend, K: Key, E: Emit<B, K>, const KEEP_FOUND: bool>(
     winner: Option<usize>,
 ) -> E::Out {
     if keys.is_empty() && run.is_empty() {
-        return if KEEP_FOUND {
-            e.put(t, Treap::Leaf)
-        } else {
-            e.same(t)
-        };
+        return e.same(t);
     }
     let Treap::Node(n) = t else {
-        return e.put(t, keep_merge::<B, K, KEEP_FOUND>(t, keys, run));
+        return e.put(t, keep_merge(t, keys, run));
     };
     if !e.owns(n) {
-        let built = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, t, keys, run, winner);
+        let built = edit_cut(&mut Build, t, keys, run, winner);
         return e.put(t, built);
     }
     let winner = (!run.is_empty()).then(|| winner.unwrap_or_else(|| top(run)));
@@ -1136,25 +1123,25 @@ fn edit_cut<B: PipeBackend, K: Key, E: Emit<B, K>, const KEEP_FOUND: bool>(
         let (key, prio) = (&run[i].0, run[i].1);
         let (l, r, _dup) = split_plain(t, key);
         let (lk, _, rk) = cut(keys, key, |k| k);
-        let l = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, &l, lk, &run[..i], None);
-        let r = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, &r, rk, &run[i + 1..], None);
+        let l = edit_cut(&mut Build, &l, lk, &run[..i], None);
+        let r = edit_cut(&mut Build, &r, rk, &run[i + 1..], None);
         return e.put(t, Treap::node_sized(key.clone(), prio, l, r));
     }
     let (lk, hit, rk) = cut(keys, &n.key, |k| k);
     let (lr, again, rr) = cut(run, &n.key, |e| &e.0);
     let lw = winner.filter(|&i| i < lr.len());
     let rw = winner.and_then(|i| i.checked_sub(lr.len() + again.len()));
-    if hit.is_empty() == KEEP_FOUND {
-        // The verdict on the node's key drops it: join its sides.
-        let l = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, kid(&n.left), lk, lr, lw);
-        let r = edit_cut::<B, K, _, KEEP_FOUND>(&mut Build, kid(&n.right), rk, rr, rw);
+    if !hit.is_empty() {
+        // The node's key is deleted: join its sides.
+        let l = edit_cut(&mut Build, kid(&n.left), lk, lr, lw);
+        let r = edit_cut(&mut Build, kid(&n.right), rk, rr, rw);
         // The node's key, inserted again after its delete.
-        let back = edit_cut::<B, K, _, false>(&mut Build, &join_plain(&l, &r), &[], again, None);
+        let back = edit_cut(&mut Build, &join_plain(&l, &r), &[], again, None);
         return e.put(t, back);
     }
     let at = e.open();
-    let l = edit_cut::<B, K, E, KEEP_FOUND>(e, kid(&n.left), lk, lr, lw);
-    let r = edit_cut::<B, K, E, KEEP_FOUND>(e, kid(&n.right), rk, rr, rw);
+    let l = edit_cut(e, kid(&n.left), lk, lr, lw);
+    let r = edit_cut(e, kid(&n.right), rk, rr, rw);
     e.leave(at, t, l, r)
 }
 
@@ -1166,18 +1153,18 @@ fn cut<'a, T, K: Ord>(xs: &'a [T], at: &K, key: impl Fn(&T) -> &K) -> (&'a [T], 
     (&xs[..below], &xs[below..above], &xs[above..])
 }
 
-/// The complete treap of `t`'s entries whose verdict against `keys` is
-/// `KEEP_FOUND`, united with `run` by one two-finger [`merge`]: `t` itself
-/// if that changes nothing.
-fn keep_merge<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
+/// The complete treap of `t`'s entries whose keys are not in `keys`,
+/// united with `run` by one two-finger [`merge`]: `t` itself if that
+/// changes nothing.
+fn keep_merge<B: PipeBackend, K: Key>(
     t: &Treap<B, K>,
     keys: &[K],
     run: &[Entry<K>],
 ) -> Treap<B, K> {
-    if keys.is_empty() && !KEEP_FOUND {
+    if keys.is_empty() {
         return merge(t, &entries(t), run);
     }
-    let kept = keep(t, |k| keys.binary_search(k).is_ok() == KEEP_FOUND);
+    let kept = keep(t, |k| keys.binary_search(k).is_err());
     if run.is_empty() {
         return kept;
     }
@@ -1210,7 +1197,7 @@ fn keep<B: PipeBackend, K: Key>(t: &Treap<B, K>, keeps: impl Fn(&K) -> bool) -> 
     Treap::from_sorted_complete(&x)
 }
 
-/// Does a plain [`select`] of `a`'s `m` keys against `b`'s `n` look them up
+/// Does a plain [`diff`] of `a`'s `m` keys against `b`'s `n` look them up
 /// in `b` rather than walk all of `b` for [`edit_run`]: is `b` more than
 /// 4 times larger?
 fn looks_up(m: usize, n: usize) -> bool {
@@ -1372,36 +1359,6 @@ pub fn diff<B: PipeBackend, K: Key>(
     out: TreapWr<B, K>,
     mode: Mode,
 ) {
-    select::<B, K, false>(bk, a, b, out, mode)
-}
-
-/// `intersect(a, b)`: the keys present in both treaps, with `a`'s
-/// priorities. Structurally the dual of [`diff`] (same split, same
-/// pipelined descent, same data-dependent join phase — only the
-/// keep/delete decision is inverted), completing the set-operation family
-/// of the companion paper the text cites for Theorem 3.7 (reference 11).
-pub fn intersect<B: PipeBackend, K: Key>(
-    bk: &B,
-    a: TreapFut<B, K>,
-    b: TreapFut<B, K>,
-    out: TreapWr<B, K>,
-    mode: Mode,
-) {
-    select::<B, K, true>(bk, a, b, out, mode)
-}
-
-/// The one body of [`diff`] (`KEEP_FOUND == false`) and [`intersect`]
-/// (`true`), as [`edit_run`] is of their plain code: a root stays iff
-/// `splitm`'s verdict on its key equals `KEEP_FOUND`, else its two
-/// recursive results are joined. A const, so each verdict is its own
-/// monomorphic text and no closure carries it.
-fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
-    bk: &B,
-    a: TreapFut<B, K>,
-    b: TreapFut<B, K>,
-    out: TreapWr<B, K>,
-    mode: Mode,
-) {
     bk.touch(&a, move |bk, av| {
         bk.tick(1);
         if av.is_leaf() {
@@ -1411,17 +1368,16 @@ fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
         bk.touch(&b, move |bk, bv| {
             if fuses(&av, &bv) {
                 let got = if looks_up(len(&av), len(&bv)) {
-                    keep(&av, |k| bv.contains(k) == KEEP_FOUND)
+                    keep(&av, |k| !bv.contains(k))
                 } else {
-                    let keys = bv.to_sorted_vec();
-                    edit_run::<B, K, _, KEEP_FOUND>(&mut Build, &av, &keys, &[])
+                    edit_run(&mut Build, &av, &bv.to_sorted_vec(), &[])
                 };
                 bk.fulfill(out, got);
                 return;
             }
             bk.tick(1);
             if bv.is_leaf() {
-                bk.fulfill(out, if KEEP_FOUND { Treap::Leaf } else { av });
+                bk.fulfill(out, av);
                 return;
             }
             let (key, prio, al, ar) = parts(&av);
@@ -1431,26 +1387,26 @@ fn select<B: PipeBackend, K: Key, const KEEP_FOUND: bool>(
             let (fp, ff) = bk.cell();
             let splitter = key.clone();
             fork_call(bk, mode, move |bk| splitm(bk, splitter, bv, lp, rp, fp));
-            // l = ?select(a.left, l2); r = ?select(a.right, r2)
+            // l = ?diff(a.left, l2); r = ?diff(a.right, r2)
             let (slp, slf) = bk.cell();
             let (srp, srf) = bk.cell();
             let (al, ar) = (al.into_fut(bk), ar.into_fut(bk));
             bk.fork2(
-                move |bk| select::<B, K, KEEP_FOUND>(bk, al, lf, slp, mode),
-                move |bk| select::<B, K, KEEP_FOUND>(bk, ar, rf, srp, mode),
+                move |bk| diff(bk, al, lf, slp, mode),
+                move |bk| diff(bk, ar, rf, srp, mode),
             );
-            // if found == KEEP_FOUND then Node(k, p, l, r) else join(l, r)
+            // if found then join(l, r) else Node(k, p, l, r)
             bk.touch(&ff, move |bk, found| {
                 bk.tick(1);
-                if found == KEEP_FOUND {
-                    bk.fulfill(out, Treap::node(key, prio, slf, srf));
-                } else {
+                if found {
                     bk.touch(&slf, move |bk, lv| {
                         bk.touch(&srf, move |bk, rv| match mode {
                             Mode::Pipelined => join(bk, lv, rv, out),
                             Mode::Strict => bk.strict(move |bk| join(bk, lv, rv, out)),
                         });
                     });
+                } else {
+                    bk.fulfill(out, Treap::node(key, prio, slf, srf));
                 }
             });
         });

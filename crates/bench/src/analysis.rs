@@ -132,12 +132,6 @@ pub fn lg(n: usize) -> f64 {
     (n as f64).log2()
 }
 
-/// Ratio sequence `y[i+1] / y[i]`, for eyeballing growth rates in
-/// experiment output.
-pub fn growth_ratios(ys: &[f64]) -> Vec<f64> {
-    ys.windows(2).map(|w| w[1] / w[0]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,12 +172,6 @@ mod tests {
         let (a, b) = linear_fit(&xs, &ys);
         assert!((a - 3.5).abs() < 1e-9);
         assert!((b - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn growth_ratios_shape() {
-        let r = growth_ratios(&[1.0, 2.0, 4.0]);
-        assert_eq!(r, vec![2.0, 2.0]);
     }
 
     #[test]

@@ -34,11 +34,6 @@ pub fn run_diff<K: Key>(a: &[Entry<K>], b: &[Entry<K>], mode: Mode) -> Run<Treap
     Sim::new().run(|ctx| diff_on(ctx, a, b, mode))
 }
 
-/// [`intersect_on`] in a simulation of its own.
-pub fn run_intersect<K: Key>(a: &[Entry<K>], b: &[Entry<K>], mode: Mode) -> Run<Treap<Ctx, K>> {
-    Sim::new().run(|ctx| intersect_on(ctx, a, b, mode))
-}
-
 /// [`insert_many_on`] in a simulation of its own.
 pub fn run_insert_many<K: Key>(initial: &[K], keys: &[K], mode: Mode) -> Run<TsTree<Ctx, K>> {
     Sim::new().run(|ctx| insert_many_on(ctx, initial, keys, mode))

@@ -32,26 +32,6 @@ pub fn spread_pair(n: usize, m: usize) -> (Vec<i64>, Vec<i64>) {
     (a, b)
 }
 
-/// Two sorted key sets where a `overlap` fraction (0.0–1.0) of the second
-/// set's keys also appear in the first.
-pub fn overlapping_pair(n: usize, m: usize, overlap: f64, seed: u64) -> (Vec<i64>, Vec<i64>) {
-    assert!((0.0..=1.0).contains(&overlap));
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let a: Vec<i64> = (0..n as i64).map(|i| 2 * i).collect();
-    let mut b: Vec<i64> = (0..m as i64)
-        .map(|i| {
-            if rng.gen_bool(overlap) {
-                2 * (rng.gen_range(0..n as i64)) // collides with a
-            } else {
-                2 * (i + n as i64) + 1 // fresh odd key
-            }
-        })
-        .collect();
-    b.sort_unstable();
-    b.dedup();
-    (a, b)
-}
-
 /// Random distinct keys in random order (for quicksort / mergesort).
 pub fn shuffled_keys(n: usize, seed: u64) -> Vec<i64> {
     let mut v: Vec<i64> = (0..n as i64).collect();
@@ -105,20 +85,6 @@ mod tests {
         let (a, b) = interleaved_pair(10, 10);
         assert!(a.iter().all(|k| !b.contains(k)));
         assert!(a.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn overlap_zero_is_disjoint() {
-        let (a, b) = overlapping_pair(100, 50, 0.0, 1);
-        let aset: std::collections::BTreeSet<_> = a.iter().collect();
-        assert!(b.iter().all(|k| !aset.contains(k)));
-    }
-
-    #[test]
-    fn overlap_one_is_subset() {
-        let (a, b) = overlapping_pair(100, 50, 1.0, 1);
-        let aset: std::collections::BTreeSet<_> = a.iter().collect();
-        assert!(b.iter().all(|k| aset.contains(k)));
     }
 
     #[test]

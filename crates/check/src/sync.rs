@@ -95,19 +95,6 @@ macro_rules! model_atomic_int {
                 }
             }
 
-            /// Atomic weak compare-exchange (never fails spuriously in the
-            /// model: spurious failure adds schedules but no new
-            /// behaviors under SC).
-            pub fn compare_exchange_weak(
-                &self,
-                current: $t,
-                new: $t,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$t, $t> {
-                self.compare_exchange(current, new, success, failure)
-            }
-
             /// Atomic add, returning the previous value.
             pub fn fetch_add(&self, val: $t, _o: Ordering) -> $t {
                 self.yield_point();
@@ -376,37 +363,10 @@ impl<T: ?Sized> Mutex<T> {
         Ok(MutexGuard { lock: self })
     }
 
-    /// Try to acquire without blocking.
-    pub fn try_lock(&self) -> Result<MutexGuard<'_, T>, TryLockError> {
-        let got = exec::with_current(|e, tid| {
-            let _ = self.core.id(e);
-            e.op_point(tid);
-            let held = unsafe { *self.core.locked.get() };
-            if !held {
-                unsafe { *self.core.locked.get() = true };
-                true
-            } else {
-                false
-            }
-        });
-        if got {
-            Ok(MutexGuard { lock: self })
-        } else {
-            Err(TryLockError::WouldBlock)
-        }
-    }
-
     /// Access through `&mut` (no lock needed).
     pub fn get_mut(&mut self) -> LockResult<&mut T> {
         Ok(unsafe { &mut *self.data.get() })
     }
-}
-
-/// Mirror of `std::sync::TryLockError` (model locks never poison).
-#[derive(Debug)]
-pub enum TryLockError {
-    /// The lock is currently held elsewhere.
-    WouldBlock,
 }
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
@@ -486,25 +446,6 @@ impl Condvar {
             let cv_id = self.id(e);
             e.with_state(|st| {
                 Execution::wake_where(st, |s| *s == TState::CvWait(cv_id));
-            });
-            e.op_point(tid);
-        });
-    }
-
-    /// Wake one waiter — the lowest-id one, deterministically. (Choosing
-    /// *which* waiter is a real scheduling freedom, but pf_rt only uses
-    /// notify_all + targeted unpark, so the simple rule suffices.)
-    pub fn notify_one(&self) {
-        exec::with_current(|e, tid| {
-            let cv_id = self.id(e);
-            e.with_state(|st| {
-                if let Some(t) = st
-                    .threads
-                    .iter_mut()
-                    .find(|t| t.state == TState::CvWait(cv_id))
-                {
-                    t.state = TState::Runnable;
-                }
             });
             e.op_point(tid);
         });

@@ -87,13 +87,6 @@ impl CostReport {
         }
     }
 
-    /// Brent's bound on the number of greedy-schedule steps on `p`
-    /// processors: `work / p + depth` (rounded up).
-    pub fn brent_steps(&self, p: u64) -> u64 {
-        assert!(p >= 1);
-        self.work.div_ceil(p) + self.depth
-    }
-
     /// Whether the computation satisfied the §4 linearity restriction:
     /// every future cell read (touched) at most once.
     pub fn is_linear(&self) -> bool {
@@ -132,9 +125,6 @@ mod tests {
             ..CostReport::default()
         };
         assert!((r.parallelism() - 100.0).abs() < 1e-9);
-        assert_eq!(r.brent_steps(1), 1010);
-        assert_eq!(r.brent_steps(10), 110);
-        assert_eq!(r.brent_steps(3), 344); // ceil(1000/3) + 10
     }
 
     #[test]

@@ -356,20 +356,6 @@ impl Ctx {
         (fa, fb)
     }
 
-    /// Three-result fork; see [`Ctx::fork2`]. Matches the arity of
-    /// `splitm`, which returns both halves plus the found flag.
-    #[allow(clippy::type_complexity)]
-    pub fn fork3<A: 'static, B: 'static, C: 'static>(
-        &self,
-        body: impl FnOnce(&Ctx, Promise<A>, Promise<B>, Promise<C>),
-    ) -> (Fut<A>, Fut<B>, Fut<C>) {
-        let (pa, fa) = self.promise();
-        let (pb, fb) = self.promise();
-        let (pc, fc) = self.promise();
-        self.fork_unit(move |ctx| body(ctx, pa, pb, pc));
-        (fa, fb, fc)
-    }
-
     /// Touch a future: the data edge. Advances this thread's clock to
     /// `max(clock, write_time) + touch_cost` and returns a clone of the
     /// value (values in the model are immutable, so an aliasing clone is
@@ -565,21 +551,6 @@ mod tests {
         });
         assert!(r.is_linear());
         assert_eq!(r.cells, 2);
-    }
-
-    #[test]
-    fn fork3_matches_splitm_arity() {
-        let (_, r) = Sim::new().run(|ctx| {
-            let (fa, fb, fc) = ctx.fork3(|c, pa, pb, pc| {
-                pa.fulfill(c, 1u8);
-                pb.fulfill(c, 2u8);
-                pc.fulfill(c, true);
-            });
-            assert_eq!(ctx.touch(&fa) + ctx.touch(&fb), 3);
-            assert!(ctx.touch(&fc));
-        });
-        assert_eq!(r.cells, 3);
-        assert_eq!(r.forks, 1);
     }
 
     #[test]

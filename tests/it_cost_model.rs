@@ -8,7 +8,7 @@ use pf_algs::start::{diff_on, insert_many_on, merge_on, union_on};
 use pf_algs::treap::Treap;
 use pf_algs::two_six::TsTree;
 use pf_bench::analysis::{completion_time, walk_treap, walk_tree};
-use pf_bench::sim::{run_diff, run_insert_many, run_intersect, run_merge, run_union};
+use pf_bench::sim::{run_diff, run_insert_many, run_merge, run_union};
 use pf_core::Ctx;
 use pf_tests::*;
 use proptest::prelude::*;
@@ -101,16 +101,6 @@ proptest! {
         let (ea, eb) = (entries(a), entries(b));
         SetOps::new(&ea, &eb).check::<Ctx>(&[SetOp::Diff], &BOTH_SIZED);
         prop_assert!(run_diff(&ea, &eb, M).1.is_linear());
-    }
-
-    #[test]
-    fn intersect_matches_oracle(
-        a in proptest::collection::btree_set(-1000i64..1000, 0..120),
-        b in proptest::collection::btree_set(-1000i64..1000, 0..120),
-    ) {
-        let (ea, eb) = (entries(a), entries(b));
-        SetOps::new(&ea, &eb).check::<Ctx>(&[SetOp::Intersect], &BOTH_SIZED);
-        prop_assert!(run_intersect(&ea, &eb, M).1.is_linear());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! | check | result on every engine |
 //! |---|---|
-//! | [`SetOps::check`] | union, difference, intersection, a union of a pending union: `PlainTreap`'s tree entry for entry, invariants, canonical representation once sealed |
+//! | [`SetOps::check`] | union, difference, a union of a pending union: `PlainTreap`'s tree entry for entry, invariants, canonical representation once sealed |
 //! | [`check_split_join`] | `splitm` then `join`: `PlainTreap::split`'s trees and flag, then `PlainTreap::join`'s tree |
 //! | [`check_split`] | BST `split`: the keys below and from the splitter |
 //! | [`check_merge`] | `merge` (`Seq`'s height) and `merge_balanced` (balanced height) |
@@ -38,7 +38,7 @@ use pf_algs::list::ListFut;
 use pf_algs::merge::split;
 use pf_algs::plain::{splitmix64, Entry, PlainTreap};
 use pf_algs::start::*;
-use pf_algs::treap::{diff, intersect, join, splitm, union, within_grain, Child, Treap, TreapNode};
+use pf_algs::treap::{diff, join, splitm, union, within_grain, Child, Treap, TreapNode};
 use pf_algs::tree::{Tree, TreeFut};
 use pf_algs::two_six::TsFut;
 use pf_algs::{Key, Mode, PipeBackend, Seq, Val};
@@ -347,27 +347,20 @@ pub enum SetOp {
     Union,
     /// `diff(a, b)`: `a` minus `b`.
     Diff,
-    /// `intersect(a, b)`: `a \ (a \ b)`, with `a`'s priorities.
-    Intersect,
     /// `union(a, union(b, a))`, the inner union forked and read through
     /// its cell: an upper union whose operand may still be pending.
     UnionChain,
 }
 
 /// Every [`SetOp`].
-pub const SET_OPS: [SetOp; 4] = [
-    SetOp::Union,
-    SetOp::Diff,
-    SetOp::Intersect,
-    SetOp::UnionChain,
-];
+pub const SET_OPS: [SetOp; 3] = [SetOp::Union, SetOp::Diff, SetOp::UnionChain];
 
 /// Two treap operands, as plain treaps, and what each [`SetOp`] of them
 /// must build — computed once, however many engines and crusts check it.
 pub struct SetOps<K: Val> {
     a: Arc<Plain<K>>,
     b: Arc<Plain<K>>,
-    want: [Plain<K>; 4],
+    want: [Plain<K>; 3],
 }
 
 impl<K: Key + Debug> SetOps<K> {
@@ -378,7 +371,6 @@ impl<K: Key + Debug> SetOps<K> {
         let want = [
             union.clone(),
             PlainTreap::diff(pa.clone(), pb.clone()),
-            PlainTreap::diff(pa.clone(), PlainTreap::diff(pa.clone(), pb.clone())),
             PlainTreap::union(union, pa.clone()),
         ];
         SetOps {
@@ -390,9 +382,8 @@ impl<K: Key + Debug> SetOps<K> {
 
     /// On engine `B`, for every pair of operand crusts, each of `ops`
     /// builds its plain result by [`assert_oracles_tree`]; and where both
-    /// operands are complete and the union is within the grain, union,
-    /// difference and intersection ran as plain code, so their results are
-    /// complete too.
+    /// operands are complete and the union is within the grain, union and
+    /// difference ran as plain code, so their results are complete too.
     pub fn check<B: Engine>(&self, ops: &[SetOp], crusts: &[(Crust, Crust)]) {
         let plain = within_grain::<B>(PlainTreap::size(&self.a), PlainTreap::size(&self.b));
         let want: Vec<Expected<K>> = (ops.iter())
@@ -417,7 +408,6 @@ impl<K: Key + Debug> SetOps<K> {
                         let binary = match op {
                             SetOp::Union | SetOp::UnionChain => union,
                             SetOp::Diff => diff,
-                            SetOp::Intersect => intersect,
                         };
                         let (out, f) = bk.cell();
                         binary(bk, fa, fb, out, M);

@@ -49,15 +49,6 @@ mod tests {
         on_pools(Diff, &entries(0..100), &entries(0..100));
     }
 
-    #[test]
-    fn intersect_matches_cost_model() {
-        let (a, b) = (
-            entries((0..300).map(|i| 2 * i)),
-            entries((0..300).map(|i| 3 * i)),
-        );
-        on_pools(Intersect, &a, &b);
-    }
-
     /// Scheduling is nondeterministic; results are not.
     #[test]
     fn union_stress() {

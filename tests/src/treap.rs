@@ -1,18 +1,18 @@
-//! The treap family — union, difference, intersection, `splitm`, `join` —
+//! The treap family — union, difference, `splitm`, `join` —
 //! on `Seq` and the simulator, plus its pf-rt half of the
 //! representation check: results against `PlainTreap`, then the
 //! simulator's cost assertions.
 
 mod tests {
     use pf_algs::plain::{splitmix64, Entry, PlainTreap};
-    use pf_algs::start::{diff_on, intersect_on, union_on};
+    use pf_algs::start::{diff_on, union_on};
     use pf_algs::treap::{diff, union, Treap, TreapFut, TreapWr};
     use pf_algs::{Mode, PipeBackend, Seq};
     use pf_bench::analysis::{completion_time, walk_treap};
     use pf_core::{Ctx, Fut, Sim};
     use pf_rt::Worker;
 
-    use crate::sim::{run_intersect, run_union};
+    use crate::sim::run_union;
     use crate::*;
     use SetOp::*;
 
@@ -119,9 +119,9 @@ mod tests {
     }
 
     #[test]
-    fn diff_and_intersect_on_the_oracle() {
+    fn diff_on_the_oracle_matches_plain() {
         let (a, b) = (entries(0..100), entries((0..100).filter(|k| k % 3 == 0)));
-        SetOps::new(&a, &b).check::<Seq>(&[Diff, Intersect], &BOTH_SIZED);
+        SetOps::new(&a, &b).check::<Seq>(&[Diff], &BOTH_SIZED);
     }
 
     #[test]
@@ -139,7 +139,7 @@ mod tests {
     }
 
     /// Same tie-break rule ⇒ same treap shape as the sequential oracle —
-    /// for difference and intersection too, on the size-rule pairs' operands
+    /// for difference too, on the size-rule pairs' operands
     /// (a shape check only: the simulator never fuses, so runs no kernel).
     #[test]
     fn union_matches_sequential_shape() {
@@ -149,7 +149,7 @@ mod tests {
             &entries((0..150).map(|i| 2 * i)),
         );
         for [a, b] in size_rule_pairs() {
-            SetOps::new(&a, &b).check::<Ctx>(&[Union, Diff, Intersect], &BOTH_SIZED);
+            SetOps::new(&a, &b).check::<Ctx>(&[Union, Diff], &BOTH_SIZED);
         }
     }
 
@@ -260,43 +260,6 @@ mod tests {
     #[test]
     fn join_concatenates() {
         check_split_join::<Ctx, i64>(&plain((0..40).chain(100..140)), SIZED, 70);
-    }
-
-    #[test]
-    fn intersect_correct() {
-        let (a, b) = (entries(0..120), entries((0..240).filter(|k| k % 3 == 0)));
-        on_sim(Intersect, &a, &b);
-        assert!(run_intersect(&a, &b, M).1.is_linear());
-    }
-
-    #[test]
-    fn intersect_edge_cases() {
-        let (e, one, other) = (vec![], entries([7]), entries([9]));
-        for (a, b) in [
-            (&e, &e),
-            (&one, &e),
-            (&e, &one),
-            (&one, &one),
-            (&one, &other),
-        ] {
-            on_sim(Intersect, a, b);
-        }
-    }
-
-    /// a ∩ b == a \ (a \ b): the oracle `SetOps` holds intersection to.
-    #[test]
-    fn intersect_is_diff_of_diff() {
-        on_sim(
-            Intersect,
-            &entries((0..200).map(|i| 3 * i)),
-            &entries((0..200).map(|i| 2 * i)),
-        );
-    }
-
-    #[test]
-    fn intersect_strict_same_result() {
-        let (a, b) = (entries(0..150), entries(75..225));
-        strict_vs_pipelined(|ctx, m| intersect_on(ctx, &a, &b, m), Treap::preorder);
     }
 
     type Op = fn(&Ctx, TreapFut<Ctx, i64>, TreapFut<Ctx, i64>, TreapWr<Ctx, i64>, Mode);
