@@ -342,6 +342,35 @@ impl<B: PipeBackend, K: Key> Treap<B, K> {
         }
     }
 
+    /// Push this complete treap's keys in `[lo, hi)` onto `out`, in
+    /// ascending order. An in-order walk by reference that never enters a
+    /// subtree the range cannot reach; a block's keys are sorted, so its
+    /// part of the range is the run from a binary search for `lo`.
+    ///
+    /// # Panics
+    /// If the walk meets a future cell.
+    pub fn range(&self, lo: &K, hi: &K, out: &mut Vec<K>) {
+        match self {
+            Treap::Leaf => {}
+            Treap::Block(b) => {
+                let from = b.partition_point(|e| e.0 < *lo);
+                let run = b[from..].iter().take_while(|e| e.0 < *hi);
+                out.extend(run.map(|e| e.0.clone()));
+            }
+            Treap::Node(n) => {
+                if *lo < n.key {
+                    kid(&n.left).range(lo, hi, out);
+                }
+                if *lo <= n.key && n.key < *hi {
+                    out.push(n.key.clone());
+                }
+                if n.key < *hi {
+                    kid(&n.right).range(lo, hi, out);
+                }
+            }
+        }
+    }
+
     /// Read a finished cell (post-run inspection).
     ///
     /// # Panics

@@ -301,16 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn e09_smoke_and_bounds() {
-        let t = e09_scheduler(6, &[1, 4, INFINITE_P]);
-        assert_eq!(t.rows.len(), 12); // 4 algorithms x 3 p values
-        for r in &t.rows {
-            let ratio: f64 = r[4].parse().unwrap();
-            assert!(ratio <= 1.0 + 1e-9, "Brent bound violated: {r:?}");
-        }
-    }
-
-    #[test]
     fn e10_smoke() {
         let t = e10_models(8, 4, &[1, 16]);
         assert_eq!(t.rows.len(), 2);

@@ -504,14 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn e18_cole_stages_exact() {
-        let t = e18_cole(&[6, 8], &[1]);
-        for r in &t.rows {
-            assert_eq!(r[1], r[2], "cole stages must be exactly 3 lg n: {r:?}");
-        }
-    }
-
-    #[test]
     fn e01_smoke() {
         let t = e01_pipeline(&[100, 200]);
         assert_eq!(t.rows.len(), 2);

@@ -179,13 +179,7 @@ pub struct DfsChooser {
 
 impl DfsChooser {
     /// A DFS step forcing `prefix`, branching up to `depth_bound` choice
-    /// points deep. `frames` from the previous run are threaded through
-    /// `with_frames`.
-    pub fn new(prefix: Vec<usize>, depth_bound: usize) -> Self {
-        DfsChooser::with_frames(prefix, depth_bound, Vec::new())
-    }
-
-    /// Like [`Self::new`] but carrying over the unexplored-alternative
+    /// points deep, carrying over `frames`, the unexplored-alternative
     /// stack from the previous execution.
     pub(crate) fn with_frames(
         prefix: Vec<usize>,

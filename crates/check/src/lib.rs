@@ -39,9 +39,9 @@
 
 #![warn(missing_docs)]
 
-pub mod chooser;
+mod chooser;
 mod exec;
-pub mod replay;
+mod replay;
 pub mod sync;
 
 use chooser::{Chooser, DfsChooser, PctChooser, RandomChooser, ReplayChooser};

@@ -14,12 +14,13 @@
 //! * expands the flat `array_split` / `array_scan` primitives lazily
 //!   through stubs.
 //!
-//! [`mod@replay`] implements that scheduler as a cycle-level simulator over the
+//! [`replay()`] implements that scheduler as a cycle-level simulator over the
 //! computation-DAG traces captured by [`pf_core::Sim::run_traced`],
 //! measuring exact step counts, suspension behaviour, and thread-pool
-//! space; [`models`] maps (work, depth, steps) onto the machine models the
-//! paper discusses (EREW scan model, plain and asynchronous EREW PRAM,
-//! BSP, CRCW with fetch-and-add).
+//! space ([`ReplayStats`]); [`predicted_time`] maps (work, depth,
+//! processors) onto the machine models the paper discusses ([`Machine`]:
+//! EREW scan model, plain and asynchronous EREW PRAM, BSP, CRCW with
+//! fetch-and-add).
 //!
 //! One deliberate idealization, documented here because it affects exact
 //! numbers: a thread whose next action is a touch of an unwritten cell is
@@ -50,9 +51,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod models;
-pub mod replay;
-pub mod steal;
+mod models;
+mod replay;
+mod steal;
 
 pub use models::{predicted_time, pvw_time, Machine};
 pub use replay::{replay, replay_with, Discipline, ReplayStats, Suspension, INFINITE_P};

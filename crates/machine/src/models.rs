@@ -58,11 +58,6 @@ pub fn pvw_time(n: usize, m: usize, p: usize) -> f64 {
     (m as f64) * lgn / p as f64 + lgn
 }
 
-/// Self-speedup of a model prediction: time at p = 1 over time at p.
-pub fn speedup(machine: Machine, w: u64, d: u64, p: usize) -> f64 {
-    predicted_time(machine, w, d, 1) / predicted_time(machine, w, d, p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,12 +87,16 @@ mod tests {
     fn speedup_grows_until_depth_dominates() {
         let w = 1 << 20;
         let d = 20;
-        let s16 = speedup(Machine::ErewScan, w, d, 16);
-        let s256 = speedup(Machine::ErewScan, w, d, 256);
+        // Self-speedup: time at p = 1 over time at p.
+        let speedup = |p| {
+            predicted_time(Machine::ErewScan, w, d, 1) / predicted_time(Machine::ErewScan, w, d, p)
+        };
+        let s16 = speedup(16);
+        let s256 = speedup(256);
         assert!(s16 > 10.0);
         assert!(s256 > s16);
         // Perfect scaling impossible once w/p ~ d.
-        let s_huge = speedup(Machine::ErewScan, w, d, 1 << 19);
+        let s_huge = speedup(1 << 19);
         assert!(s_huge < (1 << 19) as f64 / 8.0);
     }
 

@@ -65,7 +65,7 @@ use crate::error::{PoisonInfo, PoisonOutcome, PoisonTarget, StuckCell};
 use crate::pool::{SessionSlot, SessionTask};
 use crate::scheduler::Worker;
 use crate::task::Task;
-use pf_trace::TraceKind;
+use crate::trace::TraceKind;
 
 const EMPTY: usize = 0;
 /// A continuation is suspended here; the pointer bits hold its

@@ -179,8 +179,7 @@ use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::deque::{deque, Injector, Stealer};
 use crate::scheduler::Worker;
 use crate::task::Task;
-use crate::trace::SessionEvents;
-use pf_trace::TraceKind;
+use crate::trace::{SessionEvents, TraceKind};
 
 /// Maximum pool size (sleeper state is one `u64` bitmask).
 pub const MAX_WORKERS: usize = 64;
@@ -595,7 +594,7 @@ pub struct Runtime {
 
 impl Runtime {
     /// A runtime with `nthreads` persistent workers
-    /// (`1 ..= `[`MAX_WORKERS`]).
+    /// (`1 ..= 64`).
     pub fn new(nthreads: usize) -> Self {
         assert!(
             (1..=MAX_WORKERS).contains(&nthreads),

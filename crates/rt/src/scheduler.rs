@@ -31,7 +31,7 @@ use crate::deque::{LocalQueue, Steal};
 use crate::error::SessionError;
 use crate::pool::{SessionSlot, SessionTask, Shared};
 use crate::task::Task;
-use pf_trace::TraceKind;
+use crate::trace::TraceKind;
 
 pub use crate::pool::{RunStats, Runtime};
 
@@ -178,8 +178,8 @@ impl Worker {
     /// through the caller's frame, aborting the session exactly as a
     /// panic in a queued child would. Past the inline-depth guard the
     /// child is pushed instead and the caller keeps running: one deque
-    /// push, with an allocation only when the closure exceeds the inline
-    /// [`Task`] payload.
+    /// push, with an allocation only when the closure exceeds the queued
+    /// task's four-word inline payload.
     ///
     /// A flat loop of `spawn`s therefore runs serially on the spawning
     /// worker. To fork wide, fork with [`Worker::spawn2`] trees.

@@ -40,22 +40,20 @@ pub use pf_check::sync::{Condvar, Mutex, MutexGuard};
 pub mod atomic {
     #[cfg(not(pf_check))]
     pub use std::sync::atomic::{
-        fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+        fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
     };
 
     #[cfg(pf_check)]
     pub use pf_check::sync::{
-        fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+        fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
     };
 }
 
 /// Thread spawn/park/unpark/yield (mirrors `std::thread`).
 pub mod thread {
     #[cfg(not(pf_check))]
-    pub use std::thread::{current, park, spawn, yield_now, Builder, JoinHandle, Thread};
+    pub use std::thread::{park, yield_now, Builder, JoinHandle, Thread};
 
     #[cfg(pf_check)]
-    pub use pf_check::sync::thread::{
-        current, park, spawn, yield_now, Builder, JoinHandle, Thread,
-    };
+    pub use pf_check::sync::thread::{park, yield_now, Builder, JoinHandle, Thread};
 }

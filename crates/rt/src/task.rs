@@ -20,11 +20,11 @@
 //!   (three pointers + mode pads to four words; a three-word payload
 //!   would push every generic fork through the boxed fallback and break
 //!   allocation parity with hand-written CPS).
-//! * A larger closure falls back to one `Box`; only the two-word fat
-//!   pointer is stored inline.
-//! * An **already-boxed** continuation (a reactivated future-cell waiter)
-//!   is adopted via [`Task::from_boxed`] without re-boxing — the fix for
-//!   the old double allocation in `FutWrite::fulfill`.
+//! * A larger closure falls back to one `Box` ([`Task::from_boxed`]);
+//!   only the two-word fat pointer is stored inline.
+//! * A reactivated future-cell waiter is a one-word closure around its
+//!   suspension record (`Suspension::into_task` in `cell.rs`), so
+//!   queueing its resume never allocates.
 //!
 //! The `call` fn consumes the payload; the `drop` fn releases it when a
 //! task is destroyed without running (runtime teardown after a panic).
@@ -100,10 +100,8 @@ impl Task {
         }
     }
 
-    /// Adopt an already-boxed continuation without re-boxing it. This is
-    /// the hand-off path for reactivated future-cell waiters: the box the
-    /// toucher allocated at suspension time is the box the scheduler
-    /// frees after running it.
+    /// Store a boxed continuation as its two-word fat pointer: the boxed
+    /// half of [`Task::new`], for a closure over the inline payload.
     pub fn from_boxed(b: BoxedFn) -> Task {
         const {
             assert!(

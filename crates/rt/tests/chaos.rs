@@ -29,10 +29,13 @@ fn chained_sum(rt: &Runtime, depth: u64) -> Result<u64, SessionError> {
     chained_sum_in(rt, depth, Session::new())
 }
 
+/// One stage of [`chained_sum`], queued as a task of its own.
+type Stage = Box<dyn FnOnce(&Worker) + Send>;
+
 /// [`chained_sum`] in a session of options `sess`.
 fn chained_sum_in(rt: &Runtime, depth: u64, sess: Session) -> Result<u64, SessionError> {
     let (w0, mut prev) = cell::<u64>();
-    let mut stages: Vec<Box<dyn FnOnce(&Worker) + Send>> = Vec::new();
+    let mut stages: Vec<Stage> = Vec::new();
     for _ in 0..depth {
         let (w, r) = cell::<u64>();
         let src = prev.clone();

@@ -27,7 +27,7 @@
 //!   m-keys-in-one-wave plan, realized here on treaps because the shard
 //!   root must also support deletes), so a wave meets the shard root in
 //!   one set operation however many requests it holds.
-//! * **Key-range sharding** ([`shard::ShardMap`]): S independent shards,
+//! * **Key-range sharding** ([`ShardMap`]): S independent shards,
 //!   each with its own persistent treap root, apply their waves in
 //!   fault-contained sessions ([`pf_rt::Runtime::try_run_session`]) on
 //!   one shared worker pool. Shard sessions genuinely co-execute (each
@@ -100,11 +100,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
-pub mod coalesce;
-pub mod request;
-pub mod service;
-pub mod shard;
+mod breaker;
+mod coalesce;
+mod request;
+mod service;
+mod shard;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use coalesce::{coalesce, CoalescePolicy, Wave};

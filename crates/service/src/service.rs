@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pf_algs::plain::wins;
-use pf_algs::treap::{apply_run, diff, plan_run, union, within_grain, Child, Treap};
+use pf_algs::treap::{apply_run, diff, plan_run, union, within_grain, Treap};
 use pf_algs::{Key, Mode, PipeBackend};
 use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Session, SessionError, Worker};
 
@@ -398,13 +398,13 @@ impl<K: Key> SetService<K> {
     /// reference, never blocked by in-flight sessions — but each
     /// shard's snapshot is taken independently, so a cross-shard wave
     /// committing mid-scan may appear in one shard and not another).
-    /// The walk prunes: subtrees wholly outside `[lo, hi)` are never
-    /// entered, and a block is entered at a binary search for `lo`, so cost
-    /// is O(lg n + answer) per shard.
+    /// The walk ([`Treap::range`]) prunes: subtrees wholly outside
+    /// `[lo, hi)` are never entered, and a block is entered at a binary
+    /// search for `lo`, so cost is O(lg n + answer) per shard.
     pub fn range(&self, lo: &K, hi: &K) -> Vec<K> {
         let mut out = Vec::new();
         for shard in self.map.shards_for_range(lo, hi) {
-            range_into(&self.snapshot(shard), lo, hi, &mut out);
+            self.snapshot(shard).range(lo, hi, &mut out);
         }
         out
     }
@@ -741,37 +741,6 @@ impl DrainReport {
             self.degraded += 1;
         }
         self.outcomes.push(o);
-    }
-}
-
-/// The subtreap below a node of a committed root: held directly, since
-/// every committed root is sealed.
-fn committed<K: Key>(child: &Child<Worker, K>) -> &RTreap<K> {
-    child.done().expect("committed root holds a future cell")
-}
-
-/// In-order walk of a committed treap, pushing keys in `[lo, hi)` and
-/// pruning subtrees the range cannot reach; a block's keys are sorted, so
-/// its part of the range is the run from a binary search for `lo`.
-fn range_into<K: Key>(t: &RTreap<K>, lo: &K, hi: &K, out: &mut Vec<K>) {
-    match t {
-        RTreap::Leaf => {}
-        RTreap::Block(b) => {
-            let from = b.partition_point(|e| e.0 < *lo);
-            let run = b[from..].iter().take_while(|e| e.0 < *hi);
-            out.extend(run.map(|e| e.0.clone()));
-        }
-        RTreap::Node(n) => {
-            if *lo < n.key {
-                range_into(committed(&n.left), lo, hi, out);
-            }
-            if *lo <= n.key && n.key < *hi {
-                out.push(n.key.clone());
-            }
-            if n.key < *hi {
-                range_into(committed(&n.right), lo, hi, out);
-            }
-        }
     }
 }
 

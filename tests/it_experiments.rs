@@ -108,6 +108,7 @@ fn e08_quicksort_depth_linear() {
 #[test]
 fn e09_brent_and_exactness() {
     let t = e09_scheduler(7, &[1, 8, INFINITE_P]);
+    assert_eq!(t.rows.len(), 12); // 4 algorithms x 3 p values
     for r in 0..t.rows.len() {
         assert!(col(&t, r, "steps/bound") <= 1.0 + 1e-9);
     }
