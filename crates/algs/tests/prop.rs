@@ -7,10 +7,10 @@
 use std::collections::BTreeMap;
 
 use pf_algs::plain::{splitmix64, wins, Entry, PlainTreap};
-use pf_algs::treap::{apply_run, plan_run, Treap};
+use pf_algs::treap::{apply_run, plan_run, Complete};
 use pf_algs::tree::Tree;
 use pf_algs::two_six::level_arrays;
-use pf_algs::{PipeBackend, Seq};
+use pf_algs::Seq;
 use pf_core::{Ctx, Sim};
 use pf_tests::sim::run_merge;
 use pf_tests::*;
@@ -63,14 +63,14 @@ fn mixed(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) -> (Vec<i64>, Vec<E
     (keys, inserts)
 }
 
-/// On engine `B`: `apply_run` of the complete treap of `t` with inserts
+/// `apply_run` of the complete treap of `t` with inserts
 /// `run`, deletes of absent keys, deletes `dels`, and both at once
 /// ([`mixed`]) builds the [`fold`] of `t` in the canonical representation,
 /// and returns `t` itself for nothing to do, for `t`'s own entries (merged
 /// whole) or its first (cut in), for deletes of absent keys only, and for
 /// both of those at once.
-fn check_runs<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
-    let tree = Treap::<B, i64>::from_sorted_complete(t);
+fn check_runs(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
+    let tree = Complete::from_sorted(t);
     let absent: Vec<i64> = (dels.iter().copied())
         .filter(|k| t.binary_search_by_key(k, |e| e.0).is_err())
         .collect();
@@ -144,15 +144,15 @@ impl Strategy for RunCase {
     }
 }
 
-/// On engine `B`: `run`, `dels`, and both at once ([`mixed`]), planned
+/// `run`, `dels`, and both at once ([`mixed`]), planned
 /// as patches of the complete treap of `t` and committed in place, build
 /// the [`fold`] of `t` with the treap unshared, held by a clone from
 /// before the plan (which the patch copies around), or held between plan
 /// and commit at its root or at its deepest node on the way to the first
 /// key (which the commit refuses and undoes, and commits once the clone is
 /// gone). No clone changes.
-fn check_commits<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
-    let tree = || Treap::<B, i64>::from_sorted_complete(t);
+fn check_commits(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
+    let tree = || Complete::from_sorted(t);
     let plain = PlainTreap::from_entries(t);
     let (md, mi) = mixed(t, run, dels);
     for (op, (d, ins)) in [(&[][..], run), (dels, &[]), (&md, &mi)]
@@ -160,10 +160,10 @@ fn check_commits<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i
         .enumerate()
     {
         let want = fold(plain.clone(), d, ins);
-        let is = |got: &Treap<B, i64>, want: &Plain, how: &str| {
+        let is = |got: &Complete<i64>, want: &Plain, how: &str| {
             assert_complete(got, want, &format!("op {op}, {how}"))
         };
-        let plan = |x: &Treap<B, i64>| plan_run(x, d, ins, 1);
+        let plan = |x: &Complete<i64>| plan_run(x, d, ins, 1);
         let mut mine = tree();
         let committed = plan(&mine).commit(&mut mine);
         assert!(committed.is_ok(), "op {op}: unshared");
@@ -188,7 +188,6 @@ fn check_commits<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i
             let kept = |how: &str| {
                 assert_eq!(held.preorder(), was, "op {op}, {how}");
                 assert!(held.check_invariants(), "op {op}, {how}");
-                assert_eq!(held.sized(), Some(held.size()), "op {op}, {how}");
             };
             match patch.commit(&mut mine) {
                 Ok(_) => is(&mine, &want, "held across"),
@@ -208,12 +207,12 @@ fn check_commits<B: PipeBackend>(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i
 
 /// A clone of the last node on `t`'s search path for `key`, or of `t`
 /// itself if its root is not a node.
-fn deepest<B: PipeBackend>(t: &Treap<B, i64>, key: i64) -> Treap<B, i64> {
+fn deepest(t: &Complete<i64>, key: i64) -> Complete<i64> {
     let mut at = t;
-    while let Treap::Node(n) = at {
+    while let Complete::Node(n) = at {
         let next = if key < n.key { &n.left } else { &n.right };
-        match next.done() {
-            Some(below @ Treap::Node(_)) if key != n.key => at = below,
+        match next {
+            below @ Complete::Node(_) if key != n.key => at = below,
             _ => break,
         }
     }
@@ -225,7 +224,7 @@ proptest! {
 
     /// Around the 32-key edge, where a complete subtreap is a block on one
     /// side and a node on the other: union, difference, and `splitm`
-    /// followed by `join`, on complete, unsized and crusted operands, build
+    /// followed by `join`, on complete, pending and crusted operands, build
     /// `PlainTreap`'s tree in the canonical representation. `bulk` gives `a`
     /// (bit 0) and `b` (bit 1) a few thousand more keys, so both plain code
     /// and the pipelined step above the grain run; `related` makes `b`
@@ -256,22 +255,19 @@ proptest! {
     }
 
     /// The engine-free run operation, built — inserts, deletes, and both
-    /// in one walk — on `Seq` and on pf-rt's engine, over [`RunCase`]'s
-    /// inputs.
+    /// in one walk — over [`RunCase`]'s inputs.
     #[test]
     fn run_operations_build_the_oracles_tree((t, run, dels) in RunCase) {
-        check_runs::<Seq>(&t, &run, &dels);
-        check_runs::<pf_rt::Worker>(&t, &run, &dels);
+        check_runs(&t, &run, &dels);
     }
 
     /// The same run operation recorded as patches and committed in place —
-    /// inserts, deletes and mixed plans — on both engines, over the same
-    /// inputs: the oracle's tree, and a clone held before the plan or taken
-    /// between plan and commit unchanged.
+    /// inserts, deletes and mixed plans — over the same inputs: the
+    /// oracle's tree, and a clone held before the plan or taken between
+    /// plan and commit unchanged.
     #[test]
     fn recorded_runs_commit_the_oracles_tree((t, run, dels) in RunCase) {
-        check_commits::<Seq>(&t, &run, &dels);
-        check_commits::<pf_rt::Worker>(&t, &run, &dels);
+        check_commits(&t, &run, &dels);
     }
 
     /// Thm 3.1 depth bound with an explicit constant: pipelined merge

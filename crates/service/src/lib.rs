@@ -41,9 +41,10 @@
 //!   [`SetService::drive`] applies shard 0 on its calling thread once the
 //!   feed is done, and the rest each on a thread of its own.
 //! * **Snapshot reads** ([`SetService::contains`]): readers walk the
-//!   shard's last *committed* root — sealed at commit, so it holds no
-//!   future cell and the walk is a pointer chase down to a sorted block
-//!   of at most 32 keys and a binary search in it — and cost O(lg n) with
+//!   shard's last *committed* root — a [`pf_algs::treap::Complete`]
+//!   treap, with no future cell in it by its type, so the walk is a
+//!   pointer chase down to a sorted block of at most 32 keys and a binary
+//!   search in it — and cost O(lg n) with
 //!   zero synchronization beyond one root clone. A reader never waits for
 //!   a session or a plan: taking the clone waits at most for one commit
 //!   walk or swap, and what it then holds never changes, since a commit

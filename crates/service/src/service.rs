@@ -4,13 +4,13 @@
 //! sizes keep it within one grain, as one pipelined difference feeding
 //! one union in a fault-contained session otherwise.
 //!
-//! See the crate docs for the architecture. The one invariant everything
-//! here leans on: a shard's *committed* root only ever comes out of an
-//! inline pass (plain code builds only complete treaps) or of a session
-//! that reached quiescence, sealed before it is stored
-//! ([`Treap::sealed`]: the few unsized nodes a larger-than-grain wave
-//! leaves at the top are rebuilt as complete ones), so it holds no future
-//! cell at all — snapshot readers walk it lock-free (after one root
+//! See the crate docs for the architecture. Every shard root, snapshot
+//! and pass result is a [`Complete`] treap, which names no engine and has
+//! no future cell in it by its type: an inline pass builds one with plain
+//! code, and a pooled session's result is converted to one once the
+//! session has reached quiescence ([`Treap::sealed`]: the few pending
+//! nodes a larger-than-grain wave leaves at the top are rebuilt as
+//! complete ones). Snapshot readers walk it lock-free (after one root
 //! clone) as a plain pointer chase, and the next pass's unions see a
 //! complete operand.
 
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pf_algs::plain::wins;
-use pf_algs::treap::{apply_run, diff, plan_run, union, within_grain, Treap};
+use pf_algs::treap::{apply_run, diff, plan_run, union, within_grain, Complete, Treap};
 use pf_algs::{Key, Mode, PipeBackend};
 use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Session, SessionError, Worker};
 
@@ -28,9 +28,6 @@ use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::coalesce::{coalesce, CoalescePolicy, Wave};
 use crate::request::{Entry, Fault, OpKind, Request};
 use crate::shard::ShardMap;
-
-/// A shard's treap: the one generic treap, on the runtime's engine.
-type RTreap<K> = Treap<Worker, K>;
 
 /// How many waves one apply pass takes. Either way a pass applies its
 /// window's net effect, inline where its sizes keep it within one grain
@@ -240,7 +237,7 @@ struct Shard<K: Key> {
     /// Readers never take it. It guards the shard's backoff-jitter stream
     /// ([`RetryPolicy::stream`]), which only an applier's retries draw.
     apply: Mutex<u64>,
-    root: Mutex<RTreap<K>>,
+    root: Mutex<Complete<K>>,
     /// This shard's circuit breaker, stepped under `apply` but locked on its
     /// own: [`SetService::breaker_state`] must not wait out a failing pass.
     breaker: Mutex<CircuitBreaker>,
@@ -314,7 +311,7 @@ impl<K: Key> SetService<K> {
             .map(|i| Shard {
                 ingress: Mutex::new(Vec::new()),
                 apply: Mutex::new(cfg.retry.stream(i)),
-                root: Mutex::new(RTreap::Leaf),
+                root: Mutex::new(Complete::Leaf),
                 breaker: Mutex::new(CircuitBreaker::new(cfg.breaker)),
             })
             .collect();
@@ -372,7 +369,7 @@ impl<K: Key> SetService<K> {
 
     /// Snapshot membership read: walks the owning shard's last committed
     /// root. Costs one root clone plus an O(lg n) walk by reference down
-    /// the nodes ([`Treap::contains`]) and a binary search of the block at
+    /// the nodes ([`Complete::contains`]) and a binary search of the block at
     /// the bottom; never waits for an in-flight pass, only for a commit
     /// walk or swap, and the snapshot it walks never changes: a commit
     /// edits in place only nodes that nothing but the shard holds.
@@ -383,7 +380,7 @@ impl<K: Key> SetService<K> {
     }
 
     /// The shard's committed root (an `Arc`-shallow clone).
-    pub fn snapshot(&self, shard: usize) -> RTreap<K> {
+    pub fn snapshot(&self, shard: usize) -> Complete<K> {
         lock(&self.shards[shard].root).clone()
     }
 
@@ -398,7 +395,7 @@ impl<K: Key> SetService<K> {
     /// reference, never blocked by in-flight sessions — but each
     /// shard's snapshot is taken independently, so a cross-shard wave
     /// committing mid-scan may appear in one shard and not another).
-    /// The walk ([`Treap::range`]) prunes: subtrees wholly outside
+    /// The walk ([`Complete::range`]) prunes: subtrees wholly outside
     /// `[lo, hi)` are never entered, and a block is entered at a binary
     /// search for `lo`, so cost is O(lg n + answer) per shard.
     pub fn range(&self, lo: &K, hi: &K) -> Vec<K> {
@@ -662,21 +659,21 @@ impl<K: Key> SetService<K> {
     /// pipelined hop, `union(diff(root, D), I)`, an empty run's operation
     /// skipped, then the final root read out, sealed — the one place a
     /// committable root that took futures to build comes from. The fold
-    /// and the builds of `D` and `I` ([`Treap::from_sorted_complete`]) run
+    /// and the builds of `D` and `I` ([`Complete::from_sorted`]) run
     /// on the session's worker; a one-wave insert window's run is `I` as
     /// it is. `D` holds the deleted keys at the trailing zeros of their
     /// ranks, balanced whatever priorities callers sent. The waves only
     /// inject faults. On failure the caller gets the error plus the
     /// session's wall-clock cost; the pool is already clean (aborted
     /// sessions poison their cells and drop their continuations) and the
-    /// pre-session root is untouched — it holds no cell, so the poison pass
+    /// pre-session root is untouched — it is complete, so the poison pass
     /// cannot reach it.
     #[allow(clippy::type_complexity)]
     fn run_window_session(
         &self,
-        root: RTreap<K>,
+        root: Complete<K>,
         waves: &[WavePlan<K>],
-    ) -> Result<(RTreap<K>, RunStats), (SessionError, Duration)> {
+    ) -> Result<(Complete<K>, RunStats), (SessionError, Duration)> {
         let (out, of) = cell();
         // Traced, so a failed session leaves its own timeline behind.
         let mut sess = Session::new().trace();
@@ -716,10 +713,10 @@ impl<K: Key> SetService<K> {
                     .map(|(k, i)| (k.clone(), u64::from(i.trailing_zeros())))
                     .collect();
                 let hops: [(_, fn(&Worker, _, _, _, Mode)); 2] = [(&d[..], diff), (inserts, union)];
-                let mut state: FutRead<RTreap<K>> = ready(root);
+                let mut state: FutRead<Treap<Worker, K>> = ready(Treap::Done(root));
                 for (run, op) in hops.into_iter().filter(|(run, _)| !run.is_empty()) {
                     let (p, f) = cell();
-                    let batch = ready(Treap::from_sorted_complete(run));
+                    let batch = ready(Treap::Done(Complete::from_sorted(run)));
                     op(wk, state, batch, p, Mode::Pipelined);
                     state = f;
                 }
@@ -727,7 +724,7 @@ impl<K: Key> SetService<K> {
             })
             .map_err(|e| (e, started.elapsed()))?;
         // Quiescence ⇒ the last result cell and every cell below it is
-        // written, so the unsized top of the new root can be sealed.
+        // written, so the pending top of the new root can be sealed.
         Ok((of.expect().sealed(), stats))
     }
 }
@@ -769,14 +766,12 @@ impl DrainReport {
 /// freed after the lock is released. The elapsed time covers the plan and
 /// the commit, not that free.
 fn apply_inline<K: Key>(
-    slot: &Mutex<RTreap<K>>,
-    root: RTreap<K>,
+    slot: &Mutex<Complete<K>>,
+    root: Complete<K>,
     waves: &[WavePlan<K>],
-) -> Result<(RunStats, bool), RTreap<K>> {
+) -> Result<(RunStats, bool), Complete<K>> {
     let started = Instant::now();
-    let Some(mut bound) = root.sized() else {
-        return Err(root);
-    };
+    let mut bound = root.size();
     for w in waves {
         let healthy = w.fault == Fault::None && w.keys as u64 <= Worker::GRAIN;
         if !healthy || !within_grain::<Worker>(bound, w.keys) {

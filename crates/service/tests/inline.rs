@@ -11,7 +11,7 @@ use std::sync::Barrier;
 use std::time::Duration;
 
 use pf_algs::plain::{splitmix64, PlainTreap};
-use pf_algs::treap::Treap;
+use pf_algs::treap::Complete;
 use pf_service::{OpKind, Request, RetryPolicy, ServiceConfig, SetService, ShardMap};
 use pf_tests::{assert_complete, fold};
 use rand::prelude::*;
@@ -75,7 +75,7 @@ fn sub_grain_windows_never_enter_the_pool_and_match_the_oracle() {
     assert!(keys.into_iter().eq(oracle.iter().copied()));
     for shard in 0..2 {
         let root = svc.snapshot(shard);
-        assert!(root.check_invariants() && root.sized().is_some());
+        assert!(root.check_invariants());
     }
 }
 
@@ -310,7 +310,7 @@ fn a_held_snapshot_never_sees_an_in_place_commit() {
     // A reader holding a subtreap below the root: the pass edits the root
     // in place and copies only what the reader holds.
     let sub = match svc.snapshot(0) {
-        Treap::Node(n) => n.left.done().expect("a committed root").clone(),
+        Complete::Node(n) => n.left.clone(),
         _ => unreachable!("3 000 keys make a node"),
     };
     let sub_was = sub.preorder();
@@ -318,7 +318,7 @@ fn a_held_snapshot_never_sees_an_in_place_commit() {
     assert_eq!(apply(OpKind::Delete, &[smallest, 13_001]).0, 1);
     assert_eq!(apply(OpKind::Insert, &[1, 2, 3]).0, 1);
     assert_eq!(sub.preorder(), sub_was);
-    assert!(sub.check_invariants() && sub.sized() == Some(sub_was.len()));
+    assert!(sub.check_invariants() && sub.size() == sub_was.len());
 }
 
 #[test]
@@ -328,7 +328,7 @@ fn a_mixed_window_commits_in_place_unless_a_snapshot_is_held() {
     let mut oracle = PlainTreap::from_entries(&preload);
     svc.submit(Request::insert(preload));
     svc.pump();
-    let Treap::Node(root) = svc.snapshot(0) else {
+    let Complete::Node(root) = svc.snapshot(0) else {
         unreachable!("3 000 keys make a node")
     };
     let root_key = root.key;

@@ -10,8 +10,7 @@ use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Included};
 
 use pf_algs::plain::PlainTreap;
-use pf_algs::treap::Treap;
-use pf_rt::Worker;
+use pf_algs::treap::Complete;
 use pf_service::{Request, ServiceConfig, SetService, ShardMap};
 use pf_tests::{assert_complete, fold, Plain};
 use rand::prelude::*;
@@ -57,22 +56,21 @@ fn oracle_range(set: &BTreeSet<i64>, lo: i64, hi: i64) -> Vec<i64> {
 }
 
 /// The keys of each block of a committed root, in key order — after
-/// checking that the root is canonical on the way down: no cell anywhere,
-/// and every node sized over more than 32 keys (32 or fewer are a block).
-fn block_runs(t: &Treap<Worker, i64>, out: &mut Vec<Vec<i64>>) {
+/// checking that the root is canonical on the way down: every node over
+/// more than 32 keys (32 or fewer are a block).
+fn block_runs(t: &Complete<i64>, out: &mut Vec<Vec<i64>>) {
     match t {
-        Treap::Leaf => {}
-        Treap::Node(n) => {
+        Complete::Leaf => {}
+        Complete::Node(n) => {
             assert!(
                 n.size > 32,
                 "a node over {} keys in a committed root",
                 n.size
             );
-            for child in [&n.left, &n.right] {
-                block_runs(child.done().expect("a cell in a committed root"), out);
-            }
+            block_runs(&n.left, out);
+            block_runs(&n.right, out);
         }
-        Treap::Block(b) => out.push(b.iter().map(|e| e.0).collect()),
+        Complete::Block(b) => out.push(b.iter().map(|e| e.0).collect()),
     }
 }
 
@@ -214,13 +212,15 @@ fn drive_report_carries_wall_clock_throughput() {
     assert!(report.keys_per_sec_wall().is_finite());
 }
 
-/// Every committed root is sealed. A wave of more than one grain of work
-/// takes the pipelined step at the top, so what its session hands back has
-/// unsized nodes over future cells there; the commit rebuilds those, and
-/// readers and the next wave find a complete treap (sized, so no cell is
-/// left in it) in the canonical representation — the oracle's, by
-/// `assert_complete` — after a multi-wave preload window, one larger-than-grain wave, a tiny
-/// wave on top of that, and a larger-than-grain delete.
+/// A wave of more than one grain of work takes the pipelined step at the
+/// top, so what its session hands back has pending nodes over future cells
+/// there; the commit seals those, and a committed root is a `Complete`
+/// treap, with no cell in it by its type. What this checks is that it is
+/// the right one: the complete treap of the oracle's entries in the
+/// canonical representation (`assert_complete`), whose `range` and
+/// `contains` answer as the oracle does — after a multi-wave preload
+/// window, one larger-than-grain wave, a tiny wave on top of that, and a
+/// larger-than-grain delete.
 #[test]
 fn a_committed_root_holds_no_cell() {
     const SPACE: i64 = 1 << 20;

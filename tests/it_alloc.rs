@@ -18,17 +18,17 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use pf_algs::plain::PlainTreap;
-use pf_algs::treap::{diff, plan_run, union, Treap, TreapFut, TreapNode, TreapWr};
+use pf_algs::treap::{diff, plan_run, union, Complete, Node, Treap, TreapFut, TreapWr};
 use pf_algs::{Mode, PipeBackend, Seq};
 use pf_rt::{cell, ready, Runtime, Worker};
-use pf_tests::{assert_complete, entries, fold, Plain, RTreap};
+use pf_tests::{assert_complete, entries, fold, Plain};
 
-/// The allocation behind an `Arc<TreapNode<_, i64>>`: two counters and a
-/// 72-byte node — key, priority, size and two 24-byte children, since a
-/// child may hold a block's slice pointer — on both engines. A block of k
-/// entries is 16 + 16·k bytes, never this.
-const NODE: usize = std::mem::size_of::<TreapNode<Worker, i64>>() + 16;
-const _: () = assert!(NODE == 88 && NODE == std::mem::size_of::<TreapNode<Seq, i64>>() + 16);
+/// The allocation behind an `Arc<Node<i64>>`: two counters and a 72-byte
+/// node — key, priority, size and two 24-byte children, since a child may
+/// hold a block's slice pointer. A block of k entries is 16 + 16·k bytes,
+/// never this.
+const NODE: usize = std::mem::size_of::<Node<i64>>() + 16;
+const _: () = assert!(NODE == 88);
 
 /// Allocations that are neither nodes nor blocks, per operation: its
 /// operand and result cells, on either engine. Independent of the
@@ -98,15 +98,15 @@ fn counted<R>(f: impl FnOnce() -> R) -> ([usize; 4], R) {
 }
 
 /// The addresses of `t`'s nodes (`.0`) and of its blocks (`.1`).
-fn parts<B: PipeBackend>(t: &Treap<B, i64>, out: &mut [HashSet<usize>; 2]) {
+fn parts(t: &Complete<i64>, out: &mut [HashSet<usize>; 2]) {
     match t {
-        Treap::Leaf => {}
-        Treap::Node(n) => {
+        Complete::Leaf => {}
+        Complete::Node(n) => {
             out[0].insert(Arc::as_ptr(n) as usize);
-            parts(&n.left.get(), out);
-            parts(&n.right.get(), out);
+            parts(&n.left, out);
+            parts(&n.right, out);
         }
-        Treap::Block(b) => {
+        Complete::Block(b) => {
             out[1].insert(Arc::as_ptr(b) as *const u8 as usize);
         }
     }
@@ -114,11 +114,7 @@ fn parts<B: PipeBackend>(t: &Treap<B, i64>, out: &mut [HashSet<usize>; 2]) {
 
 /// How many of `out`'s nodes and blocks neither operand holds: the copied
 /// paths.
-fn fresh<B: PipeBackend>(
-    out: &Treap<B, i64>,
-    a: &Treap<B, i64>,
-    b: &Treap<B, i64>,
-) -> (usize, usize) {
+fn fresh(out: &Complete<i64>, a: &Complete<i64>, b: &Complete<i64>) -> (usize, usize) {
     let (mut old, mut new) = <[[HashSet<usize>; 2]; 2]>::default().into();
     parts(a, &mut old);
     parts(b, &mut old);
@@ -154,13 +150,17 @@ fn canonical(t: &Plain) -> (usize, usize) {
 /// `want`, complete.
 fn check_op<B: PipeBackend>(
     what: &str,
-    (a, b): (&Treap<B, i64>, &Treap<B, i64>),
+    (a, b): (&Complete<i64>, &Complete<i64>),
     want: &Plain,
     one_key: bool,
     run: impl FnOnce(Treap<B, i64>, Treap<B, i64>) -> Treap<B, i64>,
 ) {
     let (a2, b2) = (a.clone(), b.clone());
-    let ([allocs, frees, node_allocs, node_frees], out) = counted(move || run(a2, b2));
+    let ([allocs, frees, node_allocs, node_frees], out) =
+        counted(move || run(Treap::Done(a2), Treap::Done(b2)));
+    let Treap::Done(out) = out else {
+        panic!("{what}: a below-grain operation returns a complete treap")
+    };
     assert_complete(&out, want, what);
     let (nodes, blocks) = fresh(&out, a, b);
     assert!(nodes > 0, "{what}: nothing to count");
@@ -183,15 +183,15 @@ fn check_op<B: PipeBackend>(
 /// the one the key lands in or leaves — and allocates nothing else but the
 /// patch. With a clone held, the same pass copies each key's path, and the
 /// clone keeps its tree.
-fn check_in_place<B: PipeBackend>(plain: &Plain) {
+fn check_in_place(plain: &Plain) {
     let (one, none) = (entries([4_001]), Vec::new());
     for (what, ins, del, paths) in [
         ("insert", &one, vec![], 1),
         ("delete", &none, vec![3_000], 1),
         ("insert and delete", &one, vec![3_000], 2),
     ] {
-        let plan = |t: &Treap<B, i64>| plan_run(t, &del, ins, 1);
-        let mut t = Treap::<B, i64>::from_plain_complete(plain);
+        let plan = |t: &Complete<i64>| plan_run(t, &del, ins, 1);
+        let mut t = Complete::from_plain(plain);
         let mut old = <[HashSet<usize>; 2]>::default();
         parts(&t, &mut old);
         let ([allocs, _, node_allocs, _], graveyard) = counted(|| {
@@ -211,7 +211,7 @@ fn check_in_place<B: PipeBackend>(plain: &Plain) {
         assert_complete(&t, &want, &format!("{what} in place"));
         drop(graveyard);
 
-        let mut t = Treap::<B, i64>::from_plain_complete(plain);
+        let mut t = Complete::from_plain(plain);
         let held = t.clone();
         let ([_, _, node_allocs, _], graveyard) = counted(|| {
             let patch = plan(&t);
@@ -220,7 +220,7 @@ fn check_in_place<B: PipeBackend>(plain: &Plain) {
                 .ok()
                 .expect("a copied root needs no owner")
         });
-        let (nodes, blocks) = fresh(&t, &held, &Treap::Leaf);
+        let (nodes, blocks) = fresh(&t, &held, &Complete::Leaf);
         assert!(nodes > 0, "{what} with a clone held: nothing copied");
         assert_eq!((node_allocs, blocks), (nodes, paths), "{what}: path copied");
         assert_complete(&t, &want, &format!("{what} with a clone held"));
@@ -249,20 +249,16 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
     assert_eq!((frees, node_frees), (nodes + blocks, nodes), "Seq drop");
     let ([_, _, node_allocs, _], _) = counted(|| Treap::from_entries(&Seq, &big));
     assert_eq!(node_allocs, nodes, "Seq from_entries");
-    let ([allocs, frees, node_allocs, _], ra) = counted(|| RTreap::from_plain_complete(&plain));
-    assert_eq!(
-        (allocs, frees, node_allocs),
-        built,
-        "pf-rt from_plain_complete"
-    );
-    assert_eq!(fresh(&ra, &Treap::Leaf, &Treap::Leaf), (nodes, blocks));
+    let ([allocs, frees, node_allocs, _], c) = counted(|| Complete::from_plain(&plain));
+    assert_eq!((allocs, frees, node_allocs), built, "Complete::from_plain");
+    assert_eq!(fresh(&c, &Complete::Leaf, &Complete::Leaf), (nodes, blocks));
     // The linear-time builder: the same nodes and blocks and one scratch
     // vector, no intermediate `Box` treap.
-    let ([allocs, frees, node_allocs, _], sorted) = counted(|| RTreap::from_sorted_complete(&big));
+    let ([allocs, frees, node_allocs, _], sorted) = counted(|| Complete::from_sorted(&big));
     assert_eq!(
         (allocs, frees, node_allocs),
         (nodes + blocks + 1, 1, nodes),
-        "from_sorted_complete"
+        "Complete::from_sorted"
     );
     drop(sorted);
 
@@ -316,10 +312,10 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
             true => (union, union, fold(PlainTreap::from_entries(a), &[], &b)),
             false => (diff, diff, fold(PlainTreap::from_entries(a), &keys, &[])),
         };
-        let (sa, sb) = (Treap::from_entries(&Seq, a), Treap::from_entries(&Seq, &b));
+        let (ca, cb) = (Complete::from_sorted(a), Complete::from_sorted(&b));
         check_op(
             &format!("Seq {what}"),
-            (&sa, &sb),
+            (&ca, &cb),
             &want,
             one_key,
             |a, b| {
@@ -330,11 +326,9 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
                 })
             },
         );
-        let ra = RTreap::from_plain_complete(&PlainTreap::from_entries(a));
-        let rb = RTreap::from_plain_complete(&PlainTreap::from_entries(&b));
         check_op(
             &format!("pf-rt {what}"),
-            (&ra, &rb),
+            (&ca, &cb),
             &want,
             one_key,
             |a, b| {
@@ -351,6 +345,5 @@ fn a_complete_node_is_one_block_and_plain_code_allocates_nothing_else() {
 
     // In place, and the same pass beside a held clone: the plan and the
     // commit allocate the block they change and the patch, no path.
-    check_in_place::<Seq>(&plain);
-    check_in_place::<Worker>(&plain);
+    check_in_place(&plain);
 }

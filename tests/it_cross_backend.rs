@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use pf_algs::plain::{splitmix64, PlainTreap};
 use pf_algs::start::{merge_on, msort_on, union_on};
-use pf_algs::treap::{diff, union, Treap, TreapFut, TreapWr};
+use pf_algs::treap::{diff, union, Complete, Treap, TreapFut, TreapWr};
 use pf_algs::{Mode, PipeBackend, Seq};
 use pf_bench::workloads::shuffled_keys;
 use pf_core::Ctx;
@@ -141,7 +141,7 @@ fn quicksort_agrees_across_all_three_backends() {
 /// results, and the left one is the stealable (pushed) child of the
 /// `fork2`, so it waits for it — once per deleted key. (Deletions dense
 /// enough that a join meets a nested join still pending add a few
-/// more: 214 for 200 deleted keys of these 400.) The operands are unsized,
+/// more: 214 for 200 deleted keys of these 400.) The operands are pending,
 /// so pf-rt takes the paper's step throughout.
 #[test]
 fn work_first_default_does_not_suspend_at_one_worker() {
@@ -223,8 +223,8 @@ fn union_is_bit_identical_under_concurrent_panicking_sibling() {
 /// treap, chained in one session through result cells (pf-service ran
 /// its pooled windows this way until it moved to one hop) — so a wave may
 /// find its predecessor's root still pending (a stolen fork, or an
-/// unsized predecessor's pushed children), sized (the predecessor ran
-/// plain code) or unsized (it forked: wave 3 is more than one grain of
+/// pending predecessor's pushed children), complete (the predecessor ran
+/// plain code) or pending (it forked: wave 3 is more than one grain of
 /// work).
 #[test]
 fn eight_waves_chain_through_unresolved_cells() {
@@ -279,17 +279,17 @@ fn eight_waves_chain_through_unresolved_cells() {
 /// A window that wedges mid-flight (pf-service's `Fault::Wedge`: a task
 /// that spins until cancelled) aborts at its deadline; nothing it built
 /// is reachable from the root it started from, which stays complete and
-/// exactly sized, and the next window applies to it as if the aborted one
+/// canonical, and the next window applies to it as if the aborted one
 /// had never run.
 #[test]
 fn aborted_window_leaves_the_old_root_sized_and_usable() {
     use std::time::Duration;
     let old = PlainTreap::from_entries(&entries((0..5000).map(|i| 3 * i)));
-    let root = RTreap::from_plain_complete(&old);
+    let root = Complete::from_plain(&old);
     let (lost, next) = (entries(0..300), entries((0..300).map(|i| 7 * i)));
     let rt = Runtime::new(2);
 
-    let state = ready(root.clone());
+    let state = ready(Treap::Done(root.clone()));
     let (op, of) = cell();
     let aborted = rt.try_run_session(
         pf_rt::Session::new().deadline(Duration::from_millis(100)),
@@ -315,7 +315,7 @@ fn aborted_window_leaves_the_old_root_sized_and_usable() {
     rt.run(move |wk| {
         union(
             wk,
-            ready(root),
+            ready(Treap::Done(root)),
             wk.input(Treap::from_entries(wk, &next)),
             op,
             M,

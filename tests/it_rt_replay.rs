@@ -45,7 +45,7 @@ fn treap_union_replay_meets_depth_bound_and_rt_agrees() {
     assert_eq!(stats.suspensions, stats.reactivations);
 
     // Real runtime on the same input: the same tree, and stats that
-    // account for every executed closure. The operands are unsized, so
+    // account for every executed closure. The operands are pending, so
     // pf-rt takes the paper's step throughout.
     let pb = PlainTreap::from_entries(&b);
     for threads in [1, 2, 4] {

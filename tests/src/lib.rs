@@ -18,7 +18,7 @@
 //! | [`check_msort`] | the sorted keys, at `Seq`'s height or balanced |
 //! | [`check_insert26`] | a valid 2-6 tree of the union of the keys |
 //! | [`check_quicksort`], [`check_pipeline`] | the sorted list, the sum |
-//! | [`assert_complete`] of a [`fold`] | a treap set kernel on a complete treap — `apply_run`, a committed patch, a pf-service root: `PlainTreap` folded through the deletes and then the inserts, entry for entry, invariants, canonical representation, [`Treap::sized`] |
+//! | [`assert_complete`] of a [`fold`] | a treap set kernel on a [`Complete`] treap — `apply_run`, a committed patch, a pf-service root: `PlainTreap` folded through the deletes and then the inserts, entry for entry, invariants, canonical representation |
 //!
 //! On pf-rt every run also holds its session to the scheduler's liveness
 //! identity, `tasks_executed - suspensions == spawns + 1`; and
@@ -38,7 +38,7 @@ use pf_algs::list::ListFut;
 use pf_algs::merge::split;
 use pf_algs::plain::{splitmix64, Entry, PlainTreap};
 use pf_algs::start::*;
-use pf_algs::treap::{diff, join, splitm, union, within_grain, Child, Treap, TreapNode};
+use pf_algs::treap::{diff, join, splitm, union, within_grain, Child, Complete, Treap, TreapNode};
 use pf_algs::tree::{Tree, TreeFut};
 use pf_algs::two_six::TsFut;
 use pf_algs::{Key, Mode, PipeBackend, Seq, Val};
@@ -81,15 +81,15 @@ pub fn odds(n: usize) -> Vec<i64> {
     (0..n as i64).map(|i| 2 * i + 1).collect()
 }
 
-/// How deep a treap operand's unsized top reaches: [`ALL`] is no node
-/// sized and every child a written cell, as a pipelined producer publishes
-/// a treap; [`SIZED`] is the engine's complete input (what
-/// `Treap::from_plain` builds); `Some(d)` is `d` levels of unsized nodes,
-/// each over one cell and one directly held complete subtree, above
-/// complete ones — the mixed shapes a larger-than-grain operation leaves
-/// behind.
+/// How deep a treap operand's pending top reaches: [`ALL`] is every node
+/// pending and every child a written cell, as a pipelined producer
+/// publishes a treap; [`SIZED`] is the engine's input (what
+/// `Treap::from_plain` builds: complete on an engine that cuts);
+/// `Some(d)` is `d` levels of pending nodes, each over one cell and one
+/// directly held complete subtree, above complete ones — the mixed shapes
+/// a larger-than-grain operation leaves behind.
 pub type Crust = Option<usize>;
-/// Every node unsized, every child a written cell.
+/// Every node pending, every child a written cell.
 pub const ALL: Crust = None;
 /// The complete treap.
 pub const SIZED: Crust = Some(0);
@@ -105,21 +105,20 @@ pub const CRUSTS: [(Crust, Crust); 6] = [
     (Some(2), ALL),
 ];
 
-/// The treap of `t` on `bk` with its unsized top `crust` deep.
+/// The treap of `t` on `bk` with its pending top `crust` deep.
 pub fn crusted<B: PipeBackend, K: Key>(bk: &B, t: &Plain<K>, crust: Crust) -> Treap<B, K> {
     let Some(n) = t else { return Treap::Leaf };
     let cell = |t, crust| Child::Cell(bk.input(crusted(bk, t, crust)));
-    let done = |t| Child::Done(Treap::from_plain(bk, t));
+    let done = |t| Child::Done(Complete::from_plain(t));
     let (left, right) = match crust {
         SIZED => return Treap::from_plain(bk, t),
         ALL => (cell(&n.left, ALL), cell(&n.right, ALL)),
         Some(d) if d % 2 == 0 => (cell(&n.left, Some(d - 1)), done(&n.right)),
         Some(d) => (done(&n.left), cell(&n.right, Some(d - 1))),
     };
-    Treap::Node(Arc::new(TreapNode {
+    Treap::Pending(Arc::new(TreapNode {
         key: n.key.clone(),
         prio: n.prio,
-        size: 0,
         left,
         right,
     }))
@@ -148,21 +147,20 @@ enum Part<K> {
     Block(Vec<Entry<K>>),
 }
 
-fn layout<B: PipeBackend, K: Key>(t: &Treap<B, K>, out: &mut Vec<Part<K>>) {
+fn layout<K: Key>(t: &Complete<K>, out: &mut Vec<Part<K>>) {
     match t {
-        Treap::Leaf => {}
-        Treap::Node(n) => {
+        Complete::Leaf => {}
+        Complete::Node(n) => {
             out.push(Part::Node((n.key.clone(), n.prio), n.size));
-            layout(&n.left.get(), out);
-            layout(&n.right.get(), out);
+            layout(&n.left, out);
+            layout(&n.right, out);
         }
-        Treap::Block(b) => out.push(Part::Block(b.to_vec())),
+        Complete::Block(b) => out.push(Part::Block(b.to_vec())),
     }
 }
 
-/// A plain treap as an engine-`B` treap must stand for it: its entries in
-/// preorder, and — on an engine that cuts — the layout of the complete
-/// treap of them.
+/// A plain treap as a treap must stand for it: its entries in preorder,
+/// and — where asked — the layout of the complete treap of them.
 struct Expected<K> {
     preorder: Vec<Entry<K>>,
     complete: Vec<Part<K>>,
@@ -196,41 +194,48 @@ fn canonical<K: Key>(t: &Plain<K>, out: &mut Vec<Part<K>>) {
 }
 
 impl<K: Key + Debug> Expected<K> {
-    fn new<B: PipeBackend>(want: &Plain<K>) -> Self {
+    fn new(want: &Plain<K>, with_layout: bool) -> Self {
         let mut complete = vec![];
-        if B::GRAIN > 0 {
+        if with_layout {
             canonical(want, &mut complete);
         }
         let preorder = plain_preorder(want);
         Expected { preorder, complete }
     }
 
-    /// With `complete`, `got` must also be sized: a plain kernel's result.
+    fn assert_complete(&self, got: &Complete<K>, what: &str) {
+        assert_eq!(got.preorder(), self.preorder, "{what}");
+        assert!(got.check_invariants(), "{what}");
+        let mut parts = vec![];
+        layout(got, &mut parts);
+        assert_eq!(parts, self.complete, "layout, {what}");
+    }
+
+    /// With `complete`, `got` must also be complete: a plain kernel's
+    /// result.
     fn assert<B: PipeBackend>(&self, got: &Treap<B, K>, complete: bool, what: &str) {
         assert_eq!(got.preorder(), self.preorder, "{what}");
         assert!(got.check_invariants(), "{what}");
         if complete {
-            assert_eq!(got.sized(), Some(self.preorder.len()), "complete, {what}");
+            assert!(matches!(got, Treap::Done(_)), "complete, {what}");
         }
         if B::GRAIN > 0 {
-            let (sealed, mut parts) = (got.sealed(), vec![]);
-            layout(&sealed, &mut parts);
-            assert_eq!(parts, self.complete, "sealed, {what}");
+            self.assert_complete(&got.sealed(), &format!("sealed, {what}"));
         }
     }
 }
 
 /// `got` is `want`'s tree entry for entry and passes `check_invariants`;
 /// on an engine that cuts, it also seals to exactly the complete treap of
-/// its entries: the nodes, sizes and blocks the representation rule makes,
-/// and no cell. (The simulator never cuts, so it has no representation to
-/// canonicalise: its every node is unsized, over cells.)
+/// its entries: the nodes, sizes and blocks the representation rule makes.
+/// (The simulator never cuts, so it has no representation to
+/// canonicalise: its every node is pending, over cells.)
 pub fn assert_oracles_tree<B: PipeBackend, K: Key + Debug>(
     got: &Treap<B, K>,
     want: &Plain<K>,
     what: &str,
 ) {
-    Expected::new::<B>(want).assert(got, false, what);
+    Expected::new(want, B::GRAIN > 0).assert(got, false, what);
 }
 
 /// The set kernels' one oracle: `t` without the keys `deletes`, then
@@ -247,15 +252,11 @@ pub fn fold<K: Key>(t: Plain<K>, deletes: &[K], inserts: &[Entry<K>]) -> Plain<K
     PlainTreap::union(without, PlainTreap::from_entries(&inserts))
 }
 
-/// [`assert_oracles_tree`], and `got` is complete — its
-/// [`sized`](Treap::sized) counts every key — as a plain kernel's result
-/// and a committed root are.
-pub fn assert_complete<B: PipeBackend, K: Key + Debug>(
-    got: &Treap<B, K>,
-    want: &Plain<K>,
-    what: &str,
-) {
-    Expected::new::<B>(want).assert(got, true, what);
+/// `got`, a plain kernel's result or a committed root, is the complete
+/// treap of `want`'s entries: `want`'s tree entry for entry, every size
+/// exact, and the nodes and blocks the representation rule makes.
+pub fn assert_complete<K: Key + Debug>(got: &Complete<K>, want: &Plain<K>, what: &str) {
+    Expected::new(want, true).assert_complete(got, what);
 }
 
 /// A future of engine `B`.
@@ -387,7 +388,7 @@ impl<K: Key + Debug> SetOps<K> {
     pub fn check<B: Engine>(&self, ops: &[SetOp], crusts: &[(Crust, Crust)]) {
         let plain = within_grain::<B>(PlainTreap::size(&self.a), PlainTreap::size(&self.b));
         let want: Vec<Expected<K>> = (ops.iter())
-            .map(|&op| Expected::new::<B>(&self.want[op as usize]))
+            .map(|&op| Expected::new(&self.want[op as usize], B::GRAIN > 0))
             .collect();
         for &(ca, cb) in crusts {
             let (a, b, run) = (Arc::clone(&self.a), Arc::clone(&self.b), ops.to_vec());
@@ -438,7 +439,7 @@ pub(crate) fn size_rule_pairs() -> Vec<[Vec<Entry<i64>>; 2]> {
     sizes.into_iter().map(pair).flat_map(orders).collect()
 }
 
-/// On engine `B`: `splitm` of `t` (with its unsized top `crust` deep) at
+/// On engine `B`: `splitm` of `t` (with its pending top `crust` deep) at
 /// `s` builds `PlainTreap::split`'s two trees and reports whether `s` was
 /// there; `join` of the two builds `PlainTreap::join`'s tree.
 pub fn check_split_join<B: Engine, K: Key + Debug>(t: &Plain<K>, crust: Crust, s: K) {

@@ -6,7 +6,7 @@
 mod tests {
     use pf_algs::plain::{splitmix64, Entry, PlainTreap};
     use pf_algs::start::{diff_on, union_on};
-    use pf_algs::treap::{diff, union, Treap, TreapFut, TreapWr};
+    use pf_algs::treap::{diff, union, Complete, Treap, TreapFut, TreapWr};
     use pf_algs::{Mode, PipeBackend, Seq};
     use pf_bench::analysis::{completion_time, walk_treap};
     use pf_core::{Ctx, Fut, Sim};
@@ -27,8 +27,8 @@ mod tests {
 
     /// The cutoff and the representation are invisible in the result: on
     /// complete operands (plain code below the grain, plain splits and
-    /// joins above it), on unsized ones over cells (the paper's step
-    /// throughout), on one of each, and on operands whose unsized top holds
+    /// joins above it), on pending ones over cells (the paper's step
+    /// throughout), on one of each, and on operands whose pending top holds
     /// one child directly and the other in a cell, every set operation
     /// builds `PlainTreap`'s tree on `Seq` and on pf-rt at every width (the
     /// two engines side by side) — also either side of the plain kernel's
@@ -69,22 +69,19 @@ mod tests {
         }
     }
 
-    /// With no engine in hand, `from_plain_complete` builds what
-    /// `from_plain` builds on an engine that cuts: the plain treap's keys
-    /// and shape, every node sized exactly, and no cell (a sized root
-    /// passes `check_invariants` only over complete, directly held
-    /// subtreaps, blocks wherever 32 keys or fewer hang together).
+    /// With no engine in hand, `Complete::from_plain` builds what
+    /// `Treap::from_plain` builds on an engine that cuts: the plain treap's
+    /// keys and shape, every node sized exactly, blocks wherever 32 keys or
+    /// fewer hang together.
     #[test]
     fn from_plain_complete_builds_from_plains_tree_without_an_engine() {
         let plain = plain((0..700).map(|i| 3 * i));
-        let free = Treap::<Seq, i64>::from_plain_complete(&plain);
-        assert_complete(&free, &plain, "without an engine");
-        assert_complete(
-            &Seq::run(|bk| Treap::from_plain(bk, &plain)),
-            &plain,
-            "on Seq",
-        );
-        assert!(Treap::<Seq, i64>::from_plain_complete(&None).is_leaf());
+        assert_complete(&Complete::from_plain(&plain), &plain, "without an engine");
+        let Treap::Done(on_seq) = Seq::run(|bk| Treap::from_plain(bk, &plain)) else {
+            panic!("Seq cuts, so its input is complete");
+        };
+        assert_complete(&on_seq, &plain, "on Seq");
+        assert!(Complete::<i64>::from_plain(&None).is_leaf());
     }
 
     /// The linear-time builder makes `PlainTreap::from_entries`'s tree,
@@ -102,15 +99,15 @@ mod tests {
             keys().map(|k| (k, 7)).collect(),
             entries([42]),
         ];
-        type T = Treap<Seq, i64>;
+        type T = Complete<i64>;
         for (i, e) in inputs.iter().enumerate() {
             let want = PlainTreap::from_entries(e);
-            assert_complete(&T::from_sorted_complete(e), &want, &format!("input {i}"));
+            assert_complete(&T::from_sorted(e), &want, &format!("input {i}"));
         }
-        assert!(T::from_sorted_complete(&[]).is_leaf());
+        assert!(T::from_sorted(&[]).is_leaf());
         let (fits, over) = (entries(0..32), entries(0..33));
-        assert!(matches!(T::from_sorted_complete(&fits), Treap::Block(b) if b.len() == 32));
-        assert!(matches!(T::from_sorted_complete(&over), Treap::Node(n) if n.size == 33));
+        assert!(matches!(T::from_sorted(&fits), Complete::Block(b) if b.len() == 32));
+        assert!(matches!(T::from_sorted(&over), Complete::Node(n) if n.size == 33));
     }
 
     #[test]
