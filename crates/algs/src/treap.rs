@@ -462,7 +462,8 @@ fn ascending<K: Ord>(keys: &[K]) -> bool {
 }
 
 impl<B: PipeBackend, K: Key> Treap<B, K> {
-    /// The empty treap.
+    /// The empty treap, for callers outside pf-algs that spell it this
+    /// way; inside, it is `Treap::Done(Complete::Leaf)`.
     #[allow(non_upper_case_globals)] // spelt as the `Complete::Leaf` it is
     pub const Leaf: Self = Treap::Done(Complete::Leaf);
 
@@ -500,7 +501,9 @@ impl<B: PipeBackend, K: Key> Treap<B, K> {
         if B::GRAIN != 0 {
             return Treap::Done(Complete::from_plain(t));
         }
-        let Some(n) = t else { return Treap::Leaf };
+        let Some(n) = t else {
+            return Treap::Done(Complete::Leaf);
+        };
         let (l, r) = (
             Self::from_plain(bk, &n.left),
             Self::from_plain(bk, &n.right),
@@ -531,38 +534,28 @@ impl<B: PipeBackend, K: Key> Treap<B, K> {
         }
     }
 
-    /// Post-run inspection: sorted key vector.
+    /// Post-run inspection: sorted key vector of the [`sealed`](Self::sealed)
+    /// treap.
     pub fn to_sorted_vec(&self) -> Vec<K> {
         self.sealed().to_sorted_vec()
     }
 
-    /// Post-run inspection: [`Complete::preorder`] of the sealed treap.
-    pub fn preorder(&self) -> Vec<Entry<K>> {
-        self.sealed().preorder()
-    }
-
-    /// Post-run inspection: number of keys.
-    pub fn size(&self) -> usize {
-        self.sealed().size()
-    }
-
-    /// Post-run inspection: height (empty = 0).
-    pub fn height(&self) -> usize {
-        self.sealed().height()
-    }
-
-    /// Post-run inspection: BST order and heap order both hold, and every
+    /// Post-run inspection: BST order and heap order both hold, every
     /// complete subtreap passes [`Complete::check_invariants`]' size and
-    /// representation checks.
+    /// representation checks, and on an engine that never cuts none is
+    /// complete but the empty one.
     pub fn check_invariants(&self) -> bool {
         fn rec<B: PipeBackend, K: Key>(t: &Treap<B, K>, above: Option<(&K, u64)>) -> bool {
+            let done = |t: &Complete<K>, above| {
+                (B::GRAIN > 0 || matches!(t, Complete::Leaf)) && t.canonical_below(above)
+            };
             let n = match t {
-                Treap::Done(t) => return t.canonical_below(above),
+                Treap::Done(t) => return done(t, above),
                 Treap::Pending(n) => n,
             };
             let here = Some((&n.key, n.prio));
             let below = |c: &Child<B, K>| match c {
-                Child::Done(t) => t.canonical_below(here),
+                Child::Done(t) => done(t, here),
                 Child::Cell(f) => rec(&Treap::<B, K>::expect(f), here),
             };
             !above.is_some_and(|(ak, ap)| wins(&n.key, n.prio, ak, ap))
@@ -1231,8 +1224,8 @@ pub fn splitm<B: PipeBackend, K: Key>(
     }
     bk.tick(1); // match + compare
     if t.is_leaf() {
-        bk.fulfill(lout, Treap::Leaf);
-        bk.fulfill(rout, Treap::Leaf);
+        bk.fulfill(lout, Treap::Done(Complete::Leaf));
+        bk.fulfill(rout, Treap::Done(Complete::Leaf));
         bk.fulfill(fout, false);
         return;
     }
@@ -1357,7 +1350,7 @@ pub fn diff<B: PipeBackend, K: Key>(
     bk.touch(&a, move |bk, av| {
         bk.tick(1);
         if av.is_leaf() {
-            bk.fulfill(out, Treap::Leaf);
+            bk.fulfill(out, Treap::Done(Complete::Leaf));
             return;
         }
         bk.touch(&b, move |bk, bv| {
@@ -1413,6 +1406,7 @@ mod tests {
     use super::*;
     use crate::plain::splitmix64;
     use crate::Seq;
+    use pf_core::Ctx;
 
     /// `within_grain` says yes exactly when the pipelined functions would
     /// run plain code — both operands complete, the estimate within the
@@ -1457,7 +1451,9 @@ mod tests {
     /// counts, more than 32 keys under every node of a complete treap, and
     /// blocks that are nonempty, at most 32 keys, in key order and beaten by
     /// the node above them. A pending node counts nothing and may hold a
-    /// written cell, a pending node below it, or a single key.
+    /// written cell, a pending node below it, or a single key. The
+    /// simulator, which never cuts, holds no complete subtreap but the
+    /// empty one.
     #[test]
     fn check_invariants_rejects_a_false_size() {
         type T = Treap<Seq, i64>;
@@ -1498,5 +1494,12 @@ mod tests {
             let usurper = C::Block((0..20).map(|k| (k, if k == 7 { 10 } else { 5 })).collect());
             assert!(!node(20, 41, usurper, hi()).check_invariants());
         });
+        // The simulator, which never cuts, builds no complete subtreap but
+        // the empty one: not a block, at the root or below a pending node.
+        type S = Treap<Ctx, i64>;
+        let one = || Complete::Block(Arc::from([(1, 5)]));
+        assert!(!S::Done(one()).check_invariants());
+        assert!(!S::pending(2, 9, Child::Done(one()), Child::Done(C::Leaf)).check_invariants());
+        assert!(S::pending(2, 9, Child::Done(C::Leaf), Child::Done(C::Leaf)).check_invariants());
     }
 }

@@ -166,7 +166,7 @@ pub fn e04_union_depth(lgs: &[u32], seeds: &[u64]) -> Table {
             let (_, cs) = run_union(&a, &b, Mode::Strict);
             dp += cp.depth as f64;
             ds += cs.depth as f64;
-            hh += root.get().height() as f64;
+            hh += root.get().sealed().height() as f64;
             let cells = collect(|f| walk_treap(&root, 0, f));
             // Inputs are preloaded at time 0, so τ = 0 at call time; the
             // theorem's slack is O(h), folded into the fitted constant.

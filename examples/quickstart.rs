@@ -77,11 +77,11 @@ fn main() {
     // the time the session has quiesced.
     let (op, of) = cell();
     Runtime::new(4).run(move |wk| op.fulfill(wk, union_on(wk, &a, &b, Mode::Pipelined)));
-    let rt_result = of.expect().expect();
+    let rt_result = of.expect().expect().sealed();
     assert_eq!(rt_result.to_sorted_vec(), result.to_sorted_vec());
     println!(
         "4-worker runtime produced the identical {}-key treap (height {}).",
-        rt_result.to_sorted_vec().len(),
+        rt_result.size(),
         rt_result.height()
     );
     println!("\nquickstart done.");

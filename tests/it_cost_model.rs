@@ -20,8 +20,8 @@ fn global_cost_invariants() {
     strict_vs_pipelined(|ctx, m| merge_on(ctx, &ka, &kb, m), shape);
     let a = entries((0..300).map(|i| 2 * i));
     let b = entries((0..300).map(|i| 3 * i));
-    strict_vs_pipelined(|ctx, m| union_on(ctx, &a, &b, m), Treap::preorder);
-    strict_vs_pipelined(|ctx, m| diff_on(ctx, &a, &b, m), Treap::preorder);
+    strict_vs_pipelined(|ctx, m| union_on(ctx, &a, &b, m), sealed_preorder);
+    strict_vs_pipelined(|ctx, m| diff_on(ctx, &a, &b, m), sealed_preorder);
     let (initial, keys) = (evens(500), (0..100).map(|i| 10 * i + 1).collect::<Vec<_>>());
     strict_vs_pipelined(
         |ctx, m| insert_many_on(ctx, &initial, &keys, m),
@@ -67,7 +67,7 @@ fn results_materialize_within_depth() {
 fn strict_produces_identical_structure() {
     let a = entries((0..311).map(|i| 7 * i));
     let b = entries((0..293).map(|i| 5 * i));
-    strict_vs_pipelined(|ctx, m| union_on(ctx, &a, &b, m), Treap::preorder);
+    strict_vs_pipelined(|ctx, m| union_on(ctx, &a, &b, m), sealed_preorder);
 }
 
 proptest! {

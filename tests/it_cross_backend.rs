@@ -159,7 +159,7 @@ fn work_first_default_does_not_suspend_at_one_worker() {
             );
             op(wk, ta, tb, out, M)
         });
-        (RTreap::expect(&of).size(), stats.suspensions)
+        (RTreap::expect(&of).sealed().size(), stats.suspensions)
     };
     let (keys, suspensions) = run(union, plain((0..400).map(|i| 2 * i).collect()));
     assert_eq!((keys, suspensions), (800 - 134, 0), "union");
@@ -199,7 +199,10 @@ fn union_is_bit_identical_under_concurrent_panicking_sibling() {
     let rt = Arc::new(Runtime::new(4));
     let union_of = |rt: &Runtime| {
         let (a, b) = (a.clone(), b.clone());
-        on_rt(rt, move |wk| union_on(wk, &a, &b, M)).0.preorder()
+        on_rt(rt, move |wk| union_on(wk, &a, &b, M))
+            .0
+            .sealed()
+            .preorder()
     };
     let solo = union_of(&rt);
 

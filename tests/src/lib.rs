@@ -107,7 +107,9 @@ pub const CRUSTS: [(Crust, Crust); 6] = [
 
 /// The treap of `t` on `bk` with its pending top `crust` deep.
 pub fn crusted<B: PipeBackend, K: Key>(bk: &B, t: &Plain<K>, crust: Crust) -> Treap<B, K> {
-    let Some(n) = t else { return Treap::Leaf };
+    let Some(n) = t else {
+        return Treap::Done(Complete::Leaf);
+    };
     let cell = |t, crust| Child::Cell(bk.input(crusted(bk, t, crust)));
     let done = |t| Child::Done(Complete::from_plain(t));
     let (left, right) = match crust {
@@ -124,7 +126,7 @@ pub fn crusted<B: PipeBackend, K: Key>(bk: &B, t: &Plain<K>, crust: Crust) -> Tr
     }))
 }
 
-/// The plain treap's entries in preorder, as `Treap::preorder` lists an
+/// The plain treap's entries in preorder, as `Complete::preorder` lists an
 /// engine treap's: with the search order, that fixes the shape.
 pub fn plain_preorder<K: Clone>(t: &Plain<K>) -> Vec<Entry<K>> {
     fn rec<K: Clone>(t: &Plain<K>, out: &mut Vec<Entry<K>>) {
@@ -214,13 +216,14 @@ impl<K: Key + Debug> Expected<K> {
     /// With `complete`, `got` must also be complete: a plain kernel's
     /// result.
     fn assert<B: PipeBackend>(&self, got: &Treap<B, K>, complete: bool, what: &str) {
-        assert_eq!(got.preorder(), self.preorder, "{what}");
+        let sealed = got.sealed();
+        assert_eq!(sealed.preorder(), self.preorder, "{what}");
         assert!(got.check_invariants(), "{what}");
         if complete {
             assert!(matches!(got, Treap::Done(_)), "complete, {what}");
         }
         if B::GRAIN > 0 {
-            self.assert_complete(&got.sealed(), &format!("sealed, {what}"));
+            self.assert_complete(&sealed, &format!("sealed, {what}"));
         }
     }
 }
@@ -492,6 +495,11 @@ pub fn check_split<B: Engine>(keys: &[i64], s: i64) {
             assert_eq!(got[1].to_sorted_vec(), from, "{what}");
         },
     );
+}
+
+/// A finished treap's entries in preorder: its shape.
+pub fn sealed_preorder<B: PipeBackend, K: Key>(t: &Treap<B, K>) -> Vec<Entry<K>> {
+    t.sealed().preorder()
 }
 
 /// A tree's keys and height: with a deterministic shape, what two runs

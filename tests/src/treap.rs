@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn union_strict_same_result_more_depth() {
         let (a, b) = (entries(0..512), entries(256..768));
-        let [p, s] = strict_vs_pipelined(|ctx, m| union_on(ctx, &a, &b, m), Treap::preorder);
+        let [p, s] = strict_vs_pipelined(|ctx, m| union_on(ctx, &a, &b, m), sealed_preorder);
         assert!(
             s.depth > p.depth + p.depth / 2,
             "strict union should be noticeably deeper: {} vs {}",
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn diff_strict_same_result() {
         let (a, b) = (entries(0..256), entries((0..256).filter(|k| k % 2 == 0)));
-        strict_vs_pipelined(|ctx, m| diff_on(ctx, &a, &b, m), Treap::preorder);
+        strict_vs_pipelined(|ctx, m| diff_on(ctx, &a, &b, m), sealed_preorder);
     }
 
     #[test]
