@@ -61,14 +61,21 @@
 //! it in a [`Patch`] ([`plan_run`]) that [`Patch::commit`] later applies
 //! in place to a treap nothing else holds, with no comparison, key clone or
 //! allocation left to run. One walk applies deletes and inserts together,
-//! so a caller with both (pf-service's inline pass, a window's net effect)
-//! copies or records each changed path once.
+//! so a caller with both (pf-service's passes, a window's net effect)
+//! copies or records each changed path once. What the kernel does at a
+//! node is decided in one place (`step`), and the kernel forks above the
+//! grain ([`plan_run_on`]): where a node's job is not [`within_grain`],
+//! the node's two sides run as a fork on an engine, each recording a patch
+//! of its own that the node appends, left then right, or building its
+//! subtreap; below it, plain code. That is the binary-forking model over
+//! complete operands, with no future between the two sides' cuts — the
+//! pipelined steps above are for operands that may still be pending.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::iter::once;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::plain::{wins, Entry, PlainTreap};
 use crate::{fork_call, Key, Mode, PipeBackend, Val};
@@ -803,8 +810,12 @@ fn merge_next<'a, K: Ord>(
 
 /// The union of the entries `x` of the complete treap `a` and the
 /// key-sorted run `y`: a two-finger merge keeping the [`wins`] winner of a
-/// key in both, and `a` itself when `y` adds nothing to it.
+/// key in both, and `a` itself when `y` adds nothing to it. An empty `x`
+/// is `y`'s treap, built once.
 fn merge<K: Key>(a: &Complete<K>, x: &[Entry<K>], y: &[Entry<K>]) -> Complete<K> {
+    if x.is_empty() {
+        return Complete::from_sorted(y);
+    }
     let (mut n, mut from_x, mut at) = (0, 0, (0, 0));
     while at.0 < x.len() || at.1 < y.len() {
         n += 1;
@@ -861,15 +872,68 @@ pub fn plan_run<K: Key>(
     Patch { edits: rec.edits }
 }
 
+/// [`plan_run`] of `t`, `deletes` and `inserts`, forked on engine `B`
+/// wherever a node's job is not [`within_grain`], its patch written to
+/// `out`. Below the grain a job is planned as [`plan_run`] plans it; above,
+/// the two sides of a node run as a [`PipeBackend::fork2`], each with a
+/// patch of its own that the node then appends, left then right, so the
+/// patch is [`plan_run`]'s, edit for edit. `t` is moved in: `owners`
+/// counts this handle as well as the caller's.
+pub fn plan_run_on<B: PipeBackend, K: Key>(
+    bk: &B,
+    t: Complete<K>,
+    deletes: Arc<[K]>,
+    inserts: Arc<[Entry<K>]>,
+    owners: usize,
+    out: B::Wr<Handoff<Patch<K>>>,
+) {
+    if matches!(&t, Complete::Node(n) if !merges(n.size, inserts.len())) {
+        let (w, f) = bk.cell();
+        fork_cut(bk, Record::new(owners), Job::new(t, deletes, inserts), w);
+        return bk.touch(&f, move |bk, planned: Handoff<(Record<K>, _)>| {
+            let edits = planned.take().0.edits;
+            bk.fulfill(out, Handoff::new(Patch { edits }));
+        });
+    }
+    bk.fulfill(out, Handoff::new(plan_run(&t, &deletes, &inserts, owners)));
+}
+
+/// A value that crosses a join by move. A touch hands its reader a clone
+/// of what the cell holds, so what a forked job answers — a subtreap, a
+/// patch — goes into a cell as a handoff, whose clones share one slot,
+/// and the one reader takes it out.
+pub struct Handoff<T>(Arc<Mutex<Option<T>>>);
+
+impl<T> Handoff<T> {
+    fn new(value: T) -> Self {
+        Handoff(Arc::new(Mutex::new(Some(value))))
+    }
+
+    /// The value, taken out.
+    ///
+    /// # Panics
+    /// If it was taken already.
+    pub fn take(&self) -> T {
+        let mut slot = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        slot.take().expect("a handoff is taken once")
+    }
+}
+
+impl<T> Clone for Handoff<T> {
+    fn clone(&self) -> Self {
+        Handoff(Arc::clone(&self.0))
+    }
+}
+
 /// What the run kernel does with a subtreap once it knows its answer:
 /// [`Build`] makes the answer now, a complete treap that shares whatever
 /// did not change (the path copy every shared operand needs); [`Record`]
 /// notes it in a [`Patch`]. The kernel is written once over this trait.
-trait Emit<K: Key> {
+trait Emit<K: Key>: Send + Sized + 'static {
     /// The answer for one subtreap.
-    type Out;
+    type Out: Send + 'static;
     /// What [`open`](Emit::open) hands to [`leave`](Emit::leave).
-    type Mark;
+    type Mark: Send + 'static;
     /// `t` unchanged.
     fn same(&mut self, t: &Complete<K>) -> Self::Out;
     /// `t` replaced by the complete treap `new`, built now — perhaps `t`
@@ -884,6 +948,11 @@ trait Emit<K: Key> {
     fn open(&mut self) -> Self::Mark;
     /// The node `n`, opened, over its children's answers `l` and `r`.
     fn leave(&mut self, at: Self::Mark, n: &Arc<Node<K>>, l: Self::Out, r: Self::Out) -> Self::Out;
+    /// The emitter of a forked side of a node this one opened.
+    fn side(&self) -> Self;
+    /// A forked side's answer `out`, from its emitter `side`, as an answer
+    /// of this emitter: sides are grafted left first.
+    fn graft(&mut self, side: Self, out: Self::Out) -> Self::Out;
 }
 
 /// The emitter that builds: a path copy.
@@ -904,6 +973,12 @@ impl<K: Key> Emit<K> for Build {
     fn open(&mut self) {}
     fn leave(&mut self, _: (), n: &Arc<Node<K>>, l: Complete<K>, r: Complete<K>) -> Complete<K> {
         with_kids(n, l, r)
+    }
+    fn side(&self) -> Self {
+        Build
+    }
+    fn graft(&mut self, _: Build, out: Complete<K>) -> Complete<K> {
+        out
     }
 }
 
@@ -1009,6 +1084,19 @@ impl<K: Key> Emit<K> for Record<K> {
         self.edits[at] = Edit::Put(Complete::node(n.key.clone(), n.prio, left, right));
         (Some(at), keys)
     }
+    fn side(&self) -> Self {
+        // A forked side's root is held by its parent and by its job.
+        Record::new(2)
+    }
+    fn graft(
+        &mut self,
+        mut side: Self,
+        (edit, keys): (Option<usize>, usize),
+    ) -> (Option<usize>, usize) {
+        let at = self.edits.len();
+        self.edits.append(&mut side.edits);
+        (edit.map(|i| at + i), keys)
+    }
 }
 
 impl<K: Key> Patch<K> {
@@ -1098,11 +1186,116 @@ fn edit_run<K: Key, E: Emit<K>>(
     }
 }
 
+/// What the run kernel does at subtreap `t` with the sorted `keys` to
+/// delete and `run` to insert — decided once, here, for [`edit_cut`] and
+/// [`fork_cut`] alike.
+enum Step<'a, K: Clone> {
+    /// Nothing to do: `t` stays.
+    Same,
+    /// `t` is the empty treap or a block: kept and merged whole
+    /// ([`keep_merge`]).
+    Merge,
+    /// A node the emitter does not [`own`](Emit::owns): its answer is
+    /// built ([`Build`]) and put whole.
+    Copy,
+    /// Both sides are built, and the node's answer is made over them.
+    Build(Whole, [Side<'a, K>; 2]),
+    /// The node stays, over its sides' answers ([`Emit::open`]).
+    Open(&'a Arc<Node<K>>, [Side<'a, K>; 2]),
+}
+
+/// How a [`Step::Build`] makes its answer over its two built sides.
+enum Whole {
+    /// `run`'s entry at this index beats the node: it is the new root
+    /// over `t` split at its key.
+    Root(usize),
+    /// The node's key is deleted: its sides are joined, and `run`'s
+    /// entries in this span — its key, inserted again, if it is — go in.
+    Join(Range<usize>),
+}
+
+impl Whole {
+    fn over<K: Key>(&self, run: &[Entry<K>], l: Complete<K>, r: Complete<K>) -> Complete<K> {
+        match self {
+            Whole::Root(i) => Complete::node(run[*i].0.clone(), run[*i].1, l, r),
+            Whole::Join(again) => {
+                let joined = join_plain(&l, &r);
+                edit_cut(&mut Build, &joined, &[], &run[again.clone()], None)
+            }
+        }
+    }
+}
+
+/// One side of a node's job: its subtreap, the spans of `keys` and `run`
+/// that fall on it, and the index of `run`'s winner in its span, if the
+/// cut kept it there.
+struct Side<'a, K: Clone> {
+    t: Cow<'a, Complete<K>>,
+    keys: Range<usize>,
+    run: Range<usize>,
+    winner: Option<usize>,
+}
+
+impl<K: Key> Side<'_, K> {
+    /// [`edit_cut`] of this side of the job on `keys` and `run`.
+    fn cut<E: Emit<K>>(&self, e: &mut E, keys: &[K], run: &[Entry<K>]) -> E::Out {
+        let (keys, run) = (&keys[self.keys.clone()], &run[self.run.clone()]);
+        edit_cut(e, &self.t, keys, run, self.winner)
+    }
+}
+
+/// The [`Step`] at `t`. A node stays iff its key is not in `keys` and
+/// `run`'s winner — the one at `winner` if a cut left it there, so only
+/// the other side rescans — does not beat it; only such a node is opened,
+/// and only if `owns` it.
+fn step<'a, K: Key>(
+    t: &'a Complete<K>,
+    keys: &[K],
+    run: &[Entry<K>],
+    winner: Option<usize>,
+    owns: impl FnOnce(&Arc<Node<K>>) -> bool,
+) -> Step<'a, K> {
+    if keys.is_empty() && run.is_empty() {
+        return Step::Same;
+    }
+    let Complete::Node(n) = t else {
+        return Step::Merge;
+    };
+    if !owns(n) {
+        return Step::Copy;
+    }
+    let side = |t, keys, run, winner| Side {
+        t,
+        keys,
+        run,
+        winner,
+    };
+    let winner = (!run.is_empty()).then(|| winner.unwrap_or_else(|| top(run)));
+    if let Some(i) = winner.filter(|&i| wins(&run[i].0, run[i].1, &n.key, n.prio)) {
+        let (l, r, _dup) = split_plain(t, &run[i].0);
+        let [lk, _, rk] = cut(keys, &run[i].0, |k| k);
+        let sides = [
+            side(Cow::Owned(l), lk, 0..i, None),
+            side(Cow::Owned(r), rk, i + 1..run.len(), None),
+        ];
+        return Step::Build(Whole::Root(i), sides);
+    }
+    let [lk, hit, rk] = cut(keys, &n.key, |k| k);
+    let [lr, again, rr] = cut(run, &n.key, |e| &e.0);
+    let lw = winner.filter(|&i| i < lr.end);
+    let rw = winner.and_then(|i| i.checked_sub(rr.start));
+    let sides = [
+        side(Cow::Borrowed(&n.left), lk, lr, lw),
+        side(Cow::Borrowed(&n.right), rk, rr, rw),
+    ];
+    if !hit.is_empty() {
+        return Step::Build(Whole::Join(again), sides);
+    }
+    Step::Open(n, sides)
+}
+
 /// [`edit_run`] below its one [`merges`] question, told the index of
-/// `run`'s winner when a cut left it there: only the other side rescans.
-/// A node stays iff its key is not in `keys` and `run`'s winner does not
-/// beat it; only such a node is opened, and only if the emitter
-/// [`owns`](Emit::owns) it.
+/// `run`'s winner when a cut left it there: the [`Step`] at `t`, taken.
 fn edit_cut<K: Key, E: Emit<K>>(
     e: &mut E,
     t: &Complete<K>,
@@ -1110,49 +1303,137 @@ fn edit_cut<K: Key, E: Emit<K>>(
     run: &[Entry<K>],
     winner: Option<usize>,
 ) -> E::Out {
-    if keys.is_empty() && run.is_empty() {
-        return e.same(t);
+    match step(t, keys, run, winner, |n| e.owns(n)) {
+        Step::Same => e.same(t),
+        Step::Merge => e.put(t, keep_merge(t, keys, run)),
+        Step::Copy => {
+            let built = edit_cut(&mut Build, t, keys, run, winner);
+            e.put(t, built)
+        }
+        Step::Build(whole, [a, b]) => {
+            let (l, r) = (a.cut(&mut Build, keys, run), b.cut(&mut Build, keys, run));
+            e.put(t, whole.over(run, l, r))
+        }
+        Step::Open(n, [a, b]) => {
+            let at = e.open();
+            let l = a.cut(e, keys, run);
+            let r = b.cut(e, keys, run);
+            e.leave(at, n, l, r)
+        }
     }
-    let Complete::Node(n) = t else {
-        return e.put(t, keep_merge(t, keys, run));
-    };
-    if !e.owns(n) {
-        let built = edit_cut(&mut Build, t, keys, run, winner);
-        return e.put(t, built);
-    }
-    let winner = (!run.is_empty()).then(|| winner.unwrap_or_else(|| top(run)));
-    if let Some(i) = winner.filter(|&i| wins(&run[i].0, run[i].1, &n.key, n.prio)) {
-        let (key, prio) = (&run[i].0, run[i].1);
-        let (l, r, _dup) = split_plain(t, key);
-        let (lk, _, rk) = cut(keys, key, |k| k);
-        let l = edit_cut(&mut Build, &l, lk, &run[..i], None);
-        let r = edit_cut(&mut Build, &r, rk, &run[i + 1..], None);
-        return e.put(t, Complete::node(key.clone(), prio, l, r));
-    }
-    let (lk, hit, rk) = cut(keys, &n.key, |k| k);
-    let (lr, again, rr) = cut(run, &n.key, |e| &e.0);
-    let lw = winner.filter(|&i| i < lr.len());
-    let rw = winner.and_then(|i| i.checked_sub(lr.len() + again.len()));
-    if !hit.is_empty() {
-        // The node's key is deleted: join its sides.
-        let l = edit_cut(&mut Build, &n.left, lk, lr, lw);
-        let r = edit_cut(&mut Build, &n.right, rk, rr, rw);
-        // The node's key, inserted again after its delete.
-        let back = edit_cut(&mut Build, &join_plain(&l, &r), &[], again, None);
-        return e.put(t, back);
-    }
-    let at = e.open();
-    let l = edit_cut(e, &n.left, lk, lr, lw);
-    let r = edit_cut(e, &n.right, rk, rr, rw);
-    e.leave(at, n, l, r)
 }
 
-/// `xs`, sorted by `key` with no key twice, cut at `at`: the part below it,
-/// the one element with key `at` if there is one, and the part above it.
-fn cut<'a, T, K: Ord>(xs: &'a [T], at: &K, key: impl Fn(&T) -> &K) -> (&'a [T], &'a [T], &'a [T]) {
+/// A run-kernel job that can cross a fork: a subtreap, and spans of the
+/// shared sorted runs of keys to delete and entries to insert.
+#[derive(Clone)]
+struct Job<K> {
+    t: Complete<K>,
+    keys: Arc<[K]>,
+    k: Range<usize>,
+    run: Arc<[Entry<K>]>,
+    r: Range<usize>,
+    winner: Option<usize>,
+}
+
+impl<K: Key> Job<K> {
+    fn new(t: Complete<K>, keys: Arc<[K]>, run: Arc<[Entry<K>]>) -> Self {
+        let (k, r) = (0..keys.len(), 0..run.len());
+        Job {
+            t,
+            keys,
+            k,
+            run,
+            r,
+            winner: None,
+        }
+    }
+
+    /// The job of one side of this job's node.
+    fn side(&self, s: Side<'_, K>) -> Self {
+        let within = |at: &Range<usize>, s: Range<usize>| at.start + s.start..at.start + s.end;
+        Job {
+            t: s.t.into_owned(),
+            keys: Arc::clone(&self.keys),
+            k: within(&self.k, s.keys),
+            run: Arc::clone(&self.run),
+            r: within(&self.r, s.run),
+            winner: s.winner,
+        }
+    }
+}
+
+/// [`edit_cut`] of `job` with the emitter `e`, forked on engine `B`: a job
+/// [`within_grain`] is cut as plain code, and above it the two sides of a
+/// built or opened node are [`both`] forked, each answered by an emitter
+/// of its own that the node then [`graft`](Emit::graft)s. Writes the
+/// emitter and its answer to `out`.
+fn fork_cut<B: PipeBackend, K: Key, E: Emit<K>>(
+    bk: &B,
+    mut e: E,
+    job: Job<K>,
+    out: B::Wr<Handoff<(E, E::Out)>>,
+) {
+    let (keys, run) = (&job.keys[job.k.clone()], &job.run[job.r.clone()]);
+    let fork = !within_grain::<B>(job.t.size(), keys.len() + run.len());
+    match fork.then(|| step(&job.t, keys, run, job.winner, |n| e.owns(n))) {
+        Some(Step::Copy) => {
+            let (w, built) = bk.cell();
+            fork_cut(bk, Build, job.clone(), w);
+            bk.touch(&built, move |bk, built: Handoff<_>| {
+                let got = e.put(&job.t, built.take().1);
+                bk.fulfill(out, Handoff::new((e, got)));
+            });
+        }
+        Some(Step::Build(whole, [a, b])) => {
+            let (a, b) = (job.side(a), job.side(b));
+            both(bk, (Build, a), (Build, b), move |bk, (_, l), (_, r)| {
+                let got = e.put(&job.t, whole.over(&job.run[job.r.clone()], l, r));
+                bk.fulfill(out, Handoff::new((e, got)));
+            });
+        }
+        Some(Step::Open(n, [a, b])) => {
+            let (n, a, b) = (Arc::clone(n), job.side(a), job.side(b));
+            let at = e.open();
+            let sides = (e.side(), e.side());
+            both(bk, (sides.0, a), (sides.1, b), move |bk, l, r| {
+                let (l, r) = (e.graft(l.0, l.1), e.graft(r.0, r.1));
+                let got = e.leave(at, &n, l, r);
+                bk.fulfill(out, Handoff::new((e, got)));
+            });
+        }
+        _ => {
+            let got = edit_cut(&mut e, &job.t, keys, run, job.winner);
+            bk.fulfill(out, Handoff::new((e, got)));
+        }
+    }
+}
+
+/// Fork the jobs `a` and `b`, each with its emitter, and run `k` on their
+/// emitters and answers once both are in: the run kernel's one join.
+#[allow(clippy::type_complexity)]
+fn both<B: PipeBackend, K: Key, E: Emit<K>>(
+    bk: &B,
+    (ea, a): (E, Job<K>),
+    (eb, b): (E, Job<K>),
+    k: impl FnOnce(&B, (E, E::Out), (E, E::Out)) + Send + 'static,
+) {
+    let ((wa, fa), (wb, fb)) = (bk.cell(), bk.cell());
+    bk.fork2(
+        move |bk| fork_cut(bk, ea, a, wa),
+        move |bk| fork_cut(bk, eb, b, wb),
+    );
+    bk.touch(&fa, move |bk, l: Handoff<_>| {
+        bk.touch(&fb, move |bk, r: Handoff<_>| k(bk, l.take(), r.take()));
+    });
+}
+
+/// `xs`, sorted by `key` with no key twice, cut at `at`: the spans of the
+/// part below it, of the one element with key `at` if there is one, and of
+/// the part above it.
+fn cut<T, K: Ord>(xs: &[T], at: &K, key: impl Fn(&T) -> &K) -> [Range<usize>; 3] {
     let below = xs.partition_point(|x| key(x) < at);
     let above = below + usize::from(xs.get(below).is_some_and(|x| key(x) == at));
-    (&xs[..below], &xs[below..above], &xs[above..])
+    [0..below, below..above, above..xs.len()]
 }
 
 /// The complete treap of `t`'s entries whose keys are not in `keys`,

@@ -4,14 +4,16 @@
 //! into nodes; on the simulator, the same checks on other input
 //! distributions, plus structural depth and height bounds.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use pf_algs::plain::{splitmix64, wins, Entry, PlainTreap};
-use pf_algs::treap::{apply_run, plan_run, Complete};
+use pf_algs::treap::{apply_run, plan_run, plan_run_on, within_grain, Complete, Node, Patch};
 use pf_algs::tree::Tree;
 use pf_algs::two_six::level_arrays;
-use pf_algs::Seq;
+use pf_algs::{PipeBackend, Seq};
 use pf_core::{Ctx, Sim};
+use pf_rt::Runtime;
 use pf_tests::sim::run_merge;
 use pf_tests::*;
 use proptest::collection::{btree_map, btree_set, vec};
@@ -152,29 +154,48 @@ impl Strategy for RunCase {
 /// key (which the commit refuses and undoes, and commits once the clone is
 /// gone). No clone changes.
 fn check_commits(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
+    let (md, mi) = mixed(t, run, dels);
+    let ops = [(vec![], run.to_vec()), (dels.to_vec(), vec![]), (md, mi)];
+    commits(t, &ops, &|x, d, ins| plan_run(x, d, ins, 1));
+}
+
+/// A planner under test: a patch of `t` for deleting `d` and inserting
+/// `ins`, with the caller's handle on `t` its only owner.
+type Planner<'a> = &'a dyn Fn(&Complete<i64>, &[i64], &[Entry<i64>]) -> Patch<i64>;
+
+/// [`check_commits`] of the complete treap of `t` for each of `ops`, its
+/// deletes and inserts, planned by `planner`. Unshared, the commit also keeps
+/// as many of `t`'s nodes as [`plan_run`]'s does: it edits in place
+/// everything that `plan_run` edits in place.
+fn commits(t: &[Entry<i64>], ops: &[(Vec<i64>, Vec<Entry<i64>>)], planner: Planner) {
     let tree = || Complete::from_sorted(t);
     let plain = PlainTreap::from_entries(t);
-    let (md, mi) = mixed(t, run, dels);
-    for (op, (d, ins)) in [(&[][..], run), (dels, &[]), (&md, &mi)]
-        .into_iter()
-        .enumerate()
-    {
-        let want = fold(plain.clone(), d, ins);
-        let is = |got: &Complete<i64>, want: &Plain, how: &str| {
-            assert_complete(got, want, &format!("op {op}, {how}"))
+    let unchanged = Expected::complete(&plain);
+    for (op, (d, ins)) in ops.iter().enumerate() {
+        let want = Expected::complete(&fold(plain.clone(), d, ins));
+        let is = |got: &Complete<i64>, want: &Expected<i64>, how: &str| {
+            want.assert_complete(got, &format!("op {op}, {how}"))
         };
-        let plan = |x: &Complete<i64>| plan_run(x, d, ins, 1);
-        let mut mine = tree();
-        let committed = plan(&mine).commit(&mut mine);
-        assert!(committed.is_ok(), "op {op}: unshared");
+        let plan = |x: &Complete<i64>| planner(x, d, ins);
+        let unshared = |plan: Planner| {
+            let mut mine = tree();
+            let before = nodes(&mine);
+            let committed = plan(&mine, d, ins).commit(&mut mine);
+            assert!(committed.is_ok(), "op {op}: unshared");
+            let kept = nodes(&mine).intersection(&before).count();
+            (mine, kept)
+        };
+        let (mine, kept) = unshared(planner);
         is(&mine, &want, "unshared");
+        let by_plan_run = unshared(&|x, d, ins| plan_run(x, d, ins, 1)).1;
+        assert_eq!(kept, by_plan_run, "op {op}: nodes kept in place");
 
         let mut mine = tree();
         let held = mine.clone();
         let committed = plan(&mine).commit(&mut mine);
         assert!(committed.is_ok(), "op {op}: a copied root needs no owner");
         is(&mine, &want, "held before the plan");
-        is(&held, &plain, "the clone held before the plan");
+        is(&held, &unchanged, "the clone held before the plan");
 
         let first = d.first().copied().or(ins.first().map(|e| e.0));
         for deep in [false, true] {
@@ -192,7 +213,7 @@ fn check_commits(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
             match patch.commit(&mut mine) {
                 Ok(_) => is(&mine, &want, "held across"),
                 Err(patch) => {
-                    is(&mine, &plain, "refused");
+                    is(&mine, &unchanged, "refused");
                     kept("the clone the commit refused for");
                     drop(held);
                     assert!(patch.commit(&mut mine).is_ok(), "op {op}: once let go");
@@ -202,6 +223,84 @@ fn check_commits(t: &[Entry<i64>], run: &[Entry<i64>], dels: &[i64]) {
             }
             kept("the clone held across the commit");
         }
+    }
+}
+
+/// The addresses of `t`'s nodes.
+fn nodes(t: &Complete<i64>) -> HashSet<*const Node<i64>> {
+    let mut out = HashSet::new();
+    let mut stack = vec![t];
+    while let Some(Complete::Node(n)) = stack.pop() {
+        out.insert(Arc::as_ptr(n));
+        stack.extend([&n.left, &n.right]);
+    }
+    out
+}
+
+/// The forked run kernel over the grain: a 2^16-key treap against 6 000-key
+/// insert, delete and [`mixed`] runs, a delete run that takes the root's
+/// key and an insert run whose winner beats the root, planned by
+/// [`plan_run_on`] on `Seq` and on pf-rt at every width — the oracle's
+/// tree, committed in place as [`plan_run`] commits it, copied around a
+/// clone held before the plan, and refused around one taken between plan
+/// and commit.
+#[test]
+fn forked_plans_over_the_grain_commit_the_oracles_tree() {
+    let t: Vec<Entry<i64>> = (0..1i64 << 16)
+        .map(|k| (3 * k, splitmix64(k as u64)))
+        .collect();
+    let pick = |salt: u64, n: u64| {
+        let mut keys: Vec<i64> = (0..6000u64)
+            .map(|i| (splitmix64(salt ^ i) % n) as i64)
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    };
+    let run: Vec<Entry<i64>> = (pick(1, 3 << 16).into_iter())
+        .map(|k| (k, splitmix64(!(k as u64))))
+        .collect();
+    let dels: Vec<i64> = pick(2, 1 << 16).into_iter().map(|k| 3 * k).collect();
+    assert!(!within_grain::<Seq>(t.len(), run.len().min(dels.len())));
+    let root = winner(&t).copied().unwrap();
+    let (md, mi) = mixed(&t, &run, &dels);
+    let mut root_gone = dels.clone();
+    if let Err(at) = root_gone.binary_search(&root.0) {
+        root_gone.insert(at, root.0);
+    }
+    let mut beaten = run.clone();
+    match beaten.binary_search_by_key(&(root.0 + 1), |e| e.0) {
+        Ok(at) => beaten[at].1 = root.1 + 1,
+        Err(at) => beaten.insert(at, (root.0 + 1, root.1 + 1)),
+    }
+    let ops = [
+        (vec![], run),
+        (dels, vec![]),
+        (md, mi),
+        (root_gone, vec![]),
+        (vec![], beaten),
+    ];
+    // The caller holds `x`, and the clone moved into the engine is the
+    // plan's second owner.
+    commits(&t, &ops, &|x, d, ins| {
+        Seq::run(|bk| {
+            let (w, planned) = bk.cell();
+            plan_run_on(bk, x.clone(), d.into(), ins.into(), 2, w);
+            planned.expect().take()
+        })
+    });
+    for width in WIDTHS {
+        let rt = Runtime::shared(width);
+        commits(&t, &ops, &|x, d, ins| {
+            let (out, f) = pf_rt::cell();
+            let (x, d, ins) = (x.clone(), d.to_vec(), ins.to_vec());
+            rt.run(move |wk| {
+                let (w, planned) = PipeBackend::cell(wk);
+                plan_run_on(wk, x, d.into(), ins.into(), 2, w);
+                planned.touch(wk, move |p, wk| out.fulfill(wk, p));
+            });
+            f.expect().take()
+        });
     }
 }
 

@@ -9,15 +9,15 @@
 //! The request path is a four-stage pipeline:
 //!
 //! ```text
-//!   ingress ──► coalesce ──► net effect per window ──► commit
-//!   (queue      (dedup,       (D: keys deleted,         (under the root
-//!    per         wave          I: entries inserted)      lock: edit the
-//!    shard)      merging:     ├ inline: plain code on    root in place or
-//!                one sorted   │  the caller, within one  swap a new one
-//!                run a wave)  │  grain, planned off-lock in; free what it
-//!                             └ pooled: try_run_session, replaced after)
-//!                                union(diff(root, D), I),
-//!                                one future hop
+//!   ingress ──► coalesce ──► net effect per window, ──► commit
+//!   (queue      (dedup,       planned off-lock          (under the root
+//!    per         wave          (D: keys deleted,         lock: edit the
+//!    shard)      merging:      I: entries inserted,      root in place or
+//!                one sorted    one walk of the root)     swap a copy in;
+//!                run a wave)  ├ inline: on the caller,   free what it
+//!                             │  within one grain        replaced after)
+//!                             └ pooled: try_run_session,
+//!                                forked over the grain
 //! ```
 //!
 //! * **Ingress + coalescing** ([`coalesce()`]): requests land in a
@@ -50,29 +50,29 @@
 //!   walk or swap, and what it then holds never changes, since a commit
 //!   edits in place only nodes that nothing but the shard holds.
 //! * **One apply algebra** ([`ApplyMode`]): a pass applies its window's
-//!   net effect, never its waves one by one. A pooled session runs
-//!   `union(diff(root, D), I)`, the difference's pending root feeding the
-//!   union — one future hop, not a chain of them; DESIGN.md §5a says why,
-//!   and where the paper's pipelining is measured. Windows of one
+//!   net effect, never its waves one by one — its key-sorted deletes and
+//!   inserts applied to the committed root in one walk of pf-algs' run
+//!   kernel, the batch never built as a treap. Every pass, inline or
+//!   pooled, is planned off-lock ([`pf_algs::treap::plan_run`]) and
+//!   committed in place where nothing but the shard holds what it edits
+//!   ([`DrainReport::in_place`]); a reader's snapshot makes it copy what
+//!   the reader holds. Both operands of a pass are complete before it
+//!   starts, so nothing in it pipelines: the service is fork-join over
+//!   complete treaps, and pf-algs' pipelined `union`/`diff` stay where the
+//!   paper measured them (DESIGN.md §5a). Windows of one
 //!   ([`ApplyMode::Barriered`]) are pf-perf's A/B baseline for
 //!   `barriered_keys_per_s` and `pipelining_gain`.
-//! * **The inline pass** ([`DrainReport::inline`]): a window that has no
-//!   future in it needs no session. Before opening one, the service
+//! * **The inline pass** ([`DrainReport::inline`]): a window whose plan
+//!   fits one grain needs no session. Before opening one, the service
 //!   admits the window by sizes alone — every wave healthy, of at most
 //!   `GRAIN` keys, and within one grain against an upper bound on the
-//!   running root by the rule `union` and `diff` apply themselves
-//!   ([`pf_algs::treap::within_grain`]) — and applies its net effect as
-//!   plain code on the calling thread: its key-sorted deletes and inserts
-//!   applied to the committed root in one walk, the batch never built as
-//!   a treap. Every such window is planned off-lock
-//!   ([`pf_algs::treap::plan_run`]) and committed in place where nothing
-//!   but the shard holds what it edits ([`DrainReport::in_place`]); a
-//!   reader's snapshot makes it copy what the reader holds. Anything else falls
-//!   through to the pooled session. No option selects either: the
-//!   decisions are functions of sizes, `Worker::GRAIN` and reference
-//!   counts. The pooled session marshals its batches
-//!   on its own worker, so a batch's nodes are allocated by the thread
-//!   that goes on to walk them.
+//!   running root ([`pf_algs::treap::within_grain`]) — and plans it as
+//!   plain code on the calling thread. Anything else goes to a pooled
+//!   session, which injects the window's faults and plans it on its
+//!   worker, forked wherever a node's job is over the grain
+//!   ([`pf_algs::treap::plan_run_on`]); the commit is the inline pass's.
+//!   No option selects either: the decisions are functions of sizes,
+//!   `Worker::GRAIN` and reference counts.
 //!
 //! Failure is a per-wave outcome, not a process event: a wave that
 //! panics, wedges past the deadline, or stalls degrades — the shard keeps

@@ -1,18 +1,18 @@
 //! The service core: per-shard ingress queues feeding coalesced waves
-//! into apply passes of one window each. Either pass applies the
-//! window's net effect — as plain code on the calling thread where its
-//! sizes keep it within one grain, as one pipelined difference feeding
-//! one union in a fault-contained session otherwise.
+//! into apply passes of one window each. Every pass is the same three
+//! steps: fold the window's net effect, plan it against the shard's
+//! committed root with the run kernel ([`plan_run`]), and commit the plan
+//! under the root lock ([`Patch::commit`]). Only where the plan runs
+//! differs: on the calling thread where the window's sizes keep it within
+//! one grain, in a fault-contained pooled session otherwise, forked on
+//! its worker ([`plan_run_on`]) wherever a node's job is over the grain.
 //!
 //! See the crate docs for the architecture. Every shard root, snapshot
 //! and pass result is a [`Complete`] treap, which names no engine and has
-//! no future cell in it by its type: an inline pass builds one with plain
-//! code, and a pooled session's result is converted to one once the
-//! session has reached quiescence ([`Treap::sealed`]: the few pending
-//! nodes a larger-than-grain wave leaves at the top are rebuilt as
-//! complete ones). Snapshot readers walk it lock-free (after one root
-//! clone) as a plain pointer chase, and the next pass's unions see a
-//! complete operand.
+//! no future cell in it by its type: a plan only reads the root, and a
+//! commit edits in place only nodes that nothing but the shard holds.
+//! Snapshot readers walk it lock-free (after one root clone) as a plain
+//! pointer chase.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,9 +20,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pf_algs::plain::wins;
-use pf_algs::treap::{apply_run, diff, plan_run, union, within_grain, Complete, Treap};
-use pf_algs::{Key, Mode, PipeBackend};
-use pf_rt::{cell, ready, FutRead, RunStats, Runtime, Session, SessionError, Worker};
+use pf_algs::treap::{apply_run, plan_run, plan_run_on, within_grain, Complete, Patch};
+use pf_algs::{Key, PipeBackend};
+use pf_rt::{cell, RunStats, Runtime, Session, SessionError, Worker};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::coalesce::{coalesce, CoalescePolicy, Wave};
@@ -30,8 +30,8 @@ use crate::request::{Entry, Fault, OpKind, Request};
 use crate::shard::ShardMap;
 
 /// How many waves one apply pass takes. Either way a pass applies its
-/// window's net effect, inline where its sizes keep it within one grain
-/// ([`DrainReport::inline`]), in one pooled session otherwise.
+/// window's net effect, planned inline where its sizes keep it within one
+/// grain ([`DrainReport::inline`]), in one pooled session otherwise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApplyMode {
     /// One pass per **window** of up to [`ServiceConfig::window`] waves
@@ -56,12 +56,14 @@ pub struct ServiceConfig {
     pub window: usize,
     /// Apply mode (pipelined by default; barriered for A/B runs).
     pub mode: ApplyMode,
-    /// Per-session deadline: a wave (or window) that exceeds it aborts
-    /// and degrades instead of wedging the shard. Neither this nor
-    /// `stall_budget` applies to an inline pass (see
-    /// [`DrainReport::inline`]): plain code on the calling thread waits
-    /// on nothing, and the rule that admits it bounds each wave's share
-    /// by `GRAIN` unit actions, so the whole window by `window × GRAIN`.
+    /// Per-session deadline: a pooled pass whose session — the window's
+    /// faults and its plan — exceeds it aborts and degrades instead of
+    /// wedging the shard. It does not cover the commit that follows a
+    /// session, a walk of the plan's edits under the root lock. Neither
+    /// this nor `stall_budget` applies to an inline pass (see
+    /// [`DrainReport::inline`]): plain code on the calling thread waits on
+    /// nothing, and the rule that admits it bounds each wave's share by
+    /// `GRAIN` unit actions, so the whole window by `window × GRAIN`.
     pub deadline: Option<Duration>,
     /// Coalescer tuning.
     pub policy: CoalescePolicy,
@@ -147,8 +149,9 @@ pub struct DrainReport {
     /// including elapsed busy time — so
     /// `stats.ops_per_sec(keys_applied)` is the service's in-pass
     /// throughput from the same [`RunStats`] source the benchmark uses.
-    /// An inline pass counts as one executed task (the window's root
-    /// closure, run on the caller) and its elapsed time, nothing else.
+    /// A pooled pass counts its session's events; an inline pass counts as
+    /// one executed task (the window's plan, run on the caller), nothing
+    /// else. Either pass's elapsed time covers its plan and its commit.
     pub stats: RunStats,
     /// Apply passes run, inline or pooled, including failed ones and
     /// replays: one per window, plus one per wave replayed or retried.
@@ -156,16 +159,17 @@ pub struct DrainReport {
     /// The passes among `sessions` that never entered the pool: every
     /// wave healthy, of at most `Worker::GRAIN` keys, and within the grain
     /// by [`pf_algs::treap::within_grain`] against an upper bound on the
-    /// running root, so the window's net effect ran as plain code on the
-    /// calling thread — one difference and one union of sorted runs. A
-    /// function of sizes only; an inline pass cannot fail, so the pooled
-    /// session stays the only error path.
+    /// running root, so the window's net effect was planned as plain code
+    /// on the calling thread — its deletes and inserts, two sorted runs,
+    /// in one walk. A function of sizes only; an inline pass cannot fail,
+    /// so the pooled session stays the only error path.
     pub inline: u64,
-    /// The passes among `inline` that committed in place: the window's
-    /// patch kept the shard's root node, because nothing but the shard held
-    /// a node it edits ([`pf_algs::treap::Patch::commit`]). The rest copied
-    /// — a reader holding the root (or, rarely, a window that replaces the
-    /// root entry itself).
+    /// The passes among `sessions`, inline or pooled, that committed in
+    /// place: the window's patch kept the shard's root node, because
+    /// nothing but the shard held a node it edits
+    /// ([`pf_algs::treap::Patch::commit`]). The rest copied — a reader
+    /// holding the root (or, rarely, a window that replaces the root entry
+    /// itself or outgrows the root).
     pub in_place: u64,
     /// Wall-clock span of the drain that produced this report (stamped
     /// by [`SetService::pump`] and [`SetService::drive`]). Distinct from
@@ -245,10 +249,10 @@ struct Shard<K: Key> {
 
 /// The apply plan of one wave: what [`WaveOutcome`] reports of it, and
 /// its one run of entries (sorted and distinct, [`Wave::groups`]), shared
-/// by clones. Whoever applies a window builds its batches: a pooled
-/// session on its worker, so a bulk load's nodes come from the arena of
-/// the thread that walks them, not the one the caller's small path
-/// copies recycle; an inline pass builds none.
+/// by clones — a one-wave insert window plans this run as it is. A
+/// pooled session folds its window's runs on its worker and plans there,
+/// so the subtreaps a bulk load builds come from the arenas of the
+/// threads that go on to walk them.
 #[derive(Clone)]
 struct WavePlan<K> {
     kind: OpKind,
@@ -623,10 +627,11 @@ impl<K: Key> SetService<K> {
         }
     }
 
-    /// One apply pass: `waves` against the shard's committed root —
-    /// inline where [`apply_inline`] can, in a pooled session otherwise —
-    /// and, on success, the commit. Returns the pass's elapsed time, or
-    /// the session's error with the root untouched.
+    /// One apply pass: the window's [`net_effect`] planned against the
+    /// shard's committed root — on the calling thread where [`admits`]
+    /// says so, in a pooled session otherwise — and committed ([`commit`]).
+    /// Returns the pass's elapsed time, or the session's error with the
+    /// root untouched.
     fn apply_pass(
         &self,
         shard: usize,
@@ -634,47 +639,44 @@ impl<K: Key> SetService<K> {
         report: &mut DrainReport,
     ) -> Result<Duration, (SessionError, Duration)> {
         report.sessions += 1;
-        let slot = &self.shards[shard].root;
+        let started = Instant::now();
         let root = self.snapshot(shard);
-        let root = match apply_inline(slot, root, waves) {
-            Ok((stats, in_place)) => {
+        // A panic in the inline plan hands the window to the session, which
+        // reports it.
+        let inline = admits(&root, waves)
+            .then(|| catch_unwind(AssertUnwindSafe(|| plan_inline(&root, waves))).ok())
+            .flatten();
+        let (planned, mut stats) = match inline {
+            Some(planned) => {
                 report.inline += 1;
-                report.in_place += u64::from(in_place);
-                report.stats.accumulate(&stats);
-                return Ok(stats.elapsed);
+                let one = RunStats {
+                    tasks_executed: 1,
+                    ..RunStats::default()
+                };
+                (planned, one)
             }
-            Err(root) => root,
+            None => self.plan_pooled(root.clone(), waves)?,
         };
-        let (new_root, stats) = self.run_window_session(root, waves)?;
-        // Swap under the lock every `snapshot()` takes, free after it:
-        // dropping the last handle on the old root frees the whole
-        // replaced path — per key, the nodes above its block and the block.
-        let replaced = std::mem::replace(&mut *lock(slot), new_root);
-        drop(replaced);
+        let (in_place, took) = commit(&self.shards[shard].root, root, planned, started);
+        report.in_place += u64::from(in_place);
+        stats.elapsed = took;
         report.stats.accumulate(&stats);
-        Ok(stats.elapsed)
+        Ok(took)
     }
 
-    /// One apply session: the window's net effect ([`net_effect`]) as one
-    /// pipelined hop, `union(diff(root, D), I)`, an empty run's operation
-    /// skipped, then the final root read out, sealed — the one place a
-    /// committable root that took futures to build comes from. The fold
-    /// and the builds of `D` and `I` ([`Complete::from_sorted`]) run
-    /// on the session's worker; a one-wave insert window's run is `I` as
-    /// it is. `D` holds the deleted keys at the trailing zeros of their
-    /// ranks, balanced whatever priorities callers sent. The waves only
-    /// inject faults. On failure the caller gets the error plus the
-    /// session's wall-clock cost; the pool is already clean (aborted
-    /// sessions poison their cells and drop their continuations) and the
-    /// pre-session root is untouched — it is complete, so the poison pass
-    /// cannot reach it.
-    #[allow(clippy::type_complexity)]
-    fn run_window_session(
+    /// The pooled pass's plan: one traced session injects the waves'
+    /// faults, and on its worker folds the window's [`net_effect`] and
+    /// plans it ([`plan_run_on`]), forked wherever a node's job is over
+    /// the grain. On failure the caller gets the error plus the session's
+    /// wall-clock cost; the pool is already clean (aborted sessions poison
+    /// their cells and drop their continuations) and the root untouched,
+    /// for a plan writes nothing.
+    fn plan_pooled(
         &self,
         root: Complete<K>,
         waves: &[WavePlan<K>],
-    ) -> Result<(Complete<K>, RunStats), (SessionError, Duration)> {
-        let (out, of) = cell();
+    ) -> Result<(Planned<K>, RunStats), (SessionError, Duration)> {
+        let ((runs_out, runs), (patch_out, patch)) = (cell(), cell());
         // Traced, so a failed session leaves its own timeline behind.
         let mut sess = Session::new().trace();
         if let Some(d) = self.cfg.deadline {
@@ -701,31 +703,14 @@ impl<K: Key> SetService<K> {
                         Fault::None => {}
                     }
                 }
-                let folded;
-                let (deletes, inserts): (&[K], &[Entry<K>]) = match &window[..] {
-                    [w] if w.kind == OpKind::Insert => (&[], &w.run),
-                    _ => {
-                        folded = net_effect(&window);
-                        (&folded.0, &folded.1)
-                    }
-                };
-                let d: Vec<Entry<K>> = (deletes.iter().zip(1u64..))
-                    .map(|(k, i)| (k.clone(), u64::from(i.trailing_zeros())))
-                    .collect();
-                let hops: [(_, fn(&Worker, _, _, _, Mode)); 2] = [(&d[..], diff), (inserts, union)];
-                let mut state: FutRead<Treap<Worker, K>> = ready(Treap::Done(root));
-                for (run, op) in hops.into_iter().filter(|(run, _)| !run.is_empty()) {
-                    let (p, f) = cell();
-                    let batch = ready(Treap::Done(Complete::from_sorted(run)));
-                    op(wk, state, batch, p, Mode::Pipelined);
-                    state = f;
-                }
-                state.touch(wk, move |v, wk| out.fulfill(wk, v));
+                let (deletes, inserts) = net_effect(&window);
+                runs_out.fulfill(wk, (Arc::clone(&deletes), Arc::clone(&inserts)));
+                // The session holds a third handle on the root.
+                plan_run_on(wk, root, deletes, inserts, OWNERS + 1, patch_out);
             })
             .map_err(|e| (e, started.elapsed()))?;
-        // Quiescence ⇒ the last result cell and every cell below it is
-        // written, so the pending top of the new root can be sealed.
-        Ok((of.expect().sealed(), stats))
+        let (deletes, inserts) = runs.expect();
+        Ok(((deletes, inserts, patch.expect().take()), stats))
     }
 }
 
@@ -741,86 +726,78 @@ impl DrainReport {
     }
 }
 
-/// The window as plain code on the calling thread, committed — its
-/// [`RunStats`], and whether it edited the shard's root in place — or
-/// `root` handed back, and the caller opens a session, unless every wave
-/// is healthy, holds at most `GRAIN` keys, and is [`within_grain`] against
-/// an upper bound on the running root: the committed root's size plus
-/// every key inserted earlier in the window. A function of sizes alone,
-/// checked before any work.
-///
-/// The pass applies the window's [`net_effect`], two key-sorted runs,
-/// taken out of `root` and put into what is left in one walk.
-///
-/// The window is planned off-lock ([`plan_run`]) and committed under the
-/// root lock ([`Patch::commit`](pf_algs::treap::Patch::commit)): in place
-/// where nothing but the shard holds a node the patch edits, a copy of
-/// the path put in where a reader held a node at plan time. The shard's
-/// apply lock keeps the planned root committed until then. A commit
-/// refused because a reader took hold of an edited node since the plan
-/// copies instead ([`apply_run`]) and swaps the copy in. Every comparison
-/// and clone of a key runs before the root lock is taken, under
-/// `catch_unwind`: a panic there hands `root` back with the shard
-/// untouched, and the session that follows reports the error. A reader
-/// waits for the commit walk at most, and the subtreaps it replaces are
-/// freed after the lock is released. The elapsed time covers the plan and
-/// the commit, not that free.
-fn apply_inline<K: Key>(
-    slot: &Mutex<Complete<K>>,
-    root: Complete<K>,
-    waves: &[WavePlan<K>],
-) -> Result<(RunStats, bool), Complete<K>> {
-    let started = Instant::now();
+/// Does the window run inline, on the calling thread with no session:
+/// is every wave healthy, of at most `GRAIN` keys, and [`within_grain`]
+/// against an upper bound on the running root — the committed root's size
+/// plus every key inserted earlier in the window? A function of sizes
+/// alone, checked before any work; an inline pass waits on nothing, so a
+/// window's time is bounded by `window × GRAIN` unit actions.
+fn admits<K: Key>(root: &Complete<K>, waves: &[WavePlan<K>]) -> bool {
     let mut bound = root.size();
-    for w in waves {
+    waves.iter().all(|w| {
         let healthy = w.fault == Fault::None && w.keys as u64 <= Worker::GRAIN;
-        if !healthy || !within_grain::<Worker>(bound, w.keys) {
-            return Err(root);
-        }
+        let fits = healthy && within_grain::<Worker>(bound, w.keys);
         if w.kind == OpKind::Insert {
             bound += w.keys;
         }
-    }
-    let stats = || RunStats {
-        tasks_executed: 1,
-        elapsed: started.elapsed(),
-        ..RunStats::default()
-    };
-    // The shard's handle and this pass's: a reader's is a third.
-    const OWNERS: usize = 2;
-    let plan = || {
-        let (deletes, inserts) = net_effect(waves);
-        let patch = plan_run(&root, &deletes, &inserts, OWNERS);
-        (deletes, inserts, patch)
-    };
-    let Ok((deletes, inserts, patch)) = catch_unwind(AssertUnwindSafe(plan)) else {
-        return Err(root);
-    };
+        fits
+    })
+}
+
+/// The handles on the root an inline plan accounts for: the shard's and
+/// the pass's. A reader's is a third.
+const OWNERS: usize = 2;
+
+/// A pass's plan: the window's [`net_effect`], its deletes and inserts,
+/// and the patch of the root that applies them.
+type Planned<K> = (Arc<[K]>, Arc<[Entry<K>]>, Patch<K>);
+
+/// The inline pass's plan, on the calling thread: [`plan_run`].
+fn plan_inline<K: Key>(root: &Complete<K>, waves: &[WavePlan<K>]) -> Planned<K> {
+    let (deletes, inserts) = net_effect(waves);
+    let patch = plan_run(root, &deletes, &inserts, OWNERS);
+    (deletes, inserts, patch)
+}
+
+/// Commit `planned`, a plan of `root`, to the shard's root `slot` under
+/// the lock every `snapshot()` takes ([`Patch::commit`]): in place where
+/// nothing but the shard holds a node the patch edits, a copy of the path
+/// put in where a reader held a node at plan time. The shard's apply lock
+/// keeps the planned root committed until then, and `root`, the pass's
+/// handle on it, is let go first. A commit refused because a reader took
+/// hold of an edited node since the plan copies instead ([`apply_run`],
+/// the plan's comparisons again, on the same root) and swaps the copy in.
+/// A reader waits for the commit walk or swap at most. Returns whether the
+/// root node was kept, and the elapsed time since `started`, stamped
+/// before the subtreaps the commit replaced are freed, off the lock.
+fn commit<K: Key>(
+    slot: &Mutex<Complete<K>>,
+    root: Complete<K>,
+    planned: Planned<K>,
+    started: Instant,
+) -> (bool, Duration) {
+    let (deletes, inserts, patch) = planned;
     let mut guard = lock(slot);
     debug_assert!(guard.ptr_eq(&root), "the apply lock keeps the planned root");
-    let in_place = patch.keeps_root();
     drop(root);
+    let in_place = patch.keeps_root();
     let refused = match patch.commit(&mut guard) {
         Ok(graveyard) => {
             drop(guard);
-            let stats = stats();
+            let took = started.elapsed();
             drop(graveyard);
-            return Ok((stats, in_place));
+            return (in_place, took);
         }
         Err(refused) => refused,
     };
-    // A reader took hold of an edited node since the plan.
     let root = guard.clone();
     drop(guard);
     drop(refused);
-    let copy = || apply_run(&root, &deletes, &inserts);
-    let Ok(new_root) = catch_unwind(AssertUnwindSafe(copy)) else {
-        return Err(root);
-    };
+    let new_root = apply_run(&root, &deletes, &inserts);
     let replaced = std::mem::replace(&mut *lock(slot), new_root);
-    let stats = stats();
-    drop(replaced);
-    Ok((stats, false))
+    let took = started.elapsed();
+    drop((root, replaced));
+    (false, took)
 }
 
 /// The net effect of `waves`, which every pass applies: one stable sort
@@ -829,8 +806,14 @@ fn apply_inline<K: Key>(
 /// winner among the entries inserted after its last delete. A treap is a
 /// function of its entries, so the two runs build the tree the waves'
 /// unions and differences build one by one, at no more work than their
-/// estimates summed.
-fn net_effect<K: Key>(waves: &[WavePlan<K>]) -> (Vec<K>, Vec<Entry<K>>) {
+/// estimates summed. A one-wave insert window is its run as it is: no
+/// sort, no copy.
+fn net_effect<K: Key>(waves: &[WavePlan<K>]) -> (Arc<[K]>, Arc<[Entry<K>]>) {
+    if let [w] = waves {
+        if w.kind == OpKind::Insert {
+            return (Vec::new().into(), Arc::clone(&w.run));
+        }
+    }
     let mut ops: Vec<(&Entry<K>, OpKind)> = (waves.iter())
         .flat_map(|w| w.run.iter().map(move |e| (e, w.kind)))
         .collect();
@@ -853,7 +836,7 @@ fn net_effect<K: Key>(waves: &[WavePlan<K>]) -> (Vec<K>, Vec<Entry<K>>) {
         });
         inserts.extend(winner.cloned());
     }
-    (deletes, inserts)
+    (deletes.into(), inserts.into())
 }
 
 fn outcome<K>(

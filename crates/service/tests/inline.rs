@@ -334,30 +334,47 @@ fn a_mixed_window_commits_in_place_unless_a_snapshot_is_held() {
     let root_key = root.key;
     drop(root);
     // One window of a delete wave then an insert wave, replayed on the
-    // oracle as a difference then a union. Low priorities and a kept root
-    // key leave the root node where it is.
-    let mut window = |dels: &[i64], ins: &[i64]| {
+    // oracle as a difference then a union — inline unless `pooled`; an
+    // empty wave is not sent. Low priorities and a kept root key leave the
+    // root node where it is.
+    let mut window = |dels: &[i64], ins: Vec<(i64, u64)>, pooled: bool| {
         assert!(!dels.contains(&root_key));
-        let ins: Vec<(i64, u64)> = ins.iter().map(|&k| (k, k as u64)).collect();
+        let waves = u64::from(!dels.is_empty()) + u64::from(!ins.is_empty());
         oracle = fold(oracle.take(), dels, &ins);
         svc.submit(Request::delete(dels.iter().map(|&k| (k, 0)).collect()));
         svc.submit(Request::insert(ins));
         let report = svc.pump();
         let counts = (report.sessions, report.inline, report.served);
-        assert_eq!(counts, (1, 1, 2), "{report:?}");
+        assert_eq!(counts, (1, u64::from(!pooled), waves), "{report:?}");
         assert_complete(&svc.snapshot(0), &oracle, &format!("{dels:?}"));
         (report.in_place, oracle.clone())
     };
+    let low = |keys: &[i64]| keys.iter().map(|&k| (k, k as u64)).collect();
     // 500 is deleted and inserted again at a new priority; 13 is absent.
     let dels = [500, 1000, 13].map(|k| if k == root_key { k + 5 } else { k });
-    let (in_place, was) = window(&dels, &[500, 7, 8]);
+    let (in_place, was) = window(&dels, low(&[500, 7, 8]), false);
     assert_eq!(in_place, 1);
     // A held snapshot: the mixed pass copies what the reader holds, and
     // the snapshot keeps its tree.
     let held = svc.snapshot(0);
     let dels = [1500, 7].map(|k| if k == root_key { k + 5 } else { k });
-    assert_eq!(window(&dels, &[7, 9, 2001]).0, 0);
+    assert_eq!(window(&dels, low(&[7, 9, 2001]), false).0, 0);
     assert_complete(&held, &was, "the held snapshot");
+    drop(held);
+
+    // Over the grain: against 2^17 more keys (at priorities below the
+    // root's), a window of 482 keys is pooled, and its plan, forked on the
+    // pool, commits in place just the same.
+    let more = (0..1 << 17).map(|k| (5 * k + 16_000, splitmix64(k as u64) >> 1));
+    window(&[], more.collect(), true);
+    let over = |from: i64| -> Vec<i64> { (0..480).map(|k| 5 * (k * 271 + from) + 1).collect() };
+    let (in_place, was) = window(&[2000, 2005], low(&over(3)), true);
+    assert_eq!(in_place, 1);
+    let held = svc.snapshot(0);
+    let was_shape = held.preorder();
+    assert_eq!(window(&[2010, 2015], low(&over(5)), true).0, 0);
+    assert_complete(&held, &was, "the held snapshot, over the grain");
+    assert_eq!(held.preorder(), was_shape);
 }
 
 #[test]

@@ -162,8 +162,9 @@ fn layout<K: Key>(t: &Complete<K>, out: &mut Vec<Part<K>>) {
 }
 
 /// A plain treap as a treap must stand for it: its entries in preorder,
-/// and — where asked — the layout of the complete treap of them.
-struct Expected<K> {
+/// and — where asked — the layout of the complete treap of them. Read off
+/// once ([`Expected::complete`]), it checks any number of treaps.
+pub struct Expected<K> {
     preorder: Vec<Entry<K>>,
     complete: Vec<Part<K>>,
 }
@@ -205,7 +206,13 @@ impl<K: Key + Debug> Expected<K> {
         Expected { preorder, complete }
     }
 
-    fn assert_complete(&self, got: &Complete<K>, what: &str) {
+    /// `want`'s tree and the layout of the complete treap of its entries.
+    pub fn complete(want: &Plain<K>) -> Self {
+        Self::new(want, true)
+    }
+
+    /// [`assert_complete`] against the tree this was read off.
+    pub fn assert_complete(&self, got: &Complete<K>, what: &str) {
         assert_eq!(got.preorder(), self.preorder, "{what}");
         assert!(got.check_invariants(), "{what}");
         let mut parts = vec![];
@@ -259,7 +266,7 @@ pub fn fold<K: Key>(t: Plain<K>, deletes: &[K], inserts: &[Entry<K>]) -> Plain<K
 /// treap of `want`'s entries: `want`'s tree entry for entry, every size
 /// exact, and the nodes and blocks the representation rule makes.
 pub fn assert_complete<K: Key + Debug>(got: &Complete<K>, want: &Plain<K>, what: &str) {
-    Expected::new(want, true).assert_complete(got, what);
+    Expected::complete(want).assert_complete(got, what);
 }
 
 /// A future of engine `B`.
