@@ -32,8 +32,8 @@
 //!   fault-contained sessions ([`pf_rt::Runtime::try_run_session`]) on
 //!   one shared worker pool. Shard sessions genuinely co-execute (each
 //!   gets its own session slot), so shard concurrency covers session
-//!   execution itself as well as everything around it — batch treap
-//!   construction, coalescing, commit bookkeeping — and a failed shard
+//!   execution itself as well as everything around it — planning,
+//!   coalescing, commit bookkeeping — and a failed shard
 //!   degrades alone, its abort confined to its own slot. A shard takes
 //!   one applier at a time, from taking its ingress through its last
 //!   commit, so `pump`s and a `drive` may run side by side and each shard

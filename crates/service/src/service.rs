@@ -433,7 +433,7 @@ impl<K: Key> SetService<K> {
     /// Concurrent open-loop drain: one apply thread per shard but the
     /// first pulls from its ingress queue while the calling thread feeds
     /// `requests` in — arrival is a pipeline stage overlapping coalescing,
-    /// batch-treap construction, and the other shards' sessions — and
+    /// planning, and the other shards' sessions — and
     /// then the calling thread drains shard 0 itself rather than wait in
     /// `join`. A drive spawns one thread fewer, and the host no longer
     /// stacks two fresh apply threads on one core (EXPERIMENTS.md E34).
