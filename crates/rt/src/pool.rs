@@ -164,6 +164,34 @@
 //! is unchanged, every worker is parked and some queue (of any session)
 //! is non-empty, it unparks every worker. That is recovery only; it
 //! files nothing.
+//!
+//! # Placement
+//!
+//! Each worker of a pool of two or more confines itself, before it
+//! enters its loop, to **one CPU** of the mask it inherited from the
+//! thread that built the runtime: the k-th allowed CPU, k taken from a
+//! process-wide round-robin counter (worker *i* of a pool takes position
+//! `first + i`, where [`Runtime::new`] reserved `first` for its whole
+//! width). A width-w pool on at least w CPUs therefore holds w distinct
+//! CPUs, and pools built one after another or side by side
+//! ([`Runtime::shared`] widths, tests) continue the rotation instead of
+//! piling onto the first CPU. There is nothing to set.
+//!
+//! Why: Lemma 4.1's `O(w/p + d)` counts p processors, and a pool only
+//! has them if its workers are not placed on one. Left to the kernel, a
+//! woken worker goes to its waker's CPU whenever no CPU is idle (a
+//! benchmark harness's low-priority keep-awake threads are enough), so
+//! two workers of a pool shared one CPU in most samples (EXPERIMENTS.md
+//! E29, E42). A pinned worker also keeps its deque and the subtrees it
+//! stole in one core's cache.
+//!
+//! Exceptions, all silent: a one-worker pool is left where the kernel
+//! puts it (nothing to spread, and pinning its lone worker away from its
+//! caller's cache cost `algs-t1` outliers); a thread allowed one CPU
+//! only (`taskset -c 0`) leaves every worker there; and when the
+//! affinity calls fail the worker stays unpinned — placement has no
+//! error path. It is Linux-only and compiled out under the model
+//! checker. A thread a worker spawns inherits its one-CPU mask.
 
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
@@ -610,6 +638,10 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             next_session: AtomicU64::new(0),
         });
+        // Placement (module docs): worker `i` of a wider pool takes the
+        // `(first + i)`-th CPU of the mask it inherits from this thread.
+        #[cfg(all(target_os = "linux", not(pf_check)))]
+        let first = (nthreads > 1).then(|| placement::reserve(nthreads));
         let handles: Vec<JoinHandle<()>> = locals
             .into_iter()
             .enumerate()
@@ -619,6 +651,10 @@ impl Runtime {
                     .name(format!("pf-rt-worker-{i}"))
                     .stack_size(WORKER_STACK)
                     .spawn(move || {
+                        #[cfg(all(target_os = "linux", not(pf_check)))]
+                        if let Some(first) = first {
+                            placement::pin(first + i);
+                        }
                         IN_WORKER.with(|f| f.set(true));
                         let worker = Worker::new(shared, local, i);
                         worker_loop(&worker);
@@ -945,6 +981,57 @@ impl Runtime {
             }
         }
         stuck
+    }
+}
+
+/// Worker placement (module docs, *Placement*).
+#[cfg(all(target_os = "linux", not(pf_check)))]
+mod placement {
+    use std::ffi::c_int;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    extern "C" {
+        /// `sched_getaffinity(2)`; fills `size` bytes at `mask`.
+        fn sched_getaffinity(pid: c_int, size: usize, mask: *mut u64) -> c_int;
+        /// `sched_setaffinity(2)`; `mask` points at `size` bytes of CPU bits.
+        fn sched_setaffinity(pid: c_int, size: usize, mask: *const u64) -> c_int;
+    }
+
+    /// A CPU mask the size of glibc's `cpu_set_t`: 1024 CPUs.
+    type CpuSet = [u64; 16];
+    const SET_BYTES: usize = std::mem::size_of::<CpuSet>();
+
+    /// The round-robin position of the next pinned worker.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+
+    /// Reserve `n` consecutive positions; returns the first.
+    pub(super) fn reserve(n: usize) -> usize {
+        NEXT.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// Confine the calling thread to the `k`-th (modulo their count) CPU
+    /// of those it may run on. A thread allowed one CPU stays where it
+    /// is, and so does one whose affinity call fails.
+    pub(super) fn pin(k: usize) {
+        let mut allowed: CpuSet = [0; 16];
+        // SAFETY: writes at most `SET_BYTES` bytes at a local of that
+        // size that outlives the call; `pid == 0` names the calling thread.
+        if unsafe { sched_getaffinity(0, SET_BYTES, allowed.as_mut_ptr()) } != 0 {
+            return;
+        }
+        let cpus: Vec<usize> = (0..SET_BYTES * 8)
+            .filter(|&c| allowed[c / 64] >> (c % 64) & 1 != 0)
+            .collect();
+        if cpus.len() < 2 {
+            return;
+        }
+        let cpu = cpus[k % cpus.len()];
+        let mut one: CpuSet = [0; 16];
+        one[cpu / 64] = 1 << (cpu % 64);
+        // SAFETY: reads `SET_BYTES` bytes at a local of that size that
+        // outlives the call; `pid == 0` names the calling thread. A
+        // failure leaves the thread on its inherited mask.
+        unsafe { sched_setaffinity(0, SET_BYTES, one.as_ptr()) };
     }
 }
 
